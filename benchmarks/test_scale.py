@@ -137,8 +137,7 @@ def build_pod_cluster(pods: int, nodes_per_pod: int = 8) -> Cluster:
     return cluster
 
 
-def run_partitioned_scale(app_count: int, flush_every: int = 64,
-                          parallel_workers: int = 0):
+def run_partitioned_scale(app_count: int, flush_every: int = 64):
     """Pod-blocked admissions through the coalescing scheduler.
 
     This is the machine-room shape the partition index exists for:
@@ -152,8 +151,7 @@ def run_partitioned_scale(app_count: int, flush_every: int = 64,
     pods = app_count // APPS_PER_POD
     cluster = build_pod_cluster(pods)
     controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
-        parallel_workers=parallel_workers)
+        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False))
     scheduler = CoalescingScheduler(controller, coalesce_window=0.0,
                                     max_delay=0.0)
     admitted = 0
@@ -203,7 +201,6 @@ def test_scale_partitioned(report, benchmark, app_count):
         "full_view_recomputes": stats["full_view_recomputes"],
         "partition_count": index.partition_count,
         "pruned_candidates": stats["pruned_candidates"],
-        "parallel_workers": 0,
     }
     # The always-on runtime histograms ride along: the batch-latency
     # tail at each scale point tracks where coalescing stops hiding the

@@ -201,8 +201,11 @@ class HarmonySession:
                 # Crash-only discipline (chaos suites): an unhandled
                 # error kills the whole server, not just this
                 # connection — otherwise an asyncio front end would
-                # keep the listener alive as a half-dead zombie.
+                # keep the listener alive as a half-dead zombie.  The
+                # crash is fully handled here (recorded, server dead),
+                # so nothing unwinds into the delivering thread.
                 server.fail_stop()
+                return
             raise
 
     def _locked_dispatch(self, msg_type: str,

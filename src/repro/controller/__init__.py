@@ -32,8 +32,7 @@ from repro.controller.optimizer import (
     OptimizationContext,
     enumerate_candidates,
 )
-from repro.controller.parallel import ParallelSweepExecutor
-from repro.controller.partition import GainPriorityQueue, PartitionIndex
+from repro.controller.partition import PartitionIndex
 from repro.controller.policies import ClientCountRulePolicy
 from repro.controller.scheduler import CoalescingScheduler
 from repro.controller.trial import OptimizerStats, TrialEngine, ViewTrial
@@ -53,7 +52,7 @@ __all__ = [
     "GreedyOptimizer", "ExhaustiveOptimizer", "Candidate",
     "OptimizationContext", "ConfigurationCache", "enumerate_candidates",
     "OptimizerStats", "TrialEngine", "ViewTrial",
-    "PartitionIndex", "GainPriorityQueue", "ParallelSweepExecutor",
+    "PartitionIndex",
     "Federation", "ControllerShard", "RootArbiter", "ShardMap",
     "shard_hash",
     "FrictionPolicy", "SwitchDecision",

@@ -39,12 +39,7 @@ from repro.controller.optimizer import (
     GreedyOptimizer,
     OptimizationContext,
 )
-from repro.controller.parallel import ParallelSweepExecutor
-from repro.controller.partition import (
-    GainPriorityQueue,
-    PartitionIndex,
-    bundle_key,
-)
+from repro.controller.partition import PartitionIndex, bundle_key
 from repro.controller.registry import (
     AppInstance,
     ApplicationRegistry,
@@ -150,17 +145,10 @@ class ModelDrivenPolicy(DecisionPolicy):
 
     def __init__(self, optimizer: GreedyOptimizer | None = None,
                  pairwise_exchange: bool = True,
-                 max_pairwise_bundles: int = 12,
-                 top_k_bundles: int | None = None):
+                 max_pairwise_bundles: int = 12):
         self.optimizer = optimizer or GreedyOptimizer()
         self.pairwise_exchange = pairwise_exchange
         self.max_pairwise_bundles = max_pairwise_bundles
-        #: Evaluate at most this many bundles per partitioned sweep,
-        #: picked by last observed gain (the rest stay dirty for later
-        #: sweeps).  ``None`` — the default, and the only setting the
-        #: equivalence guarantees cover — evaluates every dirty bundle.
-        self.top_k_bundles = top_k_bundles
-        self.gain_queue = GainPriorityQueue()
 
     def configure_new_bundle(self, controller: "AdaptationController",
                              instance: AppInstance,
@@ -212,66 +200,40 @@ class ModelDrivenPolicy(DecisionPolicy):
         interleave partitions.  A bundle is skipped when its partition's
         epoch watermark proves its last no-op evaluation still holds
         (see :class:`~repro.controller.partition.PartitionIndex`).
-        Independent partitions fan out to the process pool first when a
-        :class:`~repro.controller.parallel.ParallelSweepExecutor` is
-        attached; their proposals are then merged in the same global
-        registry order.
         """
         index.refresh()
         stats = controller.stats
         stats.partition_sweeps += 1
         prune = index.prunable(controller.objective)
-        entries = [(instance, state)
-                   for instance in controller.registry.instances()
-                   for state in instance.bundles.values()]
-        keys = [bundle_key(instance, state) for instance, state in entries]
-        if self.top_k_bundles is not None:
-            selected, _ = self.gain_queue.select(keys, self.top_k_bundles)
-            selected_set: set | None = set(selected)
-        else:
-            selected_set = None
-        pool = controller.parallel_executor
-        pool_result = None
-        if pool is not None and prune and selected_set is None:
-            # top-k selection changes which bundles run, which the pool's
-            # partition snapshots cannot express — pooling stands down.
-            pool_result = pool.sweep_partitions(index, entries, keys)
         changes = 0
         #: pid -> [elapsed, evaluated, changed, skipped]
         activity: dict[int, list] = {}
-        for (instance, state), key in zip(entries, keys):
-            part = index.partition_of(key)
-            pid = part.pid if part is not None else 0
-            cell = activity.setdefault(pid, [0.0, 0, 0, 0])
-            if (selected_set is not None and key not in selected_set) or \
-                    (prune and index.is_clean(key)):
-                stats.pruned_bundles += 1
-                stats.pruned_candidates += index.candidate_count(state)
-                cell[3] += 1
-                continue
-            start = _time.perf_counter()
-            if pool_result is not None and pid in pool_result.pooled_pids:
-                changed, stable, gain = pool.merge_one(
-                    controller, self, instance, state, key, pool_result)
-            else:
-                changed, stable, gain, _ = self._reevaluate_bundle_outcome(
+        for instance in controller.registry.instances():
+            for state in instance.bundles.values():
+                key = bundle_key(instance, state)
+                part = index.partition_of(key)
+                pid = part.pid if part is not None else 0
+                cell = activity.setdefault(pid, [0.0, 0, 0, 0])
+                if prune and index.is_clean(key):
+                    stats.pruned_bundles += 1
+                    stats.pruned_candidates += index.candidate_count(state)
+                    cell[3] += 1
+                    continue
+                start = _time.perf_counter()
+                changed, stable = self._reevaluate_bundle_outcome(
                     controller, instance, state)
-            cell[0] += _time.perf_counter() - start
-            cell[1] += 1
-            if changed:
-                changes += 1
-                cell[2] += 1
-            elif stable and prune:
-                index.mark_clean(key)
-            if gain is not None:
-                self.gain_queue.record(key, gain)
+                cell[0] += _time.perf_counter() - start
+                cell[1] += 1
+                if changed:
+                    changes += 1
+                    cell[2] += 1
+                elif stable and prune:
+                    index.mark_clean(key)
         tracer = controller.tracer
         if tracer.enabled:
             end = tracer.elapsed()
             for pid, (elapsed, evaluated, changed, skipped) in \
                     sorted(activity.items()):
-                if evaluated == 0 and skipped == 0:
-                    continue
                 part = index._parts.get(pid)
                 tracer.record_span(
                     "optimizer.partition_sweep",
@@ -344,13 +306,8 @@ class ModelDrivenPolicy(DecisionPolicy):
     def _reevaluate_bundle_outcome(
             self, controller: "AdaptationController",
             instance: AppInstance, state: BundleState,
-            ) -> tuple[bool, bool, float | None, Candidate | None]:
-        """Evaluate one bundle; returns ``(changed, stable, gain,
-        applied)``.
-
-        ``applied`` is the candidate put live when ``changed`` (the
-        parallel executor ships it back from worker processes as a
-        proposal), ``None`` otherwise.
+            ) -> tuple[bool, bool]:
+        """Evaluate one bundle; returns ``(changed, stable)``.
 
         ``stable`` asserts the no-change outcome would recur if nothing
         in this bundle's partition changes — even while *other*
@@ -366,19 +323,14 @@ class ModelDrivenPolicy(DecisionPolicy):
         """
         now = controller.now
         if state.chosen is None:
-            return False, True, None, None
+            return False, True
         if not state.granularity_allows_switch(now):
-            return False, False, None, None
+            return False, False
         context = controller.optimization_context()
         result = self.optimizer.optimize_bundle(instance, state, context)
         best = result.best
-        if best is None:
-            return False, True, 0.0, None
-        if best.option_name == state.chosen.option_name and \
-                best.variable_assignment == state.chosen.variable_assignment \
-                and best.assignment.placements == \
-                state.chosen.assignment.placements:
-            return False, True, 0.0, None  # already there
+        if best is None or _same_configuration(state, best):
+            return False, True
         with controller.tracer.span("controller.friction_gate",
                                     app=instance.key) as span:
             friction_cost = controller.friction_cost(state,
@@ -391,9 +343,8 @@ class ModelDrivenPolicy(DecisionPolicy):
             span.set("friction_cost_seconds", friction_cost)
             span.set("worthwhile", bool(decision))
         if not decision:
-            gain = decision.objective_gain
-            stable = gain <= 0 or decision.amortized_gain > 0
-            return False, stable, max(0.0, gain), None
+            return False, (decision.objective_gain <= 0
+                           or decision.amortized_gain > 0)
         controller.apply_candidate(
             instance, state, best,
             reason=f"reevaluation (gain {decision.objective_gain:.3g}s, "
@@ -402,7 +353,7 @@ class ModelDrivenPolicy(DecisionPolicy):
             trace_candidates=candidate_traces(
                 controller, state, result.evaluated, best,
                 result.current_objective))
-        return True, False, decision.objective_gain, best
+        return True, False
 
 
 def candidate_traces(controller: "AdaptationController", state: BundleState,
@@ -464,7 +415,6 @@ class AdaptationController:
                  reevaluation_period_seconds: float = 30.0,
                  incremental: bool = True,
                  partitioned: bool | None = None,
-                 parallel_workers: int = 0,
                  tracer=None,
                  trace_log: DecisionTraceLog | None = None,
                  flight_recorder: FlightRecorder | None = None):
@@ -519,15 +469,6 @@ class AdaptationController:
         self.partitioned = partitioned
         self.partition_index: PartitionIndex | None = \
             PartitionIndex(self) if partitioned else None
-        #: Process pool for sweeping independent partitions concurrently;
-        #: ``parallel_workers >= 2`` enables it (requires partitioned).
-        self.parallel_executor: ParallelSweepExecutor | None = None
-        if parallel_workers and parallel_workers > 1:
-            if not partitioned:
-                raise ControllerError(
-                    "parallel_workers requires partitioned optimization")
-            self.parallel_executor = ParallelSweepExecutor(
-                self, parallel_workers)
         self._model_cache: dict[tuple[str, str, str], PerformanceModel] = {}
         self._listeners: list[Callable[[ReconfigurationEvent], None]] = []
         self._reevaluation_process: Process | None = None
@@ -718,6 +659,11 @@ class AdaptationController:
             self.journal.record_release(instance.key, kind, detail)
         self.view.remove(instance.key)
         self.registry.remove(instance)
+        # Instance keys are never reused, so its cached models are dead.
+        for bundle_name, state in instance.bundles.items():
+            for option_name in state.bundle.option_names():
+                self._model_cache.pop(
+                    (instance.key, bundle_name, option_name), None)
         if self.partition_index is not None:
             self.partition_index.remove_app(instance.key)
         self._record_lifecycle(kind, instance.key, detail=detail)
@@ -1216,8 +1162,6 @@ class AdaptationController:
                 "optimizer.partition.largest", now,
                 float(max((len(p.members) for p in index.partitions()),
                           default=0)))
-            self.metrics.report("optimizer.partition.parallel_sweeps", now,
-                                float(self.stats.parallel_sweeps))
 
     def start_periodic_reevaluation(self) -> Process:
         """Spawn the Section 4.3 periodic adaptation process."""

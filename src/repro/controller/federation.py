@@ -1,6 +1,6 @@
 """Hierarchical controller federation: N shards under a root arbiter.
 
-The paper's Harmony process is a single server, and PR 6 (parallel
+The paper's Harmony process is a single server, and PR 6 (partitioned
 sweeps) and PR 9 (replication) both kept it that way — every session
 still funnels through one controller.  This module scales *out* instead:
 sessions are sharded across N controller workers by consistent hash on

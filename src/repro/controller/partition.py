@@ -31,17 +31,10 @@ other's evaluation reads.  This module makes that independence explicit:
   ``ModelDrivenPolicy._reevaluate_bundle_outcome``) and only honoured
   when pruning is provably safe (:meth:`PartitionIndex.prunable`:
   an additively decomposable objective and no opaque models).
-
-* :class:`GainPriorityQueue` — orders dirty bundles by their last
-  observed achievable objective gain.  With ``top_k`` set, only the
-  ``top_k`` most promising bundles are evaluated per sweep and the rest
-  stay dirty for later sweeps — an explicitly approximate mode (off by
-  default; every equivalence guarantee assumes ``top_k=None``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable
 
 from repro.allocation.matcher import _hostname_matches
@@ -52,8 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
     from repro.controller.registry import AppInstance, BundleState
 
-__all__ = ["PartitionIndex", "Partition", "GainPriorityQueue",
-           "bundle_key"]
+__all__ = ["PartitionIndex", "Partition", "bundle_key"]
 
 #: How many bundle removals accumulate before the index rebuilds its
 #: components from scratch.  Removal never *splits* a component lazily
@@ -394,43 +386,3 @@ class PartitionIndex:
         self._edge_sets[hosts] = result
         return result
 
-
-class GainPriorityQueue:
-    """Gain-ordered bundle selection with top-k pruning.
-
-    Priorities are each bundle's last observed achievable gain (current
-    objective minus its best candidate's); never-evaluated bundles rank
-    highest.  :meth:`select` keeps the caller's order for the selected
-    bundles — the queue decides *which* bundles a bounded sweep
-    evaluates, never the order they are evaluated in, so with
-    ``top_k=None`` (the default everywhere) it is a no-op and the sweep
-    is byte-identical to the serial oracle.
-    """
-
-    def __init__(self) -> None:
-        self._gains: dict[BundleKey, float] = {}
-
-    def record(self, key: BundleKey, gain: float) -> None:
-        self._gains[key] = max(0.0, gain)
-
-    def forget(self, key: BundleKey) -> None:
-        self._gains.pop(key, None)
-
-    def gain_of(self, key: BundleKey) -> float:
-        return self._gains.get(key, math.inf)
-
-    def select(self, keys: list[BundleKey], top_k: int | None,
-               ) -> tuple[list[BundleKey], list[BundleKey]]:
-        """Split ``keys`` into (selected, deferred), preserving order.
-
-        ``top_k=None`` selects everything.  Ties break by position, so
-        selection is deterministic.
-        """
-        if top_k is None or len(keys) <= top_k:
-            return list(keys), []
-        ranked = sorted(range(len(keys)),
-                        key=lambda i: (-self.gain_of(keys[i]), i))
-        picked = set(ranked[:top_k])
-        selected = [k for i, k in enumerate(keys) if i in picked]
-        deferred = [k for i, k in enumerate(keys) if i not in picked]
-        return selected, deferred

@@ -57,7 +57,6 @@ class OptimizerStats:
     partition_sweeps: int = 0
     pruned_bundles: int = 0
     pruned_candidates: int = 0
-    parallel_sweeps: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return {"candidates_evaluated": self.candidates_evaluated,
@@ -66,8 +65,7 @@ class OptimizerStats:
                 "match_calls": self.match_calls,
                 "partition_sweeps": self.partition_sweeps,
                 "pruned_bundles": self.pruned_bundles,
-                "pruned_candidates": self.pruned_candidates,
-                "parallel_sweeps": self.parallel_sweeps}
+                "pruned_candidates": self.pruned_candidates}
 
 
 class ViewTrial:

@@ -55,9 +55,9 @@ class TraceContext:
     """A trace's wire-portable coordinates: who the next span's parent is.
 
     Clients stamp this onto protocol messages as the optional
-    ``trace_ctx`` field (see docs/wire-protocol.md); the server,
-    scheduler, and pool workers continue the trace from it.  The field
-    is strictly additive — peers that do not understand it ignore it.
+    ``trace_ctx`` field (see docs/wire-protocol.md); the server and
+    scheduler continue the trace from it.  The field is strictly
+    additive — peers that do not understand it ignore it.
     """
 
     trace_id: str
@@ -245,47 +245,13 @@ class Tracer:
         return TraceContext(trace_id=span.trace_id, span_id=span.span_id,
                             sampled=True)
 
-    def adopt_subtree(self, records: Iterable[Mapping[str, Any]],
-                      parent_span: Span) -> int:
-        """Stitch serialized spans from another tracer under a local span.
-
-        Pool workers run their own :class:`Tracer` and ship
-        ``to_dicts()`` output back with their results; this re-bases
-        those records into this tracer — fresh span ids, start times
-        shifted onto ``parent_span``'s start (worker epochs begin at
-        task start), orphans re-parented onto ``parent_span``, and the
-        parent's trace id applied throughout.  Returns the number of
-        spans adopted.
-        """
-        records = list(records)
-        if not records:
-            return 0
-        id_map = {record["span_id"]: next(self._ids)
-                  for record in records if "span_id" in record}
-        for record in records:
-            span = Span(self, str(record.get("name", "span")),
-                        dict(record.get("attributes") or {}))
-            if "span_id" in record:
-                span.span_id = id_map[record["span_id"]]
-            span.parent_id = id_map.get(record.get("parent_id"),
-                                        parent_span.span_id)
-            span.trace_id = parent_span.trace_id
-            span.start_seconds = parent_span.start_seconds + float(
-                record.get("start_seconds", 0.0))
-            span.duration_seconds = float(
-                record.get("duration_seconds", 0.0))
-            self.spans_started += 1
-            self._finish(span)
-        return len(records)
-
     def record_span(self, name: str, start_seconds: float,
                     duration_seconds: float, **attributes: Any) -> Span:
         """Record an already-measured span (explicit start/duration).
 
         For work whose timing is accumulated outside a ``with`` block —
         e.g. per-partition sweep time gathered bundle-by-bundle across an
-        interleaved registry-order pass, or worker-side elapsed times
-        reported back from a process pool.  ``start_seconds`` is relative
+        interleaved registry-order pass.  ``start_seconds`` is relative
         to this tracer's epoch, like every other span.
         """
         self.spans_started += 1
@@ -355,10 +321,6 @@ class NullTracer:
 
     def current_context(self) -> None:
         return None
-
-    def adopt_subtree(self, records: Iterable[Mapping[str, Any]],
-                      parent_span: Any) -> int:
-        return 0
 
     def elapsed(self) -> float:
         return 0.0

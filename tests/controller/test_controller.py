@@ -6,6 +6,7 @@ from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.controller.friction import FrictionPolicy
 from repro.errors import AllocationError
+from tests.pods import POD_RSL, build_pod_cluster
 
 
 def db_rsl(client_host="*"):
@@ -59,6 +60,19 @@ class TestLifecycle:
         assert star_cluster.node("server0").memory.available_mb == \
             pytest.approx(128)
         assert len(controller.registry) == 0
+
+    def test_model_cache_is_bounded_under_churn(self):
+        controller = AdaptationController(build_pod_cluster(1, 8))
+        live = []
+        for index in range(8 + 200):
+            if len(live) == 8:
+                controller.end_app(live.pop(0))
+            instance = controller.register_app(f"Pod0App{index}")
+            controller.setup_bundle(instance,
+                                    POD_RSL.format(pod=0, index=index))
+            live.append(instance)
+        options = 2  # POD_RSL: small, large
+        assert 0 < len(controller._model_cache) <= len(live) * options
 
     def test_infeasible_bundle_raises(self, controller):
         instance = controller.register_app("Big")

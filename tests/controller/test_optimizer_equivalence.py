@@ -9,10 +9,10 @@ Two stacked contracts:
   original candidate-count equality still holds exactly.
 
 * The partitioned sweep (connected-component pruning, clean-skip
-  watermarks, optional process-pool fan-out) must make identical
-  decisions to the serial incremental sweep (``incremental=True,
-  partitioned=False``) — same decision log bytes, placements,
-  predictions, and objective — while provably skipping work.  The pod
+  watermarks) must make identical decisions to the serial incremental
+  sweep (``incremental=True, partitioned=False``) — same decision log
+  bytes, placements, predictions, and objective — while provably
+  skipping work.  The pod
   scenarios give it real structure (disjoint hostname-pattern pods), and
   the merge scenario registers a bundle whose pattern spans every pod
   mid-run, forcing a partition merge while earlier watermarks exist.
@@ -22,6 +22,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
+from tests.pods import POD_RSL, build_pod_cluster
 
 # -- scenario builders ------------------------------------------------------
 
@@ -189,14 +190,6 @@ def test_incremental_is_default():
 
 # -- partitioned vs serial oracle -------------------------------------------
 
-POD_RSL = """
-harmonyBundle Pod{pod}App{index} size {{
-    {{small {{node n {{hostname p{pod}n*}} {{seconds 60}} {{memory 24}}}}}}
-    {{large {{node n {{hostname p{pod}n*}} {{seconds 35}} {{memory 24}}
-             {{replicate 2}}}}
-            {{communication 4}}}}}}
-"""
-
 BRIDGE_RSL = """
 harmonyBundle Bridge span {
     {solo {node n {hostname p*} {seconds 30} {memory 16}}}
@@ -205,28 +198,13 @@ harmonyBundle Bridge span {
 """
 
 
-def build_pod_cluster(pods: int, nodes_per_pod: int = 8) -> Cluster:
-    """``pods`` disjoint full-mesh islands, hosts named ``p<k>n<i>``."""
-    cluster = Cluster()
-    for pod in range(pods):
-        hosts = [f"p{pod}n{i}" for i in range(nodes_per_pod)]
-        for host in hosts:
-            cluster.add_node(host, memory_mb=256.0)
-        for i in range(len(hosts)):
-            for j in range(i + 1, len(hosts)):
-                cluster.add_link(hosts[i], hosts[j], bandwidth_mbps=100.0)
-    return cluster
-
-
-def run_pods(app_count: int, partitioned: bool,
-             parallel_workers: int = 0, churn: bool = True):
+def run_pods(app_count: int, partitioned: bool, churn: bool = True):
     """Pod-striped admissions, then a departure and a node failure."""
     pods = max(2, app_count // 16)
-    cluster = build_pod_cluster(pods)
+    cluster = build_pod_cluster(pods, nodes_per_pod=8)
     controller = AdaptationController(
         cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
-        incremental=True, partitioned=partitioned,
-        parallel_workers=parallel_workers)
+        incremental=True, partitioned=partitioned)
     instances = []
     for index in range(app_count):
         pod = index % pods
@@ -239,9 +217,8 @@ def run_pods(app_count: int, partitioned: bool,
         controller.reevaluate()
         controller.handle_node_failure("p0n3")
         controller.reevaluate()
-        # Cluster growth bumps the topology version: the index rebuilds,
-        # every partition goes dirty at once, and the next sweep is the
-        # one that fans out across the process pool.
+        # Cluster growth bumps the topology version: the index rebuilds
+        # and every partition goes dirty at once.
         for pod in range(pods):
             host = f"p{pod}n8"
             cluster.add_node(host, memory_mb=256.0)
@@ -260,7 +237,7 @@ def run_pod_merge(partitioned: bool):
     recorded on both sides — and keep deciding exactly like the serial
     sweep afterwards.
     """
-    cluster = build_pod_cluster(2)
+    cluster = build_pod_cluster(2, nodes_per_pod=8)
     controller = AdaptationController(
         cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
         incremental=True, partitioned=partitioned)
@@ -312,16 +289,3 @@ def test_partition_merge_mid_run():
     serial = run_pod_merge(partitioned=False)
     assert_same_decisions(part, serial)
     assert part.stats.pruned_bundles > 0
-
-
-def test_parallel_pool_matches_serial():
-    part = run_pods(32, partitioned=True, parallel_workers=2)
-    try:
-        serial = run_pods(32, partitioned=False)
-        assert_same_decisions(part, serial)
-        # The pool genuinely ran partitions out of process.
-        assert part.stats.parallel_sweeps > 0
-        assert part.parallel_executor.pool_errors == 0
-        assert part.parallel_executor.merge_failures == 0
-    finally:
-        part.parallel_executor.close()

@@ -1,57 +1,21 @@
-"""Unit tests for the partition index and gain queue.
+"""Unit tests for the partition index.
 
 The serial-equivalence suite (test_optimizer_equivalence.py) proves the
 partitioned sweep *decides* identically; these tests pin down the
 index's own mechanics — component structure, merge, epochs, watermarks,
-rebuilds, opacity, and top-k selection.
+rebuilds, and opacity.
 """
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.controller import AdaptationController, ModelDrivenPolicy
-from repro.controller.partition import (GainPriorityQueue,
-                                        REBUILD_AFTER_REMOVALS)
+from repro.controller.partition import REBUILD_AFTER_REMOVALS
 from repro.prediction import CallableModel
-
-POD_RSL = """
-harmonyBundle Pod{pod}App{index} size {{
-    {{small {{node n {{hostname p{pod}n*}} {{seconds 60}} {{memory 24}}}}}}
-    {{large {{node n {{hostname p{pod}n*}} {{seconds 35}} {{memory 24}}
-             {{replicate 2}}}}
-            {{communication 4}}}}}}
-"""
+from tests.pods import POD_RSL, pod_controller
 
 BRIDGE_RSL = """
 harmonyBundle Bridge span {
     {solo {node n {hostname p*} {seconds 30} {memory 16}}}}
 """
-
-
-def build_pod_cluster(pods: int, nodes_per_pod: int = 4) -> Cluster:
-    cluster = Cluster()
-    for pod in range(pods):
-        hosts = [f"p{pod}n{i}" for i in range(nodes_per_pod)]
-        for host in hosts:
-            cluster.add_node(host, memory_mb=256.0)
-        for i in range(len(hosts)):
-            for j in range(i + 1, len(hosts)):
-                cluster.add_link(hosts[i], hosts[j], bandwidth_mbps=100.0)
-    return cluster
-
-
-def pod_controller(pods=2, apps_per_pod=2):
-    cluster = build_pod_cluster(pods)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False))
-    index = 0
-    for pod in range(pods):
-        for _ in range(apps_per_pod):
-            instance = controller.register_app(f"Pod{pod}App{index}")
-            controller.setup_bundle(
-                instance, POD_RSL.format(pod=pod, index=index))
-            index += 1
-    return controller
 
 
 def keys_by_pod(index, pod):
@@ -186,37 +150,3 @@ class TestPrunability:
         controller.reevaluate()
         assert controller.stats.pruned_bundles >= pruned_before + 4
 
-
-class TestGainPriorityQueue:
-    def test_unseen_keys_rank_highest(self):
-        queue = GainPriorityQueue()
-        queue.record(("a.1", "size"), 5.0)
-        selected, deferred = queue.select(
-            [("a.1", "size"), ("b.1", "size")], top_k=1)
-        assert selected == [("b.1", "size")]
-        assert deferred == [("a.1", "size")]
-
-    def test_select_preserves_caller_order(self):
-        queue = GainPriorityQueue()
-        keys = [(f"app{i}.1", "size") for i in range(4)]
-        for i, key in enumerate(keys):
-            queue.record(key, float(i))
-        selected, deferred = queue.select(keys, top_k=2)
-        assert selected == [keys[2], keys[3]]
-        assert deferred == [keys[0], keys[1]]
-
-    def test_top_k_none_is_identity(self):
-        queue = GainPriorityQueue()
-        keys = [("a.1", "size"), ("b.1", "size")]
-        assert queue.select(keys, None) == (keys, [])
-
-    def test_negative_gains_clamp_to_zero(self):
-        queue = GainPriorityQueue()
-        queue.record(("a.1", "size"), -3.0)
-        assert queue.gain_of(("a.1", "size")) == 0.0
-
-    def test_forget(self):
-        queue = GainPriorityQueue()
-        queue.record(("a.1", "size"), 1.0)
-        queue.forget(("a.1", "size"))
-        assert queue.gain_of(("a.1", "size")) == float("inf")

@@ -29,9 +29,15 @@ def run_flightrec(tmp_path, seed, name="flight.jsonl"):
             out.read_text().splitlines() if line]
 
 
+@pytest.fixture(scope="module")
+def seed7_events(tmp_path_factory):
+    """One seed-7 run (~6 s), shared by every test that only reads it."""
+    return run_flightrec(tmp_path_factory.mktemp("flightrec"), seed=7)
+
+
 class TestChaosDump:
-    def test_dump_interleaves_faults_with_server_events(self, tmp_path):
-        events = run_flightrec(tmp_path, seed=7)
+    def test_dump_interleaves_faults_with_server_events(self, seed7_events):
+        events = seed7_events
         kinds = [event["kind"] for event in events]
         assert EVENT_FAULT in kinds
         assert EVENT_RPC_IN in kinds
@@ -43,8 +49,8 @@ class TestChaosDump:
         first_fault = kinds.index(EVENT_FAULT)
         assert any(kind != EVENT_FAULT for kind in kinds[first_fault:])
 
-    def test_every_line_is_structured(self, tmp_path):
-        events = run_flightrec(tmp_path, seed=7)
+    def test_every_line_is_structured(self, seed7_events):
+        events = seed7_events
         assert events, "empty flight dump"
         for event in events:
             assert set(event) >= {"kind", "seq", "time"}
@@ -54,20 +60,22 @@ class TestChaosDump:
         assert all(e["action"] == "drop" for e in faults)
         assert all(e["direction"] == "send" for e in faults)
 
-    def test_same_seed_same_fault_schedule(self, tmp_path):
+    def test_same_seed_same_fault_schedule(self, tmp_path, seed7_events):
         def fault_fingerprint(events):
             return [(e["action"], e["rpc"]) for e in events
                     if e["kind"] == EVENT_FAULT]
 
-        first = fault_fingerprint(run_flightrec(tmp_path, 7, "a.jsonl"))
-        second = fault_fingerprint(run_flightrec(tmp_path, 7, "b.jsonl"))
+        first = fault_fingerprint(seed7_events)
+        second = fault_fingerprint(run_flightrec(tmp_path, 7))
         assert first == second
         assert first, "seed 7 injected no faults"
 
-    def test_different_seed_different_schedule(self, tmp_path):
+    def test_different_seed_different_schedule(self, tmp_path,
+                                               seed7_events):
         counts = {}
         for seed in (7, 11, 13):
-            events = run_flightrec(tmp_path, seed, f"s{seed}.jsonl")
+            events = seed7_events if seed == 7 else \
+                run_flightrec(tmp_path, seed, f"s{seed}.jsonl")
             counts[seed] = sum(1 for e in events
                                if e["kind"] == EVENT_FAULT)
         # Not all three seeds may differ pairwise, but a frozen schedule

@@ -4,13 +4,13 @@ One sampled ``report_metric`` from a traced client must produce a single
 trace id that links every hop of the reevaluation pipeline:
 
     client.request -> server.dispatch -> scheduler.batch
-        -> sweep.partition[k] (shipped back from pool workers)
+        -> optimizer.partition_sweep[k]
         -> server.push(generation=g)
 
-The scenario forces an actual parallel sweep with pushes: each pod
+The scenario forces a sweep of every partition with pushes: each pod
 starts with one live node (everything admits as ``small``), then the
 spare nodes come back and the coalesced batch rebalances every app to
-``large`` through the process pool.
+``large``.
 """
 
 import time
@@ -20,7 +20,7 @@ import pytest
 from repro.api import HarmonyClient, HarmonyServer, RetryPolicy
 from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.obs.trace import Tracer
-from tests.controller.test_parallel_sweep import POD_RSL, build_pod_cluster
+from tests.pods import POD_RSL, build_pod_cluster
 
 FAST = RetryPolicy(request_timeout_seconds=2.0, max_attempts=6,
                    backoff_initial_seconds=0.05,
@@ -47,7 +47,7 @@ def traced_stack(server_factory):
         cluster.node(hostname).fail()
     controller = AdaptationController(
         cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
-        parallel_workers=2, tracer=Tracer())
+        tracer=Tracer())
     server = HarmonyServer(controller)
     handle = server_factory(server)
     server.start_scheduler(coalesce_window=0.25, max_delay=1.0)
@@ -68,7 +68,6 @@ def traced_stack(server_factory):
     # context is the batch span's primary parent.
     settle = server.scheduler.request("fixture:settle")
     assert server.scheduler.wait_for_generation(settle, timeout=15.0)
-    pool = controller.parallel_executor
     try:
         yield controller, server, cluster, spares, clients
     finally:
@@ -77,8 +76,7 @@ def traced_stack(server_factory):
                 client.end()
             except Exception:
                 pass
-        handle.stop()   # drains the scheduler before the pool goes away
-        pool.close()
+        handle.stop()
 
 
 class TestSingleTraceId:
@@ -125,26 +123,26 @@ class TestSingleTraceId:
                    for link in batch.attributes["links"])
         assert batch.attributes["changes"] == PODS * APPS_PER_POD
 
-        # batch -> pool workers; subtrees shipped back and stitched in.
-        workers = by_name["optimizer.partition_worker"]
-        partitions = by_name["sweep.partition"]
-        assert len(workers) == PODS
-        assert len(partitions) == PODS
-        worker_ids = {span.span_id for span in workers}
-        assert all(span.parent_id in worker_ids for span in partitions)
-
-        # batch -> reevaluate -> push, generation-stamped, one per
-        # rebalanced client.
+        # batch -> reevaluate -> one sweep span per partition, all in
+        # the batch's trace.
         [reevaluate] = by_name["controller.reevaluate"]
         assert reevaluate.parent_id == batch.span_id
+        partitions = by_name["optimizer.partition_sweep"]
+        assert len(partitions) == PODS
+        assert all(span.parent_id == reevaluate.span_id
+                   for span in partitions)
+        assert sum(span.attributes["changes"]
+                   for span in partitions) == PODS * APPS_PER_POD
+
+        # reevaluate -> push, generation-stamped, one per rebalanced
+        # client.
         pushes = by_name["server.push"]
         assert len(pushes) == PODS * APPS_PER_POD
         assert all(span.attributes["generation"] > 0 for span in pushes)
         assert all(span.parent_id == reevaluate.span_id
                    for span in pushes)
 
-        # The sweep really flipped everyone through the pool.
-        assert controller.stats.parallel_sweeps >= 1
+        # The sweep really flipped everyone.
         assert all(state.chosen.option_name == "large"
                    for instance in controller.registry.instances()
                    for state in instance.bundles.values())

@@ -11,14 +11,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.obs import Tracer, json_snapshot, prometheus_text
-
-POD_RSL = """
-harmonyBundle Pod{pod}App{index} size {{
-    {{small {{node n {{hostname p{pod}n*}} {{seconds 60}} {{memory 24}}}}}}
-    {{large {{node n {{hostname p{pod}n*}} {{seconds 35}} {{memory 24}}
-             {{replicate 2}}}}
-            {{communication 4}}}}}}
-"""
+from tests.pods import POD_RSL, build_pod_cluster
 
 #: The complete partition metric surface: these names, and nothing else
 #: under ``optimizer.partition``/``optimizer.partitions``, regardless of
@@ -30,21 +23,12 @@ PARTITION_METRICS = {
     "optimizer.partition.merges",
     "optimizer.partition.rebuilds",
     "optimizer.partition.largest",
-    "optimizer.partition.parallel_sweeps",
 }
 
 
 def run_pods(pods, tracer=None):
-    cluster = Cluster()
-    for pod in range(pods):
-        hosts = [f"p{pod}n{i}" for i in range(4)]
-        for host in hosts:
-            cluster.add_node(host, memory_mb=256.0)
-        for i in range(len(hosts)):
-            for j in range(i + 1, len(hosts)):
-                cluster.add_link(hosts[i], hosts[j], bandwidth_mbps=100.0)
     controller = AdaptationController(
-        cluster, tracer=tracer,
+        build_pod_cluster(pods), tracer=tracer,
         policy=ModelDrivenPolicy(pairwise_exchange=False))
     for index in range(pods * 2):
         pod = index % pods

@@ -1,14 +1,11 @@
 """Trace-context propagation edge cases.
 
 The wire field is optional and additive: old clients omit it, broken
-peers may send garbage, unsampled requests must cost nothing, and a
-crashed pool worker must not leave a hole in the trace (the inline
-fallback keeps the tree coherent).
+peers may send garbage, and unsampled requests must cost nothing.
 """
 
 import pytest
 
-import repro.controller.parallel as parallel_module
 from repro.api import HarmonyClient, HarmonyServer, connected_pair
 from repro.api.protocol import TRACE_CTX_FIELD, make_message
 from repro.cluster import Cluster
@@ -129,33 +126,3 @@ class TestServerWireCompat:
         message[TRACE_CTX_FIELD] = "garbage that would fail any parse"
         assert client._request_once(message)["type"] == "registered"
 
-
-def _failing_worker(task):  # module-level: pickled by reference
-    raise RuntimeError("worker crashed")
-
-
-class TestWorkerCrashFallback:
-    def test_inline_fallback_keeps_the_trace_coherent(self, monkeypatch):
-        from tests.controller.test_parallel_sweep import pod_controller
-
-        controller = pod_controller(pods=2, apps_per_pod=2)
-        tracer = Tracer()
-        controller.tracer = tracer
-        pool = controller.parallel_executor
-        try:
-            monkeypatch.setattr(parallel_module, "run_partition_task",
-                                _failing_worker)
-            controller.partition_index.touch_all()
-            with tracer.span("scheduler.batch") as batch:
-                batch.trace_id = tracer.new_trace_id()
-                controller.reevaluate()
-            assert pool.pool_errors == 2
-            # Every span recorded during the batch carries the batch's
-            # trace id: the crashed workers left no orphaned subtree and
-            # the inline fallback's spans joined the same trace.
-            assert len(tracer.spans) > 1
-            assert all(span.trace_id == batch.trace_id
-                       for span in tracer.spans)
-            assert tracer.find("optimizer.partition_worker") == []
-        finally:
-            pool.close()

@@ -1,10 +1,9 @@
 """Repo-wide ban on new blanket exception handlers.
 
 A blanket ``except Exception`` (or worse) in request paths has bitten
-this codebase three times: the replication shipper ate programming
-errors as if they were dead links, the asyncio batch runner swallowed
-cancellation, and the parallel sweep's fallback hid pickling bugs.  The
-policy is: catch the *typed* failures a site expects; a residual
+this codebase twice: the replication shipper ate programming errors
+as if they were dead links, and the asyncio batch runner swallowed
+cancellation.  The policy is: catch the *typed* failures a site expects; a residual
 catch-all is allowed only at a deliberate boundary that records the
 error and re-raises (or converts it into a typed error / a visible
 failure of the unit of work).
@@ -39,9 +38,6 @@ ALLOWED_HANDLERS = {
     # WAL shipper boundary: flight-records ship_error, then re-raises —
     # only typed transport/protocol failures drop the link.
     "repro/persistence/replication.py": 1,
-    # Parallel-sweep boundary: records the event and falls back to the
-    # inline (non-pooled) sweep, which preserves correctness.
-    "repro/controller/parallel.py": 1,
 }
 
 #: path -> number of permitted ``contextlib.suppress(Exception)`` uses
