@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -237,6 +238,11 @@ class HarmonyWireProtocol(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         assert isinstance(transport, asyncio.Transport)
+        # The same unconditional option TcpTransport sets: CPython's
+        # selector transport happens to set it too, but the protocol
+        # requires it (docs/wire-protocol.md §1), so it is pinned here.
+        transport.get_extra_info("socket").setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._asyncio_transport = transport
         self.harmony_transport = AsyncioTransport(self.front, transport)
         self.front.track(self)

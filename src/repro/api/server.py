@@ -1253,6 +1253,7 @@ class HarmonyServer:
                 return
             try:
                 sock, _addr = listener.accept()
+                transport = TcpTransport(sock)
             except OSError:
                 if self._stopping or self._listener_socket is None:
                     # Orderly shutdown closed the listener under us.
@@ -1266,7 +1267,7 @@ class HarmonyServer:
                 if self._accept_retry_seconds > 0:
                     time.sleep(self._accept_retry_seconds)
                 continue
-            self.attach(TcpTransport(sock))
+            self.attach(transport)
 
     # -- variable pushing ----------------------------------------------------------
 

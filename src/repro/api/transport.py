@@ -119,9 +119,21 @@ def connected_pair() -> tuple[InProcessTransport, InProcessTransport]:
 
 
 class TcpTransport(Transport):
-    """A socket endpoint with a background reader thread."""
+    """A socket endpoint with a background reader thread.
+
+    Takes ownership of ``sock`` and disables Nagle on it: every frame
+    already leaves in one ``sendall``, and both ends write twice before
+    reading (``report_metric``/``heartbeat`` then a request; a push then
+    the reply), which with Nagle on parks the second write behind the
+    peer's 40 ms delayed ACK (``docs/wire-protocol.md`` §1).
+    """
 
     def __init__(self, sock: socket.socket):
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            sock.close()
+            raise
         self._sock = sock
         self._decoder = FrameDecoder()
         self._receiver: Receiver | None = None
@@ -141,10 +153,10 @@ class TcpTransport(Transport):
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
             sock.settimeout(None)
+            transport = cls(sock)
         except OSError as exc:
             raise TransportError(
                 f"cannot connect to {host}:{port}: {exc}") from exc
-        transport = cls(sock)
         transport._address = (host, port)
         transport._connect_timeout = timeout
         return transport
@@ -221,9 +233,12 @@ class TcpTransport(Transport):
             receiver(message)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        # Test-and-set under the lock: the caller and the reader thread
+        # (at EOF) may both arrive, and exactly one releases the socket.
+        with self._state_lock:
+            if self._closed:
+                return
+            self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -244,7 +259,7 @@ class TcpTransport(Transport):
             # propagates and kills the reader thread loudly.
             pass
         finally:
-            self._closed = True
+            self.close()
 
     def _dispatch(self, message: dict[str, Any]) -> None:
         with self._state_lock:

@@ -1,8 +1,12 @@
 """Transports: in-process semantics and the real TCP path."""
 
+import errno
+import gc
+import os
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -139,6 +143,54 @@ class TestTcpTransport:
         while not client.closed and time.time() < deadline:
             time.sleep(0.01)
         assert client.closed
+
+    def test_socket_is_released_once_whichever_of_eof_and_close_is_first(
+            self, listener):
+        """The accepted ends see EOF before their ``close()``; the dialed
+        ends are closed first and their readers find out afterwards.
+        Neither may keep its fd — with the collector off, so no cycle
+        sweep does the closing — and ``close()`` stays idempotent."""
+        host, port = listener.getsockname()
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        gc.collect()
+        gc.disable()
+        try:
+            baseline = open_fds()
+            held = []  # alive while fds are counted: no help from __del__
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                for _ in range(20):
+                    client = TcpTransport.connect(host, port)
+                    accepted = TcpTransport(listener.accept()[0])
+                    client.close()
+                    client._reader.join(timeout=5)
+                    accepted._reader.join(timeout=5)  # reads EOF, exits
+                    assert not client._reader.is_alive()
+                    assert not accepted._reader.is_alive()
+                    assert accepted.closed
+                    accepted.close()
+                    accepted.close()
+                    held += [client, accepted]
+                leaked = open_fds() - baseline
+                del held, client, accepted
+            unclosed = [str(w.message) for w in caught
+                        if issubclass(w.category, ResourceWarning)]
+        finally:
+            gc.enable()
+        assert leaked <= 0, f"{leaked} sockets still open"
+        assert not unclosed, unclosed
+
+    def test_option_failure_on_a_dial_is_a_connect_failure(
+            self, listener, monkeypatch):
+        def refuse(self, *args):
+            raise OSError(errno.ENOPROTOOPT, "Protocol not available")
+
+        monkeypatch.setattr(socket.socket, "setsockopt", refuse)
+        with pytest.raises(TransportError, match="cannot connect"):
+            TcpTransport.connect(*listener.getsockname())
 
 
 class TestSendTimeout:

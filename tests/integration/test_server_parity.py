@@ -17,6 +17,7 @@ lock layout (heartbeats take ``sessions_lock``, never the busy
 ``controller_lock``).
 """
 
+import socket
 import threading
 import time
 
@@ -34,7 +35,7 @@ from repro.api.faults import FaultAction, ScriptedFaultSchedule
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
 from repro.errors import ControllerRecoveringError, TransportError
-from repro.persistence import DurabilityJournal
+from repro.persistence import DurabilityJournal, ReplicationStandby
 
 # Generous per-attempt timeouts absorb CI jitter; several attempts with
 # short backoff ride out injected drops without minutes of waiting.
@@ -458,3 +459,80 @@ class TestEventLoopStall:
         assert result["config"]["option"] == "QS"
         assert not beater.lease_lost
         assert len(controller.registry) == 2
+
+
+def nagle_disabled(transport):
+    """``TCP_NODELAY`` as the kernel reports it for a transport's socket
+    (a :class:`TcpTransport` or the asyncio front end's endpoint)."""
+    sock = getattr(transport, "_sock", None) \
+        or transport._transport.get_extra_info("socket")
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+
+class TestNoNagleStall:
+    """Both ends write twice before reading, so both ends must disable
+    Nagle (``docs/wire-protocol.md`` §1): otherwise the second small
+    write waits for the peer's 40 ms delayed-ACK timer."""
+
+    def test_option_is_set_on_both_ends_of_a_client_connection(
+            self, server_factory):
+        _controller, server = build_server()
+        handle = server_factory(server)
+        client = HarmonyClient(handle.connect(), retry_policy=FAST)
+        key = client.startup("DBclient")
+        assert nagle_disabled(client.transport)
+        assert nagle_disabled(server._sessions_by_key[key].transport)
+
+    def test_option_is_set_on_both_ends_of_a_replication_link(
+            self, tmp_path, server_factory):
+        controller, server = build_server()
+        DurabilityJournal(str(tmp_path / "primary"),
+                          fsync="never").attach(controller)
+        assert server.enable_replication(address="primary:1") == "primary"
+        handle = server_factory(server)
+        standby = ReplicationStandby(str(tmp_path / "standby"), "sb",
+                                     fsync="never")
+        standby.follow(handle.connect())
+        newest = controller.journal.wal.records()[-1].seq
+        wait_until(lambda: server.replication.standby_count() == 1
+                   and standby.last_seq == newest,
+                   message="the standby to subscribe and catch up")
+        (primary_end,) = server.replication.link_transports()
+        assert nagle_disabled(standby.transport)
+        assert nagle_disabled(primary_end)
+        standby.close()
+        controller.journal.close()
+
+    def test_phase_boundaries_do_not_wait_for_a_delayed_ack(
+            self, server_factory):
+        """Client side: two fire-and-forget frames, then a request."""
+        _controller, server = build_server()
+        handle = server_factory(server)
+        client = HarmonyClient(handle.connect(), retry_policy=FAST)
+        client.startup("DBclient")
+        started = time.monotonic()
+        for phase in range(25):
+            client.report_metric("latency_ms", float(phase))
+            client.heartbeat()
+            client.query_status()
+        elapsed = time.monotonic() - started
+        # One stall per phase is 25 x 40 ms; without it, ~20 ms in all.
+        assert elapsed < 0.5, f"25 phase boundaries took {elapsed:.3f}s"
+
+    def test_bundle_setup_reply_does_not_wait_behind_its_own_push(
+            self, server_factory):
+        """Server side: ``variable_update``, then ``bundle_ok``, on one
+        socket.  A timer delays every trip alike, host noise does not —
+        so the bar is on the fastest of ten."""
+        _controller, server = build_server()
+        handle = server_factory(server)
+        trips = []
+        for _ in range(10):
+            client = HarmonyClient(handle.connect(), retry_policy=FAST)
+            started = time.monotonic()
+            client.startup("DBclient")
+            client.bundle_setup(db_rsl("c1"))
+            trips.append(time.monotonic() - started)
+            client.end()
+        assert min(trips) < 0.020, \
+            f"every startup + bundle_setup trip stalled: {trips}"
