@@ -179,13 +179,13 @@ class InstantiationCache:
     reuse it across trials, re-evaluation sweeps, and the pairwise pass.
     Failed resolutions are cached too and re-raised on every hit.
 
-    Keys use option *identity*; the cache holds a strong reference to each
-    option so ids stay valid for its lifetime.
+    Keys use option *identity*; each entry holds a strong reference to its
+    option so the id stays valid until the option is :meth:`forget`-ten.
     """
 
     def __init__(self) -> None:
-        self._results: dict[tuple, ConcreteDemands | RslSemanticError] = {}
-        self._options: dict[int, TuningOption] = {}
+        self._results: dict[int, tuple[TuningOption, dict[
+            tuple, ConcreteDemands | RslSemanticError]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -193,24 +193,27 @@ class InstantiationCache:
                     variable_assignment: Mapping[str, float] | None = None,
                     grants: Mapping[str, float] | None = None,
                     ) -> ConcreteDemands:
-        key = (id(option),
-               tuple(sorted((variable_assignment or {}).items())),
+        results = self._results.setdefault(id(option), (option, {}))[1]
+        key = (tuple(sorted((variable_assignment or {}).items())),
                tuple(sorted((grants or {}).items())))
-        cached = self._results.get(key)
+        cached = results.get(key)
         if cached is None:
             self.misses += 1
-            self._options[id(option)] = option
             try:
                 cached = instantiate_option(option, variable_assignment,
                                             grants=grants)
             except RslSemanticError as error:
                 cached = error
-            self._results[key] = cached
+            results[key] = cached
         else:
             self.hits += 1
         if isinstance(cached, RslSemanticError):
             raise cached
         return cached
+
+    def forget(self, option: TuningOption) -> None:
+        """Drop a released option's results (and the reference to it)."""
+        self._results.pop(id(option), None)
 
 
 def _memory_bounds(quantity: Quantity | None,

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import enum
 import fnmatch
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping
 
 from repro.allocation.instantiate import ConcreteDemands, NodeDemand
 from repro.cluster.node import SimNode
 from repro.cluster.topology import Cluster
 from repro.errors import AllocationError, SimulationError
 
-__all__ = ["MatchStrategy", "Assignment", "Matcher"]
+__all__ = ["MatchStrategy", "Assignment", "MatchPreparation", "Matcher"]
 
 
 class MatchStrategy(enum.Enum):
@@ -56,6 +56,28 @@ class Assignment:
         return len(self.placements)
 
 
+@dataclass
+class MatchPreparation:
+    """What matching derives from cluster state alone, not from demands.
+
+    Reservations and load hold still while one bundle's configurations
+    are matched, so the caller passes one preparation to every
+    :meth:`Matcher.match` of the bundle: node orders (per pattern set) and
+    free memory (per node looked at) are derived once, inside the first
+    match that needs them.
+    """
+
+    ignore_holders: frozenset[str] = frozenset()
+    #: Sorts candidates from scratch, lower first (stable) ...
+    order_key: Callable[[str], float] | None = None
+    #: ... or reads them off a maintained order: takes the reachable nodes
+    #: in strategy order (``None``: all, insertion order), returns them
+    #: in candidate order, stably.
+    load_order: Callable[[list[SimNode] | None], list[SimNode]] | None = None
+    ordered: dict[frozenset[str], list[SimNode]] = field(default_factory=dict)
+    free_mb: dict[str, float] = field(default_factory=dict)
+
+
 class Matcher:
     """Matches :class:`ConcreteDemands` against a cluster."""
 
@@ -68,10 +90,8 @@ class Matcher:
         #: a configuration lands on a distinct machine ("four distinct
         #: nodes, all meeting the same requirements").
         self.allow_colocation = allow_colocation
-        self._ignore_holders: frozenset[str] = frozenset()
-        self._order_key: Callable[[str], float] | None = None
-        self._free_mb: dict[str, float] = {}
-        self._ordered_nodes: list[SimNode] = []
+        self._prepared = MatchPreparation()
+        self._ordered: list[SimNode] = []
         #: (patterns, topology_version) -> nodes any pattern matches, in
         #: cluster insertion order.  Pattern-restricted demands (pods,
         #: racks) then pay O(|matching nodes|) per match instead of
@@ -83,6 +103,7 @@ class Matcher:
               extra_memory: Mapping[str, float] | None = None,
               ignore_holders: frozenset[str] | set[str] | None = None,
               order_key: Callable[[str], float] | None = None,
+              prepared: MatchPreparation | None = None,
               ) -> Assignment:
         """Find a placement for every node demand, verifying links.
 
@@ -98,14 +119,17 @@ class Matcher:
         strategy's own ordering; the optimizer passes current CPU load so
         placements prefer idle nodes.
 
+        ``prepared`` carries both instead, shared by the caller between
+        the configurations it matches against one unchanged state.
+
         Raises:
             AllocationError: when no feasible placement exists; the message
                 names the first unsatisfiable demand.
         """
         placements: dict[str, str] = {}
-        self._ignore_holders = frozenset(ignore_holders or ())
-        self._order_key = order_key
-        self._prepare_candidate_order(self._reachable_nodes(demands))
+        self._prepared = prepared if prepared is not None else \
+            MatchPreparation(frozenset(ignore_holders or ()), order_key)
+        self._ordered = self._ordered_nodes(demands)
         if self._search(list(demands.nodes), demands, placements,
                         extra_memory or {}):
             return Assignment(placements=dict(placements))
@@ -132,7 +156,8 @@ class Matcher:
             del placements[demand.local_name]
         return False
 
-    def _reachable_nodes(self, demands: ConcreteDemands) -> list[SimNode]:
+    def _reachable_nodes(self, patterns: frozenset[str],
+                         ) -> list[SimNode] | None:
         """Nodes some demand's hostname pattern can match, memoized.
 
         Restricting the candidate base to the union of the demands'
@@ -140,12 +165,11 @@ class Matcher:
         node matching no pattern can never be placed — and turns the
         per-match cost from O(cluster) into O(|matching nodes|) for
         pattern-scoped bundles.  A ``*`` anywhere short-circuits to the
-        whole cluster.  The memo is keyed by the pattern set and guarded
-        by the topology version (add_node/add_link invalidate it).
+        whole cluster (``None``).  The memo is keyed by the pattern set,
+        guarded by the topology version (add_node/add_link invalidate it).
         """
-        patterns = frozenset(d.hostname_pattern for d in demands.nodes)
         if "*" in patterns or not patterns:
-            return list(self.cluster.nodes())
+            return None
         version = self.cluster.topology_version
         hit = self._pattern_memo.get(patterns)
         if hit is not None and hit[0] == version:
@@ -156,50 +180,63 @@ class Matcher:
         self._pattern_memo[patterns] = (version, nodes)
         return nodes
 
-    def _prepare_candidate_order(self, base: list[SimNode]) -> None:
-        """Precompute per-match state constant across the backtracking.
+    def _ordered_nodes(self, demands: ConcreteDemands) -> list[SimNode]:
+        """The nodes ``demands`` can reach, in candidate order.
 
-        Reservations cannot change mid-search, so each node's free memory
-        (with ignored holders' reservations counted back) is computed once,
-        and the node ordering — strategy key, then the caller's order key,
-        both stable — is sorted once.  Per-demand filtering then preserves
-        this order: a stable sort of a subsequence equals the restriction
-        of the stably sorted full list, and the strategy keys differ from
-        the per-demand form only by a constant (``needed_mb``) shift.
+        Strategy key first, then the caller's order, both stable; derived
+        once per pattern set of a preparation.  Per-demand filtering
+        preserves this order: a stable sort of a subsequence equals the
+        restriction of the stably sorted full list, and the strategy keys
+        differ from the per-demand form only by a constant
+        (``needed_mb``) shift.
         """
-        free_mb: dict[str, float] = {}
-        for node in base:
+        prepared = self._prepared
+        patterns = frozenset(d.hostname_pattern for d in demands.nodes)
+        ordered = prepared.ordered.get(patterns)
+        if ordered is None:
+            base = self._reachable_nodes(patterns)
+            if self.strategy is not MatchStrategy.FIRST_FIT:
+                sign = 1 if self.strategy is MatchStrategy.BEST_FIT else -1
+                base = sorted(self.cluster.nodes() if base is None else base,
+                              key=lambda n: sign * self._free_mb(n))
+            # FIRST_FIT keeps cluster insertion order as the base.
+            if prepared.load_order is not None:
+                ordered = prepared.load_order(base)
+            else:
+                ordered = list(self.cluster.nodes()) if base is None else base
+                if prepared.order_key is not None:
+                    order = prepared.order_key
+                    ordered = sorted(ordered,
+                                     key=lambda n: order(n.hostname))
+            prepared.ordered[patterns] = ordered
+        return ordered
+
+    def _free_mb(self, node: SimNode) -> float:
+        """Free memory with ignored holders' reservations counted back."""
+        free = self._prepared.free_mb.get(node.hostname)
+        if free is None:
             free = node.memory.available_mb
-            for holder in self._ignore_holders:
+            for holder in self._prepared.ignore_holders:
                 free += node.memory.held_by(holder)
-            free_mb[node.hostname] = free
-        self._free_mb = free_mb
-        ordered = list(base)
-        if self.strategy is MatchStrategy.BEST_FIT:
-            ordered.sort(key=lambda n: free_mb[n.hostname])
-        elif self.strategy is MatchStrategy.WORST_FIT:
-            ordered.sort(key=lambda n: -free_mb[n.hostname])
-        # FIRST_FIT keeps cluster insertion order as the base.
-        if self._order_key is not None:
-            order = self._order_key
-            ordered.sort(key=lambda n: order(n.hostname))  # stable
-        self._ordered_nodes = ordered
+            self._prepared.free_mb[node.hostname] = free
+        return free
 
     def _candidates(self, demand: NodeDemand,
                     placements: dict[str, str],
-                    extra_memory: Mapping[str, float]) -> list[SimNode]:
+                    extra_memory: Mapping[str, float]) -> Iterator[SimNode]:
+        """Feasible nodes in candidate order, lazily: the search stops at
+        the first that fits, so most nodes are never looked at."""
         needed_mb = demand.memory_min_mb + extra_memory.get(
             demand.local_name, 0.0)
         taken = set(placements.values()) if not self.allow_colocation else set()
-        free_mb = self._free_mb
-        return [
-            node for node in self._ordered_nodes
-            if node.available
-            and node.hostname not in taken
-            and _hostname_matches(demand.hostname_pattern, node.hostname)
-            and (demand.os is None or node.os == demand.os)
-            and free_mb[node.hostname] + 1e-9 >= needed_mb
-        ]
+        for node in self._ordered:
+            if node.available \
+                    and node.hostname not in taken \
+                    and _hostname_matches(demand.hostname_pattern,
+                                          node.hostname) \
+                    and (demand.os is None or node.os == demand.os) \
+                    and self._free_mb(node) + 1e-9 >= needed_mb:
+                yield node
 
     def _links_feasible(self, demands: ConcreteDemands,
                         placements: dict[str, str], partial: bool) -> bool:

@@ -659,8 +659,11 @@ class AdaptationController:
             self.journal.record_release(instance.key, kind, detail)
         self.view.remove(instance.key)
         self.registry.remove(instance)
-        # Instance keys are never reused, so its cached models are dead.
+        # Instance keys are never reused, so its cached models are dead;
+        # so is everything cached under its bundles' object ids.
         for bundle_name, state in instance.bundles.items():
+            if self._config_cache is not None:
+                self._config_cache.forget(state.bundle)
             for option_name in state.bundle.option_names():
                 self._model_cache.pop(
                     (instance.key, bundle_name, option_name), None)

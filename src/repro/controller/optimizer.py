@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.allocation.instantiate import (
@@ -41,10 +42,10 @@ from repro.allocation.instantiate import (
     NodeDemand,
     instantiate_option,
 )
-from repro.allocation.matcher import Assignment, Matcher
+from repro.allocation.matcher import Assignment, Matcher, MatchPreparation
 from repro.controller.objective import Objective
 from repro.controller.registry import AppInstance, BundleState
-from repro.errors import AllocationError, RslSemanticError, SimulationError
+from repro.errors import AllocationError, RslSemanticError
 from repro.obs.trace import NULL_TRACER
 from repro.prediction.contention import SystemView
 from repro.rsl.expressions import MapEnvironment
@@ -152,9 +153,11 @@ class ConfigurationCache:
 
     def __init__(self) -> None:
         self.instantiations = InstantiationCache()
-        self._spaces: dict[tuple[int, int],
-                           tuple[Bundle, list[ConfigurationEntry]]] = {}
-        self._memory_probes: dict[tuple, float | None] = {}
+        #: id(bundle) -> (the bundle, probe limit -> its space)
+        self._spaces: dict[int, tuple[
+            Bundle, dict[int, list[ConfigurationEntry]]]] = {}
+        #: id(option) -> probe key -> best memory
+        self._memory_probes: dict[int, dict[tuple, float | None]] = {}
         self.space_hits = 0
         self.space_misses = 0
         self.probe_hits = 0
@@ -169,11 +172,10 @@ class ConfigurationCache:
 
     def space_for(self, bundle: Bundle,
                   probe_limit: int) -> list[ConfigurationEntry]:
-        key = (id(bundle), probe_limit)
-        hit = self._spaces.get(key)
-        if hit is not None:
+        spaces = self._spaces.setdefault(id(bundle), (bundle, {}))[1]
+        if probe_limit in spaces:
             self.space_hits += 1
-            return hit[1]
+            return spaces[probe_limit]
         self.space_misses += 1
         entries: list[ConfigurationEntry] = []
         for option in bundle.options:
@@ -197,32 +199,41 @@ class ConfigurationCache:
                         grants=dict(grants),
                         demands=demands,
                         extra_memory=_extra_memory(demands, grants)))
-        self._spaces[key] = (bundle, entries)
+        spaces[probe_limit] = entries
         return entries
+
+    def forget(self, bundle: Bundle) -> None:
+        """Drop what is cached under a released bundle's object ids; a
+        ``Bundle`` another live instance shares misses once, recomputes."""
+        self._spaces.pop(id(bundle), None)
+        for option in bundle.options:
+            self.instantiations.forget(option)
+            self._memory_probes.pop(id(option), None)
 
     def peek_space_len(self, bundle: Bundle, probe_limit: int) -> int:
         """Size of a bundle's cached space without computing it (0 when
         never enumerated).  Used for pruned-candidate accounting — a skip
         must not itself pay the enumeration it avoided."""
-        hit = self._spaces.get((id(bundle), probe_limit))
-        return len(hit[1]) if hit is not None and hit[0] is bundle else 0
+        hit = self._spaces.get(id(bundle))
+        return len(hit[1].get(probe_limit, ())) \
+            if hit is not None and hit[0] is bundle else 0
 
     def best_memory_for(self, option: TuningOption, base: ConcreteDemands,
                         demand: NodeDemand,
                         span_mb: float = 64.0) -> float | None:
-        key = (id(option),
-               tuple(sorted(base.variable_assignment.items())),
+        probes = self._memory_probes.setdefault(id(option), {})
+        key = (tuple(sorted(base.variable_assignment.items())),
                demand.local_name, span_mb)
-        if key in self._memory_probes:
+        if key in probes:
             self.probe_hits += 1
-            return self._memory_probes[key]
+            return probes[key]
         self.probe_misses += 1
         grant_key = f"{demand.local_name}.memory"
         if _grant_affects_nodes(option, grant_key):
             best = _best_memory_for(option, base, demand, span_mb)
         else:
             best = _best_memory_by_expression(option, base, demand, span_mb)
-        self._memory_probes[key] = best
+        probes[key] = best
         return best
 
 
@@ -236,32 +247,31 @@ def enumerate_candidates(instance: AppInstance, state: BundleState,
     The application's own current reservations are ignored while matching
     (``ignore_holders``), so it can re-use the resources it currently
     holds.  Placements prefer the least CPU-loaded nodes as seen without
-    this application — by default computed directly from the context view
-    with the application's own footprint subtracted, so no per-bundle view
-    copy is needed; ``ordering_view`` overrides that (the pairwise search
-    orders against partially-built trial states).
+    this application — by default read from the context view's maintained
+    load order with the application's own footprint subtracted, so no
+    per-bundle view copy or sort is needed; ``ordering_view`` overrides
+    that (the naive pairwise search orders against copied trial states).
     """
     ignore = frozenset({bundle_holder(instance, state)}) \
         | extra_ignore_holders
-    if ordering_view is not None:
-        order_key = _load_order_key(ordering_view)
-    else:
-        order_key = _load_order_key(context.view,
-                                    exclude_apps=(instance.key,))
     stats = context.stats
-    if context.cache is not None:
+    if context.cache is not None and ordering_view is None:
         with context.tracer.span("optimizer.configuration_space",
                                  bundle=state.bundle.bundle_name) as span:
             entries = context.cache.space_for(state.bundle,
                                               context.memory_probe_limit)
             span.set("entries", len(entries))
+        # Every configuration is matched against one unchanged state:
+        # one preparation, ordered from the view's maintained order.
+        prepared = MatchPreparation(ignore, load_order=partial(
+            context.view.load_order, exclude_app=instance.key))
         for entry in entries:
             if stats is not None:
                 stats.match_calls += 1
             try:
                 assignment = context.matcher.match(
                     entry.demands, extra_memory=entry.extra_memory,
-                    ignore_holders=ignore, order_key=order_key)
+                    prepared=prepared)
             except AllocationError:
                 continue
             yield Candidate(option_name=entry.option.name,
@@ -271,6 +281,13 @@ def enumerate_candidates(instance: AppInstance, state: BundleState,
                             demands=entry.demands,
                             assignment=assignment)
         return
+    # The reference oracles (naive scoring, explicit ordering views) keep
+    # the from-scratch sort the maintained order is tested against.
+    if ordering_view is not None:
+        order_key = _load_order_key(ordering_view)
+    else:
+        order_key = _load_order_key(context.view,
+                                    exclude_apps=(instance.key,))
     for option in state.bundle.options:
         for variable_assignment in option.variable_assignments():
             yield from _candidates_for_assignment(
@@ -294,24 +311,12 @@ def _load_order_key(view: SystemView,
             continue
         for hostname, seconds in footprint.cpu.items():
             excluded[hostname] = excluded.get(hostname, 0) + len(seconds)
-    # Lazily memoized: pattern-restricted matching only ever asks about
-    # the hosts a bundle can reach, so eagerly scoring the whole cluster
-    # would dominate per-bundle cost on large topologies.
-    keys: dict[str, tuple[float, float]] = {}
 
     def order_key(hostname: str) -> tuple[float, float]:
-        hit = keys.get(hostname)
-        if hit is None:
-            try:
-                speed = view.cluster.node(hostname).speed
-            except SimulationError:
-                keys[hostname] = (0.0, 0.0)
-                return keys[hostname]
-            load = (float(view.cpu_consumers(hostname)
-                          - excluded.get(hostname, 0))
-                    + view.external_cpu_load(hostname))
-            hit = keys[hostname] = (load, -speed)
-        return hit
+        load = (float(view.cpu_consumers(hostname)
+                      - excluded.get(hostname, 0))
+                + view.external_cpu_load(hostname))
+        return (load, -view.cluster.node(hostname).speed)
 
     return order_key
 
@@ -691,16 +696,26 @@ class GreedyOptimizer:
         live = engine.live_predictions()
         current_objective = context.objective.evaluate(live)
 
+        # What the view holds for this app (one slot, however many
+        # bundles): trialling that very configuration would re-derive
+        # ``live``, which the dirty-set contract says a recompute returns.
+        placed = context.view.configuration_of(instance.key)
         best: Candidate | None = None
         evaluated: list[Candidate] = []
         for candidate in enumerate_candidates(instance, state, context):
             evaluated.append(candidate)
-            with ViewTrial(context.view) as trial:
-                trial.place(instance.key, candidate.demands,
-                            candidate.assignment)
-                predictions = engine.trial_predictions(live, trial.tokens)
-            candidate.objective_value = context.objective.evaluate(
-                predictions)
+            if placed is not None and candidate.demands == placed.demands \
+                    and candidate.assignment == placed.assignment:
+                predictions = live
+                candidate.objective_value = current_objective
+            else:
+                with ViewTrial(context.view) as trial:
+                    trial.place(instance.key, candidate.demands,
+                                candidate.assignment)
+                    predictions = engine.trial_predictions(live,
+                                                           trial.tokens)
+                candidate.objective_value = context.objective.evaluate(
+                    predictions)
             candidate.predicted_seconds = predictions.get(
                 instance.key, math.inf)
             if best is None or \

@@ -27,11 +27,13 @@ predictions can change when a given footprint appears or disappears.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment
+from repro.cluster.node import SimNode
 from repro.cluster.topology import Cluster
 from repro.errors import SimulationError
 
@@ -132,6 +134,14 @@ class SystemView:
         self._link_counts: dict[LinkKey, int] = {}
         #: physical link -> apps whose prediction reads its contention
         self._link_readers: dict[LinkKey, set[str]] = {}
+        #: hostname -> ``(load, -speed, insertion index, node)`` and the
+        #: same entries sorted (:meth:`load_order`; indexes are unique, so
+        #: comparison never reaches the node).  Mutations note the hosts
+        #: they touch and a read re-keys those: the order follows *state*,
+        #: which ``version`` cannot name — rollback rewinds that number.
+        self._order_entries: dict[str, tuple] = {}
+        self._order: list[tuple] | None = None  # None: rebuild on read
+        self._order_dirty: set[str] = set()
         self.version: int = 0
         self._topology_version = getattr(cluster, "topology_version", 0)
 
@@ -279,6 +289,7 @@ class SystemView:
             return ()  # disconnected endpoints contribute no flows
 
     def _index(self, app_key: str, footprint: PlacementFootprint) -> None:
+        self._order_dirty.update(footprint.cpu)
         for hostname, seconds in footprint.cpu.items():
             self._host_entries.setdefault(hostname, {})[app_key] = seconds
             self._host_counts[hostname] = \
@@ -294,6 +305,7 @@ class SystemView:
                  footprint: PlacementFootprint | None) -> None:
         if footprint is None:
             return
+        self._order_dirty.update(footprint.cpu)
         for hostname, seconds in footprint.cpu.items():
             entries = self._host_entries.get(hostname)
             if entries is not None:
@@ -333,6 +345,7 @@ class SystemView:
         if current == self._topology_version:
             return
         self._topology_version = current
+        self._order = None
         self._footprints.clear()
         self._host_entries.clear()
         self._host_counts.clear()
@@ -380,6 +393,7 @@ class SystemView:
             self._external_cpu.pop(hostname, None)
         else:
             self._external_cpu[hostname] = consumers
+        self._order_dirty.add(hostname)
         self.version += 1
 
     def external_cpu_load(self, hostname: str) -> float:
@@ -399,9 +413,59 @@ class SystemView:
         return self._external_flows.get(frozenset((host_a, host_b)), 0.0)
 
     def clear_external_load(self) -> None:
+        self._order_dirty.update(self._external_cpu)
         self._external_cpu.clear()
         self._external_flows.clear()
         self.version += 1
+
+    # -- first-fit load order ----------------------------------------------------
+
+    def _rekeyed(self, entry: tuple, excluded: int = 0) -> tuple:
+        hostname = entry[3].hostname
+        load = float(self._host_counts.get(hostname, 0) - excluded) \
+            + self._external_cpu.get(hostname, 0.0)
+        return (load, *entry[1:])
+
+    def load_order(self, nodes: Sequence[SimNode] | None = None,
+                   exclude_app: str | None = None) -> list[SimNode]:
+        """Nodes in first-fit preference order: idle first, then faster.
+
+        Exactly a stable sort of the cluster's nodes by ``(cpu consumers
+        + external load, -speed)``, ties included, read off a maintained
+        order.  ``nodes`` restricts it to a subset, stably sorted by the
+        maintained keys, so a pattern-scoped bundle pays O(|nodes|), not
+        O(cluster).  ``exclude_app`` orders as if that application were
+        not placed, by re-keying its own hosts only.
+        """
+        self._sync_topology()
+        entries = self._order_entries
+        if self._order is None:
+            entries.clear()
+            for index, node in enumerate(self.cluster.nodes()):
+                entries[node.hostname] = self._rekeyed(
+                    (0.0, -node.speed, index, node))
+            self._order = sorted(entries.values())
+        order = self._order
+        for hostname in self._order_dirty & entries.keys():
+            old, new = entries[hostname], self._rekeyed(entries[hostname])
+            if new[0] != old[0]:
+                entries[hostname] = new
+                del order[bisect_left(order, old)]
+                insort(order, new)
+        self._order_dirty.clear()
+        own = self._footprints.get(exclude_app, _EMPTY_FOOTPRINT).cpu
+        rekeyed = {hostname: self._rekeyed(entries[hostname], len(seconds))
+                   for hostname, seconds in own.items()
+                   if hostname in entries}
+        if nodes is not None:
+            return sorted(nodes, key=lambda node: (
+                rekeyed.get(node.hostname) or entries[node.hostname])[:2])
+        if rekeyed:
+            order = order.copy()
+            for hostname, new in rekeyed.items():
+                del order[bisect_left(order, entries[hostname])]
+                insort(order, new)
+        return [entry[3] for entry in order]
 
     # -- contention queries ----------------------------------------------------
 
@@ -494,3 +558,4 @@ class SystemView:
                     effective += value if value < own_mb else own_mb
         effective += self.external_link_load(host_a, host_b) * own_mb
         return effective
+

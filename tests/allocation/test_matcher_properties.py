@@ -8,11 +8,13 @@ is guaranteed by the backtracking search; a spot-check for that is
 included with a constructive witness.)
 """
 
+import fnmatch
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro.allocation import Matcher, MatchStrategy, instantiate_option
+from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.cluster import Cluster
 from repro.errors import AllocationError
 from repro.rsl import build_bundle
@@ -123,3 +125,148 @@ def test_order_key_permutation_does_not_change_feasibility(nodes):
     natural = outcome(None)
     reversed_order = outcome(lambda hostname: -int(hostname[1:]))
     assert natural[0] == reversed_order[0]
+
+
+# -- the lazy candidate walk against the eager filter it replaced ----------
+
+class EagerMatcher(Matcher):
+    """The list-building search the lazy walk replaced, as the reference:
+    free memory for every reachable node up front, the whole order sorted
+    per call, and each demand's feasible nodes materialised before the
+    first is tried."""
+
+    def match(self, demands, extra_memory=None, ignore_holders=None,
+              order_key=None):
+        ignore = frozenset(ignore_holders or ())
+        base = [node for node in self.cluster.nodes()
+                if any(fnmatch.fnmatchcase(node.hostname, d.hostname_pattern)
+                       for d in demands.nodes)]
+        self._eager_free = {}
+        for node in base:
+            self._eager_free[node.hostname] = node.memory.available_mb \
+                + sum(node.memory.held_by(holder) for holder in ignore)
+        if self.strategy is MatchStrategy.BEST_FIT:
+            base.sort(key=lambda n: self._eager_free[n.hostname])
+        elif self.strategy is MatchStrategy.WORST_FIT:
+            base.sort(key=lambda n: -self._eager_free[n.hostname])
+        if order_key is not None:
+            base.sort(key=lambda n: order_key(n.hostname))
+        self._eager_order = base
+        placements = {}
+        if self._search(list(demands.nodes), demands, placements,
+                        extra_memory or {}):
+            return Assignment(placements=dict(placements))
+        raise AllocationError("no feasible placement")
+
+    def _candidates(self, demand, placements, extra_memory):
+        needed_mb = demand.memory_min_mb + extra_memory.get(
+            demand.local_name, 0.0)
+        taken = set(placements.values())
+        return [
+            node for node in self._eager_order
+            if node.available
+            and node.hostname not in taken
+            and fnmatch.fnmatchcase(node.hostname, demand.hostname_pattern)
+            and (demand.os is None or node.os == demand.os)
+            and self._eager_free[node.hostname] + 1e-9 >= needed_mb]
+
+
+def placements_of(matcher, demands, **kwargs):
+    try:
+        return dict(matcher.match(demands, **kwargs).placements)
+    except AllocationError:
+        return None
+
+
+def build_linked_demands(specs, links):
+    parts = [f"{{node d{index} {{seconds 5}} {{memory {memory}}}}}"
+             for index, memory in enumerate(specs)]
+    parts += [f"{{link d{a} d{b} 4}}" for a, b in sorted(links)
+              if a < b < len(specs)]
+    rsl = "harmonyBundle A b {{o " + " ".join(parts) + "}}"
+    return instantiate_option(build_bundle(rsl).option_named("o"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([32, 64, 256]), min_size=2, max_size=6),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),  # cluster links
+    st.sets(st.integers(0, 5)),                                # failed nodes
+    st.lists(st.sampled_from([8, 48, 200]), min_size=1, max_size=4),
+    st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))),  # link demands
+    st.sampled_from(list(MatchStrategy)),
+    st.one_of(st.none(), st.permutations(range(6))),           # order key
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from([16, 40])),
+             max_size=4))                                      # reservations
+def test_lazy_walk_matches_eager_reference(memories, links, failed,
+                                           needs, link_demands, strategy,
+                                           ranks, reservations):
+    """Backtracking included: sparse links make first picks infeasible,
+    big demands compete for the one big node, failed nodes head the
+    order — the lazy walk must return the eager search's assignment."""
+    cluster = Cluster()
+    for index, memory in enumerate(memories):
+        cluster.add_node(f"h{index}", memory_mb=float(memory))
+    for a, b in sorted(links):
+        if a < b < len(memories):
+            cluster.add_link(f"h{a}", f"h{b}", 40.0)
+    for index in failed:
+        if index < len(memories):
+            cluster.node(f"h{index}").fail()
+    for index, amount in reservations:
+        if index < len(memories):
+            memory = cluster.node(f"h{index}").memory
+            if amount <= memory.available_mb:
+                memory.reserve("own" if amount == 16 else "other", amount)
+    demands = build_linked_demands(needs, link_demands)
+    kwargs = {"ignore_holders": {"own"}}
+    if ranks is not None:
+        kwargs["order_key"] = lambda hostname: ranks[int(hostname[1:])] // 2
+    assert placements_of(Matcher(cluster, strategy=strategy), demands, **kwargs) \
+        == placements_of(EagerMatcher(cluster, strategy=strategy), demands,
+                   **kwargs)
+
+
+def test_lazy_walk_backtracks_like_the_eager_search():
+    """The three traps by name, each checked to really force a backtrack."""
+    # A first pick made infeasible by a link demand: h0 heads the order
+    # but is cut off from everyone, so d0 must move off it.
+    cluster = Cluster()
+    for index in range(4):
+        cluster.add_node(f"h{index}", memory_mb=64.0)
+    cluster.add_link("h1", "h2", 40.0)
+    cluster.add_link("h2", "h3", 40.0)
+    linked = build_linked_demands([8, 8], {(0, 1)})
+    assert placements_of(Matcher(cluster), linked) == {"d0": "h1", "d1": "h2"} \
+        == placements_of(EagerMatcher(cluster), linked)
+
+    # Distinct-machine demands competing for the same best node: d0 fits
+    # anywhere and would take h0, the only node d1 fits on.
+    cluster = build_cluster([(256, "linux"), (64, "linux"), (64, "linux")])
+    competing = build_linked_demands([8, 200], set())
+    assert placements_of(Matcher(cluster), competing) == {"d0": "h1", "d1": "h0"} \
+        == placements_of(EagerMatcher(cluster), competing)
+
+    # A failed node at the head of the order is passed over, not matched.
+    cluster.node("h0").fail()
+    small = build_linked_demands([8, 8], set())
+    assert placements_of(Matcher(cluster), small) == {"d0": "h1", "d1": "h2"} \
+        == placements_of(EagerMatcher(cluster), small)
+    assert placements_of(Matcher(cluster), competing) is None \
+        and placements_of(EagerMatcher(cluster), competing) is None
+
+
+def test_one_preparation_serves_every_configuration_of_a_bundle():
+    """Matching two configurations through one shared preparation equals
+    matching each with its own, and reads free memory only for the nodes
+    the walk looked at."""
+    cluster = build_cluster([(64, "linux")] * 5)
+    cluster.node("h0").memory.reserve("own", 60.0)
+    small, large = (build_demands([(16, None)] * count) for count in (1, 3))
+    shared = MatchPreparation(frozenset({"own"}))
+    matcher = Matcher(cluster)
+    for demands in (small, large):
+        assert matcher.match(demands, prepared=shared) \
+            == Matcher(cluster).match(demands, ignore_holders={"own"})
+    # First-fit never needed h3 or h4, so their memory was never read.
+    assert sorted(shared.free_mb) == ["h0", "h1", "h2"]

@@ -8,6 +8,16 @@ from repro.controller.friction import FrictionPolicy
 from repro.errors import AllocationError
 from tests.pods import POD_RSL, build_pod_cluster
 
+#: POD_RSL with an elastic-memory demand a link expression reads, so the
+#: optimizer probes (and caches) memory grants for it.
+ELASTIC_POD_RSL = """
+harmonyBundle Pod{pod}App{index} size {{
+    {{small {{node n {{hostname p{pod}n*}} {{seconds 60}} {{memory 24}}}}}}
+    {{large {{node a {{hostname p{pod}n*}} {{seconds 35}} {{memory >=17}}}}
+            {{node b {{hostname p{pod}n*}} {{seconds 35}} {{memory 24}}}}
+            {{link a b {{44 + 17 - (a.memory > 24 ? 24 : a.memory)}}}}}}}}
+"""
+
 
 def db_rsl(client_host="*"):
     return f"""
@@ -73,6 +83,29 @@ class TestLifecycle:
             live.append(instance)
         options = 2  # POD_RSL: small, large
         assert 0 < len(controller._model_cache) <= len(live) * options
+
+    def test_configuration_cache_is_bounded_under_churn(self):
+        """Spaces, instantiations and memory probes are keyed by object
+        id and pin the object: a released bundle's must go with it."""
+        controller = AdaptationController(build_pod_cluster(1, 8))
+        cache = controller._config_cache
+        live = []
+        for index in range(8 + 100):
+            if len(live) == 8:
+                controller.end_app(live.pop(0))
+            instance = controller.register_app(f"Pod0App{index}")
+            # Odd apps carry an elastic demand, so probes are cached too.
+            rsl = ELASTIC_POD_RSL if index % 2 else POD_RSL
+            controller.setup_bundle(instance,
+                                    rsl.format(pod=0, index=index))
+            live.append(instance)
+        options = 2  # small, large
+        assert 0 < len(cache._spaces) <= len(live)
+        assert 0 < len(cache.instantiations._results) <= len(live) * options
+        assert 0 < len(cache._memory_probes) <= len(live) * options
+        pinned = {id(state.bundle) for instance in live
+                  for state in instance.bundles.values()}
+        assert set(cache._spaces) == pinned
 
     def test_infeasible_bundle_raises(self, controller):
         instance = controller.register_app("Big")

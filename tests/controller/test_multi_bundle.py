@@ -86,3 +86,72 @@ class TestTwoBundles:
         controller.setup_bundle(instance, PLACEMENT_BUNDLE)
         algorithm = controller.setup_bundle(instance, ALGORITHM_BUNDLE)
         assert algorithm.chosen.option_name == "search"  # 8 MB still fits
+
+
+RIVAL_BUNDLE = """
+harmonyBundle Rival run {
+    {onA {node n {hostname nodeA} {seconds 12} {memory 16}}}
+    {onB {node n {hostname nodeB} {seconds 13} {memory 16}}}}
+"""
+
+
+def two_bundle_run(incremental: bool):
+    """A two-bundle service, then a rival that arrives and leaves."""
+    cluster = Cluster()
+    cluster.add_node("nodeA", memory_mb=128)
+    cluster.add_node("nodeB", memory_mb=128)
+    cluster.add_link("nodeA", "nodeB", 40.0)
+    controller = AdaptationController(cluster, incremental=incremental)
+    service = controller.register_app("Service")
+    controller.setup_bundle(service, PLACEMENT_BUNDLE)
+    controller.setup_bundle(service, ALGORITHM_BUNDLE)
+    rival = controller.register_app("Rival")
+    controller.setup_bundle(rival, RIVAL_BUNDLE)
+    controller.reevaluate()
+    return controller, service, rival
+
+
+class TestIncumbentShortcutWithTwoBundles:
+    """Both bundles share the application's one slot in the view, which
+    holds whichever was placed last.  Only a candidate equal to *that*
+    may be scored from the live predictions: the other bundle's current
+    configuration differs from the slot and must still be trialled."""
+
+    def test_bundle_not_in_the_view_slot_is_still_trialled(self):
+        fast, service, _ = two_bundle_run(incremental=True)
+        slow, slow_service, _ = two_bundle_run(incremental=False)
+        slot = fast.view.configuration_of(service.key)
+        assert slot.demands.option_name == "table"    # algorithm's, not where's
+        assert service.bundles["where"].chosen is not None
+
+        trials = []
+        predict = fast._engine.trial_predictions
+        fast._engine.trial_predictions = \
+            lambda base, tokens: trials.append(1) or predict(base, tokens)
+        optimizer = fast.policy.optimizer
+        for bundle_name, expected_trials in (("where", 2), ("algorithm", 1)):
+            del trials[:]
+            scored, oracle = (
+                optimizer.optimize_bundle(
+                    instance, instance.bundles[bundle_name],
+                    controller.optimization_context())
+                for controller, instance in ((fast, service),
+                                             (slow, slow_service)))
+            assert len(trials) == expected_trials
+            assert scored.current_objective == oracle.current_objective
+            assert [(c.option_name, c.objective_value, c.predicted_seconds)
+                    for c in scored.evaluated] \
+                == [(c.option_name, c.objective_value, c.predicted_seconds)
+                    for c in oracle.evaluated]
+
+    def test_decision_log_equals_the_naive_oracle(self):
+        logs = []
+        for incremental in (True, False):
+            controller, service, rival = two_bundle_run(incremental)
+            controller.end_app(rival)
+            controller.reevaluate()
+            logs.append([(r.app_key, r.old_configuration,
+                          r.new_configuration, r.reason)
+                         for r in controller.decision_log])
+        assert logs[0] == logs[1]
+        assert len(logs[0]) >= 3

@@ -289,3 +289,92 @@ def test_partition_merge_mid_run():
     serial = run_pod_merge(partitioned=False)
     assert_same_decisions(part, serial)
     assert part.stats.pruned_bundles > 0
+
+
+# -- fractional demands: where summation order could show -------------------
+
+FRACTIONAL_RSL = """
+harmonyBundle Frac{index} size {{
+    {{small {{node n {{seconds {small}}} {{memory 24}}}}}}
+    {{large {{node n {{seconds {large}}} {{memory 24}} {{replicate 2}}}}
+            {{communication 4.5}}}}}}
+"""
+
+
+def run_fractional_churn(incremental: bool, partitioned: bool):
+    """Churn on a crowded mesh with non-integer ``seconds``.
+
+    Contention sums ``min(s_j, s)`` over a node's consumers in index
+    order; with 0.1-granular demands a different order (a trial that was
+    skipped, a rollback that re-appended) moves the last bits of a
+    prediction.  Every path must still decide identically.
+    """
+    cluster = Cluster.full_mesh([f"n{i}" for i in range(6)], memory_mb=256.0)
+    controller = AdaptationController(
+        cluster, policy=ModelDrivenPolicy(pairwise_exchange=True),
+        incremental=incremental, partitioned=partitioned)
+    live = []
+
+    def admit(index):
+        instance = controller.register_app(f"Frac{index}")
+        controller.setup_bundle(instance, FRACTIONAL_RSL.format(
+            index=index, small=f"{60.1 + 0.7 * (index % 5):.1f}",
+            large=f"{33.3 + 0.3 * (index % 4):.1f}"))
+        live.append(instance)
+
+    for index in range(10):
+        admit(index)
+    for index in range(10, 16):
+        controller.end_app(live.pop(0))
+        admit(index)
+    controller.view.set_external_cpu_load("n2", 0.5)
+    controller.handle_node_failure("n4")
+    controller.reevaluate()
+    controller.end_app(live.pop(3))
+    controller.reevaluate()
+    return controller
+
+
+def test_fractional_seconds_decide_identically_on_every_path():
+    naive = run_fractional_churn(incremental=False, partitioned=False)
+    serial = run_fractional_churn(incremental=True, partitioned=False)
+    partitioned = run_fractional_churn(incremental=True, partitioned=True)
+    assert len(decisions_of(naive)) > 16     # reconfigurations happened
+    assert decisions_of(serial) == decisions_of(naive)
+    assert chosen_of(serial) == chosen_of(naive)
+    # Not bit-equal, at this commit or before it: a rolled-back trial
+    # re-appends its application to each node's consumer index, so the
+    # incremental paths sum a node's competitors in another order than a
+    # copied view does (129.60000000000002 vs 129.6).  ROADMAP N4 (3)
+    # owns the canonical summation order; decisions must not wait for it.
+    assert serial.predict_all(serial.view) == pytest.approx(
+        naive.predict_all(naive.view), rel=1e-12, abs=0)
+    assert_same_decisions(partitioned, serial)
+
+
+def test_settled_reevaluation_scores_incumbents_without_a_trial():
+    """Every trial recomputes at least the trialled application, so a
+    sweep that trials everything recomputes at least one prediction per
+    candidate.  On a settled, roomy system the only cheaper candidates
+    are the ones already in place — if a no-op sweep stops undercutting
+    its candidate count, the incumbent shortcut has stopped firing."""
+    cluster = Cluster.full_mesh([f"n{i}" for i in range(16)],
+                                memory_mb=256.0)
+    controller = AdaptationController(
+        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
+        incremental=True, partitioned=False)
+    for index in range(5):
+        instance = controller.register_app(f"App{index}")
+        controller.setup_bundle(instance,
+                                TWO_OPTION_RSL.format(index=index))
+    while controller.reevaluate():
+        pass
+    before = controller.stats.snapshot()
+    assert controller.reevaluate() == 0
+    after = controller.stats.snapshot()
+    candidates = after["candidates_evaluated"] - before["candidates_evaluated"]
+    recomputed = after["predictions_recomputed"] \
+        - before["predictions_recomputed"]
+    assert candidates == 10                  # two options, five bundles
+    assert 0 < recomputed < candidates
+    assert after["full_view_recomputes"] == before["full_view_recomputes"]
