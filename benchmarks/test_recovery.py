@@ -17,8 +17,8 @@ import pytest
 from repro.controller import AdaptationController
 from repro.persistence import DurabilityJournal
 
-from benchutil import fmt_row
-from test_scale import _merge_bench_point, run_scale, two_option_rsl
+from benchutil import fmt_row, merge_bench_point
+from test_scale import run_scale, two_option_rsl
 
 
 def journal_admission(directory, app_count, snapshot_every):
@@ -68,7 +68,7 @@ def test_recovery_replay(report, tmp_path, app_count):
     assert snapshot_report.records_replayed < \
         replay_report.records_replayed
 
-    _merge_bench_point(app_count, {
+    merge_bench_point(app_count, {
         "recovery_replay_seconds": round(replay_seconds, 4),
         "recovery_replay_records": replay_report.records_replayed,
         "recovery_snapshot_seconds": round(snapshot_seconds, 4),

@@ -38,6 +38,7 @@ from repro.controller.optimizer import (
     ConfigurationCache,
     GreedyOptimizer,
     OptimizationContext,
+    OptimizationResult,
 )
 from repro.controller.partition import PartitionIndex, bundle_key
 from repro.controller.registry import (
@@ -181,12 +182,11 @@ class ModelDrivenPolicy(DecisionPolicy):
                                                state):
                         changes += 1
         if self.pairwise_exchange:
-            # Deliberately global and unrestricted: two sub-threshold
-            # single-bundle gains can jointly cross the hysteresis bound,
-            # and the pair's friction amortizes over the *joint* response
-            # — neither decomposes by partition.  The pass self-disables
-            # above ``max_pairwise_bundles``, so it costs nothing at the
-            # scales where partitioning matters.
+            # Every pair is still a candidate, across partitions too: a
+            # single-bundle gain the friction gate rejected can pass as
+            # half of a pair, whose friction amortizes over the *faster*
+            # of the two responses.  What the pass leaves out is only
+            # the pairs the partition epochs prove cannot gain at all.
             changes += self._pairwise_pass(controller)
         return changes
 
@@ -246,7 +246,22 @@ class ModelDrivenPolicy(DecisionPolicy):
         return changes
 
     def _pairwise_pass(self, controller: "AdaptationController") -> int:
-        """One joint-improvement sweep over all bundle pairs."""
+        """One joint-improvement sweep over the bundle pairs.
+
+        Pairs are visited in registry order.  Where pruning is sound
+        (:meth:`PartitionIndex.prunable`) a pair that provably cannot
+        gain is not searched; ``partitioned=False`` searches them all
+        and is the oracle the skips are tested against:
+
+        * Two bundles of different partitions share nothing, so their
+          joint score separates: when each one's own best gains nothing
+          (:func:`_at_optimum`), no joint move gains, and the friction
+          gate rejects a gain <= 0 on its sign alone.  The sweep's clean
+          watermark records exactly that; a stale one is re-derived with
+          one ``optimize_bundle`` (nothing applied), once per epoch.
+        * A partition whose every internal pair ended a pass in such a
+          sign-only no-op stays settled until its epoch moves.
+        """
         entries: list[tuple] = []
         for instance in controller.registry.instances():
             for state in instance.bundles.values():
@@ -254,14 +269,48 @@ class ModelDrivenPolicy(DecisionPolicy):
                     entries.append((instance, state))
         if len(entries) < 2 or len(entries) > self.max_pairwise_bundles:
             return 0
+        stats = controller.stats
+        index = controller.partition_index
+        scoped = index is not None and index.prunable(controller.objective)
+        keys = [bundle_key(*entry) for entry in entries] if scoped else []
+        parts = [index.partition_of(key) for key in keys]
+        #: pid -> epoch at the start of the pass, for the partitions none
+        #: of whose pairs has yet ended in anything but a sign-only no-op.
+        settling = {part.pid: part.epoch for part in parts}
+        #: (entry, epoch) -> at optimum: this pass's re-derivations.
+        derived: dict[tuple[int, int], bool] = {}
+
+        def at_optimum(which: int) -> bool:
+            if index.is_clean(keys[which]):
+                return True
+            stamp = (which, parts[which].epoch)
+            if stamp not in derived:
+                instance, state = entries[which]
+                derived[stamp] = _at_optimum(
+                    state, self.optimizer.optimize_bundle(
+                        instance, state, controller.optimization_context()))
+            return derived[stamp]
+
         changes = 0
         now = controller.now
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
                 first, second = entries[i], entries[j]
+                shared = parts[i] if scoped and parts[i] is parts[j] \
+                    else None
                 if not (first[1].granularity_allows_switch(now)
                         and second[1].granularity_allows_switch(now)):
+                    if shared is not None:
+                        settling.pop(shared.pid, None)
                     continue
+                if shared is not None:
+                    skip = shared.settled_epoch == shared.epoch
+                else:
+                    skip = scoped and at_optimum(i) and at_optimum(j)
+                if skip:
+                    stats.pruned_pairs += 1
+                    continue
+                stats.pairs_evaluated += 1
                 context = controller.optimization_context()
                 current = controller.current_objective()
                 best = self.optimizer.optimize_pair(first, second, context)
@@ -282,6 +331,8 @@ class ModelDrivenPolicy(DecisionPolicy):
                     candidate_response_seconds=min(
                         cand_a.predicted_seconds, cand_b.predicted_seconds))
                 if not decision:
+                    if shared is not None and decision.objective_gain > 0:
+                        settling.pop(shared.pid, None)
                     continue
                 if not _same_configuration(first[1], cand_a):
                     controller.apply_candidate(
@@ -295,6 +346,9 @@ class ModelDrivenPolicy(DecisionPolicy):
                         reason="pairwise exchange",
                         objective_before=current)
                     changes += 1
+        for part in parts:
+            if settling.get(part.pid) == part.epoch:
+                part.settled_epoch = part.epoch
         return changes
 
     def _reevaluate_bundle(self, controller: "AdaptationController",
@@ -310,16 +364,17 @@ class ModelDrivenPolicy(DecisionPolicy):
         """Evaluate one bundle; returns ``(changed, stable)``.
 
         ``stable`` asserts the no-change outcome would recur if nothing
-        in this bundle's partition changes — even while *other*
-        partitions improve — so a clean watermark may be recorded (for a
-        decomposable objective).  True for: no feasible candidate, best
-        equals current (candidate ranking is invariant under equal
-        shifts), rejection with gain <= 0 (sign-invariant), and
-        friction-amortization rejections (gain, response, and friction
-        are all partition-local).  False for: granularity-blocked
-        outcomes (time-dependent) and hysteresis rejections (the
-        relative-gain denominator is the *global* objective, so another
-        partition's improvement can tip them over the threshold).
+        in this bundle's partition changes — whatever happens in *other*
+        partitions — so a clean watermark may be recorded (for a
+        decomposable objective).  Only outcomes decided by a sign are:
+        no feasible candidate, best equals current (candidate ranking is
+        invariant under equal shifts), and rejection with gain <= 0.
+        Every other rejection weighs the *size* of the gain, and under a
+        mean that is a sum divided by the number of applications
+        anywhere: an arrival or departure in another partition rescales
+        it past a hysteresis threshold (whose denominator is the global
+        objective besides) or a friction amortisation alike.
+        Granularity-blocked outcomes depend on the clock.
         """
         now = controller.now
         if state.chosen is None:
@@ -343,8 +398,7 @@ class ModelDrivenPolicy(DecisionPolicy):
             span.set("friction_cost_seconds", friction_cost)
             span.set("worthwhile", bool(decision))
         if not decision:
-            return False, (decision.objective_gain <= 0
-                           or decision.amortized_gain > 0)
+            return False, decision.objective_gain <= 0
         controller.apply_candidate(
             instance, state, best,
             reason=f"reevaluation (gain {decision.objective_gain:.3g}s, "
@@ -389,6 +443,14 @@ def candidate_traces(controller: "AdaptationController", state: BundleState,
             rejection_reason=reason,
             detail=detail))
     return records
+
+
+def _at_optimum(state: BundleState, result: OptimizationResult) -> bool:
+    """Whether no configuration of this bundle alone gains anything: the
+    outcomes ``_reevaluate_bundle_outcome`` calls stable."""
+    best = result.best
+    return (best is None or _same_configuration(state, best)
+            or result.current_objective - best.objective_value <= 0)
 
 
 def _same_configuration(state: BundleState, candidate: Candidate) -> bool:
@@ -1157,6 +1219,8 @@ class AdaptationController:
                                 float(self.stats.partition_sweeps))
             self.metrics.report("optimizer.partition.pruned_bundles", now,
                                 float(self.stats.pruned_bundles))
+            self.metrics.report("optimizer.partition.pruned_pairs", now,
+                                float(self.stats.pruned_pairs))
             self.metrics.report("optimizer.partition.merges", now,
                                 float(index.merges))
             self.metrics.report("optimizer.partition.rebuilds", now,

@@ -10,11 +10,15 @@ and :class:`WeightedMeanResponseTime` provide that flexibility.
 
 Conventions: objectives consume a mapping of application key to predicted
 response seconds and return a scalar where **lower is better** (throughput
-is negated).
+is negated).  The decomposable objectives sum with :func:`math.fsum`, so
+their value depends on *which* predictions they are given and never on the
+mapping's order: a path that skips a trial leaves the prediction dictionary
+in another order than its oracle, and must still read the same float.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Protocol
 
 from repro.errors import ControllerError
@@ -51,7 +55,7 @@ class MeanResponseTime:
     def evaluate(self, predictions: Mapping[str, float]) -> float:
         if not predictions:
             return 0.0
-        return sum(predictions.values()) / len(predictions)
+        return math.fsum(predictions.values()) / len(predictions)
 
 
 class MaxResponseTime:
@@ -74,13 +78,11 @@ class ThroughputObjective:
     decomposable = True
 
     def evaluate(self, predictions: Mapping[str, float]) -> float:
-        total = 0.0
         for key, seconds in predictions.items():
             if seconds <= 0:
                 raise ControllerError(
                     f"non-positive prediction {seconds} for {key!r}")
-            total += 1.0 / seconds
-        return -total
+        return -math.fsum(1.0 / seconds for seconds in predictions.values())
 
 
 class WeightedMeanResponseTime:
@@ -110,12 +112,10 @@ class WeightedMeanResponseTime:
     def evaluate(self, predictions: Mapping[str, float]) -> float:
         if not predictions:
             return 0.0
-        total_weight = 0.0
-        total = 0.0
-        for key, seconds in predictions.items():
-            weight = self.weight_of(key)
-            total += weight * seconds
-            total_weight += weight
+        weights = [self.weight_of(key) for key in predictions]
+        total_weight = math.fsum(weights)
         if total_weight == 0:
             return 0.0
-        return total / total_weight
+        return math.fsum(
+            weight * seconds for weight, seconds
+            in zip(weights, predictions.values())) / total_weight

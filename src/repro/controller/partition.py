@@ -26,11 +26,19 @@ other's evaluation reads.  This module makes that independence explicit:
   evaluation found nothing to change records a *watermark* (component,
   epoch); while the watermark holds, re-evaluating it is provably a
   no-op — the explicit no-improvement bound that lets sweeps skip it.
-  Watermarks are only recorded for outcomes that stay no-ops under
-  other partitions' improvements (see
-  ``ModelDrivenPolicy._reevaluate_bundle_outcome``) and only honoured
+  Watermarks are only recorded for outcomes that stay no-ops whatever
+  happens in other partitions — the bundle's best configuration is the
+  one in place, or gains nothing (see
+  ``ModelDrivenPolicy._reevaluate_bundle_outcome``) — and only honoured
   when pruning is provably safe (:meth:`PartitionIndex.prunable`:
   an additively decomposable objective and no opaque models).
+
+* **Pair watermarks** — the pairwise pass reads the same epochs.  A
+  clean bundle is at its own optimum, so a pair of clean bundles from
+  two components cannot gain jointly and is not searched; a component
+  whose every internal pair ended a pass in such a no-op records its
+  epoch (:attr:`Partition.settled_epoch`) and later passes skip its
+  pairs until the epoch moves (see ``ModelDrivenPolicy._pairwise_pass``).
 """
 
 from __future__ import annotations
@@ -65,12 +73,16 @@ def bundle_key(instance: "AppInstance", state: "BundleState") -> BundleKey:
 class Partition:
     """One connected component of bundles sharing potential resources."""
 
-    __slots__ = ("pid", "epoch", "members", "resources")
+    __slots__ = ("pid", "epoch", "settled_epoch", "members", "resources")
 
     def __init__(self, pid: int):
         self.pid = pid
         #: Bumped by every event that can change a member's evaluation.
         self.epoch = 0
+        #: The epoch at which a pairwise pass last found nothing to
+        #: exchange between any two members; valid while it equals
+        #: ``epoch``.
+        self.settled_epoch = -1
         self.members: set[BundleKey] = set()
         self.resources: set[ResourceKey] = set()
 
@@ -91,10 +103,9 @@ class PartitionIndex:
         #: (pid, epoch) recorded when a bundle's evaluation was a proven
         #: no-op; valid while it still equals the live (pid, epoch).
         self._clean_at: dict[BundleKey, tuple[int, int]] = {}
-        #: Reach memo: id(bundle) -> (bundle, topology_version, reach).
-        #: The bundle object is stored to pin its id (same idiom as
-        #: ConfigurationCache).
-        self._reach: dict[int, tuple[object, int, frozenset]] = {}
+        #: Reach memo, dropped with the bundle:
+        #: key -> (topology_version, reach).
+        self._reach: dict[BundleKey, tuple[int, frozenset]] = {}
         #: (pattern, topology_version) -> frozenset of matching hostnames.
         self._pattern_hosts: dict[tuple[str, int], frozenset[str]] = {}
         #: frozenset(hosts) -> frozenset of link resource keys (memoized
@@ -172,7 +183,7 @@ class PartitionIndex:
         existing = self._member_pid.get(key)
         if existing is not None:
             return existing
-        reach = self._reach_of(state)
+        reach = self._reach_of(key, state)
         pids = sorted({self._owner[r] for r in reach if r in self._owner})
         if not pids:
             part = Partition(self._next_pid)
@@ -214,6 +225,7 @@ class PartitionIndex:
         for key in [k for k in self._member_pid if k[0] == app_key]:
             pid = self._member_pid.pop(key)
             self._clean_at.pop(key, None)
+            self._reach.pop(key, None)
             part = self._parts[pid]
             part.members.discard(key)
             part.epoch += 1
@@ -308,7 +320,8 @@ class PartitionIndex:
 
     # -- reach computation -----------------------------------------------------
 
-    def _reach_of(self, state: "BundleState") -> frozenset:
+    def _reach_of(self, key: BundleKey,
+                  state: "BundleState") -> frozenset:
         """Every resource key this bundle's evaluation could ever read.
 
         Hosts: the union of its configuration space's hostname patterns,
@@ -320,9 +333,9 @@ class PartitionIndex:
         """
         bundle = state.bundle
         tv = self._topology_version
-        hit = self._reach.get(id(bundle))
-        if hit is not None and hit[0] is bundle and hit[1] == tv:
-            return hit[2]
+        hit = self._reach.get(key)
+        if hit is not None and hit[0] == tv:
+            return hit[1]
         patterns: set[str] = set()
         needs_links = False
         for option in bundle.options:
@@ -343,7 +356,7 @@ class PartitionIndex:
         if needs_links and len(hosts) < len(all_hosts):
             resources |= self._edges_among(frozenset(hosts))
         reach = frozenset(resources)
-        self._reach[id(bundle)] = (bundle, tv, reach)
+        self._reach[key] = (tv, reach)
         return reach
 
     def _hosts_matching(self, pattern: str,

@@ -57,6 +57,10 @@ class OptimizerStats:
     partition_sweeps: int = 0
     pruned_bundles: int = 0
     pruned_candidates: int = 0
+    #: Pairwise pass: pairs searched, and pairs skipped because the
+    #: partition epochs prove they cannot gain (zero on the serial path).
+    pairs_evaluated: int = 0
+    pruned_pairs: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return {"candidates_evaluated": self.candidates_evaluated,
@@ -65,7 +69,9 @@ class OptimizerStats:
                 "match_calls": self.match_calls,
                 "partition_sweeps": self.partition_sweeps,
                 "pruned_bundles": self.pruned_bundles,
-                "pruned_candidates": self.pruned_candidates}
+                "pruned_candidates": self.pruned_candidates,
+                "pairs_evaluated": self.pairs_evaluated,
+                "pruned_pairs": self.pruned_pairs}
 
 
 class ViewTrial:

@@ -107,6 +107,25 @@ class TestLifecycle:
                   for state in instance.bundles.values()}
         assert set(cache._spaces) == pinned
 
+    def test_partition_index_is_bounded_under_churn(self):
+        """The index's per-bundle tables — membership, watermarks, the
+        reach memo — go with the application that ends."""
+        controller = AdaptationController(build_pod_cluster(2, 4))
+        index = controller.partition_index
+        live = []
+        for number in range(8 + 100):
+            if len(live) == 8:
+                controller.end_app(live.pop(0))
+            instance = controller.register_app(f"Pod{number % 2}App{number}")
+            controller.setup_bundle(
+                instance, POD_RSL.format(pod=number % 2, index=number))
+            live.append(instance)
+        keys = {(instance.key, "size") for instance in live}
+        assert set(index._member_pid) == set(index._reach) == keys
+        assert set(index._clean_at) <= keys
+        assert len(index._parts) == 2
+        assert controller.stats.pruned_pairs > 0    # watermarks in use
+
     def test_infeasible_bundle_raises(self, controller):
         instance = controller.register_app("Big")
         with pytest.raises(AllocationError):

@@ -1,5 +1,7 @@
 """Objective functions."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,3 +99,25 @@ def test_improving_one_app_never_hurts_objectives(predictions):
         MeanResponseTime().evaluate(predictions)
     assert ThroughputObjective().evaluate(improved) <= \
         ThroughputObjective().evaluate(predictions)
+
+
+#: Predictions whose left-to-right ``sum`` depends on their order (the
+#: 129.60000000000002-style values contention arithmetic produces).
+ORDER_SENSITIVE = {"a.1": 129.60000000000002, "b.2": 35.04, "c.3": 61.5,
+                   "d.4": 0.1, "e.5": 33.3, "f.6": 58.7}
+
+
+@pytest.mark.parametrize("objective", [
+    MeanResponseTime(), ThroughputObjective(),
+    WeightedMeanResponseTime({"a": 3.0, "d.4": 0.7})],
+    ids=lambda objective: objective.name)
+def test_decomposable_objectives_ignore_mapping_order(objective):
+    """A sweep that skips a trial leaves the prediction dictionary in
+    another order than its oracle; both must read the same float, or a
+    2e-14 "gain" decides under zero hysteresis."""
+    assert objective.decomposable
+    orders = list(itertools.permutations(ORDER_SENSITIVE.items()))
+    values = {objective.evaluate(dict(order)) for order in orders}
+    assert len(values) == 1
+    # The inputs do tell the two apart: a plain sum reads several values.
+    assert len({sum(dict(order).values()) for order in orders}) > 1

@@ -85,6 +85,24 @@ class TestWatermarks:
         index.touch_all()
         assert not any(index.is_clean(k) for k in index._member_pid)
 
+    def test_pair_watermark_holds_until_the_epoch_moves(self):
+        controller = pod_controller(pods=2)      # 2 + 2 bundles: 6 pairs
+        controller.policy.pairwise_exchange = True
+        index = controller.partition_index
+        controller.reevaluate()
+        assert all(part.settled_epoch == part.epoch
+                   for part in index.partitions())
+        searched = controller.stats.pairs_evaluated
+        controller.reevaluate()
+        assert controller.stats.pairs_evaluated == searched
+        # Pod 1 changed: its own pair is searched again, and only that —
+        # the four cross-pod pairs are between bundles at their optimum.
+        index.touch_host("p1n0")
+        pruned = controller.stats.pruned_pairs
+        controller.reevaluate()
+        assert controller.stats.pairs_evaluated == searched + 1
+        assert controller.stats.pruned_pairs == pruned + 5
+
     def test_unknown_bundle_is_never_clean(self):
         controller = pod_controller(pods=1)
         index = controller.partition_index

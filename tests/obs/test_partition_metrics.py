@@ -20,16 +20,17 @@ PARTITION_METRICS = {
     "optimizer.partitions",
     "optimizer.partition.sweeps",
     "optimizer.partition.pruned_bundles",
+    "optimizer.partition.pruned_pairs",
     "optimizer.partition.merges",
     "optimizer.partition.rebuilds",
     "optimizer.partition.largest",
 }
 
 
-def run_pods(pods, tracer=None):
+def run_pods(pods, tracer=None, pairwise=False, partitioned=None):
     controller = AdaptationController(
-        build_pod_cluster(pods), tracer=tracer,
-        policy=ModelDrivenPolicy(pairwise_exchange=False))
+        build_pod_cluster(pods), tracer=tracer, partitioned=partitioned,
+        policy=ModelDrivenPolicy(pairwise_exchange=pairwise))
     for index in range(pods * 2):
         pod = index % pods
         instance = controller.register_app(f"Pod{pod}App{index}")
@@ -57,6 +58,22 @@ class TestMetricSurface:
             "optimizer.partition.pruned_bundles") > 0.0
         assert controller.metrics.latest(
             "optimizer.partition.largest") == 2.0
+
+    def test_pairwise_skips_are_counted(self):
+        """Three pods of two: 15 pairs a pass, 3 of them inside a pod."""
+        scoped = run_pods(pods=3, pairwise=True)
+        stats = scoped.stats.snapshot()
+        assert stats["pairs_evaluated"] > 0
+        assert stats["pruned_pairs"] > stats["pairs_evaluated"]
+        assert scoped.metrics.latest(
+            "optimizer.partition.pruned_pairs") == stats["pruned_pairs"]
+        # The serial pass visits the same pairs and searches them all.
+        serial = run_pods(pods=3, pairwise=True, partitioned=False)
+        assert serial.stats.pruned_pairs == 0
+        assert serial.stats.pairs_evaluated == \
+            stats["pairs_evaluated"] + stats["pruned_pairs"]
+        assert scoped.stats.candidates_evaluated < \
+            serial.stats.candidates_evaluated
 
     def test_cardinality_is_independent_of_partition_count(self):
         few = run_pods(pods=2)
