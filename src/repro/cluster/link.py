@@ -32,12 +32,26 @@ class SimLink:
         self.host_b = host_b
         self.bandwidth_mbps = bandwidth_mbps
         self.latency_seconds = latency_seconds
-        self.pipe = FairShareServer(kernel, capacity=bandwidth_mbps,
-                                    name=f"link:{host_a}--{host_b}")
+        #: Built by the first transfer: a controller-side cluster only
+        #: ever *reserves* bandwidth, and a full mesh has n**2/2 links.
+        self._pipe: FairShareServer | None = None
         self._reserved_mbps = 0.0
         self._reservations: dict[str, float] = {}
 
     # -- data transfer -------------------------------------------------------
+
+    @property
+    def pipe(self) -> FairShareServer:
+        if self._pipe is None:
+            self._pipe = FairShareServer(
+                self.kernel, capacity=self.bandwidth_mbps,
+                name=f"link:{self.host_a}--{self.host_b}")
+        return self._pipe
+
+    @property
+    def active_transfers(self) -> int:
+        """Transfers in flight (zero, pipe unbuilt, if none ever ran)."""
+        return 0 if self._pipe is None else self._pipe.active_jobs
 
     def transfer(self, megabytes: float) -> Event:
         """Move ``megabytes`` across the link; completion event as result.

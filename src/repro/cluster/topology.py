@@ -57,7 +57,7 @@ class Cluster:
                     f"link endpoint {host!r} is not a cluster node")
         if host_a == host_b:
             raise SimulationError(f"self-link on {host_a!r}")
-        if self.link_between(host_a, host_b) is not None:
+        if self._graph.has_edge(host_a, host_b):
             raise SimulationError(
                 f"duplicate link {host_a!r} -- {host_b!r}")
         link = SimLink(self.kernel, host_a, host_b, bandwidth_mbps,

@@ -719,10 +719,16 @@ class AdaptationController:
             # Journaled before the survivors re-optimize, so the release
             # precedes any reconfiguration records that reuse its space.
             self.journal.record_release(instance.key, kind, detail)
-        self.view.remove(instance.key)
+        token = self.view.remove(instance.key)
+        if self._engine is not None and token.removed is not None:
+            # Advance the prediction cache by the departure's dirty set
+            # (an unplaced app bumped no version and left it valid).
+            self._engine.commit([token])
         self.registry.remove(instance)
-        # Instance keys are never reused, so its cached models are dead;
-        # so is everything cached under its bundles' object ids.
+        # Instance keys are never reused, so its cached models and its
+        # metric series are dead; so is everything cached under its
+        # bundles' object ids.
+        self.metrics.forget(f"controller.{instance.key}")
         for bundle_name, state in instance.bundles.items():
             if self._config_cache is not None:
                 self._config_cache.forget(state.bundle)

@@ -118,13 +118,14 @@ class TrialEngine:
 
     * :meth:`trial_predictions` — score a trial already applied to the
       view, recomputing only the dirty set implied by its tokens;
-    * :meth:`commit` — after the controller applies a candidate for real,
-      advance the cached predictions by the same delta rule instead of
-      rebuilding.
+    * :meth:`commit` — after the controller applies a candidate or
+      releases an application for real, advance the cached predictions
+      by the same delta rule instead of rebuilding.
 
-    Any mutation the engine did not see (external-load updates, app
-    removal, topology reindex) leaves the cached version behind; the next
-    :meth:`live_predictions` notices the mismatch and rebuilds in full.
+    Any mutation the engine did not see (external-load updates, a failed
+    node's displacements, topology reindex) leaves the cached version
+    behind; the next :meth:`live_predictions` notices the mismatch and
+    rebuilds in full.
     """
 
     def __init__(self, controller: "AdaptationController"):

@@ -71,7 +71,7 @@ class ClusterCollector:
             self.metrics.report(
                 link_metric_name(link.host_a, link.host_b,
                                  "active_transfers"),
-                now, float(link.pipe.active_jobs))
+                now, float(link.active_transfers))
             self.metrics.report(
                 link_metric_name(link.host_a, link.host_b,
                                  "available_mbps"),

@@ -133,6 +133,12 @@ class MetricInterface:
                           if name == prefix
                           or name.startswith(prefix + "."))
 
+    def forget(self, prefix: str) -> None:
+        """Drop every series under ``prefix`` (a departed app's, say)."""
+        with self._lock:
+            for name in self.names(prefix):
+                del self._series[name]
+
     def subscribe(self, prefix: str, subscriber: Subscriber,
                   ) -> Callable[[], None]:
         """Push every future observation under ``prefix`` to ``subscriber``.

@@ -56,7 +56,10 @@ class Namespace:
         parts = split_path(path)
         node = self._root
         for part in parts:
-            node = node.children.setdefault(part, NamespaceNode(name=part))
+            child = node.children.get(part)
+            if child is None:
+                child = node.children[part] = NamespaceNode(name=part)
+            node = child
         node.value = value
         self._notify(path, value)
 

@@ -31,17 +31,19 @@ def split_path(path: str) -> tuple[str, ...]:
     """Split ``'a.b.c'`` into ``('a', 'b', 'c')``, validating components."""
     if not path:
         raise NamespaceError("empty namespace path")
-    return tuple(validate_component(part) for part in path.split("."))
+    parts = tuple(path.split("."))
+    if "" in parts:  # the one way a split component can be invalid
+        raise NamespaceError("empty namespace path component")
+    return parts
 
 
 def join_path(*components: str) -> str:
     """Join components (each may itself be a dotted path) into one path."""
-    parts: list[str] = []
-    for component in components:
-        if not component:
-            raise NamespaceError("empty namespace path component")
-        parts.extend(split_path(component))
-    return ".".join(parts)
+    if "" in components:
+        raise NamespaceError("empty namespace path component")
+    path = ".".join(components)
+    split_path(path)
+    return path
 
 
 def parent_path(path: str) -> str | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from repro.errors import RslSyntaxError
-from repro.rsl.tokens import Token, TokenType, tokenize
+from repro.rsl.tokens import TokenType, scan
 
 __all__ = ["RslWord", "RslList", "RslNode", "parse_script", "parse_list",
            "format_node"]
@@ -60,22 +60,10 @@ class RslList:
 RslNode = Union[RslWord, RslList]
 
 
-class _TokenCursor:
-    """Single-token lookahead over the token stream."""
-
-    def __init__(self, tokens: Iterator[Token]):
-        self._tokens = tokens
-        self._current = next(tokens)
-
-    @property
-    def current(self) -> Token:
-        return self._current
-
-    def advance(self) -> Token:
-        token = self._current
-        if token.type is not TokenType.EOF:
-            self._current = next(self._tokens)
-        return token
+#: Deepest ``{`` nesting accepted (the paper's Fig. 3 nests six).  The
+#: parser itself keeps an explicit stack, but the builder, the formatter
+#: and the expression parser recurse over its output.
+MAX_NESTING = 64
 
 
 def parse_script(text: str) -> list[RslList]:
@@ -88,13 +76,41 @@ def parse_script(text: str) -> list[RslList]:
     >>> cmds[0].head_word()
     'harmonyNode'
     """
-    cursor = _TokenCursor(tokenize(text))
+    word, open_brace = TokenType.WORD, TokenType.OPEN_BRACE
+    close_brace, command_end = TokenType.CLOSE_BRACE, TokenType.COMMAND_END
     commands: list[RslList] = []
-    while cursor.current.type is not TokenType.EOF:
-        if cursor.current.type is TokenType.COMMAND_END:
-            cursor.advance()
-            continue
-        commands.append(_parse_command(cursor))
+    #: The open lists enclosing the one being filled, outermost first,
+    #: each as ``(items, line, column)``; empty at command level.
+    stack: list[tuple[list[RslNode], int, int]] = []
+    items: list[RslNode] | None = None  # None between commands
+    start_line = start_column = 0
+    for kind, value, line, column in scan(text):
+        if kind is word:
+            if items is None:
+                items, start_line, start_column = [], line, column
+            items.append(RslWord(value, line, column))
+        elif kind is open_brace:
+            if items is None:
+                items, start_line, start_column = [], line, column
+            if len(stack) == MAX_NESTING:
+                raise RslSyntaxError(
+                    f"nesting deeper than {MAX_NESTING}", line, column)
+            stack.append((items, start_line, start_column))
+            items, start_line, start_column = [], line, column
+        elif kind is close_brace:
+            if not stack:
+                raise RslSyntaxError("unmatched '}'", line, column)
+            closed = RslList(tuple(items), start_line, start_column)
+            items, start_line, start_column = stack.pop()
+            items.append(closed)
+        elif stack:
+            if kind is not command_end:
+                raise RslSyntaxError(
+                    "unterminated '{'", start_line, start_column)
+            # Newlines inside braces are just whitespace for our list subset.
+        elif items is not None:  # a command end or EOF closes the command
+            commands.append(RslList(tuple(items), start_line, start_column))
+            items = None
     return commands
 
 
@@ -112,51 +128,6 @@ def parse_list(text: str) -> RslList:
     raise RslSyntaxError(
         f"expected a single RSL list, found {len(commands)} commands",
         commands[1].line, commands[1].column)
-
-
-def _parse_command(cursor: _TokenCursor) -> RslList:
-    start = cursor.current
-    items: list[RslNode] = []
-    while True:
-        token = cursor.current
-        if token.type in (TokenType.EOF, TokenType.COMMAND_END):
-            if token.type is TokenType.COMMAND_END:
-                cursor.advance()
-            break
-        if token.type is TokenType.CLOSE_BRACE:
-            raise RslSyntaxError("unmatched '}'", token.line, token.column)
-        items.append(_parse_node(cursor))
-    return RslList(tuple(items), start.line, start.column)
-
-
-def _parse_node(cursor: _TokenCursor) -> RslNode:
-    token = cursor.current
-    if token.type is TokenType.WORD:
-        cursor.advance()
-        return RslWord(token.value, token.line, token.column)
-    if token.type is TokenType.OPEN_BRACE:
-        return _parse_braced(cursor)
-    raise RslSyntaxError(
-        f"unexpected token {token.value!r}", token.line, token.column)
-
-
-def _parse_braced(cursor: _TokenCursor) -> RslList:
-    open_token = cursor.advance()  # consume '{'
-    items: list[RslNode] = []
-    while True:
-        token = cursor.current
-        if token.type is TokenType.EOF:
-            raise RslSyntaxError(
-                "unterminated '{'", open_token.line, open_token.column)
-        if token.type is TokenType.CLOSE_BRACE:
-            cursor.advance()
-            break
-        if token.type is TokenType.COMMAND_END:
-            # Newlines inside braces are just whitespace for our list subset.
-            cursor.advance()
-            continue
-        items.append(_parse_node(cursor))
-    return RslList(tuple(items), open_token.line, open_token.column)
 
 
 def format_node(node: RslNode) -> str:

@@ -17,6 +17,7 @@ The tokenizer produces a flat stream of :class:`Token` objects; the parser in
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,118 +49,99 @@ class Token:
         return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
 
 
-_WHITESPACE = " \t\r"
-_WORD_TERMINATORS = _WHITESPACE + "\n;{}"
+#: The whole lexical grammar, tried at each position in this order.  A
+#: backslash-newline is a continuation only *between* words (inside one,
+#: the word alternative has already consumed the backslash); a quote with
+#: no closing quote matches ``quoted`` nowhere and falls through to
+#: ``word``, which is how the loop recognises it.  ``DOTALL`` lets a
+#: backslash escape a newline inside quotes.
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r]+)"
+    r"|(?P<continuation>\\\n)"
+    r"|(?P<end>[\n;])"
+    r"|(?P<open>\{)"
+    r"|(?P<close>\})"
+    r'|"(?P<quoted>[^"\\]*(?:\\.[^"\\]*)*)"'
+    r"|(?P<word>[^ \t\r\n;{}]+)",
+    re.DOTALL)
+_BLANK, _CONTINUATION, _END, _OPEN, _CLOSE, _QUOTED, _WORD = range(1, 8)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"n": "\n", "t": "\t"}
 
 
-class _Scanner:
-    """Character-level cursor with line/column tracking."""
+def _unescape(match: re.Match) -> str:
+    char = match.group(1)
+    return _ESCAPED.get(char, char)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def peek(self) -> str:
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
+def scan(text: str) -> Iterator[tuple[TokenType, str, int, int]]:
+    """The token stream as bare ``(type, value, line, column)`` tuples.
 
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
+    What :func:`tokenize` wraps in :class:`Token` objects; the parser
+    reads the tuples directly.  Raises :class:`RslSyntaxError` on an
+    unterminated quoted string.
+    """
+    match = _TOKEN.match
+    word, end_type = TokenType.WORD, TokenType.COMMAND_END
+    open_brace, close_brace = TokenType.OPEN_BRACE, TokenType.CLOSE_BRACE
+    pos, length = 0, len(text)
+    line, line_start = 1, 0  # line_start: offset just past the last newline
+    at_command_start = True
+
+    while pos < length:
+        found = match(text, pos)
+        kind = found.lastindex
+        start, pos = pos, found.end()
+        if kind == _BLANK:
+            continue
+        if kind == _CONTINUATION:
+            line += 1
+            line_start = pos
+            continue
+        column = start - line_start + 1
+        if kind == _END:
+            value = found.group()
+            if not at_command_start:
+                yield end_type, value, line, column
+            at_command_start = True
+            if value == "\n":
+                line += 1
+                line_start = pos
+            continue
+        if kind == _WORD:
+            if at_command_start and text[start] == "#":
+                newline = text.find("\n", start)
+                pos = length if newline < 0 else newline
+                continue
+            if text[start] == '"':
+                raise RslSyntaxError("unterminated quoted string",
+                                     line, column)
+            yield word, found.group(), line, column
+        elif kind == _OPEN:
+            yield open_brace, "{", line, column
+        elif kind == _CLOSE:
+            yield close_brace, "}", line, column
         else:
-            self.column += 1
-        return ch
+            value = found.group(_QUOTED)
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            yield word, value, line, column
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+        at_command_start = False
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    yield TokenType.EOF, "", line, length - line_start + 1
 
 
 def tokenize(text: str) -> Iterator[Token]:
     """Yield the token stream for ``text``, ending with an EOF token.
 
     Raises:
-        RslSyntaxError: on an unterminated quoted string or a stray close
-            brace is *not* raised here — brace balancing is the parser's job;
-            the tokenizer only rejects malformed quoting.
+        RslSyntaxError: on an unterminated quoted string.  Brace
+            balancing is the parser's job, not the tokenizer's.
     """
-    scanner = _Scanner(text)
-    at_command_start = True
-
-    while not scanner.at_end():
-        ch = scanner.peek()
-        line, column = scanner.line, scanner.column
-
-        if ch in _WHITESPACE:
-            scanner.advance()
-            continue
-
-        if ch == "\\" and scanner.pos + 1 < len(scanner.text) \
-                and scanner.text[scanner.pos + 1] == "\n":
-            # Backslash-newline is a line continuation in TCL.
-            scanner.advance()
-            scanner.advance()
-            continue
-
-        if ch in "\n;":
-            scanner.advance()
-            if not at_command_start:
-                yield Token(TokenType.COMMAND_END, ch, line, column)
-            at_command_start = True
-            continue
-
-        if ch == "#" and at_command_start:
-            while not scanner.at_end() and scanner.peek() != "\n":
-                scanner.advance()
-            continue
-
-        at_command_start = False
-
-        if ch == "{":
-            scanner.advance()
-            yield Token(TokenType.OPEN_BRACE, "{", line, column)
-            continue
-
-        if ch == "}":
-            scanner.advance()
-            yield Token(TokenType.CLOSE_BRACE, "}", line, column)
-            continue
-
-        if ch == '"':
-            yield _scan_quoted(scanner, line, column)
-            continue
-
-        yield _scan_word(scanner, line, column)
-
-    yield Token(TokenType.EOF, "", scanner.line, scanner.column)
-
-
-def _scan_quoted(scanner: _Scanner, line: int, column: int) -> Token:
-    """Consume a double-quoted word, handling backslash escapes."""
-    scanner.advance()  # opening quote
-    chars: list[str] = []
-    while True:
-        if scanner.at_end():
-            raise RslSyntaxError("unterminated quoted string", line, column)
-        ch = scanner.advance()
-        if ch == '"':
-            break
-        if ch == "\\" and not scanner.at_end():
-            escaped = scanner.advance()
-            chars.append({"n": "\n", "t": "\t"}.get(escaped, escaped))
-            continue
-        chars.append(ch)
-    return Token(TokenType.WORD, "".join(chars), line, column)
-
-
-def _scan_word(scanner: _Scanner, line: int, column: int) -> Token:
-    """Consume a bare word up to whitespace, newline, ``;`` or a brace."""
-    chars: list[str] = []
-    while not scanner.at_end() and scanner.peek() not in _WORD_TERMINATORS:
-        chars.append(scanner.advance())
-    return Token(TokenType.WORD, "".join(chars), line, column)
+    for token in scan(text):
+        yield Token(*token)

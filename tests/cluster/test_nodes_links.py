@@ -136,6 +136,25 @@ class TestSimLink:
         link.release("app1")
         assert link.available_mbps == pytest.approx(10.0)
 
+    def test_pipe_is_built_by_the_first_transfer_only(self, kernel):
+        cluster = Cluster.full_mesh(["a", "b", "c"], kernel=kernel)
+        link = cluster.link_between("a", "b")
+        link.reserve("app", 5.0)                # reserving builds nothing
+        assert link.active_transfers == 0
+        assert all(each._pipe is None for each in cluster.links())
+
+        def job():
+            yield link.transfer(40.0)
+        kernel.spawn(job())
+        kernel.run(until=0.5)
+        pipe = link._pipe
+        assert pipe is not None and link.active_transfers == 1
+        kernel.spawn(job())
+        kernel.run()
+        assert link._pipe is pipe and pipe.completed_jobs == 2
+        assert link.active_transfers == 0
+        assert cluster.link_between("a", "c")._pipe is None
+
     def test_connects_is_direction_free(self, kernel):
         cluster = Cluster(kernel)
         cluster.add_node("a")
@@ -167,20 +186,41 @@ class TestClusterTopology:
         cluster.add_node("a")
         cluster.add_node("b")
         cluster.add_link("a", "b", 10)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match="duplicate link 'b' -- 'a'"):
             cluster.add_link("b", "a", 10)
 
     def test_self_link_rejected(self, kernel):
         cluster = Cluster(kernel)
         cluster.add_node("a")
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="self-link on 'a'"):
             cluster.add_link("a", "a", 10)
 
     def test_link_to_unknown_node_rejected(self, kernel):
         cluster = Cluster(kernel)
         cluster.add_node("a")
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError,
+                           match="link endpoint 'ghost' is not a cluster"):
             cluster.add_link("a", "ghost", 10)
+
+    def test_full_mesh_rejects_a_repeated_hostname(self):
+        with pytest.raises(SimulationError, match="duplicate node 'a'"):
+            Cluster.full_mesh(["a", "b", "a"])
+
+    @pytest.mark.parametrize("links, message", [
+        ([("a", "b"), ("b", "a")], "duplicate link 'b' -- 'a'"),
+        ([("a", "a")], "self-link on 'a'"),
+        ([("a", "ghost")], "link endpoint 'ghost' is not a cluster node"),
+    ])
+    def test_topology_snapshot_links_are_checked(self, links, message):
+        from repro.persistence.codec import cluster_from_topology
+        node = {"speed": 1.0, "memory_mb": 64.0, "os": "linux"}
+        topology = {
+            "nodes": [dict(node, hostname=name) for name in ("a", "b")],
+            "links": [{"host_a": a, "host_b": b, "bandwidth_mbps": 40.0,
+                       "latency_seconds": 0.0} for a, b in links]}
+        with pytest.raises(SimulationError, match=message):
+            cluster_from_topology(topology)
 
     def test_path_links_direct(self):
         cluster = Cluster.full_mesh(["a", "b", "c"])

@@ -121,8 +121,10 @@ def make_script(seed: int, exact: bool = True, length: int = 36) -> dict:
     }
 
 
-def run_script(script: dict, partitioned: bool,
-               pairwise: bool) -> AdaptationController:
+def run_script(script: dict, partitioned: bool, pairwise: bool,
+               prepare=None) -> AdaptationController:
+    """Replay ``script``; ``prepare(controller)`` runs before the first op
+    (a suite's place to hang its own checks on the controller)."""
     cluster = build_pod_cluster(script["pods"], script["nodes"])
     controller = AdaptationController(
         cluster, policy=ModelDrivenPolicy(pairwise_exchange=pairwise),
@@ -130,6 +132,8 @@ def run_script(script: dict, partitioned: bool,
             amortization_seconds=script["amortization_seconds"],
             min_relative_gain=script["min_relative_gain"]),
         incremental=True, partitioned=partitioned)
+    if prepare is not None:
+        prepare(controller)
     instances = {}
     for op in script["ops"]:
         kind = op[0]

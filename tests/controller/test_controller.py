@@ -84,6 +84,26 @@ class TestLifecycle:
         options = 2  # POD_RSL: small, large
         assert 0 < len(controller._model_cache) <= len(live) * options
 
+    def test_metric_series_are_bounded_under_churn(self):
+        """``controller.<key>.<bundle>.option`` is one series (and one
+        export name) per admission: it goes with the application."""
+        controller = AdaptationController(build_pod_cluster(1, 8))
+        live, full = [], None
+        for index in range(8 + 150):
+            if len(live) == 8:
+                full = full or len(controller.metrics.names())
+                ended = live.pop(0)
+                controller.end_app(ended)
+                assert controller.metrics.names(
+                    f"controller.{ended.key}") == []
+            instance = controller.register_app(f"Pod0App{index}")
+            controller.setup_bundle(instance,
+                                    POD_RSL.format(pod=0, index=index))
+            live.append(instance)
+        assert len(controller.metrics.names()) == full
+        assert [len(controller.metrics.names(f"controller.{app.key}"))
+                for app in live] == [1] * 8
+
     def test_configuration_cache_is_bounded_under_churn(self):
         """Spaces, instantiations and memory probes are keyed by object
         id and pin the object: a released bundle's must go with it."""

@@ -34,7 +34,11 @@ from repro.api import (
 from repro.api.faults import FaultAction, ScriptedFaultSchedule
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import ControllerRecoveringError, TransportError
+from repro.errors import (
+    ControllerRecoveringError,
+    HarmonyError,
+    TransportError,
+)
 from repro.persistence import DurabilityJournal, ReplicationStandby
 
 # Generous per-attempt timeouts absorb CI jitter; several attempts with
@@ -126,6 +130,22 @@ class TestSessionParity:
 
         client.end()
         assert len(controller.registry) == 0
+
+    def test_two_kilobytes_of_braces_is_an_error_reply(self, server_factory):
+        """Nesting past the parser's bound is a syntax error like any
+        other: an ``error`` reply, not an unhandled server error (it was
+        a ``RecursionError`` while the parser recursed)."""
+        controller, server = build_server()
+        handle = server_factory(server)
+        client = HarmonyClient(handle.connect(), retry_policy=FAST)
+        client.startup("DBclient")
+        deep = "{" * 3000 + "1" + "}" * 3000
+        with pytest.raises(HarmonyError, match="nesting deeper than 64"):
+            client.bundle_setup(
+                "harmonyBundle A b {{o {node n {seconds " + deep + "}}}}")
+        # The session is alive and nothing was counted as a server fault.
+        assert client.bundle_setup(db_rsl("c1"))["option"] == "QS"
+        assert controller.metrics.latest("server.unhandled_errors") is None
 
     def test_third_client_flips_the_cohort_and_departure_flips_back(
             self, server_factory):

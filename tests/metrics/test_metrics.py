@@ -94,6 +94,18 @@ class TestMetricInterface:
         metrics.report("node.abc.cpu", 0, 1)
         assert metrics.names("node.ab") == []
 
+    def test_forget_drops_the_series_under_a_prefix(self):
+        metrics = MetricInterface()
+        for name in ("controller.A.1.size.option", "controller.A.1.x",
+                     "controller.A.11.size.option", "controller.objective"):
+            metrics.report(name, 0, 1)
+        metrics.forget("controller.A.1")
+        assert metrics.names() == ["controller.A.11.size.option",
+                                   "controller.objective"]
+        metrics.forget("controller.nobody")      # nothing to drop: fine
+        metrics.report("controller.A.1.x", 1, 2)  # a name may come back
+        assert metrics.latest("controller.A.1.x") == 2
+
     def test_subscription_pushes_matching(self):
         metrics = MetricInterface()
         seen = []
@@ -130,6 +142,29 @@ class TestClusterCollector:
         assert metrics.latest(node_metric_name("a", "cpu_load")) == 0.0
         assert metrics.latest(
             link_metric_name("a", "b", "available_mbps")) == 40.0
+
+    def test_idle_links_report_zero_transfers_without_a_pipe(self, kernel):
+        cluster = Cluster.full_mesh(["a", "b", "c"], kernel=kernel)
+        metrics = MetricInterface()
+        ClusterCollector(cluster, metrics).sample_once()
+        assert metrics.latest(
+            link_metric_name("a", "b", "active_transfers")) == 0.0
+        assert all(link._pipe is None for link in cluster.links())
+
+    def test_observes_a_running_transfer(self, kernel):
+        cluster = Cluster.full_mesh(["a", "b"], bandwidth_mbps=10.0,
+                                    kernel=kernel)
+        metrics = MetricInterface()
+        ClusterCollector(cluster, metrics, period_seconds=1.0).start()
+
+        def job():
+            yield cluster.link_between("a", "b").transfer(20.0)
+        kernel.spawn(job())
+        kernel.run(until=4.0)
+        series = metrics.series(
+            link_metric_name("a", "b", "active_transfers"))
+        values = [obs.value for obs in series]
+        assert max(values) == 1.0 and values[-1] == 0.0
 
     def test_observes_running_work(self, kernel):
         cluster = Cluster.full_mesh(["a", "b"], kernel=kernel)
