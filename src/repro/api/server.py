@@ -892,11 +892,7 @@ class HarmonyServer:
         """This server's view of the replicated cluster (for ``status``)."""
         controller = self.controller
         journal = controller.journal
-        last_seq = 0
-        if journal is not None:
-            records = journal.wal.records()
-            last_seq = (records[-1].seq if records
-                        else journal.wal.next_seq - 1)
+        last_seq = journal.wal.last_seq if journal is not None else 0
         standbys = (self.replication.status()
                     if self.replication is not None else [])
         return {

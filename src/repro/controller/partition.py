@@ -39,6 +39,12 @@ other's evaluation reads.  This module makes that independence explicit:
   whose every internal pair ended a pass in such a no-op records its
   epoch (:attr:`Partition.settled_epoch`) and later passes skip its
   pairs until the epoch moves (see ``ModelDrivenPolicy._pairwise_pass``).
+
+* **Rebuilds** — every :data:`REBUILD_AFTER_REMOVALS` removals the
+  components are recomputed so over-broad ones split again.  On an
+  unchanged topology that only refines them, so the split components
+  keep their members' watermarks and their settled pairs; a topology
+  change drops them all (:meth:`PartitionIndex.rebuild`).
 """
 
 from __future__ import annotations
@@ -298,25 +304,48 @@ class PartitionIndex:
                     self._opaque.add(placed.app_key)
 
     def rebuild(self) -> None:
-        """Recompute components from scratch; everything becomes dirty.
+        """Recompute components from scratch, keeping what still holds.
 
         Used after topology changes (patterns may match new hosts,
         merging components) and after enough removals (components may
-        split, restoring pruning opportunity).  Clearing the watermarks
-        keeps the rebuild trivially serial-equivalent: the next sweep
-        evaluates every bundle.
+        split, restoring pruning opportunity).
+
+        A topology change moves reach itself, so every watermark is
+        dropped and the next sweep evaluates every bundle.  A rebuild on
+        the same topology only *refines*: removal never splits a
+        component lazily and reach is memoised per topology version, so
+        each new component is a subset of one old component and nothing
+        any evaluation reads has changed.  Such a component re-keys its
+        members' still-valid clean watermarks to its own ``(pid, epoch)``
+        and stays settled if its old component was.  The refinement is
+        checked, not assumed: a component with members from two old
+        components, or with a bundle that was not indexed (after a
+        restore, every component), carries nothing.
         """
+        current = getattr(self.controller.cluster, "topology_version", 0)
+        old_pid = self._member_pid if current == self._topology_version \
+            else {}
+        clean = {key for key in old_pid if self.is_clean(key)}
+        settled = {pid for pid, part in self._parts.items()
+                   if part.settled_epoch == part.epoch}
         self._parts.clear()
         self._owner.clear()
-        self._member_pid.clear()
+        self._member_pid = {}
         self._clean_at.clear()
         self._removals = 0
-        self._topology_version = getattr(self.controller.cluster,
-                                         "topology_version", 0)
+        self._topology_version = current
         self.rebuilds += 1
         for instance in self.controller.registry.instances():
             for state in instance.bundles.values():
                 self.add_bundle(instance, state)
+        for part in self._parts.values():
+            sources = {old_pid.get(key) for key in part.members}
+            if len(sources) != 1 or None in sources:
+                continue
+            for key in part.members & clean:
+                self._clean_at[key] = (part.pid, part.epoch)
+            if sources.pop() in settled:
+                part.settled_epoch = part.epoch
 
     # -- reach computation -----------------------------------------------------
 

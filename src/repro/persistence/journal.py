@@ -95,7 +95,7 @@ class DurabilityJournal:
         if self.controller is not None:
             raise ControllerError("journal already attached")
         if not resume:
-            if len(controller.registry) != 0 or self.wal.records() \
+            if len(controller.registry) != 0 or self.wal.last_seq \
                     or snapshot_files(self.directory):
                 raise ControllerError(
                     "attach() needs an empty controller and an empty "
@@ -320,10 +320,9 @@ class DurabilityJournal:
         controller = self.controller
         if controller is None:
             raise ControllerError("journal is not attached")
-        records = self.wal.records()
-        if not records:
+        if self.wal.first_seq is None:
             raise ControllerError("cannot snapshot an empty log")
-        last_seq = records[-1].seq
+        last_seq = self.wal.last_seq
         state = codec.controller_state(controller, self)
         path = write_snapshot(self.directory, last_seq, state)
         self.snapshots_written += 1

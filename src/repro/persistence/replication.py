@@ -273,12 +273,12 @@ class _StandbyLink:
 
 def _frame_text(record: WalRecord) -> str:
     """A record as its on-disk framed line (sans newline), wire-safe."""
-    return encode_record(record)[:-1].decode("ascii")
+    return (record.frame or encode_record(record))[:-1].decode("ascii")
 
 
 def _frame_crc(record: WalRecord) -> str:
     """The CRC32 of a record's full on-disk frame (the log-match token)."""
-    return f"{zlib.crc32(encode_record(record)):08x}"
+    return f"{zlib.crc32(record.frame):08x}"
 
 
 def _state_message(term: int, last_seq: int, state: dict[str, Any],
@@ -435,8 +435,7 @@ class ReplicationPrimary:
         """
         if last_crc is None or last_seq <= 0:
             return None
-        newest = records[-1].seq if records else \
-            self.journal.wal.next_seq - 1
+        newest = self.journal.wal.last_seq
         if last_seq > newest:
             return (f"standby holds seq {last_seq} beyond this "
                     f"history's newest {newest}")
@@ -495,8 +494,7 @@ class ReplicationPrimary:
         return self.controller.term
 
     def last_seq(self) -> int:
-        records = self.journal.wal.records()
-        return records[-1].seq if records else self.journal.wal.next_seq - 1
+        return self.journal.wal.last_seq
 
     def standby_count(self) -> int:
         with self._lock:
@@ -683,9 +681,9 @@ class ReplicationStandby:
         """
         message = make_message(REPL_HELLO, standby_id=self.standby_id,
                                last_seq=self.last_seq)
-        records = self.journal.wal.records()
-        if records and records[-1].seq == self.last_seq:
-            message["last_crc"] = _frame_crc(records[-1])
+        last = self.journal.wal.last_record
+        if last is not None and last.seq == self.last_seq:
+            message["last_crc"] = _frame_crc(last)
             message["last_term"] = self.term
         return message
 

@@ -21,7 +21,8 @@ The framing makes corruption *classifiable* on open:
 Appends are a single ``write()`` of the full frame followed by ``flush``
 and (policy-permitting) ``fsync`` — the strongest atomicity a regular
 file offers.  Compaction (after a snapshot) rewrites the retained suffix
-to a temporary file and atomically renames it into place.
+to a temporary file and atomically renames it into place, copying the
+kept records' frames verbatim: a record is encoded once, on append.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import WalCorruptionError
@@ -53,6 +54,10 @@ class WalRecord:
     time: float
     kind: str
     data: dict[str, Any]
+    #: The framed line, newline included, that a log wrote for this
+    #: record or verified on reading it; empty for a record built in
+    #: memory.  Compaction and replication copy it instead of encoding.
+    frame: bytes = field(default=b"", compare=False, repr=False)
 
 
 def encode_record(record: WalRecord) -> bytes:
@@ -87,7 +92,8 @@ def _decode_line(line: bytes) -> WalRecord | None:
         return None
     try:
         return WalRecord(seq=int(body["seq"]), time=float(body["t"]),
-                         kind=str(body["kind"]), data=body["data"])
+                         kind=str(body["kind"]), data=body["data"],
+                         frame=line + b"\n")
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -192,6 +198,15 @@ class WriteAheadLog:
     def first_seq(self) -> int | None:
         return self._records[0].seq if self._records else None
 
+    @property
+    def last_record(self) -> WalRecord | None:
+        return self._records[-1] if self._records else None
+
+    @property
+    def last_seq(self) -> int:
+        """The newest seq ever appended (0 for a new log), compacted or not."""
+        return self._records[-1].seq if self._records else self._last_seq
+
     def records(self) -> list[WalRecord]:
         return list(self._records)
 
@@ -211,9 +226,9 @@ class WriteAheadLog:
         if self._crashed is not None:
             raise SimulatedCrash(self._crashed.point,
                                  self._crashed.append_index)
-        record = WalRecord(seq=self.next_seq, time=time, kind=kind,
-                           data=dict(data))
-        frame = encode_record(record)
+        seq, data = self.next_seq, dict(data)
+        frame = encode_record(WalRecord(seq, time, kind, data))
+        record = WalRecord(seq, time, kind, data, frame)
         index = self.append_count
         self.append_count += 1
         point = self.crash_schedule.decide(index) \
@@ -251,13 +266,17 @@ class WriteAheadLog:
         re-requesting from its last acknowledged seq).  Any starting seq
         is accepted on an empty log (the standby may have been seeded
         from a snapshot past genesis).  Crash schedules do not apply —
-        this is not the decision path.
+        this is not the decision path.  The record must come from
+        :func:`decode_frame`: its verified frame is what gets written, so
+        the standby's log is the primary's, byte for byte.
         """
         if self._records and record.seq != self._records[-1].seq + 1:
             raise WalCorruptionError(
                 f"{self.path}: replicated record seq {record.seq} does "
                 f"not follow {self._records[-1].seq}")
-        frame = encode_record(record)
+        frame = record.frame
+        if not frame:
+            raise ValueError(f"record seq {record.seq} carries no frame")
         self._handle.write(frame)
         self._handle.flush()
         if self.fsync == "always":
@@ -271,27 +290,27 @@ class WriteAheadLog:
     def compact(self, keep_from_seq: int) -> int:
         """Drop records with ``seq < keep_from_seq``; returns bytes freed.
 
-        Rewrites the retained suffix to ``<path>.tmp`` and atomically
-        renames it over the log, so a crash mid-compaction leaves either
-        the old or the new file — never a mix.
+        Writes the retained suffix's frames, verbatim, to ``<path>.tmp``
+        and atomically renames it over the log, so a crash
+        mid-compaction leaves either the old or the new file — never a
+        mix.  The bytes freed are the dropped frames' lengths.
         """
         kept = [r for r in self._records if r.seq >= keep_from_seq]
         if len(kept) == len(self._records):
             return 0
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as tmp:
-            for record in kept:
-                tmp.write(encode_record(record))
+            tmp.write(b"".join(record.frame for record in kept))
             tmp.flush()
             os.fsync(tmp.fileno())
         self._handle.close()
         os.replace(tmp_path, self.path)
         _fsync_directory(os.path.dirname(self.path))
-        before = sum(len(encode_record(r)) for r in self._records)
-        after = sum(len(encode_record(r)) for r in kept)
+        freed = sum(len(record.frame) for record in self._records
+                    if record.seq < keep_from_seq)
         self._records = kept
         self._handle = open(self.path, "ab")
-        return before - after
+        return freed
 
     def close(self) -> None:
         if not self._handle.closed:

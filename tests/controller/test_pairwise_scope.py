@@ -71,6 +71,24 @@ def test_scoped_pass_matches_global_on_inexact_demands(seed):
         serial.current_objective(), rel=1e-9, abs=0)
 
 
+#: Long enough for two removal-triggered rebuilds, which then carry their
+#: watermarks and settled pairs into the split components.
+LONG_SCRIPT = 160
+LONG_SEEDS = SEEDS[:4]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "inexact"])
+@pytest.mark.parametrize("pairwise", [True, False],
+                         ids=["pairwise", "greedy"])
+@pytest.mark.parametrize("seed", LONG_SEEDS)
+def test_rebuilds_keep_only_what_they_proved(seed, pairwise, exact):
+    script = make_script(seed, exact=exact, length=LONG_SCRIPT)
+    part = run_script(script, partitioned=True, pairwise=pairwise)
+    serial = run_script(script, partitioned=False, pairwise=pairwise)
+    assert part.partition_index.rebuilds >= 2
+    assert_same_decisions(part, serial)
+
+
 def test_churn_scripts_reach_what_they_claim():
     """The pinned scripts skip pairs, search pairs, exchange, merge
     every pod under an unscoped bundle and hit the amortisation gate."""

@@ -10,6 +10,7 @@ import pytest
 
 from repro.controller.partition import REBUILD_AFTER_REMOVALS
 from repro.prediction import CallableModel
+from repro.rsl import build_bundle
 from tests.pods import POD_RSL, pod_controller
 
 BRIDGE_RSL = """
@@ -143,6 +144,112 @@ class TestLifecycle:
         controller.cluster.add_link("p0n9", "p0n0", bandwidth_mbps=100.0)
         index.refresh()
         assert not any(index.is_clean(k) for k in index._member_pid)
+
+
+def scored_keys(controller):
+    """Record every bundle the sweep scores (evaluates, not prunes)."""
+    scored = []
+    policy = controller.policy
+    evaluate = policy._reevaluate_bundle_outcome
+
+    def counting(controller, instance, state):
+        scored.append((instance.key, state.bundle.bundle_name))
+        return evaluate(controller, instance, state)
+
+    policy._reevaluate_bundle_outcome = counting
+    return scored
+
+
+def churn_through_rebuild(controller, pod=0):
+    """Admit and end apps in one pod until removals trigger a rebuild.
+
+    Returns the bundles the triggering departure's sweep scored and the
+    optimizer counters from just before it.
+    """
+    index = controller.partition_index
+    for round_index in range(REBUILD_AFTER_REMOVALS):
+        app = controller.register_app(f"Churn{round_index}")
+        controller.setup_bundle(
+            app, POD_RSL.format(pod=pod, index=100 + round_index))
+        if round_index == REBUILD_AFTER_REMOVALS - 1:
+            rebuilds = index.rebuilds
+            before = controller.stats.snapshot()
+            scored = scored_keys(controller)
+        controller.end_app(app)
+    assert index.rebuilds == rebuilds + 1
+    return scored, before
+
+
+class TestRebuildKeepsWhatItProved:
+    """A removal rebuild splits components without touching anything an
+    evaluation reads, so it keeps every valid watermark and settled pair.
+
+    Mutation-checked: marking every member clean, carrying
+    ``settled_epoch`` from an unsettled component, carrying into a
+    component with an unindexed member and carrying through a topology
+    rebuild (``test_topology_change_rebuilds_and_dirties``) each fail a
+    test here.
+    """
+
+    def test_only_the_churned_pod_is_scored(self):
+        controller = pod_controller(pods=12, apps_per_pod=1)
+        controller.reevaluate()
+        scored, before = churn_through_rebuild(controller)
+        assert scored == [("Pod0App0.1", "size")]
+        # The eleven other pods were proved clean before the rebuild.
+        assert controller.stats.pruned_bundles - \
+            before["pruned_bundles"] == 11
+
+    def test_settled_pods_keep_their_pairs(self):
+        controller = pod_controller(pods=6, apps_per_pod=2)
+        controller.policy.pairwise_exchange = True
+        controller.reevaluate()
+        scored, before = churn_through_rebuild(controller)
+        assert sorted(scored) == [("Pod0App0.1", "size"),
+                                  ("Pod0App1.2", "size")]
+        # Twelve bundles, 66 pairs: only pod 0's own pair is searched
+        # again; the other five pods stayed settled through the split.
+        stats = controller.stats
+        assert stats.pairs_evaluated - before["pairs_evaluated"] == 1
+        assert stats.pruned_pairs - before["pruned_pairs"] == 65
+
+    def test_bridge_split_rescores_once_then_stays_clean(self):
+        controller = pod_controller(pods=2)
+        index = controller.partition_index
+        bridge = controller.register_app("Bridge")
+        controller.setup_bundle(bridge, BRIDGE_RSL)
+        scored = scored_keys(controller)
+        controller.end_app(bridge)
+        # The departure re-scores the merged component; once settled,
+        # every member is proved clean.
+        controller.reevaluate()
+        members = sorted(index._member_pid)
+        assert sorted(set(scored)) == members
+        assert all(index.is_clean(key) for key in members)
+        index.rebuild()
+        assert index.partition_count == 2
+        assert all(index.is_clean(key) for key in members)
+        del scored[:]
+        controller.reevaluate()
+        assert scored == []
+
+    def test_unindexed_member_carries_nothing_into_its_component(self):
+        controller = pod_controller(pods=2)
+        index = controller.partition_index
+        controller.reevaluate()
+        # A replayed setup_bundle (crash recovery, a standby) registers
+        # and places a bundle without indexing it or moving an epoch.
+        late = controller.register_app("Late")
+        state = controller.registry.add_bundle(
+            late, build_bundle(POD_RSL.format(pod=0, index=9)))
+        controller.policy.configure_new_bundle(controller, late, state)
+        rebuilds = index.rebuilds
+        scored = scored_keys(controller)
+        controller.reevaluate()
+        assert index.rebuilds == rebuilds + 1
+        # Pod 0 holds the newcomer and re-scores; pod 1 stays clean.
+        assert sorted(scored) == sorted(
+            keys_by_pod(index, 0) | {(late.key, "size")})
 
 
 class TestPrunability:

@@ -17,6 +17,7 @@ lock layout (heartbeats take ``sessions_lock``, never the busy
 ``controller_lock``).
 """
 
+import json
 import socket
 import threading
 import time
@@ -40,6 +41,9 @@ from repro.errors import (
     TransportError,
 )
 from repro.persistence import DurabilityJournal, ReplicationStandby
+from repro.persistence.journal import WAL_FILENAME
+from repro.persistence.wal import decode_frame, encode_record
+from tests.persistence.test_wal import foreign_frame
 
 # Generous per-attempt timeouts absorb CI jitter; several attempts with
 # short backoff ride out injected drops without minutes of waiting.
@@ -387,6 +391,64 @@ class TestCrashRecoveryReattach:
         status = clients["c1"].query_status()
         assert status["server"]["recovering"] is False
         assert status["server"]["active_sessions"] == 3
+        restored.journal.close()
+
+
+def respaced(line):
+    """The same record framed by another encoder: spaced, keys unsorted."""
+    body = json.loads(line[18:])
+    return foreign_frame({key: body[key] for key in reversed(body)})
+
+
+def wal_lines(directory):
+    """``{seq: framed line}`` for one directory's ``wal.log``."""
+    raw = (directory / WAL_FILENAME).read_bytes()
+    return {json.loads(line[18:])["seq"]: line
+            for line in raw.splitlines(keepends=True)}
+
+
+class TestReplicatedLogBytes:
+    """A standby writes the frames the primary wrote, byte for byte — not
+    a re-encoding of the records they decode to."""
+
+    def test_standby_log_lines_equal_the_primarys(self, tmp_path,
+                                                  server_factory):
+        primary_dir = tmp_path / "primary"
+        controller = AdaptationController(
+            Cluster.star("server0", ["c1", "c2", "c3"], memory_mb=128),
+            policy=make_policy())
+        DurabilityJournal(str(primary_dir), fsync="never",
+                          snapshot_every=0).attach(controller)
+        for host in ("c1", "c2"):
+            controller.setup_bundle(controller.register_app("DBclient"),
+                                    db_rsl(host))
+        controller.journal.close()
+        wal = primary_dir / WAL_FILENAME
+        wal.write_bytes(b"".join(respaced(line)
+                                 for line in wal.read_bytes().splitlines()))
+        restored = AdaptationController.restore(
+            str(primary_dir), policy=make_policy(), fsync="never",
+            snapshot_every=0)
+        server = HarmonyServer(restored)
+        assert server.enable_replication(address="primary:1") == "primary"
+        handle = server_factory(server)
+        standby = ReplicationStandby(str(tmp_path / "standby"), "sb",
+                                     fsync="never")
+        standby.follow(handle.connect())       # the catch-up tail
+        client = HarmonyClient(handle.connect(), retry_policy=FAST)
+        client.startup("DBclient")
+        client.bundle_setup(db_rsl("c3"))      # shipped as appended
+        wait_until(lambda: standby.last_seq
+                   == restored.journal.wal.next_seq - 1,
+                   message="the standby to catch up")
+        primary, replica = wal_lines(primary_dir), \
+            wal_lines(tmp_path / "standby")
+        assert min(replica) == 1 and len(replica) > 10
+        assert {seq: primary[seq] for seq in replica} == replica
+        foreign = [seq for seq, line in replica.items()
+                   if line != encode_record(decode_frame(line[:-1]))]
+        assert foreign and min(foreign) == 1
+        standby.close()
         restored.journal.close()
 
 

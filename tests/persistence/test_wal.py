@@ -1,6 +1,8 @@
 """Write-ahead log framing, corruption classification, and compaction."""
 
+import json
 import os
+import zlib
 
 import pytest
 
@@ -138,9 +140,12 @@ class TestCompaction:
         """
         path = wal_path(tmp_path)
         log = WriteAheadLog(path, fsync="never")
+        assert log.last_seq == 0
         fill(log, 5)
+        assert log.last_seq == 5
         log.compact(keep_from_seq=6)  # drops every record
         assert log.records() == []
+        assert log.first_seq is None and log.last_seq == 5
         assert log.next_seq == 6
         record = log.append("later", 9.0, {})
         assert record.seq == 6
@@ -155,6 +160,56 @@ class TestCompaction:
         assert log.compact(keep_from_seq=1) == 0
         assert len(log.records()) == 3
         log.close()
+
+    def test_compacted_bytes_are_pinned(self, tmp_path):
+        """Copying the written frames yields the file that re-encoding
+        every kept record used to."""
+        path = wal_path(tmp_path)
+        log = WriteAheadLog(path, fsync="never")
+        fill(log, 3)
+        assert log.compact(keep_from_seq=2) == 66
+        log.close()
+        with open(path, "rb") as handle:
+            assert handle.read() == (
+                b'0000002f 1e593fa9 {"data":{"n":1},"kind":"event",'
+                b'"seq":2,"t":1.0}\n'
+                b'0000002f 8ea80823 {"data":{"n":2},"kind":"event",'
+                b'"seq":3,"t":2.0}\n')
+
+    @pytest.mark.parametrize("reopen", [False, True],
+                             ids=["written", "reopened"])
+    def test_compaction_copies_lines_verbatim(self, tmp_path, reopen):
+        """Lines another encoder wrote (spaced, unsorted, integer times)
+        verify on open and survive compaction byte for byte; the bytes
+        freed are what the file lost."""
+        path = wal_path(tmp_path)
+        lines = [foreign_frame({"t": seq, "seq": seq, "kind": "event",
+                                "data": {"n": seq}}) for seq in (1, 2, 3, 4)]
+        with open(path, "wb") as handle:
+            handle.write(b"".join(lines))
+        log = WriteAheadLog(path, fsync="never")
+        log.append("native", 5.0, {"n": 5})
+        if reopen:
+            log.close()
+            log = WriteAheadLog(path, fsync="never")
+        with open(path, "rb") as handle:
+            native = handle.read()[len(b"".join(lines)):]
+        before = os.path.getsize(path)
+        freed = log.compact(keep_from_seq=3)
+        assert freed == before - os.path.getsize(path)
+        assert freed == len(lines[0]) + len(lines[1])
+        with open(path, "rb") as handle:
+            assert handle.read() == lines[2] + lines[3] + native
+        assert [r.seq for r in log.records()] == [3, 4, 5]
+        log.close()
+
+
+def foreign_frame(body):
+    """``body`` framed in a layout ``encode_record`` never writes: spaced
+    JSON, keys in the order given."""
+    payload = json.dumps(body).encode("utf-8")
+    header = f"{len(payload):08x} {zlib.crc32(payload):08x} "
+    return header.encode("ascii") + payload + b"\n"
 
 
 class TestCrashInjection:
