@@ -144,7 +144,7 @@ def build_machine_room(app_hosts, mover_hosts):
 def run_oracle(apps, movers, app_hosts, mover_hosts):
     """The single-controller reference: the same workload, serially."""
     oracle = AdaptationController(
-        build_machine_room(app_hosts, mover_hosts), partitioned=True)
+        build_machine_room(app_hosts, mover_hosts))
     for spec in list(apps) + list(movers):
         instance = oracle.register_app(spec["name"])
         oracle.setup_bundle(instance, spec["rsl"])
@@ -299,7 +299,7 @@ def test_federation_scale(report):
 
     fed = Federation(
         lambda index: AdaptationController(
-            build_machine_room(app_hosts, mover_hosts), partitioned=True),
+            build_machine_room(app_hosts, mover_hosts)),
         SHARDS)
     for shard in fed.shards:
         shard.server.start_scheduler(coalesce_window=0.01, max_delay=0.25)

@@ -101,14 +101,16 @@ def percentile(sorted_values, fraction):
 def run_load(client_count, coalesced):
     """Drive ``client_count`` closed-loop clients; returns measurements.
 
-    The serial leg disables partitioned optimization too: it is the
-    pre-pipeline baseline (one full sweep inline per admission), so the
-    speedup column measures the whole concurrency stack — coalesced
-    batching plus partition-pruned sweeps — against the paper's
-    one-application-at-a-time prototype.
+    The serial leg turns partition pruning off too: it is the
+    pre-pipeline baseline (one full sweep inline per admission, every
+    bundle re-evaluated), so the speedup column measures the whole
+    concurrency stack — coalesced batching plus partition-pruned sweeps —
+    against the paper's one-application-at-a-time prototype.
     """
     cluster = build_load_cluster(client_count)
-    controller = AdaptationController(cluster, partitioned=coalesced)
+    controller = AdaptationController(cluster)
+    if not coalesced:
+        controller.partition_index.prunable = lambda objective: False
     server = HarmonyServer(controller)
     if coalesced:
         server.start_scheduler(coalesce_window=0.01, max_delay=0.25)
@@ -402,7 +404,7 @@ def test_async_socket_load(report, client_count):
     cluster = build_load_cluster(
         ((bundle_count + CLIENTS_PER_POD - 1) // CLIENTS_PER_POD)
         * CLIENTS_PER_POD)
-    controller = AdaptationController(cluster, partitioned=True)
+    controller = AdaptationController(cluster)
     server = HarmonyServer(controller)
     server.start_scheduler(coalesce_window=0.01, max_delay=0.25)
     front = AsyncHarmonyServer(server)

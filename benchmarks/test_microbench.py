@@ -8,8 +8,7 @@ servers, the expression evaluator, or the optimizer show up in CI.
 from repro.allocation import Matcher, instantiate_option
 from repro.cluster import Cluster, Kernel
 from repro.cluster.resources import FairShareServer
-from repro.controller import GreedyOptimizer, MeanResponseTime, OptimizationContext
-from repro.controller.registry import ApplicationRegistry
+from repro.controller import AdaptationController, GreedyOptimizer
 from repro.prediction import DefaultModel, SystemView
 from repro.rsl import build_bundle, parse_expression
 
@@ -85,24 +84,12 @@ def test_greedy_optimization_speed(benchmark):
     from repro.apps.bag import bag_bundle_rsl
     cluster = Cluster.full_mesh([f"n{i}" for i in range(8)],
                                 memory_mb=128)
-    registry = ApplicationRegistry()
-    instance = registry.register("Bag", 0.0)
-    state = registry.add_bundle(
+    controller = AdaptationController(cluster)
+    instance = controller.registry.register("Bag", 0.0)
+    state = controller.registry.add_bundle(
         instance, build_bundle(bag_bundle_rsl(
             "Bag", 2400, list(range(1, 9)))))
-    view = SystemView(cluster)
-    default = DefaultModel()
-
-    def predict_all(trial_view):
-        return {placed.app_key: instance.model_for(
-            "parallelism", placed.demands.option_name,
-            default=default).predict(placed.demands, placed.assignment,
-                                     trial_view, app_key=placed.app_key)
-            for placed in trial_view.configurations()}
-
-    context = OptimizationContext(
-        view=view, matcher=Matcher(cluster),
-        objective=MeanResponseTime(), predict_all=predict_all)
+    context = controller.optimization_context()
     optimizer = GreedyOptimizer()
 
     result = benchmark(optimizer.optimize_bundle, instance, state, context)

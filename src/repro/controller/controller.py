@@ -169,18 +169,7 @@ class ModelDrivenPolicy(DecisionPolicy):
                 result.current_objective))
 
     def reevaluate(self, controller: "AdaptationController") -> int:
-        index = controller.partition_index
-        if index is not None:
-            changes = self._sweep_partitioned(controller, index)
-        else:
-            changes = 0
-            # "we simply iterate through the list of active applications
-            # and within each application through the list of options"
-            for instance in controller.registry.instances():
-                for state in instance.bundles.values():
-                    if self._reevaluate_bundle(controller, instance,
-                                               state):
-                        changes += 1
+        changes = self._sweep_partitioned(controller)
         if self.pairwise_exchange:
             # Every pair is still a candidate, across partitions too: a
             # single-bundle gain the friction gate rejected can pass as
@@ -190,17 +179,19 @@ class ModelDrivenPolicy(DecisionPolicy):
             changes += self._pairwise_pass(controller)
         return changes
 
-    def _sweep_partitioned(self, controller: "AdaptationController",
-                           index: PartitionIndex) -> int:
+    def _sweep_partitioned(self, controller: "AdaptationController") -> int:
         """Registry-order sweep with per-bundle clean-skip.
 
-        Iterates bundles in exactly the serial order — partitions only
-        decide *skips*, never ordering — so the decision log is
-        byte-identical to the serial oracle even when registrations
-        interleave partitions.  A bundle is skipped when its partition's
-        epoch watermark proves its last no-op evaluation still holds
-        (see :class:`~repro.controller.partition.PartitionIndex`).
+        "we simply iterate through the list of active applications and
+        within each application through the list of options" — partitions
+        only decide *skips*, never ordering, so the decision log is
+        byte-identical to the same loop with pruning off (the serial
+        oracle) even when registrations interleave partitions.  A bundle
+        is skipped when its partition's epoch watermark proves its last
+        no-op evaluation still holds (see
+        :class:`~repro.controller.partition.PartitionIndex`).
         """
+        index = controller.partition_index
         index.refresh()
         stats = controller.stats
         stats.partition_sweeps += 1
@@ -250,8 +241,8 @@ class ModelDrivenPolicy(DecisionPolicy):
 
         Pairs are visited in registry order.  Where pruning is sound
         (:meth:`PartitionIndex.prunable`) a pair that provably cannot
-        gain is not searched; ``partitioned=False`` searches them all
-        and is the oracle the skips are tested against:
+        gain is not searched; with pruning off the pass searches them all,
+        the oracle the skips are tested against:
 
         * Two bundles of different partitions share nothing, so their
           joint score separates: when each one's own best gains nothing
@@ -271,7 +262,7 @@ class ModelDrivenPolicy(DecisionPolicy):
             return 0
         stats = controller.stats
         index = controller.partition_index
-        scoped = index is not None and index.prunable(controller.objective)
+        scoped = index.prunable(controller.objective)
         keys = [bundle_key(*entry) for entry in entries] if scoped else []
         parts = [index.partition_of(key) for key in keys]
         #: pid -> epoch at the start of the pass, for the partitions none
@@ -350,12 +341,6 @@ class ModelDrivenPolicy(DecisionPolicy):
             if settling.get(part.pid) == part.epoch:
                 part.settled_epoch = part.epoch
         return changes
-
-    def _reevaluate_bundle(self, controller: "AdaptationController",
-                           instance: AppInstance,
-                           state: BundleState) -> bool:
-        return self._reevaluate_bundle_outcome(controller, instance,
-                                               state)[0]
 
     def _reevaluate_bundle_outcome(
             self, controller: "AdaptationController",
@@ -475,8 +460,6 @@ class AdaptationController:
                  default_model: PerformanceModel | None = None,
                  match_strategy: MatchStrategy = MatchStrategy.FIRST_FIT,
                  reevaluation_period_seconds: float = 30.0,
-                 incremental: bool = True,
-                 partitioned: bool | None = None,
                  tracer=None,
                  trace_log: DecisionTraceLog | None = None,
                  flight_recorder: FlightRecorder | None = None):
@@ -510,27 +493,10 @@ class AdaptationController:
         self.lifecycle_log: list[SessionLifecycleEvent] = []
         #: Work counters for the benchmarks (see OptimizerStats).
         self.stats = OptimizerStats()
-        #: ``incremental=False`` selects the original copy-and-recompute
-        #: evaluation everywhere — kept as the reference path the
-        #: equivalence tests compare against.
-        self.incremental = incremental
-        self._engine: TrialEngine | None = \
-            TrialEngine(self) if incremental else None
-        self._config_cache: ConfigurationCache | None = \
-            ConfigurationCache() if incremental else None
-        #: ``partitioned`` (default: follows ``incremental``) maintains a
-        #: :class:`~repro.controller.partition.PartitionIndex` so sweeps
-        #: skip provably-unaffected bundles; ``partitioned=False`` with
-        #: ``incremental=True`` is the serial sweep the partitioned path
-        #: is equivalence-tested against.
-        if partitioned is None:
-            partitioned = incremental
-        if partitioned and not incremental:
-            raise ControllerError(
-                "partitioned optimization requires incremental=True")
-        self.partitioned = partitioned
-        self.partition_index: PartitionIndex | None = \
-            PartitionIndex(self) if partitioned else None
+        self._engine = TrialEngine(self)
+        self._config_cache = ConfigurationCache()
+        #: Lets sweeps skip provably-unaffected bundles.
+        self.partition_index = PartitionIndex(self)
         self._model_cache: dict[tuple[str, str, str], PerformanceModel] = {}
         self._listeners: list[Callable[[ReconfigurationEvent], None]] = []
         self._reevaluation_process: Process | None = None
@@ -673,10 +639,9 @@ class AdaptationController:
                 self._checkpoint()
                 return existing
             state = self.registry.add_bundle(instance, bundle)
-            if self.partition_index is not None:
-                # Indexed before configuration so the initial apply and
-                # the follow-up sweep see the (possibly merged) component.
-                self.partition_index.add_bundle(instance, state)
+            # Indexed before configuration so the initial apply and the
+            # follow-up sweep see the (possibly merged) component.
+            self.partition_index.add_bundle(instance, state)
             if self.journal is not None:
                 if rsl_text is None:
                     from repro.rsl import unparse_bundle
@@ -720,7 +685,7 @@ class AdaptationController:
             # precedes any reconfiguration records that reuse its space.
             self.journal.record_release(instance.key, kind, detail)
         token = self.view.remove(instance.key)
-        if self._engine is not None and token.removed is not None:
+        if token.removed is not None:
             # Advance the prediction cache by the departure's dirty set
             # (an unplaced app bumped no version and left it valid).
             self._engine.commit([token])
@@ -730,13 +695,11 @@ class AdaptationController:
         # bundles' object ids.
         self.metrics.forget(f"controller.{instance.key}")
         for bundle_name, state in instance.bundles.items():
-            if self._config_cache is not None:
-                self._config_cache.forget(state.bundle)
+            self._config_cache.forget(state.bundle)
             for option_name in state.bundle.option_names():
                 self._model_cache.pop(
                     (instance.key, bundle_name, option_name), None)
-        if self.partition_index is not None:
-            self.partition_index.remove_app(instance.key)
+        self.partition_index.remove_app(instance.key)
         self._record_lifecycle(kind, instance.key, detail=detail)
         self.metrics.report("controller.registered_apps", self.now,
                             float(len(self.registry)))
@@ -790,10 +753,8 @@ class AdaptationController:
         instance.models[key] = model
         # Custom models can read anything: drop cached predictions and the
         # instance's cached spec-resolved models.
-        if self._engine is not None:
-            self._engine.invalidate()
-        if self.partition_index is not None:
-            self.partition_index.note_models_changed()
+        self._engine.invalidate()
+        self.partition_index.note_models_changed()
         self._checkpoint()
 
     # -- reconfiguration plumbing -------------------------------------------
@@ -841,9 +802,8 @@ class AdaptationController:
                 # from the system view so predictions stop counting it.
                 state.chosen = None
                 self.view.remove(instance.key)
-                if self.partition_index is not None:
-                    self.partition_index.note_apply(
-                        instance.key, state.bundle.bundle_name)
+                self.partition_index.note_apply(
+                    instance.key, state.bundle.bundle_name)
                 if self.journal is not None:
                     self.journal.record_unconfigured(
                         instance.key, state.bundle.bundle_name)
@@ -868,15 +828,11 @@ class AdaptationController:
         self.registry.publish_choice(instance, state.bundle.bundle_name,
                                      memory_grants=candidate.memory_grants)
 
-        if self._engine is not None:
-            # Advance the prediction cache by this placement's delta
-            # instead of recomputing the whole system.
-            self._engine.commit([token])
-            objective_after = self.objective.evaluate(
-                self._engine.live_predictions())
-        else:
-            objective_after = self.objective.evaluate(
-                self.predict_all(self.view))
+        # Advance the prediction cache by this placement's delta instead of
+        # recomputing the whole system.
+        self._engine.commit([token])
+        objective_after = self.objective.evaluate(
+            self._engine.live_predictions())
         self.decision_log.append(DecisionRecord(
             time=self.now, app_key=instance.key,
             bundle_name=state.bundle.bundle_name,
@@ -921,11 +877,10 @@ class AdaptationController:
             self.journal.record_apply(instance, state, candidate, reason,
                                       objective_before, objective_after)
 
-        if self.partition_index is not None:
-            # Dirties the bundle's component (every member re-evaluates
-            # against the new placement) and refreshes opacity tracking.
-            self.partition_index.note_apply(instance.key,
-                                            state.bundle.bundle_name)
+        # Dirties the bundle's component (every member re-evaluates against
+        # the new placement) and refreshes opacity tracking.
+        self.partition_index.note_apply(instance.key,
+                                        state.bundle.bundle_name)
 
         if option_changed:
             event = ReconfigurationEvent(
@@ -1017,9 +972,7 @@ class AdaptationController:
 
     def current_objective(self) -> float:
         """The objective over the live view, from the prediction cache."""
-        if self._engine is not None:
-            return self.objective.evaluate(self._engine.live_predictions())
-        return self.objective.evaluate(self.predict_all(self.view))
+        return self.objective.evaluate(self._engine.live_predictions())
 
     def optimization_context(self) -> OptimizationContext:
         return OptimizationContext(
@@ -1049,11 +1002,10 @@ class AdaptationController:
             self.journal.record_node_failure(hostname)
         node = self.cluster.node(hostname)
         node.fail()
-        if self.partition_index is not None:
-            # Availability changed without a topology-version bump: the
-            # host's component must re-evaluate (also covers the
-            # freed-resources case when displaced bundles strand).
-            self.partition_index.touch_host(hostname)
+        # Availability changed without a topology-version bump: the host's
+        # component must re-evaluate (also covers the freed-resources case
+        # when displaced bundles strand).
+        self.partition_index.touch_host(hostname)
         stranded: list[str] = []
         for instance in self.registry.instances():
             for state in instance.bundles.values():
@@ -1087,8 +1039,7 @@ class AdaptationController:
         if self.journal is not None:
             self.journal.record_node_restored(hostname)
         self.cluster.node(hostname).restore()
-        if self.partition_index is not None:
-            self.partition_index.touch_host(hostname)
+        self.partition_index.touch_host(hostname)
         changes = self.policy.reevaluate(self)
         self.metrics.report("controller.node_restorations", self.now, 1.0)
         self._checkpoint()
@@ -1154,8 +1105,7 @@ class AdaptationController:
             if external == self.view.external_cpu_load(hostname):
                 continue
             self.view.set_external_cpu_load(hostname, external)
-            if self.partition_index is not None:
-                self.partition_index.touch_host(hostname)
+            self.partition_index.touch_host(hostname)
         for link in self.cluster.links():
             measured = self.metrics.windowed_mean(
                 link_metric_name(link.host_a, link.host_b,
@@ -1170,8 +1120,7 @@ class AdaptationController:
                 continue
             self.view.set_external_link_load(link.host_a, link.host_b,
                                              external)
-            if self.partition_index is not None:
-                self.partition_index.touch_link(link.host_a, link.host_b)
+            self.partition_index.touch_link(link.host_a, link.host_b)
 
     # -- periodic re-evaluation ------------------------------------------------
 
@@ -1209,32 +1158,29 @@ class AdaptationController:
                             float(self.stats.predictions_recomputed))
         self.metrics.report("prediction.full_view_recomputes", now,
                             float(self.stats.full_view_recomputes))
-        if self._config_cache is not None:
-            for key, value in self._config_cache.snapshot().items():
-                self.metrics.report(f"optimizer.cache.{key}", now,
-                                    float(value))
+        for key, value in self._config_cache.snapshot().items():
+            self.metrics.report(f"optimizer.cache.{key}", now, float(value))
         index = self.partition_index
-        if index is not None:
-            # Aggregates only — partition ids never become metric names,
-            # so cardinality is fixed no matter how the system fragments.
-            self.metrics.report("optimizer.partitions", now,
-                                float(index.partition_count))
-            self.metrics.report("optimizer.pruned_candidates", now,
-                                float(self.stats.pruned_candidates))
-            self.metrics.report("optimizer.partition.sweeps", now,
-                                float(self.stats.partition_sweeps))
-            self.metrics.report("optimizer.partition.pruned_bundles", now,
-                                float(self.stats.pruned_bundles))
-            self.metrics.report("optimizer.partition.pruned_pairs", now,
-                                float(self.stats.pruned_pairs))
-            self.metrics.report("optimizer.partition.merges", now,
-                                float(index.merges))
-            self.metrics.report("optimizer.partition.rebuilds", now,
-                                float(index.rebuilds))
-            self.metrics.report(
-                "optimizer.partition.largest", now,
-                float(max((len(p.members) for p in index.partitions()),
-                          default=0)))
+        # Aggregates only — partition ids never become metric names, so
+        # cardinality is fixed no matter how the system fragments.
+        self.metrics.report("optimizer.partitions", now,
+                            float(index.partition_count))
+        self.metrics.report("optimizer.pruned_candidates", now,
+                            float(self.stats.pruned_candidates))
+        self.metrics.report("optimizer.partition.sweeps", now,
+                            float(self.stats.partition_sweeps))
+        self.metrics.report("optimizer.partition.pruned_bundles", now,
+                            float(self.stats.pruned_bundles))
+        self.metrics.report("optimizer.partition.pruned_pairs", now,
+                            float(self.stats.pruned_pairs))
+        self.metrics.report("optimizer.partition.merges", now,
+                            float(index.merges))
+        self.metrics.report("optimizer.partition.rebuilds", now,
+                            float(index.rebuilds))
+        self.metrics.report(
+            "optimizer.partition.largest", now,
+            float(max((len(p.members) for p in index.partitions()),
+                      default=0)))
 
     def start_periodic_reevaluation(self) -> Process:
         """Spawn the Section 4.3 periodic adaptation process."""

@@ -14,18 +14,14 @@ with every *other* application held fixed, and returns the best candidate.
 applications' configurations — exponential, provided for the ablation
 benchmark quantifying the greedy gap.
 
-Candidate scoring runs in one of two modes, chosen by the context:
-
-* **naive** (no :class:`~repro.controller.trial.TrialEngine` attached) —
-  the original algorithm: copy the view, place the candidate, predict every
-  application from scratch.  Kept both for contexts assembled by hand and
-  as the reference implementation the equivalence tests compare against.
-* **incremental** — trial placements mutate the live view and roll back
-  through undo tokens (:class:`~repro.controller.trial.ViewTrial`), and
-  predictions are delta-computed over the dirty set only.  A
-  :class:`ConfigurationCache` additionally memoizes each bundle's resolved
-  configuration space so re-evaluation sweeps and the pairwise pass stop
-  re-instantiating options.  Both modes make identical decisions.
+Candidates are scored by trial and rollback on the live view
+(:class:`~repro.controller.trial.ViewTrial`), with predictions
+delta-computed over the dirty set only
+(:class:`~repro.controller.trial.TrialEngine`), and a
+:class:`ConfigurationCache` memoizes each bundle's resolved configuration
+space so re-evaluation sweeps and the pairwise pass stop re-instantiating
+options.  The from-scratch scorer they are tested against (copy the view,
+place the candidate, predict every application) lives with the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.allocation.instantiate import (
     ConcreteDemands,
@@ -45,14 +41,12 @@ from repro.allocation.instantiate import (
 from repro.allocation.matcher import Assignment, Matcher, MatchPreparation
 from repro.controller.objective import Objective
 from repro.controller.registry import AppInstance, BundleState
+from repro.controller.trial import OptimizerStats, TrialEngine, ViewTrial
 from repro.errors import AllocationError, RslSemanticError
 from repro.obs.trace import NULL_TRACER
 from repro.prediction.contention import SystemView
 from repro.rsl.expressions import MapEnvironment
 from repro.rsl.model import Bundle, TuningOption
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.controller.trial import OptimizerStats, TrialEngine
 
 __all__ = ["Candidate", "OptimizationContext", "ConfigurationCache",
            "GreedyOptimizer", "ExhaustiveOptimizer", "enumerate_candidates"]
@@ -106,15 +100,15 @@ class OptimizationContext:
     matcher: Matcher
     objective: Objective
     predict_all: PredictAll
+    #: Delta prediction over the live view.
+    engine: TrialEngine
+    #: Memoized configuration spaces.
+    cache: ConfigurationCache
     now: float = 0.0
     #: Cap on elastic-memory probe values per node demand.
     memory_probe_limit: int = DEFAULT_MEMORY_PROBE_LIMIT
-    #: Delta-prediction engine; None selects the naive scoring path.
-    engine: "TrialEngine | None" = None
-    #: Memoized configuration spaces; None re-enumerates from the RSL.
-    cache: "ConfigurationCache | None" = None
     #: Work counters (candidates, recomputes); optional.
-    stats: "OptimizerStats | None" = None
+    stats: OptimizerStats | None = None
     #: Span recorder; the no-op singleton keeps tracing zero-cost-when-off.
     tracer: object = NULL_TRACER
 
@@ -240,115 +234,41 @@ class ConfigurationCache:
 def enumerate_candidates(instance: AppInstance, state: BundleState,
                          context: OptimizationContext,
                          extra_ignore_holders: frozenset[str] = frozenset(),
-                         ordering_view: SystemView | None = None,
                          ) -> Iterator[Candidate]:
     """Yield every matchable configuration of ``state``'s bundle.
 
     The application's own current reservations are ignored while matching
     (``ignore_holders``), so it can re-use the resources it currently
     holds.  Placements prefer the least CPU-loaded nodes as seen without
-    this application — by default read from the context view's maintained
-    load order with the application's own footprint subtracted, so no
-    per-bundle view copy or sort is needed; ``ordering_view`` overrides
-    that (the naive pairwise search orders against copied trial states).
+    this application, read from the context view's maintained load order
+    with the application's own footprint subtracted, so no per-bundle
+    view copy or sort is needed.
     """
     ignore = frozenset({bundle_holder(instance, state)}) \
         | extra_ignore_holders
     stats = context.stats
-    if context.cache is not None and ordering_view is None:
-        with context.tracer.span("optimizer.configuration_space",
-                                 bundle=state.bundle.bundle_name) as span:
-            entries = context.cache.space_for(state.bundle,
-                                              context.memory_probe_limit)
-            span.set("entries", len(entries))
-        # Every configuration is matched against one unchanged state:
-        # one preparation, ordered from the view's maintained order.
-        prepared = MatchPreparation(ignore, load_order=partial(
-            context.view.load_order, exclude_app=instance.key))
-        for entry in entries:
-            if stats is not None:
-                stats.match_calls += 1
-            try:
-                assignment = context.matcher.match(
-                    entry.demands, extra_memory=entry.extra_memory,
-                    prepared=prepared)
-            except AllocationError:
-                continue
-            yield Candidate(option_name=entry.option.name,
-                            variable_assignment=dict(
-                                entry.variable_assignment),
-                            memory_grants=dict(entry.grants),
-                            demands=entry.demands,
-                            assignment=assignment)
-        return
-    # The reference oracles (naive scoring, explicit ordering views) keep
-    # the from-scratch sort the maintained order is tested against.
-    if ordering_view is not None:
-        order_key = _load_order_key(ordering_view)
-    else:
-        order_key = _load_order_key(context.view,
-                                    exclude_apps=(instance.key,))
-    for option in state.bundle.options:
-        for variable_assignment in option.variable_assignments():
-            yield from _candidates_for_assignment(
-                option, dict(variable_assignment), context, ignore,
-                order_key, stats)
-
-
-def _load_order_key(view: SystemView,
-                    exclude_apps: tuple[str, ...] = ()):
-    """Prefer idle nodes; among equally loaded ones, prefer faster nodes.
-
-    Load includes measured external consumers, so candidates also spread
-    away from work Harmony does not manage.  ``exclude_apps`` subtracts
-    the named applications' own demands from the per-node counts —
-    equivalent to (but cheaper than) copying the view and removing them.
-    """
-    excluded: dict[str, int] = {}
-    for app_key in exclude_apps:
-        footprint = view.footprint_of(app_key)
-        if footprint is None:
-            continue
-        for hostname, seconds in footprint.cpu.items():
-            excluded[hostname] = excluded.get(hostname, 0) + len(seconds)
-
-    def order_key(hostname: str) -> tuple[float, float]:
-        load = (float(view.cpu_consumers(hostname)
-                      - excluded.get(hostname, 0))
-                + view.external_cpu_load(hostname))
-        return (load, -view.cluster.node(hostname).speed)
-
-    return order_key
-
-
-def _candidates_for_assignment(option: TuningOption,
-                               variable_assignment: dict[str, float],
-                               context: OptimizationContext,
-                               ignore_holders: frozenset[str],
-                               order_key,
-                               stats: "OptimizerStats | None" = None,
-                               ) -> Iterator[Candidate]:
-    try:
-        base = instantiate_option(option, variable_assignment)
-    except RslSemanticError:
-        return
-    for grants in _memory_grant_choices(option, base,
-                                        context.memory_probe_limit):
+    with context.tracer.span("optimizer.configuration_space",
+                             bundle=state.bundle.bundle_name) as span:
+        entries = context.cache.space_for(state.bundle,
+                                          context.memory_probe_limit)
+        span.set("entries", len(entries))
+    # Every configuration is matched against one unchanged state: one
+    # preparation, ordered from the view's maintained order.
+    prepared = MatchPreparation(ignore, load_order=partial(
+        context.view.load_order, exclude_app=instance.key))
+    for entry in entries:
         if stats is not None:
             stats.match_calls += 1
         try:
-            demands = (base if not grants
-                       else instantiate_option(option, variable_assignment,
-                                               grants=grants))
             assignment = context.matcher.match(
-                demands, extra_memory=_extra_memory(demands, grants),
-                ignore_holders=ignore_holders, order_key=order_key)
-        except (AllocationError, RslSemanticError):
+                entry.demands, extra_memory=entry.extra_memory,
+                prepared=prepared)
+        except AllocationError:
             continue
-        yield Candidate(option_name=option.name,
-                        variable_assignment=dict(variable_assignment),
-                        memory_grants=dict(grants),
-                        demands=demands,
+        yield Candidate(option_name=entry.option.name,
+                        variable_assignment=dict(entry.variable_assignment),
+                        memory_grants=dict(entry.grants),
+                        demands=entry.demands,
                         assignment=assignment)
 
 
@@ -363,8 +283,7 @@ def _extra_memory(demands: ConcreteDemands,
 
 
 def _memory_grant_choices(option: TuningOption, base: ConcreteDemands,
-                          probe_limit: int,
-                          cache: ConfigurationCache | None = None,
+                          probe_limit: int, cache: ConfigurationCache,
                           ) -> Iterator[dict[str, float]]:
     """Enumerate elastic-memory grants worth considering.
 
@@ -378,10 +297,7 @@ def _memory_grant_choices(option: TuningOption, base: ConcreteDemands,
     yield {}
     dependent = _memory_dependent_demands(option, base)
     for demand in dependent[:probe_limit]:
-        if cache is not None:
-            best = cache.best_memory_for(option, base, demand)
-        else:
-            best = _best_memory_for(option, base, demand)
+        best = cache.best_memory_for(option, base, demand)
         if best is not None and best > demand.memory_min_mb:
             yield {f"{demand.local_name}.memory": best}
 
@@ -525,81 +441,16 @@ class GreedyOptimizer:
         best feasible combination, or ``None`` when either side has no
         feasible candidate.
         """
-        with context.tracer.span("optimizer.optimize_pair",
-                                 first=first[0].key,
-                                 second=second[0].key):
-            if context.engine is not None:
-                return self._optimize_pair_incremental(first, second,
-                                                       context)
-            return self._optimize_pair_naive(first, second, context)
-
-    def _optimize_pair_naive(self, first: tuple[AppInstance, BundleState],
-                             second: tuple[AppInstance, BundleState],
-                             context: OptimizationContext,
-                             ) -> tuple[Candidate, Candidate, float] | None:
         instance_a, state_a = first
         instance_b, state_b = second
         ignore = frozenset({bundle_holder(instance_a, state_a),
                             bundle_holder(instance_b, state_b)})
-        base_view = context.view.copy()
-        base_view.remove(instance_a.key)
-        base_view.remove(instance_b.key)
-        candidates_a = list(enumerate_candidates(
-            instance_a, state_a, context, extra_ignore_holders=ignore,
-            ordering_view=base_view))
-        if not candidates_a:
-            return None
-
-        best: tuple[Candidate, Candidate, float] | None = None
-        for cand_a in candidates_a:
-            # Re-enumerate the second bundle with the first candidate
-            # placed, so its placements spread away from cand_a's nodes.
-            view_with_a = base_view.copy()
-            view_with_a.place(instance_a.key, cand_a.demands,
-                              cand_a.assignment)
-            for cand_b in enumerate_candidates(
-                    instance_b, state_b, context,
-                    extra_ignore_holders=ignore,
-                    ordering_view=view_with_a):
-                if not _pair_memory_ok(context.view.cluster, ignore,
-                                       cand_a, cand_b):
-                    continue
-                if context.stats is not None:
-                    context.stats.candidates_evaluated += 1
-                trial_view = view_with_a.copy()
-                trial_view.place(instance_b.key, cand_b.demands,
-                                 cand_b.assignment)
-                predictions = context.predict_all(trial_view)
-                objective = context.objective.evaluate(predictions)
-                if best is None or objective < best[2] - 1e-12:
-                    copy_a = cand_a.clone()
-                    copy_b = cand_b.clone()
-                    copy_a.objective_value = objective
-                    copy_b.objective_value = objective
-                    copy_a.predicted_seconds = predictions.get(
-                        instance_a.key, math.inf)
-                    copy_b.predicted_seconds = predictions.get(
-                        instance_b.key, math.inf)
-                    best = (copy_a, copy_b, objective)
-        return best
-
-    def _optimize_pair_incremental(
-            self, first: tuple[AppInstance, BundleState],
-            second: tuple[AppInstance, BundleState],
-            context: OptimizationContext,
-            ) -> tuple[Candidate, Candidate, float] | None:
-        """Joint two-bundle search by trial-and-rollback on the live view."""
-        from repro.controller.trial import ViewTrial
-
         engine = context.engine
-        assert engine is not None
-        instance_a, state_a = first
-        instance_b, state_b = second
-        ignore = frozenset({bundle_holder(instance_a, state_a),
-                            bundle_holder(instance_b, state_b)})
-        live = engine.live_predictions()
-        best: tuple[Candidate, Candidate, float] | None = None
-        with ViewTrial(context.view) as outer:
+        with context.tracer.span("optimizer.optimize_pair",
+                                 first=instance_a.key,
+                                 second=instance_b.key), \
+                ViewTrial(context.view) as outer:
+            live = engine.live_predictions()
             outer.remove(instance_a.key)
             outer.remove(instance_b.key)
             base_removed = engine.trial_predictions(live, outer.tokens)
@@ -607,6 +458,7 @@ class GreedyOptimizer:
                 instance_a, state_a, context, extra_ignore_holders=ignore))
             if not candidates_a:
                 return None
+            best: tuple[Candidate, Candidate, float] | None = None
             for cand_a in candidates_a:
                 with ViewTrial(context.view) as with_a:
                     with_a.place(instance_a.key, cand_a.demands,
@@ -637,7 +489,7 @@ class GreedyOptimizer:
                             copy_b.predicted_seconds = predictions.get(
                                 instance_b.key, math.inf)
                             best = (copy_a, copy_b, objective)
-        return best
+            return best
 
     def optimize_bundle(self, instance: AppInstance, state: BundleState,
                         context: OptimizationContext) -> OptimizationResult:
@@ -646,87 +498,45 @@ class GreedyOptimizer:
         with context.tracer.span("optimizer.optimize_bundle",
                                  app=instance.key,
                                  bundle=state.bundle.bundle_name) as span:
-            if context.engine is not None:
-                result = self._optimize_bundle_incremental(instance, state,
-                                                           context)
-            else:
-                result = self._optimize_bundle_naive(instance, state,
-                                                     context)
-            span.set("candidates_evaluated", result.candidates_evaluated)
-            if result.best is not None:
-                span.set("chosen", result.best.option_name)
-            return result
-
-    def _optimize_bundle_naive(self, instance: AppInstance,
-                               state: BundleState,
-                               context: OptimizationContext,
-                               ) -> OptimizationResult:
-        current_objective = context.objective.evaluate(
-            context.predict_all(context.view))
-
-        best: Candidate | None = None
-        evaluated: list[Candidate] = []
-        for candidate in enumerate_candidates(instance, state, context):
-            evaluated.append(candidate)
-            trial_view = context.view.copy()
-            trial_view.place(instance.key, candidate.demands,
-                             candidate.assignment)
-            predictions = context.predict_all(trial_view)
-            candidate.objective_value = context.objective.evaluate(predictions)
-            candidate.predicted_seconds = predictions.get(
-                instance.key, math.inf)
-            if best is None or \
-                    candidate.objective_value < best.objective_value - 1e-12:
-                best = candidate
-        if context.stats is not None:
-            context.stats.candidates_evaluated += len(evaluated)
-        return OptimizationResult(best=best,
-                                  candidates_evaluated=len(evaluated),
-                                  current_objective=current_objective,
-                                  evaluated=evaluated)
-
-    def _optimize_bundle_incremental(
-            self, instance: AppInstance, state: BundleState,
-            context: OptimizationContext) -> OptimizationResult:
-        """Same search, scored by trial-and-rollback plus delta prediction."""
-        from repro.controller.trial import ViewTrial
-
-        engine = context.engine
-        assert engine is not None
-        live = engine.live_predictions()
-        current_objective = context.objective.evaluate(live)
-
-        # What the view holds for this app (one slot, however many
-        # bundles): trialling that very configuration would re-derive
-        # ``live``, which the dirty-set contract says a recompute returns.
-        placed = context.view.configuration_of(instance.key)
-        best: Candidate | None = None
-        evaluated: list[Candidate] = []
-        for candidate in enumerate_candidates(instance, state, context):
-            evaluated.append(candidate)
-            if placed is not None and candidate.demands == placed.demands \
-                    and candidate.assignment == placed.assignment:
-                predictions = live
-                candidate.objective_value = current_objective
-            else:
-                with ViewTrial(context.view) as trial:
-                    trial.place(instance.key, candidate.demands,
-                                candidate.assignment)
-                    predictions = engine.trial_predictions(live,
-                                                           trial.tokens)
-                candidate.objective_value = context.objective.evaluate(
-                    predictions)
-            candidate.predicted_seconds = predictions.get(
-                instance.key, math.inf)
-            if best is None or \
-                    candidate.objective_value < best.objective_value - 1e-12:
-                best = candidate
-        if context.stats is not None:
-            context.stats.candidates_evaluated += len(evaluated)
-        return OptimizationResult(best=best,
-                                  candidates_evaluated=len(evaluated),
-                                  current_objective=current_objective,
-                                  evaluated=evaluated)
+            engine = context.engine
+            live = engine.live_predictions()
+            current_objective = context.objective.evaluate(live)
+            # What the view holds for this app (one slot, however many
+            # bundles): trialling that very configuration would re-derive
+            # ``live``, which the dirty-set contract says a recompute
+            # returns.
+            placed = context.view.configuration_of(instance.key)
+            best: Candidate | None = None
+            evaluated: list[Candidate] = []
+            for candidate in enumerate_candidates(instance, state, context):
+                evaluated.append(candidate)
+                if placed is not None \
+                        and candidate.demands == placed.demands \
+                        and candidate.assignment == placed.assignment:
+                    predictions = live
+                    candidate.objective_value = current_objective
+                else:
+                    with ViewTrial(context.view) as trial:
+                        trial.place(instance.key, candidate.demands,
+                                    candidate.assignment)
+                        predictions = engine.trial_predictions(
+                            live, trial.tokens)
+                    candidate.objective_value = context.objective.evaluate(
+                        predictions)
+                candidate.predicted_seconds = predictions.get(
+                    instance.key, math.inf)
+                if best is None or candidate.objective_value \
+                        < best.objective_value - 1e-12:
+                    best = candidate
+            if context.stats is not None:
+                context.stats.candidates_evaluated += len(evaluated)
+            span.set("candidates_evaluated", len(evaluated))
+            if best is not None:
+                span.set("chosen", best.option_name)
+            return OptimizationResult(best=best,
+                                      candidates_evaluated=len(evaluated),
+                                      current_objective=current_objective,
+                                      evaluated=evaluated)
 
 
 class ExhaustiveOptimizer:
@@ -761,47 +571,7 @@ class ExhaustiveOptimizer:
                 f"exhaustive search space {total} exceeds cap "
                 f"{self.max_combinations}")
 
-        if context.engine is not None:
-            return self._search_incremental(per_app, context)
-
-        best_choice: dict[str, Candidate] = {}
-        best_objective = math.inf
-        combinations = 0
-        for combo in itertools.product(*(c for _, _, c in per_app)):
-            combinations += 1
-            trial_view = context.view.copy()
-            feasible = True
-            usage: dict[str, float] = {}
-            for (instance, _state, _), candidate in zip(per_app, combo):
-                if not _memory_feasible(trial_view, candidate, usage):
-                    feasible = False
-                    break
-                trial_view.place(instance.key, candidate.demands,
-                                 candidate.assignment)
-            if not feasible:
-                continue
-            if context.stats is not None:
-                context.stats.candidates_evaluated += 1
-            objective = context.objective.evaluate(
-                context.predict_all(trial_view))
-            if objective < best_objective - 1e-12:
-                best_objective = objective
-                best_choice = {
-                    instance.key: candidate
-                    for (instance, _s, _c), candidate in zip(per_app, combo)
-                }
-        return best_choice, best_objective, combinations
-
-    def _search_incremental(
-            self,
-            per_app: list[tuple[AppInstance, BundleState, list[Candidate]]],
-            context: OptimizationContext,
-            ) -> tuple[dict[str, Candidate], float, int]:
-        """Cross-product search via trial-and-rollback on the live view."""
-        from repro.controller.trial import ViewTrial
-
         engine = context.engine
-        assert engine is not None
         live = engine.live_predictions()
         best_choice: dict[str, Candidate] = {}
         best_objective = math.inf

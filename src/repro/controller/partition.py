@@ -168,11 +168,8 @@ class PartitionIndex:
 
     def candidate_count(self, state: "BundleState") -> int:
         """Cached configuration-space size, for pruned-candidate counts."""
-        cache = self.controller._config_cache
-        if cache is None:
-            return 0
-        return cache.peek_space_len(state.bundle,
-                                    DEFAULT_MEMORY_PROBE_LIMIT)
+        return self.controller._config_cache.peek_space_len(
+            state.bundle, DEFAULT_MEMORY_PROBE_LIMIT)
 
     # -- membership maintenance ----------------------------------------------
 
@@ -297,11 +294,13 @@ class PartitionIndex:
             # (crash recovery reconstructs the registry via the codec).
             self.rebuild()
         if self._models_rescan:
-            self._models_rescan = False
-            self._opaque.clear()
-            for placed in self.controller.view.configurations():
-                if not self.controller.model_is_footprint_safe(placed):
-                    self._opaque.add(placed.app_key)
+            self._rescan_opacity()
+
+    def _rescan_opacity(self) -> None:
+        self._models_rescan = False
+        self._opaque = {placed.app_key for placed
+                        in self.controller.view.configurations()
+                        if not self.controller.model_is_footprint_safe(placed)}
 
     def rebuild(self) -> None:
         """Recompute components from scratch, keeping what still holds.
@@ -321,6 +320,10 @@ class PartitionIndex:
         checked, not assumed: a component with members from two old
         components, or with a bundle that was not indexed (after a
         restore, every component), carries nothing.
+
+        Opacity is re-derived from the view too: a restore rebuilds the
+        registry and the placements without telling the index about the
+        models it read back.
         """
         current = getattr(self.controller.cluster, "topology_version", 0)
         old_pid = self._member_pid if current == self._topology_version \
@@ -338,6 +341,7 @@ class PartitionIndex:
         for instance in self.controller.registry.instances():
             for state in instance.bundles.values():
                 self.add_bundle(instance, state)
+        self._rescan_opacity()
         for part in self._parts.values():
             sources = {old_pid.get(key) for key in part.members}
             if len(sources) != 1 or None in sources:

@@ -215,9 +215,7 @@ class CoalescingScheduler:
                                        for ctx in ctxs])
                 changes = controller.reevaluate()
                 span.set("changes", changes)
-                index = controller.partition_index
-                partitions = index.partition_count if index is not None \
-                    else 0
+                partitions = controller.partition_index.partition_count
                 pruned = controller.stats.pruned_candidates - pruned_before
                 span.set("partitions", partitions)
                 span.set("pruned_candidates", pruned)

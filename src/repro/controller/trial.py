@@ -53,12 +53,13 @@ class OptimizerStats:
     predictions_recomputed: int = 0
     full_view_recomputes: int = 0
     match_calls: int = 0
-    #: Partitioned-sweep accounting (zero on the serial path).
+    #: Partitioned-sweep accounting (the pruned counts stay zero while
+    #: the index may not prune).
     partition_sweeps: int = 0
     pruned_bundles: int = 0
     pruned_candidates: int = 0
     #: Pairwise pass: pairs searched, and pairs skipped because the
-    #: partition epochs prove they cannot gain (zero on the serial path).
+    #: partition epochs prove they cannot gain.
     pairs_evaluated: int = 0
     pruned_pairs: int = 0
 

@@ -274,8 +274,7 @@ class DurabilityJournal:
         and the triggers that were merged.  Reasons are capped so a
         metric storm cannot bloat the log.  ``partitions`` and
         ``pruned_candidates`` describe the partitioned sweep that ran the
-        batch (zero on the serial path); replay ignores both — the record
-        stays audit-only.
+        batch; replay ignores both — the record stays audit-only.
         """
         from repro.controller.scheduler import MAX_JOURNALED_REASONS
 

@@ -108,7 +108,6 @@ def restore_controller(
         default_model: PerformanceModel | None = None,
         match_strategy: MatchStrategy = MatchStrategy.FIRST_FIT,
         reevaluation_period_seconds: float = 30.0,
-        incremental: bool = True,
         tracer=None,
         trace_log=None,
         reevaluate: bool = False,
@@ -142,7 +141,7 @@ def restore_controller(
             policy=policy, friction_policy=friction_policy,
             default_model=default_model, match_strategy=match_strategy,
             reevaluation_period_seconds=reevaluation_period_seconds,
-            incremental=incremental, tracer=tracer, trace_log=trace_log)
+            tracer=tracer, trace_log=trace_log)
         with tracer.span("controller.restore.load_snapshot",
                          seq=base_seq) as load_span:
             if state is not None:
@@ -279,8 +278,7 @@ def _apply_record(controller: AdaptationController,
         instance.models[str(data["model_key"])] = model
         journal.note_model(instance.key, str(data["model_key"]),
                            str(data["model_name"]))
-        if controller._engine is not None:
-            controller._engine.invalidate()
+        controller._engine.invalidate()
     elif kind == "node_failure":
         _replay_node_failure(controller, str(data["hostname"]))
     elif kind == "node_restored":

@@ -20,6 +20,7 @@ from repro.controller import (
     ModelDrivenPolicy,
 )
 from repro.errors import AllocationError
+from tests.oracle import unpruned
 from tests.pods import build_pod_cluster
 
 MAX_LIVE = 12
@@ -121,17 +122,19 @@ def make_script(seed: int, exact: bool = True, length: int = 36) -> dict:
     }
 
 
-def run_script(script: dict, partitioned: bool, pairwise: bool,
+def run_script(script: dict, pairwise: bool, serial: bool = False,
                prepare=None) -> AdaptationController:
-    """Replay ``script``; ``prepare(controller)`` runs before the first op
-    (a suite's place to hang its own checks on the controller)."""
+    """Replay ``script``, on the serial oracle when ``serial``;
+    ``prepare(controller)`` runs before the first op (a suite's place to
+    hang its own checks on the controller)."""
     cluster = build_pod_cluster(script["pods"], script["nodes"])
     controller = AdaptationController(
         cluster, policy=ModelDrivenPolicy(pairwise_exchange=pairwise),
         friction_policy=FrictionPolicy(
             amortization_seconds=script["amortization_seconds"],
-            min_relative_gain=script["min_relative_gain"]),
-        incremental=True, partitioned=partitioned)
+            min_relative_gain=script["min_relative_gain"]))
+    if serial:
+        unpruned(controller)
     if prepare is not None:
         prepare(controller)
     instances = {}
@@ -153,8 +156,7 @@ def run_script(script: dict, partitioned: bool, pairwise: bool,
         elif kind == "load":
             # What update_external_load does for a measured change.
             controller.view.set_external_cpu_load(op[1], op[2])
-            if controller.partition_index is not None:
-                controller.partition_index.touch_host(op[1])
+            controller.partition_index.touch_host(op[1])
             controller.reevaluate()
         elif kind == "advance":
             cluster.kernel.advance_to(cluster.now + op[1])

@@ -10,7 +10,9 @@ orthogonal tuning axes exported as two bundles.
 import pytest
 
 from repro.cluster import Cluster
-from repro.controller import AdaptationController
+from repro.controller import AdaptationController, ModelDrivenPolicy
+from tests.oracle import unpruned
+from tests.oracle.naive import NaiveGreedyOptimizer
 
 PLACEMENT_BUNDLE = """
 harmonyBundle Service where {
@@ -95,13 +97,19 @@ harmonyBundle Rival run {
 """
 
 
-def two_bundle_run(incremental: bool):
-    """A two-bundle service, then a rival that arrives and leaves."""
+def two_bundle_run(naive: bool):
+    """A two-bundle service, then a rival that arrives and leaves; scored
+    from scratch on the serial oracle when ``naive``."""
     cluster = Cluster()
     cluster.add_node("nodeA", memory_mb=128)
     cluster.add_node("nodeB", memory_mb=128)
     cluster.add_link("nodeA", "nodeB", 40.0)
-    controller = AdaptationController(cluster, incremental=incremental)
+    if naive:
+        controller = unpruned(AdaptationController(
+            cluster,
+            policy=ModelDrivenPolicy(optimizer=NaiveGreedyOptimizer())))
+    else:
+        controller = AdaptationController(cluster)
     service = controller.register_app("Service")
     controller.setup_bundle(service, PLACEMENT_BUNDLE)
     controller.setup_bundle(service, ALGORITHM_BUNDLE)
@@ -118,8 +126,8 @@ class TestIncumbentShortcutWithTwoBundles:
     configuration differs from the slot and must still be trialled."""
 
     def test_bundle_not_in_the_view_slot_is_still_trialled(self):
-        fast, service, _ = two_bundle_run(incremental=True)
-        slow, slow_service, _ = two_bundle_run(incremental=False)
+        fast, service, _ = two_bundle_run(naive=False)
+        slow, slow_service, _ = two_bundle_run(naive=True)
         slot = fast.view.configuration_of(service.key)
         assert slot.demands.option_name == "table"    # algorithm's, not where's
         assert service.bundles["where"].chosen is not None
@@ -128,11 +136,10 @@ class TestIncumbentShortcutWithTwoBundles:
         predict = fast._engine.trial_predictions
         fast._engine.trial_predictions = \
             lambda base, tokens: trials.append(1) or predict(base, tokens)
-        optimizer = fast.policy.optimizer
         for bundle_name, expected_trials in (("where", 2), ("algorithm", 1)):
             del trials[:]
             scored, oracle = (
-                optimizer.optimize_bundle(
+                controller.policy.optimizer.optimize_bundle(
                     instance, instance.bundles[bundle_name],
                     controller.optimization_context())
                 for controller, instance in ((fast, service),
@@ -146,8 +153,8 @@ class TestIncumbentShortcutWithTwoBundles:
 
     def test_decision_log_equals_the_naive_oracle(self):
         logs = []
-        for incremental in (True, False):
-            controller, service, rival = two_bundle_run(incremental)
+        for naive in (False, True):
+            controller, service, rival = two_bundle_run(naive)
             controller.end_app(rival)
             controller.reevaluate()
             logs.append([(r.app_key, r.old_configuration,

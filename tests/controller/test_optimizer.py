@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.allocation import Matcher
 from repro.cluster import Cluster
 from repro.controller import (
+    AdaptationController,
     ExhaustiveOptimizer,
     GreedyOptimizer,
-    MeanResponseTime,
-    OptimizationContext,
     enumerate_candidates,
 )
-from repro.controller.registry import ApplicationRegistry
-from repro.prediction import DefaultModel, SystemView, model_for_spec
 from repro.rsl import build_bundle
 
 
@@ -36,27 +32,10 @@ harmonyBundle Bag parallelism {
 
 
 def make_context(cluster):
-    view = SystemView(cluster)
-    registry = ApplicationRegistry()
-    default_model = DefaultModel()
-
-    def predict_all(trial_view):
-        predictions = {}
-        for placed in trial_view.configurations():
-            instance = registry.instance(placed.app_key)
-            bundle_name = next(iter(instance.bundles))
-            model = instance.model_for(bundle_name,
-                                       placed.demands.option_name,
-                                       default=default_model)
-            predictions[placed.app_key] = model.predict(
-                placed.demands, placed.assignment, trial_view,
-                app_key=placed.app_key)
-        return predictions
-
-    context = OptimizationContext(
-        view=view, matcher=Matcher(cluster),
-        objective=MeanResponseTime(), predict_all=predict_all)
-    return context, registry
+    """A controller's optimization context and registry; apps added to
+    the registry are scored, placements go straight into the view."""
+    controller = AdaptationController(cluster)
+    return controller.optimization_context(), controller.registry
 
 
 def add_app(registry, app_name, rsl):
@@ -214,3 +193,29 @@ class TestExhaustive:
         with pytest.raises(AllocationError, match="exceeds cap"):
             ExhaustiveOptimizer(max_combinations=2).optimize_all(
                 instances, context)
+
+
+def test_one_optimizer_path_ships():
+    """The trial engine, configuration cache and partition index are
+    always on; the from-scratch scorer lives in ``tests.oracle``."""
+    import inspect
+
+    from repro.allocation import Matcher
+    from repro.controller import MeanResponseTime, OptimizationContext
+    from repro.controller import optimizer
+    from repro.persistence.recovery import restore_controller
+    from repro.prediction import SystemView
+
+    for constructor in (AdaptationController, restore_controller):
+        parameters = inspect.signature(constructor).parameters
+        assert "incremental" not in parameters
+        assert "partitioned" not in parameters
+    cluster = Cluster.full_mesh(["n0", "n1"], memory_mb=64)
+    with pytest.raises(TypeError, match="engine"):
+        OptimizationContext(view=SystemView(cluster),
+                            matcher=Matcher(cluster),
+                            objective=MeanResponseTime(),
+                            predict_all=lambda view: {})
+    for name in ("_optimize_bundle_naive", "_optimize_pair_naive",
+                 "_load_order_key"):
+        assert not hasattr(optimizer, name)

@@ -1,18 +1,17 @@
 """Equivalence: every optimization fast path decides like its oracle.
 
-Two stacked contracts:
+Two stacked contracts, each against an oracle from ``tests.oracle``:
 
-* The incremental engine (transactional trials on the live
-  ``SystemView``, delta prediction, cached candidate instantiation) must
-  make *identical decisions* to the seed's from-scratch evaluation
-  (``incremental=False``).  These runs pin ``partitioned=False`` so the
-  original candidate-count equality still holds exactly.
+* The trial engine (transactional trials on the live ``SystemView``,
+  delta prediction, cached candidate instantiation) must make *identical
+  decisions* to the from-scratch evaluation (``NaiveGreedyOptimizer``).
+  Both sides run with pruning off (``unpruned``) so the candidate-count
+  equality holds exactly.
 
 * The partitioned sweep (connected-component pruning, clean-skip
-  watermarks) must make identical decisions to the serial incremental
-  sweep (``incremental=True, partitioned=False``) — same decision log
-  bytes, placements, predictions, and objective — while provably
-  skipping work.  The pod
+  watermarks) must make identical decisions to the same sweep with
+  pruning off (the serial oracle) — same decision log bytes, placements,
+  predictions, and objective — while provably skipping work.  The pod
   scenarios give it real structure (disjoint hostname-pattern pods), and
   the merge scenario registers a bundle whose pattern spans every pod
   mid-run, forcing a partition merge while earlier watermarks exist.
@@ -22,6 +21,8 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
+from tests.oracle import unpruned
+from tests.oracle.naive import NaiveGreedyOptimizer
 from tests.pods import POD_RSL, build_pod_cluster
 
 # -- scenario builders ------------------------------------------------------
@@ -52,43 +53,47 @@ harmonyBundle App{index} size {{
 """
 
 
-def run_bag(incremental: bool, app_count: int, pairwise: bool):
+def unpruned_controller(cluster, naive: bool, **policy):
+    """A serial-oracle controller, scored from scratch when ``naive``."""
+    optimizer = NaiveGreedyOptimizer() if naive else None
+    return unpruned(AdaptationController(
+        cluster, policy=ModelDrivenPolicy(optimizer=optimizer, **policy)))
+
+
+def run_bag(naive: bool, app_count: int, pairwise: bool):
     """The fig4/ablation workload: identical variable-parallelism apps
     competing for an 8-node mesh (exercises greedy + pairwise exchange)."""
     cluster = Cluster.full_mesh([f"n{i}" for i in range(8)], memory_mb=128)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=pairwise),
-        incremental=incremental, partitioned=False)
+    controller = unpruned_controller(cluster, naive,
+                                     pairwise_exchange=pairwise)
     for index in range(app_count):
         instance = controller.register_app(f"Bag{index}")
         controller.setup_bundle(instance, BAG_RSL)
     return controller
 
 
-def run_elastic(incremental: bool, app_count: int, pairwise: bool):
+def run_elastic(naive: bool, app_count: int, pairwise: bool):
     """The fig3 workload: QS/DS alternatives with an elastic ``memory >=``
     client demand on a scarce-bandwidth star (exercises the memory-grant
     search and link contention)."""
     cluster = Cluster.star("server0", [f"c{i}" for i in range(app_count)],
                            memory_mb=128, bandwidth_mbps=2.0)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=pairwise),
-        incremental=incremental, partitioned=False)
+    controller = unpruned_controller(cluster, naive,
+                                     pairwise_exchange=pairwise)
     for _ in range(app_count):
         instance = controller.register_app("DBclient")
         controller.setup_bundle(instance, ELASTIC_RSL)
     return controller
 
 
-def run_two_option(incremental: bool, app_count: int, pairwise: bool):
+def run_two_option(naive: bool, app_count: int, pairwise: bool):
     """The scale-bench workload: small/large alternatives placed by the
     controller on a 16-node mesh (exercises replica placement ordering)."""
     cluster = Cluster.full_mesh([f"n{i}" for i in range(16)],
                                 memory_mb=256.0)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=pairwise,
-                                          max_pairwise_bundles=12),
-        incremental=incremental, partitioned=False)
+    controller = unpruned_controller(cluster, naive,
+                                     pairwise_exchange=pairwise,
+                                     max_pairwise_bundles=12)
     for index in range(app_count):
         instance = controller.register_app(f"App{index}")
         controller.setup_bundle(instance,
@@ -96,13 +101,12 @@ def run_two_option(incremental: bool, app_count: int, pairwise: bool):
     return controller
 
 
-def run_churn(incremental: bool, app_count: int, pairwise: bool):
+def run_churn(naive: bool, app_count: int, pairwise: bool):
     """Arrivals plus a departure and a node failure: exercises
     re-optimization of already-placed apps and topology-driven moves."""
     cluster = Cluster.full_mesh([f"n{i}" for i in range(8)], memory_mb=128)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=pairwise),
-        incremental=incremental, partitioned=False)
+    controller = unpruned_controller(cluster, naive,
+                                     pairwise_exchange=pairwise)
     instances = []
     for index in range(app_count):
         instance = controller.register_app(f"Bag{index}")
@@ -151,8 +155,8 @@ def chosen_of(controller: AdaptationController):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_incremental_matches_naive(scenario):
     build, app_count, pairwise = SCENARIOS[scenario]
-    fast = build(incremental=True, app_count=app_count, pairwise=pairwise)
-    slow = build(incremental=False, app_count=app_count, pairwise=pairwise)
+    fast = build(naive=False, app_count=app_count, pairwise=pairwise)
+    slow = build(naive=True, app_count=app_count, pairwise=pairwise)
 
     # Identical decision sequence: same apps reconfigured, in the same
     # order, to the same configurations, for the same reasons.
@@ -178,16 +182,6 @@ def test_incremental_matches_naive(scenario):
     assert fast.stats.candidates_evaluated == slow.stats.candidates_evaluated
 
 
-def test_incremental_is_default():
-    cluster = Cluster.full_mesh(["n0", "n1"], memory_mb=64)
-    controller = AdaptationController(cluster)
-    assert controller.incremental
-    assert controller._engine is not None
-    # Partitioned sweeps follow the incremental default.
-    assert controller.partitioned
-    assert controller.partition_index is not None
-
-
 # -- partitioned vs serial oracle -------------------------------------------
 
 BRIDGE_RSL = """
@@ -198,13 +192,17 @@ harmonyBundle Bridge span {
 """
 
 
-def run_pods(app_count: int, partitioned: bool, churn: bool = True):
+def pod_controller(cluster, serial: bool):
+    controller = AdaptationController(
+        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False))
+    return unpruned(controller) if serial else controller
+
+
+def run_pods(app_count: int, serial: bool, churn: bool = True):
     """Pod-striped admissions, then a departure and a node failure."""
     pods = max(2, app_count // 16)
     cluster = build_pod_cluster(pods, nodes_per_pod=8)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
-        incremental=True, partitioned=partitioned)
+    controller = pod_controller(cluster, serial)
     instances = []
     for index in range(app_count):
         pod = index % pods
@@ -229,7 +227,7 @@ def run_pods(app_count: int, partitioned: bool, churn: bool = True):
     return controller
 
 
-def run_pod_merge(partitioned: bool):
+def run_pod_merge(serial: bool):
     """Two pods evolve separately, then a ``p*`` bundle spans them.
 
     The bridge gains a resource reach crossing every pod, so the index
@@ -238,20 +236,16 @@ def run_pod_merge(partitioned: bool):
     sweep afterwards.
     """
     cluster = build_pod_cluster(2, nodes_per_pod=8)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
-        incremental=True, partitioned=partitioned)
+    controller = pod_controller(cluster, serial)
     for index in range(8):
         pod = index % 2
         instance = controller.register_app(f"Pod{pod}App{index}")
         controller.setup_bundle(
             instance, POD_RSL.format(pod=pod, index=index))
-    if partitioned:
-        assert controller.partition_index.partition_count == 2
+    assert controller.partition_index.partition_count == 2
     bridge = controller.register_app("Bridge")
     controller.setup_bundle(bridge, BRIDGE_RSL)
-    if partitioned:
-        assert controller.partition_index.partition_count == 1
+    assert controller.partition_index.partition_count == 1
     # Post-merge churn: the merged component must stay coherent.
     controller.handle_node_failure("p1n0")
     controller.reevaluate()
@@ -274,8 +268,8 @@ def assert_same_decisions(fast: AdaptationController,
 
 @pytest.mark.parametrize("app_count", [48, 96, 128])
 def test_partitioned_matches_serial(app_count):
-    part = run_pods(app_count, partitioned=True)
-    serial = run_pods(app_count, partitioned=False)
+    part = run_pods(app_count, serial=False)
+    serial = run_pods(app_count, serial=True)
     assert_same_decisions(part, serial)
     # The structure was actually exploited, not just tolerated.
     assert part.partition_index.partition_count > 1
@@ -285,8 +279,8 @@ def test_partitioned_matches_serial(app_count):
 
 
 def test_partition_merge_mid_run():
-    part = run_pod_merge(partitioned=True)
-    serial = run_pod_merge(partitioned=False)
+    part = run_pod_merge(serial=False)
+    serial = run_pod_merge(serial=True)
     assert_same_decisions(part, serial)
     assert part.stats.pruned_bundles > 0
 
@@ -301,7 +295,7 @@ harmonyBundle Frac{index} size {{
 """
 
 
-def run_fractional_churn(incremental: bool, partitioned: bool):
+def run_fractional_churn(naive: bool = False, serial: bool = False):
     """Churn on a crowded mesh with non-integer ``seconds``.
 
     Contention sums ``min(s_j, s)`` over a node's consumers in index
@@ -310,9 +304,12 @@ def run_fractional_churn(incremental: bool, partitioned: bool):
     prediction.  Every path must still decide identically.
     """
     cluster = Cluster.full_mesh([f"n{i}" for i in range(6)], memory_mb=256.0)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=True),
-        incremental=incremental, partitioned=partitioned)
+    if naive or serial:
+        controller = unpruned_controller(cluster, naive,
+                                         pairwise_exchange=True)
+    else:
+        controller = AdaptationController(
+            cluster, policy=ModelDrivenPolicy(pairwise_exchange=True))
     live = []
 
     def admit(index):
@@ -336,9 +333,9 @@ def run_fractional_churn(incremental: bool, partitioned: bool):
 
 
 def test_fractional_seconds_decide_identically_on_every_path():
-    naive = run_fractional_churn(incremental=False, partitioned=False)
-    serial = run_fractional_churn(incremental=True, partitioned=False)
-    partitioned = run_fractional_churn(incremental=True, partitioned=True)
+    naive = run_fractional_churn(naive=True)
+    serial = run_fractional_churn(serial=True)
+    partitioned = run_fractional_churn()
     assert len(decisions_of(naive)) > 16     # reconfigurations happened
     assert decisions_of(serial) == decisions_of(naive)
     assert chosen_of(serial) == chosen_of(naive)
@@ -360,9 +357,8 @@ def test_settled_reevaluation_scores_incumbents_without_a_trial():
     its candidate count, the incumbent shortcut has stopped firing."""
     cluster = Cluster.full_mesh([f"n{i}" for i in range(16)],
                                 memory_mb=256.0)
-    controller = AdaptationController(
-        cluster, policy=ModelDrivenPolicy(pairwise_exchange=False),
-        incremental=True, partitioned=False)
+    controller = unpruned_controller(cluster, naive=False,
+                                     pairwise_exchange=False)
     for index in range(5):
         instance = controller.register_app(f"App{index}")
         controller.setup_bundle(instance,

@@ -76,7 +76,7 @@ def checking(exact, released):
 def test_cache_equals_a_rebuild_through_seeded_churn(seed, exact, pairwise):
     released = []
     script = make_script(seed, exact=exact)
-    controller = run_script(script, partitioned=True, pairwise=pairwise,
+    controller = run_script(script, pairwise=pairwise,
                             prepare=checking(exact, released))
     assert_cache_equals_rebuild(controller, exact)
     ends = sum(op[0] == "end" for op in script["ops"])
@@ -88,8 +88,7 @@ def test_the_scripts_reach_every_way_out():
     for seed in range(12):
         script = make_script(seed)
         kinds |= {op[0] for op in script["ops"]}
-        run_script(script, partitioned=True, pairwise=True,
-                   prepare=checking(True, released))
+        run_script(script, pairwise=True, prepare=checking(True, released))
     assert {"end", "fail", "load"} <= kinds
     assert {"ended", "evicted"} <= set(released)
 

@@ -8,9 +8,9 @@ thousands of partitions cannot blow up exporter cardinality.
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.obs import Tracer, json_snapshot, prometheus_text
+from tests.oracle import unpruned
 from tests.pods import POD_RSL, build_pod_cluster
 
 #: The complete partition metric surface: these names, and nothing else
@@ -27,10 +27,12 @@ PARTITION_METRICS = {
 }
 
 
-def run_pods(pods, tracer=None, pairwise=False, partitioned=None):
+def run_pods(pods, tracer=None, pairwise=False, serial=False):
     controller = AdaptationController(
-        build_pod_cluster(pods), tracer=tracer, partitioned=partitioned,
+        build_pod_cluster(pods), tracer=tracer,
         policy=ModelDrivenPolicy(pairwise_exchange=pairwise))
+    if serial:
+        unpruned(controller)
     for index in range(pods * 2):
         pod = index % pods
         instance = controller.register_app(f"Pod{pod}App{index}")
@@ -68,7 +70,7 @@ class TestMetricSurface:
         assert scoped.metrics.latest(
             "optimizer.partition.pruned_pairs") == stats["pruned_pairs"]
         # The serial pass visits the same pairs and searches them all.
-        serial = run_pods(pods=3, pairwise=True, partitioned=False)
+        serial = run_pods(pods=3, pairwise=True, serial=True)
         assert serial.stats.pruned_pairs == 0
         assert serial.stats.pairs_evaluated == \
             stats["pairs_evaluated"] + stats["pruned_pairs"]
@@ -80,15 +82,6 @@ class TestMetricSurface:
         many = run_pods(pods=8)
         assert partition_metric_names(few.metrics) == \
             partition_metric_names(many.metrics) == PARTITION_METRICS
-
-    def test_unpartitioned_controller_reports_none(self):
-        cluster = Cluster.full_mesh(["n0", "n1", "n2"], memory_mb=256.0)
-        controller = AdaptationController(cluster, partitioned=False)
-        instance = controller.register_app("solo")
-        controller.setup_bundle(instance, POD_RSL.format(pod=0, index=0)
-                                .replace("p0n*", "*"))
-        controller.reevaluate()
-        assert partition_metric_names(controller.metrics) == set()
 
 
 class TestExporters:

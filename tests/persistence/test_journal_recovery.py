@@ -21,6 +21,7 @@ from repro.persistence import DurabilityJournal, snapshot_files
 from repro.persistence.journal import WAL_FILENAME
 from repro.persistence.snapshot import write_snapshot
 from repro.prediction.models import CallableModel
+from tests.pods import POD_RSL, build_pod_cluster
 
 RSL = """
 harmonyBundle {name} where {{
@@ -285,6 +286,43 @@ class TestExplicitModels:
         key = restored.registry.instances()[0].key
         assert restored.predict_all(restored.view)[key] == \
             pytest.approx(2.0)
+
+    @pytest.mark.parametrize("snapshot", [False, True],
+                             ids=["wal_tail", "snapshot"])
+    def test_restored_index_still_knows_the_model_is_opaque(self, tmp_path,
+                                                            snapshot):
+        """An opaque model may read any partition, so it turns pruning
+        off.  A restore rebuilds the registry without telling the
+        partition index about the model; the index's first rebuild must
+        find it again, or the restored controller prunes where the live
+        one may not."""
+        registry = {"opaque": CallableModel(
+            lambda demands, assignment, view: 2.0)}
+        controller = AdaptationController(build_pod_cluster(2, 4))
+        journal = DurabilityJournal(str(tmp_path), fsync="never",
+                                    snapshot_every=0,
+                                    model_registry=registry)
+        journal.attach(controller)
+        instances = []
+        for index in range(4):
+            instance = controller.register_app(f"Pod{index % 2}App{index}")
+            controller.setup_bundle(
+                instance, POD_RSL.format(pod=index % 2, index=index))
+            instances.append(instance)
+        controller.register_model(instances[0], "size", registry["opaque"],
+                                  model_name="opaque")
+        controller.reevaluate()
+        if snapshot:
+            journal.snapshot_now()
+        journal.close()
+        restored = AdaptationController.restore(
+            str(tmp_path), model_registry=registry, fsync="never")
+        assert (restored.last_recovery.snapshot_path is not None) == snapshot
+        restored.reevaluate()
+        for each in (controller, restored):
+            index = each.partition_index
+            assert sorted(index._opaque) == ["Pod0App0.1"]
+            assert not index.prunable(each.objective)
 
     def test_restore_without_registry_entry_raises(self, tmp_path):
         registry = {"flat2": CallableModel(lambda *a: 2.0)}

@@ -1,8 +1,8 @@
 """The view's maintained load order against the sort it replaces.
 
 ``SystemView.load_order`` is what first-fit matching walks on the fast
-path; ``_load_order_key`` is the from-scratch key the reference oracles
-still sort by.  Whatever sequence of mutations a view has been through —
+path; ``load_order_key`` is the from-scratch key the test-side oracle
+(``tests.oracle.naive``) sorts by.  Whatever sequence of mutations a view has been through —
 placements, removals, nested trials rolled back, external-load
 measurements, cluster growth — the two must agree exactly, ties included,
 for the whole cluster and for a hostname-pattern subset, with and without
@@ -19,8 +19,8 @@ from repro.allocation.instantiate import (
 from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.cluster import Cluster
 from repro.controller import ViewTrial
-from repro.controller.optimizer import _load_order_key
 from repro.prediction import SystemView
+from tests.oracle.naive import load_order_key
 
 APPS = ("app0", "app1", "app2")
 HOSTS = 5           # initial size; "add_node" grows it mid-sequence
@@ -60,7 +60,7 @@ def assert_order_matches_sort(view: SystemView) -> None:
     nodes = list(view.cluster.nodes())
     subset = [node for node in nodes if node.hostname.startswith("a")]
     for excluded in (None,) + APPS:
-        key = _load_order_key(
+        key = load_order_key(
             view, exclude_apps=(excluded,) if excluded else ())
 
         def names(ordered):
@@ -191,7 +191,7 @@ def test_best_and_worst_fit_keep_their_order_under_a_load_order():
         for excluded in (None, "resident"):
             maintained = matcher.match(everywhere, prepared=MatchPreparation(
                 load_order=partial(view.load_order, exclude_app=excluded)))
-            sorted_ = matcher.match(everywhere, order_key=_load_order_key(
+            sorted_ = matcher.match(everywhere, order_key=load_order_key(
                 view, exclude_apps=(excluded,) if excluded else ()))
             assert maintained == sorted_
             orders[strategy, excluded] = list(
