@@ -18,8 +18,8 @@ the per-connection thread with a single event loop:
 * **Executor dispatch, batched.**  Decoded messages queue per connection
   and drain in arrival order; each drained batch crosses into a thread
   pool exactly once, so a burst of heartbeats costs one loop→thread hop
-  instead of one per beat.  Controller-locked requests (``register``,
-  ``bundle_setup``, ``end``) run on a separate *heavy* pool from
+  instead of one per beat.  Controller-locked requests (the ``locked``
+  rows of the message table) run on a separate *heavy* pool from
   heartbeats/status/metric traffic, mirroring the server's lock split: a
   slow optimization sweep can saturate the heavy pool without delaying
   another connection's heartbeat ACK (the event-loop-stall test pins this
@@ -55,8 +55,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
-from repro.api.protocol import FrameDecoder, encode_message
-from repro.api.server import _CONTROLLER_LOCKED_TYPES, HarmonyServer
+from repro.api.protocol import (ERROR, LOCKED_TYPES, FrameDecoder,
+                                encode_message)
+from repro.api.server import HarmonyServer
 from repro.metrics.histogram import COUNT_BOUNDS
 from repro.api.transport import Transport
 from repro.errors import (
@@ -120,7 +121,7 @@ class AsyncioTransport(Transport):
         # Error replies (including the controller_busy refusal itself)
         # jump the bound: a connection under backpressure must still be
         # able to say *why* it is refusing.
-        priority = message.get("type") == "error"
+        priority = message.get("type") == ERROR
         with self._mutex:
             if not priority and \
                     self._queued_writes >= self._front.max_write_queue:
@@ -304,7 +305,7 @@ class HarmonyWireProtocol(asyncio.Protocol):
                     self._asyncio_transport.resume_reading()
                 # The whole batch crosses to a worker thread in one hop;
                 # heartbeat floods amortize to one executor round trip.
-                heavy = any(message.get("type") in _CONTROLLER_LOCKED_TYPES
+                heavy = any(message.get("type") in LOCKED_TYPES
                             for message in batch)
                 pool = self.front.heavy_pool if heavy \
                     else self.front.light_pool

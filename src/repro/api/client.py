@@ -34,16 +34,15 @@ import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.protocol import (
-    CONTROLLER_BUSY,
-    CONTROLLER_MOVED,
-    CONTROLLER_RECOVERING,
     HEARTBEAT,
     HEARTBEAT_ACK,
     LEASE_EXPIRED,
+    MESSAGES,
     SHARD_LOOKUP,
     SHARD_MAP,
-    SHARD_MOVED,
     STATUS,
+    STATUS_REPORT,
+    VARIABLE_UPDATE,
     make_message,
     require_field,
 )
@@ -54,7 +53,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.errors import (
     ControllerBusyError,
     ControllerMovedError,
-    ControllerRecoveringError,
     HarmonyError,
     LeaseExpiredError,
     ProtocolError,
@@ -185,12 +183,7 @@ class HarmonyClient:
         reply = self._request(make_message("bundle_setup", rsl=rsl_text))
         if rsl_text not in self._bundle_rsls:
             self._bundle_rsls.append(rsl_text)
-        return {
-            "bundle_name": require_field(reply, "bundle_name"),
-            "option": require_field(reply, "option"),
-            "variables": reply.get("variables", {}),
-            "placements": reply.get("placements", {}),
-        }
+        return MESSAGES["bundle_ok"].convert(reply)
 
     def add_variable(self, name: str, default: Any,
                      var_type: VariableType = VariableType.FLOAT,
@@ -259,16 +252,15 @@ class HarmonyClient:
         """
         self._require_started()
         reply = self._request(make_message("query_nodes"))
-        return {"nodes": require_field(reply, "nodes"),
-                "rsl": reply.get("rsl", "")}
+        return MESSAGES["node_list"].convert(reply)
 
     def query_status(self, prefix: str | None = None,
                      max_traces: int = 20) -> dict[str, Any]:
         """Ask the server for its telemetry (the ``STATUS`` message).
 
         Works without :meth:`startup` — a pure monitoring client may
-        connect just to poll.  Returns ``{"metrics", "decision_traces",
-        "optimizer", "server", "histograms"}``: the metric snapshot
+        connect just to poll.  Returns the ``status_report`` fields
+        (``MESSAGES[STATUS_REPORT].fields``): the metric snapshot
         (optionally filtered by dotted ``prefix``), the most recent
         decision traces (up to ``max_traces``, oldest first), the
         optimizer work counters, server-side session counts, and the
@@ -280,12 +272,7 @@ class HarmonyClient:
         if prefix is not None:
             fields["prefix"] = prefix
         reply = self._request(make_message(STATUS, **fields))
-        return {"metrics": reply.get("metrics", {}),
-                "decision_traces": reply.get("decision_traces", []),
-                "optimizer": reply.get("optimizer", {}),
-                "server": reply.get("server", {}),
-                "histograms": reply.get("histograms", {}),
-                "replication": reply.get("replication", {})}
+        return MESSAGES[STATUS_REPORT].convert(reply)
 
     def locate_shard(self, app_name: str | None = None,
                      resume_key: str | None = None) -> dict[str, Any]:
@@ -308,8 +295,7 @@ class HarmonyClient:
         if reply.get("type") != SHARD_MAP:
             raise ProtocolError(
                 f"expected shard_map, got {reply.get('type')!r}")
-        return {"shards": reply.get("shards", []),
-                "leader": reply.get("leader")}
+        return MESSAGES[SHARD_MAP].convert(reply)
 
     def poll_update(self) -> dict[str, Any] | None:
         """Non-blocking check for a new update batch (simulation-friendly).
@@ -521,43 +507,21 @@ class HarmonyClient:
         term = response.get("term")
         if isinstance(term, (int, float)) and int(term) > self.term:
             self.term = int(term)
-        if response.get("type") == CONTROLLER_MOVED:
-            leader = response.get("leader")
-            self._moved_leader = str(leader) if leader else None
-            raise ControllerMovedError(
-                f"controller moved: "
-                f"{response.get('message', 'not the primary')}",
-                leader=self._moved_leader,
-                term=int(response.get("term", 0) or 0))
-        if response.get("type") == SHARD_MOVED:
-            # The federation redirect: the session was handed to a
-            # sibling shard.  A ControllerMovedError subclass, so the
-            # retry loop reconnects to the hinted shard and replays the
-            # session there (resume_key rejoin) with no extra plumbing.
-            leader = response.get("leader")
-            self._moved_leader = str(leader) if leader else None
+        row = MESSAGES.get(str(response.get("type")))
+        if row is None or not row.raises:
+            return response
+        error = row.raises.get(response.get("code"), row.raises[None])
+        text = f"server {row.type}: {response.get('message', '')}"
+        if not issubclass(error, ControllerMovedError):
+            raise error(text)
+        # A redirect (failover or federation handoff): the retry loop
+        # reconnects to the hinted leader and replays the session there.
+        leader = response.get("leader")
+        self._moved_leader = str(leader) if leader else None
+        if issubclass(error, ShardMovedError):
             self._count("client.shard_redirects")
-            raise ShardMovedError(
-                f"shard moved: "
-                f"{response.get('message', 'session handed off')}",
-                leader=self._moved_leader,
-                term=int(response.get("term", 0) or 0))
-        if response.get("type") == "error":
-            if response.get("code") == CONTROLLER_RECOVERING:
-                # Typed and retryable-by-the-caller: the server is
-                # replaying its durability log in read-only mode.
-                raise ControllerRecoveringError(
-                    f"server error: {response.get('message', 'recovering')}")
-            if response.get("code") == CONTROLLER_BUSY:
-                raise ControllerBusyError(
-                    f"server error: {response.get('message', 'busy')}")
-            raise HarmonyError(
-                f"server error: {response.get('message', 'unknown')}")
-        if response.get("type") == LEASE_EXPIRED:
-            raise LeaseExpiredError(
-                f"session {self.app_key} was evicted: "
-                f"{response.get('message', 'lease expired')}")
-        return response
+        raise error(text, leader=self._moved_leader,
+                    term=int(response.get("term", 0) or 0))
 
     def _recover_connection(self) -> None:
         """Best-effort reconnect + replay between retry attempts."""
@@ -677,7 +641,7 @@ class HarmonyClient:
     def _on_message(self, message: dict[str, Any]) -> None:
         """The transport receiver — the paper's I/O event handler."""
         msg_type = message.get("type")
-        if msg_type == "variable_update":
+        if msg_type == VARIABLE_UPDATE:
             updates = message.get("updates", {})
             self.variables.apply_updates(updates)
             with self._lock:

@@ -5,98 +5,43 @@ and waits for connections from application processes".  Messages here are
 JSON objects framed with a 4-byte big-endian length prefix; the same message
 vocabulary flows over both the TCP transport and the in-process transport.
 
-Client -> server message types (mirroring the Figure 5 API):
+:data:`MESSAGES` is the vocabulary: one row per message type, giving its
+fields and their converters, its reply, and the gates and locks the server
+applies to it.  The server's dispatch, the asyncio front end's pool split,
+the client's mapping of refusals to exceptions and the type sets below are
+all read from it; docs/wire-protocol.md §2–§3 are its prose form.
 
-* ``register``       {app_name, use_interrupts, resume_key?}
-* ``bundle_setup``   {rsl}
-* ``add_variable``   {name, default, var_type}
-* ``wait_for_update``{}
-* ``report_metric``  {name, value}
-* ``query_nodes``    {}
-* ``status``         {prefix?, max_traces?}
-* ``heartbeat``      {key?}
-* ``end``            {}
-* ``repl_hello``     {standby_id, last_seq, last_crc?, last_term?}
-  (standby -> primary)
-* ``repl_ack``       {standby_id, seq}          (standby -> primary)
-* ``shard_lookup``   {app_name?, resume_key?}   (client -> arbiter)
-
-Server -> client:
-
-* ``registered``       {instance_id, key, resumed}
-* ``bundle_ok``        {bundle_name, option, variables, placements}
-* ``variable_added``   {name, value}
-* ``variable_update``  {updates: {name: value}}
-* ``node_list``        {nodes: [...], rsl}
-* ``status_report``    {metrics, decision_traces, optimizer, server}
-* ``heartbeat_ack``    {lease_expires_at?}
-* ``lease_expired``    {message}
-* ``ended``            {}
-* ``error``            {message, code?}
-* ``controller_moved`` {message, term, leader?}
-* ``shard_moved``      {message, term, leader?}
-* ``shard_map``        {shards: [...], assignments?}  (arbiter -> client)
-* ``repl_records``     {term, frames: [str]}       (primary -> standby)
-* ``repl_snapshot``    {term, last_seq, crc, state, reset?}
-  (primary -> standby)
-
-``register`` with a ``resume_key`` is a *rejoin*: if the named instance is
-still registered (its lease has not expired), the server re-binds the new
-connection to it instead of creating a duplicate; otherwise registration
-proceeds fresh and ``registered.resumed`` is False.  ``heartbeat`` renews
-the session lease; ``lease_expired`` is the server's answer to any message
-from a session it has already evicted.
-
-``error.code`` carries a machine-readable discriminator when one exists;
-the only defined value is ``controller_recovering`` — the server is
-replaying its durability log in read-only mode, and the client library
-maps it to :class:`~repro.errors.ControllerRecoveringError` instead of a
-generic failure.  :data:`MUTATING_TYPES` is the message set the read-only
-mode refuses (queries, status, and heartbeats still flow).
-
-The replication vocabulary rides the same codec.  A standby dials the
-primary like any client and sends ``repl_hello`` with the last WAL
-sequence number it holds, plus ``last_crc`` — the frame CRC of its
-newest local record — when it has one; the primary serves the tail only
-if that record is in its own history (log matching), and otherwise
-answers with a ``repl_snapshot`` carrying ``reset: true``, which orders
-the standby to discard its divergent log and adopt the snapshot
-unconditionally.  On a match the primary answers with ``repl_records``
-(each element of ``frames`` is one CRC-framed WAL line, exactly the
-bytes the primary wrote to disk, so the standby re-verifies the checksum
-end-to-end) and streams further appends as they happen, interleaving
-``repl_snapshot`` offers when the standby is behind the compaction
-horizon.  ``repl_ack`` reports the standby's durable high-water mark.
-
-``controller_moved`` is the failover redirect: a standby (or a deposed
-primary fenced by a higher term) refuses every :data:`MUTATING_TYPES`
-request with it, carrying the refuser's ``term`` and, when the fencing
-record knows it, a ``leader`` ``host:port`` hint.  Once a server has a
-nonzero term it stamps ``term`` on *every* reply, so clients can spot a
-stale primary.  See docs/replication.md.
-
-``shard_moved`` is the federation redirect, modeled on
-``controller_moved``: a shard that has handed a session to a sibling
-answers that session's next request with it, ``leader`` carrying the
-new shard's ``host:port``.  ``shard_lookup`` asks the root arbiter
-which shard owns an ``app_name`` (or an exact ``resume_key``) before
-connecting; the arbiter answers with ``shard_map`` listing every
-shard's address plus the resolved ``leader``.  See docs/federation.md.
+The protocol's semantics — resuming a session by ``resume_key``, the
+``error`` codes, the replication stream, and the failover
+(``controller_moved``) and federation (``shard_moved``) redirects — are
+specified in docs/wire-protocol.md, docs/replication.md and
+docs/federation.md.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 import struct
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
-from repro.errors import ProtocolError
+from repro.errors import (
+    ControllerBusyError,
+    ControllerMovedError,
+    ControllerRecoveringError,
+    HarmonyError,
+    LeaseExpiredError,
+    ProtocolError,
+    ShardMovedError,
+)
 
 __all__ = ["encode_message", "FrameDecoder", "make_message",
-           "require_field", "CLIENT_TYPES", "SERVER_TYPES",
+           "require_field", "MessageSpec", "MESSAGES", "CLIENT_TYPES",
+           "SERVER_TYPES", "MUTATING_TYPES", "LOCKED_TYPES",
            "HEARTBEAT", "HEARTBEAT_ACK", "LEASE_EXPIRED",
-           "STATUS", "STATUS_REPORT", "CONTROLLER_RECOVERING",
-           "CONTROLLER_BUSY", "CONTROLLER_MOVED", "MUTATING_TYPES",
+           "STATUS", "STATUS_REPORT", "VARIABLE_UPDATE", "ERROR",
+           "CONTROLLER_RECOVERING", "CONTROLLER_BUSY", "CONTROLLER_MOVED",
            "TRACE_CTX_FIELD", "REPL_HELLO", "REPL_ACK", "REPL_RECORDS",
            "REPL_SNAPSHOT", "SHARD_MOVED", "SHARD_LOOKUP", "SHARD_MAP"]
 
@@ -111,6 +56,10 @@ LEASE_EXPIRED = "lease_expired"
 #: The telemetry-query vocabulary.
 STATUS = "status"
 STATUS_REPORT = "status_report"
+
+#: The reconfiguration push and the generic refusal.
+VARIABLE_UPDATE = "variable_update"
+ERROR = "error"
 
 #: The replication vocabulary (standby -> primary rides the client
 #: direction; the stream back rides the server direction).
@@ -128,18 +77,6 @@ SHARD_MOVED = "shard_moved"
 SHARD_LOOKUP = "shard_lookup"
 SHARD_MAP = "shard_map"
 
-CLIENT_TYPES = frozenset({
-    "register", "bundle_setup", "add_variable", "wait_for_update",
-    "report_metric", "query_nodes", STATUS, HEARTBEAT, "end",
-    REPL_HELLO, REPL_ACK, SHARD_LOOKUP,
-})
-SERVER_TYPES = frozenset({
-    "registered", "bundle_ok", "variable_added", "variable_update",
-    "node_list", STATUS_REPORT, HEARTBEAT_ACK, LEASE_EXPIRED, "ended",
-    "error", CONTROLLER_MOVED, REPL_RECORDS, REPL_SNAPSHOT,
-    SHARD_MOVED, SHARD_MAP,
-})
-
 #: Error code on ``error`` replies sent while recovery is in flight.
 CONTROLLER_RECOVERING = "controller_recovering"
 
@@ -149,13 +86,6 @@ CONTROLLER_RECOVERING = "controller_recovering"
 #: :class:`~repro.errors.ControllerBusyError` and retries with backoff.
 CONTROLLER_BUSY = "controller_busy"
 
-#: Requests that change controller state — refused (with
-#: ``error.code=controller_recovering``) while the server is in the
-#: degraded read-only mode during crash recovery.
-MUTATING_TYPES = frozenset({
-    "register", "bundle_setup", "report_metric", "end",
-})
-
 #: Name of the *optional* trace-propagation field a client may stamp on
 #: any request: ``{"trace_id": str, "span_id": int, "sampled": bool}``
 #: (see :class:`repro.obs.trace.TraceContext` and docs/wire-protocol.md).
@@ -164,9 +94,163 @@ MUTATING_TYPES = frozenset({
 TRACE_CTX_FIELD = "trace_ctx"
 
 
+def _as_sent(value: Any) -> Any:
+    """The converter of a field the receiver takes exactly as sent."""
+    return value
+
+
+@dataclass(frozen=True, eq=False)
+class MessageSpec:
+    """One row of :data:`MESSAGES`: everything a message type means.
+
+    ``fields`` maps each field to the converter the receiver applies; a
+    name ending in ``?`` is optional, as in docs/wire-protocol.md.
+    ``request`` rows flow client -> server; ``reply`` is what answers one
+    (``None``: nothing does).  The rest are the server's rules for a
+    request:
+
+    * ``mutating`` — refused by a standby (``controller_moved``) and
+      during crash recovery (``error.code=controller_recovering``);
+    * ``locked`` — handled under ``controller_lock``;
+    * ``admission`` — holds a slot of the bounded admission pipeline
+      first (``error.code=controller_busy`` when none is free);
+    * ``session`` — needs a registered instance;
+    * ``rejoin`` — still handled for an evicted session (it is how one
+      comes back);
+    * ``redirected`` — a handed-off session gets ``shard_moved`` for it.
+
+    ``raises`` is the client's side of a server message that refuses a
+    request: ``error.code`` (``None`` when absent) -> exception.
+    """
+
+    type: str
+    fields: Mapping[str, Callable[[Any], Any]] = field(default_factory=dict)
+    reply: str | None = None
+    mutating: bool = False
+    locked: bool = False
+    admission: bool = False
+    session: bool = False
+    rejoin: bool = False
+    redirected: bool = True
+    request: bool = True
+    raises: Mapping[str | None, type[HarmonyError]] = field(
+        default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # (name, optional?, converter), parsed once: convert() is per request.
+        object.__setattr__(self, "_plan", tuple(
+            (spec.rstrip("?"), spec.endswith("?"), convert)
+            for spec, convert in self.fields.items()))
+
+    def convert(self, message: dict[str, Any]) -> dict[str, Any]:
+        """This row's fields of ``message``, each through its converter.
+
+        An optional field that is absent or ``null`` is left out, so the
+        handler's default applies.  A missing required field, or a value
+        its converter rejects, is the sender's error:
+        :class:`~repro.errors.ProtocolError` naming the field.
+        """
+        converted: dict[str, Any] = {}
+        for name, optional, convert in self._plan:
+            value = message.get(name)
+            if value is None:
+                if optional:
+                    continue
+                raise ProtocolError(
+                    f"message {self.type!r} is missing field {name!r}")
+            try:
+                converted[name] = convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ProtocolError(
+                    f"message {self.type!r} field {name!r} is not a valid "
+                    f"{convert.__name__}: {reprlib.repr(value)}") from exc
+        return converted
+
+
+def _server(msg_type: str, *fields: str,
+            raises: Mapping[str | None, type[HarmonyError]] | None = None,
+            ) -> MessageSpec:
+    """A server -> client row; the client reads its fields as sent."""
+    return MessageSpec(msg_type, dict.fromkeys(fields, _as_sent),
+                       request=False, raises=raises or {})
+
+
+_ROWS = (
+    # Client -> server: the Figure 5 calls, then liveness, telemetry,
+    # replication and federation.
+    MessageSpec("register", {"app_name": str, "use_interrupts?": bool,
+                             "resume_key?": str},
+                reply="registered", mutating=True, locked=True,
+                admission=True, rejoin=True),
+    MessageSpec("bundle_setup", {"rsl": str}, reply="bundle_ok",
+                mutating=True, locked=True, admission=True, session=True),
+    MessageSpec("add_variable", {"name": str, "default?": _as_sent,
+                                 "var_type?": _as_sent},
+                reply="variable_added", session=True),
+    MessageSpec("wait_for_update"),
+    MessageSpec("report_metric", {"name": str, "value": float},
+                mutating=True, session=True),
+    MessageSpec("query_nodes", reply="node_list", session=True),
+    MessageSpec(STATUS, {"prefix?": str, "max_traces?": int},
+                reply=STATUS_REPORT),
+    MessageSpec(HEARTBEAT, {"key?": _as_sent}, reply=HEARTBEAT_ACK,
+                session=True),
+    # ``end`` takes no admission slot: releasing capacity must never be
+    # refused for lack of capacity.
+    MessageSpec("end", reply="ended", mutating=True, locked=True,
+                session=True),
+    # Locked so a standby's catch-up snapshot cannot race an append
+    # (appends run under controller_lock).
+    MessageSpec(REPL_HELLO, {"standby_id": str, "last_seq": int,
+                             "last_crc?": str, "last_term?": int},
+                reply=REPL_RECORDS, locked=True),
+    MessageSpec(REPL_ACK, {"standby_id": str, "seq": int}),
+    # A directory query: its resume_key names the session asked about,
+    # not the asker, so it is never redirected.
+    MessageSpec(SHARD_LOOKUP, {"app_name?": str, "resume_key?": str},
+                reply=SHARD_MAP, redirected=False),
+    # Server -> client.
+    _server("registered", "instance_id", "key", "resumed"),
+    _server("bundle_ok", "bundle_name", "option", "variables", "placements"),
+    _server("variable_added", "name", "value"),
+    _server(VARIABLE_UPDATE, "updates"),
+    _server("node_list", "nodes", "rsl"),
+    _server(STATUS_REPORT, "metrics", "histograms", "decision_traces",
+            "optimizer", "server", "replication"),
+    _server(HEARTBEAT_ACK, "lease_expires_at?"),
+    _server(LEASE_EXPIRED, "message", raises={None: LeaseExpiredError}),
+    _server("ended"),
+    _server(ERROR, "message", "code?", raises={
+        None: HarmonyError,
+        CONTROLLER_RECOVERING: ControllerRecoveringError,
+        CONTROLLER_BUSY: ControllerBusyError}),
+    _server(CONTROLLER_MOVED, "message", "term", "leader?",
+            raises={None: ControllerMovedError}),
+    _server(SHARD_MOVED, "message", "term", "leader",
+            raises={None: ShardMovedError}),
+    _server(SHARD_MAP, "shards", "leader"),
+    _server(REPL_RECORDS, "term", "frames"),
+    _server(REPL_SNAPSHOT, "term", "last_seq", "crc", "state", "reset?"),
+)
+
+#: The message table: type -> :class:`MessageSpec`.
+MESSAGES: dict[str, MessageSpec] = {row.type: row for row in _ROWS}
+
+CLIENT_TYPES = frozenset(t for t, row in MESSAGES.items() if row.request)
+SERVER_TYPES = frozenset(MESSAGES) - CLIENT_TYPES
+
+#: Requests that change controller state — refused (with
+#: ``error.code=controller_recovering``) while the server is in the
+#: degraded read-only mode during crash recovery.
+MUTATING_TYPES = frozenset(t for t, row in MESSAGES.items() if row.mutating)
+
+#: Requests handled under ``controller_lock``.
+LOCKED_TYPES = frozenset(t for t, row in MESSAGES.items() if row.locked)
+
+
 def make_message(msg_type: str, **fields: Any) -> dict[str, Any]:
     """Build a protocol message dict, validating the type tag."""
-    if msg_type not in CLIENT_TYPES and msg_type not in SERVER_TYPES:
+    if msg_type not in MESSAGES:
         raise ProtocolError(f"unknown message type {msg_type!r}")
     message = {"type": msg_type}
     message.update(fields)

@@ -59,19 +59,16 @@ from repro.api.protocol import (
     CONTROLLER_BUSY,
     CONTROLLER_MOVED,
     CONTROLLER_RECOVERING,
-    HEARTBEAT,
+    ERROR,
     HEARTBEAT_ACK,
     LEASE_EXPIRED,
-    MUTATING_TYPES,
-    REPL_ACK,
-    REPL_HELLO,
-    SHARD_LOOKUP,
+    MESSAGES,
     SHARD_MAP,
     SHARD_MOVED,
-    STATUS,
     STATUS_REPORT,
+    VARIABLE_UPDATE,
+    MessageSpec,
     make_message,
-    require_field,
 )
 from repro.api.transport import TcpTransport, Transport
 from repro.api.variables import PendingVariableBuffer
@@ -99,19 +96,6 @@ __all__ = ["HarmonyServer", "HarmonySession", "DEFAULT_PORT"]
 
 #: The prototype's "well-known port" (any free port works; tests use 0).
 DEFAULT_PORT = 52766
-
-#: Requests that mutate controller state and therefore take
-#: ``controller_lock``.  Everything else runs without it.
-#: ``repl_hello`` is here for a different reason: a standby's catch-up
-#: snapshot must not race a concurrent append, and appends run under
-#: ``controller_lock``.
-_CONTROLLER_LOCKED_TYPES = frozenset({"register", "bundle_setup", "end",
-                                      REPL_HELLO})
-
-#: The admission pipeline: the subset of controller-locked requests the
-#: bounded pending queue applies to.  ``end`` is exempt — releasing
-#: capacity must never be refused for lack of capacity.
-_ADMISSION_TYPES = frozenset({"register", "bundle_setup"})
 
 
 class HarmonySession:
@@ -144,7 +128,7 @@ class HarmonySession:
             self.server.stage_updates(self.client_id, updates, generation)
             return
         try:
-            self.transport.send(make_message("variable_update",
+            self.transport.send(make_message(VARIABLE_UPDATE,
                                              updates=updates))
         except TransportError:
             self.server.mark_disconnected(self)
@@ -182,17 +166,17 @@ class HarmonySession:
             if ctx is not None:
                 with tracer.span_from_context("server.dispatch", ctx,
                                               rpc=msg_type):
-                    self._locked_dispatch(msg_type, message)
+                    self._dispatch(msg_type, message)
             else:
-                self._locked_dispatch(msg_type, message)
+                self._dispatch(msg_type, message)
         except ControllerBusyError as exc:
             if recorder is not None:
                 recorder.record(EVENT_BACKPRESSURE, rpc=msg_type,
                                 message=str(exc))
-            self._reply(make_message("error", code=CONTROLLER_BUSY,
+            self._reply(make_message(ERROR, code=CONTROLLER_BUSY,
                                      message=str(exc)))
         except HarmonyError as exc:
-            self._reply(make_message("error", message=str(exc)))
+            self._reply(make_message(ERROR, message=str(exc)))
         except Exception as exc:
             # Unhandled server error: capture the event timeline before
             # the exception unwinds whatever thread delivered us.
@@ -208,37 +192,38 @@ class HarmonySession:
                 return
             raise
 
-    def _locked_dispatch(self, msg_type: str,
-                         message: dict[str, Any]) -> None:
-        if msg_type in _CONTROLLER_LOCKED_TYPES:
-            if msg_type in _ADMISSION_TYPES:
-                with self.server.admission_slot():
-                    with self.server.controller_lock:
-                        self._dispatch(message)
-            else:
-                with self.server.controller_lock:
-                    self._dispatch(message)
-        else:
-            self._dispatch(message)
+    def _dispatch(self, msg_type: str, message: dict[str, Any]) -> None:
+        """Look the request up in the message table; take its slot and lock."""
+        row = MESSAGES.get(msg_type)
+        if row is None or not row.request:
+            raise ProtocolError(f"unknown message type {msg_type!r}")
+        if not row.locked:
+            return self._walk(row, message)
+        server = self.server
+        slot = (server.admission_slot() if row.admission
+                else contextlib.nullcontext())
+        with slot, server.controller_lock:
+            self._walk(row, message)
 
-    def _dispatch(self, message: dict[str, Any]) -> None:
-        msg_type = message.get("type")
-        if self.server.standby and msg_type in MUTATING_TYPES:
+    def _walk(self, row: MessageSpec, message: dict[str, Any]) -> None:
+        """The gates in order, then the handler, then the lease renewal."""
+        server = self.server
+        if row.mutating and server.standby:
             # A standby serves reads (status, heartbeats) but refuses
             # every mutation with a redirect carrying its best guess at
             # the current primary — the fencing record's address.
-            self._reply(self.server.moved_reply())
+            self._reply(server.moved_reply())
             return
-        if self.server.recovering and msg_type in MUTATING_TYPES:
+        if row.mutating and server.recovering:
             # Degraded read-only mode while crash recovery replays the
             # durability log: queries and status still flow, anything
             # state-changing is refused with a typed, retryable error.
             self._reply(make_message(
-                "error", code=CONTROLLER_RECOVERING,
+                ERROR, code=CONTROLLER_RECOVERING,
                 message="controller is recovering; mutations are "
                         "refused until recovery completes"))
             return
-        if msg_type != SHARD_LOOKUP:
+        if row.redirected:
             # Federation redirect, checked *before* the eviction gate: a
             # handed-off session's instance was evicted here (it lives on
             # the target shard now), and the answer must be "go there",
@@ -246,53 +231,32 @@ class HarmonySession:
             # with a moved resume_key gets the same redirect.
             moved_key = (self.instance.key if self.instance is not None
                          else message.get("resume_key"))
-            target = self.server.moved_target(moved_key)
+            target = server.moved_target(moved_key)
             if target is not None:
-                self._reply(self.server.shard_moved_reply(target))
+                self._reply(server.shard_moved_reply(target))
                 return
-        if self.evicted and msg_type != "register":
+        if self.evicted and not row.rejoin:
             # Anything an evicted client says (a heartbeat racing the
             # eviction, a late RPC) gets the same answer: your lease is
-            # gone, rejoin.  `register` falls through for exactly that.
+            # gone, rejoin.
             self._reply(make_message(
                 LEASE_EXPIRED,
                 message=f"session {self.client_id} lease expired"))
             return
-        if msg_type == "register":
-            self._handle_register(message)
-        elif msg_type == "bundle_setup":
-            self._handle_bundle_setup(message)
-        elif msg_type == "add_variable":
-            self._handle_add_variable(message)
-        elif msg_type == "wait_for_update":
-            pass  # updates are pushed eagerly; nothing to do server-side
-        elif msg_type == "report_metric":
-            self._handle_report_metric(message)
-        elif msg_type == "query_nodes":
-            self._handle_query_nodes()
-        elif msg_type == STATUS:
-            self._handle_status(message)
-        elif msg_type == HEARTBEAT:
-            self._handle_heartbeat()
-        elif msg_type == "end":
-            self._handle_end()
-        elif msg_type == REPL_HELLO:
-            self._handle_repl_hello(message)
-        elif msg_type == REPL_ACK:
-            self._handle_repl_ack(message)
-        elif msg_type == SHARD_LOOKUP:
-            self._handle_shard_lookup(message)
-        else:
-            raise ProtocolError(f"unknown message type {msg_type!r}")
+        if row.session and self.instance is None:
+            raise ProtocolError("register first")
+        _HANDLERS[row.type](self, **row.convert(message))
         if self.instance is not None and not self.instance.ended:
             # Renew the lease only after the message *dispatched
             # successfully*: a stream of malformed or rejected requests
             # must not keep a session alive forever, and an evicted
             # instance's dead key must never be re-armed.
-            self.server.touch(self.instance.key)
+            server.touch(self.instance.key)
 
-    def _handle_register(self, message: dict[str, Any]) -> None:
-        app_name = str(require_field(message, "app_name"))
+    # -- handlers: one per client row of MESSAGES, fields converted -----------
+
+    def _handle_register(self, app_name: str, use_interrupts: bool = False,
+                         resume_key: str | None = None) -> None:
         if self.instance is not None and not self.instance.ended:
             # A duplicated or replayed register on a live session is
             # answered idempotently rather than poisoning the session.
@@ -302,8 +266,7 @@ class HarmonySession:
                     key=self.instance.key, resumed=True))
                 return
             raise ProtocolError("already registered")
-        resume_key = message.get("resume_key")
-        self.use_interrupts = bool(message.get("use_interrupts", False))
+        self.use_interrupts = use_interrupts
         self.instance = self.server.controller.register_app(
             app_name, resume_key=resume_key)
         resumed = self.instance.key == resume_key
@@ -320,34 +283,31 @@ class HarmonySession:
             # Deliver anything staged while the client was away.
             self.server.flush_pending_vars()
 
-    def _handle_heartbeat(self) -> None:
-        instance = self._require_instance()
+    def _handle_heartbeat(self, key: Any = None) -> None:
+        """Renew the lease; ``key`` is informational (the session knows)."""
         server = self.server
         # Renew before answering: the ack carries the *new* deadline.
-        server.touch(instance.key)
+        server.touch(self.instance.key)
         with server.sessions_lock:
             server.heartbeats_received += 1
-            deadline = server._leases.get(instance.key)
+            deadline = server._leases.get(self.instance.key)
         controller = server.controller
         controller.metrics.increment("server.heartbeats", controller.now)
         self._reply(make_message(HEARTBEAT_ACK, lease_expires_at=deadline))
 
-    def _handle_status(self, message: dict[str, Any]) -> None:
+    def _handle_status(self, prefix: str | None = None,
+                       max_traces: int = 20) -> None:
         """Answer a telemetry query; registration is not required.
 
         A monitoring client may connect, send ``status``, and disconnect
         without ever registering an application.
         """
-        prefix = message.get("prefix")
-        max_traces = int(message.get("max_traces", 20))
-        payload = self.server.status_payload(
-            prefix=str(prefix) if prefix else None, max_traces=max_traces)
+        payload = self.server.status_payload(prefix=prefix or None,
+                                             max_traces=max_traces)
         self._reply(make_message(STATUS_REPORT, **payload))
 
-    def _handle_bundle_setup(self, message: dict[str, Any]) -> None:
-        instance = self._require_instance()
-        rsl = str(require_field(message, "rsl"))
-        state = self.server.controller.setup_bundle(instance, rsl)
+    def _handle_bundle_setup(self, rsl: str) -> None:
+        state = self.server.controller.setup_bundle(self.instance, rsl)
         chosen = state.chosen
         if chosen is None:
             raise ProtocolError(
@@ -360,29 +320,28 @@ class HarmonySession:
             variables=dict(chosen.variable_assignment),
             placements=dict(chosen.assignment.placements)))
 
-    def _handle_add_variable(self, message: dict[str, Any]) -> None:
-        instance = self._require_instance()
-        name = str(require_field(message, "name"))
+    def _handle_add_variable(self, name: str, default: Any = None,
+                             var_type: Any = None) -> None:
         # Answer with the live value when the name maps onto a chosen
         # configuration (e.g. "<bundle>.option"), else echo the default.
-        value = self.server.current_variable_value(instance, name)
+        value = self.server.current_variable_value(self.instance, name)
         if value is None:
-            value = message.get("default")
+            value = default
         self._reply(make_message("variable_added", name=name, value=value))
 
-    def _handle_report_metric(self, message: dict[str, Any]) -> None:
-        instance = self._require_instance()
-        name = str(require_field(message, "name"))
-        value = float(require_field(message, "value"))
+    def _handle_wait_for_update(self) -> None:
+        """Updates are pushed eagerly; nothing to do server-side."""
+
+    def _handle_report_metric(self, name: str, value: float) -> None:
+        key = self.instance.key
         controller = self.server.controller
-        controller.metrics.report(f"app.{instance.key}.{name}",
-                                  controller.now, value)
+        controller.metrics.report(f"app.{key}.{name}", controller.now, value)
         scheduler = controller.scheduler
         if scheduler is not None:
             # Metric reports never re-optimize inline (that would put an
             # optimization sweep on every telemetry packet); with a
             # scheduler attached they feed the coalesced batch instead.
-            scheduler.request(f"metric:{instance.key}.{name}",
+            scheduler.request(f"metric:{key}.{name}",
                               trace_ctx=controller.tracer.current_context())
 
     def _handle_query_nodes(self) -> None:
@@ -394,7 +353,6 @@ class HarmonySession:
         reflects live reservations — this is the controller's own view of
         availability, not the raw machine size.
         """
-        self._require_instance()
         from repro.rsl import unparse_advertisement
 
         cluster = self.server.controller.cluster
@@ -414,30 +372,24 @@ class HarmonySession:
                                  rsl="\n".join(rsl_lines)))
 
     def _handle_end(self) -> None:
-        instance = self._require_instance()
-        self.server.controller.end_app(instance)
+        self.server.controller.end_app(self.instance)
         self._reply(make_message("ended"))
         self.server.detach(self)
 
-    def _handle_repl_hello(self, message: dict[str, Any]) -> None:
-        """A standby subscribing to the WAL stream (under controller_lock).
-
-        Runs with ``controller_lock`` held (see
-        ``_CONTROLLER_LOCKED_TYPES``): the catch-up snapshot/tail the
-        primary ships here cannot race a concurrent append, so the
-        standby never observes a torn view of the log.
-        """
+    def _handle_repl_hello(self, **fields: Any) -> None:
+        """A standby subscribing to the WAL stream (a ``locked`` row)."""
         replication = self.server.replication
         if replication is None:
             raise ProtocolError(
                 "replication is not enabled on this server")
-        replication.handle_hello(self.transport, message)
+        replication.handle_hello(self.transport, **fields)
 
-    def _handle_repl_ack(self, message: dict[str, Any]) -> None:
+    def _handle_repl_ack(self, **fields: Any) -> None:
         if self.server.replication is not None:
-            self.server.replication.handle_ack(message)
+            self.server.replication.handle_ack(**fields)
 
-    def _handle_shard_lookup(self, message: dict[str, Any]) -> None:
+    def _handle_shard_lookup(self, app_name: str | None = None,
+                             resume_key: str | None = None) -> None:
         """Answer "which shard owns this app?" (arbiter only).
 
         Registration is not required — a connecting client asks the
@@ -448,15 +400,8 @@ class HarmonySession:
         if router is None:
             raise ProtocolError(
                 "this server is not a federation arbiter")
-        payload = router.lookup(
-            app_name=message.get("app_name"),
-            resume_key=message.get("resume_key"))
+        payload = router.lookup(app_name=app_name, resume_key=resume_key)
         self._reply(make_message(SHARD_MAP, **payload))
-
-    def _require_instance(self) -> AppInstance:
-        if self.instance is None:
-            raise ProtocolError("register first")
-        return self.instance
 
     def _reply(self, message: dict[str, Any]) -> None:
         term = self.server.controller.term
@@ -485,17 +430,22 @@ class HarmonySession:
                                 message="reply dropped: write queue full")
 
 
+#: ``_handle_<type>`` per client row (a row without one fails at import).
+_HANDLERS = {msg_type: getattr(HarmonySession, "_handle_" + msg_type)
+             for msg_type in CLIENT_TYPES}
+
+
 class HarmonyServer:
     """Accepts application connections and wires them to the controller.
 
-    ``lease_seconds`` (optional) arms session leases: every message from a
-    registered client renews its lease; :meth:`check_leases` evicts
-    applications whose lease lapsed — their placements are removed
-    through the controller's transactional view and the survivors are
-    re-optimized, so a crashed client degrades the system gracefully
-    instead of stranding its allocation.  ``clock`` defaults to
-    ``time.monotonic``; simulated deployments inject their own (or pass
-    ``now=`` to :meth:`check_leases`) to stay deterministic.
+    ``lease_seconds`` (optional) arms session leases: every request from
+    a registered client that is handled successfully renews its lease;
+    :meth:`check_leases` evicts applications whose lease lapsed — their
+    placements are removed through the controller's transactional view
+    and the survivors are re-optimized, so a crashed client degrades the
+    system gracefully instead of stranding its allocation.  ``clock``
+    defaults to ``time.monotonic``; simulated deployments inject their
+    own (or pass ``now=`` to :meth:`check_leases`) to stay deterministic.
 
     ``max_pending_admissions`` (optional) bounds the admission pipeline:
     at most that many ``register``/``bundle_setup`` requests may hold or
@@ -904,9 +854,9 @@ class HarmonyServer:
 
     # -- federation: cross-shard session handoff ------------------------------
 
-    def moved_target(self, key: str | None) -> str | None:
-        """Where a handed-off session lives now (``None``: not moved)."""
-        if key is None or not self._moved_sessions:
+    def moved_target(self, key: Any) -> str | None:
+        """Where session ``key`` was handed off to (``None``: it was not)."""
+        if not isinstance(key, str) or not self._moved_sessions:
             return None
         with self.sessions_lock:
             return self._moved_sessions.get(key)
@@ -1085,7 +1035,7 @@ class HarmonyServer:
     # -- session leases -------------------------------------------------------
 
     def touch(self, key: str) -> None:
-        """Renew one application's lease (any received message counts)."""
+        """Renew one application's lease."""
         if self.lease_seconds is not None:
             with self.sessions_lock:
                 self._leases[key] = self.clock() + self.lease_seconds

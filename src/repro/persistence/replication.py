@@ -341,8 +341,9 @@ class ReplicationPrimary:
 
     # -- wire entry points --------------------------------------------------
 
-    def handle_hello(self, transport: Transport,
-                     message: dict[str, Any]) -> None:
+    def handle_hello(self, transport: Transport, standby_id: str,
+                     last_seq: int, last_crc: str | None = None,
+                     last_term: int = 0) -> None:
         """Adopt (or re-adopt) a standby and send whatever it is missing.
 
         First the log-matching check: the hello carries the frame CRC
@@ -361,22 +362,19 @@ class ReplicationPrimary:
         *retained* snapshot — guarantees one covers the gap), then the
         tail after it.
         """
-        standby_id = str(require_field(message, "standby_id"))
-        last_seq = int(require_field(message, "last_seq"))
         transport.set_send_timeout(self.ship_timeout)
         records = self.journal.wal.records()
         need_from = last_seq + 1
         horizon = records[0].seq if records else self.journal.wal.next_seq
         replies: list[dict[str, Any]] = []
-        diverged = self._diverged(last_seq, message.get("last_crc"),
-                                  records)
+        diverged = self._diverged(last_seq, last_crc, records)
         if diverged is not None:
             self.controller.metrics.increment(
                 "replication.divergent_rejoins", self.controller.now)
             self._record_event(
                 "standby_diverged", standby_id=standby_id,
                 at_seq=last_seq,
-                standby_term=int(message.get("last_term", 0)),
+                standby_term=last_term,
                 reason=diverged)
             snap_seq, state = self._reset_snapshot(standby_id, last_seq)
             replies.append(_state_message(self.term, snap_seq, state,
@@ -406,9 +404,8 @@ class ReplicationPrimary:
         for reply in replies:
             self._ship(link, reply)
 
-    def handle_ack(self, message: dict[str, Any]) -> None:
-        standby_id = str(require_field(message, "standby_id"))
-        seq = int(require_field(message, "seq"))
+    def handle_ack(self, standby_id: str, seq: int) -> None:
+        """A standby's ``repl_ack``: it holds every record through ``seq``."""
         shipped_at: float | None = None
         with self._lock:
             link = self._links.get(standby_id)
@@ -424,7 +421,7 @@ class ReplicationPrimary:
 
     # -- log matching -------------------------------------------------------
 
-    def _diverged(self, last_seq: int, last_crc: Any,
+    def _diverged(self, last_seq: int, last_crc: str | None,
                   records: list[WalRecord]) -> str | None:
         """Why the standby's newest record is not in this history.
 
@@ -445,7 +442,7 @@ class ReplicationPrimary:
             # unverified suffix must not be built upon.
             return (f"seq {last_seq} is below the compaction horizon "
                     f"and cannot be verified")
-        if _frame_crc(mine) != str(last_crc):
+        if _frame_crc(mine) != last_crc:
             return f"frame CRC mismatch at seq {last_seq}"
         return None
 

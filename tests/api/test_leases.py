@@ -13,7 +13,7 @@ from repro.api import (
 from repro.api.protocol import make_message
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import LeaseExpiredError, ProtocolError
+from repro.errors import HarmonyError, LeaseExpiredError, ProtocolError
 
 
 def db_rsl(client_host):
@@ -91,6 +91,18 @@ class TestLeaseRenewal:
         clock.advance(6.0)
         assert server.check_leases() == []
         assert len(controller.registry) == 1
+
+    def test_request_answered_with_error_does_not_renew(self, world):
+        _cluster, _controller, server, clock = world
+        client = connect(server)
+        clock.advance(6.0)
+        with pytest.raises(HarmonyError, match="server error"):
+            client.bundle_setup("harmonyBundle broken {")
+        client.transport.send(make_message("report_metric", name="x"))
+        assert client._response["type"] == "error"
+        assert server.lease_deadline(client.app_key) == pytest.approx(10.0)
+        client.query_nodes()
+        assert server.lease_deadline(client.app_key) == pytest.approx(16.0)
 
     def test_heartbeat_ack_carries_the_deadline(self, world):
         _cluster, _controller, server, clock = world

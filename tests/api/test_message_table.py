@@ -1,0 +1,142 @@
+"""Every client message type against every gate a session can be behind.
+
+The product of the twelve client types and seven server/session states
+pins what the server answers — the reply's ``type`` and ``error.code``,
+or no reply at all — so the order of the gates (admission slot, standby
+redirect, recovery refusal, federation redirect, eviction, the
+registration check) cannot drift.  In-process transports deliver
+synchronously, so each case is one send and one look at what came back.
+"""
+
+import pytest
+
+from repro.api import HarmonyServer, connected_pair
+from repro.cluster import Cluster
+from repro.controller import AdaptationController
+from repro.controller.federation import RootArbiter, ShardMap
+from repro.persistence import DurabilityJournal
+
+RSL = """
+harmonyBundle A run {
+    {fixed {node worker {seconds 10} {memory 8}}}}
+"""
+
+#: One well-formed request per client type.
+REQUESTS = {
+    "register": {"app_name": "A"},
+    "bundle_setup": {"rsl": RSL},
+    "add_variable": {"name": "run.option", "default": "x",
+                     "var_type": "string"},
+    "wait_for_update": {},
+    "report_metric": {"name": "latency", "value": 1.5},
+    "query_nodes": {},
+    "status": {"max_traces": 1},
+    "heartbeat": {"key": "A.1"},
+    "end": {},
+    "repl_hello": {"standby_id": "sb", "last_seq": 0},
+    "repl_ack": {"standby_id": "sb", "seq": 0},
+    "shard_lookup": {"app_name": "A"},
+}
+
+STATES = ("healthy", "standby", "recovering", "moved", "evicted",
+          "unregistered", "admission_full")
+
+MOVED = [("controller_moved", None)]
+RECOVERING = [("error", "controller_recovering")]
+SHARD_MOVED = [("shard_moved", None)]
+LEASE_EXPIRED = [("lease_expired", None)]
+BUSY = [("error", "controller_busy")]
+ERROR = [("error", None)]
+NONE = []
+
+#: type -> the outcome in each of STATES, in order.
+EXPECTED = {
+    "register": ([("registered", None)], MOVED, RECOVERING, SHARD_MOVED,
+                 [("registered", None)], [("registered", None)], BUSY),
+    "bundle_setup": ([("bundle_ok", None)], MOVED, RECOVERING, SHARD_MOVED,
+                     LEASE_EXPIRED, ERROR, BUSY),
+    "add_variable": ([("variable_added", None)],
+                     [("variable_added", None)],
+                     [("variable_added", None)], SHARD_MOVED, LEASE_EXPIRED,
+                     ERROR, [("variable_added", None)]),
+    "wait_for_update": (NONE, NONE, NONE, SHARD_MOVED, LEASE_EXPIRED, NONE,
+                        NONE),
+    "report_metric": (NONE, MOVED, RECOVERING, SHARD_MOVED, LEASE_EXPIRED,
+                      ERROR, NONE),
+    "query_nodes": ([("node_list", None)], [("node_list", None)],
+                    [("node_list", None)], SHARD_MOVED, LEASE_EXPIRED,
+                    ERROR, [("node_list", None)]),
+    "status": ([("status_report", None)], [("status_report", None)],
+               [("status_report", None)], SHARD_MOVED, LEASE_EXPIRED,
+               [("status_report", None)], [("status_report", None)]),
+    "heartbeat": ([("heartbeat_ack", None)], [("heartbeat_ack", None)],
+                  [("heartbeat_ack", None)], SHARD_MOVED, LEASE_EXPIRED,
+                  ERROR, [("heartbeat_ack", None)]),
+    "end": ([("ended", None)], MOVED, RECOVERING, SHARD_MOVED,
+            LEASE_EXPIRED, ERROR, [("ended", None)]),
+    # A demoted standby has no replication primary to subscribe to.
+    "repl_hello": ([("repl_records", None)], ERROR,
+                   [("repl_records", None)], SHARD_MOVED, LEASE_EXPIRED,
+                   [("repl_records", None)], [("repl_records", None)]),
+    "repl_ack": (NONE, NONE, NONE, SHARD_MOVED, LEASE_EXPIRED, NONE, NONE),
+    # The directory query is never redirected: a handed-off session
+    # asking it falls through to the eviction gate instead.
+    "shard_lookup": ([("shard_map", None)], [("shard_map", None)],
+                     [("shard_map", None)], LEASE_EXPIRED, LEASE_EXPIRED,
+                     [("shard_map", None)], [("shard_map", None)]),
+}
+
+
+class Case:
+    """A replicating, lease-armed arbiter with one session in ``state``."""
+
+    def __init__(self, state, tmp_path):
+        self.now = 0.0
+        controller = AdaptationController(
+            Cluster.full_mesh(["n0", "n1"], memory_mb=96))
+        DurabilityJournal(str(tmp_path), fsync="never").attach(controller)
+        self.server = HarmonyServer(
+            controller, lease_seconds=10.0, clock=lambda: self.now,
+            max_pending_admissions=1)
+        assert self.server.enable_replication() == "primary"
+        self.server.shard_router = RootArbiter(ShardMap(["h:1", "h:2"]))
+        self.state = state
+        self.client_end, server_end = connected_pair()
+        self.session = self.server.attach(server_end)
+        self.replies = []
+        self.client_end.set_receiver(self.replies.append)
+        if state != "unregistered":
+            self.client_end.send({"type": "register", "app_name": "A"})
+            self.client_end.send({"type": "bundle_setup", "rsl": RSL})
+            assert [r["type"] for r in self.replies] == [
+                "registered", "variable_update", "bundle_ok"]
+        key = "A.1"
+        if state == "standby":
+            self.server.demote()
+        elif state == "recovering":
+            self.server.begin_recovery()
+        elif state == "moved":
+            assert self.server.begin_handoff(key, "h:2") is not None
+        elif state == "evicted":
+            self.now = 100.0
+            assert self.server.check_leases() == [key]
+        self.replies.clear()
+
+    def send(self, message):
+        if self.state == "admission_full":
+            with self.server.admission_slot():
+                self.client_end.send(message)
+        else:
+            self.client_end.send(message)
+        return [(reply["type"], reply.get("code"))
+                for reply in self.replies]
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("msg_type", sorted(REQUESTS))
+def test_gate_outcome(msg_type, state, tmp_path):
+    case = Case(state, tmp_path)
+    outcome = case.send({"type": msg_type, **REQUESTS[msg_type]})
+    assert outcome == EXPECTED[msg_type][STATES.index(state)]
+    assert case.server.controller.metrics.latest(
+        "server.unhandled_errors") is None

@@ -1,9 +1,16 @@
 """Wire protocol framing and message validation."""
 
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.api.protocol import (
+    CLIENT_TYPES,
+    MESSAGES,
+    MUTATING_TYPES,
+    SERVER_TYPES,
     FrameDecoder,
     encode_message,
     make_message,
@@ -116,3 +123,71 @@ def test_chunked_streams_preserve_order(types, chunk):
     for start in range(0, len(data), chunk):
         received.extend(decoder.feed(data[start:start + chunk]))
     assert received == messages
+
+
+class TestMessageTable:
+    """docs/wire-protocol.md §2–§3 are the prose form of MESSAGES."""
+
+    DOC = pathlib.Path(__file__).resolve().parents[2] / "docs" / \
+        "wire-protocol.md"
+
+    @staticmethod
+    def _first_table(text, heading):
+        """The rows of the first Markdown table under ``heading``."""
+        section = text.split(heading, 1)[1].split("\n## ", 1)[0]
+        lines = section[section.index("\n|"):].strip().splitlines()
+        rows = []
+        for line in lines[2:]:  # skip the header and its rule
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        return rows
+
+    @staticmethod
+    def _fields(cell):
+        """The field names of a fields cell, ``?`` marking optional ones
+        (``updates: {name: value}`` names ``updates``)."""
+        return {name.split(":")[0]
+                for name in re.findall(r"`([^`]+)`", cell)}
+
+    def _documented(self):
+        text = self.DOC.read_text(encoding="utf-8")
+        documented = {}
+        for type_cell, fields, reply, notes in self._first_table(
+                text, "## 2. Client → server messages"):
+            replies = re.findall(r"`([^`]+)`", reply)
+            documented[type_cell.strip("`")] = (
+                True, self._fields(fields), replies[0] if replies else None,
+                "**mutating**" in notes)
+        for type_cell, fields, _meaning in self._first_table(
+                text, "## 3. Server → client messages"):
+            documented[type_cell.strip("`")] = (
+                False, self._fields(fields), None, False)
+        return documented
+
+    def test_docs_tables_equal_the_message_table(self):
+        table = {row.type: (row.request, set(row.fields), row.reply,
+                            row.mutating)
+                 for row in MESSAGES.values()}
+        assert self._documented() == table
+
+    def test_client_and_server_types_partition_the_table(self):
+        assert CLIENT_TYPES | SERVER_TYPES == set(MESSAGES)
+        assert not CLIENT_TYPES & SERVER_TYPES
+        assert MUTATING_TYPES <= CLIENT_TYPES
+
+    def test_admission_rows_are_locked_and_locked_rows_are_requests(self):
+        for row in MESSAGES.values():
+            assert not row.admission or row.locked, row.type
+            assert not (row.locked or row.session) or row.request, row.type
+
+    @pytest.mark.parametrize("value", ["abc", None, [1], "inf"])
+    def test_a_value_that_does_not_convert_names_its_field(self, value):
+        message = {"type": "repl_ack", "standby_id": "sb", "seq": value}
+        with pytest.raises(ProtocolError, match="'seq'"):
+            MESSAGES["repl_ack"].convert(message)
+
+    def test_optional_null_fields_are_left_to_the_handler(self):
+        assert MESSAGES["status"].convert(
+            {"type": "status", "prefix": None, "max_traces": "3"}) == {
+                "max_traces": 3}

@@ -13,7 +13,8 @@ import zlib
 import pytest
 
 from repro.api import HarmonyServer, make_message
-from repro.api.protocol import REPL_HELLO, REPL_RECORDS, REPL_SNAPSHOT
+from repro.api.protocol import (MESSAGES, REPL_HELLO, REPL_RECORDS,
+                                REPL_SNAPSHOT)
 from repro.api.transport import Transport, connected_pair
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
@@ -61,10 +62,11 @@ def wire_primary(primary, standby):
     client_end, server_end = connected_pair()
 
     def receive(message):
-        if message.get("type") == REPL_HELLO:
-            primary.handle_hello(server_end, message)
+        fields = MESSAGES[message["type"]].convert(message)
+        if message["type"] == REPL_HELLO:
+            primary.handle_hello(server_end, **fields)
         else:
-            primary.handle_ack(message)
+            primary.handle_ack(**fields)
 
     server_end.set_receiver(receive)
     standby.follow(client_end)
@@ -536,9 +538,8 @@ class TestLogMatching:
             def set_send_timeout(self, timeout):
                 calls.append(("timeout", timeout))
 
-        server.replication.handle_hello(
-            Recorder(), make_message(REPL_HELLO, standby_id="sb",
-                                     last_seq=0))
+        server.replication.handle_hello(Recorder(), standby_id="sb",
+                                        last_seq=0)
         assert ("timeout", 5.0) in calls
         assert ("send", REPL_RECORDS) in calls
 
