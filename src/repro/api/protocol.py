@@ -167,6 +167,15 @@ class MessageSpec:
         return converted
 
 
+def wal_frames(value: Any) -> list[str]:
+    """The converter of ``repl_records.frames``: a list of ASCII lines,
+    each a WAL record as framed on disk."""
+    if not isinstance(value, list) or not all(
+            isinstance(frame, str) and frame.isascii() for frame in value):
+        raise TypeError("expected a list of ASCII strings")
+    return value
+
+
 def _server(msg_type: str, *fields: str,
             raises: Mapping[str | None, type[HarmonyError]] | None = None,
             ) -> MessageSpec:
@@ -229,8 +238,13 @@ _ROWS = (
     _server(SHARD_MOVED, "message", "term", "leader",
             raises={None: ShardMovedError}),
     _server(SHARD_MAP, "shards", "leader"),
-    _server(REPL_RECORDS, "term", "frames"),
-    _server(REPL_SNAPSHOT, "term", "last_seq", "crc", "state", "reset?"),
+    # The replication stream, read by a standby: typed, so a malformed
+    # message is a ProtocolError the standby resyncs on.
+    MessageSpec(REPL_RECORDS, {"term": int, "frames": wal_frames},
+                request=False),
+    MessageSpec(REPL_SNAPSHOT, {"term": int, "last_seq": int, "crc": str,
+                                "state": str, "reset?": bool},
+                request=False),
 )
 
 #: The message table: type -> :class:`MessageSpec`.

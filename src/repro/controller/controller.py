@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.allocation.allocation import allocate
@@ -60,7 +60,11 @@ from repro.obs.trace import (
     DecisionTrace,
     DecisionTraceLog,
 )
-from repro.prediction.contention import PlacedConfiguration, SystemView
+from repro.prediction.contention import (
+    PlacedConfiguration,
+    PlacementToken,
+    SystemView,
+)
 from repro.prediction.models import (
     DefaultModel,
     ExplicitSpecModel,
@@ -638,10 +642,7 @@ class AdaptationController:
                         f"bundle_replayed:{instance.key}")
                 self._checkpoint()
                 return existing
-            state = self.registry.add_bundle(instance, bundle)
-            # Indexed before configuration so the initial apply and the
-            # follow-up sweep see the (possibly merged) component.
-            self.partition_index.add_bundle(instance, state)
+            state = self.add_bundle(instance, bundle)
             if self.journal is not None:
                 if rsl_text is None:
                     from repro.rsl import unparse_bundle
@@ -750,12 +751,93 @@ class AdaptationController:
                     f"models by name — pass model_name= (and list it in "
                     f"the journal's model_registry)")
             self.journal.record_model(instance.key, key, model_name)
+        self.attach_model(instance, key, model)
+        self._checkpoint()
+
+    # -- state edits, shared by the live operations (after they decide)
+    # and by replay, a standby and snapshot load (given the logged result).
+
+    def add_bundle(self, instance: AppInstance,
+                   bundle: Bundle) -> BundleState:
+        """Register an unconfigured bundle and index its (possibly
+        merged) component, which its initial apply then sees."""
+        state = self.registry.add_bundle(instance, bundle)
+        self.partition_index.add_bundle(instance, state)
+        return state
+
+    def attach_model(self, instance: AppInstance, key: str,
+                     model: PerformanceModel) -> None:
+        """Make ``model`` the explicit model for ``key`` (a bundle, or a
+        ``bundle.option``)."""
         instance.models[key] = model
         # Custom models can read anything: drop cached predictions and the
         # instance's cached spec-resolved models.
         self._engine.invalidate()
         self.partition_index.note_models_changed()
-        self._checkpoint()
+
+    def place_configuration(self, instance: AppInstance,
+                            state: BundleState, candidate: Candidate,
+                            chosen_at: float) -> PlacementToken:
+        """Allocate ``candidate`` and make it the bundle's configuration
+        (:class:`AllocationError`, changing nothing, if it does not fit)."""
+        allocation = allocate(
+            self.cluster, candidate.demands, candidate.assignment,
+            memory_grants=candidate.memory_grants,
+            predicted_duration_seconds=None,
+            holder=f"{instance.key}:{state.bundle.bundle_name}")
+        state.chosen = ChosenConfiguration(
+            option_name=candidate.option_name,
+            variable_assignment=dict(candidate.variable_assignment),
+            demands=candidate.demands,
+            assignment=candidate.assignment,
+            allocation=allocation,
+            predicted_seconds=candidate.predicted_seconds,
+            chosen_at=chosen_at)
+        token = self.view.place(instance.key, candidate.demands,
+                                candidate.assignment)
+        self.registry.publish_choice(instance, state.bundle.bundle_name,
+                                     memory_grants=candidate.memory_grants)
+        # Dirties the bundle's component (every member re-evaluates against
+        # the new placement) and refreshes opacity tracking.
+        self.partition_index.note_apply(instance.key,
+                                        state.bundle.bundle_name)
+        return token
+
+    def unconfigure(self, instance: AppInstance, state: BundleState) -> None:
+        """Release a bundle's allocation and take it out of the view:
+        explicitly unconfigured (``chosen is None``), predicted by none."""
+        chosen = state.chosen
+        if chosen is None:
+            return
+        chosen.allocation.release()
+        state.chosen = None
+        self.view.remove(instance.key)
+        self.partition_index.note_apply(instance.key,
+                                        state.bundle.bundle_name)
+
+    def fail_node(self, hostname: str,
+                  ) -> list[tuple[AppInstance, BundleState,
+                                  ChosenConfiguration]]:
+        """Fail a machine; unconfigure every bundle on it and return
+        ``(instance, state, old configuration)`` for each, in registry
+        order.  All come off before any is re-placed: a bundle on a dead
+        node is not running, and a standby applying records as they
+        arrive can reproduce only this order."""
+        self.cluster.node(hostname).fail()
+        # Availability changed without a topology-version bump: the host's
+        # component must re-evaluate (also covers the freed-resources case
+        # when displaced bundles strand).
+        self.partition_index.touch_host(hostname)
+        displaced = []
+        for instance in self.registry.instances():
+            for state in instance.bundles.values():
+                chosen = state.chosen
+                if chosen is not None and \
+                        hostname in chosen.assignment.hostnames():
+                    displaced.append((instance, state, chosen))
+                    self.unconfigure(instance, state)
+        self.metrics.report("controller.node_failures", self.now, 1.0)
+        return displaced
 
     # -- reconfiguration plumbing -------------------------------------------
 
@@ -790,20 +872,12 @@ class AdaptationController:
         if old is not None:
             old.allocation.release()
         try:
-            allocation = allocate(
-                self.cluster, candidate.demands, candidate.assignment,
-                memory_grants=candidate.memory_grants,
-                predicted_duration_seconds=None,
-                holder=f"{instance.key}:{state.bundle.bundle_name}")
+            token = self.place_configuration(instance, state, candidate,
+                                             chosen_at=self.now)
         except AllocationError:
             if old is not None:
-                # The old allocation is gone and the new one failed: the
-                # bundle is explicitly unconfigured — and must disappear
-                # from the system view so predictions stop counting it.
-                state.chosen = None
-                self.view.remove(instance.key)
-                self.partition_index.note_apply(
-                    instance.key, state.bundle.bundle_name)
+                # The old allocation is gone and the new one failed.
+                self.unconfigure(instance, state)
                 if self.journal is not None:
                     self.journal.record_unconfigured(
                         instance.key, state.bundle.bundle_name)
@@ -811,22 +885,9 @@ class AdaptationController:
                     f"{instance.key}: lost resources while reconfiguring "
                     f"{state.bundle.bundle_name!r}") from None
             raise
-
-        state.chosen = ChosenConfiguration(
-            option_name=candidate.option_name,
-            variable_assignment=dict(candidate.variable_assignment),
-            demands=candidate.demands,
-            assignment=candidate.assignment,
-            allocation=allocation,
-            predicted_seconds=candidate.predicted_seconds,
-            chosen_at=self.now)
         if option_changed:
             state.last_switch_time = self.now
             state.switch_count += 1
-        token = self.view.place(instance.key, candidate.demands,
-                                candidate.assignment)
-        self.registry.publish_choice(instance, state.bundle.bundle_name,
-                                     memory_grants=candidate.memory_grants)
 
         # Advance the prediction cache by this placement's delta instead of
         # recomputing the whole system.
@@ -877,11 +938,6 @@ class AdaptationController:
             self.journal.record_apply(instance, state, candidate, reason,
                                       objective_before, objective_after)
 
-        # Dirties the bundle's component (every member re-evaluates against
-        # the new placement) and refreshes opacity tracking.
-        self.partition_index.note_apply(instance.key,
-                                        state.bundle.bundle_name)
-
         if option_changed:
             event = ReconfigurationEvent(
                 time=self.now, app_key=instance.key,
@@ -889,7 +945,7 @@ class AdaptationController:
                 option_name=candidate.option_name,
                 variable_assignment=dict(candidate.variable_assignment),
                 placements=dict(candidate.assignment.placements),
-                memory_grants=allocation.memory_grants())
+                memory_grants=state.chosen.allocation.memory_grants())
             for listener in list(self._listeners):
                 listener(event)
 
@@ -996,41 +1052,20 @@ class AdaptationController:
         Returns the keys of applications that could not be replaced.
         """
         if self.journal is not None:
-            # Journaled before the displacement: replay fails the node and
-            # strips its placements, then the subsequent ``apply`` records
-            # restore the survivors exactly as the policy re-placed them.
+            # Journaled before the displacement: replay makes the same
+            # displacement, then the subsequent ``apply`` records restore
+            # the survivors exactly as the policy re-placed them.
             self.journal.record_node_failure(hostname)
-        node = self.cluster.node(hostname)
-        node.fail()
-        # Availability changed without a topology-version bump: the host's
-        # component must re-evaluate (also covers the freed-resources case
-        # when displaced bundles strand).
-        self.partition_index.touch_host(hostname)
         stranded: list[str] = []
-        for instance in self.registry.instances():
-            for state in instance.bundles.values():
-                chosen = state.chosen
-                if chosen is None or \
-                        hostname not in chosen.assignment.hostnames():
-                    continue
-                chosen.allocation.release()
-                state.chosen = None
-                self.view.remove(instance.key)
-                try:
-                    self.policy.configure_new_bundle(self, instance, state)
-                    record = self.decision_log[-1]
-                    self.decision_log[-1] = DecisionRecord(
-                        time=record.time, app_key=record.app_key,
-                        bundle_name=record.bundle_name,
-                        old_configuration=chosen.describe(),
-                        new_configuration=record.new_configuration,
-                        reason=f"node failure: {hostname}",
-                        objective_before=record.objective_before,
-                        objective_after=record.objective_after)
-                except AllocationError:
-                    stranded.append(instance.key)
+        for instance, state, old in self.fail_node(hostname):
+            try:
+                self.policy.configure_new_bundle(self, instance, state)
+                self.decision_log[-1] = replace(
+                    self.decision_log[-1], old_configuration=old.describe(),
+                    reason=f"node failure: {hostname}")
+            except AllocationError:
+                stranded.append(instance.key)
         self.policy.reevaluate(self)
-        self.metrics.report("controller.node_failures", self.now, 1.0)
         self._checkpoint()
         return stranded
 

@@ -122,7 +122,6 @@ class PartitionIndex:
         #: any exists, every partition couples with every other and
         #: pruning is disabled.
         self._opaque: set[str] = set()
-        self._models_rescan = False
         self._topology_version = getattr(controller.cluster,
                                          "topology_version", 0)
         self._next_pid = 1
@@ -260,7 +259,7 @@ class PartitionIndex:
 
     def note_models_changed(self) -> None:
         """An explicit model was registered: rescan opacity, dirty all."""
-        self._models_rescan = True
+        self._rescan_opacity()
         self.touch_all()
 
     # -- dirtiness -----------------------------------------------------------
@@ -289,15 +288,12 @@ class PartitionIndex:
         if current != self._topology_version or \
                 self._removals >= REBUILD_AFTER_REMOVALS or \
                 registered != len(self._member_pid):
-            # The membership check self-heals paths that rebuild
-            # controller state without going through setup_bundle
-            # (crash recovery reconstructs the registry via the codec).
+            # A defence: every path that adds a bundle (live, replay,
+            # snapshot load) indexes it, so membership only disagrees if
+            # a future path forgets to.
             self.rebuild()
-        if self._models_rescan:
-            self._rescan_opacity()
 
     def _rescan_opacity(self) -> None:
-        self._models_rescan = False
         self._opaque = {placed.app_key for placed
                         in self.controller.view.configurations()
                         if not self.controller.model_is_footprint_safe(placed)}
@@ -318,12 +314,12 @@ class PartitionIndex:
         members' still-valid clean watermarks to its own ``(pid, epoch)``
         and stays settled if its old component was.  The refinement is
         checked, not assumed: a component with members from two old
-        components, or with a bundle that was not indexed (after a
-        restore, every component), carries nothing.
+        components, or with a bundle that was not indexed, carries
+        nothing.
 
-        Opacity is re-derived from the view too: a restore rebuilds the
-        registry and the placements without telling the index about the
-        models it read back.
+        Opacity is re-derived from the view too, a defence like the
+        membership check in :meth:`refresh`: placements and models are
+        indexed as they are made, on every path.
         """
         current = getattr(self.controller.cluster, "topology_version", 0)
         old_pid = self._member_pid if current == self._topology_version \

@@ -16,18 +16,14 @@ proceed on any mismatch (:class:`~repro.errors.RecoveryError`).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.allocation.allocation import allocate
 from repro.allocation.instantiate import instantiate_option
 from repro.allocation.matcher import Assignment
 from repro.cluster.topology import Cluster
 from repro.controller.optimizer import Candidate
-from repro.controller.registry import (
-    AppInstance,
-    BundleState,
-    ChosenConfiguration,
-)
+from repro.controller.registry import AppInstance, BundleState
 from repro.errors import RecoveryError
 from repro.rsl import build_bundle
 
@@ -97,7 +93,8 @@ def candidate_to_dict(candidate: Candidate) -> dict[str, Any]:
 
 def candidate_from_dict(state: BundleState,
                         data: Mapping[str, Any]) -> Candidate:
-    """Rebuild a candidate against the bundle's live RSL model."""
+    """Rebuild a candidate against the bundle's live RSL model, from an
+    ``apply`` record or a snapshot's chosen configuration."""
     option = state.bundle.option_named(str(data["option_name"]))
     variables = {str(k): float(v) for k, v in
                  dict(data["variable_assignment"]).items()}
@@ -111,7 +108,7 @@ def candidate_from_dict(state: BundleState,
         demands=demands,
         assignment=Assignment(placements={
             str(k): str(v) for k, v in dict(data["placements"]).items()}),
-        objective_value=float(data["objective_value"]),
+        objective_value=float(data.get("objective_value", math.inf)),
         predicted_seconds=float(data["predicted_seconds"]))
 
 
@@ -185,11 +182,11 @@ def apply_state(controller: "AdaptationController",
                 state: Mapping[str, Any]) -> None:
     """Load a snapshot body into an empty controller.
 
-    Rebuilds instances, bundles, chosen configurations (allocation +
-    view placement + namespace publication), and the external-load
-    objective inputs — without touching the decision or lifecycle logs,
-    which belong to the *live* history, not the recovered baseline.
-    Finishes by re-verifying the snapshot's digest.
+    Rebuilds instances, models, bundles and chosen configurations through
+    the controller's own state edits, and the external-load objective
+    inputs — without touching the decision or lifecycle logs, which
+    belong to the *live* history, not the recovered baseline.  Finishes
+    by re-verifying the snapshot's digest.
     """
     registry = controller.registry
     if len(registry) != 0:
@@ -202,12 +199,12 @@ def apply_state(controller: "AdaptationController",
             registered_at=float(data["registered_at"]))
         registry.adopt(instance)
         for model_key, model_name in dict(data.get("models") or {}).items():
-            model = journal.resolve_model(model_name)
-            instance.models[model_key] = model
+            controller.attach_model(instance, model_key,
+                                    journal.resolve_model(model_name))
             journal.note_model(instance.key, model_key, model_name)
         for bundle_data in data.get("bundles", []):
             rsl = str(bundle_data["rsl"])
-            bundle_state = registry.add_bundle(instance, build_bundle(rsl))
+            bundle_state = controller.add_bundle(instance, build_bundle(rsl))
             journal.note_bundle(instance.key, bundle_data["name"], rsl)
             if bundle_data.get("last_switch_time") is not None:
                 bundle_state.last_switch_time = float(
@@ -215,7 +212,10 @@ def apply_state(controller: "AdaptationController",
             bundle_state.switch_count = int(bundle_data["switch_count"])
             chosen = bundle_data.get("chosen")
             if chosen is not None:
-                _apply_chosen(controller, instance, bundle_state, chosen)
+                controller.place_configuration(
+                    instance, bundle_state,
+                    candidate_from_dict(bundle_state, chosen),
+                    chosen_at=float(chosen["chosen_at"]))
     registry.next_instance_id = int(state["next_instance_id"])
     external = state.get("external") or {}
     for host, load in dict(external.get("cpu") or {}).items():
@@ -224,34 +224,6 @@ def apply_state(controller: "AdaptationController",
         controller.view.set_external_link_load(str(host_a), str(host_b),
                                                float(flows))
     _verify_digest(controller, state.get("digest") or {})
-
-
-def _apply_chosen(controller: "AdaptationController",
-                  instance: AppInstance, state: BundleState,
-                  data: Mapping[str, Any]) -> None:
-    option = state.bundle.option_named(str(data["option_name"]))
-    variables = {str(k): float(v) for k, v in
-                 dict(data["variable_assignment"]).items()}
-    grants = {str(k): float(v) for k, v in
-              dict(data["memory_grants"]).items()}
-    demands = instantiate_option(option, variables, grants or None)
-    assignment = Assignment(placements={
-        str(k): str(v) for k, v in dict(data["placements"]).items()})
-    allocation = allocate(
-        controller.cluster, demands, assignment, memory_grants=grants,
-        predicted_duration_seconds=None,
-        holder=f"{instance.key}:{state.bundle.bundle_name}")
-    state.chosen = ChosenConfiguration(
-        option_name=option.name,
-        variable_assignment=variables,
-        demands=demands,
-        assignment=assignment,
-        allocation=allocation,
-        predicted_seconds=float(data["predicted_seconds"]),
-        chosen_at=float(data["chosen_at"]))
-    controller.view.place(instance.key, demands, assignment)
-    controller.registry.publish_choice(
-        instance, state.bundle.bundle_name, memory_grants=grants)
 
 
 def _verify_digest(controller: "AdaptationController",

@@ -6,12 +6,13 @@ sequence, adapted to a result-sourced log:
 
 1. **Load** the newest snapshot that verifies (older generations are the
    fallback when the newest is corrupt), rebuilding registry, bundles,
-   allocations, view placements, and namespace, then re-checking the
-   snapshot's own digest.
+   allocations, view placements, partition index and namespace, then
+   re-checking the snapshot's own digest.
 2. **Replay** the WAL tail deterministically.  The log records decision
    *results* (concrete candidates), so replay never re-runs the
    optimizer: the decision policy is swapped for a no-op while each
-   record is re-applied at its original simulated time, and every
+   record is re-applied, at its original simulated time and through the
+   controller's own state edits, and every
    ``apply`` record's recomputed objective is compared against the
    logged one — a mismatch means replay is not reproducing history and
    recovery stops (:class:`~repro.errors.RecoveryError`).
@@ -30,9 +31,10 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Callable, Mapping
 
 from repro.allocation.matcher import MatchStrategy
+from repro.cluster.topology import Cluster
 from repro.controller.controller import AdaptationController, DecisionPolicy
 from repro.controller.friction import FrictionPolicy
 from repro.controller.objective import Objective
@@ -46,12 +48,13 @@ from repro.obs.trace import NULL_TRACER
 from repro.persistence import codec
 from repro.persistence.crash import CrashSchedule
 from repro.persistence.journal import DurabilityJournal
-from repro.persistence.snapshot import latest_snapshot
+from repro.persistence.snapshot import latest_snapshot, snapshot_files
 from repro.persistence.wal import WalRecord
 from repro.prediction.models import PerformanceModel
 from repro.rsl import build_bundle
 
-__all__ = ["RecoveryReport", "restore_controller"]
+__all__ = ["RecoveryReport", "restore_controller", "load_directory",
+           "apply_record"]
 
 
 @dataclass
@@ -63,21 +66,9 @@ class RecoveryReport:
     snapshot_seq: int
     records_replayed: int
     last_seq: int
-    recovery_seconds: float
+    recovery_seconds: float = 0.0
     skipped_snapshots: list[str] = field(default_factory=list)
     reevaluation_changes: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "directory": self.directory,
-            "snapshot_path": self.snapshot_path,
-            "snapshot_seq": self.snapshot_seq,
-            "records_replayed": self.records_replayed,
-            "last_seq": self.last_seq,
-            "recovery_seconds": self.recovery_seconds,
-            "skipped_snapshots": list(self.skipped_snapshots),
-            "reevaluation_changes": self.reevaluation_changes,
-        }
 
 
 class _ReplayPolicy(DecisionPolicy):
@@ -131,36 +122,24 @@ def restore_controller(
         keep_snapshots=keep_snapshots, fsync=fsync,
         crash_schedule=crash_schedule, model_registry=model_registry)
     with tracer.span("controller.restore", directory=directory) as span:
-        records = journal.wal.records()
-        skipped: list[str] = []
-        snapshot = latest_snapshot(directory, skipped=skipped)
-        base_seq, cluster, state = _base_state(directory, snapshot,
-                                               records, skipped)
-        controller = AdaptationController(
-            cluster, metrics=metrics, objective=objective,
-            policy=policy, friction_policy=friction_policy,
-            default_model=default_model, match_strategy=match_strategy,
-            reevaluation_period_seconds=reevaluation_period_seconds,
-            tracer=tracer, trace_log=trace_log)
-        with tracer.span("controller.restore.load_snapshot",
-                         seq=base_seq) as load_span:
-            if state is not None:
-                codec.apply_state(controller, journal, state)
-            load_span.set("instances", len(controller.registry))
-        tail = [record for record in records if record.seq > base_seq]
-        with tracer.span("controller.restore.replay_wal",
-                         records=len(tail)):
-            _replay(controller, journal, tail)
+        loaded = load_directory(
+            directory, journal,
+            lambda cluster: AdaptationController(
+                cluster, metrics=metrics, objective=objective,
+                policy=policy, friction_policy=friction_policy,
+                default_model=default_model, match_strategy=match_strategy,
+                reevaluation_period_seconds=reevaluation_period_seconds,
+                tracer=tracer, trace_log=trace_log))
+        if loaded is None:
+            if snapshot_files(directory):
+                raise SnapshotCorruptionError(
+                    f"{directory}: every snapshot is corrupt and the WAL "
+                    f"is empty — no valid state remains")
+            raise RecoveryError(f"{directory}: nothing to restore")
+        controller, report = loaded
         journal.attach(controller, resume=True)
         elapsed = _time.perf_counter() - start
-        report = RecoveryReport(
-            directory=directory,
-            snapshot_path=snapshot[2] if snapshot else None,
-            snapshot_seq=base_seq,
-            records_replayed=len(tail),
-            last_seq=records[-1].seq if records else base_seq,
-            recovery_seconds=elapsed,
-            skipped_snapshots=skipped)
+        report.recovery_seconds = elapsed
         journal.record_recovered({
             "records_replayed": report.records_replayed,
             "snapshot_seq": report.snapshot_seq,
@@ -175,8 +154,49 @@ def restore_controller(
     return controller
 
 
-def _base_state(directory: str, snapshot, records: list[WalRecord],
-                skipped: list[str]):
+def load_directory(directory: str, journal: DurabilityJournal,
+                   build: Callable[[Cluster], AdaptationController],
+                   ) -> tuple[AdaptationController, RecoveryReport] | None:
+    """Base plus tail: the state ``directory`` holds, in a new controller.
+
+    Chooses the newest snapshot that verifies (or the genesis record),
+    builds the controller with ``build(cluster)``, loads the snapshot
+    into it and applies every later WAL record.  Returns ``None`` when
+    the directory holds no WAL record and no snapshot that verifies.  The
+    report's ``recovery_seconds`` is left at zero for the caller.
+    """
+    records = journal.wal.records()
+    skipped: list[str] = []
+    snapshot = latest_snapshot(directory, skipped=skipped)
+    if snapshot is None and not records:
+        return None
+    base_seq, cluster, state = _base_state(directory, snapshot, records)
+    controller = build(cluster)
+    tracer = controller.tracer
+    with tracer.span("controller.restore.load_snapshot",
+                     seq=base_seq) as load_span:
+        if state is not None:
+            codec.apply_state(controller, journal, state)
+        load_span.set("instances", len(controller.registry))
+    tail = [record for record in records if record.seq > base_seq]
+    with tracer.span("controller.restore.replay_wal", records=len(tail)):
+        real_policy = controller.policy
+        controller.policy = _ReplayPolicy()
+        try:
+            for record in tail:
+                apply_record(controller, journal, record)
+        finally:
+            controller.policy = real_policy
+    return controller, RecoveryReport(
+        directory=directory,
+        snapshot_path=snapshot[2] if snapshot else None,
+        snapshot_seq=base_seq,
+        records_replayed=len(tail),
+        last_seq=records[-1].seq if records else base_seq,
+        skipped_snapshots=skipped)
+
+
+def _base_state(directory: str, snapshot, records: list[WalRecord]):
     """Choose the recovery base: ``(base_seq, cluster, state-or-None)``."""
     if snapshot is not None:
         base_seq, state, _path = snapshot
@@ -186,12 +206,6 @@ def _base_state(directory: str, snapshot, records: list[WalRecord],
                 f"newest valid snapshot covers only up to {base_seq}")
         return base_seq, codec.cluster_from_topology(state["topology"]), \
             state
-    if not records:
-        if skipped:
-            raise SnapshotCorruptionError(
-                f"{directory}: every snapshot is corrupt and the WAL is "
-                f"empty — no valid state remains")
-        raise RecoveryError(f"{directory}: nothing to restore")
     if records[0].seq != 1:
         raise SnapshotCorruptionError(
             f"{directory}: WAL was compacted to seq {records[0].seq} but "
@@ -204,44 +218,34 @@ def _base_state(directory: str, snapshot, records: list[WalRecord],
     return 1, codec.cluster_from_topology(genesis.data["topology"]), None
 
 
-def _replay(controller: AdaptationController, journal: DurabilityJournal,
-            tail: list[WalRecord]) -> None:
-    """Re-apply the WAL tail with the optimizer held inert."""
-    real_policy = controller.policy
-    controller.policy = _ReplayPolicy()
-    try:
-        for record in tail:
-            controller.cluster.kernel.advance_to(record.time)
-            _apply_record(controller, journal, record)
-    finally:
-        controller.policy = real_policy
+def apply_record(controller: AdaptationController,
+                 journal: DurabilityJournal, record: WalRecord) -> None:
+    """Re-apply one logged record at its original simulated time.
 
-
-def _apply_record(controller: AdaptationController,
-                  journal: DurabilityJournal, record: WalRecord) -> None:
+    Every arm calls the controller's own operation or state edit with
+    the logged result in place of a decision; none edits state itself.
+    """
+    controller.cluster.kernel.advance_to(record.time)
     kind, data = record.kind, record.data
     registry = controller.registry
-    if kind == "register":
-        instance = controller.register_app(
-            str(data["app_name"]), resume_key=data.get("resume_key"))
+    if kind in ("register", "adopt"):
+        if kind == "register":
+            instance = controller.register_app(
+                str(data["app_name"]), resume_key=data.get("resume_key"))
+        else:
+            # A federation handoff re-admitted the instance under its
+            # original key (see AdaptationController.adopt_app): rebuild
+            # it with the exact logged id — register_app would mint one.
+            instance = controller.adopt_app(str(data["app_name"]),
+                                            int(data["instance_id"]))
         if instance.key != data["key"]:
             raise RecoveryError(
-                f"replay diverged: register produced {instance.key!r}, "
-                f"log says {data['key']!r} (seq {record.seq})")
-    elif kind == "adopt":
-        # A federation handoff re-admitted the instance under its
-        # original key (see AdaptationController.adopt_app): rebuild it
-        # with the exact logged id — register_app would mint a new one.
-        instance = controller.adopt_app(str(data["app_name"]),
-                                        int(data["instance_id"]))
-        if instance.key != data["key"]:
-            raise RecoveryError(
-                f"replay diverged: adopt produced {instance.key!r}, "
+                f"replay diverged: {kind} produced {instance.key!r}, "
                 f"log says {data['key']!r} (seq {record.seq})")
     elif kind == "setup_bundle":
         instance = registry.instance(str(data["key"]))
         rsl = str(data["rsl"])
-        registry.add_bundle(instance, build_bundle(rsl))
+        controller.add_bundle(instance, build_bundle(rsl))
         journal.note_bundle(instance.key, str(data["bundle_name"]), rsl)
     elif kind == "apply":
         instance = registry.instance(str(data["key"]))
@@ -260,11 +264,8 @@ def _apply_record(controller: AdaptationController,
                 f"{instance.key}.{state.bundle.bundle_name}")
     elif kind == "unconfigured":
         instance = registry.instance(str(data["key"]))
-        state = instance.bundle_state(str(data["bundle_name"]))
-        if state.chosen is not None:
-            state.chosen.allocation.release()
-            state.chosen = None
-            controller.view.remove(instance.key)
+        controller.unconfigure(
+            instance, instance.bundle_state(str(data["bundle_name"])))
     elif kind == "release":
         instance = registry.instance(str(data["key"]))
         if data["kind"] == "evicted":
@@ -274,46 +275,24 @@ def _apply_record(controller: AdaptationController,
         journal.forget_app(instance.key)
     elif kind == "model":
         instance = registry.instance(str(data["key"]))
-        model = journal.resolve_model(str(data["model_name"]))
-        instance.models[str(data["model_key"])] = model
-        journal.note_model(instance.key, str(data["model_key"]),
-                           str(data["model_name"]))
-        controller._engine.invalidate()
+        model_name = str(data["model_name"])
+        controller.attach_model(instance, str(data["model_key"]),
+                                journal.resolve_model(model_name))
+        journal.note_model(instance.key, str(data["model_key"]), model_name)
     elif kind == "node_failure":
-        _replay_node_failure(controller, str(data["hostname"]))
+        # The displacement alone: the re-placements follow as ``apply``
+        # records.
+        controller.fail_node(str(data["hostname"]))
     elif kind == "node_restored":
-        controller.cluster.node(str(data["hostname"])).restore()
-        controller.metrics.report("controller.node_restorations",
-                                  controller.now, 1.0)
+        controller.handle_node_restored(str(data["hostname"]))
     elif kind == "term":
         # A fencing-term transition: restore the highest term this
         # controller ever served under so a restarted (possibly deposed)
         # primary can compare itself against the shared fencing record.
-        controller.term = max(controller.term, int(data["term"]))
+        controller.note_term(max(controller.term, int(data["term"])))
     elif kind in ("genesis", "lease_expired", "recovered",
                   "reevaluation_batch"):
         pass  # audit-only records: no state to re-apply
     else:
         raise RecoveryError(
             f"unknown WAL record kind {kind!r} (seq {record.seq})")
-
-
-def _replay_node_failure(controller: AdaptationController,
-                         hostname: str) -> None:
-    """The displacement half of ``handle_node_failure``.
-
-    The reconfiguration half arrives as subsequent ``apply`` records, so
-    replay only fails the node and strips the placements it carried.
-    """
-    controller.cluster.node(hostname).fail()
-    for instance in controller.registry.instances():
-        for state in instance.bundles.values():
-            chosen = state.chosen
-            if chosen is None or \
-                    hostname not in chosen.assignment.hostnames():
-                continue
-            chosen.allocation.release()
-            state.chosen = None
-            controller.view.remove(instance.key)
-    controller.metrics.report("controller.node_failures", controller.now,
-                              1.0)

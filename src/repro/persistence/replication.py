@@ -60,12 +60,12 @@ except ImportError:  # pragma: no cover - non-posix: best-effort fencing
     fcntl = None  # type: ignore[assignment]
 
 from repro.api.protocol import (
+    MESSAGES,
     REPL_ACK,
     REPL_HELLO,
     REPL_RECORDS,
     REPL_SNAPSHOT,
     make_message,
-    require_field,
 )
 from repro.api.transport import Transport
 from repro.errors import (
@@ -80,9 +80,9 @@ from repro.obs.flightrec import EVENT_PROMOTION, EVENT_REPLICATION
 from repro.persistence import codec
 from repro.persistence.journal import DurabilityJournal
 from repro.persistence.recovery import (
-    _apply_record,
-    _base_state,
     _ReplayPolicy,
+    apply_record,
+    load_directory,
 )
 from repro.persistence.snapshot import (
     latest_snapshot,
@@ -653,18 +653,24 @@ class ReplicationStandby:
     # -- the replication stream ---------------------------------------------
 
     def on_message(self, message: dict[str, Any]) -> None:
-        """Transport receiver for the primary's stream."""
+        """Transport receiver for the primary's stream; a message whose
+        fields do not convert is a damaged frame (resync, apply none)."""
         msg_type = message.get("type")
-        if msg_type == REPL_RECORDS:
-            self._handle_records(message)
-        elif msg_type == REPL_SNAPSHOT:
-            self._handle_snapshot(message)
-        else:
+        handler = {REPL_RECORDS: self._handle_records,
+                   REPL_SNAPSHOT: self._handle_snapshot}.get(msg_type)
+        if handler is None:
             # An error reply to our hello (the primary could not serve
             # it) or a redirect from a server that is not primary: a
             # standby that silently dropped these would wait forever,
             # so count it, journal it, and tell the owner.
             self._handle_stream_error(message)
+            return
+        try:
+            fields = MESSAGES[msg_type].convert(message)
+        except ProtocolError as exc:
+            self._request_resync(str(exc))
+            return
+        handler(**fields)
 
     def _hello_message(self) -> dict[str, Any]:
         """The (re)subscription message, carrying the log-match token.
@@ -695,13 +701,13 @@ class ReplicationStandby:
         if self.on_stream_error is not None:
             self.on_stream_error(message)
 
-    def _handle_records(self, message: dict[str, Any]) -> None:
-        self._observe_term(int(message.get("term", 0)))
+    def _handle_records(self, term: int, frames: list[str]) -> None:
+        self._observe_term(term)
         with self._lock:
             if self.promoted:
                 return
-            for frame in message.get("frames", []):
-                record = decode_frame(str(frame).encode("ascii"))
+            for frame in frames:
+                record = decode_frame(frame.encode("ascii"))
                 if record is None:
                     self._request_resync("corrupt frame")
                     return
@@ -716,13 +722,10 @@ class ReplicationStandby:
                 self._apply_one(record)
             self._send_ack()
 
-    def _handle_snapshot(self, message: dict[str, Any]) -> None:
-        self._observe_term(int(message.get("term", 0)))
-        last_seq = int(require_field(message, "last_seq"))
-        text = str(require_field(message, "state"))
-        crc = str(require_field(message, "crc"))
-        reset = bool(message.get("reset", False))
-        if f"{zlib.crc32(text.encode('utf-8')):08x}" != crc:
+    def _handle_snapshot(self, term: int, last_seq: int, crc: str,
+                         state: str, reset: bool = False) -> None:
+        self._observe_term(term)
+        if f"{zlib.crc32(state.encode('utf-8')):08x}" != crc:
             self._request_resync("snapshot checksum mismatch")
             return
         with self._lock:
@@ -743,8 +746,7 @@ class ReplicationStandby:
                 self._record_event("divergent_suffix_truncated",
                                    from_seq=self.last_seq,
                                    to_seq=last_seq)
-            state = json.loads(text)
-            self._adopt_snapshot(last_seq, state)
+            self._adopt_snapshot(last_seq, json.loads(state))
             self._send_ack()
 
     def _adopt_snapshot(self, last_seq: int, state: dict[str, Any]) -> None:
@@ -786,8 +788,7 @@ class ReplicationStandby:
                 codec.cluster_from_topology(record.data["topology"]))
         # Write-ahead on the standby too: persist, then apply.
         self.journal.wal.append_record(record)
-        controller.cluster.kernel.advance_to(record.time)
-        _apply_record(controller, self.journal, record)
+        apply_record(controller, self.journal, record)
         self.last_seq = record.seq
         self.records_applied += 1
         self._applied_since_snapshot += 1
@@ -933,23 +934,13 @@ class ReplicationStandby:
         contain exactly the primary's records) and the journal is not
         attached for writing.
         """
-        records = self.journal.wal.records()
-        skipped: list[str] = []
-        snapshot = latest_snapshot(self.directory, skipped=skipped)
-        if snapshot is None and not records:
+        loaded = load_directory(self.directory, self.journal,
+                                self._build_controller)
+        if loaded is None:
             return  # a brand-new standby: wait for the stream
-        base_seq, cluster, state = _base_state(
-            self.directory, snapshot, records, skipped)
-        controller = self._build_controller(cluster)
-        if state is not None:
-            codec.apply_state(controller, self.journal, state)
-        for record in records:
-            if record.seq <= base_seq:
-                continue
-            controller.cluster.kernel.advance_to(record.time)
-            _apply_record(controller, self.journal, record)
-            self.records_applied += 1
-        self.last_seq = records[-1].seq if records else base_seq
+        controller, report = loaded
+        self.records_applied += report.records_replayed
+        self.last_seq = report.last_seq
         self.term = controller.term
         self._record_event("restored", seq=self.last_seq)
 

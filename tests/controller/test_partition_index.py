@@ -237,8 +237,9 @@ class TestRebuildKeepsWhatItProved:
         controller = pod_controller(pods=2)
         index = controller.partition_index
         controller.reevaluate()
-        # A replayed setup_bundle (crash recovery, a standby) registers
-        # and places a bundle without indexing it or moving an epoch.
+        # Every product path indexes the bundles it adds; this one
+        # registers and places a bundle behind the index's back, the
+        # case the membership check in refresh() defends against.
         late = controller.register_app("Late")
         state = controller.registry.add_bundle(
             late, build_bundle(POD_RSL.format(pod=0, index=9)))

@@ -58,6 +58,9 @@ RSLS = {
     "beta": app_rsl("beta", "n2", "n3", 6, 8),
     "gamma": app_rsl("gamma", "n1", "n3", 9, 12),
     "delta": app_rsl("delta", "n3", "n2", 7, 9),
+    # Far slower away from n0: both stay there, sharing it.
+    "zeta": app_rsl("zeta", "n0", "n1", 4, 30),
+    "eta": app_rsl("eta", "n0", "n2", 4, 30),
 }
 
 #: The script: joins, a node failure, a clean exit, a restoration, an
@@ -75,6 +78,22 @@ OPS = (
     ("evict", "gamma"),
     ("register", "delta"),
     ("setup", "delta"),
+    ("reevaluate",),
+)
+
+#: A second script: the failure of n0 displaces two bundles at once, so
+#: the re-placement of the first must not count the second (replay and a
+#: standby strip both before re-placing either).
+OPS_DOUBLE_DISPLACEMENT = (
+    ("register", "zeta"),
+    ("setup", "zeta"),
+    ("register", "eta"),
+    ("setup", "eta"),
+    ("register", "beta"),
+    ("setup", "beta"),
+    ("fail", "n0"),
+    ("end", "zeta"),
+    ("restore_node", "n0"),
     ("reevaluate",),
 )
 
@@ -138,16 +157,16 @@ def digest(controller):
     }
 
 
-def run_oracle(directory, snapshot_every=0):
+def run_oracle(directory, snapshot_every=0, ops=OPS):
     controller = build_controller(directory, snapshot_every=snapshot_every)
-    for op in OPS:
+    for op in ops:
         apply_op(controller, op)
     appends = controller.journal.wal.append_count
     controller.journal.close()
     return digest(controller), appends
 
 
-def run_crashed(directory, index, point, snapshot_every=0):
+def run_crashed(directory, index, point, snapshot_every=0, ops=OPS):
     """One kill-and-recover run; returns (final digest, crash metadata)."""
     schedule = ScriptedCrashSchedule({index: point})
     crashed_at = None
@@ -156,7 +175,7 @@ def run_crashed(directory, index, point, snapshot_every=0):
         controller = build_controller(directory,
                                       snapshot_every=snapshot_every,
                                       crash_schedule=schedule)
-        for op_index, op in enumerate(OPS):
+        for op_index, op in enumerate(ops):
             apply_op(controller, op)
     except SimulatedCrash:
         crashed_at = op_index if controller is not None else -1
@@ -178,7 +197,7 @@ def run_crashed(directory, index, point, snapshot_every=0):
     # periodic reevaluation skips those, so recovery retries them
     # explicitly before resuming the script.
     restored.configure_stranded()
-    for op in OPS[max(crashed_at, 0):]:
+    for op in ops[max(crashed_at, 0):]:
         apply_op(restored, op, redo=True)
     final = digest(restored)
     restored.journal.close()
@@ -227,6 +246,35 @@ class TestKillAtEveryPoint:
                                       snapshot_every=4)
             assert meta["crashed"]
             assert_digests_match(final, oracle)
+
+    @pytest.mark.parametrize("snapshot_every", [0, 4],
+                             ids=["wal", "snapshots"])
+    @pytest.mark.parametrize("point", ALL_POINTS,
+                             ids=lambda p: p.name.lower())
+    def test_double_displacement_recovers_to_the_oracle(
+            self, tmp_path, point, snapshot_every):
+        ops = OPS_DOUBLE_DISPLACEMENT
+        oracle, total_appends = run_oracle(
+            tmp_path / "oracle", snapshot_every=snapshot_every, ops=ops)
+        for index in range(total_appends):
+            directory = tmp_path / f"kill-{index}"
+            final, meta = run_crashed(directory, index, point,
+                                      snapshot_every=snapshot_every,
+                                      ops=ops)
+            assert meta["crashed"], f"schedule never fired at {index}"
+            assert_digests_match(final, oracle)
+
+    def test_the_second_script_displaces_two_bundles(self, tmp_path):
+        controller = build_controller(tmp_path)
+        fail = OPS_DOUBLE_DISPLACEMENT.index(("fail", "n0"))
+        for op in OPS_DOUBLE_DISPLACEMENT[:fail]:
+            apply_op(controller, op)
+        on_n0 = sorted(
+            instance.app_name for instance in controller.registry.instances()
+            for state in instance.bundles.values()
+            if "n0" in state.chosen.assignment.hostnames())
+        controller.journal.close()
+        assert on_n0 == ["eta", "zeta"]
 
     def test_crash_past_the_last_append_never_fires(self, tmp_path):
         oracle, total_appends = run_oracle(tmp_path / "oracle")

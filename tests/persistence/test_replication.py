@@ -603,3 +603,51 @@ class TestStreamErrors:
         join_standby(server, standby)
         assert standby.stream_errors == 1
         assert "replication is not enabled" in str(seen[0].get("message"))
+
+
+def _next_frame(standby):
+    return _frame_text(WalRecord(seq=standby.last_seq + 1, time=1.0,
+                                 kind="register",
+                                 data={"app_name": "x", "key": "x.9",
+                                       "instance_id": 9}))
+
+
+MALFORMED = {
+    "records_term": lambda standby: {
+        "type": REPL_RECORDS, "term": "x", "frames": [_next_frame(standby)]},
+    "records_non_ascii_frame": lambda standby: {
+        "type": REPL_RECORDS, "term": 1,
+        "frames": [_next_frame(standby) + "é"]},
+    "records_frames_not_a_list": lambda standby: {
+        "type": REPL_RECORDS, "term": 1, "frames": 5},
+    "snapshot_last_seq": lambda standby: {
+        "type": REPL_SNAPSHOT, "term": 1, "last_seq": "z",
+        "crc": f"{zlib.crc32(b'{}'):08x}", "state": "{}"},
+}
+
+
+class TestMalformedStream:
+    """A stream message whose fields do not convert is a damaged frame:
+    the standby applies nothing of it and re-hellos, as for a bad CRC —
+    it never raises into the transport's reader."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_message_resyncs_and_applies_nothing(self, tmp_path,
+                                                           name):
+        controller, journal, server = make_primary(tmp_path / "p")
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fsync="never")
+        join_standby(server, standby)
+        run_workload(controller, count=1)
+        applied, last_seq = standby.records_applied, standby.last_seq
+        standby.on_message(MALFORMED[name](standby))
+        assert standby.resyncs == 1
+        assert standby.records_applied == applied
+        assert standby.last_seq == last_seq == journal.wal.last_seq
+        assert len(standby.journal.wal.records()) == \
+            len(journal.wal.records())
+        assert_converged(standby, controller)
+        # Still following: the next append arrives and applies.
+        run_workload(controller, count=1, prefix="after")
+        assert standby.last_seq == journal.wal.last_seq
+        assert_converged(standby, controller)
