@@ -88,7 +88,7 @@ from repro.errors import (
 from repro.obs.flightrec import (EVENT_BACKPRESSURE, EVENT_DEMOTION,
                                  EVENT_LEASE_EXPIRED, EVENT_PUSH,
                                  EVENT_RPC_IN, EVENT_RPC_OUT,
-                                 EVENT_SERVER_ERROR)
+                                 EVENT_SERVER_ERROR, FlightRecorder)
 from repro.obs.instrument import InstrumentedRLock
 from repro.obs.trace import TraceContext
 
@@ -153,8 +153,7 @@ class HarmonySession:
             return
         server.count_rpc(msg_type)
         recorder = server.recorder
-        if recorder is not None:
-            recorder.record(EVENT_RPC_IN, rpc=msg_type)
+        recorder.record(EVENT_RPC_IN, rpc=msg_type)
         tracer = server.controller.tracer
         ctx = None
         if tracer.enabled:
@@ -170,9 +169,8 @@ class HarmonySession:
             else:
                 self._dispatch(msg_type, message)
         except ControllerBusyError as exc:
-            if recorder is not None:
-                recorder.record(EVENT_BACKPRESSURE, rpc=msg_type,
-                                message=str(exc))
+            recorder.record(EVENT_BACKPRESSURE, rpc=msg_type,
+                            message=str(exc))
             self._reply(make_message(ERROR, code=CONTROLLER_BUSY,
                                      message=str(exc)))
         except HarmonyError as exc:
@@ -410,8 +408,7 @@ class HarmonySession:
             # clients can spot (and report) a deposed, stale primary.
             message["term"] = term
         recorder = self.server.recorder
-        if recorder is not None:
-            recorder.record(EVENT_RPC_OUT, rpc=str(message.get("type")))
+        recorder.record(EVENT_RPC_OUT, rpc=str(message.get("type")))
         try:
             self.transport.send(message)
         except TransportError:
@@ -424,10 +421,9 @@ class HarmonySession:
             controller = self.server.controller
             controller.metrics.increment(
                 "server.replies_dropped_backpressure", controller.now)
-            if recorder is not None:
-                recorder.record(EVENT_BACKPRESSURE,
-                                rpc=str(message.get("type")),
-                                message="reply dropped: write queue full")
+            recorder.record(EVENT_BACKPRESSURE,
+                            rpc=str(message.get("type")),
+                            message="reply dropped: write queue full")
 
 
 #: ``_handle_<type>`` per client row (a row without one fails at import).
@@ -543,9 +539,9 @@ class HarmonyServer:
     # -- telemetry ----------------------------------------------------------
 
     @property
-    def recorder(self):
-        """The controller's flight recorder (``None`` when disabled)."""
-        return getattr(self.controller, "flight_recorder", None)
+    def recorder(self) -> FlightRecorder:
+        """The controller's flight recorder."""
+        return self.controller.flight_recorder
 
     def note_server_error(self, exc: BaseException, **fields: Any) -> None:
         """Record an unhandled error; dump the flight ring if configured.
@@ -557,8 +553,6 @@ class HarmonyServer:
         controller.metrics.increment("server.unhandled_errors",
                                      controller.now)
         recorder = self.recorder
-        if recorder is None:
-            return
         recorder.record(EVENT_SERVER_ERROR, error=type(exc).__name__,
                         message=str(exc), **fields)
         if self.flight_dump_path is not None:
@@ -745,10 +739,8 @@ class HarmonyServer:
             self.replication = None
         controller = self.controller
         controller.metrics.increment("server.demotions", controller.now)
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record(EVENT_DEMOTION, term=controller.term,
-                            observed_term=observed_term)
+        self.recorder.record(EVENT_DEMOTION, term=controller.term,
+                             observed_term=observed_term)
 
     def set_primary(self) -> None:
         """Flip a standby server to primary (after a replica promoted).
@@ -1083,9 +1075,7 @@ class HarmonyServer:
                                               reason="lease expired")
                 self.controller.metrics.increment("server.lease_expiries",
                                                   self.controller.now)
-                recorder = self.recorder
-                if recorder is not None:
-                    recorder.record(EVENT_LEASE_EXPIRED, client=key)
+                self.recorder.record(EVENT_LEASE_EXPIRED, client=key)
                 evicted.append(key)
                 if session is not None and not session.transport.closed:
                     notify.append(session)
@@ -1276,11 +1266,9 @@ class HarmonyServer:
             with tracer.span("server.push", generation=generation,
                              client=client_id, variables=len(updates)):
                 session.push_updates(updates, generation=generation)
-            recorder = self.recorder
-            if recorder is not None:
-                recorder.record(EVENT_PUSH, client=client_id,
-                                generation=generation,
-                                variables=len(updates))
+            self.recorder.record(EVENT_PUSH, client=client_id,
+                                 generation=generation,
+                                 variables=len(updates))
             if generation > delivered:
                 with self.sessions_lock:
                     if generation > self._push_generations.get(client_id, 0):

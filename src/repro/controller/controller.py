@@ -27,8 +27,9 @@ import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.allocation.allocation import allocate
-from repro.allocation.matcher import Matcher, MatchStrategy
+from repro.allocation.allocation import Allocation, allocate
+from repro.allocation.instantiate import ConcreteDemands
+from repro.allocation.matcher import Assignment, Matcher, MatchStrategy
 from repro.cluster.kernel import Interrupted, Process
 from repro.cluster.topology import Cluster
 from repro.controller.friction import FrictionPolicy
@@ -39,6 +40,7 @@ from repro.controller.optimizer import (
     GreedyOptimizer,
     OptimizationContext,
     OptimizationResult,
+    bundle_holder,
 )
 from repro.controller.partition import PartitionIndex, bundle_key
 from repro.controller.registry import (
@@ -52,7 +54,6 @@ from repro.errors import AllocationError, ControllerError
 from repro.metrics import MetricInterface
 from repro.namespace import Namespace
 from repro.obs.flightrec import EVENT_EVICTION, FlightRecorder
-from repro.obs.instrument import Telemetry
 from repro.obs.trace import (
     NULL_TRACER,
     REJECT_WORSE_OBJECTIVE,
@@ -75,7 +76,10 @@ from repro.rsl import Bundle, build_bundle
 
 __all__ = ["AdaptationController", "DecisionRecord", "ReconfigurationEvent",
            "SessionLifecycleEvent", "ModelDrivenPolicy", "DecisionPolicy",
-           "candidate_traces"]
+           "Move", "candidate_traces"]
+
+#: One bundle's part of a decision: make ``candidate`` its configuration.
+Move = tuple[AppInstance, BundleState, Candidate]
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,8 @@ class ModelDrivenPolicy(DecisionPolicy):
             raise AllocationError(
                 f"{instance.key}: no feasible configuration for bundle "
                 f"{state.bundle.bundle_name!r}")
-        controller.apply_candidate(
-            instance, state, result.best,
+        controller.commit(
+            [(instance, state, result.best)],
             reason="initial",
             objective_before=result.current_objective,
             trace_candidates=candidate_traces(
@@ -329,18 +333,13 @@ class ModelDrivenPolicy(DecisionPolicy):
                     if shared is not None and decision.objective_gain > 0:
                         settling.pop(shared.pid, None)
                     continue
-                if not _same_configuration(first[1], cand_a):
-                    controller.apply_candidate(
-                        first[0], first[1], cand_a,
-                        reason="pairwise exchange",
-                        objective_before=current)
-                    changes += 1
-                if not _same_configuration(second[1], cand_b):
-                    controller.apply_candidate(
-                        second[0], second[1], cand_b,
-                        reason="pairwise exchange",
-                        objective_before=current)
-                    changes += 1
+                moves = [(instance, state, candidate)
+                         for (instance, state), candidate
+                         in ((first, cand_a), (second, cand_b))
+                         if not _same_configuration(state, candidate)]
+                controller.commit(moves, reason="pairwise exchange",
+                                  objective_before=current)
+                changes += len(moves)
         for part in parts:
             if settling.get(part.pid) == part.epoch:
                 part.settled_epoch = part.epoch
@@ -388,8 +387,8 @@ class ModelDrivenPolicy(DecisionPolicy):
             span.set("worthwhile", bool(decision))
         if not decision:
             return False, decision.objective_gain <= 0
-        controller.apply_candidate(
-            instance, state, best,
+        controller.commit(
+            [(instance, state, best)],
             reason=f"reevaluation (gain {decision.objective_gain:.3g}s, "
                    f"friction {friction_cost:.3g}s)",
             objective_before=result.current_objective,
@@ -481,8 +480,6 @@ class AdaptationController:
         #: suites.  The capacity bound keeps it safe to leave on.
         self.flight_recorder = flight_recorder if flight_recorder \
             is not None else FlightRecorder()
-        #: Counter/gauge/timer verbs timestamped on the simulation clock.
-        self.telemetry = Telemetry(self.metrics, lambda: self.now)
         self.namespace = namespace or Namespace()
         self.objective = objective or MeanResponseTime()
         self.policy = policy or ModelDrivenPolicy()
@@ -778,13 +775,20 @@ class AdaptationController:
     def place_configuration(self, instance: AppInstance,
                             state: BundleState, candidate: Candidate,
                             chosen_at: float) -> PlacementToken:
-        """Allocate ``candidate`` and make it the bundle's configuration
-        (:class:`AllocationError`, changing nothing, if it does not fit)."""
-        allocation = allocate(
-            self.cluster, candidate.demands, candidate.assignment,
-            memory_grants=candidate.memory_grants,
-            predicted_duration_seconds=None,
-            holder=f"{instance.key}:{state.bundle.bundle_name}")
+        """Allocate and install ``candidate`` outside any decision (a
+        snapshot load); :class:`AllocationError`, changing nothing, if it
+        does not fit."""
+        return self.install(
+            instance, state, candidate,
+            self._allocate(instance, state, candidate.demands,
+                           candidate.assignment, candidate.memory_grants),
+            chosen_at)
+
+    def install(self, instance: AppInstance, state: BundleState,
+                candidate: Candidate, allocation: Allocation,
+                chosen_at: float) -> PlacementToken:
+        """Make an allocated ``candidate`` the bundle's configuration: its
+        ``chosen``, view placement, namespace entry and partition index."""
         state.chosen = ChosenConfiguration(
             option_name=candidate.option_name,
             variable_assignment=dict(candidate.variable_assignment),
@@ -802,6 +806,14 @@ class AdaptationController:
         self.partition_index.note_apply(instance.key,
                                         state.bundle.bundle_name)
         return token
+
+    def _allocate(self, instance: AppInstance, state: BundleState,
+                  demands: ConcreteDemands, assignment: Assignment,
+                  memory_grants: Mapping[str, float]) -> Allocation:
+        return allocate(self.cluster, demands, assignment,
+                        memory_grants=memory_grants,
+                        predicted_duration_seconds=None,
+                        holder=bundle_holder(instance, state))
 
     def unconfigure(self, instance: AppInstance, state: BundleState) -> None:
         """Release a bundle's allocation and take it out of the view:
@@ -852,95 +864,116 @@ class AdaptationController:
 
         return unsubscribe
 
-    def apply_candidate(self, instance: AppInstance, state: BundleState,
-                        candidate: Candidate, reason: str,
-                        objective_before: float = math.inf,
-                        trace_candidates: Sequence[CandidateTrace] | None
-                        = None) -> None:
-        """Make ``candidate`` the live configuration of this bundle.
+    def commit(self, moves: Sequence[Move], reason: str,
+               objective_before: float = math.inf,
+               trace_candidates: Sequence[CandidateTrace] | None = None,
+               ) -> None:
+        """Make each move's candidate the live configuration of its
+        bundle, all or nothing: one decision, of one bundle or several.
 
-        ``trace_candidates`` carries the full evaluated-alternatives
-        record for the decision trace; when omitted, the trace lists the
-        chosen candidate alone.
+        Every old allocation is released before any new one is made, so
+        the bundles of an exchange may move into each other's space.  If
+        a new one does not fit, the new ones are released, the old ones
+        reserved again and :class:`AllocationError` raised with nothing
+        else touched.  Otherwise every move is installed, the prediction
+        cache advances once, each move gets its decision record and
+        trace, the journal gets one record — the commit point — and
+        listeners hear of each changed option in move order.
+
+        ``trace_candidates`` carries a one-move decision's evaluated
+        alternatives; when omitted, each trace lists its chosen candidate
+        alone.
         """
-        old = state.chosen
-        old_description = old.describe() if old else None
-        option_changed = old is None or \
-            old.option_name != candidate.option_name or \
-            old.variable_assignment != candidate.variable_assignment
-
-        if old is not None:
-            old.allocation.release()
-        try:
-            token = self.place_configuration(instance, state, candidate,
-                                             chosen_at=self.now)
-        except AllocationError:
+        now = self.now
+        olds = [state.chosen for _, state, _ in moves]
+        for old in olds:
             if old is not None:
-                # The old allocation is gone and the new one failed.
-                self.unconfigure(instance, state)
-                if self.journal is not None:
-                    self.journal.record_unconfigured(
-                        instance.key, state.bundle.bundle_name)
-                raise ControllerError(
-                    f"{instance.key}: lost resources while reconfiguring "
-                    f"{state.bundle.bundle_name!r}") from None
+                old.allocation.release()
+        allocations: list[Allocation] = []
+        try:
+            for instance, state, candidate in moves:
+                allocations.append(self._allocate(
+                    instance, state, candidate.demands,
+                    candidate.assignment, candidate.memory_grants))
+        except AllocationError:
+            for allocation in allocations:
+                allocation.release()
+            for (instance, state, _), old in zip(moves, olds):
+                if old is not None:
+                    # They all held this space a moment ago.
+                    old.allocation = self._allocate(
+                        instance, state, old.demands, old.assignment,
+                        old.allocation.memory_grants())
             raise
-        if option_changed:
-            state.last_switch_time = self.now
-            state.switch_count += 1
+        tokens = []
+        switched = []
+        for (instance, state, candidate), old, allocation in zip(
+                moves, olds, allocations):
+            tokens.append(self.install(instance, state, candidate,
+                                       allocation, chosen_at=now))
+            switched.append(
+                old is None or old.option_name != candidate.option_name
+                or old.variable_assignment != candidate.variable_assignment)
+            if switched[-1]:
+                state.last_switch_time = now
+                state.switch_count += 1
 
-        # Advance the prediction cache by this placement's delta instead of
-        # recomputing the whole system.
-        self._engine.commit([token])
+        # Advance the prediction cache by these placements' delta instead
+        # of recomputing the whole system.
+        self._engine.commit(tokens)
         objective_after = self.objective.evaluate(
             self._engine.live_predictions())
-        self.decision_log.append(DecisionRecord(
-            time=self.now, app_key=instance.key,
-            bundle_name=state.bundle.bundle_name,
-            old_configuration=old_description,
-            new_configuration=state.chosen.describe(),
-            reason=reason,
-            objective_before=objective_before,
-            objective_after=objective_after))
-        if trace_candidates is None:
-            trace_candidates = [CandidateTrace(
-                option_name=candidate.option_name,
-                variable_assignment=dict(candidate.variable_assignment),
-                placements=dict(candidate.assignment.placements),
-                predicted_seconds=candidate.predicted_seconds,
-                objective_value=candidate.objective_value,
-                objective_delta=candidate.objective_value
-                - objective_before,
-                friction_cost_seconds=self.friction_cost(
-                    state, candidate.option_name),
-                chosen=True,
-                rejection_reason=None)]
-        self.trace_log.record(DecisionTrace(
-            time=self.now, app_key=instance.key,
-            bundle_name=state.bundle.bundle_name,
-            trigger=reason,
-            objective_before=objective_before,
-            objective_after=objective_after,
-            chosen_option=candidate.option_name,
-            chosen_placements=dict(candidate.assignment.placements),
-            candidates=tuple(trace_candidates)))
-        option_index = state.bundle.option_names().index(
-            candidate.option_name)
-        self.metrics.report(
-            f"controller.{instance.key}.{state.bundle.bundle_name}.option",
-            self.now, float(option_index))
-        self.metrics.report("controller.objective", self.now,
-                            objective_after)
+        for (instance, state, candidate), old in zip(moves, olds):
+            self.decision_log.append(DecisionRecord(
+                time=now, app_key=instance.key,
+                bundle_name=state.bundle.bundle_name,
+                old_configuration=old.describe() if old else None,
+                new_configuration=state.chosen.describe(),
+                reason=reason,
+                objective_before=objective_before,
+                objective_after=objective_after))
+            alternatives = trace_candidates
+            if alternatives is None:
+                alternatives = [CandidateTrace(
+                    option_name=candidate.option_name,
+                    variable_assignment=dict(candidate.variable_assignment),
+                    placements=dict(candidate.assignment.placements),
+                    predicted_seconds=candidate.predicted_seconds,
+                    objective_value=candidate.objective_value,
+                    objective_delta=candidate.objective_value
+                    - objective_before,
+                    friction_cost_seconds=self.friction_cost(
+                        state, candidate.option_name),
+                    chosen=True,
+                    rejection_reason=None)]
+            self.trace_log.record(DecisionTrace(
+                time=now, app_key=instance.key,
+                bundle_name=state.bundle.bundle_name,
+                trigger=reason,
+                objective_before=objective_before,
+                objective_after=objective_after,
+                chosen_option=candidate.option_name,
+                chosen_placements=dict(candidate.assignment.placements),
+                candidates=tuple(alternatives)))
+            option_index = state.bundle.option_names().index(
+                candidate.option_name)
+            self.metrics.report(
+                f"controller.{instance.key}.{state.bundle.bundle_name}"
+                f".option", now, float(option_index))
+            self.metrics.report("controller.objective", now,
+                                objective_after)
         if self.journal is not None:
             # The append is this decision's commit point: replay re-applies
             # the recorded result and verifies it reproduces
             # ``objective_after`` exactly.
-            self.journal.record_apply(instance, state, candidate, reason,
-                                      objective_before, objective_after)
+            self.journal.record_commit(moves, reason, objective_before,
+                                       objective_after)
 
-        if option_changed:
+        for (instance, state, candidate), changed in zip(moves, switched):
+            if not changed:
+                continue
             event = ReconfigurationEvent(
-                time=self.now, app_key=instance.key,
+                time=now, app_key=instance.key,
                 bundle_name=state.bundle.bundle_name,
                 option_name=candidate.option_name,
                 variable_assignment=dict(candidate.variable_assignment),
@@ -1015,8 +1048,8 @@ class AdaptationController:
 
         True only for the built-in models whose reads are covered by the
         placement footprint (own nodes' CPU contention, own traffic's link
-        contention).  Custom callables, critical-path models, and any
-        subclass are opaque: they are recomputed on every trial.
+        contention).  Custom callables and any subclass are opaque: they
+        are recomputed on every trial.
         """
         try:
             instance = self.registry.instance(placed.app_key)

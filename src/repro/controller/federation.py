@@ -374,10 +374,9 @@ class Federation:
         self.handoffs += 1
         controller = self.arbiter_server.controller
         controller.metrics.increment("federation.handoffs", controller.now)
-        recorder = origin.controller.flight_recorder
-        if recorder is not None:
-            recorder.record(EVENT_HANDOFF, client=key,
-                            origin=origin.index, target=target_index)
+        origin.controller.flight_recorder.record(
+            EVENT_HANDOFF, client=key, origin=origin.index,
+            target=target_index)
         return True
 
     def movable(self, shard: ControllerShard, key: str) -> bool:
@@ -433,9 +432,7 @@ class Federation:
             controller = self.arbiter_server.controller
             controller.metrics.increment("federation.rebalances",
                                          controller.now)
-            recorder = controller.flight_recorder
-            if recorder is not None:
-                recorder.record(EVENT_REBALANCE, moves=moves)
+            controller.flight_recorder.record(EVENT_REBALANCE, moves=moves)
         return moves
 
     def start_rebalancer(self, period_seconds: float = 5.0) -> None:

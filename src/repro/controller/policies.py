@@ -149,8 +149,8 @@ class ClientCountRulePolicy(DecisionPolicy):
                 raise  # an initial configuration must exist
             return  # re-evaluation: keep the current configuration
         objective_before = controller.current_objective()
-        controller.apply_candidate(
-            instance, state, candidate, reason=reason,
+        controller.commit(
+            [(instance, state, candidate)], reason=reason,
             objective_before=objective_before,
             trace_candidates=self._trace_alternatives(
                 controller, instance, state, candidate, objective_before))

@@ -21,9 +21,9 @@ This module removes both:
   applications whose placements share a node or link with the mutation
   (``SystemView.apps_affected_by`` over the tokens' footprints), and any
   application whose performance model the engine cannot see through
-  (custom callables, critical-path models).  Everything else reuses its
-  cached value — which the dirty-set contract guarantees is identical to
-  what a full recompute would produce.
+  (custom callables).  Everything else reuses its cached value — which
+  the dirty-set contract guarantees is identical to what a full
+  recompute would produce.
 
 :class:`OptimizerStats` counts the work actually done so benchmarks can
 report candidates evaluated, per-app predictions recomputed, and full-view

@@ -4,8 +4,8 @@ Five layers (see docs/observability.md):
 
 * ``trace``      — span timing, wire-propagated trace contexts, and
                    per-reconfiguration decision traces;
-* ``instrument`` — counter/gauge/timer facade and instrumented locks
-                   over the metric interface;
+* ``instrument`` — instrumented locks and fault tallies over the
+                   metric interface;
 * ``flightrec``  — the bounded ring of recent runtime events, dumped
                    to JSONL on demand / error / chaos failure;
 * ``health``     — SLO threshold checks over the runtime histograms;
@@ -23,8 +23,7 @@ from repro.obs.flightrec import (EVENT_BACKPRESSURE, EVENT_BATCH,
                                  FlightRecorder)
 from repro.obs.health import (DEFAULT_SLOS, HealthResult, SloCheck,
                               evaluate_health, format_health)
-from repro.obs.instrument import (InstrumentedRLock, Telemetry,
-                                  publish_fault_stats)
+from repro.obs.instrument import InstrumentedRLock, publish_fault_stats
 from repro.obs.trace import (NULL_TRACER, REJECT_INFEASIBLE,
                              REJECT_RULE_NOT_SELECTED,
                              REJECT_WORSE_OBJECTIVE, CandidateTrace,
@@ -36,7 +35,7 @@ __all__ = [
     "CandidateTrace", "DecisionTrace", "DecisionTraceLog",
     "REJECT_WORSE_OBJECTIVE", "REJECT_RULE_NOT_SELECTED",
     "REJECT_INFEASIBLE",
-    "Telemetry", "InstrumentedRLock", "publish_fault_stats",
+    "InstrumentedRLock", "publish_fault_stats",
     "FlightRecorder",
     "EVENT_RPC_IN", "EVENT_RPC_OUT", "EVENT_FAULT",
     "EVENT_LEASE_EXPIRED", "EVENT_EVICTION", "EVENT_BATCH",

@@ -71,8 +71,7 @@ def prometheus_text(metrics: "MetricInterface",
     ``<name>_bucket{le="..."}`` (cumulative, ending in ``le="+Inf"``),
     ``<name>_sum``, ``<name>_count`` — so rate and quantile queries
     work out of the box.  When a dotted name carries *both* a gauge
-    series and a histogram (``Telemetry.timer`` writes both), the
-    histogram wins the exposition: emitting the same base name with two
+    series and a histogram, the histogram wins the exposition: emitting the same base name with two
     TYPEs would be invalid, and ``_sum``/``_count`` carry strictly more
     information than the last point-in-time value.
     """

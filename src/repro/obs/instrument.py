@@ -1,63 +1,20 @@
-"""Instrumentation facade feeding the existing metric interface.
+"""Instrumentation over the existing metric interface.
 
-:class:`Telemetry` wraps a :class:`~repro.metrics.interface.MetricInterface`
-with counter/gauge/timer verbs so instrumented code reads as intent
-(``telemetry.count("server.rpc.register")``) rather than bookkeeping.
-Metric *timestamps* come from the injected ``clock`` — the simulation or
-server clock, so telemetry lands on the same timeline as the experiment
-metrics — while :meth:`Telemetry.timer` *durations* are measured with
-:func:`time.perf_counter` (wall time is what a profiler wants even inside
-a simulated run).
+:class:`InstrumentedRLock` publishes per-lock wait/hold histograms, and
+:func:`publish_fault_stats` reports a fault-injection tally as metrics.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.faults import FaultStats
     from repro.metrics.interface import MetricInterface
 
-__all__ = ["Telemetry", "InstrumentedRLock", "publish_fault_stats"]
-
-
-class Telemetry:
-    """Counter / gauge / timer verbs over a :class:`MetricInterface`."""
-
-    def __init__(self, metrics: "MetricInterface",
-                 clock: Callable[[], float]):
-        self.metrics = metrics
-        self.clock = clock
-
-    def count(self, name: str, amount: float = 1.0) -> float:
-        """Bump a cumulative counter; returns the running total."""
-        return self.metrics.increment(name, self.clock(), amount)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Report an instantaneous value."""
-        self.metrics.report(name, self.clock(), float(value))
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time the block: gauge of the last duration + a histogram.
-
-        The gauge alone made rates incomputable — a scraper saw only
-        the most recent duration.  The histogram under the same dotted
-        name adds cumulative ``_sum``/``_count`` (and buckets) to the
-        Prometheus exposition, so ``rate(x_sum)/rate(x_count)`` and
-        quantiles work; the exporter prefers the histogram when a name
-        carries both.
-        """
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.gauge(name, elapsed)
-            self.metrics.histogram(name).observe(elapsed)
+__all__ = ["InstrumentedRLock", "publish_fault_stats"]
 
 
 class InstrumentedRLock:

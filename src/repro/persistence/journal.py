@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 from time import perf_counter as _perf_counter
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.controller.optimizer import Candidate
 from repro.obs.flightrec import EVENT_WAL_APPEND
-from repro.controller.registry import AppInstance, BundleState
+from repro.controller.registry import AppInstance
 from repro.errors import ControllerError
 from repro.persistence import codec
 from repro.persistence.crash import CrashSchedule
@@ -38,7 +37,7 @@ from repro.persistence.wal import WriteAheadLog
 from repro.prediction.models import PerformanceModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.controller.controller import AdaptationController
+    from repro.controller.controller import AdaptationController, Move
 
 __all__ = ["DurabilityJournal", "WAL_FILENAME"]
 
@@ -192,10 +191,9 @@ class DurabilityJournal:
             hist = self._append_hist = controller.metrics.histogram(
                 "controller.wal.append_seconds")
         hist.observe(elapsed)
-        recorder = getattr(controller, "flight_recorder", None)
-        if recorder is not None:
-            recorder.record(EVENT_WAL_APPEND, record=kind,
-                            bytes=appended, seconds=round(elapsed, 6))
+        controller.flight_recorder.record(
+            EVENT_WAL_APPEND, record=kind, bytes=appended,
+            seconds=round(elapsed, 6))
 
     # -- event records (called from the controller/server) --------------------
 
@@ -211,24 +209,27 @@ class DurabilityJournal:
         self.append("setup_bundle", {
             "key": app_key, "bundle_name": bundle_name, "rsl": rsl_text})
 
-    def record_apply(self, instance: AppInstance, state: BundleState,
-                     candidate: Candidate, reason: str,
-                     objective_before: float,
-                     objective_after: float) -> None:
-        data = codec.candidate_to_dict(candidate)
-        data.update({
-            "key": instance.key,
-            "bundle_name": state.bundle.bundle_name,
-            "reason": reason,
-            "objective_before": _finite(objective_before),
-            "objective_after": objective_after,
-        })
-        self.append("apply", data)
-
-    def record_unconfigured(self, app_key: str, bundle_name: str) -> None:
-        """The reconfigure-failure path: old allocation gone, no new one."""
-        self.append("unconfigured", {
-            "key": app_key, "bundle_name": bundle_name})
+    def record_commit(self, moves: Sequence[Move], reason: str,
+                      objective_before: float,
+                      objective_after: float) -> None:
+        """One decision: an ``apply`` record for a single move, one
+        ``exchange`` record whose ``moves`` are the per-move payloads for
+        several — replay re-applies all of them or none."""
+        payloads = []
+        for instance, state, candidate in moves:
+            data = codec.candidate_to_dict(candidate)
+            data.update({
+                "key": instance.key,
+                "bundle_name": state.bundle.bundle_name,
+                "reason": reason,
+                "objective_before": _finite(objective_before),
+                "objective_after": objective_after,
+            })
+            payloads.append(data)
+        if len(payloads) == 1:
+            self.append("apply", payloads[0])
+        else:
+            self.append("exchange", {"moves": payloads})
 
     def record_adopt(self, instance: AppInstance) -> None:
         """A federation handoff re-admitted an instance under its old key.

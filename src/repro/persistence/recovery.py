@@ -12,10 +12,10 @@ sequence, adapted to a result-sourced log:
    *results* (concrete candidates), so replay never re-runs the
    optimizer: the decision policy is swapped for a no-op while each
    record is re-applied, at its original simulated time and through the
-   controller's own state edits, and every
-   ``apply`` record's recomputed objective is compared against the
-   logged one — a mismatch means replay is not reproducing history and
-   recovery stops (:class:`~repro.errors.RecoveryError`).
+   controller's own state edits, and every ``apply`` or ``exchange``
+   record's recomputed objective is compared against the logged one — a
+   mismatch means replay is not reproducing history and recovery stops
+   (:class:`~repro.errors.RecoveryError`).
 3. **Resume**: the journal re-attaches (appending a ``recovered``
    marker), ``controller.recovery_seconds`` is reported, and the whole
    sequence is traced as a ``controller.restore`` span chain.
@@ -247,22 +247,31 @@ def apply_record(controller: AdaptationController,
         rsl = str(data["rsl"])
         controller.add_bundle(instance, build_bundle(rsl))
         journal.note_bundle(instance.key, str(data["bundle_name"]), rsl)
-    elif kind == "apply":
-        instance = registry.instance(str(data["key"]))
-        state = instance.bundle_state(str(data["bundle_name"]))
-        candidate = codec.candidate_from_dict(state, data)
-        before = data.get("objective_before")
-        controller.apply_candidate(
-            instance, state, candidate, reason=str(data["reason"]),
+    elif kind in ("apply", "exchange"):
+        # One decision, one commit: an exchange's moves land together.
+        payloads = data["moves"] if kind == "exchange" else [data]
+        moves = []
+        for payload in payloads:
+            instance = registry.instance(str(payload["key"]))
+            state = instance.bundle_state(str(payload["bundle_name"]))
+            moves.append((instance, state,
+                          codec.candidate_from_dict(state, payload)))
+        first = payloads[0]
+        before = first.get("objective_before")
+        controller.commit(
+            moves, reason=str(first["reason"]),
             objective_before=math.inf if before is None else float(before))
         replayed = controller.decision_log[-1].objective_after
-        logged = data.get("objective_after")
+        logged = first.get("objective_after")
         if logged is not None and abs(replayed - float(logged)) > 1e-9:
+            bundles = ", ".join(f"{instance.key}.{state.bundle.bundle_name}"
+                                for instance, state, _ in moves)
             raise RecoveryError(
                 f"replay diverged at seq {record.seq}: objective "
-                f"{replayed!r} != logged {logged!r} for "
-                f"{instance.key}.{state.bundle.bundle_name}")
+                f"{replayed!r} != logged {logged!r} for {bundles}")
     elif kind == "unconfigured":
+        # Written only by logs from before decisions committed all or
+        # nothing: a failed reconfiguration left the bundle unconfigured.
         instance = registry.instance(str(data["key"]))
         controller.unconfigure(
             instance, instance.bundle_state(str(data["bundle_name"])))

@@ -544,10 +544,8 @@ class ReplicationPrimary:
             raise
 
     def _record_event(self, detail: str, **fields: Any) -> None:
-        recorder = getattr(self.controller, "flight_recorder", None)
-        if recorder is not None:
-            recorder.record(EVENT_REPLICATION, detail=detail,
-                            term=self.term, **fields)
+        self.controller.flight_recorder.record(
+            EVENT_REPLICATION, detail=detail, term=self.term, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -885,11 +883,9 @@ class ReplicationStandby:
         stranded = controller.configure_stranded()
         controller.metrics.increment("replication.promotions",
                                      controller.now)
-        recorder = getattr(controller, "flight_recorder", None)
-        if recorder is not None:
-            recorder.record(EVENT_PROMOTION, standby_id=self.standby_id,
-                            term=term, last_seq=self.last_seq,
-                            stranded_reconfigured=stranded)
+        controller.flight_recorder.record(
+            EVENT_PROMOTION, standby_id=self.standby_id, term=term,
+            last_seq=self.last_seq, stranded_reconfigured=stranded)
         return controller
 
     # -- introspection ------------------------------------------------------
@@ -945,9 +941,7 @@ class ReplicationStandby:
         self._record_event("restored", seq=self.last_seq)
 
     def _record_event(self, detail: str, **fields: Any) -> None:
-        controller = self.controller
-        recorder = getattr(controller, "flight_recorder", None) \
-            if controller is not None else None
-        if recorder is not None:
-            recorder.record(EVENT_REPLICATION, detail=detail,
-                            standby_id=self.standby_id, **fields)
+        if self.controller is not None:
+            self.controller.flight_recorder.record(
+                EVENT_REPLICATION, detail=detail,
+                standby_id=self.standby_id, **fields)

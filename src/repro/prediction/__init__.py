@@ -2,12 +2,10 @@
 
 The default model combines CPU and network requirements under a simple
 contention model; applications override it with explicit piecewise-linear
-curves (the ``performance`` tag), arbitrary callables, or the critical-path
-extension.
+curves (the ``performance`` tag) or arbitrary callables.
 """
 
 from repro.prediction.contention import PlacedConfiguration, SystemView
-from repro.prediction.critical_path import CriticalPathModel, Task
 from repro.prediction.models import (
     CallableModel,
     DefaultModel,
@@ -24,5 +22,4 @@ __all__ = [
     "ExpressionSpecModel", "CallableModel",
     "model_for_spec",
     "PiecewiseLinearModel",
-    "CriticalPathModel", "Task",
 ]

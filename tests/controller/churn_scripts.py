@@ -37,20 +37,18 @@ INEXACT = {"small": (55.3, 60.1, 58.7), "large": (33.3, 35.9, 34.1),
 
 FRICTIONS = (0, 0, 5, 40, 400)
 GRANULARITIES = (0, 0, 20, 100)
-#: Twelve of the largest still fit one 256 MB node: memory never binds.
-#: Under memory pressure the pairwise pass — scoped or global, at this
-#: commit and before it — can apply the first half of an exchange into
-#: space the second half has not released yet and strand the bundle
-#: ("lost resources while reconfiguring"); an equivalence suite is not
-#: the place to trip over that.
+#: Bundle memory in MB.  Twelve of the largest still fit one 256 MB
+#: node, so memory never binds; ``make_script(memories=...)`` draws
+#: from a memory-pressure family instead, where an exchange moves each
+#: bundle into space the other one held.
 MEMORIES = (8, 16, 20)
 
 
 def bundle_rsl(rng: random.Random, name: str, pod: int | None,
-               demands: dict) -> str:
+               demands: dict, memories: tuple = MEMORIES) -> str:
     """A two- or three-option bundle; ``pod=None`` leaves it unscoped."""
     host = f" {{hostname p{pod}n*}}" if pod is not None else ""
-    memory = rng.choice(MEMORIES)
+    memory = rng.choice(memories)
 
     def tags() -> str:
         friction, granularity = rng.choice(FRICTIONS), \
@@ -74,7 +72,8 @@ def bundle_rsl(rng: random.Random, name: str, pod: int | None,
         "\n    ".join(options) + "}\n"
 
 
-def make_script(seed: int, exact: bool = True, length: int = 36) -> dict:
+def make_script(seed: int, exact: bool = True, length: int = 36,
+                memories: tuple = MEMORIES) -> dict:
     rng = random.Random(f"churn:{seed}:{exact}")
     demands = EXACT if exact else INEXACT
     pods, nodes = rng.randint(2, 4), rng.randint(3, 5)
@@ -87,7 +86,8 @@ def make_script(seed: int, exact: bool = True, length: int = 36) -> dict:
         nonlocal admitted
         pod = None if rng.random() < 0.04 else rng.randrange(pods)
         name = f"A{admitted}"
-        ops.append(("admit", name, bundle_rsl(rng, name, pod, demands)))
+        ops.append(("admit", name,
+                    bundle_rsl(rng, name, pod, demands, memories)))
         live.append(admitted)
         admitted += 1
 

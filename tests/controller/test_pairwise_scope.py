@@ -5,9 +5,10 @@ epochs prove cannot gain; with pruning off (``tests.oracle.unpruned``)
 it searches every pair and is the oracle.  The seeded churn (``churn_scripts``) replays one script
 against both, with the pass on and off, and requires the same decision
 log — reasons included — the same configurations, predictions and
-objective.  The deterministic cases below are distilled from it: one for
-each rule the skips rest on, and one for the pair the pass must *not*
-skip.
+objective.  Its memory-pressure families bind memory, so an exchange
+moves each bundle into space the other held and must commit whole.  The
+deterministic cases below are distilled from it: one for each rule the
+skips rest on, and one for the pair the pass must *not* skip.
 
 Mutation-checked: skipping every cross-partition pair, settling a
 partition on an amortisation rejection or on a granularity-blocked
@@ -26,6 +27,7 @@ from repro.controller import (
     FrictionPolicy,
     ModelDrivenPolicy,
 )
+from repro.errors import AllocationError
 from tests.controller.churn_scripts import make_script, run_script
 from tests.oracle import unpruned
 from tests.controller.test_optimizer_equivalence import (
@@ -54,6 +56,57 @@ def test_scoped_pass_matches_global_on_random_churn(seed, pairwise):
     assert part.stats.pairs_evaluated + part.stats.pruned_pairs == \
         serial.stats.pairs_evaluated
     assert serial.stats.pruned_pairs == 0
+
+
+#: Memory families (MB per bundle) under which an exchange moves each
+#: bundle into space the other one held, with the pinned seeds: each
+#: stranded a bundle when an exchange committed as two applies.
+#: CHURN_SOAK_SCRIPTS widens both.
+MEMORY_PRESSURE = {"120": ((120,), (4, 6, 17)),
+                   "64-96-128": ((64, 96, 128), (18, 20))}
+
+
+def memory_pressure_cases():
+    soak = range(int(os.environ.get("CHURN_SOAK_SCRIPTS", "0")))
+    for family, (memories, pinned) in MEMORY_PRESSURE.items():
+        for seed in sorted({*pinned, *soak}):
+            yield pytest.param(memories, seed, seed in pinned,
+                               id=f"{family}-{seed}")
+
+
+@pytest.mark.parametrize("memories,seed,pinned", memory_pressure_cases())
+def test_scoped_pass_matches_global_under_memory_pressure(memories, seed,
+                                                          pinned):
+    """An accepted pair commits as one decision, so an exchange never
+    allocates into memory its other half still holds: no commit fails,
+    and the scoped pass still decides like the global one."""
+    script = make_script(seed, memories=memories)
+    exchanges, failed = [], []
+
+    def watch_commits(controller):
+        # run_script absorbs an AllocationError out of setup_bundle (an
+        # admission that fits nowhere); one out of a commit the optimizer
+        # proved feasible must not pass for that.
+        commit = controller.commit
+
+        def watched(moves, *args, **kwargs):
+            try:
+                commit(moves, *args, **kwargs)
+            except AllocationError:
+                failed.append(moves)
+                raise
+            if len(moves) > 1:
+                exchanges.append(moves)
+
+        controller.commit = watched
+
+    part = run_script(script, pairwise=True, prepare=watch_commits)
+    serial = run_script(script, pairwise=True, serial=True,
+                        prepare=watch_commits)
+    assert failed == []
+    assert_same_decisions(part, serial)
+    if pinned:
+        assert exchanges
 
 
 @pytest.mark.parametrize("seed", SEEDS[:12])

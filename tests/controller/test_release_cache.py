@@ -129,12 +129,12 @@ def test_releasing_an_unplaced_app_leaves_the_cache_valid():
 # -- restore: a snapshot plus a tail with releases in it ---------------------
 
 def churned_directory(tmp_path):
-    """``durable_churn`` in miniature: 8 apps, a snapshot every 32
-    records, 10 end+admit ops of ten records each — the tail behind the
-    last snapshot holds three releases and the applies they caused."""
+    """``durable_churn`` in miniature: 8 apps, a snapshot every 40
+    records, 10 end+admit ops — the tail behind the last snapshot holds
+    three releases and the applies and exchanges they caused."""
     controller = AdaptationController(build_pod_cluster(2, 4))
     journal = DurabilityJournal(str(tmp_path), fsync="never",
-                                snapshot_every=32).attach(controller)
+                                snapshot_every=40).attach(controller)
     live = []
     for index in range(8 + 10):
         if len(live) == 8:

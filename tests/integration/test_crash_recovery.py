@@ -61,6 +61,19 @@ RSLS = {
     # Far slower away from n0: both stay there, sharing it.
     "zeta": app_rsl("zeta", "n0", "n1", 4, 30),
     "eta": app_rsl("eta", "n0", "n2", 4, 30),
+    # 64 of a node's 96 MB each, and mirror images: each is fast where
+    # the other is slow.  ``west`` may leave ``slow`` only after 100 s.
+    "west": """
+harmonyBundle west place {
+    {fast {node worker {hostname n1} {seconds 5} {memory 64}}}
+    {slow {node worker {hostname n0} {seconds 10} {memory 64}}
+          {granularity 100}}}
+""",
+    "east": """
+harmonyBundle east place {
+    {fast {node worker {hostname n0} {seconds 5} {memory 64}}}
+    {slow {node worker {hostname n1} {seconds 10} {memory 64}}}}
+""",
 }
 
 #: The script: joins, a node failure, a clean exit, a restoration, an
@@ -95,6 +108,21 @@ OPS_DOUBLE_DISPLACEMENT = (
     ("end", "zeta"),
     ("restore_node", "n0"),
     ("reevaluate",),
+)
+
+#: A third script: a memory-bound exchange.  ``west`` lands on n0 while
+#: n1 is down and may not move for 100 s; ``east`` then finds n0 full and
+#: takes n1.  At t=150 neither can move alone — each one's fast node is
+#: full of the other — and the pairwise pass swaps them, one decision
+#: committed as one ``exchange`` record.
+OPS_EXCHANGE = (
+    ("fail", "n1"),
+    ("register", "west"),
+    ("setup", "west"),
+    ("restore_node", "n1"),
+    ("register", "east"),
+    ("setup", "east"),
+    ("reevaluate_at", 150.0),
 )
 
 ALL_POINTS = (CrashPoint.BEFORE_APPEND, CrashPoint.TORN_APPEND,
@@ -144,6 +172,11 @@ def apply_op(controller, op, redo=False):
         controller.handle_node_restored(op[1])
     elif kind == "reevaluate":
         controller.reevaluate()
+    elif kind == "reevaluate_at":
+        # The time is part of the step: a restored clock stops at the
+        # last durable record, and the redo must run when the step did.
+        controller.cluster.kernel.advance_to(op[1])
+        controller.reevaluate()
     else:  # pragma: no cover - script typo guard
         raise AssertionError(f"unknown op {op!r}")
 
@@ -166,8 +199,11 @@ def run_oracle(directory, snapshot_every=0, ops=OPS):
     return digest(controller), appends
 
 
-def run_crashed(directory, index, point, snapshot_every=0, ops=OPS):
-    """One kill-and-recover run; returns (final digest, crash metadata)."""
+def run_crashed(directory, index, point, snapshot_every=0, ops=OPS,
+                on_restore=None):
+    """One kill-and-recover run; returns (final digest, crash metadata).
+    ``on_restore(controller, crashed_during_op)`` sees the restored
+    controller before the script resumes."""
     schedule = ScriptedCrashSchedule({index: point})
     crashed_at = None
     controller = None
@@ -193,6 +229,8 @@ def run_crashed(directory, index, point, snapshot_every=0, ops=OPS):
                                     snapshot_every=snapshot_every)
     replayed = None if restored.last_recovery is None \
         else restored.last_recovery.records_replayed
+    if on_restore is not None:
+        on_restore(restored, crashed_at)
     # A crash mid-displacement leaves bundles durably unconfigured;
     # periodic reevaluation skips those, so recovery retries them
     # explicitly before resuming the script.
@@ -214,6 +252,20 @@ def assert_digests_match(crashed, oracle):
                                                             abs=1e-9)
     assert crashed["objective"] == pytest.approx(oracle["objective"],
                                                  abs=1e-9)
+
+
+def run_exchange_oracle(directory, snapshot_every):
+    """The exchange script uninterrupted: the digests just before and
+    just after its exchange, and the total number of appends."""
+    controller = build_controller(directory, snapshot_every=snapshot_every)
+    for op in OPS_EXCHANGE[:-1]:
+        apply_op(controller, op)
+    before = digest(controller)
+    apply_op(controller, OPS_EXCHANGE[-1])
+    after = digest(controller)
+    appends = controller.journal.wal.append_count
+    controller.journal.close()
+    return before, after, appends
 
 
 class TestKillAtEveryPoint:
@@ -263,6 +315,55 @@ class TestKillAtEveryPoint:
                                       ops=ops)
             assert meta["crashed"], f"schedule never fired at {index}"
             assert_digests_match(final, oracle)
+
+    @pytest.mark.parametrize("snapshot_every", [0, 4],
+                             ids=["wal", "snapshots"])
+    @pytest.mark.parametrize("point", ALL_POINTS,
+                             ids=lambda p: p.name.lower())
+    def test_exchange_recovers_to_before_or_after_it(
+            self, tmp_path, point, snapshot_every):
+        """A kill inside the exchange restores the state just before it
+        or just after it, never one half; every kill then converges."""
+        before, after, total_appends = run_exchange_oracle(
+            tmp_path / "oracle", snapshot_every)
+        exchange_op = len(OPS_EXCHANGE) - 1
+        seen = []
+
+        def inside_the_exchange(restored, crashed_during_op):
+            if crashed_during_op == exchange_op:
+                recovered = digest(restored)
+                side = "after" if recovered["system"] == after["system"] \
+                    else "before"
+                assert_digests_match(recovered, {"before": before,
+                                                 "after": after}[side])
+                seen.append(side)
+
+        for index in range(total_appends):
+            final, meta = run_crashed(
+                tmp_path / f"kill-{index}", index, point,
+                snapshot_every=snapshot_every, ops=OPS_EXCHANGE,
+                on_restore=inside_the_exchange)
+            assert meta["crashed"], f"schedule never fired at {index}"
+            assert_digests_match(final, after)
+        # The exchange's own record is the last append: durable only
+        # once written whole.
+        assert seen == ["after" if point is CrashPoint.AFTER_APPEND
+                        else "before"]
+
+    def test_the_third_script_exchanges_through_each_others_memory(
+            self, tmp_path):
+        controller = build_controller(tmp_path)
+        for op in OPS_EXCHANGE:
+            apply_op(controller, op)
+        (record,) = [record for record in controller.journal.wal.records()
+                     if record.kind == "exchange"]
+        controller.journal.close()
+        assert [(move["key"], move["option_name"], move["placements"])
+                for move in record.data["moves"]] == [
+            ("west.1", "fast", {"worker": "n1"}),
+            ("east.2", "fast", {"worker": "n0"})]
+        assert [decision.reason for decision in
+                controller.decision_log[-2:]] == ["pairwise exchange"] * 2
 
     def test_the_second_script_displaces_two_bundles(self, tmp_path):
         controller = build_controller(tmp_path)

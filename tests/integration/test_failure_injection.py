@@ -19,7 +19,8 @@ from repro.api import (
 )
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import HarmonyError, TransportError
+from repro.errors import AllocationError, HarmonyError, TransportError
+from repro.persistence import DurabilityJournal
 
 
 def db_rsl(client_host):
@@ -167,27 +168,58 @@ harmonyBundle DBclient big {
         assert received[1]["type"] == "error"
 
 
-class TestResourceRaces:
-    def test_memory_stolen_between_match_and_apply(self, world):
-        """If resources vanish during reconfiguration, the controller
-        raises and the bundle is marked unconfigured, not corrupted."""
-        cluster, controller, _server = world
-        instance = controller.register_app("DBclient")
-        state = controller.setup_bundle(instance, db_rsl("c1"))
-        assert state.chosen is not None
+def stolen_commit(world, tmp_path):
+    """Journal the controller, configure one DBclient (QS), steal the
+    client memory its DS candidate needs and attempt that commit.
 
-        from repro.controller.optimizer import Candidate, enumerate_candidates
-        candidate = next(iter(
-            c for c in enumerate_candidates(
-                instance, state, controller.optimization_context())
-            if c.option_name == "DS"))
-        # Steal the client memory the DS candidate needs.
-        cluster.node("c1").memory.reserve("thief", 120.0)
-        from repro.errors import ControllerError
-        with pytest.raises(ControllerError, match="lost resources"):
-            controller.apply_candidate(instance, state, candidate,
-                                       reason="test")
-        assert state.chosen is None  # explicit, detectable state
+    The decision must fail whole: :class:`AllocationError`, and the
+    bundle, node memory, view, predictions, listeners and log exactly as
+    they were.  Returns ``(instance, state, candidate)`` for the caller's
+    own follow-up."""
+    cluster, controller, _server = world
+    journal = DurabilityJournal(str(tmp_path), fsync="never")
+    journal.attach(controller)
+    instance = controller.register_app("DBclient")
+    state = controller.setup_bundle(instance, db_rsl("c1"))
+    from repro.controller.optimizer import enumerate_candidates
+    candidate = next(iter(
+        c for c in enumerate_candidates(
+            instance, state, controller.optimization_context())
+        if c.option_name == "DS"))
+    # Steal the client memory the DS candidate needs.
+    cluster.node("c1").memory.reserve("thief", 120.0)
+    old = state.chosen
+    assert old is not None and old.option_name == "QS"
+    memory = {host: cluster.node(host).memory.available_mb
+              for host in cluster.hostnames()}
+    placed = controller.view.configuration_of(instance.key)
+    predictions = controller.predict_all(controller.view)
+    last_seq = journal.wal.last_seq
+    fired = []
+    controller.add_listener(fired.append)
+    with pytest.raises(AllocationError):
+        controller.commit([(instance, state, candidate)], reason="test")
+    assert state.chosen is old
+    assert {host: cluster.node(host).memory.available_mb
+            for host in cluster.hostnames()} == memory
+    assert controller.view.configuration_of(instance.key) is placed
+    assert controller.predict_all(controller.view) == predictions
+    assert fired == []
+    assert journal.wal.last_seq == last_seq
+    return instance, state, candidate
+
+
+class TestResourceRaces:
+    def test_memory_stolen_between_match_and_apply(self, world, tmp_path):
+        """If resources vanish between match and commit, the decision
+        fails whole and the bundle keeps the configuration it had."""
+        _cluster, controller, _server = world
+        _instance, state, _candidate = stolen_commit(world, tmp_path)
+        assert state.chosen.allocation.memory_grants() == {
+            "server.memory": 20.0, "client.memory": 2.0}
+        assert [record.new_configuration
+                for record in controller.decision_log] == ["QS"]
+        controller.journal.close()
 
     def test_end_app_after_race_releases_cleanly(self, world):
         cluster, controller, _server = world
@@ -239,22 +271,16 @@ class TestKernelStress:
 
 
 class TestViewConsistencyAfterRace:
-    def test_ghost_configuration_removed_from_view(self, world):
-        """After a failed reconfiguration the app must vanish from the
-        system view — predictions may not count a configuration that
-        holds no resources."""
+    def test_ghost_configuration_removed_from_view(self, world, tmp_path):
+        """A failed commit leaves no ghost: the view still predicts the
+        configuration that holds the resources, and once the memory is
+        back the same candidate commits."""
         cluster, controller, _server = world
-        instance = controller.register_app("DBclient")
-        state = controller.setup_bundle(instance, db_rsl("c1"))
-        from repro.controller.optimizer import enumerate_candidates
-        candidate = next(iter(
-            c for c in enumerate_candidates(
-                instance, state, controller.optimization_context())
-            if c.option_name == "DS"))
-        cluster.node("c1").memory.reserve("thief", 120.0)
-        from repro.errors import ControllerError
-        with pytest.raises(ControllerError):
-            controller.apply_candidate(instance, state, candidate,
-                                       reason="test")
-        assert controller.view.configuration_of(instance.key) is None
-        assert instance.key not in controller.predict_all(controller.view)
+        instance, state, candidate = stolen_commit(world, tmp_path)
+        assert instance.key in controller.predict_all(controller.view)
+        cluster.node("c1").memory.release("thief")
+        controller.commit([(instance, state, candidate)], reason="test")
+        assert state.chosen.option_name == "DS"
+        assert controller.view.configuration_of(
+            instance.key).demands.option_name == "DS"
+        controller.journal.close()

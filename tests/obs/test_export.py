@@ -146,12 +146,9 @@ class TestHistogramExposition:
         assert f'{base}_bucket{{le="+Inf"}} 3' in text
 
     def test_timer_histogram_wins_over_its_gauge(self):
-        from repro.obs.instrument import Telemetry
-
         metrics = MetricInterface()
-        telemetry = Telemetry(metrics, clock=lambda: 0.0)
-        with telemetry.timer("controller.flush_seconds"):
-            pass
+        metrics.report("controller.flush_seconds", 0.0, 0.25)
+        metrics.histogram("controller.flush_seconds").observe(0.25)
         text = prometheus_text(metrics)
         check_prometheus_exposition(text)
         # One TYPE line, histogram: the gauge series under the same

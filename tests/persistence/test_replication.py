@@ -187,6 +187,34 @@ class TestWalShipping:
                          standby.journal.wal.records()]
         assert standby_lines == primary_lines
 
+    def test_standby_applies_an_exchange_as_one_commit(self, tmp_path):
+        """The crash suite's memory-bound exchange, shipped: the standby
+        applies the ``exchange`` record whole and ends equal to the
+        primary, its log byte for byte the primary's."""
+        from tests.integration.test_crash_recovery import (
+            HOSTS,
+            OPS_EXCHANGE,
+            apply_op,
+        )
+
+        controller = AdaptationController(
+            Cluster.full_mesh(list(HOSTS), memory_mb=96))
+        journal = DurabilityJournal(str(tmp_path / "p"), fsync="never")
+        journal.attach(controller)
+        server = HarmonyServer(controller)
+        server.enable_replication(address="primary:1")
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fsync="never")
+        join_standby(server, standby)
+        for op in OPS_EXCHANGE:
+            apply_op(controller, op)
+        records = journal.wal.records()
+        assert [record.kind for record in records].count("exchange") == 1
+        assert standby.last_seq == records[-1].seq
+        assert_converged(standby, controller)
+        assert [_frame_text(r) for r in standby.journal.wal.records()] == \
+            [_frame_text(r) for r in records]
+
     def test_acks_flow_back_and_lag_is_zero(self, tmp_path):
         controller, _journal, server = make_primary(tmp_path / "p")
         standby = ReplicationStandby(str(tmp_path / "s"), "sb",
