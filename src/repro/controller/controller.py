@@ -197,7 +197,9 @@ class ModelDrivenPolicy(DecisionPolicy):
         oracle) even when registrations interleave partitions.  A bundle
         is skipped when its partition's epoch watermark proves its last
         no-op evaluation still holds (see
-        :class:`~repro.controller.partition.PartitionIndex`).
+        :class:`~repro.controller.partition.PartitionIndex`), and matched
+        but not scored when its read set proves it
+        (:meth:`_reevaluate_bundle_outcome`).
         """
         index = controller.partition_index
         index.refresh()
@@ -205,24 +207,26 @@ class ModelDrivenPolicy(DecisionPolicy):
         stats.partition_sweeps += 1
         prune = index.prunable(controller.objective)
         changes = 0
-        #: pid -> [elapsed, evaluated, changed, skipped]
+        #: pid -> [elapsed, evaluated, changed, skipped, unchanged]
         activity: dict[int, list] = {}
         for instance in controller.registry.instances():
             for state in instance.bundles.values():
                 key = bundle_key(instance, state)
                 part = index.partition_of(key)
                 pid = part.pid if part is not None else 0
-                cell = activity.setdefault(pid, [0.0, 0, 0, 0])
+                cell = activity.setdefault(pid, [0.0, 0, 0, 0, 0])
                 if prune and index.is_clean(key):
                     stats.pruned_bundles += 1
                     stats.pruned_candidates += index.candidate_count(state)
                     cell[3] += 1
                     continue
                 start = _time.perf_counter()
+                unchanged = stats.unchanged_bundles
                 changed, stable = self._reevaluate_bundle_outcome(
                     controller, instance, state)
                 cell[0] += _time.perf_counter() - start
                 cell[1] += 1
+                cell[4] += stats.unchanged_bundles - unchanged
                 if changed:
                     changes += 1
                     cell[2] += 1
@@ -231,15 +235,16 @@ class ModelDrivenPolicy(DecisionPolicy):
         tracer = controller.tracer
         if tracer.enabled:
             end = tracer.elapsed()
-            for pid, (elapsed, evaluated, changed, skipped) in \
-                    sorted(activity.items()):
+            for pid, (elapsed, evaluated, changed, skipped, unchanged) \
+                    in sorted(activity.items()):
                 part = index._parts.get(pid)
                 tracer.record_span(
                     "optimizer.partition_sweep",
                     max(0.0, end - elapsed), elapsed,
                     partition=pid,
                     size=len(part.members) if part is not None else 0,
-                    evaluated=evaluated, changes=changed, pruned=skipped)
+                    evaluated=evaluated, changes=changed, pruned=skipped,
+                    unchanged=unchanged)
         controller.metrics.report("optimizer.partitions", controller.now,
                                   float(index.partition_count))
         return changes
@@ -363,16 +368,31 @@ class ModelDrivenPolicy(DecisionPolicy):
         it past a hysteresis threshold (whose denominator is the global
         objective besides) or a friction amortisation alike.
         Granularity-blocked outcomes depend on the clock.
+
+        A stable outcome is a function of what its evaluation read, so
+        where pruning is sound the index keeps that read set, and a later
+        evaluation whose match finds the same candidates and whose reads
+        nobody has written since returns the outcome unscored
+        (:meth:`~repro.controller.trial.TrialEngine.unchanged`).
         """
         now = controller.now
         if state.chosen is None:
             return False, True
         if not state.granularity_allows_switch(now):
             return False, False
-        context = controller.optimization_context()
-        result = self.optimizer.optimize_bundle(instance, state, context)
+        index = controller.partition_index
+        key = bundle_key(instance, state)
+        prune = index.prunable(controller.objective)
+        result = self.optimizer.optimize_bundle(
+            instance, state, controller.optimization_context(),
+            since=index.last_no_op(key) if prune else None)
+        if result is None:
+            controller.stats.unchanged_bundles += 1
+            return False, True
         best = result.best
         if best is None or _same_configuration(state, best):
+            if prune:
+                index.note_no_op(key, result.reads)
             return False, True
         with controller.tracer.span("controller.friction_gate",
                                     app=instance.key) as span:
@@ -386,7 +406,10 @@ class ModelDrivenPolicy(DecisionPolicy):
             span.set("friction_cost_seconds", friction_cost)
             span.set("worthwhile", bool(decision))
         if not decision:
-            return False, decision.objective_gain <= 0
+            stable = decision.objective_gain <= 0
+            if stable and prune:
+                index.note_no_op(key, result.reads)
+            return False, stable
         controller.commit(
             [(instance, state, best)],
             reason=f"reevaluation (gain {decision.objective_gain:.3g}s, "
@@ -1239,6 +1262,8 @@ class AdaptationController:
                             float(self.stats.partition_sweeps))
         self.metrics.report("optimizer.partition.pruned_bundles", now,
                             float(self.stats.pruned_bundles))
+        self.metrics.report("optimizer.unchanged_bundles", now,
+                            float(self.stats.unchanged_bundles))
         self.metrics.report("optimizer.partition.pruned_pairs", now,
                             float(self.stats.pruned_pairs))
         self.metrics.report("optimizer.partition.merges", now,

@@ -41,7 +41,12 @@ from repro.allocation.instantiate import (
 from repro.allocation.matcher import Assignment, Matcher, MatchPreparation
 from repro.controller.objective import Objective
 from repro.controller.registry import AppInstance, BundleState
-from repro.controller.trial import OptimizerStats, TrialEngine, ViewTrial
+from repro.controller.trial import (
+    OptimizerStats,
+    ReadSet,
+    TrialEngine,
+    ViewTrial,
+)
 from repro.errors import AllocationError, RslSemanticError
 from repro.obs.trace import NULL_TRACER
 from repro.prediction.contention import SystemView
@@ -417,6 +422,8 @@ class OptimizationResult:
     candidates_evaluated: int = 0
     current_objective: float = math.inf
     evaluated: list[Candidate] = field(default_factory=list)
+    #: What scoring read, for a later ``optimize_bundle(since=...)``.
+    reads: ReadSet | None = None
 
 
 class GreedyOptimizer:
@@ -492,51 +499,68 @@ class GreedyOptimizer:
             return best
 
     def optimize_bundle(self, instance: AppInstance, state: BundleState,
-                        context: OptimizationContext) -> OptimizationResult:
+                        context: OptimizationContext,
+                        since: ReadSet | None = None,
+                        ) -> OptimizationResult | None:
         """Pick the configuration of this bundle minimizing the objective,
-        holding every other application (and bundle) fixed."""
+        holding every other application (and bundle) fixed.
+
+        ``since`` is what an earlier evaluation of this bundle read
+        (its result's ``reads``).  When the match finds the same
+        candidates and the engine proves nothing read has changed
+        (:meth:`TrialEngine.unchanged`), scoring would repeat that
+        evaluation, so nothing is scored and ``None`` is returned.
+        """
         with context.tracer.span("optimizer.optimize_bundle",
                                  app=instance.key,
                                  bundle=state.bundle.bundle_name) as span:
             engine = context.engine
-            live = engine.live_predictions()
-            current_objective = context.objective.evaluate(live)
             # What the view holds for this app (one slot, however many
             # bundles): trialling that very configuration would re-derive
             # ``live``, which the dirty-set contract says a recompute
             # returns.
             placed = context.view.configuration_of(instance.key)
+            candidates = list(enumerate_candidates(instance, state, context))
+            if since is not None and engine.unchanged(
+                    since, state.chosen, placed, candidates):
+                span.set("unchanged", True)
+                return None
+            # Read after the match, which brings the view up to the
+            # cluster's topology.
+            live = engine.live_predictions()
+            epoch = engine.epoch
+            current_objective = context.objective.evaluate(live)
             best: Candidate | None = None
-            evaluated: list[Candidate] = []
-            for candidate in enumerate_candidates(instance, state, context):
-                evaluated.append(candidate)
-                if placed is not None \
-                        and candidate.demands == placed.demands \
-                        and candidate.assignment == placed.assignment:
-                    predictions = live
-                    candidate.objective_value = current_objective
-                else:
-                    with ViewTrial(context.view) as trial:
-                        trial.place(instance.key, candidate.demands,
-                                    candidate.assignment)
-                        predictions = engine.trial_predictions(
-                            live, trial.tokens)
-                    candidate.objective_value = context.objective.evaluate(
-                        predictions)
-                candidate.predicted_seconds = predictions.get(
-                    instance.key, math.inf)
-                if best is None or candidate.objective_value \
-                        < best.objective_value - 1e-12:
-                    best = candidate
+            with engine.reading() as reads:
+                for candidate in candidates:
+                    if placed is not None \
+                            and candidate.demands == placed.demands \
+                            and candidate.assignment == placed.assignment:
+                        predictions = live
+                        candidate.objective_value = current_objective
+                    else:
+                        with ViewTrial(context.view) as trial:
+                            trial.place(instance.key, candidate.demands,
+                                        candidate.assignment)
+                            predictions = engine.trial_predictions(
+                                live, trial.tokens)
+                        candidate.objective_value = \
+                            context.objective.evaluate(predictions)
+                    candidate.predicted_seconds = predictions.get(
+                        instance.key, math.inf)
+                    if best is None or candidate.objective_value \
+                            < best.objective_value - 1e-12:
+                        best = candidate
             if context.stats is not None:
-                context.stats.candidates_evaluated += len(evaluated)
-            span.set("candidates_evaluated", len(evaluated))
+                context.stats.candidates_evaluated += len(candidates)
+            span.set("candidates_evaluated", len(candidates))
             if best is not None:
                 span.set("chosen", best.option_name)
-            return OptimizationResult(best=best,
-                                      candidates_evaluated=len(evaluated),
-                                      current_objective=current_objective,
-                                      evaluated=evaluated)
+            return OptimizationResult(
+                best=best, candidates_evaluated=len(candidates),
+                current_objective=current_objective, evaluated=candidates,
+                reads=engine.read_set(state.chosen, placed, candidates,
+                                      reads, epoch))
 
 
 class ExhaustiveOptimizer:

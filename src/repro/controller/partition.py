@@ -33,6 +33,14 @@ other's evaluation reads.  This module makes that independence explicit:
   when pruning is provably safe (:meth:`PartitionIndex.prunable`:
   an additively decomposable objective and no opaque models).
 
+* **Read-set watermarks** — inside a component whose epoch moved, a
+  bundle's last stable no-op also records what it read
+  (:class:`~repro.controller.trial.ReadSet`).  The sweep still matches
+  the bundle, and skips scoring it when the candidates are the same and
+  no host or link it read has been written since
+  (``GreedyOptimizer.optimize_bundle(since=...)``).  Honoured under the
+  same :meth:`PartitionIndex.prunable` gate, and dropped with the bundle.
+
 * **Pair watermarks** — the pairwise pass reads the same epochs.  A
   clean bundle is at its own optimum, so a pair of clean bundles from
   two components cannot gain jointly and is not searched; a component
@@ -58,6 +66,7 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
     from repro.controller.registry import AppInstance, BundleState
+    from repro.controller.trial import ReadSet
 
 __all__ = ["PartitionIndex", "Partition", "bundle_key"]
 
@@ -109,6 +118,9 @@ class PartitionIndex:
         #: (pid, epoch) recorded when a bundle's evaluation was a proven
         #: no-op; valid while it still equals the live (pid, epoch).
         self._clean_at: dict[BundleKey, tuple[int, int]] = {}
+        #: What each bundle's last stable no-op read: the bundle-grain
+        #: watermark a sweep checks when the partition one has moved.
+        self._no_ops: dict[BundleKey, ReadSet] = {}
         #: Reach memo, dropped with the bundle:
         #: key -> (topology_version, reach).
         self._reach: dict[BundleKey, tuple[int, frozenset]] = {}
@@ -153,6 +165,14 @@ class PartitionIndex:
         pid = self._member_pid.get(key)
         if pid is not None:
             self._clean_at[key] = (pid, self._parts[pid].epoch)
+
+    def last_no_op(self, key: BundleKey) -> ReadSet | None:
+        return self._no_ops.get(key)
+
+    def note_no_op(self, key: BundleKey, reads: ReadSet) -> None:
+        """Record what a stable no-op evaluation of this bundle read."""
+        if key in self._member_pid:
+            self._no_ops[key] = reads
 
     def prunable(self, objective: object) -> bool:
         """Whether clean-skip pruning is provably serial-equivalent.
@@ -227,6 +247,7 @@ class PartitionIndex:
         for key in [k for k in self._member_pid if k[0] == app_key]:
             pid = self._member_pid.pop(key)
             self._clean_at.pop(key, None)
+            self._no_ops.pop(key, None)
             self._reach.pop(key, None)
             part = self._parts[pid]
             part.members.discard(key)

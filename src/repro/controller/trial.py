@@ -23,7 +23,18 @@ This module removes both:
   application whose performance model the engine cannot see through
   (custom callables).  Everything else reuses its cached value — which
   the dirty-set contract guarantees is identical to what a full
-  recompute would produce.
+  recompute would produce, bit for bit, since a prediction is a function
+  of the view's state and not of the trials that ran before it.  A trial
+  dictionary is the base copied with the dirty set written over it, so
+  its order is not the view's; objectives sum with ``fsum`` and never
+  read it.
+
+* **Read sets** — the engine stamps every host and link a commit writes
+  and moves an :attr:`TrialEngine.epoch` on every mutation it did not
+  see.  :meth:`TrialEngine.reading` records the hosts and links one
+  evaluation's recomputed predictions read (:class:`ReadSet`), and
+  :meth:`TrialEngine.unchanged` proves a later evaluation with the same
+  candidates would read the same values.
 
 :class:`OptimizerStats` counts the work actually done so benchmarks can
 report candidates evaluated, per-app predictions recomputed, and full-view
@@ -32,17 +43,22 @@ recomputes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment
-from repro.prediction.contention import PlacementToken, SystemView
+from repro.prediction.contention import (
+    PlacementFootprint,
+    PlacementToken,
+    SystemView,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
 
-__all__ = ["OptimizerStats", "ViewTrial", "TrialEngine"]
+__all__ = ["OptimizerStats", "ReadSet", "ViewTrial", "TrialEngine"]
 
 
 @dataclass
@@ -58,6 +74,10 @@ class OptimizerStats:
     partition_sweeps: int = 0
     pruned_bundles: int = 0
     pruned_candidates: int = 0
+    #: Bundles the partition watermark did not skip whose match found
+    #: the candidates and read set of their last stable no-op, so no
+    #: candidate was scored (see :meth:`TrialEngine.unchanged`).
+    unchanged_bundles: int = 0
     #: Pairwise pass: pairs searched, and pairs skipped because the
     #: partition epochs prove they cannot gain.
     pairs_evaluated: int = 0
@@ -71,8 +91,37 @@ class OptimizerStats:
                 "partition_sweeps": self.partition_sweeps,
                 "pruned_bundles": self.pruned_bundles,
                 "pruned_candidates": self.pruned_candidates,
+                "unchanged_bundles": self.unchanged_bundles,
                 "pairs_evaluated": self.pairs_evaluated,
                 "pruned_pairs": self.pruned_pairs}
+
+
+@dataclass(frozen=True)
+class ReadSet:
+    """What one bundle evaluation read, for :meth:`TrialEngine.unchanged`.
+
+    ``chosen`` and ``placed`` are the bundle's configuration and its
+    app's view placement the candidates were scored against (compared by
+    identity: every commit makes new ones); ``candidates`` the matched
+    ``(demands, assignment)`` pairs in match order; ``keys`` the hosts
+    and links the recomputed predictions read; ``epoch``, ``clock`` and
+    ``topology`` the engine's epoch, its commit count and the cluster's
+    topology version when they were read.
+    """
+
+    chosen: object
+    placed: object
+    candidates: tuple
+    keys: frozenset
+    epoch: int
+    clock: int
+    topology: int
+
+
+def _candidate_signature(candidates: Sequence) -> tuple:
+    """The part of matched candidates a :class:`ReadSet` compares."""
+    return tuple((candidate.demands, candidate.assignment)
+                 for candidate in candidates)
 
 
 class ViewTrial:
@@ -125,8 +174,8 @@ class TrialEngine:
 
     Any mutation the engine did not see (external-load updates, a failed
     node's displacements, topology reindex) leaves the cached version
-    behind; the next :meth:`live_predictions` notices the mismatch and
-    rebuilds in full.
+    behind; the next :meth:`live_predictions` notices the mismatch,
+    rebuilds in full and moves :attr:`epoch`.
     """
 
     def __init__(self, controller: "AdaptationController"):
@@ -136,12 +185,23 @@ class TrialEngine:
         #: Apps whose models may read state outside their footprint —
         #: always recomputed, never trusted from cache.
         self._opaque: set[str] = set()
+        #: Moves on every mutation the engine did not see (an
+        #: :meth:`invalidate`, a :meth:`_rebuild`): stamps say nothing
+        #: across it.
+        self.epoch = 0
+        #: Commits advanced so far, and host / link -> the commit that
+        #: last wrote it; bounded by the cluster's hosts and links.
+        self._clock = 0
+        self._stamps: dict[object, int] = {}
+        #: Hosts and links read while :meth:`reading` records.
+        self._reads: set | None = None
 
     # -- cache lifecycle ---------------------------------------------------
 
     def invalidate(self) -> None:
         self._predictions = None
         self._version = None
+        self.epoch += 1
 
     def live_predictions(self) -> dict[str, float]:
         """Predictions for the live view, rebuilt only when stale."""
@@ -155,6 +215,7 @@ class TrialEngine:
         controller = self.controller
         view = controller.view
         controller.stats.full_view_recomputes += 1
+        self.epoch += 1
         with controller.tracer.span("prediction.rebuild") as span:
             predictions: dict[str, float] = {}
             opaque: set[str] = set()
@@ -189,31 +250,82 @@ class TrialEngine:
         return dirty
 
     def trial_predictions(self, base: Mapping[str, float],
-                          tokens: Iterable[PlacementToken],
+                          tokens: Sequence[PlacementToken],
                           ) -> dict[str, float]:
         """Predictions for the view as currently mutated by ``tokens``.
 
         ``base`` must be the prediction dictionary of the view state the
         tokens were applied to (the live cache, or a previous trial's
-        result when trials nest).  Clean apps reuse their ``base`` value;
-        the result preserves the view's configuration iteration order, so
-        objective evaluation sums in the same order as a full recompute.
+        result when trials nest).  The result is ``base`` with the dirty
+        set recomputed over it — in ``base``'s order, newcomers last, not
+        the view's.
         """
         controller = self.controller
         view = controller.view
+        reads = self._reads
         with controller.tracer.span("prediction.trial") as span:
             dirty = self.dirty_set(tokens)
-            predictions: dict[str, float] = {}
-            for placed in view.configurations():
-                app_key = placed.app_key
-                if app_key not in dirty and app_key in base:
-                    predictions[app_key] = base[app_key]
+            predictions = dict(base)
+            for app_key in dirty:
+                placed = view.configuration_of(app_key)
+                value = None if placed is None \
+                    else controller.predict_app(view, placed)
+                if value is None:
+                    predictions.pop(app_key, None)
                     continue
-                value = controller.predict_app(view, placed)
-                if value is not None:
-                    predictions[app_key] = value
+                predictions[app_key] = value
+                if reads is not None:
+                    _note_reads(reads, view.footprint_of(app_key))
+            if reads is not None:
+                # What the live predictions this trial replaces read: the
+                # mutated app's old placement, and whom it shared with.
+                for token in tokens:
+                    _note_reads(reads, token.removed_footprint)
             span.set("dirty", len(dirty))
         return predictions
+
+    # -- read sets -----------------------------------------------------------
+
+    @contextmanager
+    def reading(self) -> Iterator[set]:
+        """Record the hosts and links the trials inside ``with`` read.
+
+        The set yielded fills with the footprint of every prediction a
+        trial recomputes and of every placement a trial displaces.  For a
+        footprint-safe model that is all a prediction reads, bar the
+        epoch and topology :meth:`read_set` adds.
+        """
+        self._reads = reads = set()
+        try:
+            yield reads
+        finally:
+            self._reads = None
+
+    def read_set(self, chosen: object, placed: object,
+                 candidates: Sequence, keys: set, epoch: int) -> ReadSet:
+        """What scoring ``candidates`` against ``chosen`` and ``placed``
+        read: ``keys``, at ``epoch``."""
+        return ReadSet(chosen=chosen, placed=placed,
+                       candidates=_candidate_signature(candidates),
+                       keys=frozenset(keys), epoch=epoch, clock=self._clock,
+                       topology=self.controller.cluster.topology_version)
+
+    def unchanged(self, since: ReadSet, chosen: object, placed: object,
+                  candidates: Sequence) -> bool:
+        """Whether scoring ``candidates`` now would read what ``since``
+        read: the same configuration, placement and candidates, no unseen
+        mutation, the same topology, and no commit since that wrote a host
+        or link it read."""
+        # An unseen mutation moves the epoch only when the cache is read.
+        self.live_predictions()
+        if since.chosen is not chosen or since.placed is not placed or \
+                since.epoch != self.epoch or since.topology != \
+                self.controller.cluster.topology_version or \
+                since.candidates != _candidate_signature(candidates):
+            return False
+        stamps = self._stamps
+        clock = since.clock
+        return all(stamps.get(key, 0) <= clock for key in since.keys)
 
     # -- commits -----------------------------------------------------------
 
@@ -222,19 +334,45 @@ class TrialEngine:
 
         Valid only when ``tokens`` account for every version bump since
         the cache was built; otherwise the cache is dropped and the next
-        read rebuilds.
+        read rebuilds.  The advanced dictionary keeps the view's order,
+        as a rebuild would.  Every host and link the tokens write is
+        stamped with this commit.
         """
-        view = self.controller.view
-        if self._predictions is None or self._version is None or \
+        controller = self.controller
+        view = controller.view
+        base = self._predictions
+        if base is None or self._version is None or \
                 view.version != self._version + len(tokens):
             self.invalidate()
             return
-        self._predictions = self.trial_predictions(self._predictions,
-                                                   tokens)
+        dirty = self.dirty_set(tokens)
+        predictions: dict[str, float] = {}
+        for placed in view.configurations():
+            app_key = placed.app_key
+            if app_key not in dirty and app_key in base:
+                predictions[app_key] = base[app_key]
+                continue
+            value = controller.predict_app(view, placed)
+            if value is not None:
+                predictions[app_key] = value
+        self._predictions = predictions
+        self._clock += 1
+        written: set = set()
         for token in tokens:
+            _note_reads(written, token.removed_footprint)
+            _note_reads(written, token.added_footprint)
             self._opaque.discard(token.app_key)
             placed = view.configuration_of(token.app_key)
             if placed is not None and \
-                    not self.controller.model_is_footprint_safe(placed):
+                    not controller.model_is_footprint_safe(placed):
                 self._opaque.add(token.app_key)
+        for key in written:
+            self._stamps[key] = self._clock
         self._version = view.version
+
+
+def _note_reads(keys: set, footprint: PlacementFootprint | None) -> None:
+    """Add the hosts and links a placement computes on or reads."""
+    if footprint is not None:
+        keys.update(footprint.cpu)
+        keys.update(footprint.read_links)

@@ -27,6 +27,7 @@ predictions can change when a given footprint appears or disappears.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -522,18 +523,11 @@ class SystemView:
         if own_seconds <= 0:
             return 0.0
         self._sync_topology()
-        effective = own_seconds
-        entries = self._host_entries.get(hostname)
-        if entries:
-            for app_key, seconds in entries.items():
-                if app_key == own_app_key:
-                    continue
-                for value in seconds:
-                    effective += value if value < own_seconds else own_seconds
         # Each external consumer is assumed to be at least as long as the
         # job itself (no demand information is observable, only presence).
-        effective += self.external_cpu_load(hostname) * own_seconds
-        return effective
+        return _sojourn(own_seconds, self._host_entries.get(hostname),
+                        own_app_key,
+                        self._external_cpu.get(hostname, 0.0))
 
     def transfer_effective_mb(self, host_a: str, host_b: str,
                               own_mb: float,
@@ -548,14 +542,27 @@ class SystemView:
         self._sync_topology()
         if self.cluster.link_between(host_a, host_b) is None:
             return own_mb
-        effective = own_mb
-        entries = self._link_entries.get(frozenset((host_a, host_b)))
-        if entries:
-            for app_key, megabytes in entries.items():
-                if app_key == own_app_key:
-                    continue
-                for value in megabytes:
-                    effective += value if value < own_mb else own_mb
-        effective += self.external_link_load(host_a, host_b) * own_mb
-        return effective
+        key = frozenset((host_a, host_b))
+        return _sojourn(own_mb, self._link_entries.get(key), own_app_key,
+                        self._external_flows.get(key, 0.0))
+
+
+def _sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,
+             own_app_key: str | None, external: float) -> float:
+    """``own + sum_j min(v_j, own) + external * own``, correctly rounded.
+
+    ``math.fsum`` makes the sum a function of the competitors' multiset,
+    not of the order they were indexed in: a rolled-back trial re-inserts
+    its application at the end of a host's entries, and the estimate of
+    every other job there must not move in its last bit.
+    """
+    terms = [own]
+    if entries:
+        for app_key, values in entries.items():
+            if app_key != own_app_key:
+                for value in values:
+                    terms.append(value if value < own else own)
+    if external:
+        terms.append(external * own)
+    return math.fsum(terms)
 

@@ -29,9 +29,10 @@ MAX_LIVE = 12
 #: predictions must agree to the last bit.
 EXACT = {"small": (61.5, 58.0, 64.25), "large": (34.25, 33.0, 36.5),
          "three": (25.5, 24.0, 27.25), "load": (0.25, 0.5, 1.0)}
-#: Demands with no finite binary expansion: a prediction's last bit then
-#: depends on the order its node's consumers are summed in (ROADMAP N4
-#: (3)), which a skipped trial changes — decisions must not.
+#: Demands with no finite binary expansion: summed left to right, a
+#: prediction's last bit would follow the order its node's consumers were
+#: indexed in, which a skipped trial changes.  The sojourn sums are
+#: correctly rounded, so predictions must agree to the last bit here too.
 INEXACT = {"small": (55.3, 60.1, 58.7), "large": (33.3, 35.9, 34.1),
            "three": (24.7, 26.3, 25.1), "load": (0.3, 0.7, 1.1)}
 

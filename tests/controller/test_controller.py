@@ -128,8 +128,9 @@ class TestLifecycle:
         assert set(cache._spaces) == pinned
 
     def test_partition_index_is_bounded_under_churn(self):
-        """The index's per-bundle tables — membership, watermarks, the
-        reach memo — go with the application that ends."""
+        """The index's per-bundle tables — membership, watermarks, read
+        sets, the reach memo — go with the application that ends; the
+        engine's write stamps are one per host or link at most."""
         controller = AdaptationController(build_pod_cluster(2, 4))
         index = controller.partition_index
         live = []
@@ -143,6 +144,10 @@ class TestLifecycle:
         keys = {(instance.key, "size") for instance in live}
         assert set(index._member_pid) == set(index._reach) == keys
         assert set(index._clean_at) <= keys
+        assert 0 < len(index._no_ops) and set(index._no_ops) <= keys
+        cluster = controller.cluster
+        assert 0 < len(controller._engine._stamps) <= \
+            len(list(cluster.hostnames())) + len(list(cluster.links()))
         assert len(index._parts) == 2
         assert controller.stats.pruned_pairs > 0    # watermarks in use
 

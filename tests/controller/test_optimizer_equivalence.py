@@ -339,13 +339,11 @@ def test_fractional_seconds_decide_identically_on_every_path():
     assert len(decisions_of(naive)) > 16     # reconfigurations happened
     assert decisions_of(serial) == decisions_of(naive)
     assert chosen_of(serial) == chosen_of(naive)
-    # Not bit-equal, at this commit or before it: a rolled-back trial
-    # re-appends its application to each node's consumer index, so the
-    # incremental paths sum a node's competitors in another order than a
-    # copied view does (129.60000000000002 vs 129.6).  ROADMAP N4 (3)
-    # owns the canonical summation order; decisions must not wait for it.
-    assert serial.predict_all(serial.view) == pytest.approx(
-        naive.predict_all(naive.view), rel=1e-12, abs=0)
+    # Bit-equal: a rolled-back trial re-appends its application to each
+    # node's consumer index, so the incremental paths meet a node's
+    # competitors in another order than a copied view does, but the
+    # sojourn sums are correctly rounded whatever the order.
+    assert serial.predict_all(serial.view) == naive.predict_all(naive.view)
     assert_same_decisions(partitioned, serial)
 
 

@@ -112,7 +112,10 @@ class TestSpans:
         assert spans
         for span in spans:
             assert set(span.attributes) == {
-                "partition", "size", "evaluated", "changes", "pruned"}
+                "partition", "size", "evaluated", "changes", "pruned",
+                "unchanged"}
+            assert span.attributes["unchanged"] <= \
+                span.attributes["evaluated"]
         # The span name is shared; ids live in attributes only.
         names = {s.name for s in tracer.spans
                  if s.name.startswith("optimizer.partition")}

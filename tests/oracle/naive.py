@@ -158,7 +158,9 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
                     best = (copy_a, copy_b, objective)
         return best
 
-    def optimize_bundle(self, instance, state, context):
+    def optimize_bundle(self, instance, state, context, since=None):
+        # Scores every time: ``since`` is ignored and the result reads
+        # nothing, so a sweep never skips a bundle this scored.
         current_objective = context.objective.evaluate(
             context.predict_all(context.view))
 
