@@ -38,8 +38,6 @@ from repro.api.protocol import (
     HEARTBEAT_ACK,
     LEASE_EXPIRED,
     MESSAGES,
-    SHARD_LOOKUP,
-    SHARD_MAP,
     STATUS,
     STATUS_REPORT,
     VARIABLE_UPDATE,
@@ -58,7 +56,6 @@ from repro.errors import (
     ProtocolError,
     RequestTimeoutError,
     RetryExhaustedError,
-    ShardMovedError,
     TransportError,
 )
 
@@ -273,29 +270,6 @@ class HarmonyClient:
             fields["prefix"] = prefix
         reply = self._request(make_message(STATUS, **fields))
         return MESSAGES[STATUS_REPORT].convert(reply)
-
-    def locate_shard(self, app_name: str | None = None,
-                     resume_key: str | None = None) -> dict[str, Any]:
-        """Ask a federation arbiter which shard owns an application.
-
-        Works without :meth:`startup` — a connecting client asks the
-        arbiter *before* it knows where to register.  Returns the
-        ``shard_map`` payload: ``{"shards": [...], "leader": "host:port"}``
-        where ``leader`` is the shard that owns ``resume_key`` (exact
-        assignment) or ``app_name`` (consistent hash).  Raises
-        :class:`~repro.errors.HarmonyError` when the connected server is
-        not an arbiter.
-        """
-        fields: dict[str, Any] = {}
-        if app_name is not None:
-            fields["app_name"] = app_name
-        if resume_key is not None:
-            fields["resume_key"] = resume_key
-        reply = self._request(make_message(SHARD_LOOKUP, **fields))
-        if reply.get("type") != SHARD_MAP:
-            raise ProtocolError(
-                f"expected shard_map, got {reply.get('type')!r}")
-        return MESSAGES[SHARD_MAP].convert(reply)
 
     def poll_update(self) -> dict[str, Any] | None:
         """Non-blocking check for a new update batch (simulation-friendly).
@@ -514,12 +488,10 @@ class HarmonyClient:
         text = f"server {row.type}: {response.get('message', '')}"
         if not issubclass(error, ControllerMovedError):
             raise error(text)
-        # A redirect (failover or federation handoff): the retry loop
-        # reconnects to the hinted leader and replays the session there.
+        # The failover redirect: the retry loop reconnects to the
+        # hinted leader and replays the session there.
         leader = response.get("leader")
         self._moved_leader = str(leader) if leader else None
-        if issubclass(error, ShardMovedError):
-            self._count("client.shard_redirects")
         raise error(text, leader=self._moved_leader,
                     term=int(response.get("term", 0) or 0))
 

@@ -12,10 +12,9 @@ the client's mapping of refusals to exceptions and the type sets below are
 all read from it; docs/wire-protocol.md §2–§3 are its prose form.
 
 The protocol's semantics — resuming a session by ``resume_key``, the
-``error`` codes, the replication stream, and the failover
-(``controller_moved``) and federation (``shard_moved``) redirects — are
-specified in docs/wire-protocol.md, docs/replication.md and
-docs/federation.md.
+``error`` codes, the replication stream, and the failover redirect
+(``controller_moved``) — are specified in docs/wire-protocol.md and
+docs/replication.md.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.errors import (
     HarmonyError,
     LeaseExpiredError,
     ProtocolError,
-    ShardMovedError,
 )
 
 __all__ = ["encode_message", "FrameDecoder", "make_message",
@@ -43,7 +41,7 @@ __all__ = ["encode_message", "FrameDecoder", "make_message",
            "STATUS", "STATUS_REPORT", "VARIABLE_UPDATE", "ERROR",
            "CONTROLLER_RECOVERING", "CONTROLLER_BUSY", "CONTROLLER_MOVED",
            "TRACE_CTX_FIELD", "REPL_HELLO", "REPL_ACK", "REPL_RECORDS",
-           "REPL_SNAPSHOT", "SHARD_MOVED", "SHARD_LOOKUP", "SHARD_MAP"]
+           "REPL_SNAPSHOT"]
 
 _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -71,12 +69,6 @@ REPL_SNAPSHOT = "repl_snapshot"
 #: The failover redirect: "I am not the primary; go there."
 CONTROLLER_MOVED = "controller_moved"
 
-#: The federation vocabulary: a shard redirecting a handed-off session
-#: ("your session lives there now"), and the arbiter's shard directory.
-SHARD_MOVED = "shard_moved"
-SHARD_LOOKUP = "shard_lookup"
-SHARD_MAP = "shard_map"
-
 #: Error code on ``error`` replies sent while recovery is in flight.
 CONTROLLER_RECOVERING = "controller_recovering"
 
@@ -99,6 +91,20 @@ def _as_sent(value: Any) -> Any:
     return value
 
 
+def string(value: Any) -> str:
+    """The converter of a text field: a JSON string, nothing else."""
+    if not isinstance(value, str):
+        raise TypeError("expected a JSON string")
+    return value
+
+
+def boolean(value: Any) -> bool:
+    """The converter of a flag: a JSON ``true`` or ``false``, nothing else."""
+    if not isinstance(value, bool):
+        raise TypeError("expected a JSON boolean")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class MessageSpec:
     """One row of :data:`MESSAGES`: everything a message type means.
@@ -116,8 +122,7 @@ class MessageSpec:
       first (``error.code=controller_busy`` when none is free);
     * ``session`` — needs a registered instance;
     * ``rejoin`` — still handled for an evicted session (it is how one
-      comes back);
-    * ``redirected`` — a handed-off session gets ``shard_moved`` for it.
+      comes back).
 
     ``raises`` is the client's side of a server message that refuses a
     request: ``error.code`` (``None`` when absent) -> exception.
@@ -131,7 +136,6 @@ class MessageSpec:
     admission: bool = False
     session: bool = False
     rejoin: bool = False
-    redirected: bool = True
     request: bool = True
     raises: Mapping[str | None, type[HarmonyError]] = field(
         default_factory=dict)
@@ -185,22 +189,22 @@ def _server(msg_type: str, *fields: str,
 
 
 _ROWS = (
-    # Client -> server: the Figure 5 calls, then liveness, telemetry,
-    # replication and federation.
-    MessageSpec("register", {"app_name": str, "use_interrupts?": bool,
-                             "resume_key?": str},
+    # Client -> server: the Figure 5 calls, then liveness, telemetry
+    # and replication.
+    MessageSpec("register", {"app_name": string, "use_interrupts?": boolean,
+                             "resume_key?": string},
                 reply="registered", mutating=True, locked=True,
                 admission=True, rejoin=True),
-    MessageSpec("bundle_setup", {"rsl": str}, reply="bundle_ok",
+    MessageSpec("bundle_setup", {"rsl": string}, reply="bundle_ok",
                 mutating=True, locked=True, admission=True, session=True),
-    MessageSpec("add_variable", {"name": str, "default?": _as_sent,
+    MessageSpec("add_variable", {"name": string, "default?": _as_sent,
                                  "var_type?": _as_sent},
                 reply="variable_added", session=True),
     MessageSpec("wait_for_update"),
-    MessageSpec("report_metric", {"name": str, "value": float},
+    MessageSpec("report_metric", {"name": string, "value": float},
                 mutating=True, session=True),
     MessageSpec("query_nodes", reply="node_list", session=True),
-    MessageSpec(STATUS, {"prefix?": str, "max_traces?": int},
+    MessageSpec(STATUS, {"prefix?": string, "max_traces?": int},
                 reply=STATUS_REPORT),
     MessageSpec(HEARTBEAT, {"key?": _as_sent}, reply=HEARTBEAT_ACK,
                 session=True),
@@ -210,14 +214,10 @@ _ROWS = (
                 session=True),
     # Locked so a standby's catch-up snapshot cannot race an append
     # (appends run under controller_lock).
-    MessageSpec(REPL_HELLO, {"standby_id": str, "last_seq": int,
-                             "last_crc?": str, "last_term?": int},
+    MessageSpec(REPL_HELLO, {"standby_id": string, "last_seq": int,
+                             "last_crc?": string, "last_term?": int},
                 reply=REPL_RECORDS, locked=True),
-    MessageSpec(REPL_ACK, {"standby_id": str, "seq": int}),
-    # A directory query: its resume_key names the session asked about,
-    # not the asker, so it is never redirected.
-    MessageSpec(SHARD_LOOKUP, {"app_name?": str, "resume_key?": str},
-                reply=SHARD_MAP, redirected=False),
+    MessageSpec(REPL_ACK, {"standby_id": string, "seq": int}),
     # Server -> client.
     _server("registered", "instance_id", "key", "resumed"),
     _server("bundle_ok", "bundle_name", "option", "variables", "placements"),
@@ -235,15 +235,12 @@ _ROWS = (
         CONTROLLER_BUSY: ControllerBusyError}),
     _server(CONTROLLER_MOVED, "message", "term", "leader?",
             raises={None: ControllerMovedError}),
-    _server(SHARD_MOVED, "message", "term", "leader",
-            raises={None: ShardMovedError}),
-    _server(SHARD_MAP, "shards", "leader"),
     # The replication stream, read by a standby: typed, so a malformed
     # message is a ProtocolError the standby resyncs on.
     MessageSpec(REPL_RECORDS, {"term": int, "frames": wal_frames},
                 request=False),
-    MessageSpec(REPL_SNAPSHOT, {"term": int, "last_seq": int, "crc": str,
-                                "state": str, "reset?": bool},
+    MessageSpec(REPL_SNAPSHOT, {"term": int, "last_seq": int, "crc": string,
+                                "state": string, "reset?": boolean},
                 request=False),
 )
 

@@ -63,8 +63,6 @@ from repro.api.protocol import (
     HEARTBEAT_ACK,
     LEASE_EXPIRED,
     MESSAGES,
-    SHARD_MAP,
-    SHARD_MOVED,
     STATUS_REPORT,
     VARIABLE_UPDATE,
     MessageSpec,
@@ -221,18 +219,6 @@ class HarmonySession:
                 message="controller is recovering; mutations are "
                         "refused until recovery completes"))
             return
-        if row.redirected:
-            # Federation redirect, checked *before* the eviction gate: a
-            # handed-off session's instance was evicted here (it lives on
-            # the target shard now), and the answer must be "go there",
-            # never "your lease expired".  A fresh connection registering
-            # with a moved resume_key gets the same redirect.
-            moved_key = (self.instance.key if self.instance is not None
-                         else message.get("resume_key"))
-            target = server.moved_target(moved_key)
-            if target is not None:
-                self._reply(server.shard_moved_reply(target))
-                return
         if self.evicted and not row.rejoin:
             # Anything an evicted client says (a heartbeat racing the
             # eviction, a late RPC) gets the same answer: your lease is
@@ -386,21 +372,6 @@ class HarmonySession:
         if self.server.replication is not None:
             self.server.replication.handle_ack(**fields)
 
-    def _handle_shard_lookup(self, app_name: str | None = None,
-                             resume_key: str | None = None) -> None:
-        """Answer "which shard owns this app?" (arbiter only).
-
-        Registration is not required — a connecting client asks the
-        arbiter before it knows its shard.  Servers without an attached
-        shard router (every non-arbiter) refuse with a protocol error.
-        """
-        router = self.server.shard_router
-        if router is None:
-            raise ProtocolError(
-                "this server is not a federation arbiter")
-        payload = router.lookup(app_name=app_name, resume_key=resume_key)
-        self._reply(make_message(SHARD_MAP, **payload))
-
     def _reply(self, message: dict[str, Any]) -> None:
         term = self.server.controller.term
         if term > 0 and "term" not in message:
@@ -516,12 +487,6 @@ class HarmonyServer:
         self._pending_admissions = 0
         self.heartbeats_received = 0
         self.scheduler = None
-        #: Federation: the arbiter's shard directory (answers
-        #: ``shard_lookup``); ``None`` on every non-arbiter server.
-        self.shard_router = None
-        #: Sessions handed off to a sibling shard: key -> ``host:port``.
-        #: Any message for a moved key answers with ``shard_moved``.
-        self._moved_sessions: dict[str, str] = {}
         self._sessions_by_key: dict[str, HarmonySession] = {}
         self._leases: dict[str, float] = {}
         #: Highest push generation delivered per client — stale batches
@@ -843,118 +808,6 @@ class HarmonyServer:
             "last_seq": last_seq,
             "standbys": standbys,
         }
-
-    # -- federation: cross-shard session handoff ------------------------------
-
-    def moved_target(self, key: Any) -> str | None:
-        """Where session ``key`` was handed off to (``None``: it was not)."""
-        if not isinstance(key, str) or not self._moved_sessions:
-            return None
-        with self.sessions_lock:
-            return self._moved_sessions.get(key)
-
-    def mark_session_moved(self, key: str, target: str) -> None:
-        """Record that ``key`` was handed to the shard at ``target``."""
-        with self.sessions_lock:
-            self._moved_sessions[key] = target
-
-    def clear_session_moved(self, key: str) -> None:
-        """Forget a handoff tombstone (the session moved back here)."""
-        with self.sessions_lock:
-            self._moved_sessions.pop(key, None)
-
-    def shard_moved_reply(self, target: str) -> dict[str, Any]:
-        """The ``shard_moved`` redirect for a handed-off session."""
-        return make_message(
-            SHARD_MOVED,
-            message=f"session was handed off; reconnect to {target}",
-            term=self.controller.term, leader=target)
-
-    def begin_handoff(self, key: str, target: str) -> dict[str, Any] | None:
-        """Atomically export and evict one session for a sibling shard.
-
-        Runs entirely under ``controller_lock``: the session's staged
-        variable batches, decision traces, and push-generation watermark
-        are captured, the application is evicted (allocations released,
-        survivors re-optimized, ``release`` journaled), and the key is
-        tombstoned so every later message — including a fresh ``register``
-        carrying the moved ``resume_key`` — answers ``shard_moved`` with
-        the target's address.  Returns the handoff descriptor for
-        :meth:`adopt_handoff` on the target, or ``None`` when the key is
-        unknown or already ended.  The descriptor holds live objects
-        (in-process federation); it is not a wire message.
-        """
-        from repro.rsl import unparse_bundle
-
-        with self.controller_lock:
-            try:
-                instance = self.controller.registry.instance(key)
-            except ControllerError:
-                return None
-            if instance.ended:
-                return None
-            bundles = []
-            for state in instance.bundles.values():
-                chosen = state.chosen
-                bundles.append({
-                    "bundle_name": state.bundle.bundle_name,
-                    "rsl": unparse_bundle(state.bundle),
-                    "chosen_option": (chosen.option_name
-                                      if chosen is not None else None),
-                })
-            with self._flush_lock:
-                pending = dict(self.buffer.pending_for(key))
-                staged_generation = self.buffer.generation_for(key)
-            with self.sessions_lock:
-                delivered = self._push_generations.get(key, 0)
-            descriptor = {
-                "key": key,
-                "app_name": instance.app_name,
-                "instance_id": instance.instance_id,
-                "bundles": bundles,
-                "pending": pending,
-                "push_generation": max(staged_generation, delivered),
-                "traces": list(self.controller.trace_log.for_app(key)),
-            }
-            self.controller.evict_app(instance,
-                                      reason=f"handoff to {target}")
-            with self._flush_lock:
-                with self.sessions_lock:
-                    self._sessions_by_key.pop(key, None)
-                    self._leases.pop(key, None)
-                    self._push_generations.pop(key, None)
-                    self._moved_sessions[key] = target
-                self.buffer.discard(key)
-            return descriptor
-
-    def adopt_handoff(self, descriptor: dict[str, Any]) -> AppInstance:
-        """Re-admit a session exported by a sibling's :meth:`begin_handoff`.
-
-        The instance is adopted under its original key (so the client's
-        ``resume_key`` rejoin matches), its staged variable batches are
-        re-staged for delivery on rejoin, its decision traces are
-        imported for continuity, and this server's push sequence is
-        advanced past the origin shard's watermark — otherwise this
-        shard's next reconfiguration push would stamp a *lower*
-        generation than the carried batch and be dropped as stale.
-        """
-        key = str(descriptor["key"])
-        with self.controller_lock:
-            self.clear_session_moved(key)
-            instance = self.controller.adopt_app(
-                str(descriptor["app_name"]),
-                int(descriptor["instance_id"]))
-            for trace in descriptor.get("traces", ()):
-                self.controller.trace_log.record(trace)
-            generation = int(descriptor.get("push_generation", 0))
-            pending = descriptor.get("pending") or {}
-            with self._flush_lock:
-                self._push_seq = max(self._push_seq, generation)
-                if pending:
-                    self.buffer.stage_many(key, dict(pending),
-                                           generation=generation)
-        self.touch(key)
-        return instance
 
     # -- the coalescing scheduler --------------------------------------------
 

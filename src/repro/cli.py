@@ -16,10 +16,7 @@ Installed as ``harmony-repro`` (or run as ``python -m repro.cli``):
   explain each reconfiguration (decision traces, optional JSONL dumps);
 * ``harmony-repro serve [...]``     — start a real TCP Harmony server over
   a cluster described by ``harmonyNode`` declarations (``--dir`` makes it
-  a durable, replicating primary; ``--standby-of`` a hot standby;
-  ``--shards N`` a sharded federation under a root arbiter);
-* ``harmony-repro shards [...]``    — ask a federation arbiter which
-  shard owns an application (the ``shard_lookup`` request);
+  a durable, replicating primary; ``--standby-of`` a hot standby);
 * ``harmony-repro promote [...]``   — promote a standby's durability
   directory to primary (term-fenced);
 * ``harmony-repro replication [...]`` — query a running server's
@@ -128,31 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lease-seconds", type=float, default=30.0,
                        help="primary lease duration on the fencing "
                             "record")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="federation mode: shard sessions across N "
-                            "controller workers (each a full server over "
-                            "its own cluster replica, on an ephemeral "
-                            "port) under a root arbiter bound on "
-                            "--host/--port that answers shard_lookup; "
-                            "with --dir each shard journals under "
-                            "DIR/shard-<i>")
-    serve.add_argument("--rebalance-seconds", type=float, default=5.0,
-                       help="federation rebalancer period; 0 disables "
-                            "the background rebalancer")
-
-    shards = subparsers.add_parser(
-        "shards", help="ask a federation arbiter which shard owns an "
-                       "application (shard_lookup)")
-    shards.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="the arbiter's address (printed by "
-                             "serve --shards)")
-    shards.add_argument("--app", default=None,
-                        help="resolve the shard owning this application "
-                             "name")
-    shards.add_argument("--resume-key", default=None, metavar="KEY",
-                        help="resolve the shard owning this session key "
-                             "(explicit handoff assignments win over "
-                             "the hash)")
 
     promote = subparsers.add_parser(
         "promote", help="promote a standby's durability directory to "
@@ -232,7 +204,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "metrics": _cmd_metrics,
         "trace": _cmd_trace,
         "serve": _cmd_serve,
-        "shards": _cmd_shards,
         "promote": _cmd_promote,
         "replication": _cmd_replication,
         "checkpoint": _cmd_checkpoint,
@@ -399,16 +370,19 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_serve_cluster(args: argparse.Namespace):
-    """One cluster replica from the ``--nodes`` RSL (None if empty)."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.api import HarmonyServer
     from repro.cluster import Cluster
+    from repro.controller import AdaptationController
     from repro.rsl import NodeAdvertisement, build_script
 
     with open(args.nodes, encoding="utf-8") as handle:
         results = build_script(handle.read())
     adverts = [r for r in results if isinstance(r, NodeAdvertisement)]
     if not adverts:
-        return None
+        print("error: no harmonyNode declarations found",
+              file=sys.stderr)
+        return 1
 
     cluster = Cluster()
     for advert in adverts:
@@ -420,27 +394,6 @@ def _build_serve_cluster(args: argparse.Namespace):
     for index, host_a in enumerate(hostnames):
         for host_b in hostnames[index + 1:]:
             cluster.add_link(host_a, host_b, args.bandwidth)
-    return cluster
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.api import HarmonyServer
-    from repro.controller import AdaptationController
-
-    cluster = _build_serve_cluster(args)
-    if cluster is None:
-        print("error: no harmonyNode declarations found",
-              file=sys.stderr)
-        return 1
-    hostnames = cluster.hostnames()
-
-    if args.shards:
-        if args.standby_of or args.fencing:
-            print("error: --shards is mutually exclusive with "
-                  "--standby-of/--fencing (shards journal per-directory; "
-                  "see docs/federation.md)", file=sys.stderr)
-            return 1
-        return _serve_federation(args)
 
     if args.standby_of and not args.dir:
         print("error: --standby-of requires --dir", file=sys.stderr)
@@ -520,96 +473,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if standby is not None:
             standby.close()
         front.stop()
-    return 0
-
-
-def _serve_federation(args: argparse.Namespace) -> int:
-    """``serve --shards N``: N controller workers under a root arbiter.
-
-    The arbiter binds on ``--host``/``--port`` and answers
-    ``shard_lookup``; every shard gets its own cluster replica (a fresh
-    build of the ``--nodes`` RSL) and an ephemeral port.  With ``--dir``,
-    shard *i* journals under ``DIR/shard-i`` using the ordinary
-    WAL/snapshot stack.
-    """
-    from repro.controller import AdaptationController
-    from repro.controller.federation import Federation
-
-    def controller_factory(_index: int) -> AdaptationController:
-        return AdaptationController(_build_serve_cluster(args))
-
-    federation = Federation(controller_factory, args.shards,
-                            directory=args.dir,
-                            lease_seconds=args.lease_seconds)
-    fronts = []
-
-    def start(server):
-        port = args.port if server is federation.arbiter_server else 0
-        if args.transport == "asyncio":
-            from repro.api import AsyncHarmonyServer
-
-            front = AsyncHarmonyServer(server)
-            fronts.append(front)
-            return front.serve(args.host, port)
-        fronts.append(server)
-        return server.serve_tcp(args.host, port)
-
-    arbiter_address = federation.serve(start)
-    hostnames = federation.shards[0].controller.cluster.hostnames()
-    print(f"Harmony federation arbiter on {arbiter_address} "
-          f"({args.transport}); {args.shards} shard(s), each managing "
-          f"{len(hostnames)} node(s)")
-    for shard in federation.shards:
-        journal = f" journal={shard.journal_dir}" if shard.journal_dir \
-            else ""
-        print(f"  shard {shard.index} on {shard.address}{journal}")
-    cross = sorted(federation.arbiter.cross_shard_hosts)
-    if cross:
-        print(f"  cross-shard (arbiter-owned) hosts: {', '.join(cross)}")
-    if args.rebalance_seconds > 0 and not args.once:
-        federation.start_rebalancer(period_seconds=args.rebalance_seconds)
-    if args.once:
-        federation.stop()
-        for front in fronts:
-            front.stop()
-        return 0
-    try:
-        import time
-        while True:  # pragma: no cover - interactive loop
-            time.sleep(1.0)
-    except KeyboardInterrupt:  # pragma: no cover
-        federation.stop()
-        for front in fronts:
-            front.stop()
-    return 0
-
-
-def _cmd_shards(args: argparse.Namespace) -> int:
-    from repro.api import HarmonyClient
-    from repro.api.transport import TcpTransport
-
-    if not args.app and not args.resume_key:
-        print("error: shards needs --app or --resume-key to resolve",
-              file=sys.stderr)
-        return 1
-    host, _, port = args.connect.rpartition(":")
-    client = HarmonyClient(TcpTransport.connect(host or "127.0.0.1",
-                                                int(port)))
-    try:
-        reply = client.locate_shard(app_name=args.app,
-                                    resume_key=args.resume_key)
-    finally:
-        client.transport.close()
-    shards = reply.get("shards", [])
-    leader = reply.get("leader")
-    print(f"{args.connect}: {len(shards)} shard(s)")
-    for entry in shards:
-        marker = "*" if entry.get("address") == leader else " "
-        print(f"  {marker} shard {entry.get('index')}: "
-              f"{entry.get('address')}")
-    if leader:
-        target = args.resume_key or args.app
-        print(f"{target!r} is owned by {leader}")
     return 0
 
 

@@ -9,13 +9,6 @@ from repro.controller.controller import (
     SessionLifecycleEvent,
 )
 from repro.controller.events import PerformanceEvent, PerformanceEventMonitor
-from repro.controller.federation import (
-    ControllerShard,
-    Federation,
-    RootArbiter,
-    ShardMap,
-    shard_hash,
-)
 from repro.controller.friction import FrictionPolicy, SwitchDecision
 from repro.controller.objective import (
     MaxResponseTime,
@@ -53,8 +46,6 @@ __all__ = [
     "OptimizationContext", "ConfigurationCache", "enumerate_candidates",
     "OptimizerStats", "TrialEngine", "ViewTrial",
     "PartitionIndex",
-    "Federation", "ControllerShard", "RootArbiter", "ShardMap",
-    "shard_hash",
     "FrictionPolicy", "SwitchDecision",
     "PerformanceEventMonitor", "PerformanceEvent",
     "ApplicationRegistry", "AppInstance", "BundleState",

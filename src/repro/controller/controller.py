@@ -600,34 +600,6 @@ class AdaptationController:
                 self._checkpoint()
             return instance
 
-    def adopt_app(self, app_name: str, instance_id: int) -> AppInstance:
-        """Re-admit an instance under its *original* key (federation).
-
-        The cross-shard handoff path: the origin shard evicted the
-        instance and shipped a descriptor; this controller re-creates it
-        with the same ``app_name.instance_id`` key so the client's
-        ``resume_key`` rejoin matches, then lets the client's session
-        replay re-export its bundles (re-optimized against *this*
-        shard's resources).  Journaled as a dedicated ``adopt`` record —
-        replaying it as a plain ``register`` would mint a fresh id and
-        diverge from the log.
-        """
-        with self.tracer.span("controller.adopt", app=app_name,
-                              instance_id=instance_id) as span:
-            instance = AppInstance(app_name=app_name,
-                                   instance_id=instance_id,
-                                   registered_at=self.now)
-            self.registry.adopt(instance)
-            span.set("key", instance.key)
-            self._record_lifecycle("adopted", instance.key,
-                                   detail="cross-shard handoff")
-            self.metrics.report("controller.registered_apps", self.now,
-                                float(len(self.registry)))
-            if self.journal is not None:
-                self.journal.record_adopt(instance)
-                self._checkpoint()
-            return instance
-
     def setup_bundle(self, instance: AppInstance,
                      bundle: Bundle | str) -> BundleState:
         """``harmony_bundle_setup``: export a bundle and configure it.

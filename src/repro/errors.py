@@ -179,20 +179,6 @@ class ControllerMovedError(HarmonyError):
         self.term = term
 
 
-class ShardMovedError(ControllerMovedError):
-    """This shard handed the session to a sibling; reconnect there.
-
-    Raised client-side when a request is answered with the federation's
-    ``shard_moved`` redirect: a rebalance (or an explicit move) evicted
-    the session from this shard and re-admitted it — allocations,
-    tuned option, and pending pushes intact — on the shard named by
-    ``leader``.  A subclass of :class:`ControllerMovedError` so the
-    existing reconnect-and-replay retry loop follows the hint without
-    new plumbing; the session resumes on the new shard via its
-    ``resume_key``.
-    """
-
-
 class ReplicationError(HarmonyError):
     """The primary/standby replication stream is inconsistent.
 

@@ -29,7 +29,7 @@ __all__ = ["FlightRecorder",
            "EVENT_LEASE_EXPIRED", "EVENT_EVICTION", "EVENT_BATCH",
            "EVENT_WAL_APPEND", "EVENT_BACKPRESSURE", "EVENT_PUSH",
            "EVENT_SERVER_ERROR", "EVENT_PROMOTION", "EVENT_DEMOTION",
-           "EVENT_REPLICATION", "EVENT_HANDOFF", "EVENT_REBALANCE"]
+           "EVENT_REPLICATION"]
 
 #: Structured event kinds.  Free-form kinds are allowed; these are the
 #: ones the built-in instrumentation emits.
@@ -46,8 +46,6 @@ EVENT_SERVER_ERROR = "server_error"
 EVENT_PROMOTION = "promotion"
 EVENT_DEMOTION = "demotion"
 EVENT_REPLICATION = "replication"
-EVENT_HANDOFF = "shard_handoff"
-EVENT_REBALANCE = "shard_rebalance"
 
 
 class FlightRecorder:

@@ -231,16 +231,6 @@ class DurabilityJournal:
         else:
             self.append("exchange", {"moves": payloads})
 
-    def record_adopt(self, instance: AppInstance) -> None:
-        """A federation handoff re-admitted an instance under its old key.
-
-        A dedicated kind: replaying this as a plain ``register`` would
-        allocate a fresh instance id and diverge from the logged key.
-        """
-        self.append("adopt", {
-            "app_name": instance.app_name, "key": instance.key,
-            "instance_id": instance.instance_id})
-
     def record_release(self, app_key: str, kind: str, detail: str) -> None:
         self.append("release", {
             "key": app_key, "kind": kind, "detail": detail})

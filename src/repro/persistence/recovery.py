@@ -228,19 +228,12 @@ def apply_record(controller: AdaptationController,
     controller.cluster.kernel.advance_to(record.time)
     kind, data = record.kind, record.data
     registry = controller.registry
-    if kind in ("register", "adopt"):
-        if kind == "register":
-            instance = controller.register_app(
-                str(data["app_name"]), resume_key=data.get("resume_key"))
-        else:
-            # A federation handoff re-admitted the instance under its
-            # original key (see AdaptationController.adopt_app): rebuild
-            # it with the exact logged id — register_app would mint one.
-            instance = controller.adopt_app(str(data["app_name"]),
-                                            int(data["instance_id"]))
+    if kind == "register":
+        instance = controller.register_app(
+            str(data["app_name"]), resume_key=data.get("resume_key"))
         if instance.key != data["key"]:
             raise RecoveryError(
-                f"replay diverged: {kind} produced {instance.key!r}, "
+                f"replay diverged: register produced {instance.key!r}, "
                 f"log says {data['key']!r} (seq {record.seq})")
     elif kind == "setup_bundle":
         instance = registry.instance(str(data["key"]))

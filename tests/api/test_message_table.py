@@ -1,10 +1,10 @@
 """Every client message type against every gate a session can be behind.
 
-The product of the twelve client types and seven server/session states
+The product of the eleven client types and six server/session states
 pins what the server answers — the reply's ``type`` and ``error.code``,
 or no reply at all — so the order of the gates (admission slot, standby
-redirect, recovery refusal, federation redirect, eviction, the
-registration check) cannot drift.  In-process transports deliver
+redirect, recovery refusal, eviction, the registration check) cannot
+drift.  In-process transports deliver
 synchronously, so each case is one send and one look at what came back.
 """
 
@@ -13,7 +13,6 @@ import pytest
 from repro.api import HarmonyServer, connected_pair
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
-from repro.controller.federation import RootArbiter, ShardMap
 from repro.persistence import DurabilityJournal
 
 RSL = """
@@ -35,15 +34,13 @@ REQUESTS = {
     "end": {},
     "repl_hello": {"standby_id": "sb", "last_seq": 0},
     "repl_ack": {"standby_id": "sb", "seq": 0},
-    "shard_lookup": {"app_name": "A"},
 }
 
-STATES = ("healthy", "standby", "recovering", "moved", "evicted",
-          "unregistered", "admission_full")
+STATES = ("healthy", "standby", "recovering", "evicted", "unregistered",
+          "admission_full")
 
 MOVED = [("controller_moved", None)]
 RECOVERING = [("error", "controller_recovering")]
-SHARD_MOVED = [("shard_moved", None)]
 LEASE_EXPIRED = [("lease_expired", None)]
 BUSY = [("error", "controller_busy")]
 ERROR = [("error", None)]
@@ -51,44 +48,37 @@ NONE = []
 
 #: type -> the outcome in each of STATES, in order.
 EXPECTED = {
-    "register": ([("registered", None)], MOVED, RECOVERING, SHARD_MOVED,
+    "register": ([("registered", None)], MOVED, RECOVERING,
                  [("registered", None)], [("registered", None)], BUSY),
-    "bundle_setup": ([("bundle_ok", None)], MOVED, RECOVERING, SHARD_MOVED,
+    "bundle_setup": ([("bundle_ok", None)], MOVED, RECOVERING,
                      LEASE_EXPIRED, ERROR, BUSY),
     "add_variable": ([("variable_added", None)],
                      [("variable_added", None)],
-                     [("variable_added", None)], SHARD_MOVED, LEASE_EXPIRED,
+                     [("variable_added", None)], LEASE_EXPIRED,
                      ERROR, [("variable_added", None)]),
-    "wait_for_update": (NONE, NONE, NONE, SHARD_MOVED, LEASE_EXPIRED, NONE,
-                        NONE),
-    "report_metric": (NONE, MOVED, RECOVERING, SHARD_MOVED, LEASE_EXPIRED,
-                      ERROR, NONE),
+    "wait_for_update": (NONE, NONE, NONE, LEASE_EXPIRED, NONE, NONE),
+    "report_metric": (NONE, MOVED, RECOVERING, LEASE_EXPIRED, ERROR, NONE),
     "query_nodes": ([("node_list", None)], [("node_list", None)],
-                    [("node_list", None)], SHARD_MOVED, LEASE_EXPIRED,
+                    [("node_list", None)], LEASE_EXPIRED,
                     ERROR, [("node_list", None)]),
     "status": ([("status_report", None)], [("status_report", None)],
-               [("status_report", None)], SHARD_MOVED, LEASE_EXPIRED,
+               [("status_report", None)], LEASE_EXPIRED,
                [("status_report", None)], [("status_report", None)]),
     "heartbeat": ([("heartbeat_ack", None)], [("heartbeat_ack", None)],
-                  [("heartbeat_ack", None)], SHARD_MOVED, LEASE_EXPIRED,
+                  [("heartbeat_ack", None)], LEASE_EXPIRED,
                   ERROR, [("heartbeat_ack", None)]),
-    "end": ([("ended", None)], MOVED, RECOVERING, SHARD_MOVED,
+    "end": ([("ended", None)], MOVED, RECOVERING,
             LEASE_EXPIRED, ERROR, [("ended", None)]),
     # A demoted standby has no replication primary to subscribe to.
     "repl_hello": ([("repl_records", None)], ERROR,
-                   [("repl_records", None)], SHARD_MOVED, LEASE_EXPIRED,
+                   [("repl_records", None)], LEASE_EXPIRED,
                    [("repl_records", None)], [("repl_records", None)]),
-    "repl_ack": (NONE, NONE, NONE, SHARD_MOVED, LEASE_EXPIRED, NONE, NONE),
-    # The directory query is never redirected: a handed-off session
-    # asking it falls through to the eviction gate instead.
-    "shard_lookup": ([("shard_map", None)], [("shard_map", None)],
-                     [("shard_map", None)], LEASE_EXPIRED, LEASE_EXPIRED,
-                     [("shard_map", None)], [("shard_map", None)]),
+    "repl_ack": (NONE, NONE, NONE, LEASE_EXPIRED, NONE, NONE),
 }
 
 
 class Case:
-    """A replicating, lease-armed arbiter with one session in ``state``."""
+    """A replicating, lease-armed server with one session in ``state``."""
 
     def __init__(self, state, tmp_path):
         self.now = 0.0
@@ -99,7 +89,6 @@ class Case:
             controller, lease_seconds=10.0, clock=lambda: self.now,
             max_pending_admissions=1)
         assert self.server.enable_replication() == "primary"
-        self.server.shard_router = RootArbiter(ShardMap(["h:1", "h:2"]))
         self.state = state
         self.client_end, server_end = connected_pair()
         self.session = self.server.attach(server_end)
@@ -115,8 +104,6 @@ class Case:
             self.server.demote()
         elif state == "recovering":
             self.server.begin_recovery()
-        elif state == "moved":
-            assert self.server.begin_handoff(key, "h:2") is not None
         elif state == "evicted":
             self.now = 100.0
             assert self.server.check_leases() == [key]
@@ -140,3 +127,17 @@ def test_gate_outcome(msg_type, state, tmp_path):
     assert outcome == EXPECTED[msg_type][STATES.index(state)]
     assert case.server.controller.metrics.latest(
         "server.unhandled_errors") is None
+
+
+@pytest.mark.parametrize("msg_type", ["shard_lookup", "shard_map",
+                                      "shard_moved"])
+def test_a_retired_message_type_gets_the_unknown_type_error(msg_type,
+                                                            tmp_path):
+    """A type the table does not hold — the ``shard_*`` vocabulary, which
+    an old peer may still send — gets the ordinary unknown-type refusal
+    and the connection stays up."""
+    case = Case("healthy", tmp_path)
+    assert case.send({"type": msg_type, "app_name": "A"}) == ERROR
+    assert f"unknown message type {msg_type!r}" in \
+        case.replies[0]["message"]
+    assert not case.client_end.closed

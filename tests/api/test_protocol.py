@@ -12,9 +12,11 @@ from repro.api.protocol import (
     MUTATING_TYPES,
     SERVER_TYPES,
     FrameDecoder,
+    boolean,
     encode_message,
     make_message,
     require_field,
+    string,
 )
 from repro.errors import ProtocolError
 
@@ -191,3 +193,71 @@ class TestMessageTable:
         assert MESSAGES["status"].convert(
             {"type": "status", "prefix": None, "max_traces": "3"}) == {
                 "max_traces": 3}
+
+
+def _typed_fields(converter):
+    """Every (type, field) of the table read through ``converter``."""
+    return [(row.type, spec.rstrip("?"))
+            for row in MESSAGES.values()
+            for spec, convert in row.fields.items() if convert is converter]
+
+
+STRING_FIELDS = _typed_fields(string)
+BOOLEAN_FIELDS = _typed_fields(boolean)
+
+#: A value each converter accepts, to fill the fields not under test.
+_VALID = {string: "x", boolean: False, int: 0, float: 0.0}
+
+
+def _valid_message(msg_type):
+    """A ``msg_type`` message whose every field converts."""
+    return {"type": msg_type,
+            **{spec.rstrip("?"): _VALID.get(convert, [])
+               for spec, convert in MESSAGES[msg_type].fields.items()}}
+
+
+class TestStrictConverters:
+    """A text field takes only a JSON string and a flag only a JSON
+    boolean: nothing is coerced, so ``"false"`` never reads as true."""
+
+    @pytest.mark.parametrize("value", [7, 1.5, True, None, ["A"], {"k": 1}])
+    def test_string_refuses_every_other_json_type(self, value):
+        with pytest.raises(TypeError, match="JSON string"):
+            string(value)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_boolean_refuses_every_other_json_type(self, value):
+        with pytest.raises(TypeError, match="JSON boolean"):
+            boolean(value)
+
+    def test_valid_values_pass_unchanged(self):
+        assert string("") == ""
+        assert string("A.1") == "A.1"
+        assert boolean(False) is False
+        assert boolean(True) is True
+
+    def test_no_field_reads_through_a_coercing_builtin(self):
+        for row in MESSAGES.values():
+            for spec, convert in row.fields.items():
+                assert convert not in (str, bool), (row.type, spec)
+
+    @pytest.mark.parametrize("msg_type,name", STRING_FIELDS,
+                             ids=[f"{t}.{f}" for t, f in STRING_FIELDS])
+    def test_string_field_refuses_a_non_string(self, msg_type, name):
+        message = _valid_message(msg_type)
+        assert MESSAGES[msg_type].convert(message)[name] == "x"
+        for value in (7, 1.5, True, ["A"], {"k": 1}):
+            with pytest.raises(ProtocolError,
+                               match=f"{name!r} is not a valid string"):
+                MESSAGES[msg_type].convert({**message, name: value})
+
+    @pytest.mark.parametrize("msg_type,name", BOOLEAN_FIELDS,
+                             ids=[f"{t}.{f}" for t, f in BOOLEAN_FIELDS])
+    def test_boolean_field_refuses_a_non_boolean(self, msg_type, name):
+        message = _valid_message(msg_type)
+        assert MESSAGES[msg_type].convert({**message, name: True})[name] \
+            is True
+        for value in ("false", "true", 0, 1, ["x"]):
+            with pytest.raises(ProtocolError,
+                               match=f"{name!r} is not a valid boolean"):
+                MESSAGES[msg_type].convert({**message, name: value})

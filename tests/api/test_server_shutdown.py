@@ -126,8 +126,7 @@ class TestRegisterAfterEviction:
     def test_stop_wakes_a_blocked_accept_immediately(self):
         """Regression: stop() only closed the listener fd, which does
         not wake a thread blocked in accept(2) — every shutdown with an
-        idle accept loop burned the full 5 s join timeout (x N servers
-        for a federation)."""
+        idle accept loop burned the full 5 s join timeout."""
         _controller, server = make_server()
         server.serve_tcp("127.0.0.1", 0)
         deadline = time.monotonic() + 2.0

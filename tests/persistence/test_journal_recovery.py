@@ -211,6 +211,22 @@ class TestRestore:
         with pytest.raises(RecoveryError, match="nothing to restore"):
             AdaptationController.restore(str(tmp_path), fsync="never")
 
+    def test_legacy_adopt_record_is_refused(self, tmp_path):
+        """An ``adopt`` record re-admitted an instance under its old key
+        in logs from when sessions could move between controllers; no
+        operation writes or replays one any more, so a log holding one
+        is refused by name instead of restored without it."""
+        from repro.errors import RecoveryError
+        controller, journal = journaled_controller(tmp_path)
+        controller.register_app("app0")
+        journal.append("adopt", {"app_name": "moved", "key": "moved.7",
+                                 "instance_id": 7})
+        seq = journal.wal.last_seq
+        journal.close()
+        with pytest.raises(RecoveryError, match=(
+                rf"unknown WAL record kind 'adopt' \(seq {seq}\)")):
+            AdaptationController.restore(str(tmp_path), fsync="never")
+
     def _rot_two_snapshot_generations(self, tmp_path, journal):
         """Write two snapshot generations by hand, then rot both.
 

@@ -168,54 +168,21 @@ class TestServe:
         finally:
             server.stop()
 
-    def test_serve_shards_once_binds_federation(self, rsl_file, capsys,
-                                                tmp_path):
-        path = rsl_file("harmonyNode alpha {speed 2}\n"
-                        "harmonyNode beta {speed 1}\n", name="nodes.rsl")
-        state = str(tmp_path / "fed")
-        assert main(["serve", "--nodes", path, "--once",
-                     "--shards", "2", "--dir", state]) == 0
-        out = capsys.readouterr().out
-        assert "Harmony federation arbiter on 127.0.0.1:" in out
-        assert "2 shard(s)" in out
-        assert "shard 0 on 127.0.0.1:" in out
-        assert "shard 1 on 127.0.0.1:" in out
-        # Every shard replicates the same cluster, so both hosts are
-        # cross-shard and arbiter-owned.
-        assert "cross-shard (arbiter-owned) hosts: alpha, beta" in out
-        assert "shard-0" in out and "shard-1" in out
-
-    def test_serve_shards_refuses_standby(self, rsl_file, capsys):
+    @pytest.mark.parametrize("flag,value", [("--shards", "2"),
+                                            ("--rebalance-seconds", "5")])
+    def test_serve_has_no_federation_options(self, rsl_file, capsys, flag,
+                                             value):
         path = rsl_file("harmonyNode alpha {speed 2}\n", name="nodes.rsl")
-        assert main(["serve", "--nodes", path, "--once", "--shards", "2",
-                     "--standby-of", "127.0.0.1:9"]) == 1
-        assert "mutually exclusive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--nodes", path, "--once", flag, value])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_shards_command_resolves_owner(self, rsl_file, capsys):
-        """End to end: `shards --connect` asks a live arbiter."""
-        from repro.cluster import Cluster
-        from repro.controller import AdaptationController
-        from repro.controller.federation import Federation
-
-        federation = Federation(
-            lambda index: AdaptationController(
-                Cluster.full_mesh([f"s{index}n0"], memory_mb=64)),
-            2)
-        arbiter = federation.serve(
-            lambda server: server.serve_tcp("127.0.0.1", 0))
-        try:
-            assert main(["shards", "--connect", arbiter,
-                         "--app", "DBclient"]) == 0
-            out = capsys.readouterr().out
-            assert "2 shard(s)" in out
-            expected = federation.shard_for("DBclient").address
-            assert f"'DBclient' is owned by {expected}" in out
-        finally:
-            federation.stop(stop_servers=True)
-
-    def test_shards_command_requires_a_query(self, capsys):
-        assert main(["shards", "--connect", "127.0.0.1:9"]) == 1
-        assert "--app or --resume-key" in capsys.readouterr().err
+    def test_there_is_no_shards_command(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["shards", "--connect", "127.0.0.1:9", "--app", "A"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'shards'" in capsys.readouterr().err
 
 
 class TestDurability:

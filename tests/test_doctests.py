@@ -28,7 +28,7 @@ DOCS_DIR = pathlib.Path(__file__).parent.parent / "docs"
 #: Markdown documents whose ```python blocks must run as doctests.
 DOC_FILES = ["fault-tolerance.md", "observability.md", "durability.md",
              "architecture.md", "performance.md", "wire-protocol.md",
-             "replication.md", "federation.md"]
+             "replication.md"]
 
 
 @pytest.mark.parametrize("module", MODULES,
