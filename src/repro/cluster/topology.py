@@ -28,7 +28,11 @@ class Cluster:
         self.kernel = kernel or Kernel()
         self._nodes: dict[str, SimNode] = {}
         self._links: list[SimLink] = []
-        self._graph = nx.Graph()
+        #: host -> {peer: the direct link}; answers every one-hop question.
+        self._adjacent: dict[str, dict[str, SimLink]] = {}
+        #: Built on the first multi-hop query, rebuilt when the topology
+        #: has moved since; ``(topology_version, graph)``.
+        self._graph: tuple[int, nx.Graph] | None = None
         #: Bumped whenever the graph itself changes (nodes/links added).
         #: Consumers caching routing-derived state (SystemView's per-link
         #: indexes) compare against it and rebuild lazily.  Node failure
@@ -45,7 +49,7 @@ class Cluster:
         node = SimNode(self.kernel, hostname, speed=speed,
                        memory_mb=memory_mb, os=os, attributes=attributes)
         self._nodes[hostname] = node
-        self._graph.add_node(hostname)
+        self._adjacent[hostname] = {}
         self.topology_version += 1
         return node
 
@@ -57,13 +61,14 @@ class Cluster:
                     f"link endpoint {host!r} is not a cluster node")
         if host_a == host_b:
             raise SimulationError(f"self-link on {host_a!r}")
-        if self._graph.has_edge(host_a, host_b):
+        if host_b in self._adjacent[host_a]:
             raise SimulationError(
                 f"duplicate link {host_a!r} -- {host_b!r}")
         link = SimLink(self.kernel, host_a, host_b, bandwidth_mbps,
                        latency_seconds)
         self._links.append(link)
-        self._graph.add_edge(host_a, host_b, link=link)
+        self._adjacent[host_a][host_b] = link
+        self._adjacent[host_b][host_a] = link
         self.topology_version += 1
         return link
 
@@ -120,10 +125,8 @@ class Cluster:
 
     def link_between(self, host_a: str, host_b: str) -> SimLink | None:
         """The direct link joining two hosts, or ``None``."""
-        data = self._graph.get_edge_data(host_a, host_b)
-        if data is None:
-            return None
-        return data["link"]
+        peers = self._adjacent.get(host_a)
+        return None if peers is None else peers.get(host_b)
 
     def path_links(self, host_a: str, host_b: str) -> list[SimLink]:
         """Links along a max-bottleneck-bandwidth path between two hosts.
@@ -142,12 +145,25 @@ class Cluster:
             # searching over -available as edge weight via Dijkstra on the
             # bottleneck criterion (simple approach: shortest hop path among
             # those with positive availability).
-            path = nx.shortest_path(self._graph, host_a, host_b)
+            path = nx.shortest_path(self._routing_graph(), host_a, host_b)
         except nx.NetworkXNoPath:
             raise SimulationError(
                 f"no path between {host_a!r} and {host_b!r}") from None
-        return [self._graph.edges[u, v]["link"]
-                for u, v in zip(path, path[1:])]
+        return [self._adjacent[u][v] for u, v in zip(path, path[1:])]
+
+    def _routing_graph(self) -> nx.Graph:
+        """The topology as a networkx graph, for multi-hop paths only.
+
+        Built in insertion order, so ``nx.shortest_path`` breaks ties as
+        it would on the graph built link by link.
+        """
+        if self._graph is None or self._graph[0] != self.topology_version:
+            graph = nx.Graph()
+            graph.add_nodes_from(self._nodes)
+            graph.add_edges_from((link.host_a, link.host_b)
+                                 for link in self._links)
+            self._graph = (self.topology_version, graph)
+        return self._graph[1]
 
     def path_available_mbps(self, host_a: str, host_b: str) -> float:
         """Bottleneck available bandwidth between two hosts (inf if same)."""

@@ -9,13 +9,10 @@ a snapshot and compacts.  Snapshots never run mid-operation: a snapshot's
 ``last_seq`` asserts that the captured state reflects *every* record up
 to it, which is only true between operations.
 
-The journal also keeps the two maps live objects cannot answer:
-
-* the original RSL text per ``(app_key, bundle)`` — bundles are compiled
-  objects in memory, but replay needs the source;
-* the registered model *name* per explicit performance model — models
-  are opaque callables, so durable controllers register them by name
-  against a ``model_registry`` the operator supplies again at restore.
+The journal also keeps the one map live objects cannot answer: the
+registered model *name* per explicit performance model — models are
+opaque callables, so durable controllers register them by name against a
+``model_registry`` the operator supplies again at restore.
 
 Telemetry: every append bumps ``controller.wal.appends`` and
 ``controller.wal.bytes``; every snapshot bumps ``controller.snapshots``.
@@ -75,7 +72,6 @@ class DurabilityJournal:
         self.snapshots_written = 0
         self._append_hist = None   # cached controller.wal.append_seconds
         self._appends_since_snapshot = 0
-        self._bundle_rsl: dict[tuple[str, str], str] = {}
         self._model_names: dict[str, dict[str, str]] = {}
         self._append_observers: list[Any] = []
         self._snapshot_observers: list[Any] = []
@@ -131,18 +127,7 @@ class DurabilityJournal:
         """Call ``observer(last_seq, state)`` after every snapshot."""
         self._snapshot_observers.append(observer)
 
-    # -- source-text bookkeeping ----------------------------------------------
-
-    def note_bundle(self, app_key: str, bundle_name: str,
-                    rsl_text: str) -> None:
-        self._bundle_rsl[(app_key, bundle_name)] = rsl_text
-
-    def bundle_rsl(self, app_key: str, bundle_name: str) -> str:
-        try:
-            return self._bundle_rsl[(app_key, bundle_name)]
-        except KeyError:
-            raise ControllerError(
-                f"no journaled RSL for {app_key}.{bundle_name}") from None
+    # -- model-name bookkeeping ------------------------------------------------
 
     def note_model(self, app_key: str, model_key: str,
                    model_name: str) -> None:
@@ -161,8 +146,6 @@ class DurabilityJournal:
 
     def forget_app(self, app_key: str) -> None:
         self._model_names.pop(app_key, None)
-        for key in [k for k in self._bundle_rsl if k[0] == app_key]:
-            del self._bundle_rsl[key]
 
     # -- the append path ------------------------------------------------------
 
@@ -205,7 +188,6 @@ class DurabilityJournal:
 
     def record_setup_bundle(self, app_key: str, bundle_name: str,
                             rsl_text: str) -> None:
-        self.note_bundle(app_key, bundle_name, rsl_text)
         self.append("setup_bundle", {
             "key": app_key, "bundle_name": bundle_name, "rsl": rsl_text})
 

@@ -204,8 +204,8 @@ def _base_state(directory: str, snapshot, records: list[WalRecord]):
             raise WalCorruptionError(
                 f"{directory}: WAL starts at seq {records[0].seq} but the "
                 f"newest valid snapshot covers only up to {base_seq}")
-        return base_seq, codec.cluster_from_topology(state["topology"]), \
-            state
+        return base_seq, codec.cluster_from_topology(
+            state.get("topology")), state
     if records[0].seq != 1:
         raise SnapshotCorruptionError(
             f"{directory}: WAL was compacted to seq {records[0].seq} but "
@@ -215,7 +215,8 @@ def _base_state(directory: str, snapshot, records: list[WalRecord]):
         raise RecoveryError(
             f"{directory}: first WAL record is {genesis.kind!r}, "
             f"expected genesis")
-    return 1, codec.cluster_from_topology(genesis.data["topology"]), None
+    return 1, codec.cluster_from_topology(genesis.data.get("topology")), \
+        None
 
 
 def apply_record(controller: AdaptationController,
@@ -237,9 +238,7 @@ def apply_record(controller: AdaptationController,
                 f"log says {data['key']!r} (seq {record.seq})")
     elif kind == "setup_bundle":
         instance = registry.instance(str(data["key"]))
-        rsl = str(data["rsl"])
-        controller.add_bundle(instance, build_bundle(rsl))
-        journal.note_bundle(instance.key, str(data["bundle_name"]), rsl)
+        controller.add_bundle(instance, build_bundle(str(data["rsl"])))
     elif kind in ("apply", "exchange"):
         # One decision, one commit: an exchange's moves land together.
         payloads = data["moves"] if kind == "exchange" else [data]

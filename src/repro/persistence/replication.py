@@ -758,10 +758,9 @@ class ReplicationStandby:
         except FileNotFoundError:  # pragma: no cover - defensive
             pass
         self.journal.wal = WriteAheadLog(wal.path, fsync=self.fsync)
-        self.journal._bundle_rsl.clear()
         self.journal._model_names.clear()
         controller = self._build_controller(
-            codec.cluster_from_topology(state["topology"]))
+            codec.cluster_from_topology(state.get("topology")))
         codec.apply_state(controller, self.journal, state)
         write_snapshot(self.directory, last_seq, state)
         for stale in snapshot_files(self.directory)[self.keep_snapshots:]:
@@ -783,7 +782,7 @@ class ReplicationStandby:
                     f"standby {self.standby_id!r} received "
                     f"{record.kind!r} before any base state")
             controller = self._build_controller(
-                codec.cluster_from_topology(record.data["topology"]))
+                codec.cluster_from_topology(record.data.get("topology")))
         # Write-ahead on the standby too: persist, then apply.
         self.journal.wal.append_record(record)
         apply_record(controller, self.journal, record)

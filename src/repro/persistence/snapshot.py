@@ -4,7 +4,7 @@ A snapshot file is a small JSON envelope whose ``state`` member is the
 *canonical string* encoding of the controller state (see
 :mod:`repro.persistence.codec`), checksummed as bytes::
 
-    {"format": 1, "last_seq": 42, "crc": "9a0c31d7", "state": "{...}"}
+    {"format": 2, "last_seq": 42, "crc": "9a0c31d7", "state": "{...}"}
 
 ``last_seq`` is the sequence number of the last WAL record folded into
 the state: recovery loads the snapshot and replays records with
@@ -14,6 +14,8 @@ untouched.  Corrupt snapshots raise
 :class:`~repro.errors.SnapshotCorruptionError`; :func:`latest_snapshot`
 falls back to the next older file, so a damaged newest snapshot degrades
 to a longer replay rather than a wrong state.
+A format-1 file (bundles as RSL text, links as dicts) is intact, not
+corrupt: it raises a :class:`~repro.errors.RecoveryError` naming it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import re
 import zlib
 from typing import Any
 
-from repro.errors import SnapshotCorruptionError
+from repro.errors import RecoveryError, SnapshotCorruptionError
 from repro.persistence.wal import _fsync_directory
 
 __all__ = ["write_snapshot", "read_snapshot", "snapshot_files",
            "latest_snapshot", "SNAPSHOT_FORMAT"]
 
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
 
@@ -65,7 +67,8 @@ def read_snapshot(path: str) -> tuple[int, dict[str, Any]]:
     """Load and verify one snapshot; ``(last_seq, state)``.
 
     Raises :class:`~repro.errors.SnapshotCorruptionError` when the file
-    is unreadable, the envelope is malformed, or the checksum mismatches.
+    is unreadable, the envelope is malformed, or the checksum mismatches,
+    and :class:`~repro.errors.RecoveryError` for an older format.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -73,8 +76,13 @@ def read_snapshot(path: str) -> tuple[int, dict[str, Any]]:
     except (OSError, ValueError) as exc:
         raise SnapshotCorruptionError(f"{path}: unreadable snapshot "
                                       f"({exc})") from exc
-    if not isinstance(envelope, dict) or \
-            envelope.get("format") != SNAPSHOT_FORMAT:
+    version = envelope.get("format") if isinstance(envelope, dict) else None
+    if version == 1:
+        raise RecoveryError(
+            f"{path}: snapshot format 1 (bundles as RSL text, links as "
+            f"dicts) is not read by this version, which reads format "
+            f"{SNAPSHOT_FORMAT}")
+    if version != SNAPSHOT_FORMAT:
         raise SnapshotCorruptionError(f"{path}: unknown snapshot format")
     state_text = envelope.get("state")
     if not isinstance(state_text, str):
@@ -116,7 +124,7 @@ def latest_snapshot(directory: str,
     """The newest snapshot that verifies, or ``None``.
 
     Corrupt files are skipped (recorded in ``skipped`` when given) in
-    favor of older ones — never silently loaded.
+    favor of older ones — never silently loaded; an older format raises.
     """
     for path in snapshot_files(directory):
         try:

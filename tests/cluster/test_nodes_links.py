@@ -1,7 +1,9 @@
 """Node, link, memory-account, and topology behaviour."""
 
+import itertools
 import math
 
+import networkx as nx
 import pytest
 
 from repro.cluster import Cluster
@@ -217,8 +219,7 @@ class TestClusterTopology:
         node = {"speed": 1.0, "memory_mb": 64.0, "os": "linux"}
         topology = {
             "nodes": [dict(node, hostname=name) for name in ("a", "b")],
-            "links": [{"host_a": a, "host_b": b, "bandwidth_mbps": 40.0,
-                       "latency_seconds": 0.0} for a, b in links]}
+            "links": [[a, b, 40.0, 0.0] for a, b in links]}
         with pytest.raises(SimulationError, match=message):
             cluster_from_topology(topology)
 
@@ -256,6 +257,49 @@ class TestClusterTopology:
         cluster.add_link("a", "b", 10)
         cluster.add_link("b", "c", 4)
         assert cluster.path_available_mbps("a", "c") == pytest.approx(4.0)
+
+    def test_path_links_match_networkx_shortest_path(self, kernel):
+        """Direct links come from the adjacency map, multi-hop paths from
+        a graph built on demand in insertion order: every path is the
+        one ``nx.shortest_path`` picks over the same graph built link by
+        link, ties included, and a link added after a multi-hop query is
+        on the next one."""
+        star = Cluster.star("hub", ["l0", "l1", "l2", "l3"], kernel=kernel)
+        # Two shortest a -> d paths (via b, via c) and three a -> f.
+        mesh = Cluster(kernel)
+        for name in "fedcba":
+            mesh.add_node(name)
+        for a, b in (("c", "d"), ("a", "c"), ("b", "d"), ("a", "b"),
+                     ("d", "e"), ("e", "f"), ("c", "e"), ("b", "e")):
+            mesh.add_link(a, b, 40.0)
+
+        def expected(cluster, a, b):
+            graph = nx.Graph()
+            for node in cluster.nodes():
+                graph.add_node(node.hostname)
+            for link in cluster.links():
+                graph.add_edge(link.host_a, link.host_b)
+            path = nx.shortest_path(graph, a, b)
+            return [cluster.link_between(u, v)
+                    for u, v in zip(path, path[1:])]
+
+        for cluster in (star, mesh):
+            for a, b in itertools.permutations(cluster.hostnames(), 2):
+                assert cluster.path_links(a, b) == expected(cluster, a, b)
+        full = Cluster.full_mesh(["x", "y", "z"])
+        for a, b in itertools.permutations(full.hostnames(), 2):
+            assert full.path_links(a, b) == [full.link_between(a, b)]
+        assert full._graph is None
+
+        chain = Cluster(kernel)
+        for name in "abcde":
+            chain.add_node(name)
+        for a, b in zip("abcd", "bcde"):
+            chain.add_link(a, b, 40.0)
+        assert len(chain.path_links("a", "e")) == 4
+        shortcut = chain.add_link("b", "e", 40.0)
+        assert chain.path_links("a", "e") == [
+            chain.link_between("a", "b"), shortcut]
 
     def test_advertisements_cover_all_nodes(self):
         cluster = Cluster.full_mesh(["a", "b", "c"])

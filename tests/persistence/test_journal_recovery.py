@@ -6,6 +6,7 @@ rebuild an equivalent controller from disk alone — same ``describe_system``,
 same predictions, same objective.
 """
 
+import json
 import os
 
 import pytest
@@ -14,10 +15,12 @@ from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import (
     ControllerError,
+    RecoveryError,
     SnapshotCorruptionError,
     WalCorruptionError,
 )
-from repro.persistence import DurabilityJournal, snapshot_files
+from repro.persistence import DurabilityJournal, WriteAheadLog, snapshot_files
+from repro.persistence.codec import topology_to_dict
 from repro.persistence.journal import WAL_FILENAME
 from repro.persistence.snapshot import write_snapshot
 from repro.prediction.models import CallableModel
@@ -225,6 +228,39 @@ class TestRestore:
         journal.close()
         with pytest.raises(RecoveryError, match=(
                 rf"unknown WAL record kind 'adopt' \(seq {seq}\)")):
+            AdaptationController.restore(str(tmp_path), fsync="never")
+
+    def test_format_1_snapshot_is_refused_by_name(self, tmp_path):
+        """Format 1 stored bundles as RSL text and links as dicts.  Such a
+        file is intact, so it is refused by its format rather than skipped
+        as corrupt (which would end in "every snapshot is corrupt")."""
+        controller, journal = journaled_controller(tmp_path,
+                                                   snapshot_every=4)
+        run_scenario(controller)
+        journal.close()
+        paths = snapshot_files(str(tmp_path))
+        assert paths
+        for path in paths:
+            with open(path) as handle:
+                envelope = json.load(handle)
+            envelope["format"] = 1
+            with open(path, "w") as handle:
+                json.dump(envelope, handle)
+        with pytest.raises(RecoveryError, match=(
+                r"snapshot-\d+\.json: snapshot format 1 .* reads format 2")):
+            AdaptationController.restore(str(tmp_path), fsync="never")
+
+    def test_genesis_with_dict_links_is_refused_by_name(self, tmp_path):
+        """A genesis record from format 1 holds its links as dicts."""
+        topology = topology_to_dict(make_cluster())
+        keys = ("host_a", "host_b", "bandwidth_mbps", "latency_seconds")
+        topology["links"] = [dict(zip(keys, row))
+                             for row in topology["links"]]
+        wal = WriteAheadLog(str(tmp_path / WAL_FILENAME), fsync="never")
+        wal.append("genesis", 0.0, {"topology": topology})
+        wal.close()
+        with pytest.raises(RecoveryError, match=(
+                "topology links are dicts, as snapshot format 1 wrote")):
             AdaptationController.restore(str(tmp_path), fsync="never")
 
     def _rot_two_snapshot_generations(self, tmp_path, journal):

@@ -6,15 +6,21 @@ replay's own objective checks) or raises a typed corruption error.  It
 must never return a controller built from records it could not verify.
 """
 
+import copy
+import json
 import os
 import random
+import zlib
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import (
+    HarmonyError,
     RecoveryError,
+    RslSemanticError,
+    SimulationError,
     SnapshotCorruptionError,
     WalCorruptionError,
 )
@@ -153,3 +159,96 @@ class TestBitRotFuzz:
         assert result.last_recovery.records_replayed == 0
         assert len(result.registry) <= len(live.registry) + 1
         result.journal.close()
+
+
+def _first_model(state):
+    return next(bundle["model"] for instance in state["instances"]
+                for bundle in instance["bundles"])
+
+
+def _drop(key):
+    return lambda state: _first_model(state)["options"][0].pop(key)
+
+
+def _set_node(key, value):
+    def mutate(state):
+        _first_model(state)["options"][0]["nodes"][0][key] = value
+    return mutate
+
+
+def _set_model(key, value):
+    return lambda state: _first_model(state).__setitem__(key, value)
+
+
+def _ghost_link(state):
+    _first_model(state)["options"][0]["links"].append(
+        ["worker", "ghost", 2.0])
+
+
+def _duplicate_option(state):
+    options = _first_model(state)["options"]
+    options.append(copy.deepcopy(options[0]))
+
+
+def _ghost_host(state):
+    state["topology"]["links"][0][1] = "ghost"
+
+
+def _short_link_row(state):
+    state["topology"]["links"][0].pop()
+
+
+def _drop_topology(state):
+    del state["topology"]
+
+
+#: name -> (mutation of a verified snapshot body, typed error, message).
+MALFORMED = {
+    "model_missing_key": (_drop("nodes"), RecoveryError,
+                          "malformed bundle model: KeyError: 'nodes'"),
+    "node_missing_key": (lambda state: _first_model(state)["options"][0]
+                         ["nodes"][0].pop("seconds"), RecoveryError,
+                         "KeyError: 'seconds'"),
+    "quantity_wrong_type": (_set_node("memory", {"mb": 16}), RecoveryError,
+                            "malformed bundle model: TypeError"),
+    "quantity_wrong_shape": (_set_node("memory", [16.0]), RecoveryError,
+                             "malformed bundle model: ValueError"),
+    "options_wrong_type": (_set_model("options", 7), RecoveryError,
+                           "malformed bundle model: TypeError"),
+    "link_endpoint_names_no_node": (_ghost_link, RslSemanticError,
+                                    "link endpoint 'ghost' names no "
+                                    "declared node"),
+    "duplicate_option": (_duplicate_option, RslSemanticError,
+                         "duplicate option names"),
+    "topology_endpoint_names_no_node": (_ghost_host, SimulationError,
+                                        "'ghost' is not a cluster node"),
+    "topology_short_link_row": (_short_link_row, RecoveryError,
+                                "malformed topology: ValueError"),
+    "topology_missing": (_drop_topology, RecoveryError,
+                         "malformed topology: TypeError"),
+}
+
+
+class TestMalformedModelBodies:
+    """A snapshot whose checksum verifies but whose model body no encoder
+    wrote fails with a typed error — the model's own checks, or a
+    ``RecoveryError`` naming the decoder's ``KeyError``/``TypeError``."""
+
+    @pytest.mark.parametrize("mutate, error, message", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_rechecksummed_mutation_fails_typed(self, tmp_path, mutate,
+                                                error, message):
+        build_history(tmp_path, snapshot_every=4)
+        newest = snapshot_files(str(tmp_path))[0]
+        with open(newest) as handle:
+            envelope = json.load(handle)
+        state = json.loads(envelope["state"])
+        mutate(state)
+        text = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        envelope["state"] = text
+        envelope["crc"] = f"{zlib.crc32(text.encode('utf-8')):08x}"
+        with open(newest, "w") as handle:
+            json.dump(envelope, handle)
+        with pytest.raises(HarmonyError, match=message) as caught:
+            AdaptationController.restore(str(tmp_path), fsync="never")
+        assert isinstance(caught.value, error)
