@@ -42,37 +42,33 @@ Quickstart::
     print(controller.describe_system())
 """
 
-from repro.api import (
-    HarmonyClient,
-    HarmonyServer,
-    HarmonyVariable,
-    VariableType,
-    connected_pair,
-)
-from repro.cluster import Cluster, Kernel
-from repro.controller import (
-    AdaptationController,
-    ClientCountRulePolicy,
-    FrictionPolicy,
-    MeanResponseTime,
-    ModelDrivenPolicy,
-    ThroughputObjective,
-)
-from repro.errors import HarmonyError
-from repro.metrics import MetricInterface
-from repro.namespace import Namespace
-from repro.rsl import Bundle, build_bundle, build_script, parse_expression
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster", "Kernel",
-    "AdaptationController", "ModelDrivenPolicy", "ClientCountRulePolicy",
-    "MeanResponseTime", "ThroughputObjective", "FrictionPolicy",
-    "HarmonyClient", "HarmonyServer", "HarmonyVariable", "VariableType",
-    "connected_pair",
-    "Namespace", "MetricInterface",
-    "Bundle", "build_bundle", "build_script", "parse_expression",
-    "HarmonyError",
-    "__version__",
-]
+#: Public name -> the package that exports it, imported on first read.
+_EXPORTS = {
+    "Cluster": "repro.cluster",
+    "Kernel": "repro.cluster",
+    "AdaptationController": "repro.controller",
+    "ModelDrivenPolicy": "repro.controller",
+    "ClientCountRulePolicy": "repro.controller",
+    "MeanResponseTime": "repro.controller",
+    "ThroughputObjective": "repro.controller",
+    "FrictionPolicy": "repro.controller",
+    "HarmonyClient": "repro.api",
+    "HarmonyServer": "repro.api",
+    "HarmonyVariable": "repro.api",
+    "VariableType": "repro.api",
+    "connected_pair": "repro.api",
+    "Namespace": "repro.namespace",
+    "MetricInterface": "repro.metrics",
+    "Bundle": "repro.rsl",
+    "build_bundle": "repro.rsl",
+    "build_script": "repro.rsl",
+    "parse_expression": "repro.rsl",
+    "HarmonyError": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.cluster.kernel import Kernel
 from repro.cluster.link import SimLink
 from repro.cluster.node import SimNode
@@ -30,9 +28,6 @@ class Cluster:
         self._links: list[SimLink] = []
         #: host -> {peer: the direct link}; answers every one-hop question.
         self._adjacent: dict[str, dict[str, SimLink]] = {}
-        #: Built on the first multi-hop query, rebuilt when the topology
-        #: has moved since; ``(topology_version, graph)``.
-        self._graph: tuple[int, nx.Graph] | None = None
         #: Bumped whenever the graph itself changes (nodes/links added).
         #: Consumers caching routing-derived state (SystemView's per-link
         #: indexes) compare against it and rebuild lazily.  Node failure
@@ -129,41 +124,62 @@ class Cluster:
         return None if peers is None else peers.get(host_b)
 
     def path_links(self, host_a: str, host_b: str) -> list[SimLink]:
-        """Links along a max-bottleneck-bandwidth path between two hosts.
+        """Links along a fewest-hops path between two hosts.
 
-        Raises :class:`SimulationError` when the hosts are disconnected.
-        Used by the matcher when nodes are not directly linked: bandwidth
-        must be reservable on *every* hop.
+        Raises :class:`SimulationError` when the hosts are disconnected or
+        either one is not a cluster node.  Used by the matcher when nodes
+        are not directly linked: bandwidth must be reservable on *every*
+        hop.
         """
         if host_a == host_b:
             return []
         direct = self.link_between(host_a, host_b)
         if direct is not None:
             return [direct]
-        try:
-            # Widest path: maximize the minimum available bandwidth by
-            # searching over -available as edge weight via Dijkstra on the
-            # bottleneck criterion (simple approach: shortest hop path among
-            # those with positive availability).
-            path = nx.shortest_path(self._routing_graph(), host_a, host_b)
-        except nx.NetworkXNoPath:
-            raise SimulationError(
-                f"no path between {host_a!r} and {host_b!r}") from None
+        path = self._shortest_hop_path(host_a, host_b)
         return [self._adjacent[u][v] for u, v in zip(path, path[1:])]
 
-    def _routing_graph(self) -> nx.Graph:
-        """The topology as a networkx graph, for multi-hop paths only.
+    def _shortest_hop_path(self, source: str, target: str) -> list[str]:
+        """A fewest-hops path, ties broken as ``networkx.shortest_path``.
 
-        Built in insertion order, so ``nx.shortest_path`` breaks ties as
-        it would on the graph built link by link.
+        networkx's bidirectional BFS: grow the smaller fringe (forward on
+        a tie), visit peers in link insertion order, and stop at the
+        first peer the other side has reached.
         """
-        if self._graph is None or self._graph[0] != self.topology_version:
-            graph = nx.Graph()
-            graph.add_nodes_from(self._nodes)
-            graph.add_edges_from((link.host_a, link.host_b)
-                                 for link in self._links)
-            self._graph = (self.topology_version, graph)
-        return self._graph[1]
+        for host in (source, target):
+            self.node(host)  # an unknown host raises SimulationError
+        pred: dict[str, str | None] = {source: None}
+        succ: dict[str, str | None] = {target: None}
+        forward, reverse, meet = [source], [target], None
+        while forward and reverse and meet is None:
+            if len(forward) <= len(reverse):
+                forward, meet = self._bfs_level(forward, pred, succ)
+            else:
+                reverse, meet = self._bfs_level(reverse, succ, pred)
+        if meet is None:
+            raise SimulationError(
+                f"no path between {source!r} and {target!r}")
+        path = [meet]
+        while pred[path[-1]] is not None:
+            path.append(pred[path[-1]])
+        path.reverse()
+        while succ[path[-1]] is not None:
+            path.append(succ[path[-1]])
+        return path
+
+    def _bfs_level(self, fringe: list[str], seen: dict, other: dict
+                   ) -> tuple[list[str], str | None]:
+        """Grow ``fringe`` one hop into ``seen``: the next fringe, and the
+        first peer ``other`` has already reached (or ``None``)."""
+        grown = []
+        for host in fringe:
+            for peer in self._adjacent[host]:
+                if peer not in seen:
+                    seen[peer] = host
+                    grown.append(peer)
+                if peer in other:
+                    return grown, peer
+        return grown, None
 
     def path_available_mbps(self, host_a: str, host_b: str) -> float:
         """Bottleneck available bandwidth between two hosts (inf if same)."""

@@ -5,11 +5,31 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.allocation.instantiate import ConcreteDemands, LinkDemand
+from repro.allocation.matcher import Matcher
 from repro.cluster import Cluster
 from repro.cluster.node import MemoryAccount
 from repro.errors import AllocationError, SimulationError
+from repro.prediction import SystemView
 from repro.rsl.model import NodeAdvertisement
+from tests.test_import_boundaries import loaded_after
+
+
+@st.composite
+def topologies(draw):
+    """Up to 14 nodes in random order, links added in random order and
+    direction: ``(hostnames, [(host_a, host_b), ...])``."""
+    count = draw(st.integers(min_value=2, max_value=14))
+    names = [f"h{i}" for i in draw(st.permutations(range(count)))]
+    pairs = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(names, 2))),
+        unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs),
+                          max_size=len(pairs)))
+    return names, [(b, a) if flip else (a, b)
+                   for (a, b), flip in zip(pairs, flips)]
 
 
 class TestSimNode:
@@ -258,39 +278,32 @@ class TestClusterTopology:
         cluster.add_link("b", "c", 4)
         assert cluster.path_available_mbps("a", "c") == pytest.approx(4.0)
 
-    def test_path_links_match_networkx_shortest_path(self, kernel):
-        """Direct links come from the adjacency map, multi-hop paths from
-        a graph built on demand in insertion order: every path is the
-        one ``nx.shortest_path`` picks over the same graph built link by
-        link, ties included, and a link added after a multi-hop query is
-        on the next one."""
-        star = Cluster.star("hub", ["l0", "l1", "l2", "l3"], kernel=kernel)
-        # Two shortest a -> d paths (via b, via c) and three a -> f.
-        mesh = Cluster(kernel)
-        for name in "fedcba":
-            mesh.add_node(name)
-        for a, b in (("c", "d"), ("a", "c"), ("b", "d"), ("a", "b"),
-                     ("d", "e"), ("e", "f"), ("c", "e"), ("b", "e")):
-            mesh.add_link(a, b, 40.0)
+    @settings(max_examples=150, deadline=None)
+    @given(topologies())
+    def test_path_links_match_networkx_shortest_path(self, topology):
+        """Every ordered pair's path is the one ``nx.shortest_path`` picks
+        over the same graph built link by link, ties included, and it is
+        refused exactly when networkx finds no path."""
+        names, links = topology
+        cluster = Cluster()
+        graph = nx.Graph()
+        for name in names:
+            cluster.add_node(name)
+            graph.add_node(name)
+        for a, b in links:
+            cluster.add_link(a, b, 40.0)
+            graph.add_edge(a, b)
+        for a, b in itertools.permutations(names, 2):
+            try:
+                path = nx.shortest_path(graph, a, b)
+            except nx.NetworkXNoPath:
+                with pytest.raises(SimulationError, match="no path"):
+                    cluster.path_links(a, b)
+                continue
+            assert cluster.path_links(a, b) == [
+                cluster.link_between(u, v) for u, v in zip(path, path[1:])]
 
-        def expected(cluster, a, b):
-            graph = nx.Graph()
-            for node in cluster.nodes():
-                graph.add_node(node.hostname)
-            for link in cluster.links():
-                graph.add_edge(link.host_a, link.host_b)
-            path = nx.shortest_path(graph, a, b)
-            return [cluster.link_between(u, v)
-                    for u, v in zip(path, path[1:])]
-
-        for cluster in (star, mesh):
-            for a, b in itertools.permutations(cluster.hostnames(), 2):
-                assert cluster.path_links(a, b) == expected(cluster, a, b)
-        full = Cluster.full_mesh(["x", "y", "z"])
-        for a, b in itertools.permutations(full.hostnames(), 2):
-            assert full.path_links(a, b) == [full.link_between(a, b)]
-        assert full._graph is None
-
+    def test_path_links_see_a_link_added_after_a_query(self, kernel):
         chain = Cluster(kernel)
         for name in "abcde":
             chain.add_node(name)
@@ -300,6 +313,26 @@ class TestClusterTopology:
         shortcut = chain.add_link("b", "e", 40.0)
         assert chain.path_links("a", "e") == [
             chain.link_between("a", "b"), shortcut]
+
+    def test_cluster_loads_without_networkx(self):
+        """A full mesh never routes over more than one hop, and a multi-hop
+        path is found in tree: loading the cluster loads no networkx."""
+        assert "networkx" not in loaded_after("import repro.cluster")
+
+    def test_unknown_host_path_is_a_simulation_error(self):
+        """An unknown hostname is refused as :class:`SimulationError`
+        naming it, so the callers that treat one as "disconnected" do."""
+        cluster = Cluster.star("hub", ["a", "b"])
+        for host_a, host_b in (("a", "zz"), ("zz", "a")):
+            with pytest.raises(SimulationError, match="'zz'"):
+                cluster.path_links(host_a, host_b)
+            with pytest.raises(SimulationError, match="'zz'"):
+                cluster.path_available_mbps(host_a, host_b)
+        assert SystemView(cluster)._safe_path("a", "zz") == ()
+        demands = ConcreteDemands(
+            "o", links=(LinkDemand("x", "y", 1.0),))
+        assert not Matcher(cluster)._links_feasible(
+            demands, {"x": "a", "y": "zz"}, partial=False)
 
     def test_advertisements_cover_all_nodes(self):
         cluster = Cluster.full_mesh(["a", "b", "c"])
