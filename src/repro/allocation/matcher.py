@@ -156,7 +156,7 @@ class Matcher:
             del placements[demand.local_name]
         return False
 
-    def _reachable_nodes(self, patterns: frozenset[str],
+    def reachable_nodes(self, patterns: frozenset[str],
                          ) -> list[SimNode] | None:
         """Nodes some demand's hostname pattern can match, memoized.
 
@@ -194,7 +194,7 @@ class Matcher:
         patterns = frozenset(d.hostname_pattern for d in demands.nodes)
         ordered = prepared.ordered.get(patterns)
         if ordered is None:
-            base = self._reachable_nodes(patterns)
+            base = self.reachable_nodes(patterns)
             if self.strategy is not MatchStrategy.FIRST_FIT:
                 sign = 1 if self.strategy is MatchStrategy.BEST_FIT else -1
                 base = sorted(self.cluster.nodes() if base is None else base,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.allocation.allocation import Allocation, allocate
 from repro.allocation.instantiate import ConcreteDemands
@@ -63,6 +63,7 @@ from repro.obs.trace import (
 )
 from repro.prediction.contention import (
     PlacedConfiguration,
+    PlacementFootprint,
     PlacementToken,
     SystemView,
 )
@@ -183,7 +184,7 @@ class ModelDrivenPolicy(DecisionPolicy):
             # single-bundle gain the friction gate rejected can pass as
             # half of a pair, whose friction amortizes over the *faster*
             # of the two responses.  What the pass leaves out is only
-            # the pairs the partition epochs prove cannot gain at all.
+            # the pairs records prove cannot gain at all.
             changes += self._pairwise_pass(controller)
         return changes
 
@@ -195,10 +196,10 @@ class ModelDrivenPolicy(DecisionPolicy):
         only decide *skips*, never ordering, so the decision log is
         byte-identical to the same loop with pruning off (the serial
         oracle) even when registrations interleave partitions.  A bundle
-        is skipped when its partition's epoch watermark proves its last
-        no-op evaluation still holds (see
+        is neither matched nor scored while the record of its last stable
+        no-op holds over its reach and reads (see
         :class:`~repro.controller.partition.PartitionIndex`), and matched
-        but not scored when its read set proves it
+        but not scored when the match proves it
         (:meth:`_reevaluate_bundle_outcome`).
         """
         index = controller.partition_index
@@ -215,14 +216,14 @@ class ModelDrivenPolicy(DecisionPolicy):
                 part = index.partition_of(key)
                 pid = part.pid if part is not None else 0
                 cell = activity.setdefault(pid, [0.0, 0, 0, 0, 0])
-                if prune and index.is_clean(key):
+                if prune and index.holds(key, state):
                     stats.pruned_bundles += 1
                     stats.pruned_candidates += index.candidate_count(state)
                     cell[3] += 1
                     continue
                 start = _time.perf_counter()
                 unchanged = stats.unchanged_bundles
-                changed, stable = self._reevaluate_bundle_outcome(
+                changed = self._reevaluate_bundle_outcome(
                     controller, instance, state)
                 cell[0] += _time.perf_counter() - start
                 cell[1] += 1
@@ -230,8 +231,6 @@ class ModelDrivenPolicy(DecisionPolicy):
                 if changed:
                     changes += 1
                     cell[2] += 1
-                elif stable and prune:
-                    index.mark_clean(key)
         tracer = controller.tracer
         if tracer.enabled:
             end = tracer.elapsed()
@@ -260,11 +259,13 @@ class ModelDrivenPolicy(DecisionPolicy):
         * Two bundles of different partitions share nothing, so their
           joint score separates: when each one's own best gains nothing
           (:func:`_at_optimum`), no joint move gains, and the friction
-          gate rejects a gain <= 0 on its sign alone.  The sweep's clean
-          watermark records exactly that; a stale one is re-derived with
-          one ``optimize_bundle`` (nothing applied), once per epoch.
+          gate rejects a gain <= 0 on its sign alone.  A bundle's record
+          proves exactly that; one that does not hold is re-derived with
+          one ``optimize_bundle`` (nothing applied), which writes the
+          record when it is at its optimum.
         * A partition whose every internal pair ended a pass in such a
-          sign-only no-op stays settled until its epoch moves.
+          sign-only no-op stays settled while its record holds
+          (:meth:`PartitionIndex.settled`).
         """
         entries: list[tuple] = []
         for instance in controller.registry.instances():
@@ -278,22 +279,21 @@ class ModelDrivenPolicy(DecisionPolicy):
         scoped = index.prunable(controller.objective)
         keys = [bundle_key(*entry) for entry in entries] if scoped else []
         parts = [index.partition_of(key) for key in keys]
-        #: pid -> epoch at the start of the pass, for the partitions none
-        #: of whose pairs has yet ended in anything but a sign-only no-op.
-        settling = {part.pid: part.epoch for part in parts}
-        #: (entry, epoch) -> at optimum: this pass's re-derivations.
-        derived: dict[tuple[int, int], bool] = {}
+        since = index.now()
+        #: Partitions with an internal pair that ended in anything but a
+        #: sign-only no-op this pass.
+        unsettled: set[int] = set()
 
         def at_optimum(which: int) -> bool:
-            if index.is_clean(keys[which]):
+            instance, state = entries[which]
+            if index.holds(keys[which], state):
                 return True
-            stamp = (which, parts[which].epoch)
-            if stamp not in derived:
-                instance, state = entries[which]
-                derived[stamp] = _at_optimum(
-                    state, self.optimizer.optimize_bundle(
-                        instance, state, controller.optimization_context()))
-            return derived[stamp]
+            result = self.optimizer.optimize_bundle(
+                instance, state, controller.optimization_context())
+            if not _at_optimum(state, result):
+                return False
+            index.note_no_op(keys[which], state, result.reads)
+            return True
 
         changes = 0
         now = controller.now
@@ -305,10 +305,10 @@ class ModelDrivenPolicy(DecisionPolicy):
                 if not (first[1].granularity_allows_switch(now)
                         and second[1].granularity_allows_switch(now)):
                     if shared is not None:
-                        settling.pop(shared.pid, None)
+                        unsettled.add(shared.pid)
                     continue
                 if shared is not None:
-                    skip = shared.settled_epoch == shared.epoch
+                    skip = index.settled(shared)
                 else:
                     skip = scoped and at_optimum(i) and at_optimum(j)
                 if skip:
@@ -336,7 +336,7 @@ class ModelDrivenPolicy(DecisionPolicy):
                         cand_a.predicted_seconds, cand_b.predicted_seconds))
                 if not decision:
                     if shared is not None and decision.objective_gain > 0:
-                        settling.pop(shared.pid, None)
+                        unsettled.add(shared.pid)
                     continue
                 moves = [(instance, state, candidate)
                          for (instance, state), candidate
@@ -345,55 +345,56 @@ class ModelDrivenPolicy(DecisionPolicy):
                 controller.commit(moves, reason="pairwise exchange",
                                   objective_before=current)
                 changes += len(moves)
-        for part in parts:
-            if settling.get(part.pid) == part.epoch:
-                part.settled_epoch = part.epoch
+        for part in {part.pid: part for part in parts}.values():
+            # A commit during the pass stamped past ``since``, so the
+            # record it writes then never holds.
+            if part.pid not in unsettled and not index.settled(part):
+                index.settle(part, since)
         return changes
 
     def _reevaluate_bundle_outcome(
             self, controller: "AdaptationController",
-            instance: AppInstance, state: BundleState,
-            ) -> tuple[bool, bool]:
-        """Evaluate one bundle; returns ``(changed, stable)``.
+            instance: AppInstance, state: BundleState) -> bool:
+        """Evaluate one bundle; returns whether it changed.
 
-        ``stable`` asserts the no-change outcome would recur if nothing
-        in this bundle's partition changes — whatever happens in *other*
-        partitions — so a clean watermark may be recorded (for a
-        decomposable objective).  Only outcomes decided by a sign are:
-        no feasible candidate, best equals current (candidate ranking is
+        Where pruning is sound, a *stable* no-op writes the bundle's
+        record: one that would recur whatever happens outside what this
+        evaluation read — for a decomposable objective.  Only outcomes
+        decided by a sign are: no feasible candidate (or no
+        configuration), best equals current (candidate ranking is
         invariant under equal shifts), and rejection with gain <= 0.
         Every other rejection weighs the *size* of the gain, and under a
         mean that is a sum divided by the number of applications
-        anywhere: an arrival or departure in another partition rescales
-        it past a hysteresis threshold (whose denominator is the global
-        objective besides) or a friction amortisation alike.
-        Granularity-blocked outcomes depend on the clock.
+        anywhere: an arrival or departure elsewhere rescales it past a
+        hysteresis threshold (whose denominator is the global objective
+        besides) or a friction amortisation alike.  Granularity-blocked
+        outcomes depend on the clock.
 
-        A stable outcome is a function of what its evaluation read, so
-        where pruning is sound the index keeps that read set, and a later
-        evaluation whose match finds the same candidates and whose reads
-        nobody has written since returns the outcome unscored
+        A later evaluation whose match finds the same candidates and
+        whose reads nobody has written since returns the outcome
+        unscored and moves the record up to now
         (:meth:`~repro.controller.trial.TrialEngine.unchanged`).
         """
-        now = controller.now
-        if state.chosen is None:
-            return False, True
-        if not state.granularity_allows_switch(now):
-            return False, False
         index = controller.partition_index
         key = bundle_key(instance, state)
         prune = index.prunable(controller.objective)
+        if state.chosen is None:
+            if prune:
+                index.note_no_op(key, state)
+            return False
+        if not state.granularity_allows_switch(controller.now):
+            return False
         result = self.optimizer.optimize_bundle(
             instance, state, controller.optimization_context(),
             since=index.last_no_op(key) if prune else None)
         if result is None:
             controller.stats.unchanged_bundles += 1
-            return False, True
+            return False
         best = result.best
         if best is None or _same_configuration(state, best):
             if prune:
-                index.note_no_op(key, result.reads)
-            return False, True
+                index.note_no_op(key, state, result.reads)
+            return False
         with controller.tracer.span("controller.friction_gate",
                                     app=instance.key) as span:
             friction_cost = controller.friction_cost(state,
@@ -406,10 +407,9 @@ class ModelDrivenPolicy(DecisionPolicy):
             span.set("friction_cost_seconds", friction_cost)
             span.set("worthwhile", bool(decision))
         if not decision:
-            stable = decision.objective_gain <= 0
-            if stable and prune:
-                index.note_no_op(key, result.reads)
-            return False, stable
+            if prune and decision.objective_gain <= 0:
+                index.note_no_op(key, state, result.reads)
+            return False
         controller.commit(
             [(instance, state, best)],
             reason=f"reevaluation (gain {decision.objective_gain:.3g}s, "
@@ -418,7 +418,7 @@ class ModelDrivenPolicy(DecisionPolicy):
             trace_candidates=candidate_traces(
                 controller, state, result.evaluated, best,
                 result.current_objective))
-        return True, False
+        return True
 
 
 def candidate_traces(controller: "AdaptationController", state: BundleState,
@@ -462,6 +462,12 @@ def _at_optimum(state: BundleState, result: OptimizationResult) -> bool:
     best = result.best
     return (best is None or _same_configuration(state, best)
             or result.current_objective - best.objective_value <= 0)
+
+
+def _held_hosts(chosen: Iterable[ChosenConfiguration | None]) -> set[str]:
+    """The hosts these configurations' allocations hold memory on."""
+    return {hostname for each in chosen if each is not None
+            for hostname in each.assignment.hostnames()}
 
 
 def _same_configuration(state: BundleState, candidate: Candidate) -> bool:
@@ -677,11 +683,11 @@ class AdaptationController:
             # Journaled before the survivors re-optimize, so the release
             # precedes any reconfiguration records that reuse its space.
             self.journal.record_release(instance.key, kind, detail)
-        token = self.view.remove(instance.key)
-        if token.removed is not None:
-            # Advance the prediction cache by the departure's dirty set
-            # (an unplaced app bumped no version and left it valid).
-            self._engine.commit([token])
+        # Advance the prediction cache by the departure's dirty set, and
+        # stamp every host the app's bundles release memory on.
+        self._engine.commit([self.view.remove(instance.key)],
+                            held=_held_hosts(state.chosen for state
+                                             in instance.bundles.values()))
         self.registry.remove(instance)
         # Instance keys are never reused, so its cached models and its
         # metric series are dead; so is everything cached under its
@@ -762,10 +768,9 @@ class AdaptationController:
         """Make ``model`` the explicit model for ``key`` (a bundle, or a
         ``bundle.option``)."""
         instance.models[key] = model
-        # Custom models can read anything: drop cached predictions and the
-        # instance's cached spec-resolved models.
+        # Custom models can read anything: drop cached predictions, which
+        # moves the engine epoch past every record.
         self._engine.invalidate()
-        self.partition_index.note_models_changed()
 
     def place_configuration(self, instance: AppInstance,
                             state: BundleState, candidate: Candidate,
@@ -783,7 +788,7 @@ class AdaptationController:
                 candidate: Candidate, allocation: Allocation,
                 chosen_at: float) -> PlacementToken:
         """Make an allocated ``candidate`` the bundle's configuration: its
-        ``chosen``, view placement, namespace entry and partition index."""
+        ``chosen``, view placement and namespace entry."""
         state.chosen = ChosenConfiguration(
             option_name=candidate.option_name,
             variable_assignment=dict(candidate.variable_assignment),
@@ -796,10 +801,6 @@ class AdaptationController:
                                 candidate.assignment)
         self.registry.publish_choice(instance, state.bundle.bundle_name,
                                      memory_grants=candidate.memory_grants)
-        # Dirties the bundle's component (every member re-evaluates against
-        # the new placement) and refreshes opacity tracking.
-        self.partition_index.note_apply(instance.key,
-                                        state.bundle.bundle_name)
         return token
 
     def _allocate(self, instance: AppInstance, state: BundleState,
@@ -818,9 +819,8 @@ class AdaptationController:
             return
         chosen.allocation.release()
         state.chosen = None
-        self.view.remove(instance.key)
-        self.partition_index.note_apply(instance.key,
-                                        state.bundle.bundle_name)
+        self._engine.commit([self.view.remove(instance.key)],
+                            held=chosen.assignment.hostnames())
 
     def fail_node(self, hostname: str,
                   ) -> list[tuple[AppInstance, BundleState,
@@ -831,10 +831,9 @@ class AdaptationController:
         node is not running, and a standby applying records as they
         arrive can reproduce only this order."""
         self.cluster.node(hostname).fail()
-        # Availability changed without a topology-version bump: the host's
-        # component must re-evaluate (also covers the freed-resources case
-        # when displaced bundles strand).
-        self.partition_index.touch_host(hostname)
+        # Availability changed without a topology-version bump: every
+        # record whose match could place a demand there stops holding.
+        self._engine.stamp([hostname])
         displaced = []
         for instance in self.registry.instances():
             for state in instance.bundles.values():
@@ -845,6 +844,12 @@ class AdaptationController:
                     self.unconfigure(instance, state)
         self.metrics.report("controller.node_failures", self.now, 1.0)
         return displaced
+
+    def restore_node(self, hostname: str) -> None:
+        """Bring a failed machine back; nothing is re-placed on it until
+        a sweep runs."""
+        self.cluster.node(hostname).restore()
+        self._engine.stamp([hostname])
 
     # -- reconfiguration plumbing -------------------------------------------
 
@@ -914,8 +919,10 @@ class AdaptationController:
                 state.switch_count += 1
 
         # Advance the prediction cache by these placements' delta instead
-        # of recomputing the whole system.
-        self._engine.commit(tokens)
+        # of recomputing the whole system; stamp the hosts every old and
+        # new allocation holds memory on.
+        self._engine.commit(tokens, held=_held_hosts(
+            [*olds, *(state.chosen for _, state, _ in moves)]))
         objective_after = self.objective.evaluate(
             self._engine.live_predictions())
         for (instance, state, candidate), old in zip(moves, olds):
@@ -1101,8 +1108,7 @@ class AdaptationController:
         """A machine (re)joined; re-evaluate everyone to exploit it."""
         if self.journal is not None:
             self.journal.record_node_restored(hostname)
-        self.cluster.node(hostname).restore()
-        self.partition_index.touch_host(hostname)
+        self.restore_node(hostname)
         changes = self.policy.reevaluate(self)
         self.metrics.report("controller.node_restorations", self.now, 1.0)
         self._checkpoint()
@@ -1162,13 +1168,11 @@ class AdaptationController:
             own = self.view.cpu_consumers(hostname)
             external = max(0.0, measured - own)
             # Unchanged measurements are dropped before they reach the
-            # view: a no-op set would still bump the view version
-            # (invalidating cached predictions) and spuriously dirty the
-            # host's partition every steady-state sweep.
+            # view: a no-op set would still recompute its readers'
+            # predictions and stamp the host every steady-state sweep.
             if external == self.view.external_cpu_load(hostname):
                 continue
-            self.view.set_external_cpu_load(hostname, external)
-            self.partition_index.touch_host(hostname)
+            self.set_external_cpu_load(hostname, external)
         for link in self.cluster.links():
             measured = self.metrics.windowed_mean(
                 link_metric_name(link.host_a, link.host_b,
@@ -1183,7 +1187,15 @@ class AdaptationController:
                 continue
             self.view.set_external_link_load(link.host_a, link.host_b,
                                              external)
-            self.partition_index.touch_link(link.host_a, link.host_b)
+            key = frozenset((link.host_a, link.host_b))
+            self._engine.commit([], load=PlacementFootprint(
+                flows={key: ()}, read_links=frozenset((key,))))
+
+    def set_external_cpu_load(self, hostname: str, consumers: float) -> None:
+        """Set a node's external CPU load: the predictions that read it
+        are recomputed and the host is stamped."""
+        self.view.set_external_cpu_load(hostname, consumers)
+        self._engine.commit([], load=PlacementFootprint(cpu={hostname: ()}))
 
     # -- periodic re-evaluation ------------------------------------------------
 

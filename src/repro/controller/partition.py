@@ -19,47 +19,41 @@ other's evaluation reads.  This module makes that independence explicit:
   are maintained incrementally as bundles register, reconfigure, and
   end; a new bundle whose reach spans two components merges them.
 
-* **Partition epochs** — each component carries an epoch counter bumped
-  by any event that can change a member's evaluation (membership
-  change, applied reconfiguration, external-load change on a reach
-  host/link, node failure or restoration).  A bundle whose last
-  evaluation found nothing to change records a *watermark* (component,
-  epoch); while the watermark holds, re-evaluating it is provably a
-  no-op — the explicit no-improvement bound that lets sweeps skip it.
-  Watermarks are only recorded for outcomes that stay no-ops whatever
-  happens in other partitions — the bundle's best configuration is the
-  one in place, or gains nothing (see
-  ``ModelDrivenPolicy._reevaluate_bundle_outcome``) — and only honoured
-  when pruning is provably safe (:meth:`PartitionIndex.prunable`:
-  an additively decomposable objective and no opaque models).
+* **Records** — one rule decides every skip.  A bundle whose evaluation
+  found nothing to change keeps one :class:`~repro.controller.trial.ReadSet`:
+  what its scoring read, plus its reach.  The record is valid while no
+  key it covers has been stamped after its clock
+  (``TrialEngine._stamps``: every commit stamps what it wrote and the
+  hosts its allocations hold memory on; a node failing or coming back
+  and an external-load change stamp the host or link they change) and
+  the engine epoch and the topology version are unchanged.  While it
+  holds, the sweep neither matches nor scores the bundle
+  (:meth:`PartitionIndex.holds`); when it does not, a match that finds
+  the same candidates with the same reads unwritten still skips scoring
+  (``GreedyOptimizer.optimize_bundle(since=...)``) and renews the record.
+  Reach alone would not do: a co-runner placed across two pods makes a
+  commit on the far pod change what this bundle's trials read.
+  Records are only written and honoured when pruning is provably safe
+  (:meth:`PartitionIndex.prunable`: an additively decomposable objective
+  and no opaque models), and only for outcomes that stay no-ops whatever
+  happens elsewhere (see ``ModelDrivenPolicy._reevaluate_bundle_outcome``).
 
-* **Read-set watermarks** — inside a component whose epoch moved, a
-  bundle's last stable no-op also records what it read
-  (:class:`~repro.controller.trial.ReadSet`).  The sweep still matches
-  the bundle, and skips scoring it when the candidates are the same and
-  no host or link it read has been written since
-  (``GreedyOptimizer.optimize_bundle(since=...)``).  Honoured under the
-  same :meth:`PartitionIndex.prunable` gate, and dropped with the bundle.
-
-* **Pair watermarks** — the pairwise pass reads the same epochs.  A
-  clean bundle is at its own optimum, so a pair of clean bundles from
-  two components cannot gain jointly and is not searched; a component
-  whose every internal pair ended a pass in such a no-op records its
-  epoch (:attr:`Partition.settled_epoch`) and later passes skip its
-  pairs until the epoch moves (see ``ModelDrivenPolicy._pairwise_pass``).
+* **Settled components** — the pairwise pass keeps one record per
+  component whose every internal pair ended a pass in a sign-only no-op,
+  keyed by its member set and covering the union of the members' reach
+  and reads; later passes skip its pairs while the record holds (see
+  ``ModelDrivenPolicy._pairwise_pass``).  Records are keyed by bundles
+  and member sets, never by partition ids, so a rebuild keeps them all.
 
 * **Rebuilds** — every :data:`REBUILD_AFTER_REMOVALS` removals the
-  components are recomputed so over-broad ones split again.  On an
-  unchanged topology that only refines them, so the split components
-  keep their members' watermarks and their settled pairs; a topology
-  change drops them all (:meth:`PartitionIndex.rebuild`).
+  components are recomputed so over-broad ones split again.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from repro.allocation.matcher import _hostname_matches
 from repro.controller.optimizer import DEFAULT_MEMORY_PROBE_LIMIT
 from repro.errors import SimulationError
 
@@ -78,7 +72,9 @@ __all__ = ["PartitionIndex", "Partition", "bundle_key"]
 REBUILD_AFTER_REMOVALS = 16
 
 BundleKey = tuple[str, str]  # (app_key, bundle_name)
-ResourceKey = tuple  # ("h", hostname) | ("l", frozenset({a, b}))
+#: A hostname, or a link's ``frozenset({host_a, host_b})``: the keys
+#: ``TrialEngine`` stamps and reads.
+ResourceKey = object
 
 
 def bundle_key(instance: "AppInstance", state: "BundleState") -> BundleKey:
@@ -88,52 +84,37 @@ def bundle_key(instance: "AppInstance", state: "BundleState") -> BundleKey:
 class Partition:
     """One connected component of bundles sharing potential resources."""
 
-    __slots__ = ("pid", "epoch", "settled_epoch", "members", "resources")
+    __slots__ = ("pid", "members", "resources")
 
     def __init__(self, pid: int):
         self.pid = pid
-        #: Bumped by every event that can change a member's evaluation.
-        self.epoch = 0
-        #: The epoch at which a pairwise pass last found nothing to
-        #: exchange between any two members; valid while it equals
-        #: ``epoch``.
-        self.settled_epoch = -1
         self.members: set[BundleKey] = set()
         self.resources: set[ResourceKey] = set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Partition(pid={self.pid}, epoch={self.epoch}, "
-                f"members={len(self.members)}, "
+        return (f"Partition(pid={self.pid}, members={len(self.members)}, "
                 f"resources={len(self.resources)})")
 
 
 class PartitionIndex:
-    """Connected components over bundle reach, with dirtiness epochs."""
+    """Connected components over bundle reach, and the records of what
+    stays a no-op."""
 
     def __init__(self, controller: "AdaptationController"):
         self.controller = controller
         self._parts: dict[int, Partition] = {}
         self._owner: dict[ResourceKey, int] = {}
         self._member_pid: dict[BundleKey, int] = {}
-        #: (pid, epoch) recorded when a bundle's evaluation was a proven
-        #: no-op; valid while it still equals the live (pid, epoch).
-        self._clean_at: dict[BundleKey, tuple[int, int]] = {}
-        #: What each bundle's last stable no-op read: the bundle-grain
-        #: watermark a sweep checks when the partition one has moved.
-        self._no_ops: dict[BundleKey, ReadSet] = {}
+        #: Bundle key -> its last stable no-op, and member set -> the
+        #: pass that settled that component; both dropped with a member.
+        self._no_ops: dict[BundleKey | frozenset, ReadSet] = {}
         #: Reach memo, dropped with the bundle:
         #: key -> (topology_version, reach).
         self._reach: dict[BundleKey, tuple[int, frozenset]] = {}
-        #: (pattern, topology_version) -> frozenset of matching hostnames.
-        self._pattern_hosts: dict[tuple[str, int], frozenset[str]] = {}
         #: frozenset(hosts) -> frozenset of link resource keys (memoized
         #: per topology version via _edges_version).
         self._edge_sets: dict[frozenset, frozenset] = {}
         self._edges_version = -1
-        #: Apps whose models may read state outside their reach: while
-        #: any exists, every partition couples with every other and
-        #: pruning is disabled.
-        self._opaque: set[str] = set()
         self._topology_version = getattr(controller.cluster,
                                          "topology_version", 0)
         self._next_pid = 1
@@ -154,35 +135,67 @@ class PartitionIndex:
         pid = self._member_pid.get(key)
         return None if pid is None else self._parts[pid]
 
-    def is_clean(self, key: BundleKey) -> bool:
-        """Whether re-evaluating this bundle is provably a no-op."""
-        pid = self._member_pid.get(key)
-        if pid is None:
-            return False
-        return self._clean_at.get(key) == (pid, self._parts[pid].epoch)
-
-    def mark_clean(self, key: BundleKey) -> None:
-        pid = self._member_pid.get(key)
-        if pid is not None:
-            self._clean_at[key] = (pid, self._parts[pid].epoch)
-
     def last_no_op(self, key: BundleKey) -> ReadSet | None:
         return self._no_ops.get(key)
 
-    def note_no_op(self, key: BundleKey, reads: ReadSet) -> None:
-        """Record what a stable no-op evaluation of this bundle read."""
-        if key in self._member_pid:
-            self._no_ops[key] = reads
+    def holds(self, key: BundleKey, state: "BundleState") -> bool:
+        """Whether re-evaluating this bundle is provably a no-op: its
+        last stable no-op's record holds over its reach and reads."""
+        record = self._no_ops.get(key)
+        return record is not None and self.controller._engine.holds(
+            record, state.chosen,
+            self.controller.view.configuration_of(key[0]))
+
+    def note_no_op(self, key: BundleKey, state: "BundleState",
+                   reads: ReadSet | None = None) -> None:
+        """Record a stable no-op of this bundle: what it read (``None``:
+        nothing, an unconfigured bundle) and its reach."""
+        if key not in self._member_pid:
+            return
+        if reads is None:
+            reads = self.controller._engine.read_set(
+                state.chosen, self.controller.view.configuration_of(key[0]))
+        reads.covers = self._reach_of(key, state) | reads.keys
+        self._no_ops[key] = reads
+
+    def now(self) -> ReadSet:
+        """An empty record taken now: the clock a component settled by
+        the pass starting now is valid from."""
+        return self.controller._engine.read_set(None, None)
+
+    def settled(self, part: Partition) -> bool:
+        """Whether a pass settled this component and its record holds."""
+        record = self._no_ops.get(frozenset(part.members))
+        return record is not None and \
+            self.controller._engine.holds(record, None, None)
+
+    def settle(self, part: Partition, since: ReadSet) -> None:
+        """Every internal pair of this component ended the pass that
+        started at ``since`` in a sign-only no-op: record it over the
+        members' reach and reads, replacing its older member sets'."""
+        members = frozenset(part.members)
+        keys = set(part.resources)
+        for key in members:
+            record = self._no_ops.get(key)
+            if record is not None:
+                keys |= record.keys
+        for stale in [k for k in self._no_ops
+                      if isinstance(k, frozenset) and k & members]:
+            del self._no_ops[stale]
+        self._no_ops[members] = replace(since, covers=frozenset(keys))
 
     def prunable(self, objective: object) -> bool:
-        """Whether clean-skip pruning is provably serial-equivalent.
+        """Whether skipping on records is provably serial-equivalent.
 
-        Requires an additively decomposable objective (a clean bundle's
-        candidate ranking and gain are then invariant under other
-        partitions' changes) and no opaque models (an opaque model may
-        read any partition's state, coupling everything).
+        Requires an additively decomposable objective (a stable no-op's
+        candidate ranking and gain are then invariant under changes it
+        did not read) and no opaque models (an opaque model may read any
+        state, coupling everything) — the engine's own opacity set, read
+        after it has caught up with the view.
         """
-        return not self._opaque and \
+        engine = self.controller._engine
+        engine.live_predictions()
+        return not engine._opaque and \
             bool(getattr(objective, "decomposable", False))
 
     def candidate_count(self, state: "BundleState") -> int:
@@ -198,8 +211,7 @@ class PartitionIndex:
 
         Components whose resources the bundle's reach touches are merged
         (this is how two partitions merge mid-run when a new bundle
-        spans both); the touched component's epoch is bumped so every
-        member is re-evaluated against the newcomer.
+        spans both).
         """
         key = bundle_key(instance, state)
         existing = self._member_pid.get(key)
@@ -221,7 +233,6 @@ class PartitionIndex:
         for resource in reach:
             self._owner[resource] = part.pid
         self._member_pid[key] = part.pid
-        part.epoch += 1
         return part.pid
 
     def _absorb(self, part: Partition, other: Partition) -> None:
@@ -231,73 +242,30 @@ class PartitionIndex:
             self._owner[resource] = part.pid
         part.members |= other.members
         part.resources |= other.resources
-        # Merged members must all re-evaluate: their watermarks name the
-        # dead component, so bumping the survivor's epoch suffices.
-        part.epoch = max(part.epoch, other.epoch) + 1
         del self._parts[other.pid]
 
     def remove_app(self, app_key: str) -> None:
-        """Drop every bundle of an ended/evicted application.
+        """Drop every bundle of an ended/evicted application, with its
+        records and every settled member set it belonged to.
 
-        The freed resources can improve surviving members' options, so
-        the component's epoch is bumped.  Components are not split
-        eagerly — an over-broad component is always safe — but enough
-        removals trigger a rebuild (see :meth:`refresh`).
+        Components are not split eagerly — an over-broad component is
+        always safe — but enough removals trigger a rebuild (see
+        :meth:`refresh`).
         """
         for key in [k for k in self._member_pid if k[0] == app_key]:
             pid = self._member_pid.pop(key)
-            self._clean_at.pop(key, None)
-            self._no_ops.pop(key, None)
             self._reach.pop(key, None)
+            self._no_ops = {k: record for k, record in self._no_ops.items()
+                            if k != key and not (isinstance(k, frozenset)
+                                                 and key in k)}
             part = self._parts[pid]
             part.members.discard(key)
-            part.epoch += 1
             self._removals += 1
             if not part.members:
                 for resource in part.resources:
                     if self._owner.get(resource) == pid:
                         del self._owner[resource]
                 del self._parts[pid]
-        self._opaque.discard(app_key)
-
-    def note_apply(self, app_key: str, bundle_name: str) -> None:
-        """An applied reconfiguration dirties the bundle's component."""
-        pid = self._member_pid.get((app_key, bundle_name))
-        if pid is not None:
-            self._parts[pid].epoch += 1
-        placed = self.controller.view.configuration_of(app_key)
-        if placed is not None:
-            self._note_opacity(app_key, placed)
-
-    def _note_opacity(self, app_key: str, placed) -> None:
-        safe = self.controller.model_is_footprint_safe(placed)
-        if safe and app_key in self._opaque:
-            self._opaque.discard(app_key)
-            self.touch_all()
-        elif not safe and app_key not in self._opaque:
-            self._opaque.add(app_key)
-            self.touch_all()
-
-    def note_models_changed(self) -> None:
-        """An explicit model was registered: rescan opacity, dirty all."""
-        self._rescan_opacity()
-        self.touch_all()
-
-    # -- dirtiness -----------------------------------------------------------
-
-    def touch_all(self) -> None:
-        for part in self._parts.values():
-            part.epoch += 1
-
-    def touch_host(self, hostname: str) -> None:
-        pid = self._owner.get(("h", hostname))
-        if pid is not None:
-            self._parts[pid].epoch += 1
-
-    def touch_link(self, host_a: str, host_b: str) -> None:
-        pid = self._owner.get(("l", frozenset((host_a, host_b))))
-        if pid is not None:
-            self._parts[pid].epoch += 1
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -314,59 +282,26 @@ class PartitionIndex:
             # a future path forgets to.
             self.rebuild()
 
-    def _rescan_opacity(self) -> None:
-        self._opaque = {placed.app_key for placed
-                        in self.controller.view.configurations()
-                        if not self.controller.model_is_footprint_safe(placed)}
-
     def rebuild(self) -> None:
-        """Recompute components from scratch, keeping what still holds.
+        """Recompute components from scratch.
 
         Used after topology changes (patterns may match new hosts,
         merging components) and after enough removals (components may
-        split, restoring pruning opportunity).
-
-        A topology change moves reach itself, so every watermark is
-        dropped and the next sweep evaluates every bundle.  A rebuild on
-        the same topology only *refines*: removal never splits a
-        component lazily and reach is memoised per topology version, so
-        each new component is a subset of one old component and nothing
-        any evaluation reads has changed.  Such a component re-keys its
-        members' still-valid clean watermarks to its own ``(pid, epoch)``
-        and stays settled if its old component was.  The refinement is
-        checked, not assumed: a component with members from two old
-        components, or with a bundle that was not indexed, carries
-        nothing.
-
-        Opacity is re-derived from the view too, a defence like the
-        membership check in :meth:`refresh`: placements and models are
-        indexed as they are made, on every path.
+        split, restoring pruning opportunity).  Records name no
+        component, so they need no carrying: a topology change outdates
+        every one of them through its own topology version, and a split
+        component's member set finds its settled record again.
         """
-        current = getattr(self.controller.cluster, "topology_version", 0)
-        old_pid = self._member_pid if current == self._topology_version \
-            else {}
-        clean = {key for key in old_pid if self.is_clean(key)}
-        settled = {pid for pid, part in self._parts.items()
-                   if part.settled_epoch == part.epoch}
         self._parts.clear()
         self._owner.clear()
         self._member_pid = {}
-        self._clean_at.clear()
         self._removals = 0
-        self._topology_version = current
+        self._topology_version = getattr(self.controller.cluster,
+                                         "topology_version", 0)
         self.rebuilds += 1
         for instance in self.controller.registry.instances():
             for state in instance.bundles.values():
                 self.add_bundle(instance, state)
-        self._rescan_opacity()
-        for part in self._parts.values():
-            sources = {old_pid.get(key) for key in part.members}
-            if len(sources) != 1 or None in sources:
-                continue
-            for key in part.members & clean:
-                self._clean_at[key] = (part.pid, part.epoch)
-            if sources.pop() in settled:
-                part.settled_epoch = part.epoch
 
     # -- reach computation -----------------------------------------------------
 
@@ -374,50 +309,39 @@ class PartitionIndex:
                   state: "BundleState") -> frozenset:
         """Every resource key this bundle's evaluation could ever read.
 
-        Hosts: the union of its configuration space's hostname patterns,
-        matched against the cluster (memoized per pattern and topology
-        version).  Links: every link on a routing path between two reach
-        hosts, when any option declares links or communication.  Current
+        Hosts: the union of what its options' hostname patterns match
+        (the matcher's memo; ``*`` is every host, no pattern none).
+        Links: every link on a routing path between two reach hosts,
+        when any option declares links or communication.  Current
         placements are included for safety, though matching guarantees
         they already lie inside the pattern union.
         """
-        bundle = state.bundle
         tv = self._topology_version
         hit = self._reach.get(key)
         if hit is not None and hit[0] == tv:
             return hit[1]
-        patterns: set[str] = set()
+        cluster = self.controller.cluster
+        matcher = self.controller.matcher
+        all_hosts = cluster.hostnames()
+        hosts: set[str] = set()
         needs_links = False
-        for option in bundle.options:
+        for option in state.bundle.options:
             if option.links or option.communication is not None:
                 needs_links = True
-            for requirement in option.nodes:
-                patterns.add(requirement.hostname)
-        all_hosts = self.controller.cluster.hostnames()
-        if "*" in patterns:
-            hosts = frozenset(all_hosts)
-        else:
-            hosts = frozenset().union(
-                *(self._hosts_matching(p, all_hosts) for p in patterns)) \
-                if patterns else frozenset()
+            patterns = frozenset(r.hostname for r in option.nodes)
+            if "*" in patterns:
+                hosts.update(all_hosts)
+            elif patterns:
+                hosts.update(node.hostname for node
+                             in matcher.reachable_nodes(patterns))
         if state.chosen is not None:
-            hosts |= frozenset(state.chosen.assignment.hostnames())
-        resources: set[ResourceKey] = {("h", h) for h in hosts}
+            hosts |= state.chosen.assignment.hostnames()
+        resources: set[ResourceKey] = set(hosts)
         if needs_links and len(hosts) < len(all_hosts):
             resources |= self._edges_among(frozenset(hosts))
         reach = frozenset(resources)
         self._reach[key] = (tv, reach)
         return reach
-
-    def _hosts_matching(self, pattern: str,
-                        all_hosts: Iterable[str]) -> frozenset[str]:
-        key = (pattern, self._topology_version)
-        hit = self._pattern_hosts.get(key)
-        if hit is None:
-            hit = frozenset(h for h in all_hosts
-                            if _hostname_matches(pattern, h))
-            self._pattern_hosts[key] = hit
-        return hit
 
     def _edges_among(self, hosts: frozenset[str]) -> frozenset:
         """Link keys on any routing path between two reach hosts.
@@ -444,7 +368,7 @@ class PartitionIndex:
                 except SimulationError:
                     continue
                 for link in links:
-                    edges.add(("l", frozenset((link.host_a, link.host_b))))
+                    edges.add(frozenset((link.host_a, link.host_b)))
         result = frozenset(edges)
         self._edge_sets[hosts] = result
         return result

@@ -29,12 +29,14 @@ This module removes both:
   its order is not the view's; objectives sum with ``fsum`` and never
   read it.
 
-* **Read sets** — the engine stamps every host and link a commit writes
-  and moves an :attr:`TrialEngine.epoch` on every mutation it did not
-  see.  :meth:`TrialEngine.reading` records the hosts and links one
-  evaluation's recomputed predictions read (:class:`ReadSet`), and
-  :meth:`TrialEngine.unchanged` proves a later evaluation with the same
-  candidates would read the same values.
+* **Records** — the engine stamps every host and link a commit writes
+  or holds memory on, or whose load or availability changes, and moves
+  an :attr:`TrialEngine.epoch` on every mutation it did not see.
+  :meth:`TrialEngine.reading` records what one evaluation's recomputed
+  predictions read (:class:`ReadSet`).  One rule: a record is valid
+  while no key it covers is stamped after its clock, and the epoch and
+  the topology version are unchanged (:meth:`TrialEngine.holds` before a
+  match, :meth:`TrialEngine.unchanged` after one).
 
 :class:`OptimizerStats` counts the work actually done so benchmarks can
 report candidates evaluated, per-app predictions recomputed, and full-view
@@ -74,12 +76,12 @@ class OptimizerStats:
     partition_sweeps: int = 0
     pruned_bundles: int = 0
     pruned_candidates: int = 0
-    #: Bundles the partition watermark did not skip whose match found
-    #: the candidates and read set of their last stable no-op, so no
-    #: candidate was scored (see :meth:`TrialEngine.unchanged`).
+    #: Bundles whose record did not hold before the match but whose
+    #: match found the candidates and reads of their last stable no-op,
+    #: so no candidate was scored (see :meth:`TrialEngine.unchanged`).
     unchanged_bundles: int = 0
-    #: Pairwise pass: pairs searched, and pairs skipped because the
-    #: partition epochs prove they cannot gain.
+    #: Pairwise pass: pairs searched, and pairs skipped because records
+    #: prove they cannot gain.
     pairs_evaluated: int = 0
     pruned_pairs: int = 0
 
@@ -96,17 +98,21 @@ class OptimizerStats:
                 "pruned_pairs": self.pruned_pairs}
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReadSet:
-    """What one bundle evaluation read, for :meth:`TrialEngine.unchanged`.
+    """What one cached result depends on: a bundle's stable no-op, or a
+    settled component's pairs.
 
     ``chosen`` and ``placed`` are the bundle's configuration and its
     app's view placement the candidates were scored against (compared by
     identity: every commit makes new ones); ``candidates`` the matched
     ``(demands, assignment)`` pairs in match order; ``keys`` the hosts
-    and links the recomputed predictions read; ``epoch``, ``clock`` and
-    ``topology`` the engine's epoch, its commit count and the cluster's
-    topology version when they were read.
+    and links the recomputed predictions read; ``covers`` those and every
+    host and link the bundle's match could read (its reach); ``epoch``,
+    ``clock`` and ``topology`` the engine's epoch, its commit count and
+    the cluster's topology version when they were read.  ``covers`` is
+    set when the record is kept, ``clock`` moved up whenever a check
+    proves it unchanged.
     """
 
     chosen: object
@@ -116,6 +122,7 @@ class ReadSet:
     epoch: int
     clock: int
     topology: int
+    covers: frozenset = frozenset()
 
 
 def _candidate_signature(candidates: Sequence) -> tuple:
@@ -193,6 +200,9 @@ class TrialEngine:
         #: last wrote it; bounded by the cluster's hosts and links.
         self._clock = 0
         self._stamps: dict[object, int] = {}
+        #: (clock, {earlier clock: keys stamped after it}), rebuilt when
+        #: the clock moves.
+        self._stamped: tuple[int, dict[int, frozenset]] = (0, {})
         #: Hosts and links read while :meth:`reading` records.
         self._reads: set | None = None
 
@@ -302,50 +312,102 @@ class TrialEngine:
             self._reads = None
 
     def read_set(self, chosen: object, placed: object,
-                 candidates: Sequence, keys: set, epoch: int) -> ReadSet:
+                 candidates: Sequence = (), keys: Iterable = (),
+                 epoch: int | None = None) -> ReadSet:
         """What scoring ``candidates`` against ``chosen`` and ``placed``
-        read: ``keys``, at ``epoch``."""
+        read: ``keys``, at ``epoch`` (``None``: the current one)."""
+        if epoch is None:
+            self.live_predictions()
+            epoch = self.epoch
         return ReadSet(chosen=chosen, placed=placed,
                        candidates=_candidate_signature(candidates),
                        keys=frozenset(keys), epoch=epoch, clock=self._clock,
                        topology=self.controller.cluster.topology_version)
 
+    def holds(self, record: ReadSet, chosen: object, placed: object) -> bool:
+        """Whether the result ``record`` describes still holds before any
+        match: the same configuration and placement, no unseen mutation,
+        the same topology, and no stamp on its reach or reads since."""
+        return self._proves(record, chosen, placed, record.covers)
+
     def unchanged(self, since: ReadSet, chosen: object, placed: object,
                   candidates: Sequence) -> bool:
         """Whether scoring ``candidates`` now would read what ``since``
-        read: the same configuration, placement and candidates, no unseen
-        mutation, the same topology, and no commit since that wrote a host
-        or link it read."""
+        read: the same candidates, and :meth:`holds` over its reads."""
+        return since.candidates == _candidate_signature(candidates) and \
+            self._proves(since, chosen, placed, since.keys)
+
+    def _proves(self, record: ReadSet, chosen: object, placed: object,
+                keys: frozenset) -> bool:
         # An unseen mutation moves the epoch only when the cache is read.
         self.live_predictions()
-        if since.chosen is not chosen or since.placed is not placed or \
-                since.epoch != self.epoch or since.topology != \
+        if record.chosen is not chosen or record.placed is not placed or \
+                record.epoch != self.epoch or record.topology != \
                 self.controller.cluster.topology_version or \
-                since.candidates != _candidate_signature(candidates):
+                (record.clock != self._clock and
+                 not keys.isdisjoint(self._stamped_after(record.clock))):
             return False
-        stamps = self._stamps
-        clock = since.clock
-        return all(stamps.get(key, 0) <= clock for key in since.keys)
+        # Proved unchanged up to now: the records a sweep checks come to
+        # share a few clocks, each resolved once below.
+        record.clock = self._clock
+        return True
+
+    def _stamped_after(self, clock: int) -> frozenset:
+        """The keys stamped after ``clock``, derived once per clock until
+        the next stamp."""
+        now, stamped = self._stamped
+        if now != self._clock:
+            stamped = {}
+            self._stamped = (self._clock, stamped)
+        after = stamped.get(clock)
+        if after is None:
+            after = stamped[clock] = frozenset(
+                key for key, at in self._stamps.items() if at > clock)
+        return after
+
+    def stamp(self, keys: Iterable) -> None:
+        """Mark hosts and links written now: every record covering one
+        stops holding."""
+        self._clock += 1
+        for key in keys:
+            self._stamps[key] = self._clock
 
     # -- commits -----------------------------------------------------------
 
-    def commit(self, tokens: list[PlacementToken]) -> None:
-        """Advance the cache over mutations applied to the live view.
+    def commit(self, tokens: Sequence[PlacementToken],
+               held: Iterable[str] = (),
+               load: PlacementFootprint | None = None) -> None:
+        """Advance the cache over mutations applied to the live view:
+        ``tokens``, and one external-load change on ``load``'s hosts and
+        links.
 
-        Valid only when ``tokens`` account for every version bump since
-        the cache was built; otherwise the cache is dropped and the next
-        read rebuilds.  The advanced dictionary keeps the view's order,
-        as a rebuild would.  Every host and link the tokens write is
-        stamped with this commit.
+        Valid only when they account for every version bump since the
+        cache was built; otherwise the cache is dropped and the next read
+        rebuilds.  The advanced dictionary keeps the view's order, as a
+        rebuild would.  Every host and link the tokens or ``load`` write,
+        and every host in ``held`` (where the commit reserved or released
+        memory), is stamped with this commit.
         """
         controller = self.controller
         view = controller.view
         base = self._predictions
+        bumps = sum(1 for token in tokens if token.removed is not None
+                    or token.added is not None) + (load is not None)
+        written = set(held)
+        for token in tokens:
+            _note_reads(written, token.removed_footprint)
+            _note_reads(written, token.added_footprint)
+        _note_reads(written, load)
+        self.stamp(written)
         if base is None or self._version is None or \
-                view.version != self._version + len(tokens):
+                view.version != self._version + bumps:
             self.invalidate()
             return
+        if not bumps:
+            return          # nothing the view shows moved
         dirty = self.dirty_set(tokens)
+        if load is not None:
+            dirty |= view.apps_affected_by(load)
         predictions: dict[str, float] = {}
         for placed in view.configurations():
             app_key = placed.app_key
@@ -356,18 +418,12 @@ class TrialEngine:
             if value is not None:
                 predictions[app_key] = value
         self._predictions = predictions
-        self._clock += 1
-        written: set = set()
         for token in tokens:
-            _note_reads(written, token.removed_footprint)
-            _note_reads(written, token.added_footprint)
             self._opaque.discard(token.app_key)
             placed = view.configuration_of(token.app_key)
             if placed is not None and \
                     not controller.model_is_footprint_safe(placed):
                 self._opaque.add(token.app_key)
-        for key in written:
-            self._stamps[key] = self._clock
         self._version = view.version
 
 

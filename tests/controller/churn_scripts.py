@@ -5,7 +5,7 @@ of operations — drawn from one seed without looking at any controller,
 so the same script can be replayed against a fast path and its oracle
 and the two compared decision for decision.  Scripts stay at or under
 twelve live bundles, the population where the pairwise pass runs, and
-mix everything that moves a partition epoch or a friction gate:
+mix everything that stamps a host or moves a friction gate:
 arrivals and departures in other pods, node failures and restorations,
 external load, clock advances against ``granularity``, a rare bundle
 with no hostname pattern that merges every pod, and friction tags large
@@ -156,8 +156,7 @@ def run_script(script: dict, pairwise: bool, serial: bool = False,
             controller.handle_node_restored(op[1])
         elif kind == "load":
             # What update_external_load does for a measured change.
-            controller.view.set_external_cpu_load(op[1], op[2])
-            controller.partition_index.touch_host(op[1])
+            controller.set_external_cpu_load(op[1], op[2])
             controller.reevaluate()
         elif kind == "advance":
             cluster.kernel.advance_to(cluster.now + op[1])

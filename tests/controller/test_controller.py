@@ -128,8 +128,9 @@ class TestLifecycle:
         assert set(cache._spaces) == pinned
 
     def test_partition_index_is_bounded_under_churn(self):
-        """The index's per-bundle tables — membership, watermarks, read
-        sets, the reach memo — go with the application that ends; the
+        """The index's per-bundle tables — membership, records, the
+        reach memo — go with the application that ends, settled member
+        sets with any member that ends, one record per component; the
         engine's write stamps are one per host or link at most."""
         controller = AdaptationController(build_pod_cluster(2, 4))
         index = controller.partition_index
@@ -143,8 +144,11 @@ class TestLifecycle:
             live.append(instance)
         keys = {(instance.key, "size") for instance in live}
         assert set(index._member_pid) == set(index._reach) == keys
-        assert set(index._clean_at) <= keys
-        assert 0 < len(index._no_ops) and set(index._no_ops) <= keys
+        bundles = {key for key in index._no_ops if key in keys}
+        settled = set(index._no_ops) - bundles
+        assert bundles and settled
+        assert all(members <= keys for members in settled)
+        assert len(settled) <= index.partition_count
         cluster = controller.cluster
         assert 0 < len(controller._engine._stamps) <= \
             len(list(cluster.hostnames())) + len(list(cluster.links()))

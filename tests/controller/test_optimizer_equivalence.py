@@ -8,13 +8,13 @@ Two stacked contracts, each against an oracle from ``tests.oracle``:
   Both sides run with pruning off (``unpruned``) so the candidate-count
   equality holds exactly.
 
-* The partitioned sweep (connected-component pruning, clean-skip
-  watermarks) must make identical decisions to the same sweep with
+* The partitioned sweep (connected-component pruning, records of
+  stable no-ops) must make identical decisions to the same sweep with
   pruning off (the serial oracle) — same decision log bytes, placements,
   predictions, and objective — while provably skipping work.  The pod
   scenarios give it real structure (disjoint hostname-pattern pods), and
   the merge scenario registers a bundle whose pattern spans every pod
-  mid-run, forcing a partition merge while earlier watermarks exist.
+  mid-run, forcing a partition merge while earlier records exist.
 """
 
 import pytest
@@ -231,7 +231,7 @@ def run_pod_merge(serial: bool):
     """Two pods evolve separately, then a ``p*`` bundle spans them.
 
     The bridge gains a resource reach crossing every pod, so the index
-    must merge the components mid-run — with clean watermarks already
+    must merge the components mid-run — with records already
     recorded on both sides — and keep deciding exactly like the serial
     sweep afterwards.
     """

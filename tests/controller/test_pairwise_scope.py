@@ -1,7 +1,7 @@
 """Partitioned x pairwise: the scoped pass decides like the global one.
 
-``ModelDrivenPolicy._pairwise_pass`` skips the pairs the partition
-epochs prove cannot gain; with pruning off (``tests.oracle.unpruned``)
+``ModelDrivenPolicy._pairwise_pass`` skips the pairs records prove
+cannot gain; with pruning off (``tests.oracle.unpruned``)
 it searches every pair and is the oracle.  The seeded churn (``churn_scripts``) replays one script
 against both, with the pass on and off, and requires the same decision
 log — reasons included — the same configurations, predictions and
@@ -13,7 +13,8 @@ skips rest on, and one for the pair the pass must *not* skip.
 Mutation-checked: skipping every cross-partition pair, settling a
 partition on an amortisation rejection or on a granularity-blocked
 pair, not bumping the epoch in ``note_apply``, a re-derivation memo or
-an end-of-pass check that ignores the epoch, ``sum`` for ``fsum``, and
+an end-of-pass check that ignores the epoch (mechanisms since replaced
+by records), ``sum`` for ``fsum``, and
 the old amortisation-is-stable rule each fail tests here (the pinned
 seeds are the ones that catch them).
 """
@@ -125,7 +126,7 @@ def test_scoped_pass_matches_global_on_inexact_demands(seed):
 
 
 #: Long enough for two removal-triggered rebuilds, which then carry their
-#: watermarks and settled pairs into the split components.
+#: records and settled pairs through the split components.
 LONG_SCRIPT = 160
 LONG_SEEDS = SEEDS[:4]
 
@@ -210,7 +211,7 @@ def held_back_controller(serial, pairwise, third=SIZE_RSL):
 def test_departure_elsewhere_reopens_an_amortisation_rejection(serial):
     """Rule (3).  ``Z`` leaving pod 1 touches nothing ``X`` reads, but
     the mean now divides by 2: the same move gains 12.5 s a job, 214 s
-    amortised, and passes.  A watermark that called the rejection stable
+    amortised, and passes.  A record that called the rejection stable
     (as the partitioned sweep's did) never looks again."""
     controller, last = held_back_controller(serial, pairwise=False)
     assert [record.new_configuration

@@ -2,21 +2,29 @@
 
 The serial-equivalence suite (test_optimizer_equivalence.py) proves the
 partitioned sweep *decides* identically; these tests pin down the
-index's own mechanics — component structure, merge, epochs, watermarks,
-rebuilds, and opacity.
+index's own mechanics — component structure, merge, records, rebuilds,
+the reach memo, and opacity — through what a sweep scores and prunes.
 """
 
 import pytest
 
+from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.controller.partition import REBUILD_AFTER_REMOVALS
 from repro.prediction import CallableModel
+from repro.prediction.models import ExplicitSpecModel
+from repro.rsl.model import PerformancePoint, PerformanceSpec
 from repro.rsl import build_bundle
-from tests.pods import POD_RSL, pod_controller
+from tests.pods import POD_RSL, build_pod_cluster, pod_controller
 
 BRIDGE_RSL = """
 harmonyBundle Bridge span {
     {solo {node n {hostname p*} {seconds 30} {memory 16}}}}
 """
+
+
+def placed_hosts(controller, key):
+    state = controller.registry.instance(key[0]).bundle_state(key[1])
+    return state.chosen.assignment.hostnames()
 
 
 def keys_by_pod(index, pod):
@@ -52,62 +60,116 @@ class TestComponentStructure:
         assert index.partition_count == 1
         assert index.merges == 1
 
-    def test_merge_invalidates_watermarks(self):
+    def test_merge_keeps_what_the_newcomer_did_not_stamp(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
-        key = next(iter(index._member_pid))
-        index.mark_clean(key)
-        assert index.is_clean(key)
+        controller.reevaluate()
+        scored = scored_keys(controller)
         bridge = controller.register_app("Bridge")
         controller.setup_bundle(bridge, BRIDGE_RSL)
-        # The survivor's epoch was bumped past both sides' watermarks.
-        assert not index.is_clean(key)
+        # One component now, but Bridge landed on p0n0: only pod 0's
+        # records cover a host its commit stamped.
+        assert controller.partition_index.partition_count == 1
+        assert bridge.bundle_state("span").chosen.assignment.hostnames() \
+            == {"p0n0"}
+        assert sorted(scored) == sorted(
+            keys_by_pod(controller.partition_index, 0) |
+            {(bridge.key, "span")})
+
+
+def load(controller, hostname):
+    """One external consumer on ``hostname``, as a measured change."""
+    controller.set_external_cpu_load(hostname, 1.0)
+
+
+def footprint_safe_curve():
+    return ExplicitSpecModel(PerformanceSpec(
+        points=(PerformancePoint(1.0, 60.0), PerformancePoint(2.0, 60.0))))
 
 
 class TestWatermarks:
-    def test_clean_until_partition_epoch_moves(self):
+    def test_records_hold_until_a_key_they_cover_is_stamped(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
-        pod0_key = sorted(keys_by_pod(index, 0))[0]
-        pod1_key = sorted(keys_by_pod(index, 1))[0]
-        index.mark_clean(pod0_key)
-        index.mark_clean(pod1_key)
-
-        # An event inside pod 1 dirties only pod 1's component.
-        index.touch_host("p1n0")
-        assert index.is_clean(pod0_key)
-        assert not index.is_clean(pod1_key)
-
-    def test_touch_all_dirties_everything(self):
-        controller = pod_controller(pods=2)
-        index = controller.partition_index
-        for key in list(index._member_pid):
-            index.mark_clean(key)
-        index.touch_all()
-        assert not any(index.is_clean(k) for k in index._member_pid)
-
-    def test_pair_watermark_holds_until_the_epoch_moves(self):
-        controller = pod_controller(pods=2)      # 2 + 2 bundles: 6 pairs
-        controller.policy.pairwise_exchange = True
         index = controller.partition_index
         controller.reevaluate()
-        assert all(part.settled_epoch == part.epoch
-                   for part in index.partitions())
+        scored = scored_keys(controller)
+        # A change inside pod 1 re-scores only pod 1's bundles.
+        load(controller, "p1n0")
+        pruned = controller.stats.pruned_bundles
+        controller.reevaluate()
+        assert sorted(scored) == sorted(keys_by_pod(index, 1))
+        assert controller.stats.pruned_bundles == pruned + 2
+
+    def test_an_engine_epoch_move_dirties_everything(self):
+        controller = pod_controller(pods=2)
+        index = controller.partition_index
+        controller.reevaluate()
+        scored = scored_keys(controller)
+        pruned = controller.stats.pruned_bundles
+        # A model registration moves the engine epoch: no record holds.
+        controller.register_model(controller.registry.instances()[0],
+                                  "size", footprint_safe_curve())
+        controller.reevaluate()
+        assert sorted(scored) == sorted(index._member_pid)
+        assert controller.stats.pruned_bundles == pruned
+
+    def test_pair_watermark_holds_until_a_member_key_is_stamped(self):
+        controller = pod_controller(pods=2)      # 2 + 2 bundles: 6 pairs
+        controller.policy.pairwise_exchange = True
+        controller.reevaluate()
         searched = controller.stats.pairs_evaluated
         controller.reevaluate()
         assert controller.stats.pairs_evaluated == searched
         # Pod 1 changed: its own pair is searched again, and only that —
         # the four cross-pod pairs are between bundles at their optimum.
-        index.touch_host("p1n0")
+        load(controller, "p1n0")
         pruned = controller.stats.pruned_pairs
         controller.reevaluate()
         assert controller.stats.pairs_evaluated == searched + 1
         assert controller.stats.pruned_pairs == pruned + 5
 
-    def test_unknown_bundle_is_never_clean(self):
+    def test_a_failure_rescores_only_its_pod(self):
+        controller = AdaptationController(
+            build_pod_cluster(2, nodes_per_pod=6),
+            policy=ModelDrivenPolicy(pairwise_exchange=False))
+        for number in range(4):
+            instance = controller.register_app(f"Pod{number % 2}App{number}")
+            controller.setup_bundle(
+                instance, POD_RSL.format(pod=number % 2, index=number))
+        controller.reevaluate()
+        index = controller.partition_index
+        placed = {host for key in index._member_pid
+                  for host in placed_hosts(controller, key)}
+        empty = sorted({f"p1n{i}" for i in range(6)} - placed)[0]
+        scored = scored_keys(controller)
+        # Nothing runs there, so no commit stamps it; the failure must.
+        assert controller.handle_node_failure(empty) == []
+        assert sorted(scored) == sorted(keys_by_pod(index, 1))
+
+    def test_a_newcomer_reopens_the_pairs_of_what_it_joins(self):
+        """Bridge lands in a third, empty pod, outside every settled
+        component's keys, but joins both: the merged member set has no
+        record, so all ten pairs are searched."""
+        controller = AdaptationController(build_pod_cluster(3))
+        for number in range(4):
+            instance = controller.register_app(f"Pod{number % 2}App{number}")
+            controller.setup_bundle(
+                instance, POD_RSL.format(pod=number % 2, index=number))
+        controller.reevaluate()
+        before = controller.stats.snapshot()
+        bridge = controller.register_app("Bridge")
+        state = controller.setup_bundle(bridge, BRIDGE_RSL)
+        assert state.chosen.assignment.hostnames() == {"p2n0"}
+        assert controller.partition_index.partition_count == 1
+        stats = controller.stats
+        assert stats.pairs_evaluated - before["pairs_evaluated"] == 10
+        assert stats.pruned_pairs == before["pruned_pairs"]
+
+    def test_unknown_bundle_is_never_pruned(self):
         controller = pod_controller(pods=1)
         index = controller.partition_index
-        assert not index.is_clean(("ghost.1", "size"))
+        state = controller.registry.instances()[0].bundle_state("size")
+        index.note_no_op(("ghost.1", "size"), state)
+        assert not index.holds(("ghost.1", "size"), state)
 
 
 class TestLifecycle:
@@ -138,12 +200,14 @@ class TestLifecycle:
     def test_topology_change_rebuilds_and_dirties(self):
         controller = pod_controller(pods=2)
         index = controller.partition_index
-        for key in list(index._member_pid):
-            index.mark_clean(key)
+        controller.reevaluate()
+        scored = scored_keys(controller)
         controller.cluster.add_node("p0n9", memory_mb=256.0)
         controller.cluster.add_link("p0n9", "p0n0", bandwidth_mbps=100.0)
-        index.refresh()
-        assert not any(index.is_clean(k) for k in index._member_pid)
+        rebuilds = index.rebuilds
+        controller.reevaluate()
+        assert index.rebuilds == rebuilds + 1
+        assert sorted(scored) == sorted(index._member_pid)
 
 
 def scored_keys(controller):
@@ -182,13 +246,8 @@ def churn_through_rebuild(controller, pod=0):
 
 class TestRebuildKeepsWhatItProved:
     """A removal rebuild splits components without touching anything an
-    evaluation reads, so it keeps every valid watermark and settled pair.
-
-    Mutation-checked: marking every member clean, carrying
-    ``settled_epoch`` from an unsettled component, carrying into a
-    component with an unindexed member and carrying through a topology
-    rebuild (``test_topology_change_rebuilds_and_dirties``) each fail a
-    test here.
+    evaluation reads, and records name bundles and member sets, not
+    components, so every valid record and settled pair survives it.
     """
 
     def test_only_the_churned_pod_is_scored(self):
@@ -220,18 +279,19 @@ class TestRebuildKeepsWhatItProved:
         controller.setup_bundle(bridge, BRIDGE_RSL)
         scored = scored_keys(controller)
         controller.end_app(bridge)
-        # The departure re-scores the merged component; once settled,
-        # every member is proved clean.
+        # The departure stamps the host Bridge held: the pod it ran in
+        # re-scores; once settled, nothing is scored again.
         controller.reevaluate()
-        members = sorted(index._member_pid)
-        assert sorted(set(scored)) == members
-        assert all(index.is_clean(key) for key in members)
-        index.rebuild()
-        assert index.partition_count == 2
-        assert all(index.is_clean(key) for key in members)
+        assert sorted(set(scored)) == sorted(keys_by_pod(index, 0))
         del scored[:]
         controller.reevaluate()
         assert scored == []
+        index.rebuild()
+        assert index.partition_count == 2
+        pruned = controller.stats.pruned_bundles
+        controller.reevaluate()
+        assert scored == []
+        assert controller.stats.pruned_bundles == pruned + 4
 
     def test_unindexed_member_carries_nothing_into_its_component(self):
         controller = pod_controller(pods=2)
@@ -253,6 +313,54 @@ class TestRebuildKeepsWhatItProved:
             keys_by_pod(index, 0) | {(late.key, "size")})
 
 
+class TestReach:
+    def test_topology_changes_grow_no_table(self):
+        """Reach reuses the matcher's pattern memo, which a topology
+        change overwrites: twenty new hosts leave every table of the
+        index and the memo the size they were, bar the resource owners,
+        one per host or link."""
+        controller = pod_controller(pods=3, apps_per_pod=1)
+        index = controller.partition_index
+        controller.reevaluate()
+
+        def sizes():
+            tables = {name: len(table) for name, table in vars(index).items()
+                      if isinstance(table, dict) and name != "_owner"}
+            tables["matcher"] = len(controller.matcher._pattern_memo)
+            return tables
+
+        before = sizes()
+        assert before["matcher"] == 3
+        for number in range(20):
+            controller.cluster.add_node(f"p{number % 3}n{10 + number}",
+                                        memory_mb=256.0)
+            controller.reevaluate()
+        assert sizes() == before
+        cluster = controller.cluster
+        assert len(index._owner) <= \
+            len(cluster.hostnames()) + len(list(cluster.links()))
+
+    def test_reach_follows_patterns_and_topology(self):
+        controller = pod_controller(pods=2, apps_per_pod=1)
+        index = controller.partition_index
+        pod0 = controller.registry.instances()[0]
+        state = pod0.bundle_state("size")
+        key = (pod0.key, "size")
+        hosts = {f"p0n{i}" for i in range(4)}
+        # ``large`` communicates, so the links among the hosts are in too.
+        assert index._reach_of(key, state) == hosts | {
+            frozenset((a, b)) for a in hosts for b in hosts if a < b}
+        controller.cluster.add_node("p0n9", memory_mb=256.0)
+        controller.cluster.add_node("p1n9", memory_mb=256.0)
+        controller.reevaluate()
+        assert {h for h in index._reach_of(key, state)
+                if isinstance(h, str)} == hosts | {"p0n9"}
+        bridge = controller.register_app("Bridge")
+        state = controller.setup_bundle(bridge, BRIDGE_RSL)
+        assert index._reach_of((bridge.key, "span"), state) == \
+            set(controller.cluster.hostnames())
+
+
 class TestPrunability:
     def test_decomposable_objective_is_prunable(self):
         controller = pod_controller(pods=2)
@@ -266,7 +374,7 @@ class TestPrunability:
         controller.register_model(
             instance, "size",
             CallableModel(lambda demands, assignment, view: 42.0))
-        controller.reevaluate()  # refresh() performs the opacity rescan
+        controller.reevaluate()  # the engine re-derives opacity on a read
         assert not index.prunable(controller.objective)
 
     def test_pruned_sweep_skips_clean_partitions(self):

@@ -1,25 +1,33 @@
-"""The bundle-grain watermark: a sweep re-scores only what it can see changed.
+"""Records: a sweep re-scores only what it can see changed.
 
-Inside a partition whose epoch moved, a bundle whose last evaluation was
-a stable no-op is still matched, and is not scored when the match finds
-the same candidates and nothing its scoring read has been written since
-(``TrialEngine.unchanged``).  Each test below changes one thing such an
-evaluation reads while its candidates stay equal — every bundle here is
+A bundle whose last evaluation was a stable no-op keeps one record:
+what its scoring read, and its reach.  While no key of either has been
+stamped since, the sweep prunes it before the match
+(``TrialEngine.holds``); when one has, it is matched, and not scored
+when the match finds the same candidates and nothing its scoring read
+has been written since (``TrialEngine.unchanged``).  Each test below
+changes one thing such an evaluation reads — every bundle here is
 pinned to named hosts, so load never reorders a match — and checks that
-the bundle is scored again and decides as the serial oracle
-(``tests.oracle.unpruned``) does.
+the bundle is evaluated again and decides as the serial oracle
+(``tests.oracle.unpruned``) does.  ``unscored`` counts both skips.
 
-The scene, on a five-node mesh, CPU only, no pairwise pass:
+The scene, CPU only, no pairwise pass, on a five-node mesh ``n0``–``n4``
+or on two pods (``p0n*`` and ``p1n*``, no link between them) whose hosts
+play the same roles:
 
-* ``Blocker`` on n0 and ``Reader`` on n1 and n3 (its far host);
+* ``Blocker`` on n0 and ``Reader`` on n1 and n3 (its far host, in the
+  other pod);
 * ``Mover`` may run on n0 or n1.  Either costs the objective the same,
   so it stays on n0 in a stable no-op that reads n0, n1 and n3;
-* ``Bystander`` (n2 or n3) joins the same partition on n2, a host
-  ``Mover`` does not read: the sweep after it leaves ``Mover`` unscored.
+* ``Bystander`` (n2 or n3) joins on n2, a host outside ``Mover``'s reach
+  and reads: the sweep after it does not even match ``Mover``.
 
 Mutation-checked: a commit that does not stamp what it wrote, a check
 that compares epochs before reading the prediction cache and a read set
-of the candidates' own hosts each fail a test here.
+of the candidates' own hosts each fail a test here; so do a commit that
+stamps CPU hosts but not the hosts its allocations hold memory on, a
+node failure or restoration or an external load that stamps nothing,
+and a record that covers its reach but not its reads.
 """
 
 import pytest
@@ -37,20 +45,41 @@ from repro.controller.controller import _at_optimum
 from tests.controller.churn_scripts import make_script, run_script
 from tests.controller.test_optimizer_equivalence import assert_same_decisions
 from tests.oracle import unpruned
+from tests.pods import build_pod_cluster
 
-READER_RSL = """
-harmonyBundle Reader where {
-    {span {node x {hostname n1} {seconds 10} {memory 16}}
-          {node y {hostname n3} {seconds 10} {memory 16}}}}
+#: Layout -> role -> hostname.  The roles are the mesh's host names.
+LAYOUTS = {
+    "mesh": {f"n{i}": f"n{i}" for i in range(5)},
+    "pods": {"n0": "p0n0", "n1": "p0n1", "n4": "p0n2",
+             "n2": "p1n0", "n3": "p1n1"},
+}
+
+
+def build_cluster(layout):
+    if layout == "mesh":
+        return Cluster.full_mesh([f"n{i}" for i in range(5)],
+                                 memory_mb=128.0)
+    return build_pod_cluster(2, nodes_per_pod=3)
+
+
+def reader_rsl(hosts):
+    return f"""
+harmonyBundle Reader where {{
+    {{span {{node x {{hostname {hosts["n1"]}}} {{seconds 10}} {{memory 16}}}}
+          {{node y {{hostname {hosts["n3"]}}} {{seconds 10}} {{memory 16}}}}}}}}
 """
 
 
-def pinned(name, seconds, *hosts):
+def pinned(name, seconds, *hosts, memory=16):
     """One option per host, each a single demand pinned there."""
     options = " ".join(
-        f"{{on{host.upper()} {{node x {{hostname {host}}} "
-        f"{{seconds {seconds}}} {{memory 16}}}}}}" for host in hosts)
+        f"{{{on(host)} {{node x {{hostname {host}}} "
+        f"{{seconds {seconds}}} {{memory {memory}}}}}}}" for host in hosts)
     return f"harmonyBundle {name} where {{ {options} }}"
+
+
+def on(host):
+    return f"on{host.upper()}"
 
 
 def admit(controller, name, rsl):
@@ -60,10 +89,13 @@ def admit(controller, name, rsl):
 
 
 def unscored(controller):
-    """Names of the apps whose sweep evaluation was not scored, in order."""
+    """Names of the apps whose sweep evaluation was not scored, in order:
+    pruned before the match, or matched and left unscored."""
     names = []
     optimizer = controller.policy.optimizer
     optimize = optimizer.optimize_bundle
+    index = controller.partition_index
+    holds = index.holds
 
     def recording(instance, state, context, since=None):
         result = optimize(instance, state, context, since=since)
@@ -71,25 +103,32 @@ def unscored(controller):
             names.append(instance.app_name)
         return result
 
+    def pruning(key, state):
+        hit = holds(key, state)
+        if hit:
+            names.append(controller.registry.instance(key[0]).app_name)
+        return hit
+
     optimizer.optimize_bundle = recording
+    index.holds = pruning
     return names
 
 
-def scene(serial=False, objective=None):
-    cluster = Cluster.full_mesh([f"n{i}" for i in range(5)],
-                                memory_mb=128.0)
+def scene(serial=False, objective=None, layout="mesh"):
+    hosts = LAYOUTS[layout]
     controller = AdaptationController(
-        cluster, objective=objective,
+        build_cluster(layout), objective=objective,
         policy=ModelDrivenPolicy(pairwise_exchange=False))
     if serial:
         unpruned(controller)
     skipped = unscored(controller)
-    admit(controller, "Blocker", pinned("Blocker", 10, "n0"))
-    admit(controller, "Reader", READER_RSL)
-    admit(controller, "Mover", pinned("Mover", 10, "n0", "n1"))
-    admit(controller, "Bystander", pinned("Bystander", 30, "n2", "n3"))
-    assert option_of(controller, "Mover") == "onN0"
-    assert option_of(controller, "Bystander") == "onN2"
+    admit(controller, "Blocker", pinned("Blocker", 10, hosts["n0"]))
+    admit(controller, "Reader", reader_rsl(hosts))
+    admit(controller, "Mover", pinned("Mover", 10, hosts["n0"], hosts["n1"]))
+    admit(controller, "Bystander",
+          pinned("Bystander", 30, hosts["n2"], hosts["n3"]))
+    assert option_of(controller, "Mover") == on(hosts["n0"])
+    assert option_of(controller, "Bystander") == on(hosts["n2"])
     return controller, skipped
 
 
@@ -105,12 +144,12 @@ def instance_named(controller, name):
                 if instance.app_name == name)
 
 
-def both(change):
+def both(change, layout="mesh"):
     """Run ``change(controller, unscored)`` on the product and on the
     serial oracle, check they decided alike, and return the product and
     the apps it left unscored during ``change``."""
-    product, skipped = scene()
-    oracle, oracle_skipped = scene(serial=True)
+    product, skipped = scene(layout=layout)
+    oracle, oracle_skipped = scene(serial=True, layout=layout)
     assert "Mover" in skipped         # Bystander's sweep left it unscored
     del skipped[:]
     change(product, skipped)
@@ -122,40 +161,78 @@ def both(change):
 
 def test_a_write_the_bundle_does_not_read_leaves_it_unscored():
     controller, skipped = scene()
-    before = controller.stats.unchanged_bundles
-    # Mover's arrival merged Blocker's and Reader's partitions: each has
-    # one candidate, its own placement, and reads nothing.
-    assert skipped == ["Blocker", "Reader", "Blocker", "Reader", "Mover"]
-    assert before == 5
-    # Nothing changed at all: the partition watermark skips everyone.
+    # Each arrival's sweep prunes the bundles whose reach and reads it
+    # did not stamp.  Mover's arrival on n0 stamps Blocker's one host:
+    # Blocker is matched, finds its one candidate, its own placement,
+    # which reads nothing, and is left unscored.  Bystander's on n2
+    # stamps nothing the others cover: all three are pruned.
+    assert skipped == ["Blocker", "Blocker", "Reader",
+                       "Blocker", "Reader", "Mover"]
+    assert controller.stats.unchanged_bundles == 1
+    before = controller.stats.snapshot()
+    # Nothing changed at all: every record holds, nobody is matched.
     controller.reevaluate()
-    assert controller.stats.unchanged_bundles == before
+    after = controller.stats.snapshot()
+    assert after["match_calls"] == before["match_calls"]
+    assert after["pruned_bundles"] == before["pruned_bundles"] + 4
 
 
-def test_external_load_on_a_read_host():
-    def load_n0(controller, skipped):
-        # Two placed consumers there, three measured: one external.
-        controller.metrics.report(node_metric_name("n0", "cpu_load"),
+@pytest.mark.parametrize("layout,role", [
+    ("mesh", "n0"), ("pods", "n0"), ("pods", "n2")],
+    ids=["read-host", "read-host-pods", "other-pod"])
+def test_external_load_on_a_read_host(layout, role):
+    hosts = LAYOUTS[layout]
+
+    def load(controller, skipped):
+        # Two placed consumers on n0, three measured: one external.  On
+        # n2, Bystander's pod, the same measurement is two external.
+        controller.metrics.report(node_metric_name(hosts[role], "cpu_load"),
                                   controller.now, 3.0)
         controller.reevaluate()
 
-    controller, skipped = both(load_n0)
-    assert "Mover" not in skipped
-    assert option_of(controller, "Mover") == "onN1"
+    controller, skipped = both(load, layout)
+    if role == "n0":
+        assert "Mover" not in skipped
+        assert option_of(controller, "Mover") == on(hosts["n1"])
+    else:
+        # Nothing the first pod's bundles cover was stamped.
+        assert skipped == ["Blocker", "Reader", "Mover"]
+        assert option_of(controller, "Mover") == on(hosts["n0"])
 
 
-def test_reconfiguration_on_the_far_host_of_a_two_node_reader():
+@pytest.mark.parametrize("layout", ["mesh", "pods"],
+                         ids=["far-host", "far-pod"])
+def test_reconfiguration_on_the_far_host_of_a_two_node_reader(layout):
+    hosts = LAYOUTS[layout]
+
     def crowd_n2(controller, skipped):
         # Heavy lands on n2, and Bystander moves to n3 — Reader's far
         # host, which Mover reads only through Reader's prediction.
-        admit(controller, "Heavy", pinned("Heavy", 30, "n2"))
-        assert option_of(controller, "Bystander") == "onN3"
+        admit(controller, "Heavy", pinned("Heavy", 30, hosts["n2"]))
+        assert option_of(controller, "Bystander") == on(hosts["n3"])
         controller.reevaluate()
 
-    controller, skipped = both(crowd_n2)
+    controller, skipped = both(crowd_n2, layout)
     # Heavy's own sweep ran before Bystander moved: nothing Mover reads
-    # had changed yet.  The next one must score it.
+    # had changed yet.  The next one must evaluate it.
     assert skipped.count("Mover") == 1
+    assert option_of(controller, "Mover") == on(hosts["n1"])
+
+
+def test_memory_held_outside_the_cpu_footprint():
+    def hog_n1(controller, skipped):
+        # Hog's demand computes nothing, so its footprint leaves n1 out,
+        # but it holds n1's memory: Mover cannot move there.
+        hog = admit(controller, "Hog", pinned("Hog", 0, "n1", memory=100))
+        controller.set_external_cpu_load("n0", 1.0)
+        controller.reevaluate()
+        assert option_of(controller, "Mover") == "onN0"
+        # Hog's exit frees n1, a host only its allocation names.
+        del skipped[:]
+        controller.end_app(hog)
+
+    controller, skipped = both(hog_n1)
+    assert "Mover" not in skipped
     assert option_of(controller, "Mover") == "onN1"
 
 
@@ -232,13 +309,16 @@ def test_never_skips_where_pruning_is_unsound(build):
 
 
 def test_every_unscored_evaluation_is_a_stable_no_op():
-    """Score every skip of eight seeded churn scripts anyway: the
-    bundle's best must be its own configuration or gain nothing."""
+    """Score every skip of eight seeded churn scripts anyway — pruned
+    before the match or left unscored after it: the bundle's best must
+    be its own configuration or gain nothing."""
     audited = []
 
     def audit(controller):
         optimizer = controller.policy.optimizer
         optimize = optimizer.optimize_bundle
+        index = controller.partition_index
+        holds = index.holds
 
         def auditing(instance, state, context, since=None):
             result = optimize(instance, state, context, since=since)
@@ -247,7 +327,16 @@ def test_every_unscored_evaluation_is_a_stable_no_op():
                     state, optimize(instance, state, context)))
             return result
 
+        def pruning(key, state):
+            hit = holds(key, state)
+            if hit and state.chosen is not None:
+                audited.append(_at_optimum(state, optimize(
+                    controller.registry.instance(key[0]), state,
+                    controller.optimization_context())))
+            return hit
+
         optimizer.optimize_bundle = auditing
+        index.holds = pruning
 
     for seed in range(8):
         run_script(make_script(seed, exact=False), pairwise=True,

@@ -81,16 +81,15 @@ def traced_stack(server_factory):
 
 class TestSingleTraceId:
     def test_one_trace_links_client_to_push(self, traced_stack):
-        controller, server, cluster, spares, clients = traced_stack
+        controller, server, _cluster, spares, clients = traced_stack
         traced = clients[0]
         assert all(state.chosen.option_name == "small"
                    for instance in controller.registry.instances()
                    for state in instance.bundles.values())
 
-        # The spare nodes rejoin; every partition must re-evaluate.
+        # The spare nodes rejoin; every pod must re-evaluate.
         for hostname in spares:
-            cluster.node(hostname).restore()
-        controller.partition_index.touch_all()
+            controller.restore_node(hostname)
 
         traced.report_metric("latency", 1.0)
         key = traced.app_key

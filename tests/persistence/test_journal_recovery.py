@@ -372,9 +372,8 @@ class TestExplicitModels:
         assert (restored.last_recovery.snapshot_path is not None) == snapshot
         restored.reevaluate()
         for each in (controller, restored):
-            index = each.partition_index
-            assert sorted(index._opaque) == ["Pod0App0.1"]
-            assert not index.prunable(each.objective)
+            assert not each.partition_index.prunable(each.objective)
+            assert sorted(each._engine._opaque) == ["Pod0App0.1"]
 
     def test_restore_without_registry_entry_raises(self, tmp_path):
         registry = {"flat2": CallableModel(lambda *a: 2.0)}

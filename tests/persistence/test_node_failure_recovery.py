@@ -155,8 +155,9 @@ def _partitions(controller):
 
 @pytest.mark.parametrize("path", PATHS)
 def test_restored_index_is_built_by_the_same_edits(tmp_path, path):
-    """Every bundle indexed and every opaque model known before any
-    sweep: no restore path leaves the index for a rebuild to heal."""
+    """Every bundle indexed before any sweep, and every opaque model
+    known to the engine's first read: no restore path leaves the index
+    for a rebuild to heal."""
     registry = {"opaque": CallableModel(
         lambda demands, assignment, view: 2.0)}
 
@@ -178,5 +179,5 @@ def test_restored_index_is_built_by_the_same_edits(tmp_path, path):
     assert index.rebuilds == 0
     assert _partitions(restored) == _partitions(live)
     assert sum(len(members) for members in _partitions(restored)) == 4
-    assert index._opaque == live.partition_index._opaque == {"Pod0App0.1"}
     assert not index.prunable(restored.objective)
+    assert restored._engine._opaque == live._engine._opaque == {"Pod0App0.1"}
