@@ -182,12 +182,14 @@ def test_scale_partitioned(report, benchmark, app_count):
         if state.chosen is not None)
     assert configured == app_count
 
-    # The pods never share a resource, so the index must keep them apart
-    # — a collapse to one partition means the bench is re-measuring the
+    # The pods never share a resource, so they must come out as separate
+    # components — a collapse to one means the bench is re-measuring the
     # serial sweep.
-    index = controller.partition_index
-    assert index is not None
-    assert index.partition_count == pods
+    partition_count = len(controller.partition_index.components(
+        ((instance.key, name), state)
+        for instance in controller.registry.instances()
+        for name, state in instance.bundles.items()))
+    assert partition_count == pods
     assert stats["partition_sweeps"] == scheduler.batches_run > 0
     assert stats["pruned_bundles"] > 0
 
@@ -199,7 +201,7 @@ def test_scale_partitioned(report, benchmark, app_count):
         "candidates_evaluated": stats["candidates_evaluated"],
         "predictions_recomputed": stats["predictions_recomputed"],
         "full_view_recomputes": stats["full_view_recomputes"],
-        "partition_count": index.partition_count,
+        "partition_count": partition_count,
         "pruned_candidates": stats["pruned_candidates"],
     }
     # The always-on runtime histograms ride along: the batch-latency

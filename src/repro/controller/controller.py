@@ -132,8 +132,10 @@ class DecisionPolicy:
     """Strategy interface for choosing configurations."""
 
     def configure_new_bundle(self, controller: "AdaptationController",
-                             instance: AppInstance,
-                             state: BundleState) -> None:
+                             instance: AppInstance, state: BundleState,
+                             reason: str = "initial") -> None:
+        """Place an unconfigured bundle; ``reason`` names the trigger in
+        its decision record, trace and journal record."""
         raise NotImplementedError
 
     def reevaluate(self, controller: "AdaptationController") -> int:
@@ -161,8 +163,8 @@ class ModelDrivenPolicy(DecisionPolicy):
         self.max_pairwise_bundles = max_pairwise_bundles
 
     def configure_new_bundle(self, controller: "AdaptationController",
-                             instance: AppInstance,
-                             state: BundleState) -> None:
+                             instance: AppInstance, state: BundleState,
+                             reason: str = "initial") -> None:
         result = self.optimizer.optimize_bundle(
             instance, state, controller.optimization_context())
         if result.best is None:
@@ -171,7 +173,7 @@ class ModelDrivenPolicy(DecisionPolicy):
                 f"{state.bundle.bundle_name!r}")
         controller.commit(
             [(instance, state, result.best)],
-            reason="initial",
+            reason=reason,
             objective_before=result.current_objective,
             trace_candidates=candidate_traces(
                 controller, state, result.evaluated, result.best,
@@ -192,60 +194,40 @@ class ModelDrivenPolicy(DecisionPolicy):
         """Registry-order sweep with per-bundle clean-skip.
 
         "we simply iterate through the list of active applications and
-        within each application through the list of options" — partitions
+        within each application through the list of options" — records
         only decide *skips*, never ordering, so the decision log is
         byte-identical to the same loop with pruning off (the serial
-        oracle) even when registrations interleave partitions.  A bundle
-        is neither matched nor scored while the record of its last stable
-        no-op holds over its reach and reads (see
+        oracle).  A bundle is neither matched nor scored while the record
+        of its last stable no-op holds over its reach and reads (see
         :class:`~repro.controller.partition.PartitionIndex`), and matched
         but not scored when the match proves it
-        (:meth:`_reevaluate_bundle_outcome`).
+        (:meth:`_reevaluate_bundle_outcome`).  One ``optimizer.sweep``
+        span counts what the sweep evaluated, changed and pruned.
         """
         index = controller.partition_index
-        index.refresh()
         stats = controller.stats
         stats.partition_sweeps += 1
         prune = index.prunable(controller.objective)
-        changes = 0
-        #: pid -> [elapsed, evaluated, changed, skipped, unchanged]
-        activity: dict[int, list] = {}
+        tracer = controller.tracer
+        start = tracer.elapsed()
+        unchanged = stats.unchanged_bundles
+        changes = evaluated = pruned = 0
         for instance in controller.registry.instances():
             for state in instance.bundles.values():
-                key = bundle_key(instance, state)
-                part = index.partition_of(key)
-                pid = part.pid if part is not None else 0
-                cell = activity.setdefault(pid, [0.0, 0, 0, 0, 0])
-                if prune and index.holds(key, state):
+                if prune and index.holds(bundle_key(instance, state), state):
                     stats.pruned_bundles += 1
                     stats.pruned_candidates += index.candidate_count(state)
-                    cell[3] += 1
+                    pruned += 1
                     continue
-                start = _time.perf_counter()
-                unchanged = stats.unchanged_bundles
-                changed = self._reevaluate_bundle_outcome(
-                    controller, instance, state)
-                cell[0] += _time.perf_counter() - start
-                cell[1] += 1
-                cell[4] += stats.unchanged_bundles - unchanged
-                if changed:
+                evaluated += 1
+                if self._reevaluate_bundle_outcome(controller, instance,
+                                                   state):
                     changes += 1
-                    cell[2] += 1
-        tracer = controller.tracer
         if tracer.enabled:
-            end = tracer.elapsed()
-            for pid, (elapsed, evaluated, changed, skipped, unchanged) \
-                    in sorted(activity.items()):
-                part = index._parts.get(pid)
-                tracer.record_span(
-                    "optimizer.partition_sweep",
-                    max(0.0, end - elapsed), elapsed,
-                    partition=pid,
-                    size=len(part.members) if part is not None else 0,
-                    evaluated=evaluated, changes=changed, pruned=skipped,
-                    unchanged=unchanged)
-        controller.metrics.report("optimizer.partitions", controller.now,
-                                  float(index.partition_count))
+            tracer.record_span(
+                "optimizer.sweep", start, tracer.elapsed() - start,
+                evaluated=evaluated, changes=changes, pruned=pruned,
+                unchanged=stats.unchanged_bundles - unchanged)
         return changes
 
     def _pairwise_pass(self, controller: "AdaptationController") -> int:
@@ -256,14 +238,15 @@ class ModelDrivenPolicy(DecisionPolicy):
         gain is not searched; with pruning off the pass searches them all,
         the oracle the skips are tested against:
 
-        * Two bundles of different partitions share nothing, so their
+        * Two bundles of different components over shared reach
+          (:meth:`PartitionIndex.components`) share nothing, so their
           joint score separates: when each one's own best gains nothing
           (:func:`_at_optimum`), no joint move gains, and the friction
           gate rejects a gain <= 0 on its sign alone.  A bundle's record
           proves exactly that; one that does not hold is re-derived with
           one ``optimize_bundle`` (nothing applied), which writes the
           record when it is at its optimum.
-        * A partition whose every internal pair ended a pass in such a
+        * A component whose every internal pair ended a pass in such a
           sign-only no-op stays settled while its record holds
           (:meth:`PartitionIndex.settled`).
         """
@@ -278,11 +261,14 @@ class ModelDrivenPolicy(DecisionPolicy):
         index = controller.partition_index
         scoped = index.prunable(controller.objective)
         keys = [bundle_key(*entry) for entry in entries] if scoped else []
-        parts = [index.partition_of(key) for key in keys]
+        components = index.components(
+            (key, state) for key, (_, state) in zip(keys, entries))
+        part_of = {key: part for part in components for key in part[0]}
+        parts = [part_of[key] for key in keys]
         since = index.now()
-        #: Partitions with an internal pair that ended in anything but a
+        #: Components with an internal pair that ended in anything but a
         #: sign-only no-op this pass.
-        unsettled: set[int] = set()
+        unsettled: set = set()
 
         def at_optimum(which: int) -> bool:
             instance, state = entries[which]
@@ -305,7 +291,7 @@ class ModelDrivenPolicy(DecisionPolicy):
                 if not (first[1].granularity_allows_switch(now)
                         and second[1].granularity_allows_switch(now)):
                     if shared is not None:
-                        unsettled.add(shared.pid)
+                        unsettled.add(shared)
                     continue
                 if shared is not None:
                     skip = index.settled(shared)
@@ -336,7 +322,7 @@ class ModelDrivenPolicy(DecisionPolicy):
                         cand_a.predicted_seconds, cand_b.predicted_seconds))
                 if not decision:
                     if shared is not None and decision.objective_gain > 0:
-                        unsettled.add(shared.pid)
+                        unsettled.add(shared)
                     continue
                 moves = [(instance, state, candidate)
                          for (instance, state), candidate
@@ -345,10 +331,10 @@ class ModelDrivenPolicy(DecisionPolicy):
                 controller.commit(moves, reason="pairwise exchange",
                                   objective_before=current)
                 changes += len(moves)
-        for part in {part.pid: part for part in parts}.values():
+        for part in components:
             # A commit during the pass stamped past ``since``, so the
             # record it writes then never holds.
-            if part.pid not in unsettled and not index.settled(part):
+            if part not in unsettled and not index.settled(part):
                 index.settle(part, since)
         return changes
 
@@ -757,11 +743,8 @@ class AdaptationController:
 
     def add_bundle(self, instance: AppInstance,
                    bundle: Bundle) -> BundleState:
-        """Register an unconfigured bundle and index its (possibly
-        merged) component, which its initial apply then sees."""
-        state = self.registry.add_bundle(instance, bundle)
-        self.partition_index.add_bundle(instance, state)
-        return state
+        """Register an unconfigured bundle."""
+        return self.registry.add_bundle(instance, bundle)
 
     def attach_model(self, instance: AppInstance, key: str,
                      model: PerformanceModel) -> None:
@@ -1094,12 +1077,15 @@ class AdaptationController:
         stranded: list[str] = []
         for instance, state, old in self.fail_node(hostname):
             try:
-                self.policy.configure_new_bundle(self, instance, state)
-                self.decision_log[-1] = replace(
-                    self.decision_log[-1], old_configuration=old.describe(),
-                    reason=f"node failure: {hostname}")
+                self.policy.configure_new_bundle(
+                    self, instance, state, reason=f"node failure: {hostname}")
             except AllocationError:
                 stranded.append(instance.key)
+                continue
+            # Re-placed from unconfigured: the record names what the
+            # failure displaced.
+            self.decision_log[-1] = replace(
+                self.decision_log[-1], old_configuration=old.describe())
         self.policy.reevaluate(self)
         self._checkpoint()
         return stranded
@@ -1185,17 +1171,22 @@ class AdaptationController:
             if external == self.view.external_link_load(link.host_a,
                                                         link.host_b):
                 continue
-            self.view.set_external_link_load(link.host_a, link.host_b,
-                                             external)
-            key = frozenset((link.host_a, link.host_b))
-            self._engine.commit([], load=PlacementFootprint(
-                flows={key: ()}, read_links=frozenset((key,))))
+            self.set_external_link_load(link.host_a, link.host_b, external)
 
     def set_external_cpu_load(self, hostname: str, consumers: float) -> None:
         """Set a node's external CPU load: the predictions that read it
         are recomputed and the host is stamped."""
         self.view.set_external_cpu_load(hostname, consumers)
         self._engine.commit([], load=PlacementFootprint(cpu={hostname: ()}))
+
+    def set_external_link_load(self, host_a: str, host_b: str,
+                               flows: float) -> None:
+        """Set a link's external flow count: the predictions that read it
+        are recomputed and the link is stamped."""
+        self.view.set_external_link_load(host_a, host_b, flows)
+        key = frozenset((host_a, host_b))
+        self._engine.commit([], load=PlacementFootprint(
+            flows={key: ()}, read_links=frozenset((key,))))
 
     # -- periodic re-evaluation ------------------------------------------------
 
@@ -1235,11 +1226,6 @@ class AdaptationController:
                             float(self.stats.full_view_recomputes))
         for key, value in self._config_cache.snapshot().items():
             self.metrics.report(f"optimizer.cache.{key}", now, float(value))
-        index = self.partition_index
-        # Aggregates only — partition ids never become metric names, so
-        # cardinality is fixed no matter how the system fragments.
-        self.metrics.report("optimizer.partitions", now,
-                            float(index.partition_count))
         self.metrics.report("optimizer.pruned_candidates", now,
                             float(self.stats.pruned_candidates))
         self.metrics.report("optimizer.partition.sweeps", now,
@@ -1250,14 +1236,6 @@ class AdaptationController:
                             float(self.stats.unchanged_bundles))
         self.metrics.report("optimizer.partition.pruned_pairs", now,
                             float(self.stats.pruned_pairs))
-        self.metrics.report("optimizer.partition.merges", now,
-                            float(index.merges))
-        self.metrics.report("optimizer.partition.rebuilds", now,
-                            float(index.rebuilds))
-        self.metrics.report(
-            "optimizer.partition.largest", now,
-            float(max((len(p.members) for p in index.partitions()),
-                      default=0)))
 
     def start_periodic_reevaluation(self) -> Process:
         """Spawn the Section 4.3 periodic adaptation process."""

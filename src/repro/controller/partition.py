@@ -1,4 +1,5 @@
-"""Partitioned optimization: connected components over resource reach.
+"""Partitioned optimization: records of what stays a no-op, and the
+components over resource reach that the pairwise pass separates.
 
 The greedy sweep (paper Section 4.3) re-scores every bundle on every
 trigger, which is O(apps**2) model work per admission burst — the
@@ -6,18 +7,16 @@ BENCH_scale numbers show the wall superlinear in system size.  But most
 bundles cannot interact at all: a bundle constrained to the hosts of one
 pod shares no node, no link, and no memory pool with a bundle constrained
 to another pod, so neither's reconfiguration can change anything the
-other's evaluation reads.  This module makes that independence explicit:
+other's evaluation reads.  :class:`PartitionIndex` makes that
+independence explicit:
 
-* :class:`PartitionIndex` — decomposes the system into connected
-  components over each bundle's **reach**: every host its hostname
-  patterns could ever match, plus every link on a path between reach
-  hosts (when the bundle declares links or communication).  Reach is a
-  *potential* footprint — it covers every candidate the matcher could
-  produce, every memory reservation, every contention read the
-  prediction model performs, and the load-ordering inputs, so two
-  bundles in different components are provably independent.  Components
-  are maintained incrementally as bundles register, reconfigure, and
-  end; a new bundle whose reach spans two components merges them.
+* **Reach** — every host a bundle's hostname patterns could ever match,
+  plus every link on a path between reach hosts (when the bundle
+  declares links or communication).  Reach is a *potential* footprint —
+  it covers every candidate the matcher could produce, every memory
+  reservation, every contention read the prediction model performs, and
+  the load-ordering inputs.  It is memoized per bundle and topology
+  version.
 
 * **Records** — one rule decides every skip.  A bundle whose evaluation
   found nothing to change keeps one :class:`~repro.controller.trial.ReadSet`:
@@ -38,21 +37,20 @@ other's evaluation reads.  This module makes that independence explicit:
   and no opaque models), and only for outcomes that stay no-ops whatever
   happens elsewhere (see ``ModelDrivenPolicy._reevaluate_bundle_outcome``).
 
-* **Settled components** — the pairwise pass keeps one record per
-  component whose every internal pair ended a pass in a sign-only no-op,
-  keyed by its member set and covering the union of the members' reach
-  and reads; later passes skip its pairs while the record holds (see
-  ``ModelDrivenPolicy._pairwise_pass``).  Records are keyed by bundles
-  and member sets, never by partition ids, so a rebuild keeps them all.
-
-* **Rebuilds** — every :data:`REBUILD_AFTER_REMOVALS` removals the
-  components are recomputed so over-broad ones split again.
+* **Components** — the pairwise pass computes, for the bundles it is
+  about to pair, the connected components over shared reach
+  (:meth:`PartitionIndex.components`): two bundles in different
+  components are provably independent.  It keeps one record per
+  component whose every internal pair ended a pass in a sign-only
+  no-op, keyed by its member set and covering the members' reach and
+  reads; later passes skip its pairs while the record holds (see
+  ``ModelDrivenPolicy._pairwise_pass``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.controller.optimizer import DEFAULT_MEMORY_PROBE_LIMIT
 from repro.errors import SimulationError
@@ -62,49 +60,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.registry import AppInstance, BundleState
     from repro.controller.trial import ReadSet
 
-__all__ = ["PartitionIndex", "Partition", "bundle_key"]
-
-#: How many bundle removals accumulate before the index rebuilds its
-#: components from scratch.  Removal never *splits* a component lazily
-#: (over-broad components are always safe, just prune less), so a rebuild
-#: only recovers pruning opportunity — it is never needed for
-#: correctness.
-REBUILD_AFTER_REMOVALS = 16
+__all__ = ["PartitionIndex", "bundle_key"]
 
 BundleKey = tuple[str, str]  # (app_key, bundle_name)
 #: A hostname, or a link's ``frozenset({host_a, host_b})``: the keys
 #: ``TrialEngine`` stamps and reads.
 ResourceKey = object
+#: One connected component: its member keys and the union of their reach.
+Component = tuple[frozenset, frozenset]
 
 
 def bundle_key(instance: "AppInstance", state: "BundleState") -> BundleKey:
     return (instance.key, state.bundle.bundle_name)
 
 
-class Partition:
-    """One connected component of bundles sharing potential resources."""
-
-    __slots__ = ("pid", "members", "resources")
-
-    def __init__(self, pid: int):
-        self.pid = pid
-        self.members: set[BundleKey] = set()
-        self.resources: set[ResourceKey] = set()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Partition(pid={self.pid}, members={len(self.members)}, "
-                f"resources={len(self.resources)})")
-
-
 class PartitionIndex:
-    """Connected components over bundle reach, and the records of what
-    stays a no-op."""
+    """The records of what stays a no-op, and bundle reach."""
 
     def __init__(self, controller: "AdaptationController"):
         self.controller = controller
-        self._parts: dict[int, Partition] = {}
-        self._owner: dict[ResourceKey, int] = {}
-        self._member_pid: dict[BundleKey, int] = {}
         #: Bundle key -> its last stable no-op, and member set -> the
         #: pass that settled that component; both dropped with a member.
         self._no_ops: dict[BundleKey | frozenset, ReadSet] = {}
@@ -115,25 +89,8 @@ class PartitionIndex:
         #: per topology version via _edges_version).
         self._edge_sets: dict[frozenset, frozenset] = {}
         self._edges_version = -1
-        self._topology_version = getattr(controller.cluster,
-                                         "topology_version", 0)
-        self._next_pid = 1
-        self._removals = 0
-        self.merges = 0
-        self.rebuilds = 0
 
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def partition_count(self) -> int:
-        return len(self._parts)
-
-    def partitions(self) -> list[Partition]:
-        return list(self._parts.values())
-
-    def partition_of(self, key: BundleKey) -> Partition | None:
-        pid = self._member_pid.get(key)
-        return None if pid is None else self._parts[pid]
+    # -- records -------------------------------------------------------------
 
     def last_no_op(self, key: BundleKey) -> ReadSet | None:
         return self._no_ops.get(key)
@@ -150,8 +107,6 @@ class PartitionIndex:
                    reads: ReadSet | None = None) -> None:
         """Record a stable no-op of this bundle: what it read (``None``:
         nothing, an unconfigured bundle) and its reach."""
-        if key not in self._member_pid:
-            return
         if reads is None:
             reads = self.controller._engine.read_set(
                 state.chosen, self.controller.view.configuration_of(key[0]))
@@ -163,18 +118,17 @@ class PartitionIndex:
         the pass starting now is valid from."""
         return self.controller._engine.read_set(None, None)
 
-    def settled(self, part: Partition) -> bool:
+    def settled(self, part: Component) -> bool:
         """Whether a pass settled this component and its record holds."""
-        record = self._no_ops.get(frozenset(part.members))
+        record = self._no_ops.get(part[0])
         return record is not None and \
             self.controller._engine.holds(record, None, None)
 
-    def settle(self, part: Partition, since: ReadSet) -> None:
+    def settle(self, part: Component, since: ReadSet) -> None:
         """Every internal pair of this component ended the pass that
         started at ``since`` in a sign-only no-op: record it over the
         members' reach and reads, replacing its older member sets'."""
-        members = frozenset(part.members)
-        keys = set(part.resources)
+        members, keys = part[0], set(part[1])
         for key in members:
             record = self._no_ops.get(key)
             if record is not None:
@@ -203,105 +157,39 @@ class PartitionIndex:
         return self.controller._config_cache.peek_space_len(
             state.bundle, DEFAULT_MEMORY_PROBE_LIMIT)
 
-    # -- membership maintenance ----------------------------------------------
-
-    def add_bundle(self, instance: "AppInstance",
-                   state: "BundleState") -> int:
-        """Index a registered bundle; returns its partition id.
-
-        Components whose resources the bundle's reach touches are merged
-        (this is how two partitions merge mid-run when a new bundle
-        spans both).
-        """
-        key = bundle_key(instance, state)
-        existing = self._member_pid.get(key)
-        if existing is not None:
-            return existing
-        reach = self._reach_of(key, state)
-        pids = sorted({self._owner[r] for r in reach if r in self._owner})
-        if not pids:
-            part = Partition(self._next_pid)
-            self._next_pid += 1
-            self._parts[part.pid] = part
-        else:
-            part = self._parts[pids[0]]
-            for other_pid in pids[1:]:
-                self._absorb(part, self._parts[other_pid])
-                self.merges += 1
-        part.members.add(key)
-        part.resources |= reach
-        for resource in reach:
-            self._owner[resource] = part.pid
-        self._member_pid[key] = part.pid
-        return part.pid
-
-    def _absorb(self, part: Partition, other: Partition) -> None:
-        for key in other.members:
-            self._member_pid[key] = part.pid
-        for resource in other.resources:
-            self._owner[resource] = part.pid
-        part.members |= other.members
-        part.resources |= other.resources
-        del self._parts[other.pid]
-
     def remove_app(self, app_key: str) -> None:
-        """Drop every bundle of an ended/evicted application, with its
-        records and every settled member set it belonged to.
+        """Drop every bundle of an ended/evicted application: its reach,
+        its records and every settled member set it belonged to."""
+        self._reach = {key: hit for key, hit in self._reach.items()
+                       if key[0] != app_key}
+        self._no_ops = {
+            key: record for key, record in self._no_ops.items()
+            if not (any(member[0] == app_key for member in key)
+                    if isinstance(key, frozenset) else key[0] == app_key)}
 
-        Components are not split eagerly — an over-broad component is
-        always safe — but enough removals trigger a rebuild (see
-        :meth:`refresh`).
+    # -- components ----------------------------------------------------------
+
+    def components(self, entries: Iterable[tuple[BundleKey, "BundleState"]]
+                   ) -> list[Component]:
+        """Connected components of these bundles over shared reach.
+
+        Bundles in different components share no host and no link their
+        evaluations could read, so neither's reconfiguration changes
+        anything the other's evaluation reads.
         """
-        for key in [k for k in self._member_pid if k[0] == app_key]:
-            pid = self._member_pid.pop(key)
-            self._reach.pop(key, None)
-            self._no_ops = {k: record for k, record in self._no_ops.items()
-                            if k != key and not (isinstance(k, frozenset)
-                                                 and key in k)}
-            part = self._parts[pid]
-            part.members.discard(key)
-            self._removals += 1
-            if not part.members:
-                for resource in part.resources:
-                    if self._owner.get(resource) == pid:
-                        del self._owner[resource]
-                del self._parts[pid]
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def refresh(self) -> None:
-        """Sweep preamble: react to topology changes and deferred work."""
-        current = getattr(self.controller.cluster, "topology_version", 0)
-        registered = sum(len(instance.bundles) for instance
-                         in self.controller.registry.instances())
-        if current != self._topology_version or \
-                self._removals >= REBUILD_AFTER_REMOVALS or \
-                registered != len(self._member_pid):
-            # A defence: every path that adds a bundle (live, replay,
-            # snapshot load) indexes it, so membership only disagrees if
-            # a future path forgets to.
-            self.rebuild()
-
-    def rebuild(self) -> None:
-        """Recompute components from scratch.
-
-        Used after topology changes (patterns may match new hosts,
-        merging components) and after enough removals (components may
-        split, restoring pruning opportunity).  Records name no
-        component, so they need no carrying: a topology change outdates
-        every one of them through its own topology version, and a split
-        component's member set finds its settled record again.
-        """
-        self._parts.clear()
-        self._owner.clear()
-        self._member_pid = {}
-        self._removals = 0
-        self._topology_version = getattr(self.controller.cluster,
-                                         "topology_version", 0)
-        self.rebuilds += 1
-        for instance in self.controller.registry.instances():
-            for state in instance.bundles.values():
-                self.add_bundle(instance, state)
+        parts: list[tuple[set, set]] = []
+        for key, state in entries:
+            members, reach = {key}, set(self._reach_of(key, state))
+            kept = []
+            for part in parts:
+                if part[1].isdisjoint(reach):
+                    kept.append(part)
+                else:
+                    members |= part[0]
+                    reach |= part[1]
+            parts = kept + [(members, reach)]
+        return [(frozenset(members), frozenset(reach))
+                for members, reach in parts]
 
     # -- reach computation -----------------------------------------------------
 
@@ -316,11 +204,11 @@ class PartitionIndex:
         placements are included for safety, though matching guarantees
         they already lie inside the pattern union.
         """
-        tv = self._topology_version
+        cluster = self.controller.cluster
+        tv = cluster.topology_version
         hit = self._reach.get(key)
         if hit is not None and hit[0] == tv:
             return hit[1]
-        cluster = self.controller.cluster
         matcher = self.controller.matcher
         all_hosts = cluster.hostnames()
         hosts: set[str] = set()
@@ -349,16 +237,16 @@ class PartitionIndex:
         Paths may transit hosts outside the reach (a shared hub), so the
         returned keys are what connect two components that only interact
         through link contention or bandwidth.  Skipped entirely when the
-        reach already spans the whole cluster (the component then merges
-        with everything through host keys alone).
+        reach already spans the whole cluster (the component then joins
+        everything through host keys alone).
         """
-        if self._edges_version != self._topology_version:
+        cluster = self.controller.cluster
+        if self._edges_version != cluster.topology_version:
             self._edge_sets.clear()
-            self._edges_version = self._topology_version
+            self._edges_version = cluster.topology_version
         hit = self._edge_sets.get(hosts)
         if hit is not None:
             return hit
-        cluster = self.controller.cluster
         edges: set[ResourceKey] = set()
         ordered = sorted(hosts)
         for i, host_a in enumerate(ordered):
@@ -372,4 +260,3 @@ class PartitionIndex:
         result = frozenset(edges)
         self._edge_sets[hosts] = result
         return result
-

@@ -74,14 +74,14 @@ class ClientCountRulePolicy(DecisionPolicy):
         return self.below_option
 
     def configure_new_bundle(self, controller: AdaptationController,
-                             instance: AppInstance,
-                             state: BundleState) -> None:
+                             instance: AppInstance, state: BundleState,
+                             reason: str = "initial") -> None:
         if instance.app_name == self.app_name and \
                 state.bundle.bundle_name == self.bundle_name:
             target = self._target_option(controller)
         else:
             target = state.bundle.options[0].name
-        self._set(controller, instance, state, target, reason="initial",
+        self._set(controller, instance, state, target, reason=reason,
                   required=True)
 
     def reevaluate(self, controller: AdaptationController) -> int:

@@ -215,9 +215,7 @@ class CoalescingScheduler:
                                        for ctx in ctxs])
                 changes = controller.reevaluate()
                 span.set("changes", changes)
-                partitions = controller.partition_index.partition_count
                 pruned = controller.stats.pruned_candidates - pruned_before
-                span.set("partitions", partitions)
                 span.set("pruned_candidates", pruned)
             controller.metrics.increment("controller.coalesced_batches",
                                          controller.now)
@@ -225,8 +223,7 @@ class CoalescingScheduler:
                                       controller.now, float(len(reasons)))
             if controller.journal is not None:
                 controller.journal.record_reevaluation_batch(
-                    generation, reasons, changes,
-                    partitions=partitions, pruned_candidates=pruned)
+                    generation, reasons, changes, pruned_candidates=pruned)
         elapsed = time.perf_counter() - started
         self._batch_hist.observe(elapsed)
         controller.flight_recorder.record(

@@ -249,10 +249,10 @@ class Tracer:
                     duration_seconds: float, **attributes: Any) -> Span:
         """Record an already-measured span (explicit start/duration).
 
-        For work whose timing is accumulated outside a ``with`` block —
-        e.g. per-partition sweep time gathered bundle-by-bundle across an
-        interleaved registry-order pass.  ``start_seconds`` is relative
-        to this tracer's epoch, like every other span.
+        For work timed outside a ``with`` block — e.g. a whole sweep,
+        recorded after its loop so that the spans its commits open stay
+        children of the caller's span.  ``start_seconds`` is relative to
+        this tracer's epoch, like every other span.
         """
         self.spans_started += 1
         span = Span(self, name, attributes)

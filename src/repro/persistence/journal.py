@@ -238,16 +238,16 @@ class DurabilityJournal:
     def record_reevaluation_batch(self, generation: int,
                                   reasons: list[str],
                                   changes: int,
-                                  partitions: int = 0,
                                   pruned_candidates: int = 0) -> None:
         """One coalesced reevaluation: audit record for the whole batch.
 
         The batch's state changes arrive as the ``apply`` records its
         sweep emitted; this record ties them to the scheduler generation
         and the triggers that were merged.  Reasons are capped so a
-        metric storm cannot bloat the log.  ``partitions`` and
-        ``pruned_candidates`` describe the partitioned sweep that ran the
-        batch; replay ignores both — the record stays audit-only.
+        metric storm cannot bloat the log.  ``pruned_candidates`` counts
+        what the batch's sweep skipped; replay ignores it (and the
+        ``partitions`` field older logs carry) — the record stays
+        audit-only.
         """
         from repro.controller.scheduler import MAX_JOURNALED_REASONS
 
@@ -256,7 +256,6 @@ class DurabilityJournal:
             "size": len(reasons),
             "reasons": list(reasons[:MAX_JOURNALED_REASONS]),
             "changes": changes,
-            "partitions": partitions,
             "pruned_candidates": pruned_candidates})
 
     def record_recovered(self, report: dict[str, Any]) -> None:

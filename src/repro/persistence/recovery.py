@@ -6,8 +6,8 @@ sequence, adapted to a result-sourced log:
 
 1. **Load** the newest snapshot that verifies (older generations are the
    fallback when the newest is corrupt), rebuilding registry, bundles,
-   allocations, view placements, partition index and namespace, then
-   re-checking the snapshot's own digest.
+   allocations, view placements and namespace, then re-checking the
+   snapshot's own digest.
 2. **Replay** the WAL tail deterministically.  The log records decision
    *results* (concrete candidates), so replay never re-runs the
    optimizer: the decision policy is swapped for a no-op while each
@@ -80,7 +80,8 @@ class _ReplayPolicy(DecisionPolicy):
     must answer, not raise.
     """
 
-    def configure_new_bundle(self, controller, instance, state) -> None:
+    def configure_new_bundle(self, controller, instance, state,
+                             reason="initial") -> None:
         raise RecoveryError(
             "optimizer invoked during WAL replay — the log should carry "
             "results, not decisions")
@@ -261,12 +262,6 @@ def apply_record(controller: AdaptationController,
             raise RecoveryError(
                 f"replay diverged at seq {record.seq}: objective "
                 f"{replayed!r} != logged {logged!r} for {bundles}")
-    elif kind == "unconfigured":
-        # Written only by logs from before decisions committed all or
-        # nothing: a failed reconfiguration left the bundle unconfigured.
-        instance = registry.instance(str(data["key"]))
-        controller.unconfigure(
-            instance, instance.bundle_state(str(data["bundle_name"])))
     elif kind == "release":
         instance = registry.instance(str(data["key"]))
         if data["kind"] == "evicted":

@@ -8,8 +8,10 @@ twelve live bundles, the population where the pairwise pass runs, and
 mix everything that stamps a host or moves a friction gate:
 arrivals and departures in other pods, node failures and restorations,
 external load, clock advances against ``granularity``, a rare bundle
-with no hostname pattern that merges every pod, and friction tags large
-enough for the amortisation gate to matter.
+with no hostname pattern that joins every pod, and friction tags large
+enough for the amortisation gate to matter.  ``link_loads=True`` adds
+external link loads to the same script, and makes its first bundle
+unscoped: a whole-cluster reach holds no link keys.
 """
 
 import random
@@ -74,7 +76,7 @@ def bundle_rsl(rng: random.Random, name: str, pod: int | None,
 
 
 def make_script(seed: int, exact: bool = True, length: int = 36,
-                memories: tuple = MEMORIES) -> dict:
+                memories: tuple = MEMORIES, link_loads: bool = False) -> dict:
     rng = random.Random(f"churn:{seed}:{exact}")
     demands = EXACT if exact else INEXACT
     pods, nodes = rng.randint(2, 4), rng.randint(3, 5)
@@ -86,6 +88,8 @@ def make_script(seed: int, exact: bool = True, length: int = 36,
     def admit() -> None:
         nonlocal admitted
         pod = None if rng.random() < 0.04 else rng.randrange(pods)
+        if link_loads and admitted == 0:
+            pod = None
         name = f"A{admitted}"
         ops.append(("admit", name,
                     bundle_rsl(rng, name, pod, demands, memories)))
@@ -116,6 +120,18 @@ def make_script(seed: int, exact: bool = True, length: int = 36,
             ops.append(("advance", rng.choice((5.0, 30.0, 150.0))))
         else:
             ops.append(("reevaluate",))
+    if link_loads:
+        # Drawn apart, so the script's other ops stay those of the seed.
+        links = random.Random(f"links:{seed}:{exact}")
+        loaded = []
+        for op in ops:
+            loaded.append(op)
+            if links.random() < 0.2:
+                pod = links.randrange(pods)
+                a, b = sorted(links.sample(range(nodes), 2))
+                loaded.append(("link", f"p{pod}n{a}", f"p{pod}n{b}",
+                               links.choice((0.0, 1.0, 2.0, 4.0))))
+        ops = loaded
     return {
         "pods": pods, "nodes": nodes, "ops": ops,
         "amortization_seconds": rng.choice((60.0, 600.0, 6000.0)),
@@ -157,6 +173,9 @@ def run_script(script: dict, pairwise: bool, serial: bool = False,
         elif kind == "load":
             # What update_external_load does for a measured change.
             controller.set_external_cpu_load(op[1], op[2])
+            controller.reevaluate()
+        elif kind == "link":
+            controller.set_external_link_load(op[1], op[2], op[3])
             controller.reevaluate()
         elif kind == "advance":
             cluster.kernel.advance_to(cluster.now + op[1])

@@ -128,10 +128,10 @@ class TestLifecycle:
         assert set(cache._spaces) == pinned
 
     def test_partition_index_is_bounded_under_churn(self):
-        """The index's per-bundle tables — membership, records, the
-        reach memo — go with the application that ends, settled member
-        sets with any member that ends, one record per component; the
-        engine's write stamps are one per host or link at most."""
+        """The index's per-bundle tables — records, the reach memo — go
+        with the application that ends, settled member sets with any
+        member that ends, one record per component; the engine's write
+        stamps are one per host or link at most."""
         controller = AdaptationController(build_pod_cluster(2, 4))
         index = controller.partition_index
         live = []
@@ -143,16 +143,19 @@ class TestLifecycle:
                 instance, POD_RSL.format(pod=number % 2, index=number))
             live.append(instance)
         keys = {(instance.key, "size") for instance in live}
-        assert set(index._member_pid) == set(index._reach) == keys
+        assert set(index._reach) <= keys
         bundles = {key for key in index._no_ops if key in keys}
         settled = set(index._no_ops) - bundles
         assert bundles and settled
         assert all(members <= keys for members in settled)
-        assert len(settled) <= index.partition_count
+        components = index.components(
+            ((instance.key, "size"), instance.bundle_state("size"))
+            for instance in live)
+        assert len(components) == 2
+        assert len(settled) <= len(components)
         cluster = controller.cluster
         assert 0 < len(controller._engine._stamps) <= \
             len(list(cluster.hostnames())) + len(list(cluster.links()))
-        assert len(index._parts) == 2
         assert controller.stats.pruned_pairs > 0    # watermarks in use
 
     def test_infeasible_bundle_raises(self, controller):

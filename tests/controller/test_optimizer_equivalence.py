@@ -8,19 +8,21 @@ Two stacked contracts, each against an oracle from ``tests.oracle``:
   Both sides run with pruning off (``unpruned``) so the candidate-count
   equality holds exactly.
 
-* The partitioned sweep (connected-component pruning, records of
-  stable no-ops) must make identical decisions to the same sweep with
-  pruning off (the serial oracle) — same decision log bytes, placements,
-  predictions, and objective — while provably skipping work.  The pod
-  scenarios give it real structure (disjoint hostname-pattern pods), and
-  the merge scenario registers a bundle whose pattern spans every pod
-  mid-run, forcing a partition merge while earlier records exist.
+* The partitioned sweep (records of stable no-ops, components over
+  reach in the pairwise pass) must make identical decisions to the same
+  sweep with pruning off (the serial oracle) — same decision log bytes,
+  placements, predictions, and objective — while provably skipping
+  work.  The pod scenarios give it real structure (disjoint
+  hostname-pattern pods), and the merge scenario registers a bundle
+  whose pattern spans every pod mid-run, joining the pods into one
+  component while earlier records exist.
 """
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
+from repro.controller.partition import bundle_key
 from tests.oracle import unpruned
 from tests.oracle.naive import NaiveGreedyOptimizer
 from tests.pods import POD_RSL, build_pod_cluster
@@ -215,8 +217,8 @@ def run_pods(app_count: int, serial: bool, churn: bool = True):
         controller.reevaluate()
         controller.handle_node_failure("p0n3")
         controller.reevaluate()
-        # Cluster growth bumps the topology version: the index rebuilds
-        # and every partition goes dirty at once.
+        # Cluster growth bumps the topology version: every record and
+        # every reach goes stale at once.
         for pod in range(pods):
             host = f"p{pod}n8"
             cluster.add_node(host, memory_mb=256.0)
@@ -230,10 +232,9 @@ def run_pods(app_count: int, serial: bool, churn: bool = True):
 def run_pod_merge(serial: bool):
     """Two pods evolve separately, then a ``p*`` bundle spans them.
 
-    The bridge gains a resource reach crossing every pod, so the index
-    must merge the components mid-run — with records already
-    recorded on both sides — and keep deciding exactly like the serial
-    sweep afterwards.
+    The bridge gains a resource reach crossing every pod, so the pods
+    join one component mid-run — with records already recorded on both
+    sides — and keep deciding exactly like the serial sweep afterwards.
     """
     cluster = build_pod_cluster(2, nodes_per_pod=8)
     controller = pod_controller(cluster, serial)
@@ -242,16 +243,23 @@ def run_pod_merge(serial: bool):
         instance = controller.register_app(f"Pod{pod}App{index}")
         controller.setup_bundle(
             instance, POD_RSL.format(pod=pod, index=index))
-    assert controller.partition_index.partition_count == 2
+    assert len(components(controller)) == 2
     bridge = controller.register_app("Bridge")
     controller.setup_bundle(bridge, BRIDGE_RSL)
-    assert controller.partition_index.partition_count == 1
+    assert len(components(controller)) == 1
     # Post-merge churn: the merged component must stay coherent.
     controller.handle_node_failure("p1n0")
     controller.reevaluate()
     controller.end_app(bridge)
     controller.reevaluate()
     return controller
+
+
+def components(controller: AdaptationController) -> list:
+    return controller.partition_index.components(
+        (bundle_key(instance, state), state)
+        for instance in controller.registry.instances()
+        for state in instance.bundles.values())
 
 
 def assert_same_decisions(fast: AdaptationController,
@@ -272,7 +280,7 @@ def test_partitioned_matches_serial(app_count):
     serial = run_pods(app_count, serial=True)
     assert_same_decisions(part, serial)
     # The structure was actually exploited, not just tolerated.
-    assert part.partition_index.partition_count > 1
+    assert len(components(part)) > 1
     assert part.stats.partition_sweeps > 0
     assert part.stats.pruned_bundles > 0
     assert part.stats.candidates_evaluated < serial.stats.candidates_evaluated

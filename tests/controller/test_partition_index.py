@@ -2,14 +2,14 @@
 
 The serial-equivalence suite (test_optimizer_equivalence.py) proves the
 partitioned sweep *decides* identically; these tests pin down the
-index's own mechanics — component structure, merge, records, rebuilds,
-the reach memo, and opacity — through what a sweep scores and prunes.
+index's own mechanics — components over reach, records, the reach memo,
+and opacity — through what a sweep scores and prunes.
 """
 
 import pytest
 
 from repro.controller import AdaptationController, ModelDrivenPolicy
-from repro.controller.partition import REBUILD_AFTER_REMOVALS
+from repro.controller.partition import bundle_key
 from repro.prediction import CallableModel
 from repro.prediction.models import ExplicitSpecModel
 from repro.rsl.model import PerformancePoint, PerformanceSpec
@@ -22,45 +22,69 @@ harmonyBundle Bridge span {
 """
 
 
+WHOLE_RSL = """
+harmonyBundle Whole size {
+    {small {node n {seconds 60} {memory 24}}}
+    {large {node n {seconds 35} {memory 24} {replicate 2}}
+           {communication 4}}}
+"""
+
+
 def placed_hosts(controller, key):
     state = controller.registry.instance(key[0]).bundle_state(key[1])
     return state.chosen.assignment.hostnames()
 
 
-def keys_by_pod(index, pod):
-    return {key for key in
-            (k for part in index.partitions() for k in part.members)
+def live_keys(controller):
+    return {bundle_key(instance, state)
+            for instance in controller.registry.instances()
+            for state in instance.bundles.values()}
+
+
+def keys_by_pod(controller, pod):
+    return {key for key in live_keys(controller)
             if key[0].startswith(f"Pod{pod}")}
+
+
+def components(controller):
+    """The components of every live bundle, as member sets."""
+    return [members for members, _ in
+            controller.partition_index.components(
+                (bundle_key(instance, state), state)
+                for instance in controller.registry.instances()
+                for state in instance.bundles.values())]
 
 
 class TestComponentStructure:
     def test_disjoint_pods_stay_separate(self):
-        controller = pod_controller(pods=3)
-        index = controller.partition_index
-        assert index.partition_count == 3
-        # Every member of a partition belongs to the same pod.
-        for part in index.partitions():
-            pods = {key[0][:4] for key in part.members}
-            assert len(pods) == 1
+        controller = pod_controller(pods=3, apps_per_pod=3)
+        parts = components(controller)
+        # One component per pod, holding that pod's bundles.
+        assert sorted(map(sorted, parts)) == \
+            sorted(sorted(keys_by_pod(controller, pod)) for pod in range(3))
 
-    def test_same_pod_bundles_share_a_partition(self):
-        controller = pod_controller(pods=2, apps_per_pod=3)
-        index = controller.partition_index
-        keys = list(index._member_pid)
-        pod0 = [k for k in keys if k[0].startswith("Pod0")]
-        pids = {index.partition_of(k).pid for k in pod0}
-        assert len(pids) == 1
-
-    def test_spanning_bundle_merges_components(self):
+    def test_component_reach_is_its_pod(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
-        assert index.partition_count == 2
+        states = [(bundle_key(instance, state), state)
+                  for instance in controller.registry.instances()
+                  for state in instance.bundles.values()]
+        for members, reach in controller.partition_index.components(states):
+            pod = next(iter(members))[0][len("Pod")]
+            assert {host for host in reach if isinstance(host, str)} == \
+                {f"p{pod}n{i}" for i in range(4)}
+
+    def test_spanning_bundle_joins_two_pods(self):
+        controller = pod_controller(pods=2)
+        assert len(components(controller)) == 2
         bridge = controller.register_app("Bridge")
         controller.setup_bundle(bridge, BRIDGE_RSL)
-        assert index.partition_count == 1
-        assert index.merges == 1
+        assert components(controller) == [frozenset(live_keys(controller))]
+        # Nothing is maintained: once it leaves, the pods part again.
+        controller.end_app(bridge)
+        assert len(components(controller)) == 2
 
-    def test_merge_keeps_what_the_newcomer_did_not_stamp(self):
+    def test_records_survive_a_newcomer_that_stamps_nothing_they_cover(
+            self):
         controller = pod_controller(pods=2)
         controller.reevaluate()
         scored = scored_keys(controller)
@@ -68,12 +92,11 @@ class TestComponentStructure:
         controller.setup_bundle(bridge, BRIDGE_RSL)
         # One component now, but Bridge landed on p0n0: only pod 0's
         # records cover a host its commit stamped.
-        assert controller.partition_index.partition_count == 1
+        assert len(components(controller)) == 1
         assert bridge.bundle_state("span").chosen.assignment.hostnames() \
             == {"p0n0"}
         assert sorted(scored) == sorted(
-            keys_by_pod(controller.partition_index, 0) |
-            {(bridge.key, "span")})
+            keys_by_pod(controller, 0) | {(bridge.key, "span")})
 
 
 def load(controller, hostname):
@@ -89,19 +112,17 @@ def footprint_safe_curve():
 class TestWatermarks:
     def test_records_hold_until_a_key_they_cover_is_stamped(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
         controller.reevaluate()
         scored = scored_keys(controller)
         # A change inside pod 1 re-scores only pod 1's bundles.
         load(controller, "p1n0")
         pruned = controller.stats.pruned_bundles
         controller.reevaluate()
-        assert sorted(scored) == sorted(keys_by_pod(index, 1))
+        assert sorted(scored) == sorted(keys_by_pod(controller, 1))
         assert controller.stats.pruned_bundles == pruned + 2
 
     def test_an_engine_epoch_move_dirties_everything(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
         controller.reevaluate()
         scored = scored_keys(controller)
         pruned = controller.stats.pruned_bundles
@@ -109,7 +130,7 @@ class TestWatermarks:
         controller.register_model(controller.registry.instances()[0],
                                   "size", footprint_safe_curve())
         controller.reevaluate()
-        assert sorted(scored) == sorted(index._member_pid)
+        assert sorted(scored) == sorted(live_keys(controller))
         assert controller.stats.pruned_bundles == pruned
 
     def test_pair_watermark_holds_until_a_member_key_is_stamped(self):
@@ -136,14 +157,13 @@ class TestWatermarks:
             controller.setup_bundle(
                 instance, POD_RSL.format(pod=number % 2, index=number))
         controller.reevaluate()
-        index = controller.partition_index
-        placed = {host for key in index._member_pid
+        placed = {host for key in live_keys(controller)
                   for host in placed_hosts(controller, key)}
         empty = sorted({f"p1n{i}" for i in range(6)} - placed)[0]
         scored = scored_keys(controller)
         # Nothing runs there, so no commit stamps it; the failure must.
         assert controller.handle_node_failure(empty) == []
-        assert sorted(scored) == sorted(keys_by_pod(index, 1))
+        assert sorted(scored) == sorted(keys_by_pod(controller, 1))
 
     def test_a_newcomer_reopens_the_pairs_of_what_it_joins(self):
         """Bridge lands in a third, empty pod, outside every settled
@@ -159,55 +179,64 @@ class TestWatermarks:
         bridge = controller.register_app("Bridge")
         state = controller.setup_bundle(bridge, BRIDGE_RSL)
         assert state.chosen.assignment.hostnames() == {"p2n0"}
-        assert controller.partition_index.partition_count == 1
+        assert len(components(controller)) == 1
         stats = controller.stats
         assert stats.pairs_evaluated - before["pairs_evaluated"] == 10
         assert stats.pruned_pairs == before["pruned_pairs"]
 
-    def test_unknown_bundle_is_never_pruned(self):
-        controller = pod_controller(pods=1)
-        index = controller.partition_index
-        state = controller.registry.instances()[0].bundle_state("size")
-        index.note_no_op(("ghost.1", "size"), state)
-        assert not index.holds(("ghost.1", "size"), state)
+
+    def test_a_link_only_a_whole_cluster_member_reads_reopens_its_pairs(
+            self):
+        """Whole's reach is every host and no link, and no pod 1 bundle
+        covers the link it communicates over: the settled component's
+        record covers that link through Whole's reads alone."""
+        controller = AdaptationController(
+            build_pod_cluster(2, nodes_per_pod=2))
+        pod = controller.register_app("Pod0App0")
+        controller.setup_bundle(pod, POD_RSL.format(pod=0, index=0))
+        whole = controller.register_app("Whole")
+        state = controller.setup_bundle(whole, WHOLE_RSL)
+        assert state.chosen.assignment.hostnames() == {"p1n0", "p1n1"}
+        assert len(components(controller)) == 1
+        controller.reevaluate()
+        controller.reevaluate()
+        stats = controller.stats
+        searched, pruned = stats.pairs_evaluated, stats.pruned_pairs
+        controller.set_external_link_load("p1n0", "p1n1", 1.0)
+        controller.reevaluate()
+        assert state.chosen.option_name == "large"
+        assert stats.pairs_evaluated == searched + 1
+        assert stats.pruned_pairs == pruned
 
 
 class TestLifecycle:
-    def test_removal_keeps_component_until_rebuild(self):
+    def test_topology_change_dirties_everything(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
-        bridge = controller.register_app("Bridge")
-        controller.setup_bundle(bridge, BRIDGE_RSL)
-        assert index.partition_count == 1
-        controller.end_app(bridge)
-        # Lazy removal never splits; over-broad components are safe.
-        assert index.partition_count == 1
-        index.rebuild()
-        assert index.partition_count == 2
-
-    def test_enough_removals_trigger_rebuild_on_refresh(self):
-        controller = pod_controller(pods=2, apps_per_pod=1)
-        index = controller.partition_index
-        rebuilds_before = index.rebuilds
-        for round_index in range(REBUILD_AFTER_REMOVALS):
-            app = controller.register_app(f"Churn{round_index}")
-            controller.setup_bundle(
-                app, POD_RSL.format(pod=0, index=100 + round_index))
-            controller.end_app(app)
-        controller.reevaluate()
-        assert index.rebuilds > rebuilds_before
-
-    def test_topology_change_rebuilds_and_dirties(self):
-        controller = pod_controller(pods=2)
-        index = controller.partition_index
         controller.reevaluate()
         scored = scored_keys(controller)
         controller.cluster.add_node("p0n9", memory_mb=256.0)
         controller.cluster.add_link("p0n9", "p0n0", bandwidth_mbps=100.0)
-        rebuilds = index.rebuilds
         controller.reevaluate()
-        assert index.rebuilds == rebuilds + 1
-        assert sorted(scored) == sorted(index._member_pid)
+        assert sorted(scored) == sorted(live_keys(controller))
+
+
+    def test_an_emptied_pod_leaves_no_record(self):
+        controller = pod_controller(pods=2)
+        controller.policy.pairwise_exchange = True
+        controller.reevaluate()
+        index = controller.partition_index
+
+        def named(pod):
+            return {key for record in index._no_ops for key in
+                    (record if isinstance(record, frozenset) else [record])
+                    if key[0].startswith(f"Pod{pod}")}
+
+        assert named(1) == keys_by_pod(controller, 1)
+        for instance in controller.registry.instances():
+            if instance.key.startswith("Pod1"):
+                controller.end_app(instance)
+        assert named(1) == set()
+        assert named(0) == keys_by_pod(controller, 0) == set(index._reach)
 
 
 def scored_keys(controller):
@@ -224,38 +253,39 @@ def scored_keys(controller):
     return scored
 
 
-def churn_through_rebuild(controller, pod=0):
-    """Admit and end apps in one pod until removals trigger a rebuild.
+#: Admissions and departures a churn round makes in one pod.
+CHURN_ROUNDS = 16
 
-    Returns the bundles the triggering departure's sweep scored and the
+
+def churn(controller, pod=0):
+    """Admit and end apps in one pod, one at a time.
+
+    Returns the bundles the last departure's sweep scored and the
     optimizer counters from just before it.
     """
-    index = controller.partition_index
-    for round_index in range(REBUILD_AFTER_REMOVALS):
+    for round_index in range(CHURN_ROUNDS):
         app = controller.register_app(f"Churn{round_index}")
         controller.setup_bundle(
             app, POD_RSL.format(pod=pod, index=100 + round_index))
-        if round_index == REBUILD_AFTER_REMOVALS - 1:
-            rebuilds = index.rebuilds
+        if round_index == CHURN_ROUNDS - 1:
             before = controller.stats.snapshot()
             scored = scored_keys(controller)
         controller.end_app(app)
-    assert index.rebuilds == rebuilds + 1
     return scored, before
 
 
-class TestRebuildKeepsWhatItProved:
-    """A removal rebuild splits components without touching anything an
-    evaluation reads, and records name bundles and member sets, not
-    components, so every valid record and settled pair survives it.
+class TestChurnKeepsWhatItProved:
+    """Churn in one pod stamps nothing another pod's evaluations read,
+    and records name bundles and member sets, so every other pod's
+    records and settled pairs survive it.
     """
 
     def test_only_the_churned_pod_is_scored(self):
         controller = pod_controller(pods=12, apps_per_pod=1)
         controller.reevaluate()
-        scored, before = churn_through_rebuild(controller)
+        scored, before = churn(controller)
         assert scored == [("Pod0App0.1", "size")]
-        # The eleven other pods were proved clean before the rebuild.
+        # The eleven other pods were proved clean before the churn.
         assert controller.stats.pruned_bundles - \
             before["pruned_bundles"] == 11
 
@@ -263,18 +293,17 @@ class TestRebuildKeepsWhatItProved:
         controller = pod_controller(pods=6, apps_per_pod=2)
         controller.policy.pairwise_exchange = True
         controller.reevaluate()
-        scored, before = churn_through_rebuild(controller)
+        scored, before = churn(controller)
         assert sorted(scored) == [("Pod0App0.1", "size"),
                                   ("Pod0App1.2", "size")]
         # Twelve bundles, 66 pairs: only pod 0's own pair is searched
-        # again; the other five pods stayed settled through the split.
+        # again; the other five pods stayed settled through the churn.
         stats = controller.stats
         assert stats.pairs_evaluated - before["pairs_evaluated"] == 1
         assert stats.pruned_pairs - before["pruned_pairs"] == 65
 
-    def test_bridge_split_rescores_once_then_stays_clean(self):
+    def test_bridge_departure_rescores_once_then_stays_clean(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
         bridge = controller.register_app("Bridge")
         controller.setup_bundle(bridge, BRIDGE_RSL)
         scored = scored_keys(controller)
@@ -282,50 +311,44 @@ class TestRebuildKeepsWhatItProved:
         # The departure stamps the host Bridge held: the pod it ran in
         # re-scores; once settled, nothing is scored again.
         controller.reevaluate()
-        assert sorted(set(scored)) == sorted(keys_by_pod(index, 0))
+        assert sorted(set(scored)) == sorted(keys_by_pod(controller, 0))
         del scored[:]
         controller.reevaluate()
         assert scored == []
-        index.rebuild()
-        assert index.partition_count == 2
+        assert len(components(controller)) == 2
         pruned = controller.stats.pruned_bundles
         controller.reevaluate()
         assert scored == []
         assert controller.stats.pruned_bundles == pruned + 4
 
-    def test_unindexed_member_carries_nothing_into_its_component(self):
+    def test_a_late_bundle_rescores_only_its_pod(self):
         controller = pod_controller(pods=2)
-        index = controller.partition_index
         controller.reevaluate()
-        # Every product path indexes the bundles it adds; this one
-        # registers and places a bundle behind the index's back, the
-        # case the membership check in refresh() defends against.
+        # Registered and placed without setup_bundle: the records, not
+        # any membership table, decide what re-scores.
         late = controller.register_app("Late")
         state = controller.registry.add_bundle(
             late, build_bundle(POD_RSL.format(pod=0, index=9)))
         controller.policy.configure_new_bundle(controller, late, state)
-        rebuilds = index.rebuilds
         scored = scored_keys(controller)
         controller.reevaluate()
-        assert index.rebuilds == rebuilds + 1
         # Pod 0 holds the newcomer and re-scores; pod 1 stays clean.
-        assert sorted(scored) == sorted(
-            keys_by_pod(index, 0) | {(late.key, "size")})
+        assert sorted(scored) == sorted(keys_by_pod(controller, 0) |
+                                        {(late.key, "size")})
 
 
 class TestReach:
     def test_topology_changes_grow_no_table(self):
         """Reach reuses the matcher's pattern memo, which a topology
         change overwrites: twenty new hosts leave every table of the
-        index and the memo the size they were, bar the resource owners,
-        one per host or link."""
+        index and the memo the size they were."""
         controller = pod_controller(pods=3, apps_per_pod=1)
         index = controller.partition_index
         controller.reevaluate()
 
         def sizes():
             tables = {name: len(table) for name, table in vars(index).items()
-                      if isinstance(table, dict) and name != "_owner"}
+                      if isinstance(table, dict)}
             tables["matcher"] = len(controller.matcher._pattern_memo)
             return tables
 
@@ -336,9 +359,6 @@ class TestReach:
                                         memory_mb=256.0)
             controller.reevaluate()
         assert sizes() == before
-        cluster = controller.cluster
-        assert len(index._owner) <= \
-            len(cluster.hostnames()) + len(list(cluster.links()))
 
     def test_reach_follows_patterns_and_topology(self):
         controller = pod_controller(pods=2, apps_per_pod=1)

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import AllocationError
+from repro.persistence import DurabilityJournal
 
 TWO_CHOICES = """
 harmonyBundle App where {
@@ -46,8 +47,10 @@ class TestNodeFailure:
         assert state.chosen.option_name == "onB"
         assert controller.cluster.node("nodeA").memory.reserved_mb == 0.0
 
-    def test_failure_decision_logged_with_reason(self):
+    def test_failure_decision_logged_with_reason(self, tmp_path):
         controller = make_controller()
+        journal = DurabilityJournal(str(tmp_path), fsync="never")
+        journal.attach(controller)
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
         controller.handle_node_failure("nodeA")
@@ -56,6 +59,18 @@ class TestNodeFailure:
         assert len(failure_records) == 1
         assert failure_records[0].old_configuration == "onA"
         assert failure_records[0].new_configuration == "onB"
+        # The trace operators read, the WAL record and a restored
+        # controller's replayed record carry the same reason.
+        reasons = ["initial", "node failure: nodeA"]
+        assert [trace.trigger for trace in controller.trace_log.traces()] \
+            == reasons
+        assert [record.data["reason"] for record in journal.wal.records()
+                if record.kind == "apply"] == reasons
+        journal.close()
+        restored = AdaptationController.restore(str(tmp_path),
+                                                fsync="never")
+        assert [record.reason for record in restored.decision_log] == \
+            reasons
 
     def test_unaffected_apps_left_alone(self):
         controller = make_controller()

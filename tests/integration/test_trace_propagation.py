@@ -4,10 +4,10 @@ One sampled ``report_metric`` from a traced client must produce a single
 trace id that links every hop of the reevaluation pipeline:
 
     client.request -> server.dispatch -> scheduler.batch
-        -> optimizer.partition_sweep[k]
+        -> optimizer.sweep
         -> server.push(generation=g)
 
-The scenario forces a sweep of every partition with pushes: each pod
+The scenario forces a sweep of every pod with pushes: each pod
 starts with one live node (everything admits as ``small``), then the
 spare nodes come back and the coalesced batch rebalances every app to
 ``large``.
@@ -122,16 +122,12 @@ class TestSingleTraceId:
                    for link in batch.attributes["links"])
         assert batch.attributes["changes"] == PODS * APPS_PER_POD
 
-        # batch -> reevaluate -> one sweep span per partition, all in
-        # the batch's trace.
+        # batch -> reevaluate -> one sweep span, in the batch's trace.
         [reevaluate] = by_name["controller.reevaluate"]
         assert reevaluate.parent_id == batch.span_id
-        partitions = by_name["optimizer.partition_sweep"]
-        assert len(partitions) == PODS
-        assert all(span.parent_id == reevaluate.span_id
-                   for span in partitions)
-        assert sum(span.attributes["changes"]
-                   for span in partitions) == PODS * APPS_PER_POD
+        [sweep] = by_name["optimizer.sweep"]
+        assert sweep.parent_id == reevaluate.span_id
+        assert sweep.attributes["changes"] == PODS * APPS_PER_POD
 
         # reevaluate -> push, generation-stamped, one per rebalanced
         # client.

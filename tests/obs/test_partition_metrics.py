@@ -1,29 +1,26 @@
-"""Partition telemetry: fixed-cardinality metrics, per-partition spans.
+"""Partition telemetry: fixed-cardinality metrics, one sweep span.
 
 The partitioned optimizer reports only *aggregates* to the metric
-interface — partition ids appear as span attributes (bounded by span
-retention), never as metric names, so a system that fragments into
-thousands of partitions cannot blow up exporter cardinality.
+interface and one ``optimizer.sweep`` span per sweep, so a system that
+fragments into thousands of components cannot blow up exporter
+cardinality.
 """
 
 import pytest
 
 from repro.controller import AdaptationController, ModelDrivenPolicy
+from repro.controller.partition import bundle_key
 from repro.obs import Tracer, json_snapshot, prometheus_text
 from tests.oracle import unpruned
 from tests.pods import POD_RSL, build_pod_cluster
 
 #: The complete partition metric surface: these names, and nothing else
 #: under ``optimizer.partition``/``optimizer.partitions``, regardless of
-#: how many partitions exist.
+#: how many components exist.
 PARTITION_METRICS = {
-    "optimizer.partitions",
     "optimizer.partition.sweeps",
     "optimizer.partition.pruned_bundles",
     "optimizer.partition.pruned_pairs",
-    "optimizer.partition.merges",
-    "optimizer.partition.rebuilds",
-    "optimizer.partition.largest",
 }
 
 
@@ -48,18 +45,24 @@ def partition_metric_names(metrics):
             or name.startswith("optimizer.partition.")}
 
 
+def components(controller):
+    return controller.partition_index.components(
+        (bundle_key(instance, state), state)
+        for instance in controller.registry.instances()
+        for state in instance.bundles.values())
+
+
 class TestMetricSurface:
     def test_aggregates_are_published(self):
         controller = run_pods(pods=3)
         assert partition_metric_names(controller.metrics) == \
             PARTITION_METRICS
-        assert controller.metrics.latest("optimizer.partitions") == 3.0
+        assert sorted(len(members) for members, _ in
+                      components(controller)) == [2, 2, 2]
         assert controller.metrics.latest(
             "optimizer.partition.sweeps") >= 1.0
         assert controller.metrics.latest(
             "optimizer.partition.pruned_bundles") > 0.0
-        assert controller.metrics.latest(
-            "optimizer.partition.largest") == 2.0
 
     def test_pairwise_skips_are_counted(self):
         """Three pods of two: 15 pairs a pass, 3 of them inside a pod."""
@@ -77,7 +80,7 @@ class TestMetricSurface:
         assert scoped.stats.candidates_evaluated < \
             serial.stats.candidates_evaluated
 
-    def test_cardinality_is_independent_of_partition_count(self):
+    def test_cardinality_is_independent_of_component_count(self):
         few = run_pods(pods=2)
         many = run_pods(pods=8)
         assert partition_metric_names(few.metrics) == \
@@ -100,28 +103,31 @@ class TestExporters:
         controller = run_pods(pods=2)
         snapshot = json_snapshot(controller.metrics, prefix="optimizer")
         encoded = json.loads(json.dumps(snapshot))
-        assert encoded["metrics"]["optimizer.partitions"]["latest"] == 2.0
-        assert "optimizer.partition.sweeps" in encoded["metrics"]
+        assert encoded["metrics"]["optimizer.partition.sweeps"][
+            "latest"] == controller.stats.partition_sweeps
+        assert "optimizer.partition.pruned_bundles" in encoded["metrics"]
 
 
 class TestSpans:
-    def test_partition_sweep_spans_carry_ids_as_attributes(self):
+    def test_one_sweep_span_per_sweep_carries_totals(self):
         tracer = Tracer()
         controller = run_pods(pods=3, tracer=tracer)
-        spans = tracer.find("optimizer.partition_sweep")
-        assert spans
+        spans = tracer.find("optimizer.sweep")
+        assert len(spans) == controller.stats.partition_sweeps
         for span in spans:
             assert set(span.attributes) == {
-                "partition", "size", "evaluated", "changes", "pruned",
-                "unchanged"}
+                "evaluated", "changes", "pruned", "unchanged"}
             assert span.attributes["unchanged"] <= \
                 span.attributes["evaluated"]
-        # The span name is shared; ids live in attributes only.
-        names = {s.name for s in tracer.spans
-                 if s.name.startswith("optimizer.partition")}
-        assert names == {"optimizer.partition_sweep"}
+        # The last sweep visits every bundle once: scored or pruned.
+        last = spans[-1].attributes
+        assert last["evaluated"] + last["pruned"] == 6
+        assert sum(span.attributes["pruned"] for span in spans) == \
+            controller.stats.pruned_bundles
+        assert not [s for s in tracer.spans
+                    if s.name.startswith("optimizer.partition")]
 
-    def test_scheduler_batch_span_reports_partition_counts(self):
+    def test_scheduler_batch_span_reports_pruned_candidates(self):
         from repro.controller import CoalescingScheduler
 
         tracer = Tracer()
@@ -131,5 +137,5 @@ class TestSpans:
         scheduler.request("test")
         assert scheduler.flush()
         batch = tracer.find("scheduler.batch")[-1]
-        assert batch.attributes["partitions"] == 2
-        assert batch.attributes["pruned_candidates"] >= 0
+        assert "partitions" not in batch.attributes
+        assert batch.attributes["pruned_candidates"] > 0

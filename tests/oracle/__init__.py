@@ -13,9 +13,9 @@
 def unpruned(controller):
     """Turn ``controller`` into the serial oracle and return it.
 
-    Its partition index keeps its components and epochs but never lets a
-    sweep or a pairwise pass skip anything — the path production takes
-    anyway for a non-decomposable objective or an opaque model.
+    Its partition index never lets a sweep or a pairwise pass skip
+    anything — the path production takes anyway for a non-decomposable
+    objective or an opaque model.
     """
     controller.partition_index.prunable = lambda objective: False
     return controller

@@ -216,19 +216,26 @@ class TestRestore:
 
     def test_legacy_adopt_record_is_refused(self, tmp_path):
         """An ``adopt`` record re-admitted an instance under its old key
-        in logs from when sessions could move between controllers; no
-        operation writes or replays one any more, so a log holding one
-        is refused by name instead of restored without it."""
+        in logs from when sessions could move between controllers, and
+        an ``unconfigured`` record left a bundle unconfigured after a
+        failed reconfiguration, before decisions committed all or
+        nothing; no operation writes or replays either any more, so a
+        log holding one is refused by name instead of restored without
+        it."""
         from repro.errors import RecoveryError
-        controller, journal = journaled_controller(tmp_path)
-        controller.register_app("app0")
-        journal.append("adopt", {"app_name": "moved", "key": "moved.7",
-                                 "instance_id": 7})
-        seq = journal.wal.last_seq
-        journal.close()
-        with pytest.raises(RecoveryError, match=(
-                rf"unknown WAL record kind 'adopt' \(seq {seq}\)")):
-            AdaptationController.restore(str(tmp_path), fsync="never")
+        legacy = {"adopt": {"app_name": "moved", "key": "moved.7",
+                            "instance_id": 7},
+                  "unconfigured": {"key": "app0.1", "bundle_name": "b"}}
+        for kind, data in legacy.items():
+            directory = tmp_path / kind
+            controller, journal = journaled_controller(directory)
+            controller.register_app("app0")
+            journal.append(kind, data)
+            seq = journal.wal.last_seq
+            journal.close()
+            with pytest.raises(RecoveryError, match=(
+                    rf"unknown WAL record kind '{kind}' \(seq {seq}\)")):
+                AdaptationController.restore(str(directory), fsync="never")
 
     def test_format_1_snapshot_is_refused_by_name(self, tmp_path):
         """Format 1 stored bundles as RSL text and links as dicts.  Such a

@@ -2,7 +2,7 @@
 
 Each pod is a full mesh of nodes ``p<pod>n<i>``; ``POD_RSL`` constrains
 an application to one pod's hostnames, so every pod is its own
-partition of the :class:`~repro.controller.partition.PartitionIndex`.
+component (:meth:`~repro.controller.partition.PartitionIndex.components`).
 """
 
 from repro.cluster import Cluster
