@@ -65,10 +65,10 @@ def test_fig4_online_reconfiguration(report, benchmark):
 
     rows.append("")
     rows.append("reconfiguration decisions:")
-    for record in result.decisions:
-        rows.append(f"  t={record.time:7.1f}  {record.app_key:8s} "
-                    f"{record.old_configuration or '-':22s} -> "
-                    f"{record.new_configuration:22s} ({record.reason})")
+    for trace in result.decision_traces:
+        rows.append(f"  t={trace.time:7.1f}  {trace.app_key:8s} "
+                    f"{trace.old_configuration or '-':22s} -> "
+                    f"{trace.new_configuration:22s} ({trace.trigger})")
     report("fig4_reconfiguration", rows)
 
     assert result.frames[0].partition() == [5]

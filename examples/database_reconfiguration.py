@@ -73,9 +73,6 @@ def main() -> None:
     parser.add_argument("--tuples", type=int, default=10_000,
                         help="tuples per Wisconsin relation "
                              "(100000 = paper scale)")
-    parser.add_argument("--export", metavar="DIR",
-                        help="write responses.csv / decisions.csv / "
-                             "phases.md to DIR")
     args = parser.parse_args()
 
     print(f"running the Section 6 experiment (policy={args.policy}, "
@@ -100,15 +97,10 @@ def main() -> None:
         print(line)
 
     print("\ncontroller decisions:")
-    for record in result.decisions:
-        print(f"  t={record.time:6.1f}  {record.app_key}: "
-              f"{record.old_configuration or 'start'} -> "
-              f"{record.new_configuration}  ({record.reason})")
-
-    if args.export:
-        from repro.reporting import write_database_report
-        paths = write_database_report(result, args.export)
-        print(f"\nexported: {', '.join(str(p) for p in paths)}")
+    for trace in result.decision_traces:
+        print(f"  t={trace.time:6.1f}  {trace.app_key}: "
+              f"{trace.old_configuration or 'start'} -> "
+              f"{trace.new_configuration}  ({trace.trigger})")
 
 
 if __name__ == "__main__":

@@ -61,10 +61,10 @@ def main() -> None:
           f"{controller.view.external_cpu_load('nodeA'):.1f} competing "
           f"processes")
     print("\ndecision log:")
-    for record in controller.decision_log:
-        print(f"  t={record.time:6.1f}  {record.app_key}: "
-              f"{record.old_configuration or 'start'} -> "
-              f"{record.new_configuration}  ({record.reason})")
+    for trace in controller.trace_log.traces():
+        print(f"  t={trace.time:6.1f}  {trace.app_key}: "
+              f"{trace.old_configuration or 'start'} -> "
+              f"{trace.new_configuration}  ({trace.trigger})")
     assert state.chosen.option_name == "onB"
     print("\nthe controller moved the service away from load it never "
           "placed,\nseen only through the metric interface.")

@@ -53,10 +53,10 @@ def main() -> None:
         print(f"  t={start:6.0f}  {elapsed:5.0f} s @ {workers} workers")
 
     print("\ndecisions:")
-    for record in controller.decision_log:
-        print(f"  t={record.time:6.1f}  "
-              f"{record.old_configuration or 'start':22s} -> "
-              f"{record.new_configuration:22s} ({record.reason[:40]})")
+    for trace in controller.trace_log.traces():
+        print(f"  t={trace.time:6.1f}  "
+              f"{trace.old_configuration or 'start':22s} -> "
+              f"{trace.new_configuration:22s} ({trace.trigger[:40]})")
 
     widths = [workers for _s, _e, workers in app.iteration_series()]
     assert min(widths) < 5 <= max(widths)

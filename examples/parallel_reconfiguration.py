@@ -25,9 +25,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--apps", type=int, default=3,
                         help="number of arriving instances (paper: up to 3)")
-    parser.add_argument("--export", metavar="DIR",
-                        help="write iterations.csv / decisions.csv / "
-                             "frames.md to DIR")
     args = parser.parse_args()
 
     config = ParallelExperimentConfig(
@@ -56,15 +53,10 @@ def main() -> None:
         print(f"  {app}: {trace}")
 
     print("\ndecisions:")
-    for record in result.decisions:
-        print(f"  t={record.time:7.1f}  {record.app_key:8s} "
-              f"{record.old_configuration or 'start':22s} -> "
-              f"{record.new_configuration:22s} ({record.reason[:48]})")
-
-    if args.export:
-        from repro.reporting import write_parallel_report
-        paths = write_parallel_report(result, args.export)
-        print(f"\nexported: {', '.join(str(p) for p in paths)}")
+    for trace in result.decision_traces:
+        print(f"  t={trace.time:7.1f}  {trace.app_key:8s} "
+              f"{trace.old_configuration or 'start':22s} -> "
+              f"{trace.new_configuration:22s} ({trace.trigger[:48]})")
 
     print("\nnote the five-node (not six) first frame and the equal "
           "partitions afterwards,\nexactly as the paper's caption "

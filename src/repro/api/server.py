@@ -146,8 +146,10 @@ class HarmonySession:
         if server.failed:
             # Crash-only semantics: a fail-stopped server behaves like a
             # dead process — it never answers, it just drops the line.
+            # Flushed, not reset: a standby's ack racing the crash must
+            # not discard the frames still queued on its link.
             with contextlib.suppress(Exception):
-                self.transport.close()
+                self.transport.close_after_flush()
             return
         server.count_rpc(msg_type)
         recorder = server.recorder
@@ -789,11 +791,13 @@ class HarmonyServer:
         # mutation racing this teardown may fail its ship once a link is
         # gone, and its success reply must then be undeliverable too —
         # otherwise a client would hold an ack for a record no surviving
-        # replica has.
+        # replica has.  For the same reason a link is half-closed, never
+        # reset: every frame shipped before the crash still reaches the
+        # standby ahead of the EOF.
         if self.replication is not None:
             for link in self.replication.link_transports():
                 with contextlib.suppress(Exception):
-                    link.close()
+                    link.close_after_flush()
 
     def replication_status(self) -> dict[str, Any]:
         """This server's view of the replicated cluster (for ``status``)."""
@@ -920,10 +924,6 @@ class HarmonyServer:
                 except ControllerError:
                     instance = None
                 if instance is not None and not instance.ended:
-                    if self.controller.journal is not None:
-                        # Audit record: the state change itself is the
-                        # eviction's ``release`` record.
-                        self.controller.journal.record_lease_expired(key)
                     self.controller.evict_app(instance,
                                               reason="lease expired")
                 self.controller.metrics.increment("server.lease_expiries",

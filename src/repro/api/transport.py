@@ -57,6 +57,14 @@ class Transport:
     def close(self) -> None:
         raise NotImplementedError
 
+    def close_after_flush(self) -> None:
+        """Close without discarding what :meth:`send` already accepted.
+
+        The default is :meth:`close`: in-process delivery is synchronous,
+        and the asyncio endpoint's close already flushes before its FIN.
+        """
+        self.close()
+
     @property
     def closed(self) -> bool:
         raise NotImplementedError
@@ -141,7 +149,8 @@ class TcpTransport(Transport):
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._send_timeout: float | None = None
-        self._closed = False
+        self._closed = False    # no more sends
+        self._released = False  # socket shut and closed
         self._address: tuple[str, int] | None = None
         self._connect_timeout: float | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
@@ -236,21 +245,41 @@ class TcpTransport(Transport):
         # Test-and-set under the lock: the caller and the reader thread
         # (at EOF) may both arrive, and exactly one releases the socket.
         with self._state_lock:
-            if self._closed:
+            if self._released:
                 return
-            self._closed = True
+            self._closed = self._released = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
 
+    def close_after_flush(self) -> None:
+        """Half-close: the FIN queues behind every frame already sent.
+
+        A full :meth:`close` while the peer's frames sit unread makes
+        the kernel answer with a reset, which discards this end's
+        unsent bytes.  Here sending stops at once, but the socket stays
+        open: the reader thread drains (without dispatching) until the
+        peer has read everything and closed its end, then releases it.
+        """
+        with self._state_lock:
+            if self._closed:
+                return
+            self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            self.close()
+
     def _read_loop(self) -> None:
         try:
-            while not self._closed:
+            while not self._released:
                 data = self._sock.recv(65536)
                 if not data:
                     break
+                if self._closed:
+                    continue  # half-closed: drain the peer, deliver none
                 for message in self._decoder.feed(data):
                     self._dispatch(message)
         except (OSError, TransportError, ProtocolError):

@@ -39,7 +39,7 @@ from repro.apps.database.query import WisconsinWorkload
 from repro.apps.database.relation import make_wisconsin_pair
 from repro.apps.database.server import DatabaseServerApp
 from repro.cluster.topology import Cluster
-from repro.controller.controller import AdaptationController, DecisionRecord
+from repro.controller.controller import AdaptationController
 from repro.controller.policies import ClientCountRulePolicy
 from repro.errors import HarmonyError
 from repro.metrics import MetricInterface
@@ -100,7 +100,6 @@ class DatabaseExperimentResult:
     config: DatabaseExperimentConfig
     response_series: dict[str, list[tuple[float, float]]]
     options_over_time: dict[str, list[tuple[float, str]]]
-    decisions: list[DecisionRecord]
     phases: list[PhaseSummary] = field(default_factory=list)
     queries_total: int = 0
     switch_time: float | None = None
@@ -203,23 +202,22 @@ def run_database_experiment(config: DatabaseExperimentConfig | None = None,
         response_series={app.name: app.response_time_series()
                          for app in clients},
         options_over_time=options_over_time,
-        decisions=list(controller.decision_log),
         queries_total=sum(app.stats.queries_completed for app in clients),
         metrics=metrics,
-        decision_traces=list(controller.trace_log.traces()),
+        decision_traces=controller.trace_log.traces(),
         spans=list(tracer.spans) if tracer is not None else [])
 
-    result.switch_time = _find_switch_time(result.decisions)
+    result.switch_time = _find_switch_time(result.decision_traces)
     result.phases = _summarize_phases(result, config)
     return result
 
 
-def _find_switch_time(decisions: list[DecisionRecord]) -> float | None:
+def _find_switch_time(traces: list[DecisionTrace]) -> float | None:
     """Time of the first QS -> DS reconfiguration of a running client."""
-    for record in decisions:
-        if record.old_configuration == OPTION_QUERY_SHIPPING and \
-                record.new_configuration == OPTION_DATA_SHIPPING:
-            return record.time
+    for trace in traces:
+        if trace.old_configuration == OPTION_QUERY_SHIPPING and \
+                trace.new_configuration == OPTION_DATA_SHIPPING:
+            return trace.time
     return None
 
 

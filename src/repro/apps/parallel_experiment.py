@@ -30,11 +30,11 @@ from repro.apps.bag import BagOfTasksApp
 from repro.cluster.topology import Cluster
 from repro.controller.controller import (
     AdaptationController,
-    DecisionRecord,
     ModelDrivenPolicy,
 )
 from repro.controller.friction import FrictionPolicy
 from repro.metrics import MetricInterface
+from repro.obs.trace import DecisionTrace
 
 __all__ = ["ParallelExperimentConfig", "ParallelExperimentResult",
            "FrameSummary", "run_parallel_experiment"]
@@ -80,7 +80,8 @@ class FrameSummary:
 class ParallelExperimentResult:
     config: ParallelExperimentConfig
     frames: list[FrameSummary] = field(default_factory=list)
-    decisions: list[DecisionRecord] = field(default_factory=list)
+    #: Structured "why this option won" records, newest last.
+    decision_traces: list[DecisionTrace] = field(default_factory=list)
     iteration_series: dict[str, list[tuple[float, float, int]]] = \
         field(default_factory=dict)
 
@@ -146,7 +147,7 @@ def run_parallel_experiment(config: ParallelExperimentConfig | None = None,
 
     result = ParallelExperimentResult(
         config=config,
-        decisions=list(controller.decision_log),
+        decision_traces=controller.trace_log.traces(),
         iteration_series={app.name: app.iteration_series()
                           for app in apps})
     result.frames = _summarize_frames(config, samples, apps)

@@ -3,7 +3,6 @@
 from repro.controller.controller import (
     AdaptationController,
     DecisionPolicy,
-    DecisionRecord,
     ModelDrivenPolicy,
     ReconfigurationEvent,
     SessionLifecycleEvent,
@@ -38,7 +37,7 @@ from repro.controller.registry import (
 
 __all__ = [
     "AdaptationController", "DecisionPolicy", "ModelDrivenPolicy",
-    "ClientCountRulePolicy", "DecisionRecord", "ReconfigurationEvent",
+    "ClientCountRulePolicy", "ReconfigurationEvent",
     "SessionLifecycleEvent", "CoalescingScheduler",
     "Objective", "MeanResponseTime", "MaxResponseTime",
     "ThroughputObjective", "WeightedMeanResponseTime",

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.allocation.allocation import Allocation, allocate
 from repro.allocation.instantiate import ConcreteDemands
-from repro.allocation.matcher import Assignment, Matcher, MatchStrategy
+from repro.allocation.matcher import Assignment, Matcher
 from repro.cluster.kernel import Interrupted, Process
 from repro.cluster.topology import Cluster
 from repro.controller.friction import FrictionPolicy
@@ -75,26 +76,16 @@ from repro.prediction.models import (
 )
 from repro.rsl import Bundle, build_bundle
 
-__all__ = ["AdaptationController", "DecisionRecord", "ReconfigurationEvent",
+__all__ = ["AdaptationController", "ReconfigurationEvent",
            "SessionLifecycleEvent", "ModelDrivenPolicy", "DecisionPolicy",
            "Move", "candidate_traces"]
 
 #: One bundle's part of a decision: make ``candidate`` its configuration.
 Move = tuple[AppInstance, BundleState, Candidate]
 
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One controller decision, for logs, tests and the Figure 4 bench."""
-
-    time: float
-    app_key: str
-    bundle_name: str
-    old_configuration: str | None
-    new_configuration: str
-    reason: str
-    objective_before: float
-    objective_after: float
+#: Retention of :attr:`AdaptationController.lifecycle_log`, the same
+#: default as the decision trace log's.
+LIFECYCLE_LOG_ENTRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -117,9 +108,9 @@ class SessionLifecycleEvent:
     ``kind`` is one of ``registered``, ``rejoined``, ``ended``, or
     ``evicted``; ``detail`` carries the human-readable reason (for an
     eviction, why the session was removed).  The controller appends these
-    to :attr:`AdaptationController.lifecycle_log` so operators can
-    reconstruct exactly when each application joined, crashed, was
-    cleaned up, or came back.
+    to :attr:`AdaptationController.lifecycle_log`, which keeps the most
+    recent ones, so operators can see when each application joined,
+    crashed, was cleaned up, or came back.
     """
 
     time: float
@@ -135,7 +126,7 @@ class DecisionPolicy:
                              instance: AppInstance, state: BundleState,
                              reason: str = "initial") -> None:
         """Place an unconfigured bundle; ``reason`` names the trigger in
-        its decision record, trace and journal record."""
+        its decision trace and journal record."""
         raise NotImplementedError
 
     def reevaluate(self, controller: "AdaptationController") -> int:
@@ -195,7 +186,7 @@ class ModelDrivenPolicy(DecisionPolicy):
 
         "we simply iterate through the list of active applications and
         within each application through the list of options" — records
-        only decide *skips*, never ordering, so the decision log is
+        only decide *skips*, never ordering, so the decision traces are
         byte-identical to the same loop with pruning off (the serial
         oracle).  A bundle is neither matched nor scored while the record
         of its last stable no-op holds over its reach and reads (see
@@ -476,7 +467,6 @@ class AdaptationController:
                  policy: DecisionPolicy | None = None,
                  friction_policy: FrictionPolicy | None = None,
                  default_model: PerformanceModel | None = None,
-                 match_strategy: MatchStrategy = MatchStrategy.FIRST_FIT,
                  reevaluation_period_seconds: float = 30.0,
                  tracer=None,
                  trace_log: DecisionTraceLog | None = None,
@@ -500,13 +490,14 @@ class AdaptationController:
         self.policy = policy or ModelDrivenPolicy()
         self.friction_policy = friction_policy or FrictionPolicy()
         self.default_model = default_model or DefaultModel()
-        self.matcher = Matcher(cluster, strategy=match_strategy)
+        self.matcher = Matcher(cluster)
         self.registry = ApplicationRegistry(namespace=self.namespace)
         self.view = SystemView(cluster)
         self.reevaluation_period_seconds = reevaluation_period_seconds
-        self.decision_log: list[DecisionRecord] = []
-        #: Structured register/rejoin/end/evict history (fault tolerance).
-        self.lifecycle_log: list[SessionLifecycleEvent] = []
+        #: Recent register/rejoin/end/evict history (fault tolerance),
+        #: bounded like the trace log.
+        self.lifecycle_log: deque[SessionLifecycleEvent] = deque(
+            maxlen=LIFECYCLE_LOG_ENTRIES)
         #: Work counters for the benchmarks (see OptimizerStats).
         self.stats = OptimizerStats()
         self._engine = TrialEngine(self)
@@ -850,7 +841,7 @@ class AdaptationController:
     def commit(self, moves: Sequence[Move], reason: str,
                objective_before: float = math.inf,
                trace_candidates: Sequence[CandidateTrace] | None = None,
-               ) -> None:
+               ) -> float:
         """Make each move's candidate the live configuration of its
         bundle, all or nothing: one decision, of one bundle or several.
 
@@ -859,9 +850,10 @@ class AdaptationController:
         a new one does not fit, the new ones are released, the old ones
         reserved again and :class:`AllocationError` raised with nothing
         else touched.  Otherwise every move is installed, the prediction
-        cache advances once, each move gets its decision record and
-        trace, the journal gets one record — the commit point — and
-        listeners hear of each changed option in move order.
+        cache advances once, each move gets its decision trace, the
+        journal gets one record — the commit point — and listeners hear
+        of each changed option in move order.  Returns the objective
+        after the decision.
 
         ``trace_candidates`` carries a one-move decision's evaluated
         alternatives; when omitted, each trace lists its chosen candidate
@@ -909,14 +901,6 @@ class AdaptationController:
         objective_after = self.objective.evaluate(
             self._engine.live_predictions())
         for (instance, state, candidate), old in zip(moves, olds):
-            self.decision_log.append(DecisionRecord(
-                time=now, app_key=instance.key,
-                bundle_name=state.bundle.bundle_name,
-                old_configuration=old.describe() if old else None,
-                new_configuration=state.chosen.describe(),
-                reason=reason,
-                objective_before=objective_before,
-                objective_after=objective_after))
             alternatives = trace_candidates
             if alternatives is None:
                 alternatives = [CandidateTrace(
@@ -939,7 +923,9 @@ class AdaptationController:
                 objective_after=objective_after,
                 chosen_option=candidate.option_name,
                 chosen_placements=dict(candidate.assignment.placements),
-                candidates=tuple(alternatives)))
+                candidates=tuple(alternatives),
+                old_configuration=old.describe() if old else None,
+                new_configuration=state.chosen.describe()))
             option_index = state.bundle.option_names().index(
                 candidate.option_name)
             self.metrics.report(
@@ -966,6 +952,7 @@ class AdaptationController:
                 memory_grants=state.chosen.allocation.memory_grants())
             for listener in list(self._listeners):
                 listener(event)
+        return objective_after
 
     def friction_cost(self, state: BundleState,
                       target_option_name: str) -> float:
@@ -1082,10 +1069,9 @@ class AdaptationController:
             except AllocationError:
                 stranded.append(instance.key)
                 continue
-            # Re-placed from unconfigured: the record names what the
+            # Re-placed from unconfigured: the trace names what the
             # failure displaced.
-            self.decision_log[-1] = replace(
-                self.decision_log[-1], old_configuration=old.describe())
+            self.trace_log.amend_latest(old_configuration=old.describe())
         self.policy.reevaluate(self)
         self._checkpoint()
         return stranded

@@ -50,7 +50,6 @@ from repro.controller.trial import (
 from repro.errors import AllocationError, RslSemanticError
 from repro.obs.trace import NULL_TRACER
 from repro.prediction.contention import SystemView
-from repro.rsl.expressions import MapEnvironment
 from repro.rsl.model import Bundle, TuningOption
 
 __all__ = ["Candidate", "OptimizationContext", "ConfigurationCache",
@@ -145,9 +144,7 @@ class ConfigurationCache:
     load ordering) runs per call.
 
     The elastic-memory probe (:func:`_best_memory_for`) is memoized here
-    too, and — when the probed grant cannot change the option's node
-    structure — evaluated directly on the link/communication expressions
-    instead of fully re-instantiating the option per probed value.
+    too, once per (option, assignment, node).
     """
 
     def __init__(self) -> None:
@@ -227,11 +224,7 @@ class ConfigurationCache:
             self.probe_hits += 1
             return probes[key]
         self.probe_misses += 1
-        grant_key = f"{demand.local_name}.memory"
-        if _grant_affects_nodes(option, grant_key):
-            best = _best_memory_for(option, base, demand, span_mb)
-        else:
-            best = _best_memory_by_expression(option, base, demand, span_mb)
+        best = _best_memory_for(option, base, demand, span_mb)
         probes[key] = best
         return best
 
@@ -338,71 +331,6 @@ def _best_memory_for(option: TuningOption, base: ConcreteDemands,
         except RslSemanticError:
             continue
         traffic = probed.total_traffic_mb()
-        if traffic < best_traffic - 1e-9:
-            best_traffic = traffic
-            best_memory = float(memory)
-    return best_memory
-
-
-def _grant_affects_nodes(option: TuningOption, grant_key: str) -> bool:
-    """Whether a memory grant can alter the option's node demands.
-
-    When a node's replicate count, CPU seconds, or memory bounds reference
-    the granted name, probing it needs full re-instantiation; otherwise
-    only link/communication expressions can change.
-    """
-    for requirement in option.nodes:
-        for quantity in (requirement.replicate, requirement.seconds,
-                         requirement.memory):
-            if quantity is not None and \
-                    grant_key in quantity.free_variables():
-                return True
-    return False
-
-
-def _best_memory_by_expression(option: TuningOption, base: ConcreteDemands,
-                               demand: NodeDemand, span_mb: float = 64.0,
-                               ) -> float | None:
-    """The memory probe without per-value re-instantiation.
-
-    Valid only when the grant cannot affect node demands
-    (:func:`_grant_affects_nodes` is false): the node set is then fixed,
-    and total traffic is the sum of the link/communication expressions
-    under an environment where only the probed grant varies.  Replicates
-    the exhaustive probe's exact semantics — same scan range, same
-    earliest-strict-improvement rule, same skip-on-semantic-error —
-    and therefore returns the identical value.
-    """
-    low = int(math.ceil(demand.memory_min_mb))
-    high = int(min(demand.memory_max_mb, demand.memory_min_mb + span_mb))
-    key = f"{demand.local_name}.memory"
-    env_values = dict(base.variable_assignment)
-    for node in base.nodes:
-        env_values.setdefault(f"{node.local_name}.memory",
-                              node.memory_granted(None))
-    best_memory: float | None = None
-    best_traffic = math.inf
-    for memory in range(low, high + 1):
-        env_values[key] = float(memory)
-        env = MapEnvironment(env_values)
-        traffic = 0.0
-        try:
-            for link in option.links:
-                total_mb = link.megabytes.value(env)
-                if total_mb < 0:
-                    raise RslSemanticError(
-                        f"link {link.endpoint_a}-{link.endpoint_b}: "
-                        f"negative traffic {total_mb}")
-                traffic += total_mb
-            if option.communication is not None:
-                communication_mb = option.communication.megabytes.value(env)
-                if communication_mb < 0:
-                    raise RslSemanticError(
-                        f"communication: negative traffic "
-                        f"{communication_mb}")
-                traffic += communication_mb
-        except RslSemanticError:
-            continue
         if traffic < best_traffic - 1e-9:
             best_traffic = traffic
             best_memory = float(memory)

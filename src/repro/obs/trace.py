@@ -33,7 +33,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TraceContext",
@@ -394,6 +394,10 @@ class DecisionTrace:
     chosen_option: str
     chosen_placements: Mapping[str, str]
     candidates: tuple[CandidateTrace, ...] = field(default_factory=tuple)
+    #: ``ChosenConfiguration.describe()`` of the configuration replaced
+    #: (``None`` for a first placement) and of the one installed.
+    old_configuration: str | None = None
+    new_configuration: str = ""
 
     def chosen_candidate(self) -> CandidateTrace | None:
         for candidate in self.candidates:
@@ -413,7 +417,9 @@ class DecisionTrace:
                 "objective_after": _finite(self.objective_after),
                 "chosen_option": self.chosen_option,
                 "chosen_placements": dict(self.chosen_placements),
-                "candidates": [c.to_dict() for c in self.candidates]}
+                "candidates": [c.to_dict() for c in self.candidates],
+                "old_configuration": self.old_configuration,
+                "new_configuration": self.new_configuration}
 
 
 class DecisionTraceLog:
@@ -427,6 +433,12 @@ class DecisionTraceLog:
     def record(self, trace: DecisionTrace) -> None:
         self.traces_recorded += 1
         self._traces.append(trace)
+
+    def amend_latest(self, **changes: Any) -> None:
+        """Rewrite fields of the newest trace, for a fact its caller
+        learns only after the commit that recorded it."""
+        if self._traces:
+            self._traces[-1] = replace(self._traces[-1], **changes)
 
     def traces(self) -> list[DecisionTrace]:
         return list(self._traces)

@@ -231,10 +231,6 @@ class DurabilityJournal:
     def record_node_restored(self, hostname: str) -> None:
         self.append("node_restored", {"hostname": hostname})
 
-    def record_lease_expired(self, app_key: str) -> None:
-        """Audit record: the eviction itself arrives as a ``release``."""
-        self.append("lease_expired", {"key": app_key})
-
     def record_reevaluation_batch(self, generation: int,
                                   reasons: list[str],
                                   changes: int,
@@ -257,9 +253,6 @@ class DurabilityJournal:
             "reasons": list(reasons[:MAX_JOURNALED_REASONS]),
             "changes": changes,
             "pruned_candidates": pruned_candidates})
-
-    def record_recovered(self, report: dict[str, Any]) -> None:
-        self.append("recovered", report)
 
     def record_term(self, term: int, holder: str) -> None:
         """Journal a fencing-term transition (election or first lease).

@@ -16,9 +16,9 @@ sequence, adapted to a result-sourced log:
    record's recomputed objective is compared against the logged one — a
    mismatch means replay is not reproducing history and recovery stops
    (:class:`~repro.errors.RecoveryError`).
-3. **Resume**: the journal re-attaches (appending a ``recovered``
-   marker), ``controller.recovery_seconds`` is reported, and the whole
-   sequence is traced as a ``controller.restore`` span chain.
+3. **Resume**: the journal re-attaches, appending nothing (the
+   :class:`RecoveryReport`, the ``controller.recovery_seconds`` metric
+   and the ``controller.restore`` span chain record the restore).
 
 Events that the crash interrupted *mid-operation* (e.g. a re-evaluation
 sweep half-applied) are recovered up to their last durable record; a
@@ -33,7 +33,6 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.allocation.matcher import MatchStrategy
 from repro.cluster.topology import Cluster
 from repro.controller.controller import AdaptationController, DecisionPolicy
 from repro.controller.friction import FrictionPolicy
@@ -98,7 +97,6 @@ def restore_controller(
         policy: DecisionPolicy | None = None,
         friction_policy: FrictionPolicy | None = None,
         default_model: PerformanceModel | None = None,
-        match_strategy: MatchStrategy = MatchStrategy.FIRST_FIT,
         reevaluation_period_seconds: float = 30.0,
         tracer=None,
         trace_log=None,
@@ -128,7 +126,7 @@ def restore_controller(
             lambda cluster: AdaptationController(
                 cluster, metrics=metrics, objective=objective,
                 policy=policy, friction_policy=friction_policy,
-                default_model=default_model, match_strategy=match_strategy,
+                default_model=default_model,
                 reevaluation_period_seconds=reevaluation_period_seconds,
                 tracer=tracer, trace_log=trace_log))
         if loaded is None:
@@ -141,10 +139,6 @@ def restore_controller(
         journal.attach(controller, resume=True)
         elapsed = _time.perf_counter() - start
         report.recovery_seconds = elapsed
-        journal.record_recovered({
-            "records_replayed": report.records_replayed,
-            "snapshot_seq": report.snapshot_seq,
-            "recovery_seconds": elapsed})
         controller.metrics.report("controller.recovery_seconds",
                                   controller.now, elapsed)
         if reevaluate:
@@ -251,10 +245,9 @@ def apply_record(controller: AdaptationController,
                           codec.candidate_from_dict(state, payload)))
         first = payloads[0]
         before = first.get("objective_before")
-        controller.commit(
+        replayed = controller.commit(
             moves, reason=str(first["reason"]),
             objective_before=math.inf if before is None else float(before))
-        replayed = controller.decision_log[-1].objective_after
         logged = first.get("objective_after")
         if logged is not None and abs(replayed - float(logged)) > 1e-9:
             bundles = ", ".join(f"{instance.key}.{state.bundle.bundle_name}"
@@ -288,7 +281,10 @@ def apply_record(controller: AdaptationController,
         controller.note_term(max(controller.term, int(data["term"])))
     elif kind in ("genesis", "lease_expired", "recovered",
                   "reevaluation_batch"):
-        pass  # audit-only records: no state to re-apply
+        # Audit-only records: no state to re-apply.  Nothing writes
+        # ``lease_expired`` or ``recovered`` any more; logs written
+        # before that still hold them.
+        pass
     else:
         raise RecoveryError(
             f"unknown WAL record kind {kind!r} (seq {record.seq})")

@@ -14,6 +14,7 @@ from repro.api.protocol import make_message
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
 from repro.errors import HarmonyError, LeaseExpiredError, ProtocolError
+from repro.persistence import DurabilityJournal
 
 
 def db_rsl(client_host):
@@ -131,6 +132,19 @@ class TestEviction:
         assert controller.metrics.latest("controller.evictions") == 1.0
         # The half-alive client learned its fate from the notice.
         assert client.lease_lost
+
+    def test_eviction_journals_one_release(self, world, tmp_path):
+        _cluster, controller, server, clock = world
+        journal = DurabilityJournal(str(tmp_path), fsync="never")
+        journal.attach(controller)
+        key = connect(server).app_key
+        before = journal.wal.last_seq
+        clock.advance(11.0)
+        assert server.check_leases() == [key]
+        assert [(record.kind, record.data["key"], record.data["kind"])
+                for record in journal.wal.records()
+                if record.seq > before] == [("release", key, "evicted")]
+        journal.close()
 
     def test_eviction_reoptimizes_survivors(self, world):
         _cluster, controller, server, clock = world

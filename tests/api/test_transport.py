@@ -10,7 +10,11 @@ import warnings
 
 import pytest
 
-from repro.api.protocol import make_message
+from repro.api.protocol import (
+    FrameDecoder,
+    encode_message,
+    make_message,
+)
 from repro.api.transport import TcpTransport, connected_pair
 from repro.errors import TransportError
 
@@ -241,3 +245,95 @@ class TestSendTimeout:
         client.close()
         server_side[0].close()
         listener.close()
+
+
+class TestCloseAfterFlush:
+    """The half-close a crashing primary gives its replication links:
+    sends stop at once, but nothing already sent is thrown away."""
+
+    @pytest.fixture
+    def pair(self):
+        """An accepted ``TcpTransport`` and the raw socket that dialed
+        it, whose small receive buffer keeps the sender's frames queued
+        in the sender's kernel until the test reads them."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        peer.connect(listener.getsockname())
+        conn, _addr = listener.accept()
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 20)
+        transport = TcpTransport(conn)
+        yield transport, peer
+        transport.close()
+        peer.close()
+        listener.close()
+
+    @staticmethod
+    def read_to_eof(sock):
+        decoder = FrameDecoder()
+        messages = []
+        sock.settimeout(10.0)
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return messages
+            messages.extend(decoder.feed(data))
+
+    def test_frames_queued_behind_unread_peer_data_all_arrive(self, pair):
+        """A full close with the peer's bytes unread answers with a
+        reset, which discards every frame still queued on this end."""
+        transport, peer = pair
+        first_seen, release = threading.Event(), threading.Event()
+        delivered = []
+
+        def receiver(message):
+            delivered.append(message)
+            first_seen.set()
+            release.wait(10)  # park the reader: later bytes stay unread
+
+        transport.set_receiver(receiver)
+        peer.sendall(encode_message(make_message("repl_ack", seq=1)))
+        assert first_seen.wait(5)
+        peer.sendall(encode_message(make_message("repl_ack", seq=2)))
+        for index in range(64):
+            transport.send(make_message("status_report", index=index,
+                                        blob="x" * 4096))
+        transport.close_after_flush()
+        release.set()
+        received = self.read_to_eof(peer)
+        assert [m["index"] for m in received] == list(range(64))
+        peer.close()
+        transport._reader.join(timeout=5)
+        assert not transport._reader.is_alive()
+        # The half-closed end drained the second ack without delivering it.
+        assert [m["seq"] for m in delivered] == [1]
+
+    def test_sends_are_refused_at_once(self, pair):
+        transport, peer = pair
+        transport.close_after_flush()
+        assert transport.closed
+        with pytest.raises(TransportError):
+            transport.send(make_message("end"))
+        assert self.read_to_eof(peer) == []
+
+    def test_a_later_close_releases_the_socket_without_the_peer(self, pair):
+        """The half-closed end normally waits for the peer's EOF; a full
+        close (a server's ``stop``) does not."""
+        transport, _peer = pair
+        transport.close_after_flush()
+        time.sleep(0.05)
+        assert transport._reader.is_alive()  # still draining the peer
+        transport.close()
+        transport._reader.join(timeout=5)
+        assert not transport._reader.is_alive()
+
+    def test_in_process_endpoints_simply_close(self):
+        a, b = connected_pair()
+        received = []
+        a.set_receiver(received.append)
+        a.close_after_flush()
+        assert a.closed
+        b.send(make_message("end"))
+        assert received == []

@@ -142,9 +142,9 @@ class TestFigure4Shape:
         assert frame0 is not None and frame2 is not None
         assert frame2 > frame0
 
-    def test_decision_log_shows_pairwise_exchanges(self, fig4):
-        reasons = {record.reason.split(" ")[0]
-                   for record in fig4.decisions}
+    def test_decision_traces_show_pairwise_exchanges(self, fig4):
+        reasons = {trace.trigger.split(" ")[0]
+                   for trace in fig4.decision_traces}
         assert "pairwise" in reasons
 
     def test_no_node_oversubscribed_in_final_frames(self, fig4):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
+from repro.controller import controller as controller_module
 from repro.controller.friction import FrictionPolicy
 from repro.errors import AllocationError
 from tests.pods import POD_RSL, build_pod_cluster
@@ -173,14 +174,27 @@ class TestLifecycle:
 
 
 class TestDecisions:
-    def test_decision_log_records_initial_choice(self, controller):
+    def test_decision_trace_records_initial_choice(self, controller):
         instance = controller.register_app("DBclient")
         controller.setup_bundle(instance, db_rsl("c1"))
-        assert len(controller.decision_log) == 1
-        record = controller.decision_log[0]
-        assert record.old_configuration is None
-        assert record.new_configuration == "QS"
-        assert record.reason == "initial"
+        assert len(controller.trace_log) == 1
+        trace = controller.trace_log.traces()[0]
+        assert trace.old_configuration is None
+        assert trace.new_configuration == "QS"
+        assert trace.trigger == "initial"
+
+    def test_lifecycle_log_keeps_the_latest_entries(self, star_cluster,
+                                                    monkeypatch):
+        assert AdaptationController(star_cluster).lifecycle_log.maxlen \
+            == 1000
+        monkeypatch.setattr(controller_module, "LIFECYCLE_LOG_ENTRIES", 3)
+        controller = AdaptationController(star_cluster)
+        for index in range(5):
+            controller.register_app(f"App{index}")
+        assert [(event.kind, event.app_key.split(".")[0])
+                for event in controller.lifecycle_log] == [
+            ("registered", "App2"), ("registered", "App3"),
+            ("registered", "App4")]
 
     def test_reconfiguration_listener_fired_on_change(self, controller):
         events = []

@@ -131,9 +131,9 @@ class TestEndToEndAdaptation:
         collector.stop()
 
         assert state.chosen.option_name == "onB"
-        moves = [record for record in controller.decision_log
-                 if record.new_configuration == "onB"]
-        assert moves and "reevaluation" in moves[0].reason
+        moves = [trace for trace in controller.trace_log.traces()
+                 if trace.new_configuration == "onB"]
+        assert moves and "reevaluation" in moves[0].trigger
 
     def test_app_stays_without_load(self):
         cluster, controller, collector = make_world()

@@ -151,14 +151,16 @@ class TestIncumbentShortcutWithTwoBundles:
                 == [(c.option_name, c.objective_value, c.predicted_seconds)
                     for c in oracle.evaluated]
 
-    def test_decision_log_equals_the_naive_oracle(self):
+    def test_decision_traces_equal_the_naive_oracle(self):
         logs = []
         for naive in (False, True):
             controller, service, rival = two_bundle_run(naive)
             controller.end_app(rival)
             controller.reevaluate()
-            logs.append([(r.app_key, r.old_configuration,
-                          r.new_configuration, r.reason)
-                         for r in controller.decision_log])
+            assert controller.trace_log.traces_recorded == \
+                len(controller.trace_log)
+            logs.append([(t.app_key, t.old_configuration,
+                          t.new_configuration, t.trigger)
+                         for t in controller.trace_log.traces()])
         assert logs[0] == logs[1]
         assert len(logs[0]) >= 3

@@ -10,7 +10,7 @@ Two stacked contracts, each against an oracle from ``tests.oracle``:
 
 * The partitioned sweep (records of stable no-ops, components over
   reach in the pairwise pass) must make identical decisions to the same
-  sweep with pruning off (the serial oracle) — same decision log bytes,
+  sweep with pruning off (the serial oracle) — same decision traces,
   placements, predictions, and objective — while provably skipping
   work.  The pod scenarios give it real structure (disjoint
   hostname-pattern pods), and the merge scenario registers a bundle
@@ -135,9 +135,10 @@ SCENARIOS = {
 
 
 def decisions_of(controller: AdaptationController):
-    return [(record.app_key, record.old_configuration,
-             record.new_configuration, record.reason)
-            for record in controller.decision_log]
+    assert controller.trace_log.traces_recorded == len(controller.trace_log)
+    return [(trace.app_key, trace.old_configuration,
+             trace.new_configuration, trace.trigger)
+            for trace in controller.trace_log.traces()]
 
 
 def chosen_of(controller: AdaptationController):

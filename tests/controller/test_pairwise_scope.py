@@ -221,8 +221,8 @@ def test_churn_scripts_reach_what_they_claim():
             for seed in SEEDS[:24]]
     assert sum(run.stats.pruned_pairs for run in runs) > 1000
     assert sum(run.stats.pairs_evaluated for run in runs) > 1000
-    reasons = [record.reason for run in runs
-               for record in run.decision_log]
+    reasons = [trace.trigger for run in runs
+               for trace in run.trace_log.traces()]
     assert reasons.count("pairwise exchange") > 50
     assert any("friction 40s" in reason or "friction 400s" in reason
                for reason in reasons)
@@ -285,8 +285,9 @@ def test_departure_elsewhere_reopens_an_amortisation_rejection(serial):
     amortised, and passes.  A record that called the rejection stable
     (as the partitioned sweep's did) never looks again."""
     controller, last = held_back_controller(serial, pairwise=False)
-    assert [record.new_configuration
-            for record in controller.decision_log] == \
+    assert controller.trace_log.traces_recorded == len(controller.trace_log)
+    assert [trace.new_configuration
+            for trace in controller.trace_log.traces()] == \
         ["small", "large", "large"]          # X held back so far
     controller.end_app(last)
     assert decisions_of(controller)[-1] == (

@@ -94,10 +94,10 @@ harmonyBundle Other b {
         for host in ("c1", "c2", "c3"):
             instance = controller.register_app("DBclient")
             controller.setup_bundle(instance, db_rsl(host))
-        rule_decisions = [d for d in controller.decision_log
-                          if d.reason.startswith("rule:")]
+        rule_decisions = [t for t in controller.trace_log.traces()
+                          if t.trigger.startswith("rule:")]
         assert len(rule_decisions) == 2  # the two running clients switched
-        assert "#active(DBclient) >= 3" in rule_decisions[0].reason
+        assert "#active(DBclient) >= 3" in rule_decisions[0].trigger
 
     def test_switch_is_pushed_to_listeners(self):
         _cluster, controller = make_controller()

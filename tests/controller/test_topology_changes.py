@@ -54,14 +54,18 @@ class TestNodeFailure:
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
         controller.handle_node_failure("nodeA")
-        failure_records = [record for record in controller.decision_log
-                           if "node failure" in record.reason]
-        assert len(failure_records) == 1
-        assert failure_records[0].old_configuration == "onA"
-        assert failure_records[0].new_configuration == "onB"
-        # The trace operators read, the WAL record and a restored
-        # controller's replayed record carry the same reason.
+        # One trace for the re-placement, naming what the failure
+        # displaced.
+        failure_traces = [trace for trace in controller.trace_log.traces()
+                          if "node failure" in trace.trigger]
+        assert len(failure_traces) == 1
+        assert failure_traces[0].old_configuration == "onA"
+        assert failure_traces[0].new_configuration == "onB"
+        assert failure_traces[0].chosen_option == "onB"
+        # The trace, the WAL record and a restored controller's replayed
+        # trace carry the same reason.
         reasons = ["initial", "node failure: nodeA"]
+        assert controller.trace_log.traces_recorded == 2
         assert [trace.trigger for trace in controller.trace_log.traces()] \
             == reasons
         assert [record.data["reason"] for record in journal.wal.records()
@@ -69,8 +73,9 @@ class TestNodeFailure:
         journal.close()
         restored = AdaptationController.restore(str(tmp_path),
                                                 fsync="never")
-        assert [record.reason for record in restored.decision_log] == \
-            reasons
+        assert restored.trace_log.traces_recorded == 2
+        assert [trace.trigger for trace in restored.trace_log.traces()] \
+            == reasons
 
     def test_unaffected_apps_left_alone(self):
         controller = make_controller()

@@ -5,7 +5,7 @@ applications in order to improve resource utilization".  These tests put
 all three harmonized application types — the database clients, a Bag
 instance, and a Simple job — on one cluster under one controller and check
 global consistency: every app runs, memory accounting balances, and the
-decision log explains every configuration.
+decision traces explain every configuration.
 """
 
 import pytest
@@ -88,9 +88,10 @@ def test_three_application_types_coexist(world):
     for node in cluster.nodes():
         assert node.memory.reserved_mb == pytest.approx(0.0)
 
-    # The decision log names all three applications.
-    apps_in_log = {record.app_key.split(".")[0]
-                   for record in controller.decision_log}
+    # The decision traces name all three applications.
+    assert controller.trace_log.traces_recorded == len(controller.trace_log)
+    apps_in_log = {trace.app_key.split(".")[0]
+                   for trace in controller.trace_log.traces()}
     assert {"DBclient", "Bag", "Simple"} <= apps_in_log
 
 
@@ -133,7 +134,7 @@ def test_simple_job_squeezes_in_beside_bag(world):
     assert bag.stats.iterations_completed == 1
 
 
-def test_decision_log_is_complete_and_ordered(world):
+def test_decision_traces_are_complete_and_ordered(world):
     cluster, controller, server = world
     for index in range(3):
         bag = BagOfTasksApp(f"Bag{index}", cluster, harmony_for(server),
@@ -144,8 +145,10 @@ def test_decision_log_is_complete_and_ordered(world):
         cluster.run(until=cluster.now + 10.0)
     cluster.run()
 
-    times = [record.time for record in controller.decision_log]
+    assert controller.trace_log.traces_recorded == len(controller.trace_log)
+    traces = controller.trace_log.traces()
+    times = [trace.time for trace in traces]
     assert times == sorted(times)
-    for record in controller.decision_log:
-        assert record.new_configuration
-        assert record.reason
+    for trace in traces:
+        assert trace.new_configuration
+        assert trace.trigger

@@ -362,8 +362,8 @@ class TestKillAtEveryPoint:
                 for move in record.data["moves"]] == [
             ("west.1", "fast", {"worker": "n1"}),
             ("east.2", "fast", {"worker": "n0"})]
-        assert [decision.reason for decision in
-                controller.decision_log[-2:]] == ["pairwise exchange"] * 2
+        assert [trace.trigger for trace in
+                controller.trace_log.latest(2)] == ["pairwise exchange"] * 2
 
     def test_the_second_script_displaces_two_bundles(self, tmp_path):
         controller = build_controller(tmp_path)

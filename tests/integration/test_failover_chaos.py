@@ -264,6 +264,26 @@ class TestFailoverChaos:
         assert_identical(outcome["digest"], oracle)
         _maybe_write_report("aio", offset, oracle, outcome)
 
+    @pytest.mark.parametrize("point", ALL_POINTS,
+                             ids=[p.name.lower() for p in ALL_POINTS])
+    def test_lagging_standby_still_gets_every_acknowledged_record(
+            self, tmp_path, monkeypatch, point):
+        """A standby that applies slower than the burst arrives: the
+        primary dies with frames still queued on the link and the
+        standby's acks unread.  Its teardown must flush that link, not
+        reset it — a reset discards the queued frames, and with them
+        records whose clients already hold an ack."""
+        apply_one = ReplicationStandby._apply_one
+
+        def lagging(self, record):
+            time.sleep(0.001)
+            apply_one(self, record)
+
+        monkeypatch.setattr(ReplicationStandby, "_apply_one", lagging)
+        oracle = run_oracle(16)
+        outcome = run_chaos(tmp_path, 16, 5, point)
+        assert_identical(outcome["digest"], oracle)
+
 
 def _maybe_write_report(front, offset, oracle, outcome):
     """CI uploads these as the failover convergence artifact."""

@@ -217,8 +217,9 @@ class TestResourceRaces:
         _instance, state, _candidate = stolen_commit(world, tmp_path)
         assert state.chosen.allocation.memory_grants() == {
             "server.memory": 20.0, "client.memory": 2.0}
-        assert [record.new_configuration
-                for record in controller.decision_log] == ["QS"]
+        assert controller.trace_log.traces_recorded == 1
+        assert [trace.new_configuration
+                for trace in controller.trace_log.traces()] == ["QS"]
         controller.journal.close()
 
     def test_end_app_after_race_releases_cleanly(self, world):

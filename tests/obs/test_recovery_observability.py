@@ -74,19 +74,22 @@ class TestRecoveryCounters:
         restored = AdaptationController.restore(str(tmp_path),
                                                 fsync="never")
         snapshot = json_snapshot(restored.metrics)["metrics"]
-        # The restored process's own counters: the post-recovery marker
-        # append plus the measured recovery time.
-        assert snapshot["controller.wal.appends"]["latest"] >= 1.0
-        assert snapshot["controller.wal.bytes"]["latest"] > 0.0
+        # The restored process's own counters: the measured recovery
+        # time, and no append — a restore writes nothing to the WAL.
         assert snapshot["controller.recovery_seconds"]["latest"] >= 0.0
-
-        text = prometheus_text(restored.metrics)
-        assert "controller_wal_appends" in text
-        assert "controller_wal_bytes" in text
-        assert "controller_recovery_seconds" in text
+        assert "controller.wal.appends" not in snapshot
+        assert "controller_recovery_seconds" in \
+            prometheus_text(restored.metrics)
 
         extra = restored.register_app("late")
         restored.setup_bundle(extra, RSL.format(name="late"))
         restored.journal.snapshot_now()
-        assert "controller_snapshots" in prometheus_text(restored.metrics)
+        snapshot = json_snapshot(restored.metrics)["metrics"]
+        # register, setup_bundle and the placement's apply.
+        assert snapshot["controller.wal.appends"]["latest"] == 3.0
+        assert snapshot["controller.wal.bytes"]["latest"] > 0.0
+        text = prometheus_text(restored.metrics)
+        assert "controller_wal_appends" in text
+        assert "controller_wal_bytes" in text
+        assert "controller_snapshots" in text
         restored.journal.close()

@@ -155,6 +155,20 @@ class TestRestore:
         assert restored.metrics.latest(
             "controller.recovery_seconds") >= 0.0
 
+    def test_restore_appends_nothing(self, tmp_path):
+        # The RecoveryReport, the recovery_seconds metric and the
+        # controller.restore span record a restore; the WAL does not.
+        controller, journal = journaled_controller(tmp_path)
+        run_scenario(controller)
+        last_seq = journal.wal.last_seq
+        journal.close()
+        for _ in range(2):
+            restored = AdaptationController.restore(str(tmp_path),
+                                                    fsync="never")
+            assert restored.journal.wal.last_seq == last_seq
+            assert restored.last_recovery.last_seq == last_seq
+            restored.journal.close()
+
     def test_restore_from_snapshot_plus_tail(self, tmp_path):
         controller, journal = journaled_controller(tmp_path,
                                                    snapshot_every=5)

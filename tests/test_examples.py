@@ -43,16 +43,3 @@ def test_every_example_file_is_listed():
         "examples/ and the EXAMPLES list diverged: "
         f"missing={on_disk - listed}, stale={listed - on_disk}")
 
-
-@pytest.mark.parametrize("script,args",
-                         [("database_reconfiguration.py",
-                           ["--tuples", "2000", "--export"])],
-                         ids=["fig7-export"])
-def test_export_flag_writes_artifacts(tmp_path, script, args):
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script), *args,
-         str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=180)
-    assert result.returncode == 0, result.stderr
-    names = {path.name for path in (tmp_path / "out").iterdir()}
-    assert names == {"responses.csv", "decisions.csv", "phases.md"}
