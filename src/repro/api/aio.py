@@ -351,7 +351,7 @@ class AsyncHarmonyServer:
 
     Composition, not inheritance: the wrapped server keeps every
     responsibility it has under the threaded front end (sessions, leases,
-    pushes, recovery mode, the scheduler); this object owns the event
+    pushes, roles, the scheduler); this object owns the event
     loop, the listening socket, and the executor pools.
 
     ::

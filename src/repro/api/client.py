@@ -516,7 +516,7 @@ class HarmonyClient:
             self._advance_target()
             self._force_reconnect = True
         except HarmonyError:
-            # Replay stopped early (busy, recovering, evicted): the new
+            # Replay stopped early (busy, evicted): the new
             # session is not fully bound, so a request sent on it now
             # would be refused with a misleading "register first".
             # Redial and replay from scratch on the next attempt.

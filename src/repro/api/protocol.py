@@ -28,7 +28,6 @@ from typing import Any, Callable, Mapping
 from repro.errors import (
     ControllerBusyError,
     ControllerMovedError,
-    ControllerRecoveringError,
     HarmonyError,
     LeaseExpiredError,
     ProtocolError,
@@ -39,7 +38,7 @@ __all__ = ["encode_message", "FrameDecoder", "make_message",
            "SERVER_TYPES", "MUTATING_TYPES", "LOCKED_TYPES",
            "HEARTBEAT", "HEARTBEAT_ACK", "LEASE_EXPIRED",
            "STATUS", "STATUS_REPORT", "VARIABLE_UPDATE", "ERROR",
-           "CONTROLLER_RECOVERING", "CONTROLLER_BUSY", "CONTROLLER_MOVED",
+           "CONTROLLER_BUSY", "CONTROLLER_MOVED",
            "TRACE_CTX_FIELD", "REPL_HELLO", "REPL_ACK", "REPL_RECORDS",
            "REPL_SNAPSHOT"]
 
@@ -68,9 +67,6 @@ REPL_SNAPSHOT = "repl_snapshot"
 
 #: The failover redirect: "I am not the primary; go there."
 CONTROLLER_MOVED = "controller_moved"
-
-#: Error code on ``error`` replies sent while recovery is in flight.
-CONTROLLER_RECOVERING = "controller_recovering"
 
 #: Error code on ``error`` replies refused by admission backpressure:
 #: the bounded pending-register queue is full.  Transient and retryable
@@ -115,8 +111,7 @@ class MessageSpec:
     (``None``: nothing does).  The rest are the server's rules for a
     request:
 
-    * ``mutating`` — refused by a standby (``controller_moved``) and
-      during crash recovery (``error.code=controller_recovering``);
+    * ``mutating`` — refused by a standby (``controller_moved``);
     * ``locked`` — handled under ``controller_lock``;
     * ``admission`` — holds a slot of the bounded admission pipeline
       first (``error.code=controller_busy`` when none is free);
@@ -231,7 +226,6 @@ _ROWS = (
     _server("ended"),
     _server(ERROR, "message", "code?", raises={
         None: HarmonyError,
-        CONTROLLER_RECOVERING: ControllerRecoveringError,
         CONTROLLER_BUSY: ControllerBusyError}),
     _server(CONTROLLER_MOVED, "message", "term", "leader?",
             raises={None: ControllerMovedError}),
@@ -250,9 +244,8 @@ MESSAGES: dict[str, MessageSpec] = {row.type: row for row in _ROWS}
 CLIENT_TYPES = frozenset(t for t, row in MESSAGES.items() if row.request)
 SERVER_TYPES = frozenset(MESSAGES) - CLIENT_TYPES
 
-#: Requests that change controller state — refused (with
-#: ``error.code=controller_recovering``) while the server is in the
-#: degraded read-only mode during crash recovery.
+#: Requests that change controller state — refused (with a
+#: ``controller_moved`` redirect) by a standby.
 MUTATING_TYPES = frozenset(t for t, row in MESSAGES.items() if row.mutating)
 
 #: Requests handled under ``controller_lock``.

@@ -21,7 +21,7 @@ thread for in-process transports).  Instead of one global lock, state is
 partitioned:
 
 * ``controller_lock`` — serializes controller mutations (``register``,
-  ``bundle_setup``, ``end``, lease evictions, recovery transitions).
+  ``bundle_setup``, ``end``, lease evictions, role transitions).
   This is the expensive lock: optimization sweeps run under it.
 * ``_flush_lock`` — serializes the pending-variable buffer (staging and
   flushing), so a flush never races a concurrent stage.
@@ -58,7 +58,6 @@ from repro.api.protocol import (
     CLIENT_TYPES,
     CONTROLLER_BUSY,
     CONTROLLER_MOVED,
-    CONTROLLER_RECOVERING,
     ERROR,
     HEARTBEAT_ACK,
     LEASE_EXPIRED,
@@ -84,7 +83,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.obs.flightrec import (EVENT_BACKPRESSURE, EVENT_DEMOTION,
-                                 EVENT_LEASE_EXPIRED, EVENT_PUSH,
+                                 EVENT_PUSH,
                                  EVENT_RPC_IN, EVENT_RPC_OUT,
                                  EVENT_SERVER_ERROR, FlightRecorder)
 from repro.obs.instrument import InstrumentedRLock
@@ -211,15 +210,6 @@ class HarmonySession:
             # every mutation with a redirect carrying its best guess at
             # the current primary — the fencing record's address.
             self._reply(server.moved_reply())
-            return
-        if row.mutating and server.recovering:
-            # Degraded read-only mode while crash recovery replays the
-            # durability log: queries and status still flow, anything
-            # state-changing is refused with a typed, retryable error.
-            self._reply(make_message(
-                ERROR, code=CONTROLLER_RECOVERING,
-                message="controller is recovering; mutations are "
-                        "refused until recovery completes"))
             return
         if self.evicted and not row.rejoin:
             # Anything an evicted client says (a heartbeat racing the
@@ -429,21 +419,15 @@ class HarmonyServer:
                  auto_flush: bool = True,
                  lease_seconds: float | None = None,
                  clock: Callable[[], float] | None = None,
-                 recovering: bool = False,
                  max_pending_admissions: int | None = None,
                  flight_dump_path: str | None = None,
                  standby: bool = False,
                  fail_stop_on_error: bool = False,
-                 pending_vars_cap: int | None = None,
                  failover_targets: list[str] | None = None):
         self.controller = controller
         self.auto_flush = auto_flush
         self.lease_seconds = lease_seconds
         self.clock: Callable[[], float] = clock or time.monotonic
-        #: Degraded read-only mode (crash recovery in flight): mutating
-        #: requests get ``error.code=controller_recovering`` until
-        #: :meth:`complete_recovery`.
-        self.recovering = recovering
         #: Standby role: reads are served, mutations are refused with a
         #: ``controller_moved`` redirect.  Flipped by :meth:`set_primary`
         #: (promotion) and :meth:`demote`.
@@ -469,9 +453,7 @@ class HarmonyServer:
         #: Where to dump the flight recorder on an unhandled server
         #: error (``None`` records the event but writes nothing).
         self.flight_dump_path = flight_dump_path
-        self.buffer = PendingVariableBuffer(
-            max_per_client=pending_vars_cap,
-            on_evict=self._on_pending_evicted)
+        self.buffer = PendingVariableBuffer()
         # The three pipeline locks publish always-on wait/hold
         # histograms (lock.<name>.{wait,hold}_seconds): contention is
         # the invisible cost of an admission burst, and a gauge or
@@ -528,12 +510,6 @@ class HarmonyServer:
             except OSError:
                 pass
 
-    def _on_pending_evicted(self, client_id: str, dropped: int) -> None:
-        """A bounded pending-variable buffer evicted stale batches."""
-        controller = self.controller
-        controller.metrics.increment("server.pending_vars_dropped",
-                                     controller.now, amount=float(dropped))
-
     def count_rpc(self, msg_type: str) -> None:
         """Count one received RPC as ``server.rpc.<type>`` (cumulative).
 
@@ -572,7 +548,6 @@ class HarmonyServer:
                 "heartbeats_received": heartbeats,
                 "active_sessions": active,
                 "lease_seconds": self.lease_seconds,
-                "recovering": self.recovering,
             },
             "replication": self.replication_status(),
         }
@@ -605,23 +580,10 @@ class HarmonyServer:
             with self._admission_gate:
                 self._pending_admissions -= 1
 
-    # -- recovery mode -------------------------------------------------------
-
-    def begin_recovery(self) -> None:
-        """Enter the degraded read-only mode (mutations refused)."""
-        with self.controller_lock:
-            self.recovering = True
-
-    def complete_recovery(self) -> None:
-        """Recovery finished: accept mutations (and rejoins) again."""
-        with self.controller_lock:
-            self.recovering = False
-
     # -- replication & failover ----------------------------------------------
 
     def enable_replication(self, fencing=None, lease_seconds: float = 30.0,
-                           address: str | None = None,
-                           ship_timeout: float | None = 5.0) -> str:
+                           address: str | None = None) -> str:
         """Become a replicating primary; returns the role taken.
 
         With a :class:`~repro.persistence.replication.FencingStore`, the
@@ -636,9 +598,7 @@ class HarmonyServer:
 
         Without fencing the term is simply ``controller.term + 1`` —
         single-machine tests and demos that want replication without a
-        shared fencing file.  ``ship_timeout`` bounds how long shipping
-        to one standby may block the appending thread; a link that
-        stalls past it is dropped (the standby re-hellos on reconnect).
+        shared fencing file.
         """
         from repro.persistence.replication import ReplicationPrimary
 
@@ -666,9 +626,8 @@ class HarmonyServer:
                 term = controller.term + 1
             journal.record_term(term, holder)
             controller.note_term(term)
-            self.replication = ReplicationPrimary(
-                journal, controller,
-                ship_timeout=ship_timeout).install()
+            self.replication = ReplicationPrimary(journal,
+                                                  controller).install()
             self.standby = False
             self.failed = False
         return "primary"
@@ -928,7 +887,6 @@ class HarmonyServer:
                                               reason="lease expired")
                 self.controller.metrics.increment("server.lease_expiries",
                                                   self.controller.now)
-                self.recorder.record(EVENT_LEASE_EXPIRED, client=key)
                 evicted.append(key)
                 if session is not None and not session.transport.closed:
                     notify.append(session)

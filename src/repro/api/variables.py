@@ -147,36 +147,19 @@ class PendingVariableBuffer:
     Matches the paper's ``flushPendingVars()`` contract: successive
     ``stage`` calls for the same variable coalesce to the newest value;
     :meth:`flush` drains the buffer in one update message per client.
+    A held batch is therefore bounded by the client's variable names: a
+    client unreachable through many reconfiguration waves holds the
+    newest value of each name, all from the latest decision.
 
-    ``max_per_client`` (optional) bounds each client's staged batch: a
-    client that stays unreachable for many reconfiguration waves cannot
-    grow its held batch without limit.  When staging a *new* name would
-    exceed the cap, the oldest staged names are evicted (re-staging an
-    existing name refreshes both its value and its recency, so what is
-    dropped really is the stalest entry) and ``on_evict(client_id,
-    dropped)`` reports how many entries were lost.
-
-    >>> drops = []
-    >>> buffer = PendingVariableBuffer(max_per_client=2,
-    ...                                on_evict=lambda c, n: drops.append((c, n)))
+    >>> buffer = PendingVariableBuffer()
     >>> buffer.stage("app", "a", 1)
     >>> buffer.stage("app", "b", 2)
-    >>> buffer.stage("app", "a", 3)   # refresh: "b" is now oldest
-    >>> buffer.stage("app", "c", 4)   # cap hit: evicts "b"
-    >>> sorted(buffer.pending_for("app"))
-    ['a', 'c']
-    >>> drops
-    [('app', 1)]
+    >>> buffer.stage("app", "a", 3)
+    >>> buffer.pending_for("app")
+    {'a': 3, 'b': 2}
     """
 
-    def __init__(self, max_per_client: int | None = None,
-                 on_evict: Callable[[str, int], None] | None = None):
-        if max_per_client is not None and max_per_client < 1:
-            raise ProtocolError("max_per_client must be >= 1")
-        self.max_per_client = max_per_client
-        self.on_evict = on_evict
-        #: Total entries ever evicted by the per-client cap.
-        self.evicted_total = 0
+    def __init__(self) -> None:
         self._pending: dict[str, dict[str, Any]] = {}
         #: Highest generation staged per client (delivery-order stamps:
         #: the server drops a batch older than what the client already
@@ -185,26 +168,9 @@ class PendingVariableBuffer:
 
     def stage(self, client_id: str, name: str, value: Any,
               generation: int = 0) -> None:
-        held = self._pending.setdefault(client_id, {})
-        # Re-staging refreshes recency: dict insertion order is the
-        # eviction order, so move the name to the newest end.
-        held.pop(name, None)
-        held[name] = value
-        self._enforce_cap(client_id, held)
+        self._pending.setdefault(client_id, {})[name] = value
         if generation > self._generations.get(client_id, 0):
             self._generations[client_id] = generation
-
-    def _enforce_cap(self, client_id: str, held: dict[str, Any]) -> None:
-        if self.max_per_client is None or len(held) <= self.max_per_client:
-            return
-        dropped = 0
-        while len(held) > self.max_per_client:
-            oldest = next(iter(held))
-            del held[oldest]
-            dropped += 1
-        self.evicted_total += dropped
-        if self.on_evict is not None:
-            self.on_evict(client_id, dropped)
 
     def stage_many(self, client_id: str, updates: dict[str, Any],
                    generation: int = 0) -> None:
@@ -246,7 +212,6 @@ class PendingVariableBuffer:
                 held = self._pending.setdefault(client_id, {})
                 for name, value in updates.items():
                     held.setdefault(name, value)
-                self._enforce_cap(client_id, held)
                 if generation > self._generations.get(client_id, 0):
                     self._generations[client_id] = generation
                 continue

@@ -190,10 +190,6 @@ class SlotResource:
         self._waiters: list[Event] = []
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiters)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time as _time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.allocation.allocation import Allocation, allocate
@@ -462,34 +462,28 @@ class AdaptationController:
 
     def __init__(self, cluster: Cluster,
                  metrics: MetricInterface | None = None,
-                 namespace: Namespace | None = None,
                  objective: Objective | None = None,
                  policy: DecisionPolicy | None = None,
                  friction_policy: FrictionPolicy | None = None,
-                 default_model: PerformanceModel | None = None,
                  reevaluation_period_seconds: float = 30.0,
-                 tracer=None,
-                 trace_log: DecisionTraceLog | None = None,
-                 flight_recorder: FlightRecorder | None = None):
+                 tracer=None):
         self.cluster = cluster
         self.metrics = metrics or MetricInterface()
         #: Span recorder (pass a Tracer to profile; the no-op default
         #: keeps instrumented call sites zero-cost).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Always-on bounded log of per-reconfiguration decision traces.
-        self.trace_log = trace_log if trace_log is not None \
-            else DecisionTraceLog()
+        self.trace_log = DecisionTraceLog()
         #: Always-on bounded ring of recent runtime events (RPCs,
         #: faults, evictions, batches, WAL appends); dumped to JSONL on
         #: demand, on unhandled server errors, and from failing chaos
         #: suites.  The capacity bound keeps it safe to leave on.
-        self.flight_recorder = flight_recorder if flight_recorder \
-            is not None else FlightRecorder()
-        self.namespace = namespace or Namespace()
+        self.flight_recorder = FlightRecorder()
+        self.namespace = Namespace()
         self.objective = objective or MeanResponseTime()
         self.policy = policy or ModelDrivenPolicy()
         self.friction_policy = friction_policy or FrictionPolicy()
-        self.default_model = default_model or DefaultModel()
+        self.default_model = DefaultModel()
         self.matcher = Matcher(cluster)
         self.registry = ApplicationRegistry(namespace=self.namespace)
         self.view = SystemView(cluster)
@@ -1250,10 +1244,6 @@ class AdaptationController:
             return
 
     # -- introspection ------------------------------------------------------------
-
-    def current_choice(self, instance: AppInstance,
-                       bundle_name: str) -> ChosenConfiguration | None:
-        return instance.bundle_state(bundle_name).chosen
 
     def describe_system(self) -> list[str]:
         """One line per application: key, bundle, chosen configuration."""

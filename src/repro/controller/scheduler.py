@@ -17,11 +17,11 @@ distributed-tuning line of work), so this module decouples the two:
   quiet, or unconditionally ``max_delay`` seconds after its *first*
   request — no application waits forever behind a chatty burst.
 * Each completed batch advances an explicit **generation number**.  The
-  generation orders reconfiguration pushes (the API server drops a
-  staged batch older than what a client already received, rather than
-  applying updates out of order), keys the one-per-batch WAL record
-  (``reevaluation_batch``), and is what callers wait on
-  (:meth:`wait_for_generation`) to know their request was covered.
+  generation keys the one-per-batch WAL record (``reevaluation_batch``)
+  and is what callers wait on (:meth:`wait_for_generation`) to know
+  their request was covered.  It does not order pushes: the API server
+  stamps each staged reconfiguration with its own push sequence and
+  drops a batch older than what a client already received.
 
 Telemetry: every batch bumps ``controller.coalesced_batches`` and
 reports ``controller.batch_size`` (requests merged into the batch), and

@@ -150,16 +150,6 @@ class ControllerBusyError(HarmonyError):
     """
 
 
-class ControllerRecoveringError(HarmonyError):
-    """The server is replaying its durability log; mutations are refused.
-
-    While recovery is in flight the server runs in degraded read-only
-    mode: ``status`` and queries are served, state-changing requests get
-    a typed error (wire code ``controller_recovering``) so clients can
-    back off and retry after recovery completes.
-    """
-
-
 class ControllerMovedError(HarmonyError):
     """This server is not the primary; the request belongs elsewhere.
 

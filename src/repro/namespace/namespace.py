@@ -32,9 +32,6 @@ class NamespaceNode:
     value: Value | None = None
     children: dict[str, "NamespaceNode"] = field(default_factory=dict)
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class Namespace:
     """A mutable hierarchical key/value tree with prefix watchers.

@@ -17,7 +17,7 @@ from repro.obs.export import (decision_traces_to_jsonl, json_snapshot,
                               spans_to_jsonl)
 from repro.obs.flightrec import (EVENT_BACKPRESSURE, EVENT_BATCH,
                                  EVENT_EVICTION, EVENT_FAULT,
-                                 EVENT_LEASE_EXPIRED, EVENT_PUSH,
+                                 EVENT_PUSH,
                                  EVENT_RPC_IN, EVENT_RPC_OUT,
                                  EVENT_SERVER_ERROR, EVENT_WAL_APPEND,
                                  FlightRecorder)
@@ -38,7 +38,7 @@ __all__ = [
     "InstrumentedRLock", "publish_fault_stats",
     "FlightRecorder",
     "EVENT_RPC_IN", "EVENT_RPC_OUT", "EVENT_FAULT",
-    "EVENT_LEASE_EXPIRED", "EVENT_EVICTION", "EVENT_BATCH",
+    "EVENT_EVICTION", "EVENT_BATCH",
     "EVENT_WAL_APPEND", "EVENT_BACKPRESSURE", "EVENT_PUSH",
     "EVENT_SERVER_ERROR",
     "SloCheck", "HealthResult", "DEFAULT_SLOS", "evaluate_health",

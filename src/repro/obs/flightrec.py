@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 __all__ = ["FlightRecorder",
            "EVENT_RPC_IN", "EVENT_RPC_OUT", "EVENT_FAULT",
-           "EVENT_LEASE_EXPIRED", "EVENT_EVICTION", "EVENT_BATCH",
+           "EVENT_EVICTION", "EVENT_BATCH",
            "EVENT_WAL_APPEND", "EVENT_BACKPRESSURE", "EVENT_PUSH",
            "EVENT_SERVER_ERROR", "EVENT_PROMOTION", "EVENT_DEMOTION",
            "EVENT_REPLICATION"]
@@ -36,7 +36,6 @@ __all__ = ["FlightRecorder",
 EVENT_RPC_IN = "rpc_in"
 EVENT_RPC_OUT = "rpc_out"
 EVENT_FAULT = "fault_injected"
-EVENT_LEASE_EXPIRED = "lease_expired"
 EVENT_EVICTION = "eviction"
 EVENT_BATCH = "batch_dispatch"
 EVENT_WAL_APPEND = "wal_append"

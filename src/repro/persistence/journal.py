@@ -29,7 +29,8 @@ from repro.controller.registry import AppInstance
 from repro.errors import ControllerError
 from repro.persistence import codec
 from repro.persistence.crash import CrashSchedule
-from repro.persistence.snapshot import snapshot_files, write_snapshot
+from repro.persistence.snapshot import (prune_snapshots, snapshot_files,
+                                       write_snapshot)
 from repro.persistence.wal import WriteAheadLog
 from repro.prediction.models import PerformanceModel
 
@@ -46,16 +47,14 @@ class DurabilityJournal:
 
     ``snapshot_every`` — appends between snapshot checkpoints (0 disables
     automatic snapshots; :meth:`snapshot_now` still works).
-    ``keep_snapshots`` — how many snapshot generations to retain; the WAL
-    is compacted to the *oldest* retained snapshot, so a corrupt newest
-    snapshot still has a complete older base + replay tail.
+    Snapshot retention is :data:`~repro.persistence.snapshot.KEEP_SNAPSHOTS`
+    generations; the WAL is compacted to the oldest one kept.
     ``model_registry`` — name → :class:`PerformanceModel` used both to
     journal explicit models by name and to resolve them at restore.
     """
 
     def __init__(self, directory: str,
                  snapshot_every: int = 64,
-                 keep_snapshots: int = 2,
                  fsync: str = "always",
                  crash_schedule: CrashSchedule | None = None,
                  model_registry: Mapping[str, PerformanceModel]
@@ -63,7 +62,6 @@ class DurabilityJournal:
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.snapshot_every = snapshot_every
-        self.keep_snapshots = max(1, keep_snapshots)
         self.model_registry = dict(model_registry or {})
         self.wal = WriteAheadLog(os.path.join(directory, WAL_FILENAME),
                                  fsync=fsync,
@@ -293,12 +291,7 @@ class DurabilityJournal:
         self._appends_since_snapshot = 0
         controller.metrics.increment("controller.snapshots",
                                      controller.now)
-        retained = snapshot_files(self.directory)[:self.keep_snapshots]
-        for stale in snapshot_files(self.directory)[self.keep_snapshots:]:
-            try:
-                os.remove(stale)
-            except OSError:
-                pass
+        retained = prune_snapshots(self.directory)
         # Compact to the *oldest* retained snapshot: its state plus the
         # remaining tail can always rebuild, even if newer files rot.
         oldest_seq = min(_snapshot_seq(p) for p in retained)

@@ -22,8 +22,8 @@ sequence, adapted to a result-sourced log:
 
 Events that the crash interrupted *mid-operation* (e.g. a re-evaluation
 sweep half-applied) are recovered up to their last durable record; a
-post-restore ``reevaluate()`` (``reevaluate=True``) reconverges the
-remainder, because the policy's decisions depend only on current state.
+``controller.reevaluate()`` after the restore reconverges the remainder,
+because the policy's decisions depend only on current state.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class RecoveryReport:
     last_seq: int
     recovery_seconds: float = 0.0
     skipped_snapshots: list[str] = field(default_factory=list)
-    reevaluation_changes: int = 0
 
 
 class _ReplayPolicy(DecisionPolicy):
@@ -96,13 +95,9 @@ def restore_controller(
         objective: Objective | None = None,
         policy: DecisionPolicy | None = None,
         friction_policy: FrictionPolicy | None = None,
-        default_model: PerformanceModel | None = None,
         reevaluation_period_seconds: float = 30.0,
         tracer=None,
-        trace_log=None,
-        reevaluate: bool = False,
         snapshot_every: int = 64,
-        keep_snapshots: int = 2,
         fsync: str = "always",
         crash_schedule: CrashSchedule | None = None,
 ) -> AdaptationController:
@@ -117,8 +112,7 @@ def restore_controller(
     start = _time.perf_counter()
     tracer = tracer if tracer is not None else NULL_TRACER
     journal = DurabilityJournal(
-        directory, snapshot_every=snapshot_every,
-        keep_snapshots=keep_snapshots, fsync=fsync,
+        directory, snapshot_every=snapshot_every, fsync=fsync,
         crash_schedule=crash_schedule, model_registry=model_registry)
     with tracer.span("controller.restore", directory=directory) as span:
         loaded = load_directory(
@@ -126,9 +120,8 @@ def restore_controller(
             lambda cluster: AdaptationController(
                 cluster, metrics=metrics, objective=objective,
                 policy=policy, friction_policy=friction_policy,
-                default_model=default_model,
                 reevaluation_period_seconds=reevaluation_period_seconds,
-                tracer=tracer, trace_log=trace_log))
+                tracer=tracer))
         if loaded is None:
             if snapshot_files(directory):
                 raise SnapshotCorruptionError(
@@ -141,8 +134,6 @@ def restore_controller(
         report.recovery_seconds = elapsed
         controller.metrics.report("controller.recovery_seconds",
                                   controller.now, elapsed)
-        if reevaluate:
-            report.reevaluation_changes = controller.reevaluate()
         controller.last_recovery = report
         span.set("records_replayed", report.records_replayed)
         span.set("recovery_seconds", elapsed)

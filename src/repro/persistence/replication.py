@@ -71,7 +71,6 @@ from repro.api.transport import Transport
 from repro.errors import (
     ControllerBusyError,
     ProtocolError,
-    RecoveryError,
     ReplicationError,
     TransportError,
 )
@@ -86,7 +85,7 @@ from repro.persistence.recovery import (
 )
 from repro.persistence.snapshot import (
     latest_snapshot,
-    snapshot_files,
+    prune_snapshots,
     write_snapshot,
 )
 from repro.persistence.wal import (
@@ -100,7 +99,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
 
 __all__ = ["FencingStore", "FencingRecord", "ReplicationPrimary",
-           "ReplicationStandby"]
+           "ReplicationStandby", "SHIP_TIMEOUT_SECONDS"]
+
+#: How long shipping to one standby may block the appending thread; a
+#: link that stalls past it is dropped (the standby re-hellos on
+#: reconnect).
+SHIP_TIMEOUT_SECONDS = 5.0
 
 
 # --------------------------------------------------------------------------
@@ -307,9 +311,9 @@ class ReplicationPrimary:
     A standby whose transport fails is dropped; it is expected to
     reconnect and re-hello from its last durable sequence number.
     Shipping runs on the appending thread, so each link's transport is
-    armed with ``ship_timeout`` at hello time — a standby whose socket
-    stalls (peer stopped reading) is dropped after that bound instead of
-    wedging primary mutations indefinitely.
+    armed with :data:`SHIP_TIMEOUT_SECONDS` at hello time — a standby
+    whose socket stalls (peer stopped reading) is dropped after that
+    bound instead of wedging primary mutations indefinitely.
     ``replication.lag_records`` (a count histogram) is observed on every
     ship with each live standby's ack backlog, and
     ``replication.ack_seconds`` with the ship→ack round trip.
@@ -317,12 +321,10 @@ class ReplicationPrimary:
 
     def __init__(self, journal: DurabilityJournal,
                  controller: "AdaptationController",
-                 clock: Callable[[], float] = time.monotonic,
-                 ship_timeout: float | None = 5.0):
+                 clock: Callable[[], float] = time.monotonic):
         self.journal = journal
         self.controller = controller
         self.clock = clock
-        self.ship_timeout = ship_timeout
         self._links: dict[str, _StandbyLink] = {}
         self._lock = threading.Lock()
         metrics = controller.metrics
@@ -362,7 +364,7 @@ class ReplicationPrimary:
         *retained* snapshot — guarantees one covers the gap), then the
         tail after it.
         """
-        transport.set_send_timeout(self.ship_timeout)
+        transport.set_send_timeout(SHIP_TIMEOUT_SECONDS)
         records = self.journal.wal.records()
         need_from = last_seq + 1
         horizon = records[0].seq if records else self.journal.wal.next_seq
@@ -519,8 +521,8 @@ class ReplicationPrimary:
         """Send one message; a failed or stalled link is dropped.
 
         Shipping runs on the mutating thread, so the block is bounded:
-        the link's transport was armed with ``ship_timeout`` at hello
-        time, and a send that exceeds it fails like any other transport
+        the link's transport was armed with :data:`SHIP_TIMEOUT_SECONDS`
+        at hello time, and a send that exceeds it fails like any other transport
         error — the link is dropped and the standby re-hellos."""
         try:
             link.transport.send(message)
@@ -563,11 +565,7 @@ class ReplicationStandby:
     (newest valid snapshot + tail) and re-hellos from there, so an
     outage costs one catch-up, not a full resync.
 
-    ``controller_factory`` builds the controller from a
-    :class:`~repro.cluster.Cluster` — supply the same collaborators
-    (policy, objective, models) as the primary so the replay
-    verification holds and the controller is fit to serve after
-    promotion.  ``on_controller`` fires whenever the standby's
+    ``on_controller`` fires whenever the standby's
     controller object is (re)built — a hosting server uses it to adopt
     the new instance.
 
@@ -582,10 +580,8 @@ class ReplicationStandby:
 
     def __init__(self, directory: str, standby_id: str,
                  fencing: FencingStore | None = None,
-                 controller_factory: Callable[..., Any] | None = None,
                  model_registry: dict[str, Any] | None = None,
                  snapshot_every: int = 64,
-                 keep_snapshots: int = 2,
                  fsync: str = "always",
                  address: str | None = None,
                  lease_seconds: float = 30.0,
@@ -598,14 +594,11 @@ class ReplicationStandby:
         self.address = address
         self.lease_seconds = lease_seconds
         self.snapshot_every = snapshot_every
-        self.keep_snapshots = keep_snapshots
         self.fsync = fsync
         self.on_controller = on_controller
         self.on_stream_error = on_stream_error
-        self._controller_factory = controller_factory
         self.journal = DurabilityJournal(
-            directory, snapshot_every=snapshot_every,
-            keep_snapshots=keep_snapshots, fsync=fsync,
+            directory, snapshot_every=snapshot_every, fsync=fsync,
             model_registry=model_registry)
         self.controller: "AdaptationController | None" = None
         self._real_policy = None
@@ -763,11 +756,7 @@ class ReplicationStandby:
             codec.cluster_from_topology(state.get("topology")))
         codec.apply_state(controller, self.journal, state)
         write_snapshot(self.directory, last_seq, state)
-        for stale in snapshot_files(self.directory)[self.keep_snapshots:]:
-            try:
-                os.remove(stale)
-            except OSError:  # pragma: no cover - defensive
-                pass
+        prune_snapshots(self.directory)
         self._applied_since_snapshot = 0
         self.last_seq = last_seq
         self._record_event("snapshot_adopted", seq=last_seq)
@@ -904,10 +893,7 @@ class ReplicationStandby:
     def _build_controller(self, cluster) -> "AdaptationController":
         from repro.controller.controller import AdaptationController
 
-        if self._controller_factory is not None:
-            controller = self._controller_factory(cluster)
-        else:
-            controller = AdaptationController(cluster)
+        controller = AdaptationController(cluster)
         # Hold the optimizer inert while following: the stream carries
         # results, and a standby that re-decides would double-apply.
         self._real_policy = controller.policy
@@ -925,9 +911,7 @@ class ReplicationStandby:
         """Rebuild from this standby's own directory (standby restart).
 
         The same base-plus-tail recovery as a primary restart, minus the
-        side effects: no ``recovered`` record is appended (this WAL must
-        contain exactly the primary's records) and the journal is not
-        attached for writing.
+        journal attach: this WAL is written by the stream alone.
         """
         loaded = load_directory(self.directory, self.journal,
                                 self._build_controller)

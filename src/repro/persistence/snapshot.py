@@ -30,9 +30,15 @@ from repro.errors import RecoveryError, SnapshotCorruptionError
 from repro.persistence.wal import _fsync_directory
 
 __all__ = ["write_snapshot", "read_snapshot", "snapshot_files",
-           "latest_snapshot", "SNAPSHOT_FORMAT"]
+           "prune_snapshots", "latest_snapshot", "SNAPSHOT_FORMAT",
+           "KEEP_SNAPSHOTS"]
 
 SNAPSHOT_FORMAT = 2
+
+#: Snapshot generations a directory retains.  The WAL is compacted to
+#: the *oldest* retained one, so a corrupt newest snapshot still has a
+#: complete older base plus replay tail.
+KEEP_SNAPSHOTS = 2
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
 
@@ -116,6 +122,17 @@ def snapshot_files(directory: str) -> list[str]:
             found.append((int(match.group(1)), name))
     return [os.path.join(directory, name)
             for _seq, name in sorted(found, reverse=True)]
+
+
+def prune_snapshots(directory: str) -> list[str]:
+    """Delete all but the newest :data:`KEEP_SNAPSHOTS`; the kept paths."""
+    files = snapshot_files(directory)
+    for stale in files[KEEP_SNAPSHOTS:]:
+        try:
+            os.remove(stale)
+        except OSError:
+            pass
+    return files[:KEEP_SNAPSHOTS]
 
 
 def latest_snapshot(directory: str,

@@ -31,7 +31,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import WalCorruptionError
 from repro.persistence.crash import CrashPoint, CrashSchedule, SimulatedCrash
@@ -335,8 +335,3 @@ def _fsync_directory(directory: str) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def replay_order(records: Iterable[WalRecord]) -> list[WalRecord]:
-    """Records sorted for replay (they are already, but be explicit)."""
-    return sorted(records, key=lambda record: record.seq)

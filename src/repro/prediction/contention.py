@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment
@@ -72,9 +72,6 @@ class PlacementFootprint:
     cpu: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     flows: Mapping[LinkKey, tuple[float, ...]] = field(default_factory=dict)
     read_links: frozenset = frozenset()
-
-    def cpu_count_at(self, hostname: str) -> int:
-        return len(self.cpu.get(hostname, ()))
 
 
 _EMPTY_FOOTPRINT = PlacementFootprint()

@@ -1,11 +1,11 @@
-"""Client-visible failover: redirects, term stamping, jitter, caps.
+"""Client-visible failover: redirects, term stamping, jitter, held batches.
 
 The server side of failover (WAL shipping, fencing, promotion) lives in
 ``tests/persistence/test_replication.py``; this suite covers the client
 and wire layer — ``controller_moved`` redirects from a standby, the
 leader hint and static failover rotation in :class:`HarmonyClient`,
-term stamping on replies, retry jitter, and the bounded per-client
-pending-variable buffer.
+term stamping on replies, retry jitter, and the batch held for a client
+that is away.
 """
 
 import random
@@ -15,14 +15,14 @@ import pytest
 from repro.api import (
     HarmonyClient,
     HarmonyServer,
-    PendingVariableBuffer,
     RetryPolicy,
     TcpTransport,
+    VariableType,
     connected_pair,
     make_message,
 )
 from repro.cluster import Cluster
-from repro.controller import AdaptationController
+from repro.controller import AdaptationController, ClientCountRulePolicy
 from repro.errors import (
     ControllerMovedError,
     ProtocolError,
@@ -233,50 +233,69 @@ class TestRetryJitter:
             RetryPolicy(backoff_jitter=-0.1)
 
 
-class TestPendingVariableCap:
-    def test_cap_must_be_positive(self):
-        with pytest.raises(ProtocolError, match="max_per_client"):
-            PendingVariableBuffer(max_per_client=0)
+#: Each option binds the one node to its own host, so a batch that mixed
+#: two decisions would pair an option with the other option's host.
+SIDES_RSL = """
+harmonyBundle demo where {
+    {left {node server {hostname n0} {seconds 5} {memory 16}}}
+    {right {node server {hostname n1} {seconds 3} {memory 16}}}}
+"""
+SIDE_HOSTS = {"left": "n0", "right": "n1"}
 
-    def test_evicts_oldest_and_counts(self):
-        drops = []
-        buffer = PendingVariableBuffer(
-            max_per_client=2,
-            on_evict=lambda client, n: drops.append((client, n)))
-        buffer.stage("app", "a", 1)
-        buffer.stage("app", "b", 2)
-        buffer.stage("app", "a", 3)  # refresh: "b" is now the oldest
-        buffer.stage("app", "c", 4)
-        assert buffer.pending_for("app") == {"a": 3, "c": 4}
-        assert drops == [("app", 1)]
-        assert buffer.evicted_total == 1
 
-    def test_cap_is_per_client(self):
-        buffer = PendingVariableBuffer(max_per_client=1)
-        buffer.stage("alpha", "a", 1)
-        buffer.stage("beta", "b", 2)
-        assert buffer.evicted_total == 0  # separate clients, no pressure
+def side_batch(side):
+    """Every variable one decision pushes for the ``demo`` bundle."""
+    return {"where.option": side, "where.server.hostname": SIDE_HOSTS[side],
+            "where.server.memory": 16}
 
-    def test_not_ready_restage_still_enforces_cap(self):
-        buffer = PendingVariableBuffer(max_per_client=1)
-        buffer.stage("app", "a", 1)
-        sent = buffer.flush(lambda c, u: None, ready=lambda c: False)
-        assert sent == 0  # held for the disconnected client
-        buffer.stage("app", "b", 2)  # arrives while still unreachable
-        assert buffer.pending_for("app") == {"b": 2}
-        assert buffer.evicted_total == 1
 
-    def test_uncapped_buffer_never_evicts(self):
-        buffer = PendingVariableBuffer()
-        for index in range(500):
-            buffer.stage("app", f"v{index}", index)
-        assert len(buffer.pending_for("app")) == 500
-        assert buffer.evicted_total == 0
+class TestHeldBatch:
+    def test_a_held_batch_is_one_value_per_name_from_the_latest_decision(
+            self):
+        """Staging coalesces by name, so a client away through many
+        reconfiguration waves holds one entry per variable of its bundle,
+        and its rejoin delivers an option and a host of one decision."""
+        controller = AdaptationController(
+            Cluster.full_mesh(["n0", "n1"], memory_mb=256),
+            policy=ClientCountRulePolicy(
+                app_name="demo", bundle_name="where", threshold=2,
+                below_option="left", at_or_above_option="right"))
+        server = HarmonyServer(controller, lease_seconds=60.0)
+        ends = []
 
-    def test_server_counts_drops_in_metrics(self):
-        controller, server = make_server(pending_vars_cap=1)
-        server.buffer.stage("app.1", "a", 1)
-        server.buffer.stage("app.1", "b", 2)
-        assert server.buffer.evicted_total == 1
-        assert controller.metrics.latest(
-            "server.pending_vars_dropped") == 1.0
+        def dial():
+            client_end, server_end = connected_pair()
+            server.attach(server_end)
+            ends.append((client_end, server_end))
+            return client_end
+
+        held = HarmonyClient(dial(), retry_policy=FAST,
+                             transport_factory=dial)
+        held.startup("demo")
+        held.bundle_setup(SIDES_RSL)
+        option = held.add_variable("where.option", "?",
+                                   VariableType.STRING)
+        assert option.value == "left"
+        key = held.app_key
+        for end in ends[0]:
+            end.close()  # the line dies at both ends: pushes stage
+
+        partner = None
+        for wave in range(20):
+            if partner is None:
+                partner = HarmonyClient(dial(), retry_policy=FAST)
+                partner.startup("demo")
+                partner.bundle_setup(SIDES_RSL)
+            else:
+                partner.end()
+                partner = None
+            side = "right" if partner is not None else "left"
+            assert server.buffer.pending_for(key) == side_batch(side), wave
+
+        delivered = []
+        held.variables.on_update(delivered.append)
+        assert held.rejoin() == key
+        chosen = controller.registry.instance(key).bundle_state(
+            "where").chosen
+        assert delivered == [side_batch(chosen.option_name)]
+        assert server.buffer.pending_for(key) == {}

@@ -139,11 +139,18 @@ class TestEviction:
         journal.attach(controller)
         key = connect(server).app_key
         before = journal.wal.last_seq
+        recorder = controller.flight_recorder
+        last_seq = recorder.events()[-1]["seq"]
         clock.advance(11.0)
         assert server.check_leases() == [key]
         assert [(record.kind, record.data["key"], record.data["kind"])
                 for record in journal.wal.records()
                 if record.seq > before] == [("release", key, "evicted")]
+        # The flight ring, too, holds the fact once: the eviction.
+        naming = [(event["kind"], event.get("reason"))
+                  for event in recorder.events()
+                  if event["seq"] > last_seq and key in event.values()]
+        assert naming == [("eviction", "lease expired")]
         journal.close()
 
     def test_eviction_reoptimizes_survivors(self, world):

@@ -2,9 +2,9 @@
 
 The product of the eleven client types and six server/session states
 pins what the server answers — the reply's ``type`` and ``error.code``,
-or no reply at all — so the order of the gates (admission slot, standby
-redirect, recovery refusal, eviction, the registration check) cannot
-drift.  In-process transports deliver
+or no reply at all — so the order of the gates (the crash-only drop,
+admission slot, standby redirect, eviction, the registration check)
+cannot drift.  In-process transports deliver
 synchronously, so each case is one send and one look at what came back.
 """
 
@@ -36,11 +36,10 @@ REQUESTS = {
     "repl_ack": {"standby_id": "sb", "seq": 0},
 }
 
-STATES = ("healthy", "standby", "recovering", "evicted", "unregistered",
+STATES = ("healthy", "standby", "failed", "evicted", "unregistered",
           "admission_full")
 
 MOVED = [("controller_moved", None)]
-RECOVERING = [("error", "controller_recovering")]
 LEASE_EXPIRED = [("lease_expired", None)]
 BUSY = [("error", "controller_busy")]
 ERROR = [("error", None)]
@@ -48,30 +47,26 @@ NONE = []
 
 #: type -> the outcome in each of STATES, in order.
 EXPECTED = {
-    "register": ([("registered", None)], MOVED, RECOVERING,
+    "register": ([("registered", None)], MOVED, NONE,
                  [("registered", None)], [("registered", None)], BUSY),
-    "bundle_setup": ([("bundle_ok", None)], MOVED, RECOVERING,
+    "bundle_setup": ([("bundle_ok", None)], MOVED, NONE,
                      LEASE_EXPIRED, ERROR, BUSY),
     "add_variable": ([("variable_added", None)],
-                     [("variable_added", None)],
-                     [("variable_added", None)], LEASE_EXPIRED,
+                     [("variable_added", None)], NONE, LEASE_EXPIRED,
                      ERROR, [("variable_added", None)]),
     "wait_for_update": (NONE, NONE, NONE, LEASE_EXPIRED, NONE, NONE),
-    "report_metric": (NONE, MOVED, RECOVERING, LEASE_EXPIRED, ERROR, NONE),
-    "query_nodes": ([("node_list", None)], [("node_list", None)],
-                    [("node_list", None)], LEASE_EXPIRED,
-                    ERROR, [("node_list", None)]),
+    "report_metric": (NONE, MOVED, NONE, LEASE_EXPIRED, ERROR, NONE),
+    "query_nodes": ([("node_list", None)], [("node_list", None)], NONE,
+                    LEASE_EXPIRED, ERROR, [("node_list", None)]),
     "status": ([("status_report", None)], [("status_report", None)],
-               [("status_report", None)], LEASE_EXPIRED,
-               [("status_report", None)], [("status_report", None)]),
+               NONE, LEASE_EXPIRED, [("status_report", None)],
+               [("status_report", None)]),
     "heartbeat": ([("heartbeat_ack", None)], [("heartbeat_ack", None)],
-                  [("heartbeat_ack", None)], LEASE_EXPIRED,
-                  ERROR, [("heartbeat_ack", None)]),
-    "end": ([("ended", None)], MOVED, RECOVERING,
+                  NONE, LEASE_EXPIRED, ERROR, [("heartbeat_ack", None)]),
+    "end": ([("ended", None)], MOVED, NONE,
             LEASE_EXPIRED, ERROR, [("ended", None)]),
     # A demoted standby has no replication primary to subscribe to.
-    "repl_hello": ([("repl_records", None)], ERROR,
-                   [("repl_records", None)], LEASE_EXPIRED,
+    "repl_hello": ([("repl_records", None)], ERROR, NONE, LEASE_EXPIRED,
                    [("repl_records", None)], [("repl_records", None)]),
     "repl_ack": (NONE, NONE, NONE, LEASE_EXPIRED, NONE, NONE),
 }
@@ -102,15 +97,20 @@ class Case:
         key = "A.1"
         if state == "standby":
             self.server.demote()
-        elif state == "recovering":
-            self.server.begin_recovery()
+        elif state == "failed":
+            self.server.fail_stop()
         elif state == "evicted":
             self.now = 100.0
             assert self.server.check_leases() == [key]
         self.replies.clear()
 
     def send(self, message):
-        if self.state == "admission_full":
+        if self.state == "failed":
+            # The frame a reader thread had already taken off the wire
+            # when the crash landed: it reaches the session's receiver
+            # although fail_stop has closed the line.
+            self.session._on_message(message)
+        elif self.state == "admission_full":
             with self.server.admission_slot():
                 self.client_end.send(message)
         else:
@@ -123,10 +123,16 @@ class Case:
 @pytest.mark.parametrize("msg_type", sorted(REQUESTS))
 def test_gate_outcome(msg_type, state, tmp_path):
     case = Case(state, tmp_path)
+    metrics = case.server.controller.metrics
+    counted = metrics.latest(f"server.rpc.{msg_type}")
     outcome = case.send({"type": msg_type, **REQUESTS[msg_type]})
     assert outcome == EXPECTED[msg_type][STATES.index(state)]
-    assert case.server.controller.metrics.latest(
-        "server.unhandled_errors") is None
+    assert metrics.latest("server.unhandled_errors") is None
+    if state == "failed":
+        # Crash-only: the request is dropped before it is even counted,
+        # and the line it came in on stays closed.
+        assert case.session.transport.closed
+        assert metrics.latest(f"server.rpc.{msg_type}") == counted
 
 
 @pytest.mark.parametrize("msg_type", ["shard_lookup", "shard_map",

@@ -33,7 +33,7 @@ from repro.api import (
 )
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import ControllerRecoveringError, RecoveryError
+from repro.errors import RecoveryError
 from repro.persistence import (
     CrashPoint,
     DurabilityJournal,
@@ -463,49 +463,17 @@ class TestClientReattach:
         for client in clients.values():
             client.transport.close()
 
-        # Restart: restore from disk, serve read-only while recovery is
-        # "in flight", then open the gates.
+        # Restart: restore from disk, then serve the restored state.
         restored = AdaptationController.restore(
             str(tmp_path), policy=make_policy(), fsync="never")
-        server2 = HarmonyServer(restored, lease_seconds=60.0,
-                                recovering=True)
-        current["server"] = server2
+        current["server"] = HarmonyServer(restored, lease_seconds=60.0)
 
-        with pytest.raises(ControllerRecoveringError):
-            clients["c2"].rejoin()
-
-        server2.complete_recovery()
         for host, client in clients.items():
             assert client.rejoin() == pre_keys[host]  # resumed, not new
             assert options[host].value == pre_crash[host] == "DS"
         assert_digests_match(digest(restored), before)
         status = clients["c1"].query_status()
-        assert status["server"]["recovering"] is False
         assert status["server"]["active_sessions"] == 3
         assert status["metrics"]["controller.recovery_seconds"][
             "latest"] >= 0.0
         restored.journal.close()
-
-    def test_read_only_mode_serves_queries_rejects_mutations(self,
-                                                             tmp_path):
-        cluster = Cluster.star("server0", ["c1", "c2", "c3"],
-                               memory_mb=128)
-        controller = AdaptationController(cluster, policy=make_policy())
-        DurabilityJournal(str(tmp_path), fsync="never").attach(controller)
-        server = HarmonyServer(controller)
-        server.begin_recovery()
-
-        client_end, server_end = connected_pair()
-        server.attach(server_end)
-        client = HarmonyClient(client_end, retry_policy=FAST_RETRIES)
-
-        status = client.query_status()  # reads still flow
-        assert status["server"]["recovering"] is True
-        with pytest.raises(ControllerRecoveringError):
-            client.startup("DBclient")
-
-        server.complete_recovery()
-        client.startup("DBclient")
-        client.bundle_setup(db_rsl("c1"))
-        assert len(controller.registry) == 1
-        controller.journal.close()

@@ -35,11 +35,7 @@ from repro.api import (
 from repro.api.faults import FaultAction, ScriptedFaultSchedule
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import (
-    ControllerRecoveringError,
-    HarmonyError,
-    TransportError,
-)
+from repro.errors import HarmonyError, TransportError
 from repro.persistence import DurabilityJournal, ReplicationStandby
 from repro.persistence.journal import WAL_FILENAME
 from repro.persistence.wal import decode_frame, encode_record
@@ -128,7 +124,6 @@ class TestSessionParity:
 
         status = client.query_status()
         assert status["server"]["active_sessions"] == 1
-        assert status["server"]["recovering"] is False
         nodes = client.query_nodes()
         assert "server0" in {n["hostname"] for n in nodes["nodes"]}
 
@@ -338,7 +333,7 @@ class TestReconnectAndReplay:
 
 class TestCrashRecoveryReattach:
     """Controller crash + restore: clients reattach over either backend,
-    through a read-only recovery window, keeping keys and options."""
+    keeping keys and options."""
 
     def test_clients_rejoin_a_restarted_controller(self, tmp_path,
                                                    server_factory):
@@ -372,24 +367,18 @@ class TestCrashRecoveryReattach:
         for client in clients.values():
             client.transport.close()
 
-        # Restart on the same backend: restore from disk, serve
-        # read-only while recovery is "in flight", then open the gates.
+        # Restart on the same backend: restore from disk, then serve
+        # the restored state.
         restored = AdaptationController.restore(
             str(tmp_path), policy=make_policy(), fsync="never")
-        server2 = HarmonyServer(restored, lease_seconds=60.0,
-                                recovering=True)
-        current["handle"] = server_factory(server2)
+        current["handle"] = server_factory(
+            HarmonyServer(restored, lease_seconds=60.0))
 
-        with pytest.raises(ControllerRecoveringError):
-            clients["c2"].rejoin()
-
-        server2.complete_recovery()
         for host, client in clients.items():
             assert client.rejoin() == pre_keys[host]  # resumed, not new
             assert options[host].value == "DS"
         assert restored.describe_system() == before
         status = clients["c1"].query_status()
-        assert status["server"]["recovering"] is False
         assert status["server"]["active_sessions"] == 3
         restored.journal.close()
 

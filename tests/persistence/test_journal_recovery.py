@@ -127,7 +127,7 @@ class TestSnapshots:
         assert controller.metrics.latest("controller.snapshots") == \
             journal.snapshots_written
         files = snapshot_files(str(tmp_path))
-        assert 1 <= len(files) <= 2  # keep_snapshots generations
+        assert 1 <= len(files) <= 2  # KEEP_SNAPSHOTS generations
         # Compaction kept the tail needed by the *oldest* retained file.
         oldest = min(int(os.path.basename(p)[len("snapshot-"):-5])
                      for p in files)

@@ -12,6 +12,7 @@ from repro.persistence import (
     snapshot_files,
     write_snapshot,
 )
+from repro.persistence.snapshot import KEEP_SNAPSHOTS, prune_snapshots
 
 STATE = {"time": 3.0, "instances": [{"app_name": "App", "id": 1}]}
 
@@ -35,6 +36,22 @@ class TestRoundTrip:
         assert names == ["snapshot-000000000090.json",
                          "snapshot-000000000017.json",
                          "snapshot-000000000005.json"]
+
+
+class TestRetention:
+    def test_prune_keeps_the_newest_generations(self, tmp_path):
+        for seq in (5, 90, 17, 3):
+            write_snapshot(str(tmp_path), seq, STATE)
+        kept = prune_snapshots(str(tmp_path))
+        assert KEEP_SNAPSHOTS == 2
+        assert [os.path.basename(p) for p in kept] == [
+            "snapshot-000000000090.json", "snapshot-000000000017.json"]
+        assert snapshot_files(str(tmp_path)) == kept
+
+    def test_prune_within_the_bound_deletes_nothing(self, tmp_path):
+        path = write_snapshot(str(tmp_path), 7, STATE)
+        assert prune_snapshots(str(tmp_path)) == [path]
+        assert snapshot_files(str(tmp_path)) == [path]
 
 
 class TestCorruption:
