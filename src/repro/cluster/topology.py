@@ -9,6 +9,7 @@ switch (the SP-2's high-performance switch) and a star around a server.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator
 
 from repro.cluster.kernel import Kernel
@@ -29,10 +30,13 @@ class Cluster:
         #: host -> {peer: the direct link}; answers every one-hop question.
         self._adjacent: dict[str, dict[str, SimLink]] = {}
         #: Bumped whenever the graph itself changes (nodes/links added).
-        #: Consumers caching routing-derived state (SystemView's per-link
-        #: indexes) compare against it and rebuild lazily.  Node failure
+        #: Memos of routing-derived results (the matcher's candidate
+        #: nodes, the partition index's reach, the trial engine's read
+        #: sets) record it and stop holding when it moves.  Node failure
         #: and restoration do not change the graph, only availability.
         self.topology_version: int = 0
+        #: Views whose indexes follow the graph (see :meth:`watch`).
+        self._watchers: weakref.WeakSet = weakref.WeakSet()
 
     # -- construction ----------------------------------------------------------
 
@@ -45,7 +49,7 @@ class Cluster:
                        memory_mb=memory_mb, os=os, attributes=attributes)
         self._nodes[hostname] = node
         self._adjacent[hostname] = {}
-        self.topology_version += 1
+        self._changed()
         return node
 
     def add_link(self, host_a: str, host_b: str, bandwidth_mbps: float,
@@ -64,8 +68,22 @@ class Cluster:
         self._links.append(link)
         self._adjacent[host_a][host_b] = link
         self._adjacent[host_b][host_a] = link
-        self.topology_version += 1
+        self._changed()
         return link
+
+    def watch(self, watcher) -> None:
+        """Call ``watcher.topology_changed()`` after every node or link
+        added from now on, on the thread that adds it.  The cluster holds
+        watchers weakly: a discarded
+        :class:`~repro.prediction.contention.SystemView` stops being
+        told."""
+        self._watchers.add(watcher)
+
+    def _changed(self) -> None:
+        self.topology_version += 1
+        if self._watchers:
+            for watcher in list(self._watchers):
+                watcher.topology_changed()
 
     @classmethod
     def full_mesh(cls, hostnames: Iterable[str], speed: float = 1.0,

@@ -73,6 +73,7 @@ from repro.prediction.models import (
     ExplicitSpecModel,
     ExpressionSpecModel,
     PerformanceModel,
+    model_for_spec,
 )
 from repro.rsl import Bundle, build_bundle
 
@@ -498,7 +499,8 @@ class AdaptationController:
         self._config_cache = ConfigurationCache()
         #: Lets sweeps skip provably-unaffected bundles.
         self.partition_index = PartitionIndex(self)
-        self._model_cache: dict[tuple[str, str, str], PerformanceModel] = {}
+        #: app key -> option name -> (its bundle, its spec-derived model).
+        self._model_cache: dict[str, dict[str, tuple]] = {}
         self._listeners: list[Callable[[ReconfigurationEvent], None]] = []
         self._reevaluation_process: Process | None = None
         #: Durability journal (``repro.persistence``): ``None`` keeps the
@@ -664,11 +666,9 @@ class AdaptationController:
         # metric series are dead; so is everything cached under its
         # bundles' object ids.
         self.metrics.forget(f"controller.{instance.key}")
-        for bundle_name, state in instance.bundles.items():
+        for state in instance.bundles.values():
             self._config_cache.forget(state.bundle)
-            for option_name in state.bundle.option_names():
-                self._model_cache.pop(
-                    (instance.key, bundle_name, option_name), None)
+        self._model_cache.pop(instance.key, None)
         self.partition_index.remove_app(instance.key)
         self._record_lifecycle(kind, instance.key, detail=detail)
         self.metrics.report("controller.registered_apps", self.now,
@@ -978,9 +978,8 @@ class AdaptationController:
         Returns ``None`` when the application is no longer registered
         (it ended while the optimizer was exploring).
         """
-        try:
-            instance = self.registry.instance(placed.app_key)
-        except ControllerError:
+        instance = self.registry.find(placed.app_key)
+        if instance is None:
             return None
         model = self._model_for(instance, placed.demands.option_name)
         self.stats.predictions_recomputed += 1
@@ -992,20 +991,25 @@ class AdaptationController:
         """Resolve an option's model, caching spec-derived resolutions.
 
         Resolving through the RSL spec constructs a fresh model object per
-        call; those are stateless, so one per (instance, bundle, option)
-        suffices.  Instances with explicitly registered models bypass the
-        cache — their ``models`` dict is the live source of truth.
+        call; those are stateless, so one per (instance, option), cached
+        with the option's bundle, suffices.  Instances with explicitly
+        registered models resolve through ``instance.models`` on every
+        call — it is the live source of truth.
         """
-        bundle_name = instance.bundle_of_option(option_name)
+        options = self._model_cache.get(instance.key)
+        if options is None:
+            options = self._model_cache[instance.key] = {}
+        entry = options.get(option_name)
+        if entry is None:
+            bundle_name = instance.bundle_of_option(option_name)
+            option = instance.bundles[bundle_name].bundle.option_named(
+                option_name)
+            entry = options[option_name] = (bundle_name, model_for_spec(
+                option.performance, default=self.default_model))
+        bundle_name, model = entry
         if instance.models:
             return instance.model_for(bundle_name, option_name,
                                       default=self.default_model)
-        key = (instance.key, bundle_name, option_name)
-        model = self._model_cache.get(key)
-        if model is None:
-            model = instance.model_for(bundle_name, option_name,
-                                       default=self.default_model)
-            self._model_cache[key] = model
         return model
 
     def model_is_footprint_safe(self,
@@ -1017,9 +1021,8 @@ class AdaptationController:
         contention).  Custom callables and any subclass are opaque: they
         are recomputed on every trial.
         """
-        try:
-            instance = self.registry.instance(placed.app_key)
-        except ControllerError:
+        instance = self.registry.find(placed.app_key)
+        if instance is None:
             return True  # never predicted, so never cached
         model = self._model_for(instance, placed.demands.option_name)
         return type(model) in (DefaultModel, ExplicitSpecModel,

@@ -79,25 +79,17 @@ class AppInstance:
     bundles: dict[str, BundleState] = field(default_factory=dict)
     models: dict[str, PerformanceModel] = field(default_factory=dict)
     ended: bool = False
-    #: option name -> owning bundle name (bundles are only ever added,
-    #: so resolved lookups stay valid for the instance's lifetime).
-    _option_bundles: dict[str, str] = field(default_factory=dict,
-                                            repr=False, compare=False)
+    #: Registry key and namespace root: ``app.instance``.
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        """Registry key and namespace root: ``app.instance``."""
-        return f"{self.app_name}.{self.instance_id}"
+    def __post_init__(self) -> None:
+        self.key = f"{self.app_name}.{self.instance_id}"
 
     def bundle_of_option(self, option_name: str) -> str:
-        """The bundle declaring ``option_name`` (cached after first scan)."""
-        cached = self._option_bundles.get(option_name)
-        if cached is not None:
-            return cached
+        """The first bundle declaring ``option_name``."""
         for bundle_name, state in self.bundles.items():
             if any(option.name == option_name
                    for option in state.bundle.options):
-                self._option_bundles[option_name] = bundle_name
                 return bundle_name
         raise ControllerError(
             f"{self.key}: no bundle contains option {option_name!r}")

@@ -22,7 +22,11 @@ on and the physical links its traffic crosses (its
 :class:`PlacementFootprint`); contention queries read those indexes in
 O(sharers) instead of scanning every placed configuration, and
 :meth:`apps_affected_by` exposes the *dirty set* — the applications whose
-predictions can change when a given footprint appears or disappears.
+predictions can change when a given footprint appears or disappears.  The
+footprint is also the placement *compiled* for the default model: the walk
+that indexes it records the rows the model evaluates, so a prediction never
+re-walks a cluster path.  The cluster tells the view when its graph changes
+(:meth:`SystemView.topology_changed`), so no query checks for that.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment
 from repro.cluster.node import SimNode
 from repro.cluster.topology import Cluster
-from repro.errors import SimulationError
+from repro.errors import AllocationError, SimulationError
 
 __all__ = ["PlacedConfiguration", "PlacementFootprint", "PlacementToken",
-           "SystemView"]
+           "SystemView", "sojourn"]
 
 #: A physical link is identified by its (unordered) endpoint pair; the
 #: cluster forbids duplicate links between the same two hosts.
@@ -67,11 +71,25 @@ class PlacementFootprint:
     additionally includes the links general ``communication`` traffic is
     charged on (all-pairs paths) — traffic that *reads* link contention but
     does not add flows other applications see.
+
+    The remaining fields are the default model's rows, recorded in the same
+    walk: ``cpu_rows`` holds ``(host, seconds, speed)`` per CPU demand and
+    ``link_rows`` holds ``(megabytes, hops)`` per link demand, both in
+    demand order, where a hop is ``(link key, bandwidth, latency)``;
+    ``comm_hops`` are the distinct hops of every ``communication`` host
+    pair, each charged ``comm_mb``.  ``fault`` is ``(error type, message)``
+    of the first demand the model cannot evaluate (unplaced, or on
+    disconnected or unknown hosts); the index skips such demands.
     """
 
     cpu: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     flows: Mapping[LinkKey, tuple[float, ...]] = field(default_factory=dict)
     read_links: frozenset = frozenset()
+    cpu_rows: tuple = ()
+    link_rows: tuple = ()
+    comm_mb: float = 0.0
+    comm_hops: tuple = ()
+    fault: tuple | None = None
 
 
 _EMPTY_FOOTPRINT = PlacementFootprint()
@@ -114,7 +132,8 @@ class SystemView:
 
     ``version`` increments on every observable mutation (placements,
     external load, topology-triggered reindex); prediction caches key on
-    it to detect staleness.
+    it to detect staleness.  The view registers with its cluster, which
+    calls :meth:`topology_changed` after every node or link it adds.
     """
 
     def __init__(self, cluster: Cluster):
@@ -141,7 +160,7 @@ class SystemView:
         self._order: list[tuple] | None = None  # None: rebuild on read
         self._order_dirty: set[str] = set()
         self.version: int = 0
-        self._topology_version = getattr(cluster, "topology_version", 0)
+        cluster.watch(self)
 
     # -- membership ----------------------------------------------------------
 
@@ -155,7 +174,6 @@ class SystemView:
         ``dict`` update semantics), so prediction dictionaries built from
         the view keep a stable iteration order across trials.
         """
-        self._sync_topology()
         version_before = self.version
         removed = self._configurations.get(app_key)
         removed_footprint = self._footprints.get(app_key)
@@ -174,7 +192,6 @@ class SystemView:
                               version_before=version_before)
 
     def remove(self, app_key: str) -> PlacementToken:
-        self._sync_topology()
         version_before = self.version
         removed = self._configurations.pop(app_key, None)
         removed_footprint = self._footprints.pop(app_key, None)
@@ -188,7 +205,6 @@ class SystemView:
 
     def restore(self, token: PlacementToken) -> None:
         """Undo one token (the trial rollback primitive)."""
-        self._sync_topology()
         app_key = token.app_key
         current = self._footprints.get(app_key)
         if token.added is not None and app_key in self._configurations:
@@ -206,8 +222,9 @@ class SystemView:
             # a bundle and sweeps that evaluate it leave the exact same
             # iteration order behind.
             self._configurations[app_key] = token.removed
-            self._footprints[app_key] = token.removed_footprint \
-                or _EMPTY_FOOTPRINT
+            self._footprints[app_key] = token.removed_footprint or \
+                self._footprint_for(token.removed.demands,
+                                    token.removed.assignment)
             self._index(app_key, self._footprints[app_key])
         # A rolled-back mutation leaves no observable change, so the
         # version rewinds with it: version-keyed caches built before the
@@ -222,8 +239,26 @@ class SystemView:
 
     def footprint_of(self, app_key: str) -> PlacementFootprint | None:
         """The indexed footprint of a placed application (or ``None``)."""
-        self._sync_topology()
         return self._footprints.get(app_key)
+
+    def compiled(self, demands: ConcreteDemands, assignment: Assignment,
+                 app_key: str | None = None) -> PlacementFootprint:
+        """The footprint of a configuration: the indexed one when
+        ``app_key`` is placed with exactly these demands and assignment,
+        otherwise compiled now."""
+        placed = self._configurations.get(app_key)
+        if placed is not None and placed.demands is demands and \
+                placed.assignment is assignment:
+            return self._footprints[app_key]
+        return self._footprint_for(demands, assignment)
+
+    def contention_tables(self) -> tuple[Mapping, Mapping, Mapping,
+                                         Mapping]:
+        """What a compiled row is evaluated against, read-only: host ->
+        app -> CPU seconds, host -> external consumers, link -> app ->
+        flow megabytes, link -> external flows."""
+        return (self._host_entries, self._external_cpu,
+                self._link_entries, self._external_flows)
 
     def copy(self) -> "SystemView":
         """A shallow copy the optimizer can mutate while exploring."""
@@ -241,50 +276,89 @@ class SystemView:
         view._link_readers = {key: set(apps) for key, apps
                               in self._link_readers.items()}
         view.version = self.version
-        view._topology_version = self._topology_version
         return view
 
     # -- footprint maintenance -------------------------------------------------
 
     def _footprint_for(self, demands: ConcreteDemands,
                        assignment: Assignment) -> PlacementFootprint:
+        """Index a configuration and compile its default-model rows.
+
+        Walks the demands in the order the default model evaluates them,
+        so ``fault`` is the error that evaluation would meet first.
+        """
         placements = assignment.placements
+        fault = None
         cpu: dict[str, list[float]] = {}
+        cpu_rows = []
         for demand in demands.nodes:
-            if not demand.seconds or demand.seconds <= 0:
+            seconds = demand.seconds
+            if not seconds:
                 continue
             hostname = placements.get(demand.local_name)
             if hostname is None:
+                fault = fault or _unplaced(demand.local_name)
                 continue
-            cpu.setdefault(hostname, []).append(demand.seconds)
+            try:
+                speed = self.cluster.node(hostname).speed
+            except SimulationError as error:
+                fault = fault or (SimulationError, str(error))
+                speed = None
+            if seconds <= 0:
+                continue
+            cpu.setdefault(hostname, []).append(seconds)
+            if speed is not None:
+                cpu_rows.append((hostname, seconds, speed))
         flows: dict[LinkKey, list[float]] = {}
+        link_rows = []
         for link_demand in demands.links:
-            if link_demand.total_mb <= 0:
+            megabytes = link_demand.total_mb
+            if megabytes <= 0:
                 continue
             host_a = placements.get(link_demand.endpoint_a)
             host_b = placements.get(link_demand.endpoint_b)
-            if host_a is None or host_b is None or host_a == host_b:
+            if host_a is None or host_b is None:
+                fault = fault or _unplaced(link_demand.endpoint_a
+                                           if host_a is None
+                                           else link_demand.endpoint_b)
                 continue
-            for link in self._safe_path(host_a, host_b):
-                key = frozenset((link.host_a, link.host_b))
-                flows.setdefault(key, []).append(link_demand.total_mb)
+            if host_a == host_b:
+                continue
+            hops, error = self._hops(host_a, host_b)
+            fault = fault or error
+            for key, _, _ in hops:
+                flows.setdefault(key, []).append(megabytes)
+            link_rows.append((megabytes, hops))
         read_links = set(flows)
-        if demands.communication_mb and demands.communication_mb > 0:
+        comm_mb = demands.communication_mb or 0.0
+        comm_hops: dict[LinkKey, tuple] = {}
+        if comm_mb > 0:
             hosts = sorted(set(placements.values()))
             for i, host_a in enumerate(hosts):
                 for host_b in hosts[i + 1:]:
-                    for link in self._safe_path(host_a, host_b):
-                        read_links.add(frozenset((link.host_a, link.host_b)))
+                    hops, error = self._hops(host_a, host_b)
+                    fault = fault or error
+                    for hop in hops:
+                        comm_hops.setdefault(hop[0], hop)
+            read_links.update(comm_hops)
         return PlacementFootprint(
             cpu={host: tuple(values) for host, values in cpu.items()},
             flows={key: tuple(values) for key, values in flows.items()},
-            read_links=frozenset(read_links))
+            read_links=frozenset(read_links),
+            cpu_rows=tuple(cpu_rows), link_rows=tuple(link_rows),
+            comm_mb=comm_mb, comm_hops=tuple(comm_hops.values()),
+            fault=fault)
 
-    def _safe_path(self, host_a: str, host_b: str):
+    def _hops(self, host_a: str, host_b: str) -> tuple[tuple, tuple | None]:
+        """``(link key, bandwidth, latency)`` along the path, and the
+        fault of disconnected endpoints (which have no hops)."""
         try:
-            return self.cluster.path_links(host_a, host_b)
-        except SimulationError:
-            return ()  # disconnected endpoints contribute no flows
+            links = self.cluster.path_links(host_a, host_b)
+        except SimulationError as error:
+            return (), (SimulationError, str(error))
+        return tuple((frozenset((link.host_a, link.host_b)),
+                      link.bandwidth_mbps, link.latency_seconds)
+                     for link in links), None
 
     def _index(self, app_key: str, footprint: PlacementFootprint) -> None:
         self._order_dirty.update(footprint.cpu)
@@ -333,16 +407,13 @@ class SystemView:
                 if not readers:
                     del self._link_readers[key]
 
-    def _sync_topology(self) -> None:
+    def topology_changed(self) -> None:
         """Reindex every footprint after the cluster graph changed.
 
-        Node/link additions can reroute paths, invalidating the physical
+        Called by :meth:`Cluster.add_node` and :meth:`Cluster.add_link`:
+        node/link additions can reroute paths, invalidating the physical
         links recorded in footprints; placements themselves are unchanged.
         """
-        current = getattr(self.cluster, "topology_version", 0)
-        if current == self._topology_version:
-            return
-        self._topology_version = current
         self._order = None
         self._footprints.clear()
         self._host_entries.clear()
@@ -371,7 +442,6 @@ class SystemView:
         the applications whose explicit *or* general-communication traffic
         crosses the written links.
         """
-        self._sync_topology()
         affected: set[str] = set()
         for hostname in footprint.cpu:
             entries = self._host_entries.get(hostname)
@@ -435,7 +505,6 @@ class SystemView:
         O(cluster).  ``exclude_app`` orders as if that application were
         not placed, by re-keying its own hosts only.
         """
-        self._sync_topology()
         entries = self._order_entries
         if self._order is None:
             entries.clear()
@@ -469,12 +538,10 @@ class SystemView:
 
     def cpu_consumers(self, hostname: str) -> int:
         """Number of placed node demands with CPU work on ``hostname``."""
-        self._sync_topology()
         return self._host_counts.get(hostname, 0)
 
     def cpu_seconds_on(self, hostname: str) -> float:
         """Total reference CPU seconds proposed for ``hostname``."""
-        self._sync_topology()
         entries = self._host_entries.get(hostname)
         if not entries:
             return 0.0
@@ -484,7 +551,6 @@ class SystemView:
         """Number of placed link demands whose path uses link (a, b)."""
         if host_a == host_b:
             return 0
-        self._sync_topology()
         if self.cluster.link_between(host_a, host_b) is None:
             return 0
         return self._link_counts.get(frozenset((host_a, host_b)), 0)
@@ -519,12 +585,10 @@ class SystemView:
         """
         if own_seconds <= 0:
             return 0.0
-        self._sync_topology()
         # Each external consumer is assumed to be at least as long as the
         # job itself (no demand information is observable, only presence).
-        return _sojourn(own_seconds, self._host_entries.get(hostname),
-                        own_app_key,
-                        self._external_cpu.get(hostname, 0.0))
+        return sojourn(own_seconds, self._host_entries.get(hostname),
+                       own_app_key, self._external_cpu.get(hostname, 0.0))
 
     def transfer_effective_mb(self, host_a: str, host_b: str,
                               own_mb: float,
@@ -536,16 +600,15 @@ class SystemView:
         """
         if own_mb <= 0:
             return 0.0
-        self._sync_topology()
         if self.cluster.link_between(host_a, host_b) is None:
             return own_mb
         key = frozenset((host_a, host_b))
-        return _sojourn(own_mb, self._link_entries.get(key), own_app_key,
-                        self._external_flows.get(key, 0.0))
+        return sojourn(own_mb, self._link_entries.get(key), own_app_key,
+                       self._external_flows.get(key, 0.0))
 
 
-def _sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,
-             own_app_key: str | None, external: float) -> float:
+def sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,
+            own_app_key: str | None, external: float) -> float:
     """``own + sum_j min(v_j, own) + external * own``, correctly rounded.
 
     ``math.fsum`` makes the sum a function of the competitors' multiset,
@@ -562,4 +625,11 @@ def _sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,
     if external:
         terms.append(external * own)
     return math.fsum(terms)
+
+
+def _unplaced(local_name: str) -> tuple:
+    """The fault of a demand on a resource the assignment does not place
+    (the error :meth:`Assignment.hostname_of` raises)."""
+    return (AllocationError,
+            f"assignment has no placement for {local_name!r}")
 

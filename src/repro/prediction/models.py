@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Protocol
 from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment
 from repro.errors import PredictionError
-from repro.prediction.contention import SystemView
+from repro.prediction.contention import SystemView, sojourn
 from repro.prediction.piecewise import PiecewiseLinearModel
 from repro.rsl.model import PerformanceSpec
 
@@ -53,68 +53,52 @@ class DefaultModel:
     """Harmony's default CPU + network contention model.
 
     CPU contention uses the processor-sharing sojourn estimate
-    :meth:`SystemView.cpu_effective_seconds` (``sum_j min(s_j, s)``), so a
+    :func:`~repro.prediction.contention.sojourn` (``sum_j min(s_j, s)``), so a
     short competitor adds only its own length while an equal competitor
     doubles the job — the asymmetry that drives the database crossover.
+
+    The model evaluates the rows of the configuration's compiled
+    :class:`~repro.prediction.contention.PlacementFootprint` — the view's
+    indexed one when it is placed there, else one compiled for the call —
+    so a prediction walks no cluster path.  A transfer costs its slowest
+    hop, ``effective / bandwidth + latency``.
     """
 
     def predict(self, demands: ConcreteDemands, assignment: Assignment,
                 view: SystemView, app_key: str | None = None) -> float:
-        cluster = view.cluster
+        footprint = view.compiled(demands, assignment, app_key)
+        if footprint.fault is not None:
+            error, message = footprint.fault
+            raise error(message)
+        host_entries, external_cpu, link_entries, external_flows = \
+            view.contention_tables()
         cpu_phase = 0.0
-        for demand in demands.nodes:
-            if not demand.seconds:
-                continue
-            hostname = assignment.hostname_of(demand.local_name)
-            node = cluster.node(hostname)
-            effective = view.cpu_effective_seconds(
-                hostname, demand.seconds, own_app_key=app_key)
-            cpu_phase = max(cpu_phase, effective / node.speed)
-
+        for hostname, seconds, speed in footprint.cpu_rows:
+            cpu_phase = max(cpu_phase, sojourn(
+                seconds, host_entries.get(hostname), app_key,
+                external_cpu.get(hostname, 0.0)) / speed)
         network_phase = 0.0
-        for link_demand in demands.links:
-            if link_demand.total_mb <= 0:
-                continue
-            host_a = assignment.hostname_of(link_demand.endpoint_a)
-            host_b = assignment.hostname_of(link_demand.endpoint_b)
-            if host_a == host_b:
-                continue
-            network_phase += self._transfer_time(
-                view, host_a, host_b, link_demand.total_mb, app_key)
-
-        if demands.communication_mb and demands.communication_mb > 0:
-            network_phase += self._general_communication_time(
-                demands, assignment, view, app_key)
-
+        for megabytes, hops in footprint.link_rows:
+            network_phase += _slowest_hop(hops, megabytes, app_key,
+                                          link_entries, external_flows)
+        if footprint.comm_hops:
+            # All-pairs traffic, charged at the slowest placed pair.
+            network_phase += _slowest_hop(
+                footprint.comm_hops, footprint.comm_mb, app_key,
+                link_entries, external_flows)
         return cpu_phase + network_phase
 
-    def _transfer_time(self, view: SystemView, host_a: str, host_b: str,
-                       total_mb: float, app_key: str | None) -> float:
-        cluster = view.cluster
-        worst = 0.0
-        for link in cluster.path_links(host_a, host_b):
-            effective = view.transfer_effective_mb(
-                link.host_a, link.host_b, total_mb, own_app_key=app_key)
-            seconds = effective / link.bandwidth_mbps \
-                + link.latency_seconds
-            worst = max(worst, seconds)
-        return worst
 
-    def _general_communication_time(self, demands: ConcreteDemands,
-                                    assignment: Assignment,
-                                    view: SystemView,
-                                    app_key: str | None) -> float:
-        """Charge all-pairs traffic at the slowest placed pair."""
-        hosts = sorted(assignment.hostnames())
-        if len(hosts) < 2:
-            return 0.0
-        worst = 0.0
-        for i, host_a in enumerate(hosts):
-            for host_b in hosts[i + 1:]:
-                worst = max(worst, self._transfer_time(
-                    view, host_a, host_b,
-                    demands.communication_mb or 0.0, app_key))
-        return worst
+def _slowest_hop(hops: tuple, megabytes: float, app_key: str | None,
+                 link_entries: Mapping, external_flows: Mapping) -> float:
+    """Seconds of a transfer at its slowest ``(key, bandwidth, latency)``
+    hop, its megabytes shared fairly with the flows on each."""
+    worst = 0.0
+    for key, bandwidth, latency in hops:
+        worst = max(worst, sojourn(
+            megabytes, link_entries.get(key), app_key,
+            external_flows.get(key, 0.0)) / bandwidth + latency)
+    return worst
 
 
 class ExplicitSpecModel:

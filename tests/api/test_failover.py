@@ -160,30 +160,35 @@ class TestClientFailover:
 
 
 class TestTermStamping:
-    def make_replicated_server(self, tmp_path):
+    @pytest.fixture
+    def replicated(self, tmp_path):
+        """A journaled primary; its server and journal close at
+        teardown, so no ``wal.log`` handle outlives the test."""
         controller, server = make_server()
         journal = DurabilityJournal(str(tmp_path), fsync="never",
                                     snapshot_every=0)
         journal.attach(controller)
         assert server.enable_replication() == "primary"
-        return controller, server
+        yield controller, server
+        server.stop()
+        journal.close()
 
-    def test_replies_carry_the_current_term(self, tmp_path):
-        controller, server = self.make_replicated_server(tmp_path)
+    def test_replies_carry_the_current_term(self, replicated):
+        controller, server = replicated
         assert controller.term == 1
         client = attached_client(server)
         client.startup("demo")
         assert client.term == 1
 
-    def test_client_tracks_highest_term_seen(self, tmp_path):
-        _controller, server = self.make_replicated_server(tmp_path)
+    def test_client_tracks_highest_term_seen(self, replicated):
+        _controller, server = replicated
         client = attached_client(server)
         client.term = 7  # already spoke to a newer primary
         client.startup("demo")
         assert client.term == 7  # a stale term never lowers it
 
-    def test_deposed_server_redirect_carries_its_term(self, tmp_path):
-        _controller, server = self.make_replicated_server(tmp_path)
+    def test_deposed_server_redirect_carries_its_term(self, replicated):
+        _controller, server = replicated
         client = attached_client(server)
         client.startup("demo")
         server.demote()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.allocation.instantiate import ConcreteDemands, LinkDemand
-from repro.allocation.matcher import Matcher
+from repro.allocation.matcher import Assignment, Matcher
 from repro.cluster import Cluster
 from repro.cluster.node import MemoryAccount
 from repro.errors import AllocationError, SimulationError
@@ -328,9 +328,12 @@ class TestClusterTopology:
                 cluster.path_links(host_a, host_b)
             with pytest.raises(SimulationError, match="'zz'"):
                 cluster.path_available_mbps(host_a, host_b)
-        assert SystemView(cluster)._safe_path("a", "zz") == ()
         demands = ConcreteDemands(
             "o", links=(LinkDemand("x", "y", 1.0),))
+        footprint = SystemView(cluster).compiled(
+            demands, Assignment({"x": "a", "y": "zz"}))
+        assert not footprint.flows and \
+            footprint.fault == (SimulationError, "unknown node 'zz'")
         assert not Matcher(cluster)._links_feasible(
             demands, {"x": "a", "y": "zz"}, partial=False)
 

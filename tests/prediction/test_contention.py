@@ -3,6 +3,11 @@
 import pytest
 
 from repro.allocation import Matcher, instantiate_option
+from repro.allocation.instantiate import (
+    ConcreteDemands, LinkDemand, NodeDemand)
+from repro.allocation.matcher import Assignment
+from repro.cluster import Cluster
+from repro.controller import AdaptationController
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
 
@@ -95,3 +100,52 @@ class TestSojournEstimates:
 
     def test_unused_link_has_no_contention(self, view_with_two):
         assert view_with_two.transfer_effective_mb("n2", "n3", 5.0) == 5.0
+
+
+class TestTopologyGrowth:
+    """The cluster tells its views about a new link; no query has to
+    check for one."""
+
+    def test_new_link_reroutes_every_query_at_once(self):
+        cluster = Cluster()
+        for host in ("a", "b", "c"):
+            cluster.add_node(host)
+        cluster.add_link("a", "b", 10.0, 0.01)
+        cluster.add_link("b", "c", 20.0, 0.02)
+        controller = AdaptationController(cluster)
+        view = controller.view
+        spans = ConcreteDemands(
+            "o", nodes=(NodeDemand("x", seconds=3.0),
+                        NodeDemand("y", seconds=1.0)),
+            links=(LinkDemand("x", "y", 6.0),), communication_mb=2.0)
+        placements = {"A0": {"x": "a", "y": "c"}, "A1": {"x": "b", "y": "c"},
+                      "A2": {"x": "a", "y": "b"}}
+        for name, hosts in placements.items():
+            instance = controller.register_app(name)
+            controller.add_bundle(instance, build_bundle(
+                "harmonyBundle App b {{o {node n {seconds 1}}}}"))
+            view.place(instance.key, spans, Assignment(hosts))
+        version = view.version
+        assert view.flows_between("a", "b") == 2
+        assert view.flows_between("b", "c") == 2
+
+        cluster.add_link("a", "c", 5.0, 0.005)
+
+        fresh = SystemView(cluster)
+        for placed in view.configurations():
+            fresh.place(placed.app_key, placed.demands, placed.assignment)
+        assert view.footprint_of("A0.1").flows == {
+            frozenset(("a", "c")): (6.0,)}
+        for host_a, host_b in (("a", "b"), ("b", "c"), ("a", "c")):
+            assert view.flows_between(host_a, host_b) == \
+                fresh.flows_between(host_a, host_b) == 1
+        for placed in view.configurations():
+            key = placed.app_key
+            assert view.footprint_of(key) == fresh.footprint_of(key)
+            assert view.apps_affected_by(view.footprint_of(key)) == \
+                fresh.apps_affected_by(fresh.footprint_of(key))
+            assert controller.predict_app(view, placed) == \
+                controller.predict_app(fresh, fresh.configuration_of(key))
+        assert view.apps_affected_by(fresh.footprint_of("A0.1")) == \
+            {"A0.1", "A1.2", "A2.3"}
+        assert view.version > version
