@@ -76,6 +76,21 @@ class MatchPreparation:
     load_order: Callable[[list[SimNode] | None], list[SimNode]] | None = None
     ordered: dict[frozenset[str], list[SimNode]] = field(default_factory=dict)
     free_mb: dict[str, float] = field(default_factory=dict)
+    #: Pattern set -> the furthest position any match examined in its
+    #: ordered list (absent: none).
+    scanned: dict[frozenset[str], int] = field(default_factory=dict)
+
+    def examined(self) -> tuple[set[str], list[SimNode]]:
+        """What the matches so far read of the nodes: the hostnames at
+        or before the furthest position of each ordered list, and the
+        node at each furthest position."""
+        prefix: set[str] = set()
+        furthest = []
+        for patterns, position in self.scanned.items():
+            ordered = self.ordered[patterns]
+            prefix.update(node.hostname for node in ordered[:position + 1])
+            furthest.append(ordered[position])
+        return prefix, furthest
 
 
 class Matcher:
@@ -92,6 +107,9 @@ class Matcher:
         self.allow_colocation = allow_colocation
         self._prepared = MatchPreparation()
         self._ordered: list[SimNode] = []
+        #: The furthest position of ``_ordered`` the current match has
+        #: examined.
+        self._furthest = -1
         #: (patterns, topology_version) -> nodes any pattern matches, in
         #: cluster insertion order.  Pattern-restricted demands (pods,
         #: racks) then pay O(|matching nodes|) per match instead of
@@ -120,7 +138,8 @@ class Matcher:
         placements prefer idle nodes.
 
         ``prepared`` carries both instead, shared by the caller between
-        the configurations it matches against one unchanged state.
+        the configurations it matches against one unchanged state, and
+        notes how far each match scanned (:meth:`MatchPreparation.examined`).
 
         Raises:
             AllocationError: when no feasible placement exists; the message
@@ -129,9 +148,20 @@ class Matcher:
         placements: dict[str, str] = {}
         self._prepared = prepared if prepared is not None else \
             MatchPreparation(frozenset(ignore_holders or ()), order_key)
-        self._ordered = self._ordered_nodes(demands)
-        if self._search(list(demands.nodes), demands, placements,
-                        extra_memory or {}):
+        patterns = frozenset(d.hostname_pattern for d in demands.nodes)
+        self._ordered = self._ordered_nodes(patterns)
+        self._furthest = -1
+        found = self._search(list(demands.nodes), demands, placements,
+                             extra_memory or {})
+        # First-fit reads the nodes up to the furthest one it examined;
+        # the other strategies order by every node's free memory.
+        furthest = self._furthest \
+            if self.strategy is MatchStrategy.FIRST_FIT \
+            else len(self._ordered) - 1
+        scanned = self._prepared.scanned
+        if furthest > scanned.get(patterns, -1):
+            scanned[patterns] = furthest
+        if found:
             return Assignment(placements=dict(placements))
         raise AllocationError(
             f"no feasible placement for configuration "
@@ -180,8 +210,9 @@ class Matcher:
         self._pattern_memo[patterns] = (version, nodes)
         return nodes
 
-    def _ordered_nodes(self, demands: ConcreteDemands) -> list[SimNode]:
-        """The nodes ``demands`` can reach, in candidate order.
+    def _ordered_nodes(self, patterns: frozenset[str]) -> list[SimNode]:
+        """The nodes demands with these patterns can reach, in candidate
+        order.
 
         Strategy key first, then the caller's order, both stable; derived
         once per pattern set of a preparation.  Per-demand filtering
@@ -191,7 +222,6 @@ class Matcher:
         (``needed_mb``) shift.
         """
         prepared = self._prepared
-        patterns = frozenset(d.hostname_pattern for d in demands.nodes)
         ordered = prepared.ordered.get(patterns)
         if ordered is None:
             base = self.reachable_nodes(patterns)
@@ -225,18 +255,23 @@ class Matcher:
                     placements: dict[str, str],
                     extra_memory: Mapping[str, float]) -> Iterator[SimNode]:
         """Feasible nodes in candidate order, lazily: the search stops at
-        the first that fits, so most nodes are never looked at."""
+        the first that fits, so most nodes are never looked at.  Each
+        node yielded, and the end of the list, moves ``_furthest``."""
         needed_mb = demand.memory_min_mb + extra_memory.get(
             demand.local_name, 0.0)
         taken = set(placements.values()) if not self.allow_colocation else set()
-        for node in self._ordered:
+        ordered = self._ordered
+        for position, node in enumerate(ordered):
             if node.available \
                     and node.hostname not in taken \
                     and _hostname_matches(demand.hostname_pattern,
                                           node.hostname) \
                     and (demand.os is None or node.os == demand.os) \
                     and self._free_mb(node) + 1e-9 >= needed_mb:
+                if position > self._furthest:
+                    self._furthest = position
                 yield node
+        self._furthest = len(ordered) - 1
 
     def _links_feasible(self, demands: ConcreteDemands,
                         placements: dict[str, str], partial: bool) -> bool:

@@ -242,18 +242,30 @@ def enumerate_candidates(instance: AppInstance, state: BundleState,
     with the application's own footprint subtracted, so no per-bundle
     view copy or sort is needed.
     """
+    return _matched(state, context, _preparation(
+        instance, state, context, extra_ignore_holders))
+
+
+def _preparation(instance: AppInstance, state: BundleState,
+                 context: OptimizationContext,
+                 extra_ignore_holders: frozenset[str] = frozenset(),
+                 ) -> MatchPreparation:
+    """Every configuration is matched against one unchanged state: one
+    preparation, ordered from the view's maintained order."""
     ignore = frozenset({bundle_holder(instance, state)}) \
         | extra_ignore_holders
+    return MatchPreparation(ignore, load_order=partial(
+        context.view.load_order, exclude_app=instance.key))
+
+
+def _matched(state: BundleState, context: OptimizationContext,
+             prepared: MatchPreparation) -> Iterator[Candidate]:
     stats = context.stats
     with context.tracer.span("optimizer.configuration_space",
                              bundle=state.bundle.bundle_name) as span:
         entries = context.cache.space_for(state.bundle,
                                           context.memory_probe_limit)
         span.set("entries", len(entries))
-    # Every configuration is matched against one unchanged state: one
-    # preparation, ordered from the view's maintained order.
-    prepared = MatchPreparation(ignore, load_order=partial(
-        context.view.load_order, exclude_app=instance.key))
     for entry in entries:
         if stats is not None:
             stats.match_calls += 1
@@ -448,9 +460,11 @@ class GreedyOptimizer:
             # ``live``, which the dirty-set contract says a recompute
             # returns.
             placed = context.view.configuration_of(instance.key)
-            candidates = list(enumerate_candidates(instance, state, context))
+            prepared = _preparation(instance, state, context)
+            candidates = list(_matched(state, context, prepared))
             if since is not None and engine.unchanged(
                     since, state.chosen, placed, candidates):
+                engine.cover_scan(since, prepared, instance.key)
                 span.set("unchanged", True)
                 return None
             # Read after the match, which brings the view up to the
@@ -484,11 +498,13 @@ class GreedyOptimizer:
             span.set("candidates_evaluated", len(candidates))
             if best is not None:
                 span.set("chosen", best.option_name)
+            record = engine.read_set(state.chosen, placed, candidates,
+                                     reads, epoch)
+            engine.cover_scan(record, prepared, instance.key)
             return OptimizationResult(
                 best=best, candidates_evaluated=len(candidates),
                 current_objective=current_objective, evaluated=candidates,
-                reads=engine.read_set(state.chosen, placed, candidates,
-                                      reads, epoch))
+                reads=record)
 
 
 class ExhaustiveOptimizer:

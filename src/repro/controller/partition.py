@@ -20,8 +20,8 @@ independence explicit:
 
 * **Records** — one rule decides every skip.  A bundle whose evaluation
   found nothing to change keeps one :class:`~repro.controller.trial.ReadSet`:
-  what its scoring read, plus its reach.  The record is valid while no
-  key it covers has been stamped after its clock
+  what its scoring read, plus what its match examined.  The record is
+  valid while no key it covers has been stamped after its clock
   (``TrialEngine._stamps``: every commit stamps what it wrote and the
   hosts its allocations hold memory on; a node failing or coming back
   and an external-load change stamp the host or link they change) and
@@ -30,8 +30,22 @@ independence explicit:
   (:meth:`PartitionIndex.holds`); when it does not, a match that finds
   the same candidates with the same reads unwritten still skips scoring
   (``GreedyOptimizer.optimize_bundle(since=...)``) and renews the record.
-  Reach alone would not do: a co-runner placed across two pods makes a
-  commit on the far pod change what this bundle's trials read.
+  What the match examined is narrower than reach.  A first-fit match
+  walks the bundle's load order (its own placement excluded) and stops
+  at the first node that fits, so the record covers the *scanned
+  prefix* — every host at or before the furthest position any of the
+  bundle's matches reached — and keeps the *boundary*, the
+  :meth:`~repro.prediction.contention.SystemView.order_key` of that
+  furthest host.  A stamped host of the reach outside the prefix voids
+  the record only when it now orders before the boundary.  This is
+  exact: a host's key, availability and free memory change only with a
+  stamp, so an unstamped prefix host looks the same to the next match,
+  and a host that orders after the boundary is never examined; the
+  match's link checks read only the topology, since the controller
+  reserves no bandwidth.  An unconfigured bundle, which has no match,
+  covers its reach.  Reach and scan alone would not do: a co-runner
+  placed across two pods makes a commit on the far pod change what
+  this bundle's trials read, which the scoring reads cover.
   Records are only written and honoured when pruning is provably safe
   (:meth:`PartitionIndex.prunable`: an additively decomposable objective
   and no opaque models), and only for outcomes that stay no-ops whatever
@@ -97,7 +111,7 @@ class PartitionIndex:
 
     def holds(self, key: BundleKey, state: "BundleState") -> bool:
         """Whether re-evaluating this bundle is provably a no-op: its
-        last stable no-op's record holds over its reach and reads."""
+        last stable no-op's record holds over its scan and reads."""
         record = self._no_ops.get(key)
         return record is not None and self.controller._engine.holds(
             record, state.chosen,
@@ -106,11 +120,13 @@ class PartitionIndex:
     def note_no_op(self, key: BundleKey, state: "BundleState",
                    reads: ReadSet | None = None) -> None:
         """Record a stable no-op of this bundle: what it read (``None``:
-        nothing, an unconfigured bundle) and its reach."""
+        nothing, an unconfigured bundle, which covers its reach)."""
         if reads is None:
             reads = self.controller._engine.read_set(
                 state.chosen, self.controller.view.configuration_of(key[0]))
-        reads.covers = self._reach_of(key, state) | reads.keys
+        reads.reach = self._reach_of(key, state)
+        if reads.boundary is None:
+            reads.covers = reads.reach | reads.keys
         self._no_ops[key] = reads
 
     def now(self) -> ReadSet:

@@ -33,10 +33,12 @@ This module removes both:
   or holds memory on, or whose load or availability changes, and moves
   an :attr:`TrialEngine.epoch` on every mutation it did not see.
   :meth:`TrialEngine.reading` records what one evaluation's recomputed
-  predictions read (:class:`ReadSet`).  One rule: a record is valid
+  predictions read (:class:`ReadSet`), and :meth:`TrialEngine.cover_scan`
+  what its first-fit matches examined.  One rule: a record is valid
   while no key it covers is stamped after its clock, and the epoch and
   the topology version are unchanged (:meth:`TrialEngine.holds` before a
-  match, :meth:`TrialEngine.unchanged` after one).
+  match, which also requires every stamped host past the scan to order
+  after its boundary; :meth:`TrialEngine.unchanged` after one).
 
 :class:`OptimizerStats` counts the work actually done so benchmarks can
 report candidates evaluated, per-app predictions recomputed, and full-view
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
-from repro.allocation.matcher import Assignment
+from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.prediction.contention import (
     PlacementFootprint,
     PlacementToken,
@@ -107,12 +109,16 @@ class ReadSet:
     app's view placement the candidates were scored against (compared by
     identity: every commit makes new ones); ``candidates`` the matched
     ``(demands, assignment)`` pairs in match order; ``keys`` the hosts
-    and links the recomputed predictions read; ``covers`` those and every
-    host and link the bundle's match could read (its reach); ``epoch``,
-    ``clock`` and ``topology`` the engine's epoch, its commit count and
-    the cluster's topology version when they were read.  ``covers`` is
-    set when the record is kept, ``clock`` moved up whenever a check
-    proves it unchanged.
+    and links the recomputed predictions read; ``epoch``, ``clock`` and
+    ``topology`` the engine's epoch, its commit count and the cluster's
+    topology version when they were read.  ``covers`` is ``keys`` and
+    the hosts the bundle's first-fit matches examined, ``boundary`` the
+    :meth:`~repro.prediction.contention.SystemView.order_key` of the
+    furthest of those with ``excluded`` (the bundle's app) excluded,
+    and ``reach`` every host and link the bundle's match could read; a
+    record with no ``boundary`` covers its ``reach``.  ``covers`` and
+    ``boundary`` are set by the latest match, ``reach`` when the record
+    is kept, ``clock`` moved up whenever a check proves it unchanged.
     """
 
     chosen: object
@@ -123,6 +129,9 @@ class ReadSet:
     clock: int
     topology: int
     covers: frozenset = frozenset()
+    boundary: tuple | None = None
+    excluded: str | None = None
+    reach: frozenset = frozenset()
 
 
 def _candidate_signature(candidates: Sequence) -> tuple:
@@ -324,11 +333,25 @@ class TrialEngine:
                        keys=frozenset(keys), epoch=epoch, clock=self._clock,
                        topology=self.controller.cluster.topology_version)
 
+    def cover_scan(self, record: ReadSet, prepared: MatchPreparation,
+                   app_key: str) -> None:
+        """Make ``record`` cover what the matches of ``prepared`` read of
+        the nodes: the hosts they examined, and the boundary past which
+        they examined none."""
+        prefix, furthest = prepared.examined()
+        order_key = self.controller.view.order_key
+        record.boundary = max((order_key(node.hostname, app_key)
+                               for node in furthest), default=())
+        record.excluded = app_key
+        record.covers = record.keys.union(prefix)
+
     def holds(self, record: ReadSet, chosen: object, placed: object) -> bool:
         """Whether the result ``record`` describes still holds before any
         match: the same configuration and placement, no unseen mutation,
-        the same topology, and no stamp on its reach or reads since."""
-        return self._proves(record, chosen, placed, record.covers)
+        the same topology, no stamp on what it covers since, and no
+        stamped host of its reach now ordered before its boundary."""
+        return self._proves(record, chosen, placed, record.covers,
+                            record.boundary)
 
     def unchanged(self, since: ReadSet, chosen: object, placed: object,
                   candidates: Sequence) -> bool:
@@ -338,15 +361,25 @@ class TrialEngine:
             self._proves(since, chosen, placed, since.keys)
 
     def _proves(self, record: ReadSet, chosen: object, placed: object,
-                keys: frozenset) -> bool:
+                keys: frozenset, boundary: tuple | None = None) -> bool:
         # An unseen mutation moves the epoch only when the cache is read.
         self.live_predictions()
         if record.chosen is not chosen or record.placed is not placed or \
                 record.epoch != self.epoch or record.topology != \
-                self.controller.cluster.topology_version or \
-                (record.clock != self._clock and
-                 not keys.isdisjoint(self._stamped_after(record.clock))):
+                self.controller.cluster.topology_version:
             return False
+        if record.clock != self._clock:
+            stamped = self._stamped_after(record.clock)
+            if not keys.isdisjoint(stamped):
+                return False
+            # A host the scan did not reach is examined next time only
+            # if it now orders before the furthest one it did; its key
+            # moves only with a stamp.
+            if boundary is not None and \
+                    not stamped.isdisjoint(record.reach) and \
+                    self.controller.view.orders_before(
+                        stamped & record.reach, boundary, record.excluded):
+                return False
         # Proved unchanged up to now: the records a sweep checks come to
         # share a few clocks, each resolved once below.
         record.clock = self._clock

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -114,7 +115,10 @@ def restore_controller(
     journal = DurabilityJournal(
         directory, snapshot_every=snapshot_every, fsync=fsync,
         crash_schedule=crash_schedule, model_registry=model_registry)
-    with tracer.span("controller.restore", directory=directory) as span:
+    with tracer.span("controller.restore", directory=directory) as span, \
+            ExitStack() as on_error:
+        # A restore that fails leaves no open WAL handle behind.
+        on_error.callback(journal.close)
         loaded = load_directory(
             directory, journal,
             lambda cluster: AdaptationController(
@@ -130,6 +134,7 @@ def restore_controller(
             raise RecoveryError(f"{directory}: nothing to restore")
         controller, report = loaded
         journal.attach(controller, resume=True)
+        on_error.pop_all()
         elapsed = _time.perf_counter() - start
         report.recovery_seconds = elapsed
         controller.metrics.report("controller.recovery_seconds",

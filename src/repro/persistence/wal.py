@@ -234,15 +234,13 @@ class WriteAheadLog:
         point = self.crash_schedule.decide(index) \
             if self.crash_schedule is not None else None
         if point is CrashPoint.BEFORE_APPEND:
-            self._crashed = SimulatedCrash(point, index)
-            raise self._crashed
+            raise self._die(point, index)
         if point is CrashPoint.TORN_APPEND:
             torn = frame[:max(1, len(frame) // 2)]
             self._handle.write(torn)
             self._handle.flush()
             os.fsync(self._handle.fileno())
-            self._crashed = SimulatedCrash(point, index)
-            raise self._crashed
+            raise self._die(point, index)
         self._handle.write(frame)
         self._handle.flush()
         if self.fsync == "always":
@@ -251,9 +249,16 @@ class WriteAheadLog:
         self._last_seq = record.seq
         self.bytes_written += len(frame)
         if point is CrashPoint.AFTER_APPEND:
-            self._crashed = SimulatedCrash(point, index)
-            raise self._crashed
+            raise self._die(point, index)
         return record
+
+    def _die(self, point: CrashPoint, index: int) -> SimulatedCrash:
+        """Latch the crash and release the handle, as a dead process
+        would: every write before it was flushed, so nothing more
+        reaches disk."""
+        self._crashed = SimulatedCrash(point, index)
+        self._handle.close()
+        return self._crashed
 
     def append_record(self, record: WalRecord) -> WalRecord:
         """Durably append an already-sequenced record verbatim.

@@ -494,6 +494,35 @@ class SystemView:
             + self._external_cpu.get(hostname, 0.0)
         return (load, *entry[1:])
 
+    def _keyed_entries(self) -> dict[str, tuple]:
+        """hostname -> its maintained entry, re-keyed where state moved."""
+        entries = self._order_entries
+        if self._order is None:
+            entries.clear()
+            for index, node in enumerate(self.cluster.nodes()):
+                entries[node.hostname] = self._rekeyed(
+                    (0.0, -node.speed, index, node))
+            self._order = sorted(entries.values())
+            self._order_dirty.clear()
+        if self._order_dirty:
+            order = self._order
+            for hostname in self._order_dirty & entries.keys():
+                old, new = entries[hostname], self._rekeyed(entries[hostname])
+                if new[0] != old[0]:
+                    entries[hostname] = new
+                    del order[bisect_left(order, old)]
+                    insort(order, new)
+            self._order_dirty.clear()
+        return entries
+
+    def _entry(self, hostname: str, own: Mapping[str, tuple]) -> tuple:
+        """``hostname``'s entry as if the app computing ``own`` were not
+        placed: the one key :meth:`load_order` and :meth:`order_key`
+        read."""
+        entry = self._order_entries[hostname]
+        seconds = own.get(hostname)
+        return self._rekeyed(entry, len(seconds)) if seconds else entry
+
     def load_order(self, nodes: Sequence[SimNode] | None = None,
                    exclude_app: str | None = None) -> list[SimNode]:
         """Nodes in first-fit preference order: idle first, then faster.
@@ -505,34 +534,40 @@ class SystemView:
         O(cluster).  ``exclude_app`` orders as if that application were
         not placed, by re-keying its own hosts only.
         """
-        entries = self._order_entries
-        if self._order is None:
-            entries.clear()
-            for index, node in enumerate(self.cluster.nodes()):
-                entries[node.hostname] = self._rekeyed(
-                    (0.0, -node.speed, index, node))
-            self._order = sorted(entries.values())
-        order = self._order
-        for hostname in self._order_dirty & entries.keys():
-            old, new = entries[hostname], self._rekeyed(entries[hostname])
-            if new[0] != old[0]:
-                entries[hostname] = new
-                del order[bisect_left(order, old)]
-                insort(order, new)
-        self._order_dirty.clear()
+        entries = self._keyed_entries()
         own = self._footprints.get(exclude_app, _EMPTY_FOOTPRINT).cpu
-        rekeyed = {hostname: self._rekeyed(entries[hostname], len(seconds))
-                   for hostname, seconds in own.items()
-                   if hostname in entries}
         if nodes is not None:
-            return sorted(nodes, key=lambda node: (
-                rekeyed.get(node.hostname) or entries[node.hostname])[:2])
-        if rekeyed:
+            return sorted(nodes, key=lambda node: self._entry(
+                node.hostname, own)[:2])
+        order = self._order
+        if own:
             order = order.copy()
-            for hostname, new in rekeyed.items():
-                del order[bisect_left(order, entries[hostname])]
-                insort(order, new)
+            for hostname in own:
+                if hostname in entries:
+                    del order[bisect_left(order, entries[hostname])]
+                    insort(order, self._entry(hostname, own))
         return [entry[3] for entry in order]
+
+    def order_key(self, hostname: str,
+                  exclude_app: str | None = None) -> tuple:
+        """Where ``hostname`` sorts in :meth:`load_order` with
+        ``exclude_app`` excluded: ``(load, -speed, insertion index)``,
+        unique per host.  A first-fit order over cluster-order nodes is
+        exactly the sort by this key."""
+        self._keyed_entries()
+        return self._entry(hostname, self._footprints.get(
+            exclude_app, _EMPTY_FOOTPRINT).cpu)[:3]
+
+    def orders_before(self, keys, boundary: tuple,
+                      exclude_app: str | None = None) -> bool:
+        """Whether a host among ``keys`` has an :meth:`order_key` below
+        ``boundary``; keys that name no host (links) are skipped."""
+        entries = self._keyed_entries()
+        own = self._footprints.get(exclude_app, _EMPTY_FOOTPRINT).cpu
+        for key in keys:
+            if key in entries and self._entry(key, own)[:3] < boundary:
+                return True
+        return False
 
     # -- contention queries ----------------------------------------------------
 
@@ -564,47 +599,6 @@ class SystemView:
         """Bandwidth stretch factor on a link: max(1, flows + external)."""
         return float(max(1.0, self.flows_between(host_a, host_b)
                          + self.external_link_load(host_a, host_b)))
-
-    # -- processor-sharing sojourn estimates -----------------------------------
-
-    def cpu_effective_seconds(self, hostname: str, own_seconds: float,
-                              own_app_key: str | None = None) -> float:
-        """Reference seconds a job of ``own_seconds`` effectively needs.
-
-        Under processor sharing with (approximately) simultaneous arrivals,
-        a job of service demand ``s`` among jobs ``s_j`` completes after
-        ``sum_j min(s_j, s)``: every competitor delays it by at most its own
-        length.  This closed form is exact for simultaneous PS arrivals and
-        captures the asymmetry the Figure 3 database bundle relies on —
-        a 1-second page-server request barely delays a 9-second query, while
-        a second 9-second query doubles it.
-
-        When ``own_app_key`` names a configuration already placed in this
-        view, its own demands on the node are excluded (the ``own_seconds``
-        term accounts for them).
-        """
-        if own_seconds <= 0:
-            return 0.0
-        # Each external consumer is assumed to be at least as long as the
-        # job itself (no demand information is observable, only presence).
-        return sojourn(own_seconds, self._host_entries.get(hostname),
-                       own_app_key, self._external_cpu.get(hostname, 0.0))
-
-    def transfer_effective_mb(self, host_a: str, host_b: str,
-                              own_mb: float,
-                              own_app_key: str | None = None) -> float:
-        """Effective megabytes for a transfer sharing link (a, b) fairly.
-
-        Same ``sum min`` sojourn form as :meth:`cpu_effective_seconds`,
-        applied to flows whose placement path crosses the given link.
-        """
-        if own_mb <= 0:
-            return 0.0
-        if self.cluster.link_between(host_a, host_b) is None:
-            return own_mb
-        key = frozenset((host_a, host_b))
-        return sojourn(own_mb, self._link_entries.get(key), own_app_key,
-                       self._external_flows.get(key, 0.0))
 
 
 def sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,

@@ -75,11 +75,12 @@ EXPECTED = {
 class Case:
     """A replicating, lease-armed server with one session in ``state``."""
 
-    def __init__(self, state, tmp_path):
+    def __init__(self, state, tmp_path, closing):
         self.now = 0.0
         controller = AdaptationController(
             Cluster.full_mesh(["n0", "n1"], memory_mb=96))
-        DurabilityJournal(str(tmp_path), fsync="never").attach(controller)
+        closing(DurabilityJournal(str(tmp_path), fsync="never")).attach(
+            controller)
         self.server = HarmonyServer(
             controller, lease_seconds=10.0, clock=lambda: self.now,
             max_pending_admissions=1)
@@ -121,8 +122,8 @@ class Case:
 
 @pytest.mark.parametrize("state", STATES)
 @pytest.mark.parametrize("msg_type", sorted(REQUESTS))
-def test_gate_outcome(msg_type, state, tmp_path):
-    case = Case(state, tmp_path)
+def test_gate_outcome(msg_type, state, tmp_path, closing):
+    case = Case(state, tmp_path, closing)
     metrics = case.server.controller.metrics
     counted = metrics.latest(f"server.rpc.{msg_type}")
     outcome = case.send({"type": msg_type, **REQUESTS[msg_type]})
@@ -138,11 +139,12 @@ def test_gate_outcome(msg_type, state, tmp_path):
 @pytest.mark.parametrize("msg_type", ["shard_lookup", "shard_map",
                                       "shard_moved"])
 def test_a_retired_message_type_gets_the_unknown_type_error(msg_type,
-                                                            tmp_path):
+                                                            tmp_path,
+                                                            closing):
     """A type the table does not hold — the ``shard_*`` vocabulary, which
     an old peer may still send — gets the ordinary unknown-type refusal
     and the connection stays up."""
-    case = Case("healthy", tmp_path)
+    case = Case("healthy", tmp_path, closing)
     assert case.send({"type": msg_type, "app_name": "A"}) == ERROR
     assert f"unknown message type {msg_type!r}" in \
         case.replies[0]["message"]

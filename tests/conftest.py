@@ -110,6 +110,22 @@ harmonyBundle Bag parallelism {
 
 
 @pytest.fixture
+def closing():
+    """``closing(resource)`` returns ``resource`` and closes it at
+    teardown, in reverse order: the journals, logs and standbys a test
+    leaves open, which the garbage collector would otherwise close."""
+    opened = []
+
+    def close_later(resource):
+        opened.append(resource)
+        return resource
+
+    yield close_later
+    for resource in reversed(opened):
+        resource.close()
+
+
+@pytest.fixture
 def figure3_rsl() -> str:
     return FIGURE3_RSL
 

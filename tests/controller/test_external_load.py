@@ -16,6 +16,7 @@ from repro.cluster import BackgroundCpuLoad, Cluster, LoadPhase
 from repro.controller import AdaptationController
 from repro.metrics import ClusterCollector
 from repro.prediction import DefaultModel, SystemView
+from tests.oracle.per_hop import cpu_effective_seconds, transfer_effective_mb
 
 
 TWO_CHOICES = """
@@ -41,9 +42,9 @@ class TestSystemViewExternalLoad:
     def test_external_cpu_stretches_effective_seconds(self):
         cluster = Cluster.full_mesh(["a"], memory_mb=128)
         view = SystemView(cluster)
-        assert view.cpu_effective_seconds("a", 10.0) == 10.0
+        assert cpu_effective_seconds(view, "a", 10.0) == 10.0
         view.set_external_cpu_load("a", 2.0)
-        assert view.cpu_effective_seconds("a", 10.0) == pytest.approx(30.0)
+        assert cpu_effective_seconds(view, "a", 10.0) == pytest.approx(30.0)
         # contention_factor counts placed consumers (none here) + external.
         assert view.contention_factor("a") == pytest.approx(2.0)
 
@@ -51,7 +52,7 @@ class TestSystemViewExternalLoad:
         cluster = Cluster.full_mesh(["a", "b"], memory_mb=128)
         view = SystemView(cluster)
         view.set_external_link_load("a", "b", 1.0)
-        assert view.transfer_effective_mb("a", "b", 8.0) == \
+        assert transfer_effective_mb(view, "a", "b", 8.0) == \
             pytest.approx(16.0)
         assert view.link_contention_factor("b", "a") == 1.0  # no own flows
 

@@ -90,13 +90,14 @@ class TestComponentStructure:
         scored = scored_keys(controller)
         bridge = controller.register_app("Bridge")
         controller.setup_bundle(bridge, BRIDGE_RSL)
-        # One component now, but Bridge landed on p0n0: only pod 0's
-        # records cover a host its commit stamped.
+        # One component now, but Bridge landed on p0n0: only the pod 0
+        # bundle on p0n0 covers a host its commit stamped.  The other
+        # one's scan stopped at its own p0n2 and p0n3, and p0n0, busier
+        # now, orders after them.
         assert len(components(controller)) == 1
         assert bridge.bundle_state("span").chosen.assignment.hostnames() \
             == {"p0n0"}
-        assert sorted(scored) == sorted(
-            keys_by_pod(controller, 0) | {(bridge.key, "span")})
+        assert scored == [("Pod0App0.1", "size"), (bridge.key, "span")]
 
 
 def load(controller, hostname):
@@ -114,12 +115,14 @@ class TestWatermarks:
         controller = pod_controller(pods=2)
         controller.reevaluate()
         scored = scored_keys(controller)
-        # A change inside pod 1 re-scores only pod 1's bundles.
+        # A change on p1n0 re-scores only the bundle running there: the
+        # other pod 1 bundle's scan stopped at its own p1n2 and p1n3,
+        # and p1n0, busier now, orders after them.
         load(controller, "p1n0")
         pruned = controller.stats.pruned_bundles
         controller.reevaluate()
-        assert sorted(scored) == sorted(keys_by_pod(controller, 1))
-        assert controller.stats.pruned_bundles == pruned + 2
+        assert scored == [("Pod1App2.3", "size")]
+        assert controller.stats.pruned_bundles == pruned + 3
 
     def test_an_engine_epoch_move_dirties_everything(self):
         controller = pod_controller(pods=2)
@@ -161,9 +164,15 @@ class TestWatermarks:
                   for host in placed_hosts(controller, key)}
         empty = sorted({f"p1n{i}" for i in range(6)} - placed)[0]
         scored = scored_keys(controller)
-        # Nothing runs there, so no commit stamps it; the failure must.
+        pruned = controller.stats.pruned_bundles
+        # Nothing runs there, so no commit stamps it; the failure does.
+        # Each pod 1 bundle's scan stopped at its own two hosts, before
+        # the idle host: a host it never examined, which orders after
+        # them still, so every record holds.
         assert controller.handle_node_failure(empty) == []
-        assert sorted(scored) == sorted(keys_by_pod(controller, 1))
+        assert controller._engine._stamps[empty] == controller._engine._clock
+        assert scored == []
+        assert controller.stats.pruned_bundles == pruned + 4
 
     def test_a_newcomer_reopens_the_pairs_of_what_it_joins(self):
         """Bridge lands in a third, empty pod, outside every settled
@@ -284,18 +293,21 @@ class TestChurnKeepsWhatItProved:
         controller = pod_controller(pods=12, apps_per_pod=1)
         controller.reevaluate()
         scored, before = churn(controller)
-        assert scored == [("Pod0App0.1", "size")]
+        # The departure frees hosts the pod 0 bundle's scan stopped
+        # before: idle now, they order after its own p0n0 and p0n1.
         # The eleven other pods were proved clean before the churn.
+        assert scored == []
         assert controller.stats.pruned_bundles - \
-            before["pruned_bundles"] == 11
+            before["pruned_bundles"] == 12
 
     def test_settled_pods_keep_their_pairs(self):
         controller = pod_controller(pods=6, apps_per_pod=2)
         controller.policy.pairwise_exchange = True
         controller.reevaluate()
         scored, before = churn(controller)
-        assert sorted(scored) == [("Pod0App0.1", "size"),
-                                  ("Pod0App1.2", "size")]
+        # The departure frees p0n0 and p0n1 only: Pod0App1's scan
+        # stopped at its own p0n2 and p0n3, which still order first.
+        assert scored == [("Pod0App0.1", "size")]
         # Twelve bundles, 66 pairs: only pod 0's own pair is searched
         # again; the other five pods stayed settled through the churn.
         stats = controller.stats
@@ -308,10 +320,12 @@ class TestChurnKeepsWhatItProved:
         controller.setup_bundle(bridge, BRIDGE_RSL)
         scored = scored_keys(controller)
         controller.end_app(bridge)
-        # The departure stamps the host Bridge held: the pod it ran in
-        # re-scores; once settled, nothing is scored again.
+        # The departure stamps the host Bridge held, p0n0: the bundle
+        # that covers it re-scores and takes p0n0 back, so p0n0 orders
+        # after the other pod 0 bundle's p0n2 and p0n3 again.  That move
+        # re-scores it once more; once settled, nothing is scored again.
         controller.reevaluate()
-        assert sorted(set(scored)) == sorted(keys_by_pod(controller, 0))
+        assert scored == [("Pod0App0.1", "size")] * 2
         del scored[:]
         controller.reevaluate()
         assert scored == []
@@ -332,9 +346,10 @@ class TestChurnKeepsWhatItProved:
         controller.policy.configure_new_bundle(controller, late, state)
         scored = scored_keys(controller)
         controller.reevaluate()
-        # Pod 0 holds the newcomer and re-scores; pod 1 stays clean.
-        assert sorted(scored) == sorted(keys_by_pod(controller, 0) |
-                                        {(late.key, "size")})
+        # The newcomer took p0n0 and p0n1: the pod 0 bundle there
+        # re-scores, the other's scan stopped at its own p0n2 and p0n3,
+        # which still order first.  Pod 1 stays clean.
+        assert scored == [("Pod0App0.1", "size"), (late.key, "size")]
 
 
 class TestReach:

@@ -157,6 +157,7 @@ def wal_tail(tmp_path, restored):
 def test_restore_makes_two_full_passes_whatever_the_tail_holds(tmp_path):
     original = churned_directory(tmp_path)
     restored = AdaptationController.restore(str(tmp_path), fsync="never")
+    restored.journal.close()
     tail = wal_tail(tmp_path, restored)
     kinds = [record.kind for record in tail]
     assert restored.last_recovery.snapshot_path is not None

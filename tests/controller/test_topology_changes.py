@@ -73,6 +73,7 @@ class TestNodeFailure:
         journal.close()
         restored = AdaptationController.restore(str(tmp_path),
                                                 fsync="never")
+        restored.journal.close()
         assert restored.trace_log.traces_recorded == 2
         assert [trace.trigger for trace in restored.trace_log.traces()] \
             == reasons

@@ -46,10 +46,12 @@ RETIRED = ["shard_lookup", "shard_map", "shard_moved"]
 @pytest.mark.parametrize("msg_type,fields,field", MALFORMED,
                          ids=[f"{t}.{f}" for t, _, f in MALFORMED])
 def test_malformed_field_gets_an_error_reply(server_factory, tmp_path,
-                                             msg_type, fields, field):
+                                             closing, msg_type, fields,
+                                             field):
     controller = AdaptationController(
         Cluster.full_mesh(["n0", "n1"], memory_mb=96))
-    DurabilityJournal(str(tmp_path), fsync="never").attach(controller)
+    closing(DurabilityJournal(str(tmp_path), fsync="never")).attach(
+        controller)
     server = HarmonyServer(controller, fail_stop_on_error=True)
     # Replication on, so repl_hello/repl_ack reach their field checks.
     assert server.enable_replication() == "primary"

@@ -26,6 +26,23 @@ from repro.persistence.snapshot import write_snapshot
 from repro.prediction.models import CallableModel
 from tests.pods import POD_RSL, build_pod_cluster
 
+
+@pytest.fixture(autouse=True)
+def _closed_at_teardown(monkeypatch, closing):
+    """Every journal a test here builds or restores is closed when it
+    ends, whatever it asserted."""
+    monkeypatch.setitem(globals(), "DurabilityJournal",
+                        lambda *args, cls=DurabilityJournal, **kwargs:
+                        closing(cls(*args, **kwargs)))
+    restore = AdaptationController.restore
+
+    def restored(*args, **kwargs):
+        controller = restore(*args, **kwargs)
+        closing(controller.journal)
+        return controller
+
+    monkeypatch.setattr(AdaptationController, "restore", restored)
+
 RSL = """
 harmonyBundle {name} where {{
     {{small {{node worker {{os linux}} {{seconds 5}} {{memory 16}}}}}}
@@ -227,6 +244,31 @@ class TestRestore:
         from repro.errors import RecoveryError
         with pytest.raises(RecoveryError, match="nothing to restore"):
             AdaptationController.restore(str(tmp_path), fsync="never")
+
+    @pytest.mark.parametrize("damage", ["empty", "legacy_record"])
+    def test_a_failed_restore_closes_its_wal(self, tmp_path, monkeypatch,
+                                            damage):
+        """A restore that raises — nothing to restore, or a record replay
+        refuses — closes the WAL it opened instead of leaving the handle
+        to the garbage collector."""
+        from repro.persistence import recovery
+        if damage == "legacy_record":
+            controller, journal = journaled_controller(tmp_path)
+            controller.register_app("app0")
+            journal.append("adopt", {"app_name": "moved", "key": "moved.7",
+                                     "instance_id": 7})
+            journal.close()
+        opened = []
+
+        class Recording(recovery.DurabilityJournal):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(recovery, "DurabilityJournal", Recording)
+        with pytest.raises(RecoveryError):
+            AdaptationController.restore(str(tmp_path), fsync="never")
+        assert [journal.wal._handle.closed for journal in opened] == [True]
 
     def test_legacy_adopt_record_is_refused(self, tmp_path):
         """An ``adopt`` record re-admitted an instance under its old key

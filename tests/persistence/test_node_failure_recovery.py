@@ -73,15 +73,16 @@ def follow(controller, directory, model_registry=None):
     return standby
 
 
-def run_to(path, tmp_path, cluster, script, model_registry=None):
+def run_to(path, tmp_path, cluster, script, closing, model_registry=None):
     """Run ``script`` on a journaled controller; return it and the
-    controller ``path`` rebuilt from what it journaled.
+    controller ``path`` rebuilt from what it journaled (its journal, or
+    the standby, closed by ``closing`` at teardown).
 
     ``script(controller, checkpoint)`` calls ``checkpoint()`` where a
     snapshot belongs on the snapshot path.
     """
     live, journal = journaled(cluster, tmp_path / "live", model_registry)
-    standby = follow(live, tmp_path / "standby", model_registry) \
+    standby = closing(follow(live, tmp_path / "standby", model_registry)) \
         if path == "standby" else None
 
     def checkpoint():
@@ -95,6 +96,7 @@ def run_to(path, tmp_path, cluster, script, model_registry=None):
     restored = AdaptationController.restore(
         str(tmp_path / "live"), model_registry=model_registry,
         fsync="never")
+    closing(restored.journal)
     assert (restored.last_recovery.snapshot_path is not None) == \
         (path == "snapshot")
     return live, restored
@@ -112,7 +114,7 @@ def on_node(controller, hostname):
 @pytest.mark.parametrize("apps", range(3, 9))
 @pytest.mark.parametrize("nodes", range(2, 5))
 def test_node_failure_displacing_several_bundles_restores(
-        tmp_path, nodes, apps, path):
+        tmp_path, closing, nodes, apps, path):
     displaced = []
 
     def script(controller, checkpoint):
@@ -126,7 +128,7 @@ def test_node_failure_displacing_several_bundles_restores(
 
     cluster = Cluster.full_mesh([f"n{i}" for i in range(nodes)],
                                 memory_mb=256)
-    live, restored = run_to(path, tmp_path, cluster, script)
+    live, restored = run_to(path, tmp_path, cluster, script, closing)
     assert displaced[0] >= 1
     assert on_node(live, "n0") == 0
     assert_same_state(restored, live)
@@ -157,7 +159,8 @@ def _partitions(controller):
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_restored_index_is_built_by_the_same_edits(tmp_path, path):
+def test_restored_index_is_built_by_the_same_edits(tmp_path, closing,
+                                                   path):
     """The restored bundles fall into the live components, and every
     opaque model is known to the engine's first read: no restore path
     leaves the index anything to heal."""
@@ -177,7 +180,7 @@ def test_restored_index_is_built_by_the_same_edits(tmp_path, path):
         checkpoint()
 
     live, restored = run_to(path, tmp_path, build_pod_cluster(2, 4),
-                            script, model_registry=registry)
+                            script, closing, model_registry=registry)
     index = restored.partition_index
     assert _partitions(restored) == _partitions(live)
     assert sum(len(members) for members in _partitions(restored)) == 4

@@ -9,6 +9,7 @@ must never return a controller built from records it could not verify.
 import copy
 import json
 import os
+import pathlib
 import random
 import zlib
 
@@ -70,7 +71,7 @@ class TestTruncationFuzz:
         """Chop the WAL at every byte offset: always prefix-or-error."""
         build_history(tmp_path)
         wal = str(tmp_path / WAL_FILENAME)
-        pristine = open(wal, "rb").read()
+        pristine = pathlib.Path(wal).read_bytes()
         full_records, _ = scan_wal(wal)
         rng = random.Random(20260805)
         cut_points = sorted(rng.sample(range(len(pristine)),
@@ -104,7 +105,7 @@ class TestBitRotFuzz:
         """Flip one byte at a time across the WAL body."""
         live = build_history(tmp_path)
         wal = str(tmp_path / WAL_FILENAME)
-        pristine = open(wal, "rb").read()
+        pristine = pathlib.Path(wal).read_bytes()
         expected_objective = live.current_objective()
         rng = random.Random(1999)
         for offset in sorted(rng.sample(range(len(pristine)), 40)):
@@ -132,7 +133,8 @@ class TestBitRotFuzz:
         files = snapshot_files(str(tmp_path))
         assert files
         rng = random.Random(7)
-        pristine = {path: open(path, "rb").read() for path in files}
+        pristine = {path: pathlib.Path(path).read_bytes()
+                    for path in files}
         for path in files:
             for _ in range(10):
                 flipped = bytearray(pristine[path])

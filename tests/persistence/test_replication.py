@@ -27,6 +27,34 @@ from repro.persistence import (
 from repro.persistence.replication import ReplicationPrimary, _frame_text
 from repro.persistence.wal import WalRecord
 
+
+class _Retired:
+    """Closes a standby, or the journal of the controller it was
+    promoted to, which owns its log from then on."""
+
+    def __init__(self, standby):
+        self.standby = standby
+
+    def close(self):
+        self.standby.close()
+        if self.standby.promoted and self.standby.controller.journal:
+            self.standby.controller.journal.close()
+
+
+@pytest.fixture(autouse=True)
+def _closed_at_teardown(monkeypatch, closing):
+    """Every journal and standby a test here builds is closed when it
+    ends, whatever it asserted."""
+    def standby(*args, cls=ReplicationStandby, **kwargs):
+        made = cls(*args, **kwargs)
+        closing(_Retired(made))
+        return made
+
+    monkeypatch.setitem(globals(), "DurabilityJournal",
+                        lambda *args, cls=DurabilityJournal, **kwargs:
+                        closing(cls(*args, **kwargs)))
+    monkeypatch.setitem(globals(), "ReplicationStandby", standby)
+
 RSL = """
 harmonyBundle {name} where {{
     {{small {{node worker {{os linux}} {{seconds 5}} {{memory 16}}}}}}

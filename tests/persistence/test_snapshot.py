@@ -57,15 +57,18 @@ class TestRetention:
 class TestCorruption:
     def test_checksum_mismatch_raises(self, tmp_path):
         path = write_snapshot(str(tmp_path), 1, STATE)
-        envelope = json.load(open(path))
+        with open(path) as handle:
+            envelope = json.load(handle)
         envelope["state"] = envelope["state"].replace("App", "Bpp")
-        json.dump(envelope, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(envelope, handle)
         with pytest.raises(SnapshotCorruptionError, match="checksum"):
             read_snapshot(path)
 
     def test_truncated_file_raises(self, tmp_path):
         path = write_snapshot(str(tmp_path), 1, STATE)
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         with open(path, "wb") as handle:
             handle.write(raw[:len(raw) // 2])
         with pytest.raises(SnapshotCorruptionError, match="unreadable"):
@@ -73,13 +76,15 @@ class TestCorruption:
 
     def test_empty_file_raises(self, tmp_path):
         path = str(tmp_path / "snapshot-000000000001.json")
-        open(path, "w").close()
+        with open(path, "w"):
+            pass
         with pytest.raises(SnapshotCorruptionError):
             read_snapshot(path)
 
     def test_unknown_format_raises(self, tmp_path):
         path = str(tmp_path / "snapshot-000000000001.json")
-        json.dump({"format": 99, "state": "{}"}, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump({"format": 99, "state": "{}"}, handle)
         with pytest.raises(SnapshotCorruptionError, match="format"):
             read_snapshot(path)
 
@@ -107,7 +112,8 @@ class TestLatestSnapshot:
 
     def test_all_corrupt_returns_none(self, tmp_path):
         newest = write_snapshot(str(tmp_path), 20, {"gen": "new"})
-        open(newest, "w").close()
+        with open(newest, "w"):
+            pass
         skipped = []
         assert latest_snapshot(str(tmp_path), skipped=skipped) is None
         assert skipped == [newest]

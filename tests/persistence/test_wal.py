@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import zlib
 
 import pytest
@@ -82,7 +83,7 @@ class TestCorruptionClassification:
         path = wal_path(tmp_path)
         with WriteAheadLog(path, fsync="never") as log:
             fill(log, 3)
-        raw = open(path, "rb").read()
+        raw = pathlib.Path(path).read_bytes()
         lines = raw.split(b"\n")
         # Flip a payload byte in the middle record: its CRC now fails,
         # but a valid record follows — that is rot, not a torn tail.
@@ -267,6 +268,8 @@ class TestCrashInjection:
         with pytest.raises(SimulatedCrash) as excinfo:
             log.append("c", 2.0, {})
         assert excinfo.value.append_index == 1
+        # ... and its handle is released, as a dead process's would be.
+        assert log._handle.closed
         log.close()
         records, _ = scan_wal(path)
         assert [r.kind for r in records] == ["a", "b"]

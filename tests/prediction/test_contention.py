@@ -10,6 +10,7 @@ from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
+from tests.oracle.per_hop import cpu_effective_seconds, transfer_effective_mb
 
 
 RSL = """
@@ -76,30 +77,30 @@ class TestCounting:
 
 class TestSojournEstimates:
     def test_effective_seconds_excludes_own_app(self, view_with_two):
-        effective = view_with_two.cpu_effective_seconds(
-            "n0", 10.0, own_app_key="app1")
+        effective = cpu_effective_seconds(view_with_two, "n0", 10.0,
+                                          own_app_key="app1")
         assert effective == pytest.approx(10.0 + 10.0)  # app2's 10 s only
 
     def test_effective_seconds_sum_min_form(self, view_with_two):
         # A 3-second probe against two 10-second residents: 3 + 3 + 3.
-        effective = view_with_two.cpu_effective_seconds("n0", 3.0)
+        effective = cpu_effective_seconds(view_with_two, "n0", 3.0)
         assert effective == pytest.approx(9.0)
 
     def test_zero_own_seconds(self, view_with_two):
-        assert view_with_two.cpu_effective_seconds("n0", 0.0) == 0.0
+        assert cpu_effective_seconds(view_with_two, "n0", 0.0) == 0.0
 
     def test_transfer_effective_mb(self, view_with_two):
         # Two resident 8 MB flows on n0--n1; a 5 MB probe: 5 + 5 + 5.
-        effective = view_with_two.transfer_effective_mb("n0", "n1", 5.0)
+        effective = transfer_effective_mb(view_with_two, "n0", "n1", 5.0)
         assert effective == pytest.approx(15.0)
 
     def test_transfer_excludes_own_app(self, view_with_two):
-        effective = view_with_two.transfer_effective_mb(
-            "n0", "n1", 8.0, own_app_key="app2")
+        effective = transfer_effective_mb(view_with_two, "n0", "n1", 8.0,
+                                          own_app_key="app2")
         assert effective == pytest.approx(16.0)
 
     def test_unused_link_has_no_contention(self, view_with_two):
-        assert view_with_two.transfer_effective_mb("n2", "n3", 5.0) == 5.0
+        assert transfer_effective_mb(view_with_two, "n2", "n3", 5.0) == 5.0
 
 
 class TestTopologyGrowth:

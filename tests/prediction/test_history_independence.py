@@ -19,6 +19,7 @@ from repro.cluster import Cluster
 from repro.controller import ViewTrial
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
+from tests.oracle.per_hop import cpu_effective_seconds, transfer_effective_mb
 
 #: The two competitors' seconds (or megabytes) and the job's own.
 COMPETITORS = (23.7, 31.6)
@@ -59,15 +60,17 @@ def move_away_and_back(view, megabytes=False):
 
 def test_cpu_estimate_is_bit_equal_after_a_rolled_back_move():
     view = crowded_view()
-    before = view.cpu_effective_seconds("n0", OWN, own_app_key="c")
+    before = cpu_effective_seconds(view, "n0", OWN, own_app_key="c")
     move_away_and_back(view)
-    after = view.cpu_effective_seconds("n0", OWN, own_app_key="c")
+    after = cpu_effective_seconds(view, "n0", OWN, own_app_key="c")
     assert after == before == math.fsum((OWN, *COMPETITORS))
 
 
 def test_transfer_estimate_is_bit_equal_after_a_rolled_back_move():
     view = crowded_view(megabytes=True)
-    before = view.transfer_effective_mb("n0", "n1", OWN, own_app_key="c")
+    before = transfer_effective_mb(view, "n0", "n1", OWN,
+                                   own_app_key="c")
     move_away_and_back(view, megabytes=True)
-    after = view.transfer_effective_mb("n0", "n1", OWN, own_app_key="c")
+    after = transfer_effective_mb(view, "n0", "n1", OWN,
+                                  own_app_key="c")
     assert after == before

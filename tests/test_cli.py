@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -151,7 +153,7 @@ class TestServe:
         path = rsl_file("harmonyNode alpha {speed 1} {memory 256}\n",
                         name="nodes.rsl")
         # Reuse the CLI's construction path directly.
-        adverts = [r for r in build_script(open(path).read())
+        adverts = [r for r in build_script(pathlib.Path(path).read_text())
                    if isinstance(r, NodeAdvertisement)]
         cluster = Cluster()
         for advert in adverts:
