@@ -196,7 +196,7 @@ class Matcher:
         per-match cost from O(cluster) into O(|matching nodes|) for
         pattern-scoped bundles.  A ``*`` anywhere short-circuits to the
         whole cluster (``None``).  The memo is keyed by the pattern set,
-        guarded by the topology version (add_node/add_link invalidate it).
+        guarded by the topology version (add_node/add_links invalidate it).
         """
         if "*" in patterns or not patterns:
             return None

@@ -19,6 +19,10 @@ __all__ = ["SimLink"]
 class SimLink:
     """One network link in the simulated cluster."""
 
+    __slots__ = ("kernel", "host_a", "host_b", "bandwidth_mbps",
+                 "latency_seconds", "_pipe", "_reserved_mbps",
+                 "_reservations")
+
     def __init__(self, kernel: Kernel, host_a: str, host_b: str,
                  bandwidth_mbps: float, latency_seconds: float = 0.0):
         if bandwidth_mbps <= 0:
@@ -36,7 +40,8 @@ class SimLink:
         #: ever *reserves* bandwidth, and a full mesh has n**2/2 links.
         self._pipe: FairShareServer | None = None
         self._reserved_mbps = 0.0
-        self._reservations: dict[str, float] = {}
+        #: holder -> MB/s, built by the first reservation.
+        self._reservations: dict[str, float] | None = None
 
     # -- data transfer -------------------------------------------------------
 
@@ -88,11 +93,16 @@ class SimLink:
             raise AllocationError(
                 f"bandwidth reservation of {mbps} MB/s exceeds available "
                 f"{self.available_mbps} MB/s on {self.host_a}--{self.host_b}")
+        reservations = self._reservations
+        if reservations is None:
+            reservations = self._reservations = {}
         self._reserved_mbps += mbps
-        self._reservations[holder] = self._reservations.get(holder, 0.0) + mbps
+        reservations[holder] = reservations.get(holder, 0.0) + mbps
 
     def release(self, holder: str) -> float:
         """Release all bandwidth held by ``holder``; returns the amount."""
+        if self._reservations is None:
+            return 0.0
         amount = self._reservations.pop(holder, 0.0)
         self._reserved_mbps -= amount
         return amount

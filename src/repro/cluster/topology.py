@@ -29,11 +29,12 @@ class Cluster:
         self._links: list[SimLink] = []
         #: host -> {peer: the direct link}; answers every one-hop question.
         self._adjacent: dict[str, dict[str, SimLink]] = {}
-        #: Bumped whenever the graph itself changes (nodes/links added).
-        #: Memos of routing-derived results (the matcher's candidate
-        #: nodes, the partition index's reach, the trial engine's read
-        #: sets) record it and stop holding when it moves.  Node failure
-        #: and restoration do not change the graph, only availability.
+        #: Bumped whenever the graph itself changes: once per node added,
+        #: once per batch of links.  Memos of routing-derived results (the
+        #: matcher's candidate nodes, the partition index's reach, the
+        #: trial engine's read sets) record it and stop holding when it
+        #: moves; they compare it only for equality.  Node failure and
+        #: restoration do not change the graph, only availability.
         self.topology_version: int = 0
         #: Views whose indexes follow the graph (see :meth:`watch`).
         self._watchers: weakref.WeakSet = weakref.WeakSet()
@@ -54,26 +55,49 @@ class Cluster:
 
     def add_link(self, host_a: str, host_b: str, bandwidth_mbps: float,
                  latency_seconds: float = 0.0) -> SimLink:
-        for host in (host_a, host_b):
-            if host not in self._nodes:
-                raise SimulationError(
-                    f"link endpoint {host!r} is not a cluster node")
-        if host_a == host_b:
-            raise SimulationError(f"self-link on {host_a!r}")
-        if host_b in self._adjacent[host_a]:
-            raise SimulationError(
-                f"duplicate link {host_a!r} -- {host_b!r}")
-        link = SimLink(self.kernel, host_a, host_b, bandwidth_mbps,
-                       latency_seconds)
-        self._links.append(link)
-        self._adjacent[host_a][host_b] = link
-        self._adjacent[host_b][host_a] = link
-        self._changed()
-        return link
+        return self.add_links(
+            [(host_a, host_b, bandwidth_mbps, latency_seconds)])[0]
+
+    def add_links(self, rows: Iterable[tuple[str, str, float, float]]
+                  ) -> list[SimLink]:
+        """Add ``(host_a, host_b, bandwidth_mbps, latency_seconds)`` rows
+        as one topology change: one :attr:`topology_version` step and one
+        ``topology_changed()`` per watcher, however many links.
+
+        Links join in row order, so :meth:`links`, peer order and
+        :meth:`path_links`' ties are those of adding them one by one.  A
+        row that fails raises the :class:`SimulationError` that
+        :meth:`add_link` would; the rows before it stay added, as they
+        would one by one, and are still one topology change.
+        """
+        nodes, adjacent, links = self._nodes, self._adjacent, self._links
+        start = len(links)
+        try:
+            for host_a, host_b, bandwidth_mbps, latency_seconds in rows:
+                if host_a not in nodes or host_b not in nodes:
+                    unknown = host_a if host_a not in nodes else host_b
+                    raise SimulationError(
+                        f"link endpoint {unknown!r} is not a cluster node")
+                if host_a == host_b:
+                    raise SimulationError(f"self-link on {host_a!r}")
+                peers = adjacent[host_a]
+                if host_b in peers:
+                    raise SimulationError(
+                        f"duplicate link {host_a!r} -- {host_b!r}")
+                link = SimLink(self.kernel, host_a, host_b, bandwidth_mbps,
+                               latency_seconds)
+                links.append(link)
+                peers[host_b] = link
+                adjacent[host_b][host_a] = link
+        finally:
+            if len(links) > start:
+                self._changed()
+        return links[start:]
 
     def watch(self, watcher) -> None:
-        """Call ``watcher.topology_changed()`` after every node or link
-        added from now on, on the thread that adds it.  The cluster holds
+        """Call ``watcher.topology_changed()`` after every node added and
+        every batch of links (:meth:`add_links`) from now on, on the
+        thread that adds it.  The cluster holds
         watchers weakly: a discarded
         :class:`~repro.prediction.contention.SystemView` stops being
         told."""
@@ -98,9 +122,9 @@ class Cluster:
         names = list(hostnames)
         for name in names:
             cluster.add_node(name, speed=speed, memory_mb=memory_mb)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                cluster.add_link(a, b, bandwidth_mbps, latency_seconds)
+        cluster.add_links((a, b, bandwidth_mbps, latency_seconds)
+                          for i, a in enumerate(names)
+                          for b in names[i + 1:])
         return cluster
 
     @classmethod
@@ -111,9 +135,11 @@ class Cluster:
         """A hub-and-spoke topology around ``center``."""
         cluster = cls(kernel)
         cluster.add_node(center, speed=speed, memory_mb=memory_mb)
-        for leaf in leaves:
+        names = list(leaves)
+        for leaf in names:
             cluster.add_node(leaf, speed=speed, memory_mb=memory_mb)
-            cluster.add_link(center, leaf, bandwidth_mbps, latency_seconds)
+        cluster.add_links((center, leaf, bandwidth_mbps, latency_seconds)
+                          for leaf in names)
         return cluster
 
     # -- queries ---------------------------------------------------------------

@@ -1028,6 +1028,11 @@ class AdaptationController:
         return type(model) in (DefaultModel, ExplicitSpecModel,
                                ExpressionSpecModel)
 
+    def live_predictions(self) -> dict[str, float]:
+        """The prediction cache: :meth:`predict_all` of the live view,
+        rebuilt only when stale.  The caller must not mutate it."""
+        return self._engine.live_predictions()
+
     def current_objective(self) -> float:
         """The objective over the live view, from the prediction cache."""
         return self.objective.evaluate(self._engine.live_predictions())

@@ -216,29 +216,27 @@ class ApplicationRegistry:
         chosen = state.chosen
         if chosen is None:
             return
-        root = join_path(instance.key, bundle_name)
-        # Clear any previous option subtree to avoid stale resources.
-        if self.namespace.exists(root):
-            self.namespace.delete(root)
-        self.namespace.set(join_path(root, "option"), chosen.option_name)
+        leaves: list[tuple[str, float | str]] = [
+            ("option", chosen.option_name)]
         for name, value in chosen.variable_assignment.items():
-            self.namespace.set(join_path(root, "variables", name), value)
-        option_root = join_path(root, chosen.option_name)
+            leaves.append((f"variables.{name}", value))
+        option = chosen.option_name
         grants = memory_grants or {}
         for demand in chosen.demands.nodes:
             hostname = chosen.assignment.hostname_of(demand.local_name)
             # Bracketed replica names are one namespace component.
-            node_root = join_path(option_root, demand.local_name)
-            self.namespace.set(join_path(node_root, "hostname"), hostname)
+            node_root = f"{option}.{demand.local_name}"
+            leaves.append((f"{node_root}.hostname", hostname))
             granted = grants.get(f"{demand.local_name}.memory",
                                  demand.memory_min_mb)
-            self.namespace.set(join_path(node_root, "memory"), granted)
+            leaves.append((f"{node_root}.memory", granted))
             if demand.seconds is not None:
-                self.namespace.set(join_path(node_root, "seconds"),
-                                   demand.seconds)
+                leaves.append((f"{node_root}.seconds", demand.seconds))
         for index, link in enumerate(chosen.demands.links):
-            link_root = join_path(option_root, f"link{index}")
-            self.namespace.set(join_path(link_root, "endpoints"),
-                               f"{link.endpoint_a}-{link.endpoint_b}")
-            self.namespace.set(join_path(link_root, "megabytes"),
-                               link.total_mb)
+            link_root = f"{option}.link{index}"
+            leaves.append((f"{link_root}.endpoints",
+                           f"{link.endpoint_a}-{link.endpoint_b}"))
+            leaves.append((f"{link_root}.megabytes", link.total_mb))
+        # Replacing the whole subtree clears a previous option's stale
+        # resources.
+        self.namespace.replace(join_path(instance.key, bundle_name), leaves)

@@ -14,7 +14,7 @@ this to propagate option changes into application variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import NamespaceError
 from repro.namespace.paths import is_prefix, join_path, split_path
@@ -91,6 +91,42 @@ class Namespace:
             raise NamespaceError(f"namespace path {path!r} not found")
         del node.children[parts[-1]]
         self._notify(path, None)
+
+    def replace(self, root: str,
+                leaves: Iterable[tuple[str, Value]]) -> None:
+        """Replace the subtree at ``root`` with ``leaves``, pairs of a path
+        relative to ``root`` and its value.
+
+        The same tree and the same watcher calls as :meth:`delete` of
+        ``root`` (when it exists) and then :meth:`set` of each leaf in
+        order, in one walk down to ``root``.  Every leaf path is checked
+        before anything changes.
+        """
+        parts = split_path(root)
+        rows = [(path, split_path(path), value) for path, value in leaves]
+        if not rows:
+            if self.exists(root):
+                self.delete(root)
+            return
+        parent = self._root
+        for part in parts[:-1]:
+            child = parent.children.get(part)
+            if child is None:
+                child = parent.children[part] = NamespaceNode(name=part)
+            parent = child
+        name = parts[-1]
+        if parent.children.pop(name, None) is not None:
+            self._notify(root, None)
+        top = parent.children[name] = NamespaceNode(name=name)
+        for path, relative, value in rows:
+            node = top
+            for part in relative:
+                child = node.children.get(part)
+                if child is None:
+                    child = node.children[part] = NamespaceNode(name=part)
+                node = child
+            node.value = value
+            self._notify(f"{root}.{path}", value)
 
     # -- traversal ---------------------------------------------------------
 

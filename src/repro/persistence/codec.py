@@ -115,10 +115,9 @@ def cluster_from_topology(data: Mapping[str, Any]) -> Cluster:
                 attributes=dict(node.get("attributes") or {}))
             if not node.get("available", True):
                 built.fail()
-        for host_a, host_b, bandwidth_mbps, latency_seconds in links:
-            cluster.add_link(host_a, host_b,
-                             bandwidth_mbps=float(bandwidth_mbps),
-                             latency_seconds=float(latency_seconds))
+        cluster.add_links(
+            (host_a, host_b, float(bandwidth_mbps), float(latency_seconds))
+            for host_a, host_b, bandwidth_mbps, latency_seconds in links)
     return cluster
 
 
@@ -415,7 +414,13 @@ def apply_state(controller: "AdaptationController",
 
 def _verify_digest(controller: "AdaptationController",
                    digest: Mapping[str, Any]) -> None:
-    """The snapshot's own self-check: rebuilt state must match exactly."""
+    """The snapshot's own self-check: rebuilt state must match exactly.
+
+    The predictions are read from the prediction cache, which builds them
+    as :meth:`~AdaptationController.predict_all` would, so this is the
+    restore's one full prediction pass: the first replayed commit then
+    advances the cache instead of rebuilding it.
+    """
     if not digest:
         return
     system = controller.describe_system()
@@ -423,7 +428,7 @@ def _verify_digest(controller: "AdaptationController",
         raise RecoveryError(
             "snapshot digest mismatch: rebuilt placements differ "
             f"({system!r} != {digest.get('system')!r})")
-    predictions = controller.predict_all(controller.view)
+    predictions = controller.live_predictions()
     recorded = {str(k): float(v) for k, v in
                 dict(digest.get("predictions") or {}).items()}
     if not _close_map(predictions, recorded):

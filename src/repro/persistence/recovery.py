@@ -112,20 +112,24 @@ def restore_controller(
     """
     start = _time.perf_counter()
     tracer = tracer if tracer is not None else NULL_TRACER
-    journal = DurabilityJournal(
-        directory, snapshot_every=snapshot_every, fsync=fsync,
-        crash_schedule=crash_schedule, model_registry=model_registry)
     with tracer.span("controller.restore", directory=directory) as span, \
             ExitStack() as on_error:
-        # A restore that fails leaves no open WAL handle behind.
-        on_error.callback(journal.close)
-        loaded = load_directory(
-            directory, journal,
+        with tracer.span("controller.restore.read") as read_span:
+            journal = DurabilityJournal(
+                directory, snapshot_every=snapshot_every, fsync=fsync,
+                crash_schedule=crash_schedule, model_registry=model_registry)
+            # A restore that fails leaves no open WAL handle behind.
+            on_error.callback(journal.close)
+            read = _read(directory, journal)
+            read_span.set("records", len(read[0]))
+        loaded = _load(
+            directory, journal, read,
             lambda cluster: AdaptationController(
                 cluster, metrics=metrics, objective=objective,
                 policy=policy, friction_policy=friction_policy,
                 reevaluation_period_seconds=reevaluation_period_seconds,
-                tracer=tracer))
+                tracer=tracer),
+            tracer)
         if loaded is None:
             if snapshot_files(directory):
                 raise SnapshotCorruptionError(
@@ -156,21 +160,39 @@ def load_directory(directory: str, journal: DurabilityJournal,
     the directory holds no WAL record and no snapshot that verifies.  The
     report's ``recovery_seconds`` is left at zero for the caller.
     """
-    records = journal.wal.records()
+    return _load(directory, journal, _read(directory, journal), build,
+                 NULL_TRACER)
+
+
+def _read(directory: str, journal: DurabilityJournal):
+    """``(records, snapshot, skipped)``: the journal's WAL records, the
+    newest snapshot that verifies, and the paths of those that did not."""
     skipped: list[str] = []
     snapshot = latest_snapshot(directory, skipped=skipped)
+    return journal.wal.records(), snapshot, skipped
+
+
+def _load(directory: str, journal: DurabilityJournal, read,
+          build: Callable[[Cluster], AdaptationController], tracer,
+          ) -> tuple[AdaptationController, RecoveryReport] | None:
+    """:func:`load_directory` from what :func:`_read` returned; the
+    topology build is a ``controller.restore.topology`` span of
+    ``tracer``, loading and replay spans of the controller's tracer."""
+    records, snapshot, skipped = read
     if snapshot is None and not records:
         return None
-    base_seq, cluster, state = _base_state(directory, snapshot, records)
+    base_seq, topology, state = _base_state(directory, snapshot, records)
+    with tracer.span("controller.restore.topology"):
+        cluster = codec.cluster_from_topology(topology)
     controller = build(cluster)
-    tracer = controller.tracer
-    with tracer.span("controller.restore.load_snapshot",
-                     seq=base_seq) as load_span:
+    with controller.tracer.span("controller.restore.load_snapshot",
+                                seq=base_seq) as load_span:
         if state is not None:
             codec.apply_state(controller, journal, state)
         load_span.set("instances", len(controller.registry))
     tail = [record for record in records if record.seq > base_seq]
-    with tracer.span("controller.restore.replay_wal", records=len(tail)):
+    with controller.tracer.span("controller.restore.replay_wal",
+                                records=len(tail)):
         real_policy = controller.policy
         controller.policy = _ReplayPolicy()
         try:
@@ -188,15 +210,14 @@ def load_directory(directory: str, journal: DurabilityJournal,
 
 
 def _base_state(directory: str, snapshot, records: list[WalRecord]):
-    """Choose the recovery base: ``(base_seq, cluster, state-or-None)``."""
+    """Choose the recovery base: ``(base_seq, topology, state-or-None)``."""
     if snapshot is not None:
         base_seq, state, _path = snapshot
         if records and records[0].seq > base_seq + 1:
             raise WalCorruptionError(
                 f"{directory}: WAL starts at seq {records[0].seq} but the "
                 f"newest valid snapshot covers only up to {base_seq}")
-        return base_seq, codec.cluster_from_topology(
-            state.get("topology")), state
+        return base_seq, state.get("topology"), state
     if records[0].seq != 1:
         raise SnapshotCorruptionError(
             f"{directory}: WAL was compacted to seq {records[0].seq} but "
@@ -206,8 +227,7 @@ def _base_state(directory: str, snapshot, records: list[WalRecord]):
         raise RecoveryError(
             f"{directory}: first WAL record is {genesis.kind!r}, "
             f"expected genesis")
-    return 1, codec.cluster_from_topology(genesis.data.get("topology")), \
-        None
+    return 1, genesis.data.get("topology"), None
 
 
 def apply_record(controller: AdaptationController,

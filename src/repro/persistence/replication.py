@@ -637,6 +637,13 @@ class ReplicationStandby:
                 pass
 
     def close(self) -> None:
+        """Stop following and, before promotion, close the log.
+
+        After :meth:`promote` the log belongs to the promoted
+        controller's journal (``self.controller.journal``), which keeps
+        appending to it: this leaves it open, and closing that journal
+        releases the handle.
+        """
         self.stop()
         if not self.promoted:
             self.journal.wal.close()

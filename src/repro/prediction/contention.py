@@ -133,7 +133,8 @@ class SystemView:
     ``version`` increments on every observable mutation (placements,
     external load, topology-triggered reindex); prediction caches key on
     it to detect staleness.  The view registers with its cluster, which
-    calls :meth:`topology_changed` after every node or link it adds.
+    calls :meth:`topology_changed` after every node or batch of links it
+    adds.
     """
 
     def __init__(self, cluster: Cluster):
@@ -410,7 +411,8 @@ class SystemView:
     def topology_changed(self) -> None:
         """Reindex every footprint after the cluster graph changed.
 
-        Called by :meth:`Cluster.add_node` and :meth:`Cluster.add_link`:
+        Called by :meth:`Cluster.add_node` and once per
+        :meth:`Cluster.add_links` batch:
         node/link additions can reroute paths, invalidating the physical
         links recorded in footprints; placements themselves are unchanged.
         """

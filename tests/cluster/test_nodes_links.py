@@ -7,7 +7,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.allocation.instantiate import ConcreteDemands, LinkDemand
+from repro.allocation.instantiate import (
+    ConcreteDemands,
+    LinkDemand,
+    NodeDemand,
+)
 from repro.allocation.matcher import Assignment, Matcher
 from repro.cluster import Cluster
 from repro.cluster.node import MemoryAccount
@@ -176,6 +180,19 @@ class TestSimLink:
         assert link._pipe is pipe and pipe.completed_jobs == 2
         assert link.active_transfers == 0
         assert cluster.link_between("a", "c")._pipe is None
+
+    def test_reservations_are_built_by_the_first_reserve(self):
+        cluster = Cluster.full_mesh(["a", "b", "c"])
+        link = cluster.link_between("a", "b")
+        assert all(each._reservations is None for each in cluster.links())
+        assert link.release("app") == 0.0       # nothing held, nothing built
+        assert link._reservations is None
+        link.reserve("app", 5.0)
+        link.reserve("app", 1.0)
+        assert link.release("app") == pytest.approx(6.0)
+        assert link.available_mbps == pytest.approx(40.0)
+        assert cluster.link_between("a", "c")._reservations is None
+        assert not hasattr(link, "__dict__")    # slots: 1,128 in a mesh
 
     def test_connects_is_direction_free(self, kernel):
         cluster = Cluster(kernel)
@@ -346,3 +363,202 @@ class TestClusterTopology:
         cluster = Cluster.full_mesh(["a"])
         with pytest.raises(SimulationError):
             cluster.node("ghost")
+
+
+# -- batches of links ---------------------------------------------------------
+
+def one_by_one(names, rows):
+    """The oracle: the same rows through ``add_link``, one call each."""
+    cluster = Cluster()
+    for name in names:
+        cluster.add_node(name)
+    for row in rows:
+        cluster.add_link(*row)
+    return cluster
+
+
+def in_one_batch(names, rows):
+    cluster = Cluster()
+    for name in names:
+        cluster.add_node(name)
+    cluster.add_links(rows)
+    return cluster
+
+
+def routing(cluster):
+    """Everything routing reads, with links named by their position in
+    ``links()``: the link rows, and for every ordered host pair the
+    direct link and the path (or the error that refuses one)."""
+    links = list(cluster.links())
+    position = {id(link): index for index, link in enumerate(links)}
+    shape = [(link.host_a, link.host_b, link.bandwidth_mbps,
+              link.latency_seconds) for link in links]
+    hosts = cluster.hostnames()
+    answers = {}
+    for a, b in itertools.product(hosts, repeat=2):
+        direct = cluster.link_between(a, b)
+        try:
+            path = [position[id(link)] for link in cluster.path_links(a, b)]
+        except SimulationError as exc:
+            path = str(exc)
+        answers[a, b] = (None if direct is None else position[id(direct)],
+                         path)
+    return shape, answers
+
+
+def line_rows():
+    names = [f"h{i}" for i in range(6)]
+    return names, [(a, b, 10.0 + i, 0.001 * i)
+                   for i, (a, b) in enumerate(zip(names, names[1:]))]
+
+
+def star_rows():
+    names = ["hub"] + [f"leaf{i}" for i in range(5)]
+    return names, [("hub", leaf, 40.0, 0.0) for leaf in names[1:]]
+
+
+def mesh_rows():
+    names = [f"m{i}" for i in range(6)]
+    return names, [(a, b, 40.0, 0.0)
+                   for a, b in itertools.combinations(names, 2)]
+
+
+def ring_rows():
+    """Two equal-length routes between opposite hosts: a BFS tie."""
+    names = [f"r{i}" for i in range(6)]
+    return names, [(a, b, 20.0, 0.0)
+                   for a, b in zip(names, names[1:] + names[:1])]
+
+
+class Watcher:
+    def __init__(self):
+        self.calls = 0
+
+    def topology_changed(self):
+        self.calls += 1
+
+
+class TestAddLinks:
+    """``add_links`` is a loop of ``add_link`` that changes the topology
+    once."""
+
+    @pytest.mark.parametrize("shape", [line_rows, star_rows, mesh_rows,
+                                       ring_rows])
+    def test_a_batch_routes_as_links_added_one_by_one(self, shape):
+        names, rows = shape()
+        assert routing(in_one_batch(names, rows)) == \
+            routing(one_by_one(names, rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(topologies())
+    def test_random_batches_route_as_links_added_one_by_one(self, topology):
+        names, pairs = topology
+        rows = [(a, b, 40.0, 0.0) for a, b in pairs]
+        assert routing(in_one_batch(names, rows)) == \
+            routing(one_by_one(names, rows))
+
+    def test_the_constructors_build_what_add_link_built(self):
+        names, rows = mesh_rows()
+        assert routing(Cluster.full_mesh(names)) == \
+            routing(one_by_one(names, rows))
+        names, rows = star_rows()
+        assert routing(Cluster.star(names[0], names[1:])) == \
+            routing(one_by_one(names, rows))
+
+    @pytest.mark.parametrize("existing, rows, message", [
+        ([], [("a", "b", 40.0, 0.0), ("a", "ghost", 40.0, 0.0)],
+         "link endpoint 'ghost' is not a cluster node"),
+        ([], [("ghost", "a", 40.0, 0.0)],
+         "link endpoint 'ghost' is not a cluster node"),
+        ([], [("a", "b", 40.0, 0.0), ("c", "c", 40.0, 0.0)],
+         "self-link on 'c'"),
+        ([], [("a", "b", 40.0, 0.0), ("b", "c", 40.0, 0.0),
+              ("b", "a", 40.0, 0.0)],
+         "duplicate link 'b' -- 'a'"),
+        ([("a", "b", 40.0, 0.0)], [("b", "c", 40.0, 0.0),
+                                   ("a", "b", 40.0, 0.0)],
+         "duplicate link 'a' -- 'b'"),
+        ([], [("a", "b", 40.0, 0.0), ("b", "c", 0.0, 0.0)],
+         "bandwidth must be positive"),
+        ([], [("a", "b", 40.0, -1.0)], "latency must be non-negative"),
+    ], ids=["unknown", "unknown-first", "self", "duplicate-in-batch",
+            "duplicate-of-existing", "bandwidth", "latency"])
+    def test_a_bad_row_raises_what_add_link_raises(self, existing, rows,
+                                                   message):
+        """The rows before the bad one stay added, as in the loop, and
+        are one topology change; a batch that added nothing is none."""
+        names = ["a", "b", "c"]
+        oracle = one_by_one(names, existing)
+        with pytest.raises(SimulationError, match=message) as looped:
+            for row in rows:
+                oracle.add_link(*row)
+        cluster = one_by_one(names, existing)
+        watcher = Watcher()
+        cluster.watch(watcher)
+        version = cluster.topology_version
+        with pytest.raises(SimulationError, match=message) as batched:
+            cluster.add_links(rows)
+        assert str(batched.value) == str(looped.value)
+        assert routing(cluster) == routing(oracle)
+        changed = len(list(cluster.links())) > len(existing)
+        assert cluster.topology_version == version + changed
+        assert watcher.calls == changed
+
+    def test_one_call_is_one_topology_change(self):
+        names, rows = mesh_rows()
+        cluster = in_one_batch(names, [])
+        watchers = [Watcher(), Watcher()]
+        for watcher in watchers:
+            cluster.watch(watcher)
+        version = cluster.topology_version
+        added = cluster.add_links(rows)
+        assert added == list(cluster.links()) and len(added) == 15
+        assert cluster.topology_version == version + 1
+        assert [watcher.calls for watcher in watchers] == [1, 1]
+        cluster.add_node("x")
+        cluster.add_link("m0", "x", 1.0)
+        assert cluster.topology_version == version + 3
+        assert [watcher.calls for watcher in watchers] == [3, 3]
+
+    def test_an_empty_batch_changes_nothing(self):
+        cluster = Cluster.full_mesh(["a", "b"])
+        watcher = Watcher()
+        cluster.watch(watcher)
+        version = cluster.topology_version
+        assert cluster.add_links([]) == []
+        assert cluster.topology_version == version and watcher.calls == 0
+
+    def test_a_watching_view_equals_a_fresh_one_after_a_batch(self):
+        """``TestTopologyGrowth`` with the new links in one batch: the
+        view reroutes every footprint once, to what a fresh view builds."""
+        cluster = Cluster()
+        for host in ("a", "b", "c", "d"):
+            cluster.add_node(host)
+        cluster.add_links([("a", "b", 10.0, 0.01), ("b", "c", 20.0, 0.02),
+                           ("c", "d", 20.0, 0.02)])
+        view = SystemView(cluster)
+        spans = ConcreteDemands(
+            "o", nodes=(NodeDemand("x", seconds=3.0),
+                        NodeDemand("y", seconds=1.0)),
+            links=(LinkDemand("x", "y", 6.0),), communication_mb=2.0)
+        placements = {"A0": {"x": "a", "y": "c"}, "A1": {"x": "b", "y": "d"},
+                      "A2": {"x": "a", "y": "d"}}
+        for key, hosts in placements.items():
+            view.place(key, spans, Assignment(hosts))
+        version = view.version
+
+        cluster.add_links([("a", "c", 5.0, 0.005), ("a", "d", 5.0, 0.005)])
+
+        assert view.version == version + 1
+        fresh = SystemView(cluster)
+        for placed in view.configurations():
+            fresh.place(placed.app_key, placed.demands, placed.assignment)
+        for key in placements:
+            assert view.footprint_of(key) == fresh.footprint_of(key)
+            assert view.apps_affected_by(view.footprint_of(key)) == \
+                fresh.apps_affected_by(fresh.footprint_of(key))
+        for host_a, host_b in itertools.combinations("abcd", 2):
+            assert view.flows_between(host_a, host_b) == \
+                fresh.flows_between(host_a, host_b)
+        assert view.footprint_of("A2").flows == {
+            frozenset(("a", "d")): (6.0,)}

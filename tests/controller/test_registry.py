@@ -147,3 +147,89 @@ class TestNamespacePublication:
         ns = registry.namespace
         assert ns.get(f"{instance.key}.where.option") == "DS"
         assert not ns.exists(f"{instance.key}.where.QS")
+
+    def test_publish_writes_what_delete_then_set_wrote(self, registry,
+                                                       figure3_rsl,
+                                                       figure2b_rsl):
+        """One ``replace`` walk leaves the leaves, and the watcher calls,
+        of the old ``exists``/``delete``/``set`` sequence: variables,
+        replica names, memory grants, link leaves, and a republish onto
+        another option."""
+        from repro.controller.registry import ChosenConfiguration
+        from repro.namespace import join_path
+        cluster = Cluster.star("harmony.cs.umd.edu",
+                               ["c1", "c2", "c3", "c4"], memory_mb=256)
+        for node in cluster.nodes():
+            node.os = "linux"
+
+        def delete_then_set(ns, instance, bundle_name, grants):
+            chosen = instance.bundle_state(bundle_name).chosen
+            root = join_path(instance.key, bundle_name)
+            if ns.exists(root):
+                ns.delete(root)
+            ns.set(join_path(root, "option"), chosen.option_name)
+            for name, value in chosen.variable_assignment.items():
+                ns.set(join_path(root, "variables", name), value)
+            option_root = join_path(root, chosen.option_name)
+            for demand in chosen.demands.nodes:
+                node_root = join_path(option_root, demand.local_name)
+                ns.set(join_path(node_root, "hostname"),
+                       chosen.assignment.hostname_of(demand.local_name))
+                ns.set(join_path(node_root, "memory"),
+                       grants.get(f"{demand.local_name}.memory",
+                                  demand.memory_min_mb))
+                if demand.seconds is not None:
+                    ns.set(join_path(node_root, "seconds"), demand.seconds)
+            for index, link in enumerate(chosen.demands.links):
+                link_root = join_path(option_root, f"link{index}")
+                ns.set(join_path(link_root, "endpoints"),
+                       f"{link.endpoint_a}-{link.endpoint_b}")
+                ns.set(join_path(link_root, "megabytes"), link.total_mb)
+
+        oracle = ApplicationRegistry(namespace=Namespace())
+        heard = {}
+        for side in (registry, oracle):
+            calls = heard[id(side)] = []
+            side.namespace.watch("Bag", lambda p, v, calls=calls:
+                                 calls.append((p, v)))
+            side.namespace.watch("DBclient", lambda p, v, calls=calls:
+                                 calls.append((p, v)))
+        steps = [("Bag", figure2b_rsl, "parallelism", "run",
+                  {"workerNodes": 4.0}, {}),
+                 ("DBclient", figure3_rsl, "where", "DS", {},
+                  {"client.memory": 40.0}),
+                 ("DBclient", figure3_rsl, "where", "QS", {}, {})]
+        instances = {}
+        for app, rsl, bundle_name, option_name, variables, grants in steps:
+            for side in (registry, oracle):
+                key = (id(side), app)
+                if key not in instances:
+                    instance = instances[key] = side.register(app, 0.0)
+                    side.add_bundle(instance, build_bundle(rsl))
+                instance = instances[key]
+                state = instance.bundle_state(bundle_name)
+                demands = instantiate_option(
+                    state.bundle.option_named(option_name), variables,
+                    grants)
+                state.chosen = ChosenConfiguration(
+                    option_name=option_name, variable_assignment=variables,
+                    demands=demands, assignment=Matcher(cluster).match(
+                        demands), allocation=None, predicted_seconds=1.0,
+                    chosen_at=0.0)
+            registry.publish_choice(instances[id(registry), app],
+                                    bundle_name, grants)
+            delete_then_set(oracle.namespace, instances[id(oracle), app],
+                            bundle_name, grants)
+            assert registry.namespace.as_dict() == \
+                oracle.namespace.as_dict()
+            assert heard[id(registry)] == heard[id(oracle)]
+        ns = registry.namespace
+        bag = instances[id(registry), "Bag"].key
+        assert ns.get(f"{bag}.parallelism.variables.workerNodes") == 4.0
+        assert ns.exists(f"{bag}.parallelism.run.worker[3]")
+        db = instances[id(registry), "DBclient"].key
+        assert ns.get(f"{db}.where.option") == "QS"
+        assert not ns.exists(f"{db}.where.DS")
+        assert ns.get(f"{db}.where.QS.link0.megabytes") == 2.0
+        assert (f"{db}.where.DS.client.memory", 40.0) in heard[id(registry)]
+        assert (f"{db}.where", None) in heard[id(registry)]

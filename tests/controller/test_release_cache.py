@@ -154,7 +154,7 @@ def wal_tail(tmp_path, restored):
             and record.kind != "recovered"]
 
 
-def test_restore_makes_two_full_passes_whatever_the_tail_holds(tmp_path):
+def test_restore_makes_one_full_pass_whatever_the_tail_holds(tmp_path):
     original = churned_directory(tmp_path)
     restored = AdaptationController.restore(str(tmp_path), fsync="never")
     restored.journal.close()
@@ -162,9 +162,9 @@ def test_restore_makes_two_full_passes_whatever_the_tail_holds(tmp_path):
     kinds = [record.kind for record in tail]
     assert restored.last_recovery.snapshot_path is not None
     assert kinds.count("release") == 3 and kinds.count("apply") > 3
-    # The digest check, then the first commit's rebuild; each replayed
-    # release used to cost one more (four here).
-    assert restored.stats.full_view_recomputes <= 2
+    # The digest check builds the prediction cache and every replayed
+    # commit, releases included, advances it: one full pass.
+    assert restored.stats.full_view_recomputes == 1
     assert restored.current_objective() == original.current_objective()
     assert_cache_equals_rebuild(restored, exact=True)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import NamespaceError
-from repro.namespace import Namespace
+from repro.namespace import Namespace, join_path
 
 
 @pytest.fixture
@@ -113,6 +113,118 @@ class TestWatchers:
         unsubscribe = populated.watch("Bag", lambda p, v: None)
         unsubscribe()
         unsubscribe()
+
+
+def delete_then_set(ns, root, leaves):
+    """What :meth:`Namespace.replace` stands for: delete the subtree if
+    it exists, then one root-to-leaf ``set`` per leaf."""
+    if ns.exists(root):
+        ns.delete(root)
+    for path, value in leaves:
+        ns.set(join_path(root, path), value)
+
+
+def watched(populated_with=()):
+    """A namespace holding ``populated_with`` and the calls its watchers
+    hear from then on: one on the app, one on the bundle, one on a leaf,
+    one elsewhere."""
+    ns = Namespace()
+    for path, value in populated_with:
+        ns.set(path, value)
+    heard = []
+    for prefix in ("DBclient", "DBclient.66.where", "DBclient.66.where.option",
+                   "Bag"):
+        ns.watch(prefix, lambda p, v, prefix=prefix:
+                 heard.append((prefix, p, v)))
+    return ns, heard
+
+
+DS_LEAVES = [
+    ("option", "DS"),
+    ("variables.workerNodes", 4),
+    ("DS.worker[3].hostname", "c3"),
+    ("DS.worker[3].memory", 32.0),
+    ("DS.worker[3].seconds", 600.0),
+    ("DS.client.hostname", "c1"),
+    ("DS.client.memory", 40.0),
+    ("DS.link0.endpoints", "client-server"),
+    ("DS.link0.megabytes", 51.0),
+]
+QS_LEAVES = [
+    ("option", "QS"),
+    ("QS.server.hostname", "harmony"),
+    ("QS.server.memory", 20.0),
+    ("QS.link0.endpoints", "client-server"),
+    ("QS.link0.megabytes", 2.0),
+]
+ELSEWHERE = [("DBclient.66.how.option", "fast"),
+             ("Bag.2.parallelism.workerNodes", 4)]
+
+
+class TestReplace:
+    """``replace`` is one walk that leaves the tree, and tells watchers,
+    exactly what delete-then-set did."""
+
+    @pytest.mark.parametrize("before", [
+        [], ELSEWHERE,
+        ELSEWHERE + [("DBclient.66.where." + p, v) for p, v in DS_LEAVES]],
+        ids=["fresh", "siblings", "republish"])
+    @pytest.mark.parametrize("leaves", [DS_LEAVES, QS_LEAVES],
+                             ids=["DS", "QS"])
+    def test_same_tree_and_same_watcher_calls(self, before, leaves):
+        old, old_heard = watched(before)
+        new, new_heard = watched(before)
+        delete_then_set(old, "DBclient.66.where", leaves)
+        new.replace("DBclient.66.where", leaves)
+        assert new.as_dict() == old.as_dict()
+        assert new_heard == old_heard
+        assert new.children("DBclient.66.where") == \
+            old.children("DBclient.66.where")
+
+    def test_republish_onto_another_option_clears_the_stale_subtree(self):
+        ns, heard = watched(ELSEWHERE)
+        ns.replace("DBclient.66.where", DS_LEAVES)
+        heard.clear()
+        ns.replace("DBclient.66.where", QS_LEAVES)
+        assert not ns.exists("DBclient.66.where.DS")
+        assert not ns.exists("DBclient.66.where.variables")
+        assert ns.get("DBclient.66.where.option") == "QS"
+        assert ns.get("DBclient.66.how.option") == "fast"
+        # The deletion first, then each leaf in order.
+        assert [(p, v) for prefix, p, v in heard
+                if prefix == "DBclient"] == \
+            [("DBclient.66.where", None)] + \
+            [("DBclient.66.where." + p, v) for p, v in QS_LEAVES]
+
+    def test_no_leaves_is_a_delete(self):
+        for before in ([], DS_LEAVES):
+            old, old_heard = watched(
+                [("DBclient.66.where." + p, v) for p, v in before])
+            new, new_heard = watched(
+                [("DBclient.66.where." + p, v) for p, v in before])
+            delete_then_set(old, "DBclient.66.where", [])
+            new.replace("DBclient.66.where", [])
+            assert new.exists("DBclient.66.where") is \
+                old.exists("DBclient.66.where") is False
+            assert new_heard == old_heard
+
+    @pytest.mark.parametrize("root, leaves", [
+        ("DBclient.66.where", [("option", "DS"), ("DS..memory", 1)]),
+        ("DBclient.66.where", [("option", "DS"), ("", 1)]),
+        ("DBclient.66.where", [("DS.client.", 1)]),
+        ("DBclient..where", [("option", "DS")]),
+        ("", [("option", "DS")]),
+    ])
+    def test_an_empty_path_component_raises_and_changes_nothing(
+            self, root, leaves):
+        before = ELSEWHERE + [("DBclient.66.where." + p, v)
+                              for p, v in DS_LEAVES]
+        ns, heard = watched(before)
+        snapshot = ns.as_dict()
+        with pytest.raises(NamespaceError, match="empty namespace path"):
+            ns.replace(root, leaves)
+        assert ns.as_dict() == snapshot
+        assert heard == []
 
 
 class TestViews:

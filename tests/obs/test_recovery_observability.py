@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
+from repro.errors import WalCorruptionError
 from repro.obs.export import json_snapshot, prometheus_text
 from repro.obs.trace import Tracer
 from repro.persistence import DurabilityJournal
@@ -13,6 +16,9 @@ harmonyBundle {name} where {{
     {{small {{node worker {{os linux}} {{seconds 5}} {{memory 16}}}}}}
     {{big {{node worker {{os linux}} {{seconds 3}} {{memory 64}}}}}}}}
 """
+
+#: The children of ``controller.restore``, in the order they run.
+STAGES = ("read", "topology", "load_snapshot", "replay_wal")
 
 
 def journaled_history(directory, snapshot_every=4):
@@ -37,10 +43,20 @@ class TestRecoverySpans:
                                                 fsync="never",
                                                 tracer=tracer)
         (root,) = tracer.find("controller.restore")
-        (load,) = tracer.find("controller.restore.load_snapshot")
-        (replay,) = tracer.find("controller.restore.replay_wal")
-        assert load.parent_id == root.span_id
-        assert replay.parent_id == root.span_id
+        stages = []
+        for stage in STAGES:
+            (span,) = tracer.find(f"controller.restore.{stage}")
+            stages.append(span)
+        read, _topology, _load, replay = stages
+        for stage in stages:
+            assert stage.parent_id == root.span_id
+        # The stages run in order, inside the root's window.
+        starts = [span.start_seconds for span in [root] + stages]
+        assert starts == sorted(starts)
+        assert all(stage.start_seconds + stage.duration_seconds <=
+                   root.start_seconds + root.duration_seconds
+                   for stage in stages)
+        assert read.attributes["records"] > 0
         assert root.attributes["directory"] == str(tmp_path)
         assert root.attributes["records_replayed"] == \
             restored.last_recovery.records_replayed
@@ -59,9 +75,9 @@ class TestRecoverySpans:
                    for line in tracer.to_jsonl().splitlines()]
         by_name = {record["name"]: record for record in records}
         root = by_name["controller.restore"]
-        for child in ("controller.restore.load_snapshot",
-                      "controller.restore.replay_wal"):
-            assert by_name[child]["parent_id"] == root["span_id"]
+        for stage in STAGES:
+            child = by_name[f"controller.restore.{stage}"]
+            assert child["parent_id"] == root["span_id"]
         restored.journal.close()
 
 
@@ -93,3 +109,24 @@ class TestRecoveryCounters:
         assert "controller_wal_bytes" in text
         assert "controller_snapshots" in text
         restored.journal.close()
+
+
+class TestRecoverySpansCoverFailures:
+    def test_a_restore_that_fails_opening_its_log_still_records_it(
+            self, tmp_path):
+        """The root and ``read`` spans open before the journal does, so a
+        log damaged mid-file — refused while the journal opens — is
+        still a recorded restore."""
+        journaled_history(tmp_path)
+        path = tmp_path / "wal.log"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 3] ^= 0xFF
+        path.write_bytes(bytes(data))
+        tracer = Tracer()
+        with pytest.raises(WalCorruptionError):
+            AdaptationController.restore(str(tmp_path), fsync="never",
+                                         tracer=tracer)
+        (root,) = tracer.find("controller.restore")
+        (read,) = tracer.find("controller.restore.read")
+        assert read.parent_id == root.span_id
+        assert not tracer.find("controller.restore.topology")

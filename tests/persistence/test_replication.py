@@ -6,8 +6,10 @@ ship-after-durable, CRC re-verification, duplicate suppression, gap
 resync, catch-up-from-snapshot — and the term-fenced promotion handoff.
 """
 
+import gc
 import json
 import threading
+import warnings
 import zlib
 
 import pytest
@@ -436,6 +438,42 @@ class TestPromotion:
         run_workload(controller, count=1)
         first = standby.promote()
         assert standby.promote() is first
+
+    def test_close_after_promotion_leaves_the_log_to_its_journal(
+            self, tmp_path):
+        """Promotion hands the standby's log to the promoted controller's
+        journal: ``close()`` stops following but keeps the log open, and
+        closing that journal is what releases the handle."""
+        controller, _journal, server = make_primary(tmp_path / "p")
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fsync="never")
+        join_standby(server, standby)
+        run_workload(controller, count=1)
+        promoted = standby.promote()
+        journal, wal = promoted.journal, promoted.journal.wal
+        assert journal is standby.journal
+        standby.close()
+        assert not wal._handle.closed
+        last_seq = wal.last_seq
+        instance = promoted.register_app("after")
+        promoted.setup_bundle(instance, RSL.format(name="after"))
+        assert wal.last_seq > last_seq
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            standby.controller.journal.close()
+            assert wal._handle.closed
+            del journal, wal
+            gc.collect()
+        assert promoted.journal is None
+
+    def test_close_before_promotion_closes_the_log(self, tmp_path):
+        controller, _journal, server = make_primary(tmp_path / "p")
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fsync="never")
+        join_standby(server, standby)
+        run_workload(controller, count=1)
+        standby.close()
+        assert standby.journal.wal._handle.closed
 
     def test_promote_without_state_is_refused(self, tmp_path):
         standby = ReplicationStandby(str(tmp_path / "s"), "sb",
