@@ -190,11 +190,10 @@ class ModelDrivenPolicy(DecisionPolicy):
         only decide *skips*, never ordering, so the decision traces are
         byte-identical to the same loop with pruning off (the serial
         oracle).  A bundle is neither matched nor scored while the record
-        of its last stable no-op holds over its reach and reads (see
+        of its last stable no-op holds over its scan and reads (see
         :class:`~repro.controller.partition.PartitionIndex`), and matched
-        but not scored when the match proves it
-        (:meth:`_reevaluate_bundle_outcome`).  One ``optimizer.sweep``
-        span counts what the sweep evaluated, changed and pruned.
+        and scored otherwise.  One ``optimizer.sweep`` span counts what
+        the sweep evaluated, changed and pruned.
         """
         index = controller.partition_index
         stats = controller.stats
@@ -202,7 +201,6 @@ class ModelDrivenPolicy(DecisionPolicy):
         prune = index.prunable(controller.objective)
         tracer = controller.tracer
         start = tracer.elapsed()
-        unchanged = stats.unchanged_bundles
         changes = evaluated = pruned = 0
         for instance in controller.registry.instances():
             for state in instance.bundles.values():
@@ -218,8 +216,7 @@ class ModelDrivenPolicy(DecisionPolicy):
         if tracer.enabled:
             tracer.record_span(
                 "optimizer.sweep", start, tracer.elapsed() - start,
-                evaluated=evaluated, changes=changes, pruned=pruned,
-                unchanged=stats.unchanged_bundles - unchanged)
+                evaluated=evaluated, changes=changes, pruned=pruned)
         return changes
 
     def _pairwise_pass(self, controller: "AdaptationController") -> int:
@@ -347,11 +344,6 @@ class ModelDrivenPolicy(DecisionPolicy):
         hysteresis threshold (whose denominator is the global objective
         besides) or a friction amortisation alike.  Granularity-blocked
         outcomes depend on the clock.
-
-        A later evaluation whose match finds the same candidates and
-        whose reads nobody has written since returns the outcome
-        unscored and moves the record up to now
-        (:meth:`~repro.controller.trial.TrialEngine.unchanged`).
         """
         index = controller.partition_index
         key = bundle_key(instance, state)
@@ -363,11 +355,7 @@ class ModelDrivenPolicy(DecisionPolicy):
         if not state.granularity_allows_switch(controller.now):
             return False
         result = self.optimizer.optimize_bundle(
-            instance, state, controller.optimization_context(),
-            since=index.last_no_op(key) if prune else None)
-        if result is None:
-            controller.stats.unchanged_bundles += 1
-            return False
+            instance, state, controller.optimization_context())
         best = result.best
         if best is None or _same_configuration(state, best):
             if prune:
@@ -1041,7 +1029,7 @@ class AdaptationController:
         return OptimizationContext(
             view=self.view, matcher=self.matcher,
             objective=self.objective, predict_all=self.predict_all,
-            now=self.now, engine=self._engine, cache=self._config_cache,
+            engine=self._engine, cache=self._config_cache,
             stats=self.stats, tracer=self.tracer)
 
     # -- topology changes -----------------------------------------------------
@@ -1220,8 +1208,6 @@ class AdaptationController:
                             float(self.stats.partition_sweeps))
         self.metrics.report("optimizer.partition.pruned_bundles", now,
                             float(self.stats.pruned_bundles))
-        self.metrics.report("optimizer.unchanged_bundles", now,
-                            float(self.stats.unchanged_bundles))
         self.metrics.report("optimizer.partition.pruned_pairs", now,
                             float(self.stats.pruned_pairs))
 

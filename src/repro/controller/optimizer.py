@@ -48,7 +48,6 @@ from repro.controller.trial import (
     ViewTrial,
 )
 from repro.errors import AllocationError, RslSemanticError
-from repro.obs.trace import NULL_TRACER
 from repro.prediction.contention import SystemView
 from repro.rsl.model import Bundle, TuningOption
 
@@ -58,10 +57,8 @@ __all__ = ["Candidate", "OptimizationContext", "ConfigurationCache",
 #: predict_all(view) -> {app_key: predicted seconds} for every placed app.
 PredictAll = Callable[[SystemView], Mapping[str, float]]
 
-#: Default cap on elastic-memory probe values per node demand (must match
-#: ``OptimizationContext.memory_probe_limit``'s default — the partition
-#: index keys cache peeks on it).
-DEFAULT_MEMORY_PROBE_LIMIT = 3
+#: Cap on the elastic-memory node demands probed per configuration.
+MEMORY_PROBE_LIMIT = 3
 
 
 @dataclass
@@ -108,13 +105,10 @@ class OptimizationContext:
     engine: TrialEngine
     #: Memoized configuration spaces.
     cache: ConfigurationCache
-    now: float = 0.0
-    #: Cap on elastic-memory probe values per node demand.
-    memory_probe_limit: int = DEFAULT_MEMORY_PROBE_LIMIT
-    #: Work counters (candidates, recomputes); optional.
-    stats: OptimizerStats | None = None
-    #: Span recorder; the no-op singleton keeps tracing zero-cost-when-off.
-    tracer: object = NULL_TRACER
+    #: Work counters (candidates, recomputes).
+    stats: OptimizerStats
+    #: Span recorder (``NULL_TRACER`` when tracing is off).
+    tracer: object
 
 
 def bundle_holder(instance: AppInstance, state: BundleState) -> str:
@@ -141,37 +135,28 @@ class ConfigurationCache:
     on cluster state, so it is computed once per bundle and reused by
     every enumeration: initial configuration, re-evaluation sweeps, the
     pairwise pass.  Only *matching* (which reads live reservations and
-    load ordering) runs per call.
-
-    The elastic-memory probe (:func:`_best_memory_for`) is memoized here
-    too, once per (option, assignment, node).
+    load ordering) runs per call.  The elastic-memory probe runs once per
+    space, so it needs no memo of its own.
     """
 
     def __init__(self) -> None:
         self.instantiations = InstantiationCache()
-        #: id(bundle) -> (the bundle, probe limit -> its space)
+        #: id(bundle) -> (the bundle, its space)
         self._spaces: dict[int, tuple[
-            Bundle, dict[int, list[ConfigurationEntry]]]] = {}
-        #: id(option) -> probe key -> best memory
-        self._memory_probes: dict[int, dict[tuple, float | None]] = {}
+            Bundle, list[ConfigurationEntry]]] = {}
         self.space_hits = 0
         self.space_misses = 0
-        self.probe_hits = 0
-        self.probe_misses = 0
 
     def snapshot(self) -> dict[str, int]:
         """Hit/miss counters, for the telemetry layer."""
         return {"space_hits": self.space_hits,
-                "space_misses": self.space_misses,
-                "probe_hits": self.probe_hits,
-                "probe_misses": self.probe_misses}
+                "space_misses": self.space_misses}
 
-    def space_for(self, bundle: Bundle,
-                  probe_limit: int) -> list[ConfigurationEntry]:
-        spaces = self._spaces.setdefault(id(bundle), (bundle, {}))[1]
-        if probe_limit in spaces:
+    def space_for(self, bundle: Bundle) -> list[ConfigurationEntry]:
+        hit = self._spaces.get(id(bundle))
+        if hit is not None and hit[0] is bundle:
             self.space_hits += 1
-            return spaces[probe_limit]
+            return hit[1]
         self.space_misses += 1
         entries: list[ConfigurationEntry] = []
         for option in bundle.options:
@@ -181,8 +166,7 @@ class ConfigurationCache:
                         option, variable_assignment)
                 except RslSemanticError:
                     continue
-                for grants in _memory_grant_choices(option, base,
-                                                    probe_limit, cache=self):
+                for grants in _memory_grant_choices(option, base):
                     try:
                         demands = base if not grants else \
                             self.instantiations.instantiate(
@@ -195,7 +179,7 @@ class ConfigurationCache:
                         grants=dict(grants),
                         demands=demands,
                         extra_memory=_extra_memory(demands, grants)))
-        spaces[probe_limit] = entries
+        self._spaces[id(bundle)] = (bundle, entries)
         return entries
 
     def forget(self, bundle: Bundle) -> None:
@@ -204,29 +188,13 @@ class ConfigurationCache:
         self._spaces.pop(id(bundle), None)
         for option in bundle.options:
             self.instantiations.forget(option)
-            self._memory_probes.pop(id(option), None)
 
-    def peek_space_len(self, bundle: Bundle, probe_limit: int) -> int:
+    def peek_space_len(self, bundle: Bundle) -> int:
         """Size of a bundle's cached space without computing it (0 when
         never enumerated).  Used for pruned-candidate accounting — a skip
         must not itself pay the enumeration it avoided."""
         hit = self._spaces.get(id(bundle))
-        return len(hit[1].get(probe_limit, ())) \
-            if hit is not None and hit[0] is bundle else 0
-
-    def best_memory_for(self, option: TuningOption, base: ConcreteDemands,
-                        demand: NodeDemand,
-                        span_mb: float = 64.0) -> float | None:
-        probes = self._memory_probes.setdefault(id(option), {})
-        key = (tuple(sorted(base.variable_assignment.items())),
-               demand.local_name, span_mb)
-        if key in probes:
-            self.probe_hits += 1
-            return probes[key]
-        self.probe_misses += 1
-        best = _best_memory_for(option, base, demand, span_mb)
-        probes[key] = best
-        return best
+        return len(hit[1]) if hit is not None and hit[0] is bundle else 0
 
 
 def enumerate_candidates(instance: AppInstance, state: BundleState,
@@ -263,12 +231,10 @@ def _matched(state: BundleState, context: OptimizationContext,
     stats = context.stats
     with context.tracer.span("optimizer.configuration_space",
                              bundle=state.bundle.bundle_name) as span:
-        entries = context.cache.space_for(state.bundle,
-                                          context.memory_probe_limit)
+        entries = context.cache.space_for(state.bundle)
         span.set("entries", len(entries))
     for entry in entries:
-        if stats is not None:
-            stats.match_calls += 1
+        stats.match_calls += 1
         try:
             assignment = context.matcher.match(
                 entry.demands, extra_memory=entry.extra_memory,
@@ -293,7 +259,6 @@ def _extra_memory(demands: ConcreteDemands,
 
 
 def _memory_grant_choices(option: TuningOption, base: ConcreteDemands,
-                          probe_limit: int, cache: ConfigurationCache,
                           ) -> Iterator[dict[str, float]]:
     """Enumerate elastic-memory grants worth considering.
 
@@ -306,8 +271,8 @@ def _memory_grant_choices(option: TuningOption, base: ConcreteDemands,
     """
     yield {}
     dependent = _memory_dependent_demands(option, base)
-    for demand in dependent[:probe_limit]:
-        best = cache.best_memory_for(option, base, demand)
+    for demand in dependent[:MEMORY_PROBE_LIMIT]:
+        best = _best_memory_for(option, base, demand)
         if best is not None and best > demand.memory_min_mb:
             yield {f"{demand.local_name}.memory": best}
 
@@ -362,7 +327,8 @@ class OptimizationResult:
     candidates_evaluated: int = 0
     current_objective: float = math.inf
     evaluated: list[Candidate] = field(default_factory=list)
-    #: What scoring read, for a later ``optimize_bundle(since=...)``.
+    #: What scoring read and the match examined: the bundle's record,
+    #: should its outcome be a stable no-op.
     reads: ReadSet | None = None
 
 
@@ -418,8 +384,7 @@ class GreedyOptimizer:
                         if not _pair_memory_ok(context.view.cluster, ignore,
                                                cand_a, cand_b):
                             continue
-                        if context.stats is not None:
-                            context.stats.candidates_evaluated += 1
+                        context.stats.candidates_evaluated += 1
                         with ViewTrial(context.view) as with_b:
                             with_b.place(instance_b.key, cand_b.demands,
                                          cand_b.assignment)
@@ -440,17 +405,9 @@ class GreedyOptimizer:
 
     def optimize_bundle(self, instance: AppInstance, state: BundleState,
                         context: OptimizationContext,
-                        since: ReadSet | None = None,
-                        ) -> OptimizationResult | None:
+                        ) -> OptimizationResult:
         """Pick the configuration of this bundle minimizing the objective,
-        holding every other application (and bundle) fixed.
-
-        ``since`` is what an earlier evaluation of this bundle read
-        (its result's ``reads``).  When the match finds the same
-        candidates and the engine proves nothing read has changed
-        (:meth:`TrialEngine.unchanged`), scoring would repeat that
-        evaluation, so nothing is scored and ``None`` is returned.
-        """
+        holding every other application (and bundle) fixed."""
         with context.tracer.span("optimizer.optimize_bundle",
                                  app=instance.key,
                                  bundle=state.bundle.bundle_name) as span:
@@ -462,11 +419,6 @@ class GreedyOptimizer:
             placed = context.view.configuration_of(instance.key)
             prepared = _preparation(instance, state, context)
             candidates = list(_matched(state, context, prepared))
-            if since is not None and engine.unchanged(
-                    since, state.chosen, placed, candidates):
-                engine.cover_scan(since, prepared, instance.key)
-                span.set("unchanged", True)
-                return None
             # Read after the match, which brings the view up to the
             # cluster's topology.
             live = engine.live_predictions()
@@ -493,13 +445,11 @@ class GreedyOptimizer:
                     if best is None or candidate.objective_value \
                             < best.objective_value - 1e-12:
                         best = candidate
-            if context.stats is not None:
-                context.stats.candidates_evaluated += len(candidates)
+            context.stats.candidates_evaluated += len(candidates)
             span.set("candidates_evaluated", len(candidates))
             if best is not None:
                 span.set("chosen", best.option_name)
-            record = engine.read_set(state.chosen, placed, candidates,
-                                     reads, epoch)
+            record = engine.read_set(state.chosen, placed, reads, epoch)
             engine.cover_scan(record, prepared, instance.key)
             return OptimizationResult(
                 best=best, candidates_evaluated=len(candidates),
@@ -554,8 +504,7 @@ class ExhaustiveOptimizer:
                     break
             if not feasible:
                 continue
-            if context.stats is not None:
-                context.stats.candidates_evaluated += 1
+            context.stats.candidates_evaluated += 1
             with ViewTrial(context.view) as trial:
                 for (instance, _state, _), candidate in zip(per_app, combo):
                     trial.place(instance.key, candidate.demands,

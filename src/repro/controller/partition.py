@@ -27,9 +27,8 @@ independence explicit:
   and an external-load change stamp the host or link they change) and
   the engine epoch and the topology version are unchanged.  While it
   holds, the sweep neither matches nor scores the bundle
-  (:meth:`PartitionIndex.holds`); when it does not, a match that finds
-  the same candidates with the same reads unwritten still skips scoring
-  (``GreedyOptimizer.optimize_bundle(since=...)``) and renews the record.
+  (:meth:`PartitionIndex.holds`); when it does not, the bundle is matched
+  and scored, and a stable no-op writes its record again.
   What the match examined is narrower than reach.  A first-fit match
   walks the bundle's load order (its own placement excluded) and stops
   at the first node that fits, so the record covers the *scanned
@@ -66,7 +65,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
-from repro.controller.optimizer import DEFAULT_MEMORY_PROBE_LIMIT
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -105,9 +103,6 @@ class PartitionIndex:
         self._edges_version = -1
 
     # -- records -------------------------------------------------------------
-
-    def last_no_op(self, key: BundleKey) -> ReadSet | None:
-        return self._no_ops.get(key)
 
     def holds(self, key: BundleKey, state: "BundleState") -> bool:
         """Whether re-evaluating this bundle is provably a no-op: its
@@ -170,8 +165,7 @@ class PartitionIndex:
 
     def candidate_count(self, state: "BundleState") -> int:
         """Cached configuration-space size, for pruned-candidate counts."""
-        return self.controller._config_cache.peek_space_len(
-            state.bundle, DEFAULT_MEMORY_PROBE_LIMIT)
+        return self.controller._config_cache.peek_space_len(state.bundle)
 
     def remove_app(self, app_key: str) -> None:
         """Drop every bundle of an ended/evicted application: its reach,

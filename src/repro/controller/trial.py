@@ -34,11 +34,11 @@ This module removes both:
   an :attr:`TrialEngine.epoch` on every mutation it did not see.
   :meth:`TrialEngine.reading` records what one evaluation's recomputed
   predictions read (:class:`ReadSet`), and :meth:`TrialEngine.cover_scan`
-  what its first-fit matches examined.  One rule: a record is valid
-  while no key it covers is stamped after its clock, and the epoch and
-  the topology version are unchanged (:meth:`TrialEngine.holds` before a
-  match, which also requires every stamped host past the scan to order
-  after its boundary; :meth:`TrialEngine.unchanged` after one).
+  what its first-fit matches examined.  One rule, checked before the
+  match (:meth:`TrialEngine.holds`): a record is valid while no key it
+  covers is stamped after its clock, the epoch and the topology version
+  are unchanged, and every stamped host past the scan orders after its
+  boundary.
 
 :class:`OptimizerStats` counts the work actually done so benchmarks can
 report candidates evaluated, per-app predictions recomputed, and full-view
@@ -78,26 +78,16 @@ class OptimizerStats:
     partition_sweeps: int = 0
     pruned_bundles: int = 0
     pruned_candidates: int = 0
-    #: Bundles whose record did not hold before the match but whose
-    #: match found the candidates and reads of their last stable no-op,
-    #: so no candidate was scored (see :meth:`TrialEngine.unchanged`).
-    unchanged_bundles: int = 0
     #: Pairwise pass: pairs searched, and pairs skipped because records
     #: prove they cannot gain.
     pairs_evaluated: int = 0
     pruned_pairs: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {"candidates_evaluated": self.candidates_evaluated,
-                "predictions_recomputed": self.predictions_recomputed,
-                "full_view_recomputes": self.full_view_recomputes,
-                "match_calls": self.match_calls,
-                "partition_sweeps": self.partition_sweeps,
-                "pruned_bundles": self.pruned_bundles,
-                "pruned_candidates": self.pruned_candidates,
-                "unchanged_bundles": self.unchanged_bundles,
-                "pairs_evaluated": self.pairs_evaluated,
-                "pruned_pairs": self.pruned_pairs}
+        # Every field is an int: a copy of the instance dict is what
+        # ``dataclasses.asdict`` returns, without its per-field deepcopy
+        # (``query_status`` reads this on every call).
+        return dict(vars(self))
 
 
 @dataclass
@@ -107,9 +97,8 @@ class ReadSet:
 
     ``chosen`` and ``placed`` are the bundle's configuration and its
     app's view placement the candidates were scored against (compared by
-    identity: every commit makes new ones); ``candidates`` the matched
-    ``(demands, assignment)`` pairs in match order; ``keys`` the hosts
-    and links the recomputed predictions read; ``epoch``, ``clock`` and
+    identity: every commit makes new ones); ``keys`` the hosts and links
+    the recomputed predictions read; ``epoch``, ``clock`` and
     ``topology`` the engine's epoch, its commit count and the cluster's
     topology version when they were read.  ``covers`` is ``keys`` and
     the hosts the bundle's first-fit matches examined, ``boundary`` the
@@ -118,12 +107,12 @@ class ReadSet:
     and ``reach`` every host and link the bundle's match could read; a
     record with no ``boundary`` covers its ``reach``.  ``covers`` and
     ``boundary`` are set by the latest match, ``reach`` when the record
-    is kept, ``clock`` moved up whenever a check proves it unchanged.
+    is kept, ``clock`` moved up whenever :meth:`TrialEngine.holds`
+    proves it.
     """
 
     chosen: object
     placed: object
-    candidates: tuple
     keys: frozenset
     epoch: int
     clock: int
@@ -132,12 +121,6 @@ class ReadSet:
     boundary: tuple | None = None
     excluded: str | None = None
     reach: frozenset = frozenset()
-
-
-def _candidate_signature(candidates: Sequence) -> tuple:
-    """The part of matched candidates a :class:`ReadSet` compares."""
-    return tuple((candidate.demands, candidate.assignment)
-                 for candidate in candidates)
 
 
 class ViewTrial:
@@ -320,16 +303,14 @@ class TrialEngine:
         finally:
             self._reads = None
 
-    def read_set(self, chosen: object, placed: object,
-                 candidates: Sequence = (), keys: Iterable = (),
+    def read_set(self, chosen: object, placed: object, keys: Iterable = (),
                  epoch: int | None = None) -> ReadSet:
-        """What scoring ``candidates`` against ``chosen`` and ``placed``
-        read: ``keys``, at ``epoch`` (``None``: the current one)."""
+        """What scoring against ``chosen`` and ``placed`` read: ``keys``,
+        at ``epoch`` (``None``: the current one)."""
         if epoch is None:
             self.live_predictions()
             epoch = self.epoch
         return ReadSet(chosen=chosen, placed=placed,
-                       candidates=_candidate_signature(candidates),
                        keys=frozenset(keys), epoch=epoch, clock=self._clock,
                        topology=self.controller.cluster.topology_version)
 
@@ -350,18 +331,6 @@ class TrialEngine:
         match: the same configuration and placement, no unseen mutation,
         the same topology, no stamp on what it covers since, and no
         stamped host of its reach now ordered before its boundary."""
-        return self._proves(record, chosen, placed, record.covers,
-                            record.boundary)
-
-    def unchanged(self, since: ReadSet, chosen: object, placed: object,
-                  candidates: Sequence) -> bool:
-        """Whether scoring ``candidates`` now would read what ``since``
-        read: the same candidates, and :meth:`holds` over its reads."""
-        return since.candidates == _candidate_signature(candidates) and \
-            self._proves(since, chosen, placed, since.keys)
-
-    def _proves(self, record: ReadSet, chosen: object, placed: object,
-                keys: frozenset, boundary: tuple | None = None) -> bool:
         # An unseen mutation moves the epoch only when the cache is read.
         self.live_predictions()
         if record.chosen is not chosen or record.placed is not placed or \
@@ -370,18 +339,19 @@ class TrialEngine:
             return False
         if record.clock != self._clock:
             stamped = self._stamped_after(record.clock)
-            if not keys.isdisjoint(stamped):
+            if not record.covers.isdisjoint(stamped):
                 return False
             # A host the scan did not reach is examined next time only
             # if it now orders before the furthest one it did; its key
             # moves only with a stamp.
-            if boundary is not None and \
+            if record.boundary is not None and \
                     not stamped.isdisjoint(record.reach) and \
                     self.controller.view.orders_before(
-                        stamped & record.reach, boundary, record.excluded):
+                        stamped & record.reach, record.boundary,
+                        record.excluded):
                 return False
-        # Proved unchanged up to now: the records a sweep checks come to
-        # share a few clocks, each resolved once below.
+        # Holds up to now: the records a sweep checks come to share a
+        # few clocks, each resolved once above.
         record.clock = self._clock
         return True
 

@@ -6,18 +6,18 @@ resources assigned to them, addressed by dotted paths like
 ``DBclient.66.where.DS.client.memory``.
 
 The implementation is a tree of :class:`NamespaceNode` objects; leaves carry
-values (numbers or strings).  Watchers may subscribe to a path prefix and are
-notified synchronously on every change underneath it — the controller uses
-this to propagate option changes into application variables.
+values (numbers or strings).  The tree notifies no one: the controller tells
+applications of option changes through its event listeners
+(``AdaptationController.add_listener``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import NamespaceError
-from repro.namespace.paths import is_prefix, join_path, split_path
+from repro.namespace.paths import join_path, split_path
 
 __all__ = ["Namespace", "NamespaceNode", "NamespaceView"]
 
@@ -34,7 +34,7 @@ class NamespaceNode:
 
 
 class Namespace:
-    """A mutable hierarchical key/value tree with prefix watchers.
+    """A mutable hierarchical key/value tree.
 
     >>> ns = Namespace()
     >>> ns.set("DBclient.66.where.DS.client.memory", 32)
@@ -44,7 +44,6 @@ class Namespace:
 
     def __init__(self) -> None:
         self._root = NamespaceNode(name="")
-        self._watchers: list[tuple[str, Callable[[str, Value | None], None]]] = []
 
     # -- basic operations --------------------------------------------------
 
@@ -58,7 +57,6 @@ class Namespace:
                 child = node.children[part] = NamespaceNode(name=part)
             node = child
         node.value = value
-        self._notify(path, value)
 
     def get(self, path: str, default: Value | None = None) -> Value | None:
         """Return the value at ``path`` or ``default`` when absent."""
@@ -90,20 +88,18 @@ class Namespace:
         if parts[-1] not in node.children:
             raise NamespaceError(f"namespace path {path!r} not found")
         del node.children[parts[-1]]
-        self._notify(path, None)
 
     def replace(self, root: str,
                 leaves: Iterable[tuple[str, Value]]) -> None:
         """Replace the subtree at ``root`` with ``leaves``, pairs of a path
         relative to ``root`` and its value.
 
-        The same tree and the same watcher calls as :meth:`delete` of
-        ``root`` (when it exists) and then :meth:`set` of each leaf in
-        order, in one walk down to ``root``.  Every leaf path is checked
-        before anything changes.
+        The same tree as :meth:`delete` of ``root`` (when it exists) and
+        then :meth:`set` of each leaf, in one walk down to ``root``.
+        Every leaf path is checked before anything changes.
         """
         parts = split_path(root)
-        rows = [(path, split_path(path), value) for path, value in leaves]
+        rows = [(split_path(path), value) for path, value in leaves]
         if not rows:
             if self.exists(root):
                 self.delete(root)
@@ -115,10 +111,8 @@ class Namespace:
                 child = parent.children[part] = NamespaceNode(name=part)
             parent = child
         name = parts[-1]
-        if parent.children.pop(name, None) is not None:
-            self._notify(root, None)
         top = parent.children[name] = NamespaceNode(name=name)
-        for path, relative, value in rows:
+        for relative, value in rows:
             node = top
             for part in relative:
                 child = node.children.get(part)
@@ -126,7 +120,6 @@ class Namespace:
                     child = node.children[part] = NamespaceNode(name=part)
                 node = child
             node.value = value
-            self._notify(f"{root}.{path}", value)
 
     # -- traversal ---------------------------------------------------------
 
@@ -158,29 +151,6 @@ class Namespace:
     def as_dict(self, path: str | None = None) -> dict[str, Value]:
         """Snapshot all leaves under ``path`` as a flat dict."""
         return dict(self.walk(path))
-
-    # -- watchers ----------------------------------------------------------
-
-    def watch(self, prefix: str,
-              callback: Callable[[str, Value | None], None]) -> Callable[[], None]:
-        """Call ``callback(path, value)`` on changes under ``prefix``.
-
-        ``value`` is ``None`` for deletions.  Returns an unsubscribe
-        function.
-        """
-        entry = (prefix, callback)
-        self._watchers.append(entry)
-
-        def unsubscribe() -> None:
-            if entry in self._watchers:
-                self._watchers.remove(entry)
-
-        return unsubscribe
-
-    def _notify(self, path: str, value: Value | None) -> None:
-        for prefix, callback in list(self._watchers):
-            if is_prefix(prefix, path):
-                callback(path, value)
 
     # -- scoped views ------------------------------------------------------
 

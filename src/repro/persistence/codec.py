@@ -12,9 +12,9 @@ deterministic path the optimizer used to build it, so the restored
 ``ConcreteDemands`` is equal by construction.
 
 Snapshots additionally embed a *digest* (``describe_system`` lines, the
-objective, ``predict_all``) computed when the snapshot was written;
-recovery recomputes all three after rebuilding state and refuses to
-proceed on any mismatch (:class:`~repro.errors.RecoveryError`).  A body
+objective, the predictions) read from the prediction cache when the
+snapshot was written; recovery recomputes all three after rebuilding
+state and refuses to proceed on any mismatch (:class:`~repro.errors.RecoveryError`).  A body
 that cannot be decoded at all — a missing key, a wrong type — raises
 :class:`~repro.errors.RecoveryError` too, never a bare ``KeyError``.
 """
@@ -338,7 +338,7 @@ def controller_state(controller: "AdaptationController",
             "models": journal.model_names_for(instance.key),
             "bundles": bundles,
         })
-    predictions = controller.predict_all(view)
+    predictions = controller.live_predictions()
     return {
         "time": controller.now,
         "next_instance_id": controller.registry.next_instance_id,

@@ -106,8 +106,8 @@ class TestLifecycle:
                 for app in live] == [1] * 8
 
     def test_configuration_cache_is_bounded_under_churn(self):
-        """Spaces, instantiations and memory probes are keyed by object
-        id and pin the object: a released bundle's must go with it."""
+        """Spaces and instantiations are keyed by object id and pin the
+        object: a released bundle's must go with it."""
         controller = AdaptationController(build_pod_cluster(1, 8))
         cache = controller._config_cache
         live = []
@@ -115,7 +115,7 @@ class TestLifecycle:
             if len(live) == 8:
                 controller.end_app(live.pop(0))
             instance = controller.register_app(f"Pod0App{index}")
-            # Odd apps carry an elastic demand, so probes are cached too.
+            # Odd apps carry an elastic demand: their spaces hold grants.
             rsl = ELASTIC_POD_RSL if index % 2 else POD_RSL
             controller.setup_bundle(instance,
                                     rsl.format(pod=0, index=index))
@@ -123,10 +123,32 @@ class TestLifecycle:
         options = 2  # small, large
         assert 0 < len(cache._spaces) <= len(live)
         assert 0 < len(cache.instantiations._results) <= len(live) * options
-        assert 0 < len(cache._memory_probes) <= len(live) * options
+        assert any(entry.grants for _, space in cache._spaces.values()
+                   for entry in space)
         pinned = {id(state.bundle) for instance in live
                   for state in instance.bundles.values()}
         assert set(cache._spaces) == pinned
+
+    def test_configuration_space_is_built_once_per_bundle(self):
+        """A bundle's space is keyed on the bundle alone: every later
+        enumeration reuses it, a peek reads its size without building
+        it, and releasing the app drops it."""
+        controller = AdaptationController(build_pod_cluster(1, 8))
+        cache = controller._config_cache
+        instance = controller.register_app("Pod0App1")
+        controller.setup_bundle(instance,
+                                ELASTIC_POD_RSL.format(pod=0, index=1))
+        bundle = instance.bundle_state("size").bundle
+        space = cache.space_for(bundle)
+        misses = cache.space_misses
+        controller.reevaluate()
+        assert cache.space_for(bundle) is space
+        assert cache.space_misses == misses
+        assert cache.peek_space_len(bundle) == len(space)
+        assert any(entry.grants for entry in space)
+        controller.end_app(instance)
+        assert cache.peek_space_len(bundle) == 0
+        assert cache.space_misses == misses
 
     def test_partition_index_is_bounded_under_churn(self):
         """The index's per-bundle tables — records, the reach memo — go

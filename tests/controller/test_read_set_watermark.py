@@ -1,15 +1,13 @@
 """Records: a sweep re-scores only what it can see changed.
 
 A bundle whose last evaluation was a stable no-op keeps one record:
-what its scoring read, and its reach.  While no key of either has been
-stamped since, the sweep prunes it before the match
-(``TrialEngine.holds``); when one has, it is matched, and not scored
-when the match finds the same candidates and nothing its scoring read
-has been written since (``TrialEngine.unchanged``).  Each test below
-changes one thing such an evaluation reads — every bundle here is
-pinned to named hosts, so load never reorders a match — and checks that
-the bundle is evaluated again and decides as the serial oracle
-(``tests.oracle.unpruned``) does.  ``unscored`` counts both skips.
+what its scoring read, and what its match examined.  While no key it
+covers has been stamped since, the sweep prunes it before the match
+(``TrialEngine.holds``); when one has, it is matched and scored.  Each
+test below changes one thing such an evaluation reads — every bundle
+here is pinned to named hosts, so load never reorders a match — and
+checks that the bundle is evaluated again and decides as the serial
+oracle (``tests.oracle.unpruned``) does.  ``unscored`` lists the skips.
 
 The scene, CPU only, no pairwise pass, on a five-node mesh ``n0``–``n4``
 or on two pods (``p0n*`` and ``p1n*``, no link between them) whose hosts
@@ -42,6 +40,7 @@ from repro.metrics.collectors import node_metric_name
 from repro.prediction.models import CallableModel, ExplicitSpecModel
 from repro.rsl.model import PerformancePoint, PerformanceSpec
 from repro.controller.controller import _at_optimum
+from repro.controller.optimizer import OptimizationResult
 from tests.controller.churn_scripts import make_script, run_script
 from tests.controller.test_optimizer_equivalence import assert_same_decisions
 from tests.oracle import unpruned
@@ -90,18 +89,10 @@ def admit(controller, name, rsl):
 
 def unscored(controller):
     """Names of the apps whose sweep evaluation was not scored, in order:
-    pruned before the match, or matched and left unscored."""
+    those pruned before the match."""
     names = []
-    optimizer = controller.policy.optimizer
-    optimize = optimizer.optimize_bundle
     index = controller.partition_index
     holds = index.holds
-
-    def recording(instance, state, context, since=None):
-        result = optimize(instance, state, context, since=since)
-        if result is None:
-            names.append(instance.app_name)
-        return result
 
     def pruning(key, state):
         hit = holds(key, state)
@@ -109,7 +100,6 @@ def unscored(controller):
             names.append(controller.registry.instance(key[0]).app_name)
         return hit
 
-    optimizer.optimize_bundle = recording
     index.holds = pruning
     return names
 
@@ -161,20 +151,33 @@ def both(change, layout="mesh"):
 
 def test_a_write_the_bundle_does_not_read_leaves_it_unscored():
     controller, skipped = scene()
-    # Each arrival's sweep prunes the bundles whose reach and reads it
+    # Each arrival's sweep prunes the bundles whose scan and reads it
     # did not stamp.  Mover's arrival on n0 stamps Blocker's one host:
-    # Blocker is matched, finds its one candidate, its own placement,
-    # which reads nothing, and is left unscored.  Bystander's on n2
-    # stamps nothing the others cover: all three are pruned.
-    assert skipped == ["Blocker", "Blocker", "Reader",
-                       "Blocker", "Reader", "Mover"]
-    assert controller.stats.unchanged_bundles == 1
+    # Blocker is matched and scored again, a stable no-op.  Bystander's
+    # on n2 stamps nothing the others cover: all three are pruned.
+    assert skipped == ["Blocker", "Reader", "Blocker", "Reader", "Mover"]
     before = controller.stats.snapshot()
     # Nothing changed at all: every record holds, nobody is matched.
     controller.reevaluate()
     after = controller.stats.snapshot()
     assert after["match_calls"] == before["match_calls"]
     assert after["pruned_bundles"] == before["pruned_bundles"] + 4
+
+
+def test_a_bundle_that_is_matched_is_scored():
+    """No skip after the match: optimizing any bundle of the settled
+    scene scores every candidate it matched and finds it at its optimum."""
+    controller, _ = scene()
+    optimizer = controller.policy.optimizer
+    for instance in controller.registry.instances():
+        state = instance.bundle_state("where")
+        result = optimizer.optimize_bundle(
+            instance, state, controller.optimization_context())
+        assert isinstance(result, OptimizationResult)
+        assert result.candidates_evaluated == len(result.evaluated) > 0
+        assert all(candidate.objective_value is not None
+                   for candidate in result.evaluated)
+        assert _at_optimum(state, result)
 
 
 @pytest.mark.parametrize("layout,role", [
@@ -302,30 +305,22 @@ def test_never_skips_where_pruning_is_unsound(build):
     controller, skipped = build()
     churn(controller)
     assert skipped == []
-    assert controller.stats.unchanged_bundles == 0
-    product, _ = scene()
+    assert controller.stats.pruned_bundles == 0
+    product, product_skipped = scene()
     churn(product)
-    assert product.stats.unchanged_bundles > 0
+    assert product.stats.pruned_bundles > 0
+    assert len(product_skipped) == product.stats.pruned_bundles
 
 
 def test_every_unscored_evaluation_is_a_stable_no_op():
-    """Score every skip of eight seeded churn scripts anyway — pruned
-    before the match or left unscored after it: the bundle's best must
-    be its own configuration or gain nothing."""
+    """Score every skip of eight seeded churn scripts anyway: the
+    bundle's best must be its own configuration or gain nothing."""
     audited = []
 
     def audit(controller):
-        optimizer = controller.policy.optimizer
-        optimize = optimizer.optimize_bundle
+        optimize = controller.policy.optimizer.optimize_bundle
         index = controller.partition_index
         holds = index.holds
-
-        def auditing(instance, state, context, since=None):
-            result = optimize(instance, state, context, since=since)
-            if result is None:
-                audited.append(_at_optimum(
-                    state, optimize(instance, state, context)))
-            return result
 
         def pruning(key, state):
             hit = holds(key, state)
@@ -335,7 +330,6 @@ def test_every_unscored_evaluation_is_a_stable_no_op():
                     controller.optimization_context())))
             return hit
 
-        optimizer.optimize_bundle = auditing
         index.holds = pruning
 
     for seed in range(8):

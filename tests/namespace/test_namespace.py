@@ -1,4 +1,4 @@
-"""Namespace tree behaviour: set/get/delete, walks, watchers, views."""
+"""Namespace tree behaviour: set/get/delete, walks, replace, views."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,38 +83,6 @@ class TestTraversal:
         assert len(snapshot) == 5
 
 
-class TestWatchers:
-    def test_watch_fires_on_matching_set(self, populated):
-        seen = []
-        populated.watch("DBclient.66", lambda p, v: seen.append((p, v)))
-        populated.set("DBclient.66.where.option", "QS")
-        assert seen == [("DBclient.66.where.option", "QS")]
-
-    def test_watch_ignores_other_subtrees(self, populated):
-        seen = []
-        populated.watch("DBclient", lambda p, v: seen.append(p))
-        populated.set("Bag.2.parallelism.workerNodes", 8)
-        assert seen == []
-
-    def test_watch_fires_on_delete_with_none(self, populated):
-        seen = []
-        populated.watch("Bag", lambda p, v: seen.append((p, v)))
-        populated.delete("Bag.2")
-        assert seen == [("Bag.2", None)]
-
-    def test_unsubscribe(self, populated):
-        seen = []
-        unsubscribe = populated.watch("Bag", lambda p, v: seen.append(p))
-        unsubscribe()
-        populated.set("Bag.2.parallelism.workerNodes", 8)
-        assert seen == []
-
-    def test_unsubscribe_twice_is_harmless(self, populated):
-        unsubscribe = populated.watch("Bag", lambda p, v: None)
-        unsubscribe()
-        unsubscribe()
-
-
 def delete_then_set(ns, root, leaves):
     """What :meth:`Namespace.replace` stands for: delete the subtree if
     it exists, then one root-to-leaf ``set`` per leaf."""
@@ -124,19 +92,12 @@ def delete_then_set(ns, root, leaves):
         ns.set(join_path(root, path), value)
 
 
-def watched(populated_with=()):
-    """A namespace holding ``populated_with`` and the calls its watchers
-    hear from then on: one on the app, one on the bundle, one on a leaf,
-    one elsewhere."""
+def holding(populated_with=()):
+    """A namespace holding ``populated_with``."""
     ns = Namespace()
     for path, value in populated_with:
         ns.set(path, value)
-    heard = []
-    for prefix in ("DBclient", "DBclient.66.where", "DBclient.66.where.option",
-                   "Bag"):
-        ns.watch(prefix, lambda p, v, prefix=prefix:
-                 heard.append((prefix, p, v)))
-    return ns, heard
+    return ns
 
 
 DS_LEAVES = [
@@ -162,8 +123,8 @@ ELSEWHERE = [("DBclient.66.how.option", "fast"),
 
 
 class TestReplace:
-    """``replace`` is one walk that leaves the tree, and tells watchers,
-    exactly what delete-then-set did."""
+    """``replace`` is one walk that leaves the tree exactly as
+    delete-then-set did."""
 
     @pytest.mark.parametrize("before", [
         [], ELSEWHERE,
@@ -171,42 +132,37 @@ class TestReplace:
         ids=["fresh", "siblings", "republish"])
     @pytest.mark.parametrize("leaves", [DS_LEAVES, QS_LEAVES],
                              ids=["DS", "QS"])
-    def test_same_tree_and_same_watcher_calls(self, before, leaves):
-        old, old_heard = watched(before)
-        new, new_heard = watched(before)
+    def test_same_tree(self, before, leaves):
+        old = holding(before)
+        new = holding(before)
         delete_then_set(old, "DBclient.66.where", leaves)
         new.replace("DBclient.66.where", leaves)
         assert new.as_dict() == old.as_dict()
-        assert new_heard == old_heard
         assert new.children("DBclient.66.where") == \
             old.children("DBclient.66.where")
 
     def test_republish_onto_another_option_clears_the_stale_subtree(self):
-        ns, heard = watched(ELSEWHERE)
+        ns = holding(ELSEWHERE)
         ns.replace("DBclient.66.where", DS_LEAVES)
-        heard.clear()
         ns.replace("DBclient.66.where", QS_LEAVES)
         assert not ns.exists("DBclient.66.where.DS")
         assert not ns.exists("DBclient.66.where.variables")
         assert ns.get("DBclient.66.where.option") == "QS"
         assert ns.get("DBclient.66.how.option") == "fast"
-        # The deletion first, then each leaf in order.
-        assert [(p, v) for prefix, p, v in heard
-                if prefix == "DBclient"] == \
-            [("DBclient.66.where", None)] + \
-            [("DBclient.66.where." + p, v) for p, v in QS_LEAVES]
+        assert ns.as_dict("DBclient.66.where") == {
+            "DBclient.66.where." + p: v for p, v in QS_LEAVES}
 
     def test_no_leaves_is_a_delete(self):
         for before in ([], DS_LEAVES):
-            old, old_heard = watched(
+            old = holding(
                 [("DBclient.66.where." + p, v) for p, v in before])
-            new, new_heard = watched(
+            new = holding(
                 [("DBclient.66.where." + p, v) for p, v in before])
             delete_then_set(old, "DBclient.66.where", [])
             new.replace("DBclient.66.where", [])
             assert new.exists("DBclient.66.where") is \
                 old.exists("DBclient.66.where") is False
-            assert new_heard == old_heard
+            assert new.as_dict() == old.as_dict()
 
     @pytest.mark.parametrize("root, leaves", [
         ("DBclient.66.where", [("option", "DS"), ("DS..memory", 1)]),
@@ -219,12 +175,33 @@ class TestReplace:
             self, root, leaves):
         before = ELSEWHERE + [("DBclient.66.where." + p, v)
                               for p, v in DS_LEAVES]
-        ns, heard = watched(before)
+        ns = holding(before)
         snapshot = ns.as_dict()
         with pytest.raises(NamespaceError, match="empty namespace path"):
             ns.replace(root, leaves)
         assert ns.as_dict() == snapshot
-        assert heard == []
+
+
+#: Few names, so generated trees share prefixes with each other and
+#: with the replaced root.
+TREE_PATHS = st.from_regex(r"[ab](\.[abc]){0,3}", fullmatch=True)
+
+
+@given(before=st.dictionaries(TREE_PATHS, st.integers(0, 9), max_size=8),
+       root=st.sampled_from(["a", "a.b", "b.c.a"]),
+       leaves=st.lists(st.tuples(TREE_PATHS, st.integers(0, 9)),
+                       max_size=6))
+def test_replace_is_delete_then_set_on_any_tree(before, root, leaves):
+    """Also where the root holds a value, sits under a leaf, or the
+    leaves repeat or nest in one another."""
+    old = holding(before.items())
+    new = holding(before.items())
+    delete_then_set(old, root, leaves)
+    new.replace(root, leaves)
+    assert new.as_dict() == old.as_dict()
+    for path in list(before) + [join_path(root, p) for p, _ in leaves]:
+        assert new.exists(path) is old.exists(path)
+        assert new.get(path) == old.get(path)
 
 
 class TestViews:

@@ -116,8 +116,8 @@ class TestSpans:
         assert len(spans) == controller.stats.partition_sweeps
         for span in spans:
             assert set(span.attributes) == {
-                "evaluated", "changes", "pruned", "unchanged"}
-            assert span.attributes["unchanged"] <= \
+                "evaluated", "changes", "pruned"}
+            assert span.attributes["changes"] <= \
                 span.attributes["evaluated"]
         # The last sweep visits every bundle once: scored or pruned.
         last = spans[-1].attributes

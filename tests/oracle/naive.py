@@ -13,6 +13,7 @@ import math
 
 from repro.allocation.instantiate import instantiate_option
 from repro.controller.optimizer import (
+    MEMORY_PROBE_LIMIT,
     Candidate,
     GreedyOptimizer,
     OptimizationResult,
@@ -50,10 +51,11 @@ def load_order_key(view, exclude_apps=()):
     return order_key
 
 
-def memory_grant_choices(option, base, probe_limit):
+def memory_grant_choices(option, base):
     """The product's grant choices, every probe instantiated again."""
     yield {}
-    for demand in _memory_dependent_demands(option, base)[:probe_limit]:
+    for demand in _memory_dependent_demands(option,
+                                            base)[:MEMORY_PROBE_LIMIT]:
         best = _best_memory_for(option, base, demand)
         if best is not None and best > demand.memory_min_mb:
             yield {f"{demand.local_name}.memory": best}
@@ -65,10 +67,8 @@ def candidates_for_assignment(option, variable_assignment, context,
         base = instantiate_option(option, variable_assignment)
     except RslSemanticError:
         return
-    for grants in memory_grant_choices(option, base,
-                                       context.memory_probe_limit):
-        if context.stats is not None:
-            context.stats.match_calls += 1
+    for grants in memory_grant_choices(option, base):
+        context.stats.match_calls += 1
         try:
             demands = (base if not grants
                        else instantiate_option(option, variable_assignment,
@@ -139,8 +139,7 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
                 if not _pair_memory_ok(context.view.cluster, ignore,
                                        cand_a, cand_b):
                     continue
-                if context.stats is not None:
-                    context.stats.candidates_evaluated += 1
+                context.stats.candidates_evaluated += 1
                 trial_view = view_with_a.copy()
                 trial_view.place(instance_b.key, cand_b.demands,
                                  cand_b.assignment)
@@ -158,9 +157,9 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
                     best = (copy_a, copy_b, objective)
         return best
 
-    def optimize_bundle(self, instance, state, context, since=None):
-        # Scores every time: ``since`` is ignored and the result reads
-        # nothing, so a sweep never skips a bundle this scored.
+    def optimize_bundle(self, instance, state, context):
+        # The result reads nothing, so a sweep never skips a bundle this
+        # scored.
         current_objective = context.objective.evaluate(
             context.predict_all(context.view))
 
@@ -179,8 +178,7 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
             if best is None or \
                     candidate.objective_value < best.objective_value - 1e-12:
                 best = candidate
-        if context.stats is not None:
-            context.stats.candidates_evaluated += len(evaluated)
+        context.stats.candidates_evaluated += len(evaluated)
         return OptimizationResult(best=best,
                                   candidates_evaluated=len(evaluated),
                                   current_objective=current_objective,

@@ -22,7 +22,7 @@ from repro.errors import (
 from repro.persistence import DurabilityJournal, WriteAheadLog, snapshot_files
 from repro.persistence.codec import topology_to_dict
 from repro.persistence.journal import WAL_FILENAME
-from repro.persistence.snapshot import write_snapshot
+from repro.persistence.snapshot import read_snapshot, write_snapshot
 from repro.prediction.models import CallableModel
 from tests.pods import POD_RSL, build_pod_cluster
 
@@ -150,6 +150,31 @@ class TestSnapshots:
                      for p in files)
         first = journal.wal.first_seq
         assert first is None or first == oldest + 1
+
+    def test_snapshot_digest_reads_the_prediction_cache(self, tmp_path):
+        """A snapshot of a current cache predicts nothing again, and its
+        digest is what a full pass over the view computes."""
+        controller = AdaptationController(build_pod_cluster(2))
+        journal = DurabilityJournal(str(tmp_path), fsync="never")
+        journal.attach(controller)
+        for index in range(8):
+            instance = controller.register_app(f"Pod{index % 2}App{index}")
+            controller.setup_bundle(instance, POD_RSL.format(
+                pod=index % 2, index=index))
+        objective = controller.current_objective()
+        before = controller.stats.snapshot()
+        journal.snapshot_now()
+        after = controller.stats.snapshot()
+        assert after["full_view_recomputes"] == \
+            before["full_view_recomputes"]
+        assert after["predictions_recomputed"] == \
+            before["predictions_recomputed"]
+        path, = snapshot_files(str(tmp_path))
+        recorded = read_snapshot(path)[1]["digest"]
+        assert len(recorded["predictions"]) == 8
+        assert recorded["predictions"] == \
+            controller.predict_all(controller.view)
+        assert recorded["objective"] == objective
 
     def test_snapshot_requires_attachment(self, tmp_path):
         journal = DurabilityJournal(str(tmp_path), fsync="never")

@@ -2,7 +2,8 @@
 
 A defaulted parameter is a knob: each one doubles the configurations
 the code must be tested and tuned over, and one that no deployment,
-example or benchmark sets is behaviour only its own tests reach.  For
+example or benchmark sets is behaviour only its own tests reach.  A
+defaulted field of a dataclass is a parameter of its constructor.  For
 each entry point below, a defaulted parameter must be passed by keyword
 somewhere under ``src/``, ``examples/`` or ``benchmarks/``, or be listed
 in ``SEAMS`` with the test seam it is: a clock, a tracer or metric sink,
@@ -25,7 +26,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "examples", "benchmarks")
 
-#: Entry point -> (module under src/repro, class or None, function).
+#: Entry point -> (module under src/repro, class or None, function, or
+#: None for a dataclass's fields).
 ENTRY_POINTS = {
     "HarmonyServer": ("api/server.py", "HarmonyServer", "__init__"),
     "HarmonyClient": ("api/client.py", "HarmonyClient", "__init__"),
@@ -45,6 +47,8 @@ ENTRY_POINTS = {
                             "CoalescingScheduler", "__init__"),
     "ModelDrivenPolicy": ("controller/controller.py", "ModelDrivenPolicy",
                           "__init__"),
+    "OptimizationContext": ("controller/optimizer.py", "OptimizationContext",
+                            None),
 }
 
 #: Entry point -> the constructors it forwards its keywords to.
@@ -73,12 +77,18 @@ SEAMS = {
 
 
 def defaulted_parameters(source, owner, function):
-    """The names of ``function``'s parameters that carry a default."""
+    """The names of ``function``'s parameters that carry a default, or
+    with ``function`` None, of ``owner``'s defaulted dataclass fields."""
     scope = ast.parse(source).body
     if owner is not None:
         scope = next(node for node in scope
                      if isinstance(node, ast.ClassDef)
                      and node.name == owner).body
+    if function is None:
+        return [node.target.id for node in scope
+                if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.value is not None]
     args = next(node for node in scope
                 if isinstance(node, ast.FunctionDef)
                 and node.name == function).args
@@ -170,3 +180,18 @@ def test_the_ratchet_sees_an_unused_keyword():
     assert parameters == {"HarmonyServer": ["lease_seconds", "recovering"]}
     assert unset_options(parameters, keywords_passed([caller])) == [
         ("HarmonyServer", "recovering")]
+
+
+def test_the_ratchet_sees_an_unused_dataclass_field():
+    context = ("@dataclass\n"
+               "class OptimizationContext:\n"
+               "    view: object\n"
+               "    stats: object = None\n"
+               "    memory_probe_limit: int = 3\n")
+    caller = "OptimizationContext(view=view, stats=stats)\n"
+    parameters = {"OptimizationContext": defaulted_parameters(
+        context, "OptimizationContext", None)}
+    assert parameters == {"OptimizationContext": ["stats",
+                                                  "memory_probe_limit"]}
+    assert unset_options(parameters, keywords_passed([caller])) == [
+        ("OptimizationContext", "memory_probe_limit")]
