@@ -291,7 +291,7 @@ def test_tracing_overhead_frontends(report, backend):
     """End-to-end tracing stays under 2% on both TCP front ends.
 
     The wire workload: one client admits a bundle, then streams metric
-    reports (every one sampled, ``trace_sample_rate=1.0``) through the
+    reports (a client with a tracer traces every one) through the
     coalescing scheduler, with periodic ``status`` round trips.  The
     untraced run measures the same traffic with tracing fully off.  As
     in ``test_tracing_overhead``, the enabled cost is bounded by

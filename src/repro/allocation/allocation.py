@@ -34,9 +34,9 @@ class Allocation:
     demands: ConcreteDemands
     assignment: Assignment
     holder: str
-    memory_by_node: dict[str, float] = field(default_factory=dict)
-    reserved_links: list[SimLink] = field(default_factory=list)
-    _released: bool = False
+    memory_by_node: dict[str, float] = field(init=False, default_factory=dict)
+    reserved_links: list[SimLink] = field(init=False, default_factory=list)
+    _released: bool = field(init=False, default=False)
 
     @property
     def released(self) -> bool:

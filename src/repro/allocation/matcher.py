@@ -68,17 +68,17 @@ class MatchPreparation:
     """
 
     ignore_holders: frozenset[str] = frozenset()
-    #: Sorts candidates from scratch, lower first (stable) ...
-    order_key: Callable[[str], float] | None = None
-    #: ... or reads them off a maintained order: takes the reachable nodes
+    #: Reads candidates off a maintained order: takes the reachable nodes
     #: in strategy order (``None``: all, insertion order), returns them
     #: in candidate order, stably.
     load_order: Callable[[list[SimNode] | None], list[SimNode]] | None = None
-    ordered: dict[frozenset[str], list[SimNode]] = field(default_factory=dict)
-    free_mb: dict[str, float] = field(default_factory=dict)
+    ordered: dict[frozenset[str], list[SimNode]] = field(
+        init=False, default_factory=dict)
+    free_mb: dict[str, float] = field(init=False, default_factory=dict)
     #: Pattern set -> the furthest position any match examined in its
     #: ordered list (absent: none).
-    scanned: dict[frozenset[str], int] = field(default_factory=dict)
+    scanned: dict[frozenset[str], int] = field(init=False,
+                                               default_factory=dict)
 
     def examined(self) -> tuple[set[str], list[SimNode]]:
         """What the matches so far read of the nodes: the hostnames at
@@ -97,14 +97,9 @@ class Matcher:
     """Matches :class:`ConcreteDemands` against a cluster."""
 
     def __init__(self, cluster: Cluster,
-                 strategy: MatchStrategy = MatchStrategy.FIRST_FIT,
-                 allow_colocation: bool = False):
+                 strategy: MatchStrategy = MatchStrategy.FIRST_FIT):
         self.cluster = cluster
         self.strategy = strategy
-        #: When False (default, the paper's behaviour) every node demand of
-        #: a configuration lands on a distinct machine ("four distinct
-        #: nodes, all meeting the same requirements").
-        self.allow_colocation = allow_colocation
         self._prepared = MatchPreparation()
         self._ordered: list[SimNode] = []
         #: The furthest position of ``_ordered`` the current match has
@@ -120,7 +115,6 @@ class Matcher:
     def match(self, demands: ConcreteDemands,
               extra_memory: Mapping[str, float] | None = None,
               ignore_holders: frozenset[str] | set[str] | None = None,
-              order_key: Callable[[str], float] | None = None,
               prepared: MatchPreparation | None = None,
               ) -> Assignment:
         """Find a placement for every node demand, verifying links.
@@ -133,13 +127,11 @@ class Matcher:
         own holder when re-optimizing it, so a running app can re-use the
         memory it currently occupies.
 
-        ``order_key`` biases candidate ordering (lower first) ahead of the
-        strategy's own ordering; the optimizer passes current CPU load so
-        placements prefer idle nodes.
-
-        ``prepared`` carries both instead, shared by the caller between
-        the configurations it matches against one unchanged state, and
-        notes how far each match scanned (:meth:`MatchPreparation.examined`).
+        ``prepared`` carries the holders instead, with the candidate
+        order the optimizer biases by current load so placements prefer
+        idle nodes; the caller shares it between the configurations it
+        matches against one unchanged state, and it notes how far each
+        match scanned (:meth:`MatchPreparation.examined`).
 
         Raises:
             AllocationError: when no feasible placement exists; the message
@@ -147,7 +139,7 @@ class Matcher:
         """
         placements: dict[str, str] = {}
         self._prepared = prepared if prepared is not None else \
-            MatchPreparation(frozenset(ignore_holders or ()), order_key)
+            MatchPreparation(frozenset(ignore_holders or ()))
         patterns = frozenset(d.hostname_pattern for d in demands.nodes)
         self._ordered = self._ordered_nodes(patterns)
         self._furthest = -1
@@ -234,10 +226,6 @@ class Matcher:
                 ordered = prepared.load_order(base)
             else:
                 ordered = list(self.cluster.nodes()) if base is None else base
-                if prepared.order_key is not None:
-                    order = prepared.order_key
-                    ordered = sorted(ordered,
-                                     key=lambda n: order(n.hostname))
             prepared.ordered[patterns] = ordered
         return ordered
 
@@ -259,7 +247,10 @@ class Matcher:
         node yielded, and the end of the list, moves ``_furthest``."""
         needed_mb = demand.memory_min_mb + extra_memory.get(
             demand.local_name, 0.0)
-        taken = set(placements.values()) if not self.allow_colocation else set()
+        # Every node demand of a configuration lands on a distinct
+        # machine ("four distinct nodes, all meeting the same
+        # requirements").
+        taken = set(placements.values())
         ordered = self._ordered
         for position, node in enumerate(ordered):
             if node.available \

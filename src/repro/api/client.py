@@ -31,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.api.protocol import (
     HEARTBEAT,
@@ -59,9 +59,6 @@ from repro.errors import (
     TransportError,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.interface import MetricInterface
-
 __all__ = ["HarmonyClient", "harmony_startup", "harmony_bundle_setup",
            "harmony_add_variable", "harmony_wait_for_update", "harmony_end",
            "set_default_client"]
@@ -79,21 +76,16 @@ class HarmonyClient:
     with the old key, every bundle, every declared variable), and retry —
     see :meth:`rejoin` for the explicit form.
 
-    ``metrics`` optionally mirrors the liveness counters (``retries``,
-    ``reconnects``, ``heartbeats_acked``) into a local
-    :class:`~repro.metrics.interface.MetricInterface` as cumulative
-    ``client.*`` series, timestamped on the wall clock, so chaos tests
-    read client-side retry behaviour through the same telemetry path as
-    everything else.
+    The liveness counters — :attr:`retries`, :attr:`reconnects`,
+    :attr:`redirects_followed`, :attr:`failover_rotations` and
+    :attr:`heartbeats_acked` — are properties of the client.
 
     ``tracer`` (default: the no-op ``NULL_TRACER``) roots a
     ``client.request`` span around each RPC and stamps its
     :class:`~repro.obs.trace.TraceContext` onto the wire message as the
     optional ``trace_ctx`` field, so the server, scheduler, and sweep
-    workers continue the same trace.  ``trace_sample_rate`` keeps the
-    cost bounded: a deterministic 1-in-N stride (rate 1.0 traces every
-    request, 0.1 every 10th, 0 none); unsampled requests allocate no
-    span at all.
+    workers continue the same trace.  Every request of a client with a
+    tracer is traced; without one, no request allocates a span.
 
     ``failover`` is the static failover list: where to look for the
     controller when the current connection is dead or answers with a
@@ -108,9 +100,7 @@ class HarmonyClient:
     def __init__(self, transport: Transport,
                  retry_policy: RetryPolicy | None = None,
                  transport_factory: Callable[[], Transport] | None = None,
-                 metrics: "MetricInterface | None" = None,
                  tracer=None,
-                 trace_sample_rate: float = 1.0,
                  failover: list[Any] | None = None):
         self.transport = transport
         self.retry_policy = retry_policy or RetryPolicy()
@@ -121,16 +111,7 @@ class HarmonyClient:
         self._moved_leader: str | None = None
         self._force_reconnect = False
         self._target_index = 0
-        self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if not 0.0 <= trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in [0, 1], "
-                f"got {trace_sample_rate}")
-        #: 1-in-N deterministic sampling stride (0 disables sampling).
-        self._trace_stride = (0 if trace_sample_rate <= 0.0
-                              else max(1, round(1.0 / trace_sample_rate)))
-        self._trace_seq = 0
         self.variables = VariableTable()
         self.app_key: str | None = None
         self.instance_id: int | None = None
@@ -148,6 +129,8 @@ class HarmonyClient:
         self._lease_expires_at: float | None = None
         self._retries = 0
         self._reconnects = 0
+        self._redirects_followed = 0
+        self._failover_rotations = 0
         self._heartbeats_sent = 0
         self._heartbeats_acked = 0
         self._heartbeat_stop: threading.Event | None = None
@@ -231,7 +214,7 @@ class HarmonyClient:
         self._require_started()
         message = make_message("report_metric", name=name,
                                value=float(value))
-        if self.tracer.enabled and self._trace_due():
+        if self.tracer.enabled:
             # Fire-and-forget, but still the root of the interesting
             # trace: metric reports are what trigger scheduler batches.
             with self.tracer.span("client.request", rpc="report_metric",
@@ -303,21 +286,19 @@ class HarmonyClient:
         self._heartbeats_sent += 1
         self.transport.send(make_message(HEARTBEAT, key=self.app_key))
 
-    def start_heartbeats(self, interval_seconds: float | None = None,
-                         ) -> None:
+    def start_heartbeats(self) -> None:
         """Beat on a background thread (TCP sessions with server leases).
 
-        ``interval_seconds`` defaults to the retry policy's
-        ``heartbeat_interval_seconds``.  The thread stops silently when
-        the transport dies or the lease is lost — the next RPC surfaces
-        the failure (and, with a transport factory, recovers it).
+        The retry policy's ``heartbeat_interval_seconds`` spaces the
+        beats.  The thread stops silently when the transport dies or the
+        lease is lost — the next RPC surfaces the failure (and, with a
+        transport factory, recovers it).
         """
         self._require_started()
         if self._heartbeat_thread is not None \
                 and self._heartbeat_thread.is_alive():
             return
-        interval = interval_seconds \
-            or self.retry_policy.heartbeat_interval_seconds
+        interval = self.retry_policy.heartbeat_interval_seconds
         stop = threading.Event()
         self._heartbeat_stop = stop
 
@@ -356,6 +337,16 @@ class HarmonyClient:
     def reconnects(self) -> int:
         return self._reconnects
 
+    @property
+    def redirects_followed(self) -> int:
+        """Reconnects aimed at a ``controller_moved`` leader hint."""
+        return self._redirects_followed
+
+    @property
+    def failover_rotations(self) -> int:
+        """Times a dead target moved the rotation to the next one."""
+        return self._failover_rotations
+
     def rejoin(self) -> str:
         """Reconnect if needed and replay the session idempotently.
 
@@ -377,34 +368,20 @@ class HarmonyClient:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _count(self, name: str) -> None:
-        """Mirror a liveness counter into the optional metric interface."""
-        if self.metrics is not None:
-            self.metrics.increment(name, time.monotonic())
-
     def _require_started(self) -> None:
         if self.app_key is None:
             raise ProtocolError("call startup() first")
         if self._ended:
             raise ProtocolError("client already ended")
 
-    def _trace_due(self) -> bool:
-        """Advance the deterministic sampling stride; True to trace."""
-        if self._trace_stride == 0:
-            return False
-        seq = self._trace_seq
-        self._trace_seq = seq + 1
-        return seq % self._trace_stride == 0
-
     def _request(self, message: dict[str, Any]) -> dict[str, Any]:
         """Send a request and wait for its response, per the retry policy.
 
-        When tracing is enabled and this request is sampled, the whole
-        retry loop runs under a ``client.request`` span whose context is
-        stamped onto the message as ``trace_ctx`` — unsampled requests
-        allocate no span and send the message untouched.
+        When tracing is enabled, the whole retry loop runs under a
+        ``client.request`` span whose context is stamped onto the message
+        as ``trace_ctx``; otherwise the message is sent untouched.
         """
-        if self.tracer.enabled and self._trace_due():
+        if self.tracer.enabled:
             with self.tracer.span("client.request",
                                   rpc=str(message.get("type"))) as span:
                 message = dict(message)
@@ -426,7 +403,6 @@ class HarmonyClient:
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
                 self._retries += 1
-                self._count("client.retries")
                 delay = policy.jittered_delay(attempt - 1)
                 if delay > 0:
                     time.sleep(delay)
@@ -443,9 +419,9 @@ class HarmonyClient:
                 return self._request_once(message)
             except (RequestTimeoutError, TransportError,
                     ControllerBusyError, ControllerMovedError) as exc:
-                # ControllerBusyError is the server's admission
-                # backpressure — transient by contract, so it rides the
-                # same backoff loop as connection failures.
+                # ControllerBusyError (the wire's controller_busy) is
+                # transient by contract, so it rides the same backoff
+                # loop as connection failures.
                 # ControllerMovedError is the failover redirect: also
                 # retryable, but the next attempt must reconnect (to
                 # the redirect's leader hint) even though the current
@@ -542,7 +518,6 @@ class HarmonyClient:
         transport.set_receiver(self._on_message)
         self.transport = transport
         self._reconnects += 1
-        self._count("client.reconnects")
 
     def _next_target_factory(self) -> Callable[[], Transport] | None:
         leader = self._moved_leader
@@ -550,7 +525,7 @@ class HarmonyClient:
             # A redirect hint is consumed once: if the hinted leader
             # turns out dead too, rotation takes over.
             self._moved_leader = None
-            self._count("client.redirects_followed")
+            self._redirects_followed += 1
             return self._as_factory(leader)
         targets = self._reconnect_targets()
         if not targets:
@@ -569,7 +544,7 @@ class HarmonyClient:
 
     def _advance_target(self) -> None:
         self._target_index += 1
-        self._count("client.failover_rotations")
+        self._failover_rotations += 1
 
     @staticmethod
     def _as_factory(entry: Any) -> Callable[[], Transport]:
@@ -625,7 +600,6 @@ class HarmonyClient:
             with self._lock:
                 self._heartbeats_acked += 1
                 self._lease_expires_at = message.get("lease_expires_at")
-            self._count("client.heartbeats_acked")
             return
         if msg_type == LEASE_EXPIRED:
             # Answers the outstanding request if there is one; otherwise it

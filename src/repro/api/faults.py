@@ -133,12 +133,12 @@ class ScriptedFaultSchedule(FaultSchedule):
 class FaultStats:
     """What the wrapper actually did, for assertions and logs."""
 
-    delivered: int = 0
-    dropped: int = 0
-    delayed: int = 0
-    duplicated: int = 0
-    severed: bool = False
-    by_type: dict[str, int] = field(default_factory=dict)
+    delivered: int = field(init=False, default=0)
+    dropped: int = field(init=False, default=0)
+    delayed: int = field(init=False, default=0)
+    duplicated: int = field(init=False, default=0)
+    severed: bool = field(init=False, default=False)
+    by_type: dict[str, int] = field(init=False, default_factory=dict)
 
     def note(self, message: dict[str, Any]) -> None:
         name = str(message.get("type", "?"))

@@ -68,10 +68,11 @@ REPL_SNAPSHOT = "repl_snapshot"
 #: The failover redirect: "I am not the primary; go there."
 CONTROLLER_MOVED = "controller_moved"
 
-#: Error code on ``error`` replies refused by admission backpressure:
-#: the bounded pending-register queue is full.  Transient and retryable
-#: — the client library maps it to
-#: :class:`~repro.errors.ControllerBusyError` and retries with backoff.
+#: Error code of a transient, retryable refusal: the client library
+#: maps it to :class:`~repro.errors.ControllerBusyError` and retries with
+#: backoff.  The server in this package never sends it: its one source
+#: of backpressure, the asyncio front end's bounded write queue, drops
+#: the reply instead, and the client's request times out and retries.
 CONTROLLER_BUSY = "controller_busy"
 
 #: Name of the *optional* trace-propagation field a client may stamp on
@@ -113,8 +114,6 @@ class MessageSpec:
 
     * ``mutating`` — refused by a standby (``controller_moved``);
     * ``locked`` — handled under ``controller_lock``;
-    * ``admission`` — holds a slot of the bounded admission pipeline
-      first (``error.code=controller_busy`` when none is free);
     * ``session`` — needs a registered instance;
     * ``rejoin`` — still handled for an evicted session (it is how one
       comes back).
@@ -128,7 +127,6 @@ class MessageSpec:
     reply: str | None = None
     mutating: bool = False
     locked: bool = False
-    admission: bool = False
     session: bool = False
     rejoin: bool = False
     request: bool = True
@@ -188,10 +186,9 @@ _ROWS = (
     # and replication.
     MessageSpec("register", {"app_name": string, "use_interrupts?": boolean,
                              "resume_key?": string},
-                reply="registered", mutating=True, locked=True,
-                admission=True, rejoin=True),
+                reply="registered", mutating=True, locked=True, rejoin=True),
     MessageSpec("bundle_setup", {"rsl": string}, reply="bundle_ok",
-                mutating=True, locked=True, admission=True, session=True),
+                mutating=True, locked=True, session=True),
     MessageSpec("add_variable", {"name": string, "default?": _as_sent,
                                  "var_type?": _as_sent},
                 reply="variable_added", session=True),
@@ -203,8 +200,6 @@ _ROWS = (
                 reply=STATUS_REPORT),
     MessageSpec(HEARTBEAT, {"key?": _as_sent}, reply=HEARTBEAT_ACK,
                 session=True),
-    # ``end`` takes no admission slot: releasing capacity must never be
-    # refused for lack of capacity.
     MessageSpec("end", reply="ended", mutating=True, locked=True,
                 session=True),
     # Locked so a standby's catch-up snapshot cannot race an append

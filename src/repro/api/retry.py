@@ -76,8 +76,7 @@ class RetryPolicy:
                  * self.backoff_multiplier ** (retry_number - 1))
         return min(delay, self.backoff_max_seconds)
 
-    def jittered_delay(self, retry_number: int,
-                       rng: random.Random | None = None) -> float:
+    def jittered_delay(self, retry_number: int) -> float:
         """The actual sleep before retry ``retry_number``: full jitter.
 
         The jittered fraction of the deterministic delay is replaced by
@@ -85,13 +84,12 @@ class RetryPolicy:
         ``delay*(1-jitter) + uniform(0, delay*jitter)``.  With
         ``backoff_jitter=0`` this is exactly :meth:`backoff_delay`; with
         ``1`` it is ``uniform(0, delay)`` — the spread that de-correlates
-        a thundering herd of retrying clients.  Pass ``rng`` (a seeded
-        :class:`random.Random`) for deterministic tests.
+        a thundering herd of retrying clients.
         """
         delay = self.backoff_delay(retry_number)
         if self.backoff_jitter == 0.0 or delay == 0.0:
             return delay
-        draw = (rng or random).uniform(0.0, delay * self.backoff_jitter)
+        draw = random.uniform(0.0, delay * self.backoff_jitter)
         return delay * (1.0 - self.backoff_jitter) + draw
 
     def delays(self) -> list[float]:

@@ -34,16 +34,13 @@ Acquisition order is ``controller_lock`` → ``_flush_lock`` →
 ``sessions_lock``; never acquire an earlier lock while holding a later
 one.  Replies are always sent with ``sessions_lock`` released.
 
-Admission backpressure: ``max_pending_admissions`` bounds how many
-``register``/``bundle_setup`` requests may queue on ``controller_lock``;
-excess requests are refused immediately with
-``error.code=controller_busy`` (retryable) instead of stacking threads.
-
-Variable naming convention for pushed resource information:
+Variable naming convention for pushed resource information, the same
+for a push and for an ``add_variable`` answer:
 
 * ``<bundle>.option``            — the chosen option name,
 * ``<bundle>.<variable>``        — each RSL ``variable`` value,
-* ``<bundle>.<node>.hostname``   — where each local node name landed.
+* ``<bundle>.<node>.hostname``   — where each local node name landed,
+* ``<bundle>.<node>.memory``     — each elastic memory grant, in MB.
 """
 
 from __future__ import annotations
@@ -52,11 +49,10 @@ import contextlib
 import socket
 import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Mapping
 
 from repro.api.protocol import (
     CLIENT_TYPES,
-    CONTROLLER_BUSY,
     CONTROLLER_MOVED,
     ERROR,
     HEARTBEAT_ACK,
@@ -167,11 +163,6 @@ class HarmonySession:
                     self._dispatch(msg_type, message)
             else:
                 self._dispatch(msg_type, message)
-        except ControllerBusyError as exc:
-            recorder.record(EVENT_BACKPRESSURE, rpc=msg_type,
-                            message=str(exc))
-            self._reply(make_message(ERROR, code=CONTROLLER_BUSY,
-                                     message=str(exc)))
         except HarmonyError as exc:
             self._reply(make_message(ERROR, message=str(exc)))
         except Exception as exc:
@@ -190,16 +181,13 @@ class HarmonySession:
             raise
 
     def _dispatch(self, msg_type: str, message: dict[str, Any]) -> None:
-        """Look the request up in the message table; take its slot and lock."""
+        """Look the request up in the message table; take its lock."""
         row = MESSAGES.get(msg_type)
         if row is None or not row.request:
             raise ProtocolError(f"unknown message type {msg_type!r}")
         if not row.locked:
             return self._walk(row, message)
-        server = self.server
-        slot = (server.admission_slot() if row.admission
-                else contextlib.nullcontext())
-        with slot, server.controller_lock:
+        with self.server.controller_lock:
             self._walk(row, message)
 
     def _walk(self, row: MessageSpec, message: dict[str, Any]) -> None:
@@ -352,13 +340,16 @@ class HarmonySession:
         self._reply(make_message("ended"))
         self.server.detach(self)
 
-    def _handle_repl_hello(self, **fields: Any) -> None:
+    def _handle_repl_hello(self, standby_id: str, last_seq: int,
+                           last_crc: str | None = None,
+                           last_term: int = 0) -> None:
         """A standby subscribing to the WAL stream (a ``locked`` row)."""
         replication = self.server.replication
         if replication is None:
             raise ProtocolError(
                 "replication is not enabled on this server")
-        replication.handle_hello(self.transport, **fields)
+        replication.handle_hello(self.transport, standby_id, last_seq,
+                                 last_crc, last_term)
 
     def _handle_repl_ack(self, **fields: Any) -> None:
         if self.server.replication is not None:
@@ -404,13 +395,7 @@ class HarmonyServer:
     and the survivors are re-optimized, so a crashed client degrades the
     system gracefully instead of stranding its allocation.  ``clock``
     defaults to ``time.monotonic``; simulated deployments inject their
-    own (or pass ``now=`` to :meth:`check_leases`) to stay deterministic.
-
-    ``max_pending_admissions`` (optional) bounds the admission pipeline:
-    at most that many ``register``/``bundle_setup`` requests may hold or
-    wait on ``controller_lock`` at once; excess requests are refused with
-    a retryable ``controller_busy`` error.  ``None`` (the default) leaves
-    admissions unbounded.
+    own to stay deterministic.
 
     See the module docstring for the lock layout and ordering rules.
     """
@@ -419,7 +404,6 @@ class HarmonyServer:
                  auto_flush: bool = True,
                  lease_seconds: float | None = None,
                  clock: Callable[[], float] | None = None,
-                 max_pending_admissions: int | None = None,
                  flight_dump_path: str | None = None,
                  standby: bool = False,
                  fail_stop_on_error: bool = False,
@@ -466,9 +450,6 @@ class HarmonyServer:
                                                controller.metrics)
         #: Serializes pending-variable staging and flushing.
         self._flush_lock = InstrumentedRLock("flush", controller.metrics)
-        self.max_pending_admissions = max_pending_admissions
-        self._admission_gate = threading.Lock()
-        self._pending_admissions = 0
         self.heartbeats_received = 0
         self.scheduler = None
         self._sessions_by_key: dict[str, HarmonySession] = {}
@@ -552,34 +533,6 @@ class HarmonyServer:
             "replication": self.replication_status(),
         }
 
-    # -- admission backpressure ----------------------------------------------
-
-    @contextlib.contextmanager
-    def admission_slot(self) -> Iterator[None]:
-        """Hold one slot in the bounded admission pipeline.
-
-        Raises :class:`~repro.errors.ControllerBusyError` immediately
-        when every slot is taken — the caller never blocks on a full
-        queue, it gets a retryable refusal.
-        """
-        if self.max_pending_admissions is None:
-            yield
-            return
-        with self._admission_gate:
-            if self._pending_admissions >= self.max_pending_admissions:
-                controller = self.controller
-                controller.metrics.increment("server.admissions_rejected",
-                                             controller.now)
-                raise ControllerBusyError(
-                    f"admission queue is full "
-                    f"({self.max_pending_admissions} pending); retry")
-            self._pending_admissions += 1
-        try:
-            yield
-        finally:
-            with self._admission_gate:
-                self._pending_admissions -= 1
-
     # -- replication & failover ----------------------------------------------
 
     def enable_replication(self, fencing=None, lease_seconds: float = 30.0,
@@ -632,7 +585,7 @@ class HarmonyServer:
             self.failed = False
         return "primary"
 
-    def renew_fencing(self, now: float | None = None) -> bool:
+    def renew_fencing(self) -> bool:
         """Renew the primary lease; demote when the term moved on.
 
         Returns ``True`` while this server is (still) the fenced
@@ -649,8 +602,7 @@ class HarmonyServer:
             self.demote(observed_term=record.term)
             return False
         try:
-            self.fencing.renew(self._fencing_holder,
-                               self.controller.term, now=now)
+            self.fencing.renew(self._fencing_holder, self.controller.term)
         except ReplicationError:
             self.demote(observed_term=self.fencing.read().term)
             return False
@@ -775,8 +727,7 @@ class HarmonyServer:
     # -- the coalescing scheduler --------------------------------------------
 
     def start_scheduler(self, coalesce_window: float = 0.05,
-                        max_delay: float = 0.5,
-                        clock: Callable[[], float] | None = None):
+                        max_delay: float = 0.5):
         """Attach and start a coalescing reevaluation scheduler.
 
         The scheduler runs its batches under ``controller_lock``, so a
@@ -791,7 +742,7 @@ class HarmonyServer:
             raise ProtocolError("scheduler already attached")
         self.scheduler = CoalescingScheduler(
             self.controller, coalesce_window=coalesce_window,
-            max_delay=max_delay, clock=clock, lock=self.controller_lock)
+            max_delay=max_delay, lock=self.controller_lock)
         self.scheduler.start()
         return self.scheduler
 
@@ -852,7 +803,7 @@ class HarmonyServer:
         with self.sessions_lock:
             return self._leases.get(key)
 
-    def check_leases(self, now: float | None = None) -> list[str]:
+    def check_leases(self) -> list[str]:
         """Evict every application whose lease has expired.
 
         Returns the evicted keys.  For each: the controller removes the
@@ -863,8 +814,7 @@ class HarmonyServer:
         """
         if self.lease_seconds is None:
             return []
-        if now is None:
-            now = self.clock()
+        now = self.clock()
         evicted: list[str] = []
         notify: list[HarmonySession] = []
         with self.controller_lock:
@@ -1026,16 +976,9 @@ class HarmonyServer:
                                    generation=generation)
 
     def _on_reconfiguration(self, event: ReconfigurationEvent) -> None:
-        updates: dict[str, Any] = {
-            f"{event.bundle_name}.option": event.option_name,
-        }
-        for name, value in event.variable_assignment.items():
-            updates[f"{event.bundle_name}.{name}"] = value
-        for local_name, hostname in event.placements.items():
-            updates[f"{event.bundle_name}.{local_name}.hostname"] = hostname
-        for grant_key, megabytes in event.memory_grants.items():
-            # grant_key is "<local_name>.memory"
-            updates[f"{event.bundle_name}.{grant_key}"] = megabytes
+        updates = _pushed_variables(
+            event.bundle_name, event.option_name, event.variable_assignment,
+            event.placements, event.memory_grants)
         with self._flush_lock:
             self._push_seq += 1
             self.buffer.stage_many(event.app_key, updates,
@@ -1086,8 +1029,7 @@ class HarmonyServer:
                         self._push_generations[client_id] = generation
 
         with self._flush_lock:
-            return self.buffer.flush(send, ready=ready,
-                                     with_generation=True)
+            return self.buffer.flush(send, ready)
 
     def current_variable_value(self, instance: AppInstance,
                                name: str) -> Any:
@@ -1096,16 +1038,26 @@ class HarmonyServer:
             chosen = state.chosen
             if chosen is None:
                 continue
-            if name == f"{bundle_name}.option":
-                return chosen.option_name
-            for var, value in chosen.variable_assignment.items():
-                if name == f"{bundle_name}.{var}":
-                    return value
-            for local_name, hostname in chosen.assignment.placements.items():
-                if name == f"{bundle_name}.{local_name}.hostname":
-                    return hostname
-            for grant_key, megabytes in \
-                    chosen.allocation.memory_grants().items():
-                if name == f"{bundle_name}.{grant_key}":
-                    return megabytes
+            variables = _pushed_variables(
+                bundle_name, chosen.option_name, chosen.variable_assignment,
+                chosen.assignment.placements,
+                chosen.allocation.memory_grants())
+            if name in variables:
+                return variables[name]
         return None
+
+
+def _pushed_variables(bundle_name: str, option_name: str,
+                      variable_assignment: Mapping[str, Any],
+                      placements: Mapping[str, str],
+                      memory_grants: Mapping[str, float]) -> dict[str, Any]:
+    """A configuration's variables by the wire names a client reads."""
+    updates: dict[str, Any] = {f"{bundle_name}.option": option_name}
+    for name, value in variable_assignment.items():
+        updates[f"{bundle_name}.{name}"] = value
+    for local_name, hostname in placements.items():
+        updates[f"{bundle_name}.{local_name}.hostname"] = hostname
+    for grant_key, megabytes in memory_grants.items():
+        # grant_key is "<local_name>.memory"
+        updates[f"{bundle_name}.{grant_key}"] = megabytes
+    return updates

@@ -184,21 +184,19 @@ class PendingVariableBuffer:
         """The newest generation staged into this client's batch."""
         return self._generations.get(client_id, 0)
 
-    def flush(self, send: Callable[[str, dict[str, Any]], None],
-              ready: Callable[[str], bool] | None = None,
-              with_generation: bool = False) -> int:
+    def flush(self, send: Callable[[str, dict[str, Any], int], None],
+              ready: Callable[[str], bool]) -> int:
         """Send every client its coalesced batch; returns batches sent.
 
-        ``ready`` (optional) gates delivery per client: a client that is
-        not ready — say, disconnected but within its lease — keeps its
-        batch staged, still coalescing with later changes, until a flush
-        finds it ready again or :meth:`discard` drops it.  This is what
-        makes updates produced during a disconnect window survive until
-        the client rejoins.
+        ``send(client_id, updates, generation)`` gets the batch's newest
+        staged generation, so the caller can order deliveries.
 
-        ``with_generation`` invokes ``send(client_id, updates,
-        generation)`` with the batch's newest staged generation, for
-        callers that order deliveries.
+        ``ready`` gates delivery per client: a client that is not ready
+        — say, disconnected but within its lease — keeps its batch
+        staged, still coalescing with later changes, until a flush finds
+        it ready again or :meth:`discard` drops it.  This is what makes
+        updates produced during a disconnect window survive until the
+        client rejoins.
         """
         pending, self._pending = self._pending, {}
         generations, self._generations = self._generations, {}
@@ -207,7 +205,7 @@ class PendingVariableBuffer:
             if not updates:
                 continue
             generation = generations.get(client_id, 0)
-            if ready is not None and not ready(client_id):
+            if not ready(client_id):
                 # Re-stage under anything newly staged by `send` callbacks.
                 held = self._pending.setdefault(client_id, {})
                 for name, value in updates.items():
@@ -215,10 +213,7 @@ class PendingVariableBuffer:
                 if generation > self._generations.get(client_id, 0):
                     self._generations[client_id] = generation
                 continue
-            if with_generation:
-                send(client_id, updates, generation)
-            else:
-                send(client_id, updates)
+            send(client_id, updates, generation)
             sent += 1
         return sent
 

@@ -467,13 +467,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     try:
         import time
+        period = min(1.0, args.lease_seconds / 3.0)
         while True:  # pragma: no cover - interactive loop
-            time.sleep(1.0)
+            time.sleep(period)
+            serve_tick(server)
     except KeyboardInterrupt:  # pragma: no cover
         if standby is not None:
             standby.close()
         front.stop()
     return 0
+
+
+def serve_tick(server) -> None:
+    """One pass of ``serve``'s loop, run every ``min(1 s, lease / 3)``.
+
+    A fenced primary renews its lease here, so a standby cannot promote
+    while the primary lives, and a primary whose term moved on demotes.
+    A standby, or a primary without fencing, has nothing to renew.
+    """
+    server.renew_fencing()
 
 
 def _cmd_promote(args: argparse.Namespace) -> int:

@@ -79,7 +79,7 @@ from repro.rsl import Bundle, build_bundle
 
 __all__ = ["AdaptationController", "ReconfigurationEvent",
            "SessionLifecycleEvent", "ModelDrivenPolicy", "DecisionPolicy",
-           "Move", "candidate_traces"]
+           "Move", "candidate_trace", "candidate_traces"]
 
 #: One bundle's part of a decision: make ``candidate`` its configuration.
 Move = tuple[AppInstance, BundleState, Candidate]
@@ -87,6 +87,11 @@ Move = tuple[AppInstance, BundleState, Candidate]
 #: Retention of :attr:`AdaptationController.lifecycle_log`, the same
 #: default as the decision trace log's.
 LIFECYCLE_LOG_ENTRIES = 1000
+
+#: Seconds of collector samples that
+#: :meth:`AdaptationController.update_external_load` averages into one
+#: external-load reading.
+EXTERNAL_LOAD_WINDOW_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -400,26 +405,35 @@ def candidate_traces(controller: "AdaptationController", state: BundleState,
     """
     records: list[CandidateTrace] = []
     for candidate in evaluated:
-        chosen = candidate is best
-        if chosen:
+        if candidate is best:
             reason, detail = None, ""
         else:
             reason = REJECT_WORSE_OBJECTIVE
             detail = (f"objective {candidate.objective_value:.6g}s vs "
                       f"winner {best.objective_value:.6g}s")
-        records.append(CandidateTrace(
-            option_name=candidate.option_name,
-            variable_assignment=dict(candidate.variable_assignment),
-            placements=dict(candidate.assignment.placements),
-            predicted_seconds=candidate.predicted_seconds,
-            objective_value=candidate.objective_value,
-            objective_delta=candidate.objective_value - objective_before,
-            friction_cost_seconds=controller.friction_cost(
-                state, candidate.option_name),
-            chosen=chosen,
-            rejection_reason=reason,
-            detail=detail))
+        records.append(candidate_trace(controller, state, candidate,
+                                       objective_before, reason, detail))
     return records
+
+
+def candidate_trace(controller: "AdaptationController", state: BundleState,
+                    candidate: Candidate, objective_before: float,
+                    rejection_reason: str | None,
+                    detail: str) -> CandidateTrace:
+    """The trace record of one scored candidate of ``state``'s bundle:
+    the chosen one when it carries no ``rejection_reason``."""
+    return CandidateTrace(
+        option_name=candidate.option_name,
+        variable_assignment=dict(candidate.variable_assignment),
+        placements=dict(candidate.assignment.placements),
+        predicted_seconds=candidate.predicted_seconds,
+        objective_value=candidate.objective_value,
+        objective_delta=candidate.objective_value - objective_before,
+        friction_cost_seconds=controller.friction_cost(
+            state, candidate.option_name),
+        chosen=rejection_reason is None,
+        rejection_reason=rejection_reason,
+        detail=detail)
 
 
 def _at_optimum(state: BundleState, result: OptimizationResult) -> bool:
@@ -690,7 +704,6 @@ class AdaptationController:
 
     def register_model(self, instance: AppInstance, bundle_name: str,
                        model: PerformanceModel,
-                       option_name: str | None = None,
                        model_name: str | None = None) -> None:
         """Attach an explicit prediction model (the TCL-script analogue).
 
@@ -699,16 +712,14 @@ class AdaptationController:
         key into the journal's ``model_registry`` under which the *same*
         model object is supplied again at restore time.
         """
-        key = bundle_name if option_name is None \
-            else f"{bundle_name}.{option_name}"
         if self.journal is not None:
             if model_name is None:
                 raise ControllerError(
                     f"{instance.key}: a journaled controller registers "
                     f"models by name — pass model_name= (and list it in "
                     f"the journal's model_registry)")
-            self.journal.record_model(instance.key, key, model_name)
-        self.attach_model(instance, key, model)
+            self.journal.record_model(instance.key, bundle_name, model_name)
+        self.attach_model(instance, bundle_name, model)
         self._checkpoint()
 
     # -- state edits, shared by the live operations (after they decide)
@@ -885,18 +896,8 @@ class AdaptationController:
         for (instance, state, candidate), old in zip(moves, olds):
             alternatives = trace_candidates
             if alternatives is None:
-                alternatives = [CandidateTrace(
-                    option_name=candidate.option_name,
-                    variable_assignment=dict(candidate.variable_assignment),
-                    placements=dict(candidate.assignment.placements),
-                    predicted_seconds=candidate.predicted_seconds,
-                    objective_value=candidate.objective_value,
-                    objective_delta=candidate.objective_value
-                    - objective_before,
-                    friction_cost_seconds=self.friction_cost(
-                        state, candidate.option_name),
-                    chosen=True,
-                    rejection_reason=None)]
+                alternatives = [candidate_trace(self, state, candidate,
+                                                objective_before, None, "")]
             self.trace_log.record(DecisionTrace(
                 time=now, app_key=instance.key,
                 bundle_name=state.bundle.bundle_name,
@@ -1105,7 +1106,7 @@ class AdaptationController:
 
     # -- external (measured) load -------------------------------------------
 
-    def update_external_load(self, window_seconds: float = 60.0) -> None:
+    def update_external_load(self) -> None:
         """Fold measured environment load into the system view.
 
         Section 4.3: the periodic re-evaluation exists "to adapt the system
@@ -1124,7 +1125,7 @@ class AdaptationController:
         for hostname in self.cluster.hostnames():
             measured = self.metrics.windowed_mean(
                 node_metric_name(hostname, "cpu_load"),
-                now=self.now, window_seconds=window_seconds)
+                now=self.now, window_seconds=EXTERNAL_LOAD_WINDOW_SECONDS)
             if measured is None:
                 continue
             own = self.view.cpu_consumers(hostname)
@@ -1139,7 +1140,7 @@ class AdaptationController:
             measured = self.metrics.windowed_mean(
                 link_metric_name(link.host_a, link.host_b,
                                  "active_transfers"),
-                now=self.now, window_seconds=window_seconds)
+                now=self.now, window_seconds=EXTERNAL_LOAD_WINDOW_SECONDS)
             if measured is None:
                 continue
             own = self.view.flows_between(link.host_a, link.host_b)

@@ -16,7 +16,7 @@ waiting for the periodic timer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.controller.controller import (
     AdaptationController,
@@ -47,25 +47,30 @@ class PerformanceEvent:
         return self.observed_seconds / self.predicted_seconds
 
 
-@dataclass
+#: A report slower than this many times the prediction is a violation.
+TOLERANCE = 1.5
+#: Successive violations that fire a re-evaluation.
+CONSECUTIVE_VIOLATIONS = 3
+#: Simulated seconds one application must wait between two triggers.
+COOLDOWN_SECONDS = 30.0
+
+
 class PerformanceEventMonitor:
     """Watches ``app.<key>.response_time`` metrics for sustained slowdown.
 
-    A re-evaluation fires when ``consecutive_violations`` successive
-    reports exceed ``tolerance`` times the prediction the controller made
-    when it chose the configuration.  ``cooldown_seconds`` bounds how often
-    one application can trigger (the periodic loop still provides the
-    baseline cadence).
+    A re-evaluation fires when :data:`CONSECUTIVE_VIOLATIONS` successive
+    reports exceed :data:`TOLERANCE` times the prediction the controller
+    made when it chose the configuration.  :data:`COOLDOWN_SECONDS`
+    bounds how often one application can trigger (the periodic loop
+    still provides the baseline cadence).
     """
 
-    controller: AdaptationController
-    tolerance: float = 1.5
-    consecutive_violations: int = 3
-    cooldown_seconds: float = 30.0
-    events: list[PerformanceEvent] = field(default_factory=list)
-    _violation_counts: dict[str, int] = field(default_factory=dict)
-    _last_trigger: dict[str, float] = field(default_factory=dict)
-    _unsubscribe = None
+    def __init__(self, controller: AdaptationController):
+        self.controller = controller
+        self.events: list[PerformanceEvent] = []
+        self._violation_counts: dict[str, int] = {}
+        self._last_trigger: dict[str, float] = {}
+        self._unsubscribe = None
 
     def start(self) -> "PerformanceEventMonitor":
         """Subscribe to application metrics; returns self for chaining."""
@@ -95,10 +100,10 @@ class PerformanceEventMonitor:
         if predicted <= 0:
             return
 
-        if observation.value > predicted * self.tolerance:
+        if observation.value > predicted * TOLERANCE:
             count = self._violation_counts.get(app_key, 0) + 1
             self._violation_counts[app_key] = count
-            if count >= self.consecutive_violations:
+            if count >= CONSECUTIVE_VIOLATIONS:
                 self._maybe_trigger(app_key, bundle_name, predicted,
                                     observation)
         else:
@@ -122,7 +127,7 @@ class PerformanceEventMonitor:
                        predicted: float, observation: Observation) -> None:
         now = self.controller.now
         last = self._last_trigger.get(app_key)
-        if last is not None and now - last < self.cooldown_seconds:
+        if last is not None and now - last < COOLDOWN_SECONDS:
             return
         self._last_trigger[app_key] = now
         self._violation_counts[app_key] = 0

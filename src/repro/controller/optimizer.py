@@ -457,16 +457,18 @@ class GreedyOptimizer:
                 reads=record)
 
 
+#: The largest cross-product :class:`ExhaustiveOptimizer` searches.
+MAX_COMBINATIONS = 200_000
+
+
 class ExhaustiveOptimizer:
     """Joint search over all applications' configurations (ablation only).
 
     Searches the cross-product of candidate lists, one per (instance,
-    bundle).  ``max_combinations`` guards against explosion; the search
-    raises when exceeded so callers notice rather than silently truncate.
+    bundle).  :data:`MAX_COMBINATIONS` guards against explosion; the
+    search raises when exceeded so callers notice rather than silently
+    truncate.
     """
-
-    def __init__(self, max_combinations: int = 200_000):
-        self.max_combinations = max_combinations
 
     def optimize_all(self, instances: list[AppInstance],
                      context: OptimizationContext,
@@ -484,10 +486,10 @@ class ExhaustiveOptimizer:
                 per_app.append((instance, state, candidates))
 
         total = math.prod(len(c) for _, _, c in per_app) if per_app else 0
-        if total > self.max_combinations:
+        if total > MAX_COMBINATIONS:
             raise AllocationError(
                 f"exhaustive search space {total} exceeds cap "
-                f"{self.max_combinations}")
+                f"{MAX_COMBINATIONS}")
 
         engine = context.engine
         live = engine.live_predictions()

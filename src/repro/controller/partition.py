@@ -62,7 +62,7 @@ independence explicit:
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import SimulationError
@@ -147,7 +147,9 @@ class PartitionIndex:
         for stale in [k for k in self._no_ops
                       if isinstance(k, frozenset) and k & members]:
             del self._no_ops[stale]
-        self._no_ops[members] = replace(since, covers=frozenset(keys))
+        record = copy.copy(since)
+        record.covers = frozenset(keys)
+        self._no_ops[members] = record
 
     def prunable(self, objective: object) -> bool:
         """Whether skipping on records is provably serial-equivalent.

@@ -10,7 +10,7 @@ shows both produce the same query-shipping -> data-shipping switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import math
 
@@ -18,6 +18,7 @@ from repro.allocation.instantiate import instantiate_option
 from repro.controller.controller import (
     AdaptationController,
     DecisionPolicy,
+    candidate_trace,
 )
 from repro.controller.optimizer import Candidate, bundle_holder
 from repro.controller.registry import AppInstance, BundleState
@@ -55,7 +56,7 @@ class ClientCountRulePolicy(DecisionPolicy):
     below_option: str
     at_or_above_option: str
     reaction_seconds: float = 0.0
-    _condition_since: float | None = None
+    _condition_since: float | None = field(init=False, default=None)
 
     def _count_active(self, controller: AdaptationController) -> int:
         return sum(1 for instance in controller.registry.instances()
@@ -169,18 +170,8 @@ class ClientCountRulePolicy(DecisionPolicy):
         records: list[CandidateTrace] = []
         for option in state.bundle.options:
             if option.name == chosen.option_name:
-                records.append(CandidateTrace(
-                    option_name=chosen.option_name,
-                    variable_assignment=dict(chosen.variable_assignment),
-                    placements=dict(chosen.assignment.placements),
-                    predicted_seconds=chosen.predicted_seconds,
-                    objective_value=chosen.objective_value,
-                    objective_delta=chosen.objective_value
-                    - objective_before,
-                    friction_cost_seconds=controller.friction_cost(
-                        state, chosen.option_name),
-                    chosen=True,
-                    rejection_reason=None))
+                records.append(candidate_trace(
+                    controller, state, chosen, objective_before, None, ""))
                 continue
             try:
                 alternative = self._evaluate_option(controller, instance,
@@ -199,18 +190,9 @@ class ClientCountRulePolicy(DecisionPolicy):
                     rejection_reason=REJECT_INFEASIBLE,
                     detail="no feasible placement"))
                 continue
-            records.append(CandidateTrace(
-                option_name=option.name,
-                variable_assignment=dict(alternative.variable_assignment),
-                placements=dict(alternative.assignment.placements),
-                predicted_seconds=alternative.predicted_seconds,
-                objective_value=alternative.objective_value,
-                objective_delta=alternative.objective_value
-                - objective_before,
-                friction_cost_seconds=controller.friction_cost(
-                    state, option.name),
-                chosen=False,
-                rejection_reason=REJECT_RULE_NOT_SELECTED,
-                detail=f"rule selected {chosen.option_name!r} "
-                       f"({self._describe_rule()})"))
+            records.append(candidate_trace(
+                controller, state, alternative, objective_before,
+                REJECT_RULE_NOT_SELECTED,
+                f"rule selected {chosen.option_name!r} "
+                f"({self._describe_rule()})"))
         return records

@@ -54,9 +54,9 @@ class BundleState:
     """One bundle of one application instance."""
 
     bundle: Bundle
-    chosen: ChosenConfiguration | None = None
-    last_switch_time: float | None = None
-    switch_count: int = 0
+    chosen: ChosenConfiguration | None = field(init=False, default=None)
+    last_switch_time: float | None = field(init=False, default=None)
+    switch_count: int = field(init=False, default=0)
 
     def granularity_allows_switch(self, now: float) -> bool:
         """Whether enough time has passed since the last option switch."""
@@ -76,9 +76,10 @@ class AppInstance:
     app_name: str
     instance_id: int
     registered_at: float
-    bundles: dict[str, BundleState] = field(default_factory=dict)
-    models: dict[str, PerformanceModel] = field(default_factory=dict)
-    ended: bool = False
+    bundles: dict[str, BundleState] = field(init=False, default_factory=dict)
+    models: dict[str, PerformanceModel] = field(init=False,
+                                                default_factory=dict)
+    ended: bool = field(init=False, default=False)
     #: Registry key and namespace root: ``app.instance``.
     key: str = field(init=False, repr=False, compare=False)
 

@@ -164,8 +164,7 @@ class CoalescingScheduler:
 
     # -- running --------------------------------------------------------------
 
-    def run_pending(self, now: float | None = None,
-                    force: bool = False) -> bool:
+    def run_pending(self, force: bool = False) -> bool:
         """Run the pending batch if it is due (or ``force``); returns
         whether a batch ran.  This is the synchronous drive used by
         deterministic tests and simulated deployments; the threaded loop
@@ -175,9 +174,7 @@ class CoalescingScheduler:
                 return False
             if not force:
                 due = self._due_at_locked()
-                if now is None:
-                    now = self.clock()
-                if due is None or now < due:
+                if due is None or self.clock() < due:
                     return False
             reasons = self._pending
             ctxs = self._pending_ctxs

@@ -48,7 +48,7 @@ recomputes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
@@ -69,19 +69,19 @@ __all__ = ["OptimizerStats", "ReadSet", "ViewTrial", "TrialEngine"]
 class OptimizerStats:
     """Counters for optimizer work, surfaced by benchmarks and telemetry."""
 
-    candidates_evaluated: int = 0
-    predictions_recomputed: int = 0
-    full_view_recomputes: int = 0
-    match_calls: int = 0
+    candidates_evaluated: int = field(init=False, default=0)
+    predictions_recomputed: int = field(init=False, default=0)
+    full_view_recomputes: int = field(init=False, default=0)
+    match_calls: int = field(init=False, default=0)
     #: Partitioned-sweep accounting (the pruned counts stay zero while
     #: the index may not prune).
-    partition_sweeps: int = 0
-    pruned_bundles: int = 0
-    pruned_candidates: int = 0
+    partition_sweeps: int = field(init=False, default=0)
+    pruned_bundles: int = field(init=False, default=0)
+    pruned_candidates: int = field(init=False, default=0)
     #: Pairwise pass: pairs searched, and pairs skipped because records
     #: prove they cannot gain.
-    pairs_evaluated: int = 0
-    pruned_pairs: int = 0
+    pairs_evaluated: int = field(init=False, default=0)
+    pruned_pairs: int = field(init=False, default=0)
 
     def snapshot(self) -> dict[str, int]:
         # Every field is an int: a copy of the instance dict is what
@@ -117,10 +117,10 @@ class ReadSet:
     epoch: int
     clock: int
     topology: int
-    covers: frozenset = frozenset()
-    boundary: tuple | None = None
-    excluded: str | None = None
-    reach: frozenset = frozenset()
+    covers: frozenset = field(init=False, default=frozenset())
+    boundary: tuple | None = field(init=False, default=None)
+    excluded: str | None = field(init=False, default=None)
+    reach: frozenset = field(init=False, default=frozenset())
 
 
 class ViewTrial:

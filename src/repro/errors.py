@@ -162,8 +162,7 @@ class ControllerMovedError(HarmonyError):
     static failover list) and replays the session there.
     """
 
-    def __init__(self, message: str, leader: str | None = None,
-                 term: int = 0):
+    def __init__(self, message: str, leader: str | None, term: int):
         super().__init__(message)
         self.leader = leader
         self.term = term

@@ -29,14 +29,12 @@ Subscriber = Callable[[str, Observation], None]
 class MetricInterface:
     """Central metric registry, history store, and pub/sub hub.
 
-    Every series created through the interface is bounded by
-    ``default_max_observations`` (``None`` disables retention); see
-    :class:`~repro.metrics.history.TimeSeries`.
+    Every series created through the interface keeps the latest
+    :data:`~repro.metrics.history.DEFAULT_MAX_OBSERVATIONS`
+    observations; see :class:`~repro.metrics.history.TimeSeries`.
     """
 
-    def __init__(self, default_max_observations: int | None
-                 = DEFAULT_MAX_OBSERVATIONS) -> None:
-        self.default_max_observations = default_max_observations
+    def __init__(self) -> None:
         self._series: dict[str, TimeSeries] = {}
         self._histograms: dict[str, Histogram] = {}
         self._subscribers: list[tuple[str, Subscriber]] = []
@@ -48,8 +46,7 @@ class MetricInterface:
         self._lock = threading.RLock()
 
     def _new_series(self, name: str) -> TimeSeries:
-        return TimeSeries(name,
-                          max_observations=self.default_max_observations)
+        return TimeSeries(name, max_observations=DEFAULT_MAX_OBSERVATIONS)
 
     # -- producing ----------------------------------------------------------
 

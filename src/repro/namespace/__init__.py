@@ -7,7 +7,6 @@ applications (and RSL expressions) read them back.
 
 from repro.namespace.namespace import Namespace, NamespaceNode, NamespaceView
 from repro.namespace.paths import (
-    is_prefix,
     join_path,
     parent_path,
     split_path,
@@ -16,6 +15,6 @@ from repro.namespace.paths import (
 
 __all__ = [
     "Namespace", "NamespaceNode", "NamespaceView",
-    "split_path", "join_path", "parent_path", "is_prefix",
+    "split_path", "join_path", "parent_path",
     "validate_component",
 ]

@@ -29,8 +29,9 @@ class NamespaceNode:
     """One tree node: an interior namespace level or a leaf value."""
 
     name: str
-    value: Value | None = None
-    children: dict[str, "NamespaceNode"] = field(default_factory=dict)
+    value: Value | None = field(init=False, default=None)
+    children: dict[str, "NamespaceNode"] = field(init=False,
+                                                 default_factory=dict)
 
 
 class Namespace:

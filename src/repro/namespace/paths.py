@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from repro.errors import NamespaceError
 
-__all__ = ["split_path", "join_path", "validate_component", "parent_path",
-           "is_prefix"]
+__all__ = ["split_path", "join_path", "validate_component", "parent_path"]
 
 
 def validate_component(component: str) -> str:
@@ -52,10 +51,3 @@ def parent_path(path: str) -> str | None:
     if len(parts) == 1:
         return None
     return ".".join(parts[:-1])
-
-
-def is_prefix(prefix: str, path: str) -> bool:
-    """Whether ``prefix`` names an ancestor of (or equals) ``path``."""
-    prefix_parts = split_path(prefix)
-    path_parts = split_path(path)
-    return path_parts[:len(prefix_parts)] == prefix_parts

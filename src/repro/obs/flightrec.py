@@ -24,7 +24,7 @@ import time
 from collections import Counter, deque
 from typing import Any, Callable
 
-__all__ = ["FlightRecorder",
+__all__ = ["FlightRecorder", "CAPACITY",
            "EVENT_RPC_IN", "EVENT_RPC_OUT", "EVENT_FAULT",
            "EVENT_EVICTION", "EVENT_BATCH",
            "EVENT_WAL_APPEND", "EVENT_BACKPRESSURE", "EVENT_PUSH",
@@ -46,27 +46,25 @@ EVENT_PROMOTION = "promotion"
 EVENT_DEMOTION = "demotion"
 EVENT_REPLICATION = "replication"
 
+#: Events the ring keeps; older ones are dropped first.
+CAPACITY = 4096
+
 
 class FlightRecorder:
-    """Fixed-capacity, thread-safe ring of structured runtime events.
+    """Thread-safe ring of the latest :data:`CAPACITY` runtime events.
 
-    >>> recorder = FlightRecorder(capacity=2, clock=lambda: 0.0)
+    >>> recorder = FlightRecorder(clock=lambda: 0.0)
     >>> recorder.record("rpc_in", rpc="register")
-    >>> recorder.record("rpc_in", rpc="heartbeat")
     >>> recorder.record("fault_injected", fault="drop")
     >>> [event["kind"] for event in recorder.events()]
     ['rpc_in', 'fault_injected']
     >>> recorder.events_recorded      # total ever, beyond the ring bound
-    3
+    2
     """
 
-    def __init__(self, capacity: int = 4096,
-                 clock: Callable[[], float] = time.time):
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, clock: Callable[[], float] = time.time):
         self._clock = clock
-        self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._events: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
         self.events_recorded = 0
@@ -80,13 +78,10 @@ class FlightRecorder:
             self._events.append(event)
             self.events_recorded += 1
 
-    def events(self, kind: str | None = None) -> list[dict[str, Any]]:
-        """A snapshot of the ring (oldest first), optionally one kind."""
+    def events(self) -> list[dict[str, Any]]:
+        """A snapshot of the ring, oldest first."""
         with self._lock:
-            snapshot = list(self._events)
-        if kind is None:
-            return snapshot
-        return [event for event in snapshot if event["kind"] == kind]
+            return list(self._events)
 
     def counts(self) -> dict[str, int]:
         """Events currently in the ring, tallied by kind."""

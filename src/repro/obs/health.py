@@ -85,9 +85,8 @@ DEFAULT_SLOS: tuple[SloCheck, ...] = (
 
 
 def evaluate_health(histograms: Mapping[str, Mapping[str, Any]],
-                    slos: Iterable[SloCheck] = DEFAULT_SLOS,
                     ) -> list[HealthResult]:
-    """Score histogram snapshots against the SLO checks.
+    """Score histogram snapshots against :data:`DEFAULT_SLOS`.
 
     ``histograms`` maps dotted names to :meth:`Histogram.snapshot`
     dicts — build it with ``{name: hist.snapshot() for name, hist in
@@ -95,7 +94,7 @@ def evaluate_health(histograms: Mapping[str, Mapping[str, Any]],
     straight off a STATUS reply.
     """
     results: list[HealthResult] = []
-    for check in slos:
+    for check in DEFAULT_SLOS:
         snapshot = histograms.get(check.histogram)
         observed = (quantile_from_snapshot(snapshot, check.quantile)
                     if snapshot else None)

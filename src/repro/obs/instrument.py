@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.faults import FaultStats
@@ -31,11 +31,9 @@ class InstrumentedRLock:
     two histogram observes on top of the RLock itself.
     """
 
-    def __init__(self, name: str, metrics: "MetricInterface",
-                 clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, name: str, metrics: "MetricInterface"):
         self.name = name
         self._lock = threading.RLock()
-        self._clock = clock
         self._local = threading.local()
         self.wait_histogram = metrics.histogram(
             f"lock.{name}.wait_seconds")
@@ -50,10 +48,10 @@ class InstrumentedRLock:
             if acquired:
                 self._local.depth = depth + 1
             return acquired
-        start = self._clock()
+        start = time.perf_counter()
         acquired = self._lock.acquire(blocking, timeout)
         if acquired:
-            now = self._clock()
+            now = time.perf_counter()
             self.wait_histogram.observe(now - start)
             self._local.depth = 1
             self._local.acquired_at = now
@@ -62,7 +60,7 @@ class InstrumentedRLock:
     def release(self) -> None:
         depth = getattr(self._local, "depth", 0)
         if depth == 1:
-            held = self._clock() - self._local.acquired_at
+            held = time.perf_counter() - self._local.acquired_at
             self._local.depth = 0
             self._lock.release()
             self.hold_histogram.observe(held)

@@ -20,21 +20,21 @@ The paper's metric interface carries *measurements*; this module carries
   each decision carries its evaluated alternatives and scores.
 
 Decision traces are always on (they are per-reconfiguration, far off
-the optimizer's hot path) and bounded by ``max_traces``; span tracing
-is opt-in per controller.
+the optimizer's hot path) and bounded by :data:`MAX_TRACES`; span
+tracing is opt-in per controller.  :mod:`repro.obs.export` encodes both
+record kinds as JSONL.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TraceContext",
            "CandidateTrace", "DecisionTrace", "DecisionTraceLog",
@@ -48,6 +48,12 @@ REJECT_INFEASIBLE = "infeasible"
 
 #: Longest ``trace_id`` the wire decoder accepts (defensive bound).
 MAX_TRACE_ID_CHARS = 64
+
+#: Finished spans a :class:`Tracer` keeps; older ones are dropped first.
+MAX_SPANS = 100_000
+
+#: Decision traces a :class:`DecisionTraceLog` keeps.
+MAX_TRACES = 1000
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,9 @@ class Tracer:
 
     ``clock`` defaults to :func:`time.perf_counter`; span start times are
     relative to the tracer's construction (its *epoch*).  Finished spans
-    are kept in completion order, bounded by ``max_spans`` (oldest
-    dropped first); ``spans_started`` counts every span ever opened, so
-    overhead projections survive the retention bound.
+    are kept in completion order, the latest :data:`MAX_SPANS` of them
+    (oldest dropped first); ``spans_started`` counts every span ever
+    opened, so overhead projections survive the retention bound.
 
     The span *stack* — how nested spans find their parent — is
     per-thread: the request path now crosses connection reader threads,
@@ -173,12 +179,10 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 max_spans: int = 100_000):
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
         self._epoch = clock()
-        self.max_spans = max_spans
-        self.spans: deque[Span] = deque(maxlen=max_spans)
+        self.spans: deque[Span] = deque(maxlen=MAX_SPANS)
         self.spans_started = 0
         self._local = threading.local()
         self._ids = itertools.count(1)
@@ -276,11 +280,6 @@ class Tracer:
     def to_dicts(self) -> list[dict[str, Any]]:
         return [span.to_dict() for span in self.spans]
 
-    def to_jsonl(self) -> str:
-        """One JSON object per finished span, newline-delimited."""
-        return "".join(json.dumps(record, sort_keys=True) + "\n"
-                       for record in self.to_dicts())
-
 
 class _NullSpan:
     """The shared do-nothing span handed out when tracing is disabled."""
@@ -330,9 +329,6 @@ class NullTracer:
 
     def to_dicts(self) -> list:
         return []
-
-    def to_jsonl(self) -> str:
-        return ""
 
 
 #: Module-level singleton; ``controller.tracer`` defaults to this.
@@ -423,11 +419,10 @@ class DecisionTrace:
 
 
 class DecisionTraceLog:
-    """Bounded store of the controller's recent decision traces."""
+    """The controller's latest :data:`MAX_TRACES` decision traces."""
 
-    def __init__(self, max_traces: int = 1000):
-        self.max_traces = max_traces
-        self._traces: deque[DecisionTrace] = deque(maxlen=max_traces)
+    def __init__(self):
+        self._traces: deque[DecisionTrace] = deque(maxlen=MAX_TRACES)
         self.traces_recorded = 0
 
     def record(self, trace: DecisionTrace) -> None:
@@ -454,9 +449,3 @@ class DecisionTraceLog:
 
     def __len__(self) -> int:
         return len(self._traces)
-
-    def to_jsonl(self, traces: Iterable[DecisionTrace] | None = None) -> str:
-        """One JSON object per decision trace, newline-delimited."""
-        chosen = self._traces if traces is None else traces
-        return "".join(json.dumps(trace.to_dict(), sort_keys=True) + "\n"
-                       for trace in chosen)

@@ -22,7 +22,6 @@ who may serve.  See docs/replication.md.
 from repro.persistence.crash import (
     CrashPoint,
     ScriptedCrashSchedule,
-    SeededCrashSchedule,
     SimulatedCrash,
 )
 from repro.persistence.journal import DurabilityJournal
@@ -50,7 +49,6 @@ __all__ = [
     "ReplicationPrimary",
     "ReplicationStandby",
     "ScriptedCrashSchedule",
-    "SeededCrashSchedule",
     "SimulatedCrash",
     "WalRecord",
     "WriteAheadLog",

@@ -20,11 +20,10 @@ may catch and absorb it, exactly as nothing catches ``SIGKILL``.
 
 from __future__ import annotations
 
-import random
 from enum import Enum
 
 __all__ = ["CrashPoint", "CrashSchedule", "ScriptedCrashSchedule",
-           "SeededCrashSchedule", "SimulatedCrash"]
+           "SimulatedCrash"]
 
 
 class SimulatedCrash(Exception):
@@ -70,26 +69,3 @@ class ScriptedCrashSchedule(CrashSchedule):
 
     def decide(self, index: int) -> CrashPoint | None:
         return self.script.get(index)
-
-
-class SeededCrashSchedule(CrashSchedule):
-    """Random but reproducible crashes, mirroring ``SeededFaultSchedule``.
-
-    ``rate`` is the per-append probability of dying; the crash point is
-    drawn uniformly from ``points``.  The same seed always kills at the
-    same appends, so a failing chaos run can be replayed exactly.
-    """
-
-    def __init__(self, seed: int, rate: float,
-                 points: tuple[CrashPoint, ...] = (
-                     CrashPoint.BEFORE_APPEND,
-                     CrashPoint.TORN_APPEND,
-                     CrashPoint.AFTER_APPEND)):
-        self._rng = random.Random(seed)
-        self.rate = rate
-        self.points = tuple(points)
-
-    def decide(self, index: int) -> CrashPoint | None:
-        if self._rng.random() < self.rate:
-            return self.points[self._rng.randrange(len(self.points))]
-        return None

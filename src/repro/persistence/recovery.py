@@ -66,7 +66,7 @@ class RecoveryReport:
     snapshot_seq: int
     records_replayed: int
     last_seq: int
-    recovery_seconds: float = 0.0
+    recovery_seconds: float = field(init=False, default=0.0)
     skipped_snapshots: list[str] = field(default_factory=list)
 
 

@@ -190,17 +190,13 @@ class FencingStore:
         except (KeyError, TypeError, ValueError):
             return _EMPTY
 
-    def expired(self, now: float | None = None) -> bool:
+    def expired(self) -> bool:
         """Whether the current holder's lease has lapsed."""
         record = self.read()
-        if record.term == 0:
-            return True
-        now = self.clock() if now is None else now
-        return now >= record.lease_expires_at
+        return record.term == 0 or self.clock() >= record.lease_expires_at
 
     def acquire(self, holder: str, lease_seconds: float = 30.0,
-                address: str | None = None,
-                now: float | None = None) -> int:
+                address: str | None = None) -> int:
         """Take the lease, bumping the term; returns the new term.
 
         Refused (:class:`~repro.errors.ReplicationError`) while another
@@ -211,7 +207,7 @@ class FencingStore:
         """
         with self._exclusive():
             record = self.read()
-            now = self.clock() if now is None else now
+            now = self.clock()
             if record.term > 0 and record.holder != holder \
                     and now < record.lease_expires_at:
                 raise ReplicationError(
@@ -225,8 +221,7 @@ class FencingStore:
                 lease_seconds=lease_seconds))
             return term
 
-    def renew(self, holder: str, term: int,
-              now: float | None = None) -> None:
+    def renew(self, holder: str, term: int) -> None:
         """Extend the lease; refuses if the record moved to a new term.
 
         The refusal is the deposed primary's signal: someone else holds
@@ -239,11 +234,10 @@ class FencingStore:
                     f"cannot renew term {term} as {holder!r}: fencing "
                     f"record is at term {record.term} held by "
                     f"{record.holder!r}")
-            now = self.clock() if now is None else now
             self._write(FencingRecord(
                 term=record.term, holder=record.holder,
                 address=record.address,
-                lease_expires_at=now + record.lease_seconds,
+                lease_expires_at=self.clock() + record.lease_seconds,
                 lease_seconds=record.lease_seconds))
 
     def _write(self, record: FencingRecord) -> None:
@@ -320,11 +314,9 @@ class ReplicationPrimary:
     """
 
     def __init__(self, journal: DurabilityJournal,
-                 controller: "AdaptationController",
-                 clock: Callable[[], float] = time.monotonic):
+                 controller: "AdaptationController"):
         self.journal = journal
         self.controller = controller
-        self.clock = clock
         self._links: dict[str, _StandbyLink] = {}
         self._lock = threading.Lock()
         metrics = controller.metrics
@@ -417,7 +409,7 @@ class ReplicationPrimary:
             for shipped in [s for s in link.shipped_at if s <= seq]:
                 shipped_at = link.shipped_at.pop(shipped)
         if shipped_at is not None:
-            self._ack_hist.observe(max(0.0, self.clock() - shipped_at))
+            self._ack_hist.observe(max(0.0, time.monotonic() - shipped_at))
         self.controller.metrics.increment("replication.acks",
                                           self.controller.now)
 
@@ -468,7 +460,7 @@ class ReplicationPrimary:
     def _on_append(self, record: WalRecord) -> None:
         message = make_message(REPL_RECORDS, term=self.term,
                                frames=[_frame_text(record)])
-        now = self.clock()
+        now = time.monotonic()
         with self._lock:
             links = list(self._links.values())
             for link in links:
@@ -827,7 +819,7 @@ class ReplicationStandby:
 
     # -- promotion ----------------------------------------------------------
 
-    def can_promote(self, now: float | None = None) -> bool:
+    def can_promote(self) -> bool:
         """Whether the fencing lease allows promotion right now."""
         if self.promoted or self.controller is None:
             return False
@@ -835,9 +827,9 @@ class ReplicationStandby:
             return True
         record = self.fencing.read()
         return record.holder == self.standby_id \
-            or self.fencing.expired(now)
+            or self.fencing.expired()
 
-    def promote(self, now: float | None = None) -> "AdaptationController":
+    def promote(self) -> "AdaptationController":
         """Become the primary: fence, journal the term, wake the policy.
 
         Raises :class:`~repro.errors.ReplicationError` while the current
@@ -859,7 +851,7 @@ class ReplicationStandby:
             if self.fencing is not None:
                 term = self.fencing.acquire(
                     self.standby_id, lease_seconds=self.lease_seconds,
-                    address=self.address, now=now)
+                    address=self.address)
             else:
                 term = self.term + 1
             # Durable before served: the term record hits this WAL

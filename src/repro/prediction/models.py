@@ -101,6 +101,22 @@ def _slowest_hop(hops: tuple, megabytes: float, app_key: str | None,
     return worst
 
 
+def contention_stretch(demands: ConcreteDemands, assignment: Assignment,
+                       view: SystemView) -> float:
+    """How much contention on the placed nodes stretches an explicit
+    model's unloaded runtime: the worst ``contention_factor / speed`` over
+    the nodes that compute, and never below 1."""
+    stretch = 1.0
+    for demand in demands.nodes:
+        if not demand.seconds:
+            continue
+        hostname = assignment.hostname_of(demand.local_name)
+        node = view.cluster.node(hostname)
+        stretch = max(stretch,
+                      view.contention_factor(hostname) / node.speed)
+    return stretch
+
+
 class ExplicitSpecModel:
     """An application-supplied piecewise-linear model over one parameter.
 
@@ -111,26 +127,14 @@ class ExplicitSpecModel:
     curve's prediction: the user curve describes the *unloaded* runtime.
     """
 
-    def __init__(self, spec: PerformanceSpec, apply_contention: bool = True):
+    def __init__(self, spec: PerformanceSpec):
         self.spec = spec
         self.curve = PiecewiseLinearModel.from_spec(spec)
-        self.apply_contention = apply_contention
 
     def predict(self, demands: ConcreteDemands, assignment: Assignment,
                 view: SystemView, app_key: str | None = None) -> float:
-        x = self._parameter_value(demands)
-        base = self.curve.predict(x)
-        if not self.apply_contention:
-            return base
-        stretch = 1.0
-        for demand in demands.nodes:
-            if not demand.seconds:
-                continue
-            hostname = assignment.hostname_of(demand.local_name)
-            node = view.cluster.node(hostname)
-            stretch = max(stretch,
-                          view.contention_factor(hostname) / node.speed)
-        return base * stretch
+        base = self.curve.predict(self._parameter_value(demands))
+        return base * contention_stretch(demands, assignment, view)
 
     def _parameter_value(self, demands: ConcreteDemands) -> float:
         if self.spec.parameter is not None:
@@ -156,13 +160,12 @@ class ExpressionSpecModel:
     result exactly as for the piecewise model.
     """
 
-    def __init__(self, spec: PerformanceSpec, apply_contention: bool = True):
+    def __init__(self, spec: PerformanceSpec):
         if spec.expression is None:
             raise PredictionError(
                 "ExpressionSpecModel needs a performance expression")
         self.spec = spec
         self.expression = spec.expression
-        self.apply_contention = apply_contention
 
     def predict(self, demands: ConcreteDemands, assignment: Assignment,
                 view: SystemView, app_key: str | None = None) -> float:
@@ -175,17 +178,7 @@ class ExpressionSpecModel:
         if base < 0:
             raise PredictionError(
                 f"performance expression produced negative time {base}")
-        if not self.apply_contention:
-            return base
-        stretch = 1.0
-        for demand in demands.nodes:
-            if not demand.seconds:
-                continue
-            hostname = assignment.hostname_of(demand.local_name)
-            node = view.cluster.node(hostname)
-            stretch = max(stretch,
-                          view.contention_factor(hostname) / node.speed)
-        return base * stretch
+        return base * contention_stretch(demands, assignment, view)
 
 
 class CallableModel:

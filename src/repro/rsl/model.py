@@ -73,13 +73,6 @@ class Quantity:
         """True when the controller may choose the allocated amount."""
         return self.constraint is not None and self.constraint.elastic
 
-    def minimum(self, env: Environment | Mapping[str, float] | None = None,
-                ) -> float:
-        """Smallest acceptable amount given ``env`` for parametric values."""
-        if self.constraint is not None:
-            return self.constraint.minimum
-        return self.value(env)
-
     def value(self, env: Environment | Mapping[str, float] | None = None,
               ) -> float:
         """The concrete amount.

@@ -29,14 +29,14 @@ def unparse_bundle(bundle: Bundle) -> str:
     return f"harmonyBundle {app} {bundle.bundle_name} {{{options}}}"
 
 
-def pretty_bundle(bundle: Bundle, indent: int = 4) -> str:
+def pretty_bundle(bundle: Bundle) -> str:
     """Render a bundle in the paper's multi-line layout.
 
-    One option per block, one tag per line — the canonical formatting for
-    ``harmony-repro format``.  Round-trips through the builder exactly like
-    :func:`unparse_bundle`.
+    One option per block, one tag per line, four spaces a level — the
+    canonical formatting for ``harmony-repro format``.  Round-trips
+    through the builder exactly like :func:`unparse_bundle`.
     """
-    pad = " " * indent
+    pad = "    "
     app = bundle.app_name
     if bundle.declared_instance is not None:
         app = f"{app}:{bundle.declared_instance}"

@@ -6,6 +6,7 @@ from repro.allocation import Matcher, MatchStrategy, instantiate_option
 from repro.cluster import Cluster
 from repro.errors import AllocationError
 from repro.rsl import build_bundle
+from tests.oracle.naive import sorted_preparation
 
 
 def demands_for(rsl, option_name, variables=None):
@@ -139,8 +140,9 @@ class TestStrategies:
     def test_order_key_overrides_strategy_order(self, small_cluster):
         matcher = Matcher(small_cluster)
         load = {"n0": 5.0, "n1": 0.0, "n2": 1.0, "n3": 0.0}
-        assignment = matcher.match(demands_for(SIMPLE, "o"),
-                                   order_key=lambda h: load[h])
+        assignment = matcher.match(
+            demands_for(SIMPLE, "o"),
+            prepared=sorted_preparation(small_cluster, lambda h: load[h]))
         assert assignment.placements == {"worker[0]": "n1",
                                          "worker[1]": "n3"}
 

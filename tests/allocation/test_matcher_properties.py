@@ -18,6 +18,7 @@ from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.cluster import Cluster
 from repro.errors import AllocationError
 from repro.rsl import build_bundle
+from tests.oracle.naive import sorted_preparation
 
 node_specs = st.lists(
     st.tuples(
@@ -117,8 +118,9 @@ def test_order_key_permutation_does_not_change_feasibility(nodes):
 
     def outcome(order_key):
         try:
-            return ("ok", len(matcher.match(demands,
-                                            order_key=order_key)))
+            prepared = (None if order_key is None
+                        else sorted_preparation(cluster, order_key))
+            return ("ok", len(matcher.match(demands, prepared=prepared)))
         except AllocationError:
             return ("fail", 0)
 
@@ -219,12 +221,16 @@ def test_lazy_walk_matches_eager_reference(memories, links, failed,
             if amount <= memory.available_mb:
                 memory.reserve("own" if amount == 16 else "other", amount)
     demands = build_linked_demands(needs, link_demands)
-    kwargs = {"ignore_holders": {"own"}}
+    order_key = None
     if ranks is not None:
-        kwargs["order_key"] = lambda hostname: ranks[int(hostname[1:])] // 2
-    assert placements_of(Matcher(cluster, strategy=strategy), demands, **kwargs) \
+        def order_key(hostname):
+            return ranks[int(hostname[1:])] // 2
+    prepared = (None if order_key is None
+                else sorted_preparation(cluster, order_key, {"own"}))
+    assert placements_of(Matcher(cluster, strategy=strategy), demands,
+                         ignore_holders={"own"}, prepared=prepared) \
         == placements_of(EagerMatcher(cluster, strategy=strategy), demands,
-                   **kwargs)
+                         ignore_holders={"own"}, order_key=order_key)
 
 
 def test_lazy_walk_backtracks_like_the_eager_search():

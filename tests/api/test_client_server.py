@@ -11,6 +11,7 @@ from repro.api import (
     harmony_bundle_setup,
     harmony_end,
     harmony_startup,
+    harmony_wait_for_update,
     set_default_client,
 )
 from repro.cluster import Cluster
@@ -205,6 +206,21 @@ class TestPaperStyleCApi:
             variable = harmony_add_variable("where.option", "QS",
                                             VariableType.STRING)
             assert variable.value == "QS"
+            harmony_end()
+        finally:
+            set_default_client(None)
+
+    def test_the_figure5_interrupt_flag_and_update_wait(self, setup):
+        _cluster, _controller, server = setup
+        set_default_client(connect(server))
+        try:
+            key = harmony_startup("DBclient", True)
+            assert server._sessions_by_key[key].use_interrupts
+            harmony_bundle_setup(db_rsl("c1"))
+            # The initial choice was pushed during setup; the wait
+            # returns that batch instead of blocking.
+            update = harmony_wait_for_update(5.0)
+            assert update["where.option"] == "QS"
             harmony_end()
         finally:
             set_default_client(None)

@@ -17,10 +17,8 @@ import time
 import pytest
 
 from repro.api import HarmonyClient, HarmonyServer, connected_pair
-from repro.api.retry import RetryPolicy
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import ControllerBusyError, RetryExhaustedError
 
 
 def db_rsl(client_host):
@@ -154,72 +152,6 @@ class TestLockSplit:
         assert len(keys) == 12
         assert len(set(keys)) == 12
         assert len(controller.registry) == 12
-
-
-class TestAdmissionBackpressure:
-    def test_full_pipeline_refuses_with_controller_busy(self):
-        controller, server = make_server(max_pending_admissions=1)
-        blocked_client, _ = connect(server)
-        release, thread = hold_controller_lock(server)
-        try:
-            started = threading.Event()
-
-            def blocked_register():
-                started.set()
-                blocked_client.startup("DBclient")  # waits on the lock
-
-            worker = threading.Thread(target=blocked_register, daemon=True)
-            worker.start()
-            assert started.wait(2.0)
-            deadline = time.monotonic() + 2.0
-            while server._pending_admissions < 1:
-                assert time.monotonic() < deadline, \
-                    "register never entered the admission pipeline"
-                time.sleep(0.005)
-
-            refused, _ = connect(
-                server, retry_policy=RetryPolicy(max_attempts=1))
-            with pytest.raises(RetryExhaustedError) as excinfo:
-                refused.startup("DBclient")
-            assert isinstance(excinfo.value.__cause__,
-                              ControllerBusyError)
-            assert controller.metrics.latest(
-                "server.admissions_rejected") == 1.0
-        finally:
-            release.set()
-            thread.join(5.0)
-
-    def test_busy_is_retryable_and_eventually_admits(self):
-        controller, server = make_server(max_pending_admissions=0)
-        client, _ = connect(server, retry_policy=RetryPolicy(
-            max_attempts=20, backoff_initial_seconds=0.01,
-            backoff_multiplier=1.0))
-        result = {}
-
-        def register():
-            result["key"] = client.startup("DBclient")
-
-        worker = threading.Thread(target=register, daemon=True)
-        worker.start()
-        # Let at least one attempt bounce off the zero-slot pipeline…
-        deadline = time.monotonic() + 2.0
-        while not controller.metrics.latest("server.admissions_rejected"):
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        # …then open it; the client's backoff loop must recover alone.
-        server.max_pending_admissions = 4
-        worker.join(5.0)
-        assert result.get("key") == "DBclient.1"
-        assert len(controller.registry) == 1
-
-    def test_end_is_exempt_from_backpressure(self):
-        """Releasing capacity must never be refused for lack of it."""
-        _controller, server = make_server(max_pending_admissions=4)
-        client, _ = connect(server)
-        client.startup("DBclient")
-        server.max_pending_admissions = 0
-        client.end()  # would raise if end rode the admission pipeline
-        assert client._ended
 
 
 class TestStaleDetach:

@@ -21,6 +21,7 @@ from repro.api import (
     connected_pair,
     make_message,
 )
+from repro.api import retry
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
 from repro.errors import (
@@ -126,6 +127,7 @@ class TestClientFailover:
         client.bundle_setup(RSL)
         assert len(controller_b.registry) == 1
         assert client._target_index == 1  # rotated off the dead entry
+        assert client.failover_rotations == 1
 
     def test_leader_hint_followed_over_tcp(self):
         controller_a, server_a = make_server()
@@ -143,6 +145,8 @@ class TestClientFailover:
             assert client.app_key == key
             assert client.reconnects == 1
             assert client._moved_leader is None  # hint consumed once
+            assert client.redirects_followed == 1
+            assert client.failover_rotations == 0
             assert len(controller_b.registry) == 1
             client.end()
         finally:
@@ -197,6 +201,11 @@ class TestTermStamping:
         assert excinfo.value.term == 1
 
 
+def seed_jitter(monkeypatch, seed):
+    """Draw the retry jitter from a seeded generator."""
+    monkeypatch.setattr(retry, "random", random.Random(seed))
+
+
 class TestRetryJitter:
     def test_zero_jitter_is_the_deterministic_schedule(self):
         policy = RetryPolicy(max_attempts=4, backoff_initial_seconds=0.1)
@@ -204,31 +213,32 @@ class TestRetryJitter:
             assert policy.jittered_delay(retry) == \
                 policy.backoff_delay(retry)
 
-    def test_full_jitter_spreads_over_the_whole_delay(self):
+    def test_full_jitter_spreads_over_the_whole_delay(self, monkeypatch):
         policy = RetryPolicy(max_attempts=8, backoff_initial_seconds=0.2,
                              backoff_jitter=1.0)
-        rng = random.Random(7)
-        draws = [policy.jittered_delay(3, rng=rng) for _ in range(200)]
+        seed_jitter(monkeypatch, 7)
+        draws = [policy.jittered_delay(3) for _ in range(200)]
         ceiling = policy.backoff_delay(3)
         assert all(0.0 <= draw <= ceiling for draw in draws)
         assert max(draws) - min(draws) > ceiling * 0.5  # actually spread
 
-    def test_partial_jitter_keeps_the_deterministic_floor(self):
+    def test_partial_jitter_keeps_the_deterministic_floor(self,
+                                                          monkeypatch):
         policy = RetryPolicy(max_attempts=4, backoff_initial_seconds=0.4,
                              backoff_jitter=0.25)
-        rng = random.Random(11)
+        seed_jitter(monkeypatch, 11)
         ceiling = policy.backoff_delay(2)
         for _ in range(50):
-            draw = policy.jittered_delay(2, rng=rng)
+            draw = policy.jittered_delay(2)
             assert ceiling * 0.75 <= draw <= ceiling
 
-    def test_seeded_rng_is_deterministic(self):
+    def test_seeded_rng_is_deterministic(self, monkeypatch):
         policy = RetryPolicy(max_attempts=4, backoff_initial_seconds=0.1,
                              backoff_jitter=1.0)
-        first = [policy.jittered_delay(n, rng=random.Random(3))
-                 for n in (1, 2, 3)]
-        second = [policy.jittered_delay(n, rng=random.Random(3))
-                  for n in (1, 2, 3)]
+        seed_jitter(monkeypatch, 3)
+        first = [policy.jittered_delay(n) for n in (1, 2, 3)]
+        seed_jitter(monkeypatch, 3)
+        second = [policy.jittered_delay(n) for n in (1, 2, 3)]
         assert first == second
 
     def test_jitter_validation(self):

@@ -57,6 +57,11 @@ def drain(server, *clients):
         client.poll_update()
 
 
+
+def flush_all(buffer, send):
+    """Flush a buffer whose every client is ready."""
+    return buffer.flush(send, lambda _client_id: True)
+
 class TestFlushPartialFailure:
     def test_failed_send_keeps_that_batch_and_delivers_the_rest(self, world):
         _controller, server = world
@@ -163,9 +168,9 @@ class TestPushGenerations:
         buffer = PendingVariableBuffer()
         delivered = []
         buffer.stage("c", "x", 1)
-        buffer.flush(lambda cid, updates: delivered.append(updates))
+        flush_all(buffer, lambda cid, updates, _: delivered.append(updates))
         buffer.stage("c", "x", 2)
-        buffer.flush(lambda cid, updates: delivered.append(updates))
+        flush_all(buffer, lambda cid, updates, _: delivered.append(updates))
         assert delivered == [{"x": 1}, {"x": 2}]
 
     def test_buffer_tracks_the_newest_staged_generation(self):
@@ -174,8 +179,8 @@ class TestPushGenerations:
         buffer.stage("c", "y", 2, generation=2)  # older: no rewind
         assert buffer.generation_for("c") == 4
         seen = []
-        buffer.flush(lambda cid, updates, gen: seen.append((updates, gen)),
-                     with_generation=True)
+        flush_all(buffer,
+                  lambda cid, updates, gen: seen.append((updates, gen)))
         assert seen == [({"x": 1, "y": 2}, 4)]
         assert buffer.generation_for("c") == 0  # drained
 

@@ -1,9 +1,9 @@
 """Every client message type against every gate a session can be behind.
 
-The product of the eleven client types and six server/session states
+The product of the eleven client types and five server/session states
 pins what the server answers — the reply's ``type`` and ``error.code``,
 or no reply at all — so the order of the gates (the crash-only drop,
-admission slot, standby redirect, eviction, the registration check)
+standby redirect, eviction, the registration check)
 cannot drift.  In-process transports deliver
 synchronously, so each case is one send and one look at what came back.
 """
@@ -36,39 +36,35 @@ REQUESTS = {
     "repl_ack": {"standby_id": "sb", "seq": 0},
 }
 
-STATES = ("healthy", "standby", "failed", "evicted", "unregistered",
-          "admission_full")
+STATES = ("healthy", "standby", "failed", "evicted", "unregistered")
 
 MOVED = [("controller_moved", None)]
 LEASE_EXPIRED = [("lease_expired", None)]
-BUSY = [("error", "controller_busy")]
 ERROR = [("error", None)]
 NONE = []
 
 #: type -> the outcome in each of STATES, in order.
 EXPECTED = {
     "register": ([("registered", None)], MOVED, NONE,
-                 [("registered", None)], [("registered", None)], BUSY),
+                 [("registered", None)], [("registered", None)]),
     "bundle_setup": ([("bundle_ok", None)], MOVED, NONE,
-                     LEASE_EXPIRED, ERROR, BUSY),
+                     LEASE_EXPIRED, ERROR),
     "add_variable": ([("variable_added", None)],
                      [("variable_added", None)], NONE, LEASE_EXPIRED,
-                     ERROR, [("variable_added", None)]),
-    "wait_for_update": (NONE, NONE, NONE, LEASE_EXPIRED, NONE, NONE),
-    "report_metric": (NONE, MOVED, NONE, LEASE_EXPIRED, ERROR, NONE),
+                     ERROR),
+    "wait_for_update": (NONE, NONE, NONE, LEASE_EXPIRED, NONE),
+    "report_metric": (NONE, MOVED, NONE, LEASE_EXPIRED, ERROR),
     "query_nodes": ([("node_list", None)], [("node_list", None)], NONE,
-                    LEASE_EXPIRED, ERROR, [("node_list", None)]),
+                    LEASE_EXPIRED, ERROR),
     "status": ([("status_report", None)], [("status_report", None)],
-               NONE, LEASE_EXPIRED, [("status_report", None)],
-               [("status_report", None)]),
+               NONE, LEASE_EXPIRED, [("status_report", None)]),
     "heartbeat": ([("heartbeat_ack", None)], [("heartbeat_ack", None)],
-                  NONE, LEASE_EXPIRED, ERROR, [("heartbeat_ack", None)]),
-    "end": ([("ended", None)], MOVED, NONE,
-            LEASE_EXPIRED, ERROR, [("ended", None)]),
+                  NONE, LEASE_EXPIRED, ERROR),
+    "end": ([("ended", None)], MOVED, NONE, LEASE_EXPIRED, ERROR),
     # A demoted standby has no replication primary to subscribe to.
     "repl_hello": ([("repl_records", None)], ERROR, NONE, LEASE_EXPIRED,
-                   [("repl_records", None)], [("repl_records", None)]),
-    "repl_ack": (NONE, NONE, NONE, LEASE_EXPIRED, NONE, NONE),
+                   [("repl_records", None)]),
+    "repl_ack": (NONE, NONE, NONE, LEASE_EXPIRED, NONE),
 }
 
 
@@ -82,8 +78,7 @@ class Case:
         closing(DurabilityJournal(str(tmp_path), fsync="never")).attach(
             controller)
         self.server = HarmonyServer(
-            controller, lease_seconds=10.0, clock=lambda: self.now,
-            max_pending_admissions=1)
+            controller, lease_seconds=10.0, clock=lambda: self.now)
         assert self.server.enable_replication() == "primary"
         self.state = state
         self.client_end, server_end = connected_pair()
@@ -111,9 +106,6 @@ class Case:
             # when the crash landed: it reaches the session's receiver
             # although fail_stop has closed the line.
             self.session._on_message(message)
-        elif self.state == "admission_full":
-            with self.server.admission_slot():
-                self.client_end.send(message)
         else:
             self.client_end.send(message)
         return [(reply["type"], reply.get("code"))

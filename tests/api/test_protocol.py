@@ -178,9 +178,8 @@ class TestMessageTable:
         assert not CLIENT_TYPES & SERVER_TYPES
         assert MUTATING_TYPES <= CLIENT_TYPES
 
-    def test_admission_rows_are_locked_and_locked_rows_are_requests(self):
+    def test_locked_rows_are_requests(self):
         for row in MESSAGES.values():
-            assert not row.admission or row.locked, row.type
             assert not (row.locked or row.session) or row.request, row.type
 
     @pytest.mark.parametrize("value", ["abc", None, [1], "inf"])

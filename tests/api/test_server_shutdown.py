@@ -66,13 +66,13 @@ class TestStopOrdering:
         seen_during_check = []
         real_check = server.check_leases
 
-        def slow_check(now=None):
+        def slow_check():
             started.set()
             release.wait(timeout=5.0)
             # What an in-flight check observes must be a coherent server:
             # stop() has not dropped the session table underneath it.
             seen_during_check.append(dict(server._sessions_by_key))
-            return real_check(now)
+            return real_check()
 
         server.check_leases = slow_check
         server.start_lease_monitor(period_seconds=0.001)

@@ -11,6 +11,11 @@ from repro.api.variables import (
 from repro.errors import ProtocolError
 
 
+
+def flush_all(buffer, send):
+    """Flush a buffer whose every client is ready."""
+    return buffer.flush(send, lambda _client_id: True)
+
 class TestVariableTypes:
     def test_int_coercion(self):
         variable = HarmonyVariable("n", 4.7, VariableType.INT)
@@ -97,7 +102,7 @@ class TestPendingBuffer:
         buffer = PendingVariableBuffer()
         buffer.stage("client1", "where.option", "DS")
         sent = []
-        count = buffer.flush(lambda cid, updates: sent.append(
+        count = flush_all(buffer, lambda cid, updates, _: sent.append(
             (cid, updates)))
         assert count == 1
         assert sent == [("client1", {"where.option": "DS"})]
@@ -109,28 +114,28 @@ class TestPendingBuffer:
         buffer.stage("c", "x", 2)
         buffer.stage("c", "x", 3)
         sent = []
-        buffer.flush(lambda cid, updates: sent.append(updates))
+        flush_all(buffer, lambda cid, updates, _: sent.append(updates))
         assert sent == [{"x": 3}]
 
     def test_flush_drains(self):
         buffer = PendingVariableBuffer()
         buffer.stage("c", "x", 1)
-        buffer.flush(lambda cid, updates: None)
-        assert buffer.flush(lambda cid, updates: None) == 0
+        flush_all(buffer, lambda cid, updates, _: None)
+        assert flush_all(buffer, lambda cid, updates, _: None) == 0
 
     def test_per_client_batches(self):
         buffer = PendingVariableBuffer()
         buffer.stage_many("c1", {"a": 1, "b": 2})
         buffer.stage("c2", "a", 9)
         sent = {}
-        buffer.flush(lambda cid, updates: sent.update({cid: updates}))
+        flush_all(buffer, lambda cid, updates, _: sent.update({cid: updates}))
         assert sent == {"c1": {"a": 1, "b": 2}, "c2": {"a": 9}}
 
     def test_discard_client(self):
         buffer = PendingVariableBuffer()
         buffer.stage("gone", "x", 1)
         buffer.discard("gone")
-        assert buffer.flush(lambda cid, updates: None) == 0
+        assert flush_all(buffer, lambda cid, updates, _: None) == 0
 
     def test_pending_for_is_a_snapshot(self):
         buffer = PendingVariableBuffer()

@@ -88,7 +88,7 @@ class TestControllerIngestion:
         # Fake a sustained measured load of 3 jobs on nodeA.
         for t in range(5):
             controller.metrics.report("node.nodeA.cpu_load", float(t), 3.0)
-        controller.update_external_load(window_seconds=100.0)
+        controller.update_external_load()
         assert controller.view.external_cpu_load("nodeA") == \
             pytest.approx(3.0)
         assert controller.view.external_cpu_load("nodeB") == 0.0
@@ -101,7 +101,7 @@ class TestControllerIngestion:
             instance.bundles["where"].chosen.assignment.hostnames()))
         # Measured load equals our own placed demand -> no external load.
         controller.metrics.report(f"node.{chosen_host}.cpu_load", 0.0, 1.0)
-        controller.update_external_load(window_seconds=100.0)
+        controller.update_external_load()
         assert controller.view.external_cpu_load(chosen_host) == 0.0
 
     def test_no_metrics_is_a_noop(self):

@@ -61,7 +61,7 @@ class TestSpeedAwarePlacement:
         # Fast node h1 carries 3 measured external consumers.
         for t in range(3):
             controller.metrics.report("node.h1.cpu_load", float(t), 3.0)
-        controller.update_external_load(window_seconds=100.0)
+        controller.update_external_load()
         instance = controller.register_app("App")
         state = controller.setup_bundle(instance, ANYWHERE)
         # 10s at speed 1 idle (10.0) beats 10*(1+3)/2 = 20.0 on h1.

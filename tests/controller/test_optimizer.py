@@ -9,6 +9,7 @@ from repro.controller import (
     GreedyOptimizer,
     enumerate_candidates,
 )
+from repro.controller.optimizer import MAX_COMBINATIONS
 from repro.rsl import build_bundle
 
 
@@ -187,12 +188,13 @@ class TestExhaustive:
                                     memory_mb=128)
         context, registry = make_context(cluster)
         instances = []
-        for index in range(3):
+        # Four candidates a Bag: 4**9 combinations pass the cap.
+        for index in range(9):
             instance, _state = add_app(registry, f"Bag{index}", BAG_RSL)
             instances.append(instance)
+        assert 4 ** 9 > MAX_COMBINATIONS
         with pytest.raises(AllocationError, match="exceeds cap"):
-            ExhaustiveOptimizer(max_combinations=2).optimize_all(
-                instances, context)
+            ExhaustiveOptimizer().optimize_all(instances, context)
 
 
 def test_one_optimizer_path_ships():

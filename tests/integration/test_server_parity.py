@@ -17,6 +17,7 @@ lock layout (heartbeats take ``sessions_lock``, never the busy
 ``controller_lock``).
 """
 
+import dataclasses
 import json
 import socket
 import threading
@@ -236,7 +237,9 @@ class TestSeverEvictionRejoin:
         # The survivors must outlive the victim's lease on the real
         # clock, so they beat; the victim goes quiet before the cut.
         for host in ("c1", "c3"):
-            clients[host].start_heartbeats(interval_seconds=0.25)
+            clients[host].retry_policy = dataclasses.replace(
+                clients[host].retry_policy, heartbeat_interval_seconds=0.25)
+            clients[host].start_heartbeats()
 
         # c2 crashes: its link dies mid-session.
         faulty["c2"].sever()
@@ -462,9 +465,10 @@ class TestLeaseExpiryOverWallClock:
         controller, server = build_server(lease_seconds=0.6)
         handle = server_factory(server)
         handle.start_lease_monitor(0.1)
-        client = HarmonyClient(handle.connect(), retry_policy=FAST)
+        client = HarmonyClient(handle.connect(), retry_policy=(
+            dataclasses.replace(FAST, heartbeat_interval_seconds=0.15)))
         client.startup("DBclient")
-        client.start_heartbeats(interval_seconds=0.15)
+        client.start_heartbeats()
         try:
             time.sleep(1.5)  # several lease periods
             assert len(controller.registry) == 1

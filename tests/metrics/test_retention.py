@@ -51,16 +51,12 @@ class TestInterfaceRetention:
         assert metrics.series("anything").max_observations \
             == DEFAULT_MAX_OBSERVATIONS
 
-    def test_custom_bound_propagates(self):
-        metrics = MetricInterface(default_max_observations=2)
-        for tick in range(5):
+    def test_the_bound_trims_every_series(self):
+        metrics = MetricInterface()
+        for tick in range(DEFAULT_MAX_OBSERVATIONS + 3):
             metrics.report("s", float(tick), float(tick))
-        assert len(metrics.series("s")) == 2
+        assert len(metrics.series("s")) == DEFAULT_MAX_OBSERVATIONS
         assert metrics.series("s").observations_dropped == 3
-
-    def test_unbounded_interface(self):
-        metrics = MetricInterface(default_max_observations=None)
-        assert metrics.series("s").max_observations is None
 
 
 class TestIncrement:
@@ -74,7 +70,7 @@ class TestIncrement:
         assert metrics.series("c").values() == [1.0, 2.0, 5.0]
 
     def test_total_survives_trimming(self):
-        metrics = MetricInterface(default_max_observations=2)
-        for tick in range(10):
+        metrics = MetricInterface()
+        for tick in range(DEFAULT_MAX_OBSERVATIONS + 8):
             metrics.increment("c", time=float(tick))
-        assert metrics.latest("c") == 10.0
+        assert metrics.latest("c") == DEFAULT_MAX_OBSERVATIONS + 8.0

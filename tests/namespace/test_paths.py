@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import NamespaceError
 from repro.namespace.paths import (
-    is_prefix,
     join_path,
     parent_path,
     split_path,
@@ -53,15 +52,6 @@ class TestParentPrefix:
 
     def test_root_parent_is_none(self):
         assert parent_path("a") is None
-
-    def test_is_prefix_true_cases(self):
-        assert is_prefix("a", "a.b.c")
-        assert is_prefix("a.b", "a.b")
-
-    def test_is_prefix_false_cases(self):
-        assert not is_prefix("a.b", "a")
-        assert not is_prefix("a.x", "a.b.c")
-        assert not is_prefix("a.bb", "a.b.c")
 
 
 @given(st.lists(st.from_regex(r"[A-Za-z0-9\[\]_-]{1,8}", fullmatch=True),

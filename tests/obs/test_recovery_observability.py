@@ -7,7 +7,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import WalCorruptionError
-from repro.obs.export import json_snapshot, prometheus_text
+from repro.obs.export import (json_snapshot, prometheus_text,
+                               spans_to_jsonl)
 from repro.obs.trace import Tracer
 from repro.persistence import DurabilityJournal
 
@@ -72,7 +73,7 @@ class TestRecoverySpans:
                                                 fsync="never",
                                                 tracer=tracer)
         records = [json.loads(line)
-                   for line in tracer.to_jsonl().splitlines()]
+                   for line in spans_to_jsonl(tracer.spans).splitlines()]
         by_name = {record["name"]: record for record in records}
         root = by_name["controller.restore"]
         for stage in STAGES:

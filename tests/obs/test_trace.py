@@ -3,7 +3,10 @@
 import json
 import math
 
+from repro.obs.export import decision_traces_to_jsonl, spans_to_jsonl
 from repro.obs.trace import (
+    MAX_SPANS,
+    MAX_TRACES,
     NULL_TRACER,
     CandidateTrace,
     DecisionTrace,
@@ -101,13 +104,14 @@ class TestSpan:
 
 class TestTracer:
     def test_retention_bound_keeps_started_count(self):
-        tracer = Tracer(max_spans=3)
-        for index in range(10):
+        tracer = Tracer()
+        for index in range(MAX_SPANS + 3):
             with tracer.span(f"s{index}"):
                 pass
-        assert len(tracer.spans) == 3
-        assert [span.name for span in tracer.spans] == ["s7", "s8", "s9"]
-        assert tracer.spans_started == 10
+        assert len(tracer.spans) == MAX_SPANS
+        assert [span.name for span in tracer.spans][:2] == ["s3", "s4"]
+        assert tracer.spans[-1].name == f"s{MAX_SPANS + 2}"
+        assert tracer.spans_started == MAX_SPANS + 3
 
     def test_find_by_name(self):
         tracer = Tracer()
@@ -124,7 +128,7 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("op", app="A.1"):
             pass
-        lines = tracer.to_jsonl().splitlines()
+        lines = spans_to_jsonl(tracer.spans).splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["name"] == "op"
@@ -142,7 +146,7 @@ class TestNullTracer:
         with NULL_TRACER.span("anything") as span:
             span.set("key", "value")
         assert NULL_TRACER.to_dicts() == []
-        assert NULL_TRACER.to_jsonl() == ""
+        assert spans_to_jsonl(NULL_TRACER.spans) == ""
         assert NULL_TRACER.find("anything") == []
 
     def test_fresh_instances_also_disabled(self):
@@ -181,12 +185,14 @@ class TestDecisionTrace:
 
 class TestDecisionTraceLog:
     def test_bounded_with_total_count(self):
-        log = DecisionTraceLog(max_traces=2)
-        for index in range(5):
+        log = DecisionTraceLog()
+        for index in range(MAX_TRACES + 3):
             log.record(make_trace(time=float(index)))
-        assert len(log) == 2
-        assert [t.time for t in log.traces()] == [3.0, 4.0]
-        assert log.traces_recorded == 5
+        assert len(log) == MAX_TRACES
+        assert [t.time for t in log.latest(2)] == [MAX_TRACES + 1.0,
+                                                    MAX_TRACES + 2.0]
+        assert log.traces()[0].time == 3.0
+        assert log.traces_recorded == MAX_TRACES + 3
 
     def test_latest_oldest_first(self):
         log = DecisionTraceLog()
@@ -206,7 +212,7 @@ class TestDecisionTraceLog:
         log = DecisionTraceLog()
         log.record(make_trace())
         log.record(make_trace(time=1.0))
-        lines = log.to_jsonl().splitlines()
+        lines = decision_traces_to_jsonl(log.traces()).splitlines()
         assert len(lines) == 2
         assert all(json.loads(line)["bundle_name"] == "where"
                    for line in lines)

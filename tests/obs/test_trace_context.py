@@ -65,30 +65,20 @@ class TestClientSampling:
         assert all(TRACE_CTX_FIELD not in m for m in sent)
         assert client.tracer is NULL_TRACER
 
-    def test_rate_zero_allocates_no_spans(self):
-        _controller, _server, client_end = build_stack()
-        tracer = Tracer()
-        client = HarmonyClient(client_end, tracer=tracer,
-                               trace_sample_rate=0.0)
-        client.startup("demo")
-        client.bundle_setup(DEMO_RSL)
-        assert tracer.spans_started == 0
-        assert len(tracer.spans) == 0
-
-    def test_stride_sampling_is_deterministic(self):
+    def test_a_tracer_stamps_every_request(self):
         _controller, _server, client_end = build_stack()
         sent = []
         original = client_end.send
         client_end.send = lambda m: (sent.append(m), original(m))[1]
         tracer = Tracer()
-        client = HarmonyClient(client_end, tracer=tracer,
-                               trace_sample_rate=0.5)  # every 2nd request
-        client.startup("demo")          # request 0: sampled
-        client.bundle_setup(DEMO_RSL)   # request 1: not sampled
-        client.query_status()           # request 2: sampled
+        client = HarmonyClient(client_end, tracer=tracer)
+        client.startup("demo")
+        client.bundle_setup(DEMO_RSL)
+        client.query_status()
         stamped = [m for m in sent if TRACE_CTX_FIELD in m]
-        assert [m["type"] for m in stamped] == ["register", "status"]
-        assert tracer.spans_started == 2
+        assert [m["type"] for m in stamped] == ["register", "bundle_setup",
+                                                "status"]
+        assert tracer.spans_started == 3
 
     def test_sampled_request_roots_a_trace(self):
         controller, _server, client_end = build_stack(tracer=Tracer())
@@ -100,11 +90,6 @@ class TestClientSampling:
         [dispatch] = controller.tracer.find("server.dispatch")
         assert dispatch.trace_id == client_span.trace_id
         assert dispatch.parent_id == client_span.span_id
-
-    def test_bad_rate_rejected(self):
-        _controller, _server, client_end = build_stack()
-        with pytest.raises(ValueError):
-            HarmonyClient(client_end, trace_sample_rate=1.5)
 
 
 class TestServerWireCompat:

@@ -12,6 +12,7 @@ product optimizer makes.
 import math
 
 from repro.allocation.instantiate import instantiate_option
+from repro.allocation.matcher import MatchPreparation
 from repro.controller.optimizer import (
     MEMORY_PROBE_LIMIT,
     Candidate,
@@ -51,6 +52,17 @@ def load_order_key(view, exclude_apps=()):
     return order_key
 
 
+def sorted_preparation(cluster, order_key, ignore_holders=()):
+    """A :class:`MatchPreparation` whose candidate order is a
+    from-scratch stable sort by ``order_key(hostname)``, lower first."""
+    def load_order(base):
+        nodes = list(cluster.nodes()) if base is None else base
+        return sorted(nodes, key=lambda node: order_key(node.hostname))
+
+    return MatchPreparation(frozenset(ignore_holders),
+                            load_order=load_order)
+
+
 def memory_grant_choices(option, base):
     """The product's grant choices, every probe instantiated again."""
     yield {}
@@ -75,7 +87,8 @@ def candidates_for_assignment(option, variable_assignment, context,
                                                grants=grants))
             assignment = context.matcher.match(
                 demands, extra_memory=_extra_memory(demands, grants),
-                ignore_holders=ignore_holders, order_key=order_key)
+                prepared=sorted_preparation(context.matcher.cluster,
+                                            order_key, ignore_holders))
         except (AllocationError, RslSemanticError):
             continue
         yield Candidate(option_name=option.name,

@@ -18,6 +18,7 @@ from repro.api import HarmonyServer, make_message
 from repro.api.protocol import (MESSAGES, REPL_HELLO, REPL_RECORDS,
                                 REPL_SNAPSHOT)
 from repro.api.transport import Transport, connected_pair
+from repro.cli import serve_tick
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import ReplicationError
@@ -278,10 +279,12 @@ class TestWalShipping:
         # It adopted a snapshot and replayed only the tail after it —
         # never the full history (whose head is compacted away anyway).
         assert standby.records_applied <= len(journal.wal.records())
-        sb_events = standby.controller.flight_recorder.events("replication")
+        sb_events = [e for e in standby.controller.flight_recorder.events()
+                     if e["kind"] == "replication"]
         assert any(e["detail"] == "snapshot_adopted" for e in sb_events)
         assert_converged(standby, controller)
-        events = controller.flight_recorder.events("replication")
+        events = [e for e in controller.flight_recorder.events()
+                     if e["kind"] == "replication"]
         assert any(e["detail"] == "standby_joined" for e in events)
 
     def test_duplicate_frames_are_skipped(self, tmp_path):
@@ -407,6 +410,30 @@ class TestPromotion:
         with pytest.raises(ReplicationError, match="lease held"):
             standby.promote()
         assert not standby.promoted
+
+    def test_the_serve_loop_keeps_a_live_primary_fenced(self, tmp_path):
+        """``harmony-repro serve``'s loop renews the primary's lease: one
+        whole lease period later the primary still holds its term, and a
+        standby's promote is refused meanwhile."""
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller, _journal, server = make_primary(tmp_path / "p",
+                                                    fencing=fencing)
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fencing=fencing, fsync="never")
+        join_standby(server, standby)
+        run_workload(controller, count=1)
+        period = min(1.0, 30.0 / 3.0)
+        while clock[0] < 45.0:  # one and a half lease periods
+            clock[0] += period
+            serve_tick(server)
+            assert not standby.can_promote()
+        with pytest.raises(ReplicationError, match="lease held"):
+            standby.promote()
+        record = fencing.read()
+        assert (record.term, record.holder) == (1, "primary:1")
+        assert not server.standby and controller.term == 1
 
     def test_promotion_after_lease_expiry(self, tmp_path):
         clock = [0.0]
@@ -572,7 +599,8 @@ class TestLogMatching:
         assert all(r.kind != "reevaluation_batch"
                    for r in deposed.journal.wal.records())
         assert_converged(deposed, promoted)
-        events = promoted.flight_recorder.events("replication")
+        events = [e for e in promoted.flight_recorder.events()
+                     if e["kind"] == "replication"]
         assert any(e["detail"] == "standby_diverged" for e in events)
         assert promoted.metrics.latest(
             "replication.divergent_rejoins") == 1

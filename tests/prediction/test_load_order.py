@@ -20,7 +20,7 @@ from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.cluster import Cluster
 from repro.controller import ViewTrial
 from repro.prediction import SystemView
-from tests.oracle.naive import load_order_key
+from tests.oracle.naive import load_order_key, sorted_preparation
 
 APPS = ("app0", "app1", "app2")
 HOSTS = 5           # initial size; "add_node" grows it mid-sequence
@@ -191,8 +191,9 @@ def test_best_and_worst_fit_keep_their_order_under_a_load_order():
         for excluded in (None, "resident"):
             maintained = matcher.match(everywhere, prepared=MatchPreparation(
                 load_order=partial(view.load_order, exclude_app=excluded)))
-            sorted_ = matcher.match(everywhere, order_key=load_order_key(
-                view, exclude_apps=(excluded,) if excluded else ()))
+            sorted_ = matcher.match(everywhere, prepared=sorted_preparation(
+                cluster, load_order_key(
+                    view, exclude_apps=(excluded,) if excluded else ())))
             assert maintained == sorted_
             orders[strategy, excluded] = list(
                 maintained.placements.values())

@@ -13,6 +13,7 @@ from repro.allocation import Matcher, instantiate_option
 from repro.controller import ViewTrial
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
+from tests.oracle.naive import sorted_preparation
 
 RSL = """
 harmonyBundle A b {
@@ -163,7 +164,8 @@ class TestDirtySets:
         token1 = view.place("app1", demands, a)
         # Place app2 on the two remaining nodes by excluding the first.
         matcher = Matcher(small_cluster)
-        b = matcher.match(demands, order_key=lambda h: int(h[1:]) < 2)
+        b = matcher.match(demands, prepared=sorted_preparation(
+            small_cluster, lambda h: int(h[1:]) < 2))
         view.place("app2", demands, b)
         assert set(b.hostnames()).isdisjoint(a.hostnames())
         affected = view.apps_affected_by(token1.added_footprint)
