@@ -105,8 +105,10 @@ def main() -> None:
     assert [options[h].consume() for h in ("c1", "c3")] == ["QS", "QS"]
     print("survivors were re-optimized back to:",
           {h: options[h].value for h in ("c1", "c3")})
-    event = controller.lifecycle_log[-1]
-    print(f"lifecycle event: {event.kind} {event.app_key} ({event.detail})")
+    event = [event for event in controller.flight_recorder.events()
+             if event["kind"] == "evicted"][-1]
+    print(f"flight event: {event['kind']} {event['client']} "
+          f"({event['detail']})")
 
     # ---- the recovery -----------------------------------------------------
     new_key = clients["c2"].rejoin()

@@ -807,10 +807,11 @@ class HarmonyServer:
         """Evict every application whose lease has expired.
 
         Returns the evicted keys.  For each: the controller removes the
-        placement and re-optimizes the survivors (emitting a structured
-        lifecycle event), staged updates are discarded, and — if the dead
-        transport still accepts writes — a ``lease_expired`` notice is
-        sent so a half-alive client learns its fate immediately.
+        placement and re-optimizes the survivors (recording one
+        ``evicted`` flight event), staged updates are discarded, and — if
+        the dead transport still accepts writes — a ``lease_expired``
+        notice is sent so a half-alive client learns its fate
+        immediately.
         """
         if self.lease_seconds is None:
             return []

@@ -5,9 +5,8 @@ from repro.controller.controller import (
     DecisionPolicy,
     ModelDrivenPolicy,
     ReconfigurationEvent,
-    SessionLifecycleEvent,
 )
-from repro.controller.events import PerformanceEvent, PerformanceEventMonitor
+from repro.controller.events import PerformanceEventMonitor
 from repro.controller.friction import FrictionPolicy, SwitchDecision
 from repro.controller.objective import (
     MaxResponseTime,
@@ -38,7 +37,7 @@ from repro.controller.registry import (
 __all__ = [
     "AdaptationController", "DecisionPolicy", "ModelDrivenPolicy",
     "ClientCountRulePolicy", "ReconfigurationEvent",
-    "SessionLifecycleEvent", "CoalescingScheduler",
+    "CoalescingScheduler",
     "Objective", "MeanResponseTime", "MaxResponseTime",
     "ThroughputObjective", "WeightedMeanResponseTime",
     "GreedyOptimizer", "ExhaustiveOptimizer", "Candidate",
@@ -46,7 +45,7 @@ __all__ = [
     "OptimizerStats", "TrialEngine", "ViewTrial",
     "PartitionIndex",
     "FrictionPolicy", "SwitchDecision",
-    "PerformanceEventMonitor", "PerformanceEvent",
+    "PerformanceEventMonitor",
     "ApplicationRegistry", "AppInstance", "BundleState",
     "ChosenConfiguration",
 ]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -54,7 +53,7 @@ from repro.controller.trial import OptimizerStats, TrialEngine
 from repro.errors import AllocationError, ControllerError
 from repro.metrics import MetricInterface
 from repro.namespace import Namespace
-from repro.obs.flightrec import EVENT_EVICTION, FlightRecorder
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.trace import (
     NULL_TRACER,
     REJECT_WORSE_OBJECTIVE,
@@ -78,15 +77,11 @@ from repro.prediction.models import (
 from repro.rsl import Bundle, build_bundle
 
 __all__ = ["AdaptationController", "ReconfigurationEvent",
-           "SessionLifecycleEvent", "ModelDrivenPolicy", "DecisionPolicy",
-           "Move", "candidate_trace", "candidate_traces"]
+           "ModelDrivenPolicy", "DecisionPolicy", "Move",
+           "candidate_trace", "candidate_traces"]
 
 #: One bundle's part of a decision: make ``candidate`` its configuration.
 Move = tuple[AppInstance, BundleState, Candidate]
-
-#: Retention of :attr:`AdaptationController.lifecycle_log`, the same
-#: default as the decision trace log's.
-LIFECYCLE_LOG_ENTRIES = 1000
 
 #: Seconds of collector samples that
 #: :meth:`AdaptationController.update_external_load` averages into one
@@ -105,24 +100,6 @@ class ReconfigurationEvent:
     variable_assignment: Mapping[str, float]
     placements: Mapping[str, str]
     memory_grants: Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class SessionLifecycleEvent:
-    """One structured session-lifecycle transition in the controller.
-
-    ``kind`` is one of ``registered``, ``rejoined``, ``ended``, or
-    ``evicted``; ``detail`` carries the human-readable reason (for an
-    eviction, why the session was removed).  The controller appends these
-    to :attr:`AdaptationController.lifecycle_log`, which keeps the most
-    recent ones, so operators can see when each application joined,
-    crashed, was cleaned up, or came back.
-    """
-
-    time: float
-    app_key: str
-    kind: str
-    detail: str = ""
 
 
 class DecisionPolicy:
@@ -478,9 +455,10 @@ class AdaptationController:
         #: Always-on bounded log of per-reconfiguration decision traces.
         self.trace_log = DecisionTraceLog()
         #: Always-on bounded ring of recent runtime events (RPCs,
-        #: faults, evictions, batches, WAL appends); dumped to JSONL on
-        #: demand, on unhandled server errors, and from failing chaos
-        #: suites.  The capacity bound keeps it safe to leave on.
+        #: faults, session lifecycle, batches, WAL appends) and the
+        #: controller's only event history; dumped to JSONL on demand,
+        #: on unhandled server errors, and from failing chaos suites.
+        #: The capacity bound keeps it safe to leave on.
         self.flight_recorder = FlightRecorder()
         self.namespace = Namespace()
         self.objective = objective or MeanResponseTime()
@@ -491,10 +469,6 @@ class AdaptationController:
         self.registry = ApplicationRegistry(namespace=self.namespace)
         self.view = SystemView(cluster)
         self.reevaluation_period_seconds = reevaluation_period_seconds
-        #: Recent register/rejoin/end/evict history (fault tolerance),
-        #: bounded like the trace log.
-        self.lifecycle_log: deque[SessionLifecycleEvent] = deque(
-            maxlen=LIFECYCLE_LOG_ENTRIES)
         #: Work counters for the benchmarks (see OptimizerStats).
         self.stats = OptimizerStats()
         self._engine = TrialEngine(self)
@@ -640,16 +614,14 @@ class AdaptationController:
         server when a session's lease lapses.  The placement is removed
         through the transactional :class:`SystemView` (so the prediction
         cache stays coherent), allocations are released, the namespace
-        subtree is deleted, survivors are re-evaluated, and a structured
-        ``evicted`` lifecycle event plus a ``controller.evictions`` metric
-        record the degradation.
+        subtree is deleted, survivors are re-evaluated, and one
+        ``evicted`` flight event records it; the ``controller.evictions``
+        counter counts it.
         """
         with self.tracer.span("controller.evict", app=instance.key,
                               reason=reason):
             self._release_app(instance, kind="evicted", detail=reason)
-        self.metrics.report("controller.evictions", self.now, 1.0)
-        self.flight_recorder.record(EVENT_EVICTION, client=instance.key,
-                                    reason=reason)
+        self.metrics.increment("controller.evictions", self.now)
 
     def _release_app(self, instance: AppInstance, kind: str,
                      detail: str) -> None:
@@ -699,8 +671,10 @@ class AdaptationController:
 
     def _record_lifecycle(self, kind: str, app_key: str,
                           detail: str = "") -> None:
-        self.lifecycle_log.append(SessionLifecycleEvent(
-            time=self.now, app_key=app_key, kind=kind, detail=detail))
+        """One session transition as a flight event; ``sim_time`` is
+        the controller's clock, the event's ``time`` the wall clock."""
+        self.flight_recorder.record(kind, client=app_key, detail=detail,
+                                    sim_time=self.now)
 
     def register_model(self, instance: AppInstance, bundle_name: str,
                        model: PerformanceModel,
@@ -732,8 +706,7 @@ class AdaptationController:
 
     def attach_model(self, instance: AppInstance, key: str,
                      model: PerformanceModel) -> None:
-        """Make ``model`` the explicit model for ``key`` (a bundle, or a
-        ``bundle.option``)."""
+        """Make ``model`` the explicit model of the bundle named ``key``."""
         instance.models[key] = model
         # Custom models can read anything: drop cached predictions, which
         # moves the engine epoch past every record.
@@ -809,7 +782,7 @@ class AdaptationController:
                         hostname in chosen.assignment.hostnames():
                     displaced.append((instance, state, chosen))
                     self.unconfigure(instance, state)
-        self.metrics.report("controller.node_failures", self.now, 1.0)
+        self.metrics.increment("controller.node_failures", self.now)
         return displaced
 
     def restore_node(self, hostname: str) -> None:
@@ -977,13 +950,13 @@ class AdaptationController:
 
     def _model_for(self, instance: AppInstance,
                    option_name: str) -> PerformanceModel:
-        """Resolve an option's model, caching spec-derived resolutions.
+        """Resolve an option's model: the one registered for its bundle,
+        else its RSL spec's.
 
-        Resolving through the RSL spec constructs a fresh model object per
-        call; those are stateless, so one per (instance, option), cached
-        with the option's bundle, suffices.  Instances with explicitly
-        registered models resolve through ``instance.models`` on every
-        call — it is the live source of truth.
+        Resolving through the RSL spec constructs a fresh model object;
+        those are stateless, so one per (instance, option), cached with
+        the option's bundle, suffices.  ``instance.models`` is read on
+        every call — it is the live source of truth.
         """
         options = self._model_cache.get(instance.key)
         if options is None:
@@ -997,8 +970,7 @@ class AdaptationController:
                 option.performance, default=self.default_model))
         bundle_name, model = entry
         if instance.models:
-            return instance.model_for(bundle_name, option_name,
-                                      default=self.default_model)
+            return instance.models.get(bundle_name, model)
         return model
 
     def model_is_footprint_safe(self,
@@ -1073,7 +1045,7 @@ class AdaptationController:
             self.journal.record_node_restored(hostname)
         self.restore_node(hostname)
         changes = self.policy.reevaluate(self)
-        self.metrics.report("controller.node_restorations", self.now, 1.0)
+        self.metrics.increment("controller.node_restorations", self.now)
         self._checkpoint()
         return changes
 

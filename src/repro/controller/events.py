@@ -11,40 +11,18 @@ adds the *performance* half: :class:`PerformanceEventMonitor` subscribes to
 application-reported response times through the metric interface, compares
 them with the controller's own predictions, and fires a re-evaluation as
 soon as an application is persistently slower than promised — without
-waiting for the periodic timer.
+waiting for the periodic timer.  Each trigger is one ``performance_event``
+in the controller's flight recorder and one bump of the
+``controller.performance_events`` counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.controller.controller import (
-    AdaptationController,
-    SessionLifecycleEvent,
-)
+from repro.controller.controller import AdaptationController
 from repro.errors import ControllerError
 from repro.metrics.history import Observation
 
-__all__ = ["PerformanceEvent", "PerformanceEventMonitor",
-           "SessionLifecycleEvent"]
-
-
-@dataclass(frozen=True)
-class PerformanceEvent:
-    """One detected deviation between promise and observation."""
-
-    time: float
-    app_key: str
-    bundle_name: str
-    predicted_seconds: float
-    observed_seconds: float
-    changes_applied: int
-
-    @property
-    def slowdown(self) -> float:
-        if self.predicted_seconds <= 0:
-            return float("inf")
-        return self.observed_seconds / self.predicted_seconds
+__all__ = ["PerformanceEventMonitor"]
 
 
 #: A report slower than this many times the prediction is a violation.
@@ -67,7 +45,6 @@ class PerformanceEventMonitor:
 
     def __init__(self, controller: AdaptationController):
         self.controller = controller
-        self.events: list[PerformanceEvent] = []
         self._violation_counts: dict[str, int] = {}
         self._last_trigger: dict[str, float] = {}
         self._unsubscribe = None
@@ -132,10 +109,10 @@ class PerformanceEventMonitor:
         self._last_trigger[app_key] = now
         self._violation_counts[app_key] = 0
         changes = self.controller.reevaluate()
-        self.events.append(PerformanceEvent(
-            time=now, app_key=app_key, bundle_name=bundle_name,
+        self.controller.flight_recorder.record(
+            "performance_event", client=app_key, bundle_name=bundle_name,
             predicted_seconds=predicted,
-            observed_seconds=observation.value,
-            changes_applied=changes))
-        self.controller.metrics.report(
-            "controller.performance_events", now, float(len(self.events)))
+            observed_seconds=observation.value, changes_applied=changes,
+            sim_time=now)
+        self.controller.metrics.increment("controller.performance_events",
+                                          now)

@@ -18,7 +18,7 @@ from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment
 from repro.errors import ControllerError
 from repro.namespace import Namespace, join_path
-from repro.prediction.models import PerformanceModel, model_for_spec
+from repro.prediction.models import PerformanceModel
 from repro.rsl.model import Bundle
 
 __all__ = ["ChosenConfiguration", "BundleState", "AppInstance",
@@ -100,18 +100,6 @@ class AppInstance:
             raise ControllerError(
                 f"{self.key}: unknown bundle {bundle_name!r}")
         return self.bundles[bundle_name]
-
-    def model_for(self, bundle_name: str, option_name: str,
-                  default: PerformanceModel | None = None,
-                  ) -> PerformanceModel:
-        """The model for an option: app-registered > RSL spec > default."""
-        override = (self.models.get(f"{bundle_name}.{option_name}")
-                    or self.models.get(bundle_name))
-        if override is not None:
-            return override
-        option = self.bundle_state(bundle_name).bundle.option_named(
-            option_name)
-        return model_for_spec(option.performance, default=default)
 
 
 class ApplicationRegistry:

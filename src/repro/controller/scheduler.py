@@ -17,15 +17,17 @@ distributed-tuning line of work), so this module decouples the two:
   quiet, or unconditionally ``max_delay`` seconds after its *first*
   request — no application waits forever behind a chatty burst.
 * Each completed batch advances an explicit **generation number**.  The
-  generation keys the one-per-batch WAL record (``reevaluation_batch``)
-  and is what callers wait on (:meth:`wait_for_generation`) to know
-  their request was covered.  It does not order pushes: the API server
-  stamps each staged reconfiguration with its own push sequence and
-  drops a batch older than what a client already received.
+  generation keys the batch's ``batch_dispatch`` flight event and is
+  what callers wait on (:meth:`wait_for_generation`) to know their
+  request was covered.  It does not order pushes: the API server stamps
+  each staged reconfiguration with its own push sequence and drops a
+  batch older than what a client already received.
 
-Telemetry: every batch bumps ``controller.coalesced_batches`` and
-reports ``controller.batch_size`` (requests merged into the batch), and
-runs inside a ``scheduler.batch`` span.
+Telemetry: every batch bumps ``controller.coalesced_batches``, reports
+``controller.batch_size`` (requests merged into the batch), runs inside
+a ``scheduler.batch`` span, and records one ``batch_dispatch`` event.
+The WAL holds none of it: the batch's state changes are the ``apply``
+records its sweep writes.
 
 Deterministic tests drive the scheduler synchronously with an injected
 ``clock`` and :meth:`run_pending` / :meth:`flush`; servers call
@@ -51,10 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["CoalescingScheduler"]
 
-#: How many request reasons one WAL batch record lists verbatim; the
-#: remainder is summarized as a count so a metric storm cannot bloat the
-#: durability log.
-MAX_JOURNALED_REASONS = 32
+#: How many request reasons one ``batch_dispatch`` event lists
+#: verbatim; its ``size`` counts them all, so a metric storm cannot
+#: bloat the flight recorder.
+MAX_BATCH_REASONS = 32
 
 #: How many coalesced trace contexts one batch span links back to; a
 #: metric storm must not grow the span's link list without bound.
@@ -96,7 +98,6 @@ class CoalescingScheduler:
         self.generation = 0
         self.batches_run = 0
         self.requests_coalesced = 0
-        self.last_batch_changes = 0
         self._pending: list[str] = []
         #: Trace contexts of the coalesced triggers (bounded): the batch
         #: span links back to every request it covered.
@@ -218,19 +219,16 @@ class CoalescingScheduler:
                                          controller.now)
             controller.metrics.report("controller.batch_size",
                                       controller.now, float(len(reasons)))
-            if controller.journal is not None:
-                controller.journal.record_reevaluation_batch(
-                    generation, reasons, changes, pruned_candidates=pruned)
         elapsed = time.perf_counter() - started
         self._batch_hist.observe(elapsed)
         controller.flight_recorder.record(
             EVENT_BATCH, generation=generation, size=len(reasons),
-            changes=changes, seconds=round(elapsed, 6))
+            reasons=reasons[:MAX_BATCH_REASONS], changes=changes,
+            pruned_candidates=pruned, seconds=round(elapsed, 6))
         with self._cond:
             self.generation = generation
             self.batches_run += 1
             self.requests_coalesced += len(reasons)
-            self.last_batch_changes = changes
             self._cond.notify_all()
 
     def wait_for_generation(self, generation: int,

@@ -4,11 +4,13 @@ When a chaos or parity suite fails, the assertion message says *what*
 diverged but not *what happened* — which frames were dropped, which
 lease expired first, which batch the scheduler coalesced the victim
 into.  The flight recorder answers that: every interesting runtime
-event (RPCs in/out, fault injections, lease expiries, evictions,
-batch dispatches, WAL appends, backpressure rejections, server errors)
-lands in a fixed-capacity ring that can be dumped to JSONL on demand,
-on an unhandled server error, or from a failing chaos test — turning
-"seed-15 parity test failed" into a replayable event timeline.
+event (RPCs in/out, fault injections, session registrations, ends and
+evictions, batch dispatches, performance events, WAL appends,
+backpressure rejections, server errors) lands in a fixed-capacity ring
+that can be dumped to JSONL on demand, on an unhandled server error, or
+from a failing chaos test — turning "seed-15 parity test failed" into a
+replayable event timeline.  It is the controller's only event history:
+metrics count events, and the WAL holds only what replay applies.
 
 The ring is deliberately cheap: one dict build outside the lock, one
 lock-guarded deque append.  It is always on; the capacity bound (not a
@@ -26,17 +28,18 @@ from typing import Any, Callable
 
 __all__ = ["FlightRecorder", "CAPACITY",
            "EVENT_RPC_IN", "EVENT_RPC_OUT", "EVENT_FAULT",
-           "EVENT_EVICTION", "EVENT_BATCH",
+           "EVENT_BATCH",
            "EVENT_WAL_APPEND", "EVENT_BACKPRESSURE", "EVENT_PUSH",
            "EVENT_SERVER_ERROR", "EVENT_PROMOTION", "EVENT_DEMOTION",
            "EVENT_REPLICATION"]
 
-#: Structured event kinds.  Free-form kinds are allowed; these are the
-#: ones the built-in instrumentation emits.
+#: Structured event kinds.  Free-form kinds are allowed: the controller
+#: records each session transition under its own name (``registered``,
+#: ``rejoined``, ``ended``, ``evicted``) and each performance trigger as
+#: ``performance_event``.
 EVENT_RPC_IN = "rpc_in"
 EVENT_RPC_OUT = "rpc_out"
 EVENT_FAULT = "fault_injected"
-EVENT_EVICTION = "eviction"
 EVENT_BATCH = "batch_dispatch"
 EVENT_WAL_APPEND = "wal_append"
 EVENT_BACKPRESSURE = "backpressure_reject"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Collection, Iterator, Mapping
 
 from repro.allocation.instantiate import instantiate_option
 from repro.allocation.matcher import Assignment
@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["topology_to_dict", "cluster_from_topology", "bundle_to_dict",
            "bundle_from_dict", "candidate_to_dict", "candidate_from_dict",
-           "controller_state", "apply_state"]
+           "controller_state", "apply_state", "bundle_model_key"]
 
 
 @contextmanager
@@ -362,15 +362,26 @@ def controller_state(controller: "AdaptationController",
     }
 
 
+def bundle_model_key(key: Any, bundle_names: Collection[str]) -> str:
+    """A journaled or snapshotted model key, a bundle's name.  A key
+    ``<bundle>.<option>`` is a per-option model from an older log, which
+    no prediction reads, so it is refused by name."""
+    key = str(key)
+    if key not in bundle_names and key.rpartition(".")[0] in bundle_names:
+        raise RecoveryError(
+            f"per-option model key {key!r}: models are keyed by bundle")
+    return key
+
+
 def apply_state(controller: "AdaptationController",
                 journal: "DurabilityJournal",
                 state: Mapping[str, Any]) -> None:
     """Load a snapshot body into an empty controller.
 
-    Rebuilds instances, models, bundles and chosen configurations through
+    Rebuilds instances, bundles, chosen configurations and models through
     the controller's own state edits, and the external-load objective
-    inputs — without touching the decision or lifecycle logs, which
-    belong to the *live* history, not the recovered baseline.  Finishes
+    inputs — without touching the decision log or the flight recorder,
+    which hold the *live* history, not the recovered baseline.  Finishes
     by re-verifying the snapshot's digest.
     """
     registry = controller.registry
@@ -384,11 +395,6 @@ def apply_state(controller: "AdaptationController",
                 instance_id=int(data["instance_id"]),
                 registered_at=float(data["registered_at"]))
             registry.adopt(instance)
-            models = dict(data.get("models") or {})
-            for model_key, model_name in models.items():
-                controller.attach_model(instance, model_key,
-                                        journal.resolve_model(model_name))
-                journal.note_model(instance.key, model_key, model_name)
             for bundle_data in data.get("bundles", []):
                 bundle_state = controller.add_bundle(
                     instance, bundle_from_dict(bundle_data["model"]))
@@ -402,6 +408,12 @@ def apply_state(controller: "AdaptationController",
                         instance, bundle_state,
                         candidate_from_dict(bundle_state, chosen),
                         chosen_at=float(chosen["chosen_at"]))
+            models = dict(data.get("models") or {})
+            for model_key, model_name in models.items():
+                model_key = bundle_model_key(model_key, instance.bundles)
+                controller.attach_model(instance, model_key,
+                                        journal.resolve_model(model_name))
+                journal.note_model(instance.key, model_key, model_name)
         registry.next_instance_id = int(state["next_instance_id"])
         external = state.get("external") or {}
         for host, load in dict(external.get("cpu") or {}).items():

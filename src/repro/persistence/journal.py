@@ -5,7 +5,9 @@
 log: the controller calls ``record_*`` as each state-changing event
 *completes in memory*, the journal frames it into the WAL, and — at
 operation boundaries only (:meth:`checkpoint_if_due`) — folds the log into
-a snapshot and compacts.  Snapshots never run mid-operation: a snapshot's
+a snapshot and compacts.  The log holds only what replay applies, plus
+the ``genesis`` topology: events are the flight recorder's, counts the
+metrics'.  Snapshots never run mid-operation: a snapshot's
 ``last_seq`` asserts that the captured state reflects *every* record up
 to it, which is only true between operations.
 
@@ -228,29 +230,6 @@ class DurabilityJournal:
 
     def record_node_restored(self, hostname: str) -> None:
         self.append("node_restored", {"hostname": hostname})
-
-    def record_reevaluation_batch(self, generation: int,
-                                  reasons: list[str],
-                                  changes: int,
-                                  pruned_candidates: int = 0) -> None:
-        """One coalesced reevaluation: audit record for the whole batch.
-
-        The batch's state changes arrive as the ``apply`` records its
-        sweep emitted; this record ties them to the scheduler generation
-        and the triggers that were merged.  Reasons are capped so a
-        metric storm cannot bloat the log.  ``pruned_candidates`` counts
-        what the batch's sweep skipped; replay ignores it (and the
-        ``partitions`` field older logs carry) — the record stays
-        audit-only.
-        """
-        from repro.controller.scheduler import MAX_JOURNALED_REASONS
-
-        self.append("reevaluation_batch", {
-            "generation": generation,
-            "size": len(reasons),
-            "reasons": list(reasons[:MAX_JOURNALED_REASONS]),
-            "changes": changes,
-            "pruned_candidates": pruned_candidates})
 
     def record_term(self, term: int, holder: str) -> None:
         """Journal a fencing-term transition (election or first lease).

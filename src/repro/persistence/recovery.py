@@ -280,10 +280,12 @@ def apply_record(controller: AdaptationController,
         journal.forget_app(instance.key)
     elif kind == "model":
         instance = registry.instance(str(data["key"]))
+        model_key = codec.bundle_model_key(data["model_key"],
+                                           instance.bundles)
         model_name = str(data["model_name"])
-        controller.attach_model(instance, str(data["model_key"]),
+        controller.attach_model(instance, model_key,
                                 journal.resolve_model(model_name))
-        journal.note_model(instance.key, str(data["model_key"]), model_name)
+        journal.note_model(instance.key, model_key, model_name)
     elif kind == "node_failure":
         # The displacement alone: the re-placements follow as ``apply``
         # records.
@@ -297,9 +299,8 @@ def apply_record(controller: AdaptationController,
         controller.note_term(max(controller.term, int(data["term"])))
     elif kind in ("genesis", "lease_expired", "recovered",
                   "reevaluation_batch"):
-        # Audit-only records: no state to re-apply.  Nothing writes
-        # ``lease_expired`` or ``recovered`` any more; logs written
-        # before that still hold them.
+        # Audit-only records: no state to re-apply.  Of these only
+        # ``genesis`` is still written; older logs hold the others.
         pass
     else:
         raise RecoveryError(

@@ -15,6 +15,7 @@ from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
 from repro.errors import HarmonyError, LeaseExpiredError, ProtocolError
 from repro.persistence import DurabilityJournal
+from tests.conftest import lifecycle_events
 
 
 def db_rsl(client_host):
@@ -126,31 +127,39 @@ class TestEviction:
         assert cluster.node("server0").memory.available_mb == \
             pytest.approx(128.0)
         # Structured trail: lifecycle event + eviction metric.
-        event = controller.lifecycle_log[-1]
-        assert (event.kind, event.app_key) == ("evicted", key)
-        assert "lease expired" in event.detail
+        event = lifecycle_events(controller)[-1]
+        assert (event["kind"], event["client"]) == ("evicted", key)
+        assert "lease expired" in event["detail"]
         assert controller.metrics.latest("controller.evictions") == 1.0
         # The half-alive client learned its fate from the notice.
         assert client.lease_lost
 
     def test_eviction_journals_one_release(self, world, tmp_path):
+        """Each store holds an eviction once: one ``evicted`` flight
+        event, one WAL ``release``, one bump of the eviction counter."""
         _cluster, controller, server, clock = world
         journal = DurabilityJournal(str(tmp_path), fsync="never")
         journal.attach(controller)
-        key = connect(server).app_key
-        before = journal.wal.last_seq
         recorder = controller.flight_recorder
-        last_seq = recorder.events()[-1]["seq"]
-        clock.advance(11.0)
-        assert server.check_leases() == [key]
-        assert [(record.kind, record.data["key"], record.data["kind"])
-                for record in journal.wal.records()
-                if record.seq > before] == [("release", key, "evicted")]
-        # The flight ring, too, holds the fact once: the eviction.
-        naming = [(event["kind"], event.get("reason"))
-                  for event in recorder.events()
-                  if event["seq"] > last_seq and key in event.values()]
-        assert naming == [("eviction", "lease expired")]
+
+        def evictions():
+            return controller.metrics.latest("controller.evictions") or 0.0
+
+        assert evictions() == 0.0
+        for count, host in enumerate(("c1", "c2"), start=1):
+            key = connect(server, host).app_key
+            before = journal.wal.last_seq
+            last_seq = recorder.events()[-1]["seq"]
+            clock.advance(11.0)
+            assert server.check_leases() == [key]
+            assert [(record.kind, record.data["key"], record.data["kind"])
+                    for record in journal.wal.records()
+                    if record.seq > before] == [("release", key, "evicted")]
+            naming = [(event["kind"], event.get("detail"))
+                      for event in recorder.events()
+                      if event["seq"] > last_seq and key in event.values()]
+            assert naming == [("evicted", "lease expired")]
+            assert evictions() == float(count)
         journal.close()
 
     def test_eviction_reoptimizes_survivors(self, world):
@@ -197,7 +206,7 @@ class TestEviction:
         assert new_key != old_key
         assert not client.lease_lost
         assert len(controller.registry) == 1
-        assert controller.lifecycle_log[-1].kind != "rejoined"
+        assert lifecycle_events(controller)[-1]["kind"] != "rejoined"
         # The replayed session is fully functional.
         client.heartbeat()
         assert server.heartbeats_received == 1

@@ -22,6 +22,7 @@ from repro.errors import (
     RequestTimeoutError,
     RetryExhaustedError,
 )
+from tests.conftest import lifecycle_events
 
 
 def db_rsl(client_host):
@@ -139,8 +140,8 @@ class TestReconnectAndReplay:
         assert len(controller.registry.instance(key).bundles) == 1
         # Replays on a live session short-circuit at the server: the
         # controller saw exactly one registration.
-        assert [e.kind for e in controller.lifecycle_log
-                if e.app_key == key] == ["registered"]
+        assert [e["kind"] for e in lifecycle_events(controller)
+                if e["client"] == key] == ["registered"]
 
     def test_update_during_disconnect_window_is_resent_on_rejoin(self):
         controller, server = make_world()
@@ -182,6 +183,6 @@ class TestReconnectAndReplay:
         # The missed reconfiguration arrived with the change flag set.
         assert option.changed and option.consume() == "DS"
         assert server.buffer.pending_for(key) == {}
-        rejoined = [e for e in controller.lifecycle_log
-                    if e.app_key == key and e.kind == "rejoined"]
+        rejoined = [e for e in lifecycle_events(controller)
+                    if e["client"] == key and e["kind"] == "rejoined"]
         assert len(rejoined) == 1

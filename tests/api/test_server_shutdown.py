@@ -19,6 +19,7 @@ from repro.api import HarmonyClient, HarmonyServer, connected_pair
 from repro.api.protocol import make_message
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
+from tests.conftest import lifecycle_events
 
 RSL = """
 harmonyBundle App where {
@@ -102,9 +103,9 @@ class TestStopOrdering:
         server.start_lease_monitor(period_seconds=0.005)
         server.stop()
         assert server._lease_thread is None
-        events_at_stop = len(controller.lifecycle_log)
+        events_at_stop = len(lifecycle_events(controller))
         time.sleep(0.1)  # past the lease deadline: nothing may fire
-        assert len(controller.lifecycle_log) == events_at_stop
+        assert len(lifecycle_events(controller)) == events_at_stop
         assert server.check_leases() == []  # leases were cleared
 
     def test_stop_is_idempotent_and_restartable(self):

@@ -7,6 +7,16 @@ import pytest
 from repro.api import AsyncHarmonyServer, HarmonyServer, TcpTransport
 from repro.cluster import Cluster, Kernel
 
+#: The flight-event kinds of a session's transitions.
+LIFECYCLE_KINDS = ("registered", "rejoined", "ended", "evicted")
+
+
+def lifecycle_events(controller) -> list[dict]:
+    """The session transitions in ``controller``'s flight recorder,
+    oldest first."""
+    return [event for event in controller.flight_recorder.events()
+            if event["kind"] in LIFECYCLE_KINDS]
+
 
 class ServerHandle:
     """One served :class:`HarmonyServer`, behind either TCP front end.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
-from repro.controller import controller as controller_module
 from repro.controller.friction import FrictionPolicy
 from repro.errors import AllocationError
 from tests.pods import POD_RSL, build_pod_cluster
@@ -204,19 +203,6 @@ class TestDecisions:
         assert trace.old_configuration is None
         assert trace.new_configuration == "QS"
         assert trace.trigger == "initial"
-
-    def test_lifecycle_log_keeps_the_latest_entries(self, star_cluster,
-                                                    monkeypatch):
-        assert AdaptationController(star_cluster).lifecycle_log.maxlen \
-            == 1000
-        monkeypatch.setattr(controller_module, "LIFECYCLE_LOG_ENTRIES", 3)
-        controller = AdaptationController(star_cluster)
-        for index in range(5):
-            controller.register_app(f"App{index}")
-        assert [(event.kind, event.app_key.split(".")[0])
-                for event in controller.lifecycle_log] == [
-            ("registered", "App2"), ("registered", "App3"),
-            ("registered", "App4")]
 
     def test_reconfiguration_listener_fired_on_change(self, controller):
         events = []

@@ -30,69 +30,77 @@ def report_response(controller, key, value):
                               controller.now, value)
 
 
+def performance_events(controller):
+    """The triggers the flight recorder holds, oldest first."""
+    return [event for event in controller.flight_recorder.events()
+            if event["kind"] == "performance_event"]
+
+
 class TestViolationDetection:
     def test_three_violations_trigger_event(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         for _ in range(3):
             report_response(controller, instance.key, 100.0)  # 10x promise
-        assert len(monitor.events) == 1
-        event = monitor.events[0]
-        assert event.app_key == instance.key
-        assert event.slowdown == pytest.approx(10.0)
+        events = performance_events(controller)
+        assert len(events) == 1
+        event = events[0]
+        assert event["client"] == instance.key
+        assert event["observed_seconds"] / event["predicted_seconds"] \
+            == pytest.approx(10.0)
 
     def test_fewer_violations_do_not_trigger(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         report_response(controller, instance.key, 100.0)
         report_response(controller, instance.key, 100.0)
-        assert monitor.events == []
+        assert performance_events(controller) == []
 
     def test_good_report_resets_the_count(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         report_response(controller, instance.key, 100.0)
         report_response(controller, instance.key, 100.0)
         report_response(controller, instance.key, 10.0)   # within promise
         report_response(controller, instance.key, 100.0)
         report_response(controller, instance.key, 100.0)
-        assert monitor.events == []
+        assert performance_events(controller) == []
 
     def test_within_tolerance_never_triggers(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         for _ in range(10):
             report_response(controller, instance.key, 14.0)  # < 1.5x of 10
-        assert monitor.events == []
+        assert performance_events(controller) == []
 
     def test_cooldown_limits_trigger_rate(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         for _ in range(20):
             report_response(controller, instance.key, 100.0)
-        assert len(monitor.events) == 1
+        assert len(performance_events(controller)) == 1
 
     def test_metrics_for_other_apps_ignored(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         for _ in range(5):
             controller.metrics.report("app.Ghost.9.response_time",
                                       controller.now, 999.0)
             controller.metrics.report(f"app.{instance.key}.throughput",
                                       controller.now, 999.0)
-        assert monitor.events == []
+        assert performance_events(controller) == []
 
     def test_stop_unsubscribes(self, world):
         _cluster, controller = world
@@ -102,17 +110,24 @@ class TestViolationDetection:
         monitor.stop()
         for _ in range(5):
             report_response(controller, instance.key, 100.0)
-        assert monitor.events == []
+        assert performance_events(controller) == []
 
     def test_event_counter_metric(self, world):
         _cluster, controller = world
         instance = controller.register_app("App")
         controller.setup_bundle(instance, TWO_CHOICES)
-        monitor = PerformanceEventMonitor(controller).start()
+        PerformanceEventMonitor(controller).start()
         for _ in range(3):
             report_response(controller, instance.key, 100.0)
         assert controller.metrics.latest(
             "controller.performance_events") == 1.0
+        # A counter: the next trigger after the cooldown reads 2, not 1.
+        controller.cluster.kernel.advance_to(controller.now + 31.0)
+        for _ in range(3):
+            report_response(controller, instance.key, 100.0)
+        assert controller.metrics.latest(
+            "controller.performance_events") == 2.0
+        assert len(performance_events(controller)) == 2
 
 
 class TestEndToEnd:
@@ -148,7 +163,8 @@ class TestEndToEnd:
         collector.stop()
         monitor.stop()
 
-        assert monitor.events, "the slowdown should have fired an event"
+        events = performance_events(controller)
+        assert events, "the slowdown should have fired an event"
         assert state.chosen.option_name == "onB"
-        first_event = monitor.events[0].time
+        first_event = events[0]["sim_time"]
         assert first_event < 300.0  # long before the 10,000 s timer

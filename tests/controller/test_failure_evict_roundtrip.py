@@ -2,15 +2,16 @@
 
 The degraded-mode triangle: a node dies (stranding or displacing apps),
 a client's lease lapses while the cluster is degraded (eviction), the
-node returns (stranded apps reconfigure onto it).  Lifecycle events and
-the ``controller.evictions`` / ``controller.node_*`` metrics must tell
-the whole story.
+node returns (stranded apps reconfigure onto it).  Lifecycle flight
+events and the ``controller.evictions`` / ``controller.node_*`` counters
+must tell the whole story.
 """
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
+from tests.conftest import lifecycle_events
 
 PINNED = """
 harmonyBundle Pinned only {
@@ -33,8 +34,8 @@ def make_controller():
 
 
 def lifecycle_kinds(controller):
-    return [(event.kind, event.app_key)
-            for event in controller.lifecycle_log]
+    return [(event["kind"], event["client"])
+            for event in lifecycle_events(controller)]
 
 
 class TestFailureRestoreRoundTrip:
@@ -96,16 +97,16 @@ class TestFailureRestoreRoundTrip:
             controller.configure_stranded()
             assert survivor_state.chosen.option_name == "onA"
             assert controller.metrics.latest(
-                "controller.evictions") == 1.0
+                "controller.evictions") == round_index
             assert len(controller.metrics.series(
                 "controller.evictions")) == round_index
             assert controller.metrics.latest(
-                "controller.node_failures") == 1.0
+                "controller.node_failures") == round_index
             assert len(controller.metrics.series(
                 "controller.node_failures")) == round_index
 
-        evictions = [e for e in controller.lifecycle_log
-                     if e.kind == "evicted"]
+        evictions = [e for e in lifecycle_events(controller)
+                     if e["kind"] == "evicted"]
         assert len(evictions) == 3
         assert len(controller.registry) == 1
         # No leaked reservations: only the survivor's allocation remains.

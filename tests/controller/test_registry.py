@@ -61,37 +61,49 @@ class TestRegistration:
 
 
 class TestModelResolution:
-    def test_rsl_performance_spec_wins_over_default(self, registry,
+    """A prediction's model: the one registered for the option's bundle,
+    else the option's RSL spec, else the controller's default model."""
+
+    @pytest.fixture
+    def controller(self, star_cluster):
+        from repro.controller import AdaptationController
+        return AdaptationController(star_cluster)
+
+    def test_rsl_performance_spec_wins_over_default(self, controller,
                                                     figure2b_rsl):
-        instance = registry.register("Bag", 0.0)
-        registry.add_bundle(instance, build_bundle(figure2b_rsl))
-        model = instance.model_for("parallelism", "run")
+        instance = controller.register_app("Bag")
+        controller.add_bundle(instance, build_bundle(figure2b_rsl))
+        model = controller._model_for(instance, "run")
         assert isinstance(model, ExplicitSpecModel)
 
-    def test_registered_override_wins_over_spec(self, registry,
+    def test_registered_override_wins_over_spec(self, controller,
                                                 figure2b_rsl):
-        instance = registry.register("Bag", 0.0)
-        registry.add_bundle(instance, build_bundle(figure2b_rsl))
+        instance = controller.register_app("Bag")
+        controller.add_bundle(instance, build_bundle(figure2b_rsl))
         sentinel = DefaultModel()
-        instance.models["parallelism"] = sentinel
-        assert instance.model_for("parallelism", "run") is sentinel
+        controller.attach_model(instance, "parallelism", sentinel)
+        assert controller._model_for(instance, "run") is sentinel
 
-    def test_option_scoped_override_wins(self, registry, figure3_rsl):
-        instance = registry.register("DBclient", 0.0)
-        registry.add_bundle(instance, build_bundle(figure3_rsl))
-        bundle_model, option_model = DefaultModel(), DefaultModel()
-        instance.models["where"] = bundle_model
-        instance.models["where.DS"] = option_model
-        assert instance.model_for("where", "DS") is option_model
-        assert instance.model_for("where", "QS") is bundle_model
+    def test_another_bundles_model_leaves_the_cached_spec_model(
+            self, controller, figure2b_rsl, figure3_rsl):
+        """A model registered for one bundle neither applies to another
+        bundle nor makes that bundle's spec model be built again."""
+        instance = controller.register_app("Both")
+        controller.add_bundle(instance, build_bundle(figure2b_rsl))
+        controller.add_bundle(instance, build_bundle(figure3_rsl))
+        bundle_model = DefaultModel()
+        controller.attach_model(instance, "where", bundle_model)
+        assert controller._model_for(instance, "DS") is bundle_model
+        spec_model = controller._model_for(instance, "run")
+        assert isinstance(spec_model, ExplicitSpecModel)
+        assert controller._model_for(instance, "run") is spec_model
 
-    def test_plain_option_falls_back_to_default(self, registry,
+    def test_plain_option_falls_back_to_default(self, controller,
                                                 figure3_rsl):
-        instance = registry.register("DBclient", 0.0)
-        registry.add_bundle(instance, build_bundle(figure3_rsl))
-        fallback = DefaultModel()
-        assert instance.model_for("where", "QS", default=fallback) \
-            is fallback
+        instance = controller.register_app("DBclient")
+        controller.add_bundle(instance, build_bundle(figure3_rsl))
+        assert controller._model_for(instance, "QS") \
+            is controller.default_model
 
 
 class TestNamespacePublication:

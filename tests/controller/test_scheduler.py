@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, CoalescingScheduler
-from repro.controller.scheduler import MAX_JOURNALED_REASONS
+from repro.controller.scheduler import MAX_BATCH_REASONS
 from repro.persistence import DurabilityJournal
 
 
@@ -216,35 +216,45 @@ class TestControllerIntegration:
         assert seen == ["acquired"]
 
 
+def batch_events(controller):
+    return [event for event in controller.flight_recorder.events()
+            if event["kind"] == "batch_dispatch"]
+
+
 class TestJournal:
-    def test_one_wal_record_per_batch(self, tmp_path, sched):
+    """A batch is recorded once, as its ``batch_dispatch`` flight event;
+    the WAL holds only the ``apply`` records its sweep writes."""
+
+    def test_a_journaled_batch_appends_no_wal_record(self, tmp_path,
+                                                      sched):
         controller, scheduler, clock = sched
         journal = DurabilityJournal(str(tmp_path))
         journal.attach(controller)
+        before = journal.wal.last_seq
+        for i in range(3):
+            scheduler.request(f"t:{i}")
+        assert scheduler.flush()
+        assert journal.wal.last_seq == before
+        journal.close()
+
+    def test_one_batch_event_per_batch(self, sched):
+        controller, scheduler, clock = sched
         for i in range(3):
             scheduler.request(f"t:{i}")
         scheduler.flush()
-        kinds = [record.kind for record in journal.wal.records()]
-        assert kinds.count("reevaluation_batch") == 1
-        record = [r for r in journal.wal.records()
-                  if r.kind == "reevaluation_batch"][0]
-        assert record.data["generation"] == 1
-        assert record.data["size"] == 3
-        assert record.data["reasons"] == ["t:0", "t:1", "t:2"]
-        journal.close()
+        [event] = batch_events(controller)
+        assert event["generation"] == 1
+        assert event["size"] == 3
+        assert event["reasons"] == ["t:0", "t:1", "t:2"]
 
-    def test_journaled_reasons_are_capped(self, tmp_path, sched):
+    def test_batch_reasons_are_capped(self, sched):
         controller, scheduler, clock = sched
-        journal = DurabilityJournal(str(tmp_path))
-        journal.attach(controller)
-        for i in range(MAX_JOURNALED_REASONS + 20):
+        for i in range(MAX_BATCH_REASONS + 20):
             scheduler.request(f"t:{i}")
         scheduler.flush()
-        record = [r for r in journal.wal.records()
-                  if r.kind == "reevaluation_batch"][0]
-        assert record.data["size"] == MAX_JOURNALED_REASONS + 20
-        assert len(record.data["reasons"]) == MAX_JOURNALED_REASONS
-        journal.close()
+        [event] = batch_events(controller)
+        assert event["size"] == MAX_BATCH_REASONS + 20
+        assert len(event["reasons"]) == MAX_BATCH_REASONS
 
 
 class TestThreadedLoop:

@@ -30,6 +30,7 @@ from repro.api import (
 )
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
+from tests.conftest import lifecycle_events
 
 HOSTS = ("c1", "c2", "c3")
 VICTIM = "c2"
@@ -136,7 +137,8 @@ def run_scenario(faulty, seed=1234):
         "options": {h: options[h].value for h in HOSTS},
         "registry_size": len(controller.registry),
     }
-    lifecycle = [(e.kind, e.app_key) for e in controller.lifecycle_log]
+    lifecycle = [(e["kind"], e["client"])
+                 for e in lifecycle_events(controller)]
     stats = lossy_link.stats if faulty else None
     return {
         "pre_crash_option": pre_crash_option,

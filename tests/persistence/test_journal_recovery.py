@@ -463,6 +463,59 @@ class TestExplicitModels:
             assert not each.partition_index.prunable(each.objective)
             assert sorted(each._engine._opaque) == ["Pod0App0.1"]
 
+    @pytest.mark.parametrize("snapshot", [False, True],
+                             ids=["wal_tail", "snapshot"])
+    def test_per_option_model_key_is_refused(self, tmp_path, snapshot):
+        """A ``bundle.option`` model key comes from a log written when
+        models were registered per option; no prediction reads such a
+        model any more, so a restore refuses it by name instead of
+        restoring a controller that predicts differently."""
+        registry = {"flat2": CallableModel(lambda *a: 2.0)}
+        controller, journal = journaled_controller(
+            tmp_path, model_registry=registry)
+        instance = controller.register_app("app0")
+        controller.setup_bundle(instance, RSL.format(name="app0"))
+        if snapshot:
+            controller.register_model(instance, "where", registry["flat2"],
+                                      model_name="flat2")
+            path = journal.snapshot_now()
+            seq, state = read_snapshot(path)
+            models = state["instances"][0]["models"]
+            models["where.small"] = models.pop("where")
+            write_snapshot(str(tmp_path), seq, state)
+        else:
+            journal.append("model", {"key": instance.key,
+                                     "model_key": "where.small",
+                                     "model_name": "flat2"})
+        journal.close()
+        with pytest.raises(RecoveryError, match=(
+                r"per-option model key 'where\.small'")):
+            AdaptationController.restore(
+                str(tmp_path), model_registry=registry, fsync="never")
+
+    @pytest.mark.parametrize("snapshot", [False, True],
+                             ids=["wal_tail", "snapshot"])
+    def test_a_dotted_bundle_name_keeps_its_model(self, tmp_path,
+                                                  snapshot):
+        """RSL allows a dot in a bundle name; a model registered for
+        such a bundle is a bundle's model, not a per-option one."""
+        registry = {"flat2": CallableModel(lambda *a: 2.0)}
+        controller, journal = journaled_controller(
+            tmp_path, model_registry=registry)
+        instance = controller.register_app("app0")
+        controller.setup_bundle(instance, RSL.format(name="app0").replace(
+            "app0 where", "app0 my.where"))
+        controller.register_model(instance, "my.where", registry["flat2"],
+                                  model_name="flat2")
+        if snapshot:
+            journal.snapshot_now()
+        journal.close()
+        restored = AdaptationController.restore(
+            str(tmp_path), model_registry=registry, fsync="never")
+        assert_equivalent(restored, controller)
+        assert restored.predict_all(restored.view)[instance.key] == \
+            pytest.approx(2.0)
+
     def test_restore_without_registry_entry_raises(self, tmp_path):
         registry = {"flat2": CallableModel(lambda *a: 2.0)}
         controller, journal = journaled_controller(

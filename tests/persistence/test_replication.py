@@ -560,7 +560,9 @@ class TestLogMatching:
         run_workload(controller, count=2)
         # Durable-but-never-shipped: appending straight to the WAL runs
         # the fsync but not the journal's append observers, exactly the
-        # crash window between them.
+        # crash window between them.  The orphan is a legacy
+        # ``reevaluation_batch``, a kind replay still accepts but nothing
+        # writes any more, so any record of that kind is the orphan.
         last_time = journal.wal.records()[-1].time
         for index in range(unshipped):
             journal.wal.append("reevaluation_batch", last_time,

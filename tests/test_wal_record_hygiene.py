@@ -4,11 +4,9 @@ Every record ``DurabilityJournal`` appends is fsync'd before the
 operation it belongs to returns, and shipped to every standby.  A record
 that ``apply_record`` skips is a second copy of a fact some other store
 already holds: the eviction's ``release``, the ``RecoveryReport``, a
-metric or a span.  Two kinds are exempt: ``genesis`` (the topology a
-fresh log starts from, read by ``load_directory`` itself) and
-``reevaluation_batch`` (the scheduler's one audit record per coalesced
-sweep).  Add a kind only together with the replay branch that applies
-it.
+metric or a span.  One kind is exempt: ``genesis``, the topology a
+fresh log starts from, read by ``load_directory`` itself.  Add a kind
+only together with the replay branch that applies it.
 """
 
 import ast
@@ -18,7 +16,7 @@ PERSISTENCE = pathlib.Path(__file__).resolve().parent.parent / "src" / \
     "repro" / "persistence"
 
 #: Kinds the log may carry although replay applies no state from them.
-EXEMPT = {"genesis", "reevaluation_batch"}
+EXEMPT = {"genesis"}
 
 
 def appended_kinds(source):
@@ -72,3 +70,40 @@ def test_the_ratchet_sees_an_audit_copy():
                 "        pass\n")
     assert appended_kinds(journal) == {"recovered"}
     assert applied_kinds(recovery) == {"register"}
+
+
+def constant_one_reports(source):
+    """Lines of ``metrics.report(name, time, 1.0)`` calls: a sample whose
+    latest value reads 1 however many events it counts."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "report" and len(node.args) == 3):
+            continue
+        owner = node.func.value
+        name = getattr(owner, "attr", getattr(owner, "id", None))
+        value = node.args[2]
+        if name == "metrics" and isinstance(value, ast.Constant) \
+                and value.value == 1.0:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_events_are_counted_not_reported_as_one():
+    """An event count is ``metrics.increment``: a constant ``1.0`` sample
+    exports 1 whatever the count."""
+    found = [f"{path.relative_to(PERSISTENCE.parent)}:{line}"
+             for path in sorted(PERSISTENCE.parent.rglob("*.py"))
+             for line in constant_one_reports(
+                 path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_ratchet_sees_a_constant_sample():
+    source = ("def evict(self, metrics):\n"
+              "    self.metrics.report('controller.evictions', 0.0, 1.0)\n"
+              "    metrics.report('x', 0.0, 1)\n"
+              "    self.metrics.report('y', 0.0, float(2))\n"
+              "    self.metrics.increment('z', 0.0)\n")
+    assert constant_one_reports(source) == [2, 3]
