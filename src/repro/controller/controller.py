@@ -172,7 +172,8 @@ class ModelDrivenPolicy(DecisionPolicy):
         only decide *skips*, never ordering, so the decision traces are
         byte-identical to the same loop with pruning off (the serial
         oracle).  A bundle is neither matched nor scored while the record
-        of its last stable no-op holds over its scan and reads (see
+        of its latest stable no-op, or the one that record displaced,
+        holds over its scan and reads (see
         :class:`~repro.controller.partition.PartitionIndex`), and matched
         and scored otherwise.  One ``optimizer.sweep`` span counts what
         the sweep evaluated, changed and pruned.

@@ -19,7 +19,7 @@ independence explicit:
   version.
 
 * **Records** — one rule decides every skip.  A bundle whose evaluation
-  found nothing to change keeps one :class:`~repro.controller.trial.ReadSet`:
+  found nothing to change keeps a :class:`~repro.controller.trial.ReadSet`:
   what its scoring read, plus what its match examined.  The record is
   valid while no key it covers has been stamped after its clock
   (``TrialEngine._stamps``: every commit stamps what it wrote and the
@@ -29,6 +29,13 @@ independence explicit:
   holds, the sweep neither matches nor scores the bundle
   (:meth:`PartitionIndex.holds`); when it does not, the bundle is matched
   and scored, and a stable no-op writes its record again.
+  The record that one replaces is kept as the bundle's one *displaced*
+  record while it can still hold (:meth:`TrialEngine.alive`: all but
+  the boundary clause), and :meth:`PartitionIndex.holds` falls back to
+  it when the latest fails.  A departure that frees a host voids only
+  the boundary clause of the records whose scans stopped after it; the
+  arrival that fills the host again puts it back past their boundary,
+  and they hold again: one rule, checked on either record.
   What the match examined is narrower than reach.  A first-fit match
   walks the bundle's load order (its own placement excluded) and stops
   at the first node that fits, so the record covers the *scanned
@@ -87,13 +94,18 @@ def bundle_key(instance: "AppInstance", state: "BundleState") -> BundleKey:
 
 
 class PartitionIndex:
-    """The records of what stays a no-op, and bundle reach."""
+    """The records of what stays a no-op — each bundle's latest, and the
+    one that record displaced while it can still hold — and bundle
+    reach."""
 
     def __init__(self, controller: "AdaptationController"):
         self.controller = controller
-        #: Bundle key -> its last stable no-op, and member set -> the
+        #: Bundle key -> its latest stable no-op, and member set -> the
         #: pass that settled that component; both dropped with a member.
         self._no_ops: dict[BundleKey | frozenset, ReadSet] = {}
+        #: Bundle key -> the record its latest stable no-op replaced,
+        #: kept while it can still hold; dropped with the bundle.
+        self._displaced: dict[BundleKey, ReadSet] = {}
         #: Reach memo, dropped with the bundle:
         #: key -> (topology_version, reach).
         self._reach: dict[BundleKey, tuple[int, frozenset]] = {}
@@ -105,24 +117,49 @@ class PartitionIndex:
     # -- records -------------------------------------------------------------
 
     def holds(self, key: BundleKey, state: "BundleState") -> bool:
-        """Whether re-evaluating this bundle is provably a no-op: its
-        last stable no-op's record holds over its scan and reads."""
+        """Whether re-evaluating this bundle is provably a no-op: the
+        record of its latest stable no-op holds over its scan and reads,
+        or, failing that, the record that one displaced does; the record
+        that holds becomes the latest."""
+        engine = self.controller._engine
+        placed = self.controller.view.configuration_of(key[0])
         record = self._no_ops.get(key)
-        return record is not None and self.controller._engine.holds(
-            record, state.chosen,
-            self.controller.view.configuration_of(key[0]))
+        if record is None or engine.holds(record, state.chosen, placed):
+            return record is not None
+        displaced = self._displaced.get(key)
+        if displaced is None or \
+                not engine.holds(displaced, state.chosen, placed):
+            return False
+        self._no_ops[key] = displaced
+        self._displace(key, record, state.chosen, placed)
+        return True
 
     def note_no_op(self, key: BundleKey, state: "BundleState",
                    reads: ReadSet | None = None) -> None:
         """Record a stable no-op of this bundle: what it read (``None``:
-        nothing, an unconfigured bundle, which covers its reach)."""
+        nothing, an unconfigured bundle, which covers its reach).  The
+        record it replaces is kept as the bundle's displaced record while
+        it can still hold."""
+        engine = self.controller._engine
+        placed = self.controller.view.configuration_of(key[0])
         if reads is None:
-            reads = self.controller._engine.read_set(
-                state.chosen, self.controller.view.configuration_of(key[0]))
+            reads = engine.read_set(state.chosen, placed)
         reads.reach = self._reach_of(key, state)
         if reads.boundary is None:
             reads.covers = reads.reach | reads.keys
+        older = self._no_ops.get(key)
+        if older is not None:
+            self._displace(key, older, state.chosen, placed)
         self._no_ops[key] = reads
+
+    def _displace(self, key: BundleKey, record: ReadSet, chosen: object,
+                  placed: object) -> None:
+        """Keep ``record``, just replaced as the bundle's latest, as its
+        displaced record if it can still hold; otherwise keep none."""
+        if self.controller._engine.alive(record, chosen, placed):
+            self._displaced[key] = record
+        else:
+            self._displaced.pop(key, None)
 
     def now(self) -> ReadSet:
         """An empty record taken now: the clock a component settled by
@@ -174,6 +211,9 @@ class PartitionIndex:
         its records and every settled member set it belonged to."""
         self._reach = {key: hit for key, hit in self._reach.items()
                        if key[0] != app_key}
+        self._displaced = {key: record
+                           for key, record in self._displaced.items()
+                           if key[0] != app_key}
         self._no_ops = {
             key: record for key, record in self._no_ops.items()
             if not (any(member[0] == app_key for member in key)

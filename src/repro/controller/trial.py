@@ -35,10 +35,12 @@ This module removes both:
   :meth:`TrialEngine.reading` records what one evaluation's recomputed
   predictions read (:class:`ReadSet`), and :meth:`TrialEngine.cover_scan`
   what its first-fit matches examined.  One rule, checked before the
-  match (:meth:`TrialEngine.holds`): a record is valid while no key it
-  covers is stamped after its clock, the epoch and the topology version
-  are unchanged, and every stamped host past the scan orders after its
-  boundary.
+  match (:meth:`TrialEngine.holds`): a record is valid while it is
+  :meth:`~TrialEngine.alive` — no key it covers is stamped after its
+  clock, the epoch and the topology version are unchanged — and every
+  stamped host past the scan orders after its boundary.  Only that last
+  clause can come true again, so a bundle's latest record and the one
+  it displaced are checked by the same rule.
 
 :class:`OptimizerStats` counts the work actually done so benchmarks can
 report candidates evaluated, per-app predictions recomputed, and full-view
@@ -67,21 +69,26 @@ __all__ = ["OptimizerStats", "ReadSet", "ViewTrial", "TrialEngine"]
 
 @dataclass
 class OptimizerStats:
-    """Counters for optimizer work, surfaced by benchmarks and telemetry."""
+    """Counters for optimizer work, surfaced by benchmarks and telemetry.
 
-    candidates_evaluated: int = field(init=False, default=0)
-    predictions_recomputed: int = field(init=False, default=0)
-    full_view_recomputes: int = field(init=False, default=0)
-    match_calls: int = field(init=False, default=0)
+    Each counter is set on the instance by ``__init__`` (a
+    ``default_factory``; a plain default would leave it on the class
+    until first bumped), so :meth:`snapshot` sees every one.
+    """
+
+    candidates_evaluated: int = field(init=False, default_factory=int)
+    predictions_recomputed: int = field(init=False, default_factory=int)
+    full_view_recomputes: int = field(init=False, default_factory=int)
+    match_calls: int = field(init=False, default_factory=int)
     #: Partitioned-sweep accounting (the pruned counts stay zero while
     #: the index may not prune).
-    partition_sweeps: int = field(init=False, default=0)
-    pruned_bundles: int = field(init=False, default=0)
-    pruned_candidates: int = field(init=False, default=0)
+    partition_sweeps: int = field(init=False, default_factory=int)
+    pruned_bundles: int = field(init=False, default_factory=int)
+    pruned_candidates: int = field(init=False, default_factory=int)
     #: Pairwise pass: pairs searched, and pairs skipped because records
     #: prove they cannot gain.
-    pairs_evaluated: int = field(init=False, default=0)
-    pruned_pairs: int = field(init=False, default=0)
+    pairs_evaluated: int = field(init=False, default_factory=int)
+    pruned_pairs: int = field(init=False, default_factory=int)
 
     def snapshot(self) -> dict[str, int]:
         # Every field is an int: a copy of the instance dict is what
@@ -92,8 +99,9 @@ class OptimizerStats:
 
 @dataclass
 class ReadSet:
-    """What one cached result depends on: a bundle's stable no-op, or a
-    settled component's pairs.
+    """What one cached result depends on: one of a bundle's stable
+    no-ops (its latest, or the one that record displaced), or a settled
+    component's pairs.
 
     ``chosen`` and ``placed`` are the bundle's configuration and its
     app's view placement the candidates were scored against (compared by
@@ -326,26 +334,32 @@ class TrialEngine:
         record.excluded = app_key
         record.covers = record.keys.union(prefix)
 
-    def holds(self, record: ReadSet, chosen: object, placed: object) -> bool:
-        """Whether the result ``record`` describes still holds before any
-        match: the same configuration and placement, no unseen mutation,
-        the same topology, no stamp on what it covers since, and no
-        stamped host of its reach now ordered before its boundary."""
+    def alive(self, record: ReadSet, chosen: object, placed: object) -> bool:
+        """Whether the result ``record`` describes can still hold: the
+        same configuration and placement, no unseen mutation, the same
+        topology and no stamp on what it covers since.  Everything
+        :meth:`holds` checks but the boundary, which a later stamp can
+        put right again."""
         # An unseen mutation moves the epoch only when the cache is read.
         self.live_predictions()
-        if record.chosen is not chosen or record.placed is not placed or \
-                record.epoch != self.epoch or record.topology != \
-                self.controller.cluster.topology_version:
+        return record.chosen is chosen and record.placed is placed and \
+            record.epoch == self.epoch and record.topology == \
+            self.controller.cluster.topology_version and (
+                record.clock == self._clock or record.covers.isdisjoint(
+                    self._stamped_after(record.clock)))
+
+    def holds(self, record: ReadSet, chosen: object, placed: object) -> bool:
+        """Whether the result ``record`` describes still holds before any
+        match: it is :meth:`alive`, and no stamped host of its reach now
+        orders before its boundary."""
+        if not self.alive(record, chosen, placed):
             return False
-        if record.clock != self._clock:
-            stamped = self._stamped_after(record.clock)
-            if not record.covers.isdisjoint(stamped):
-                return False
+        if record.clock != self._clock and record.boundary is not None:
             # A host the scan did not reach is examined next time only
             # if it now orders before the furthest one it did; its key
             # moves only with a stamp.
-            if record.boundary is not None and \
-                    not stamped.isdisjoint(record.reach) and \
+            stamped = self._stamped_after(record.clock)
+            if not stamped.isdisjoint(record.reach) and \
                     self.controller.view.orders_before(
                         stamped & record.reach, record.boundary,
                         record.excluded):

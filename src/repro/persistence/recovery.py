@@ -10,7 +10,8 @@ sequence, adapted to a result-sourced log:
    snapshot's own digest.
 2. **Replay** the WAL tail deterministically.  The log records decision
    *results* (concrete candidates), so replay never re-runs the
-   optimizer: the decision policy is swapped for a no-op while each
+   optimizer: the decision policy is swapped for a no-op, and the
+   flight recorder and the metrics for throwaway ones, while each
    record is re-applied, at its original simulated time and through the
    controller's own state edits, and every ``apply`` or ``exchange``
    record's recomputed objective is compared against the logged one — a
@@ -44,6 +45,7 @@ from repro.errors import (
     WalCorruptionError,
 )
 from repro.metrics import MetricInterface
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.trace import NULL_TRACER
 from repro.persistence import codec
 from repro.persistence.crash import CrashSchedule
@@ -193,13 +195,22 @@ def _load(directory: str, journal: DurabilityJournal, read,
     tail = [record for record in records if record.seq > base_seq]
     with controller.tracer.span("controller.restore.replay_wal",
                                 records=len(tail)):
-        real_policy = controller.policy
+        # The tail rebuilds the recovered baseline, as the snapshot load
+        # does: the events and metric samples its operations emit again
+        # are not live history, so they go to throwaway sinks, and a
+        # restore's history does not depend on where the last snapshot
+        # fell.
+        live = (controller.policy, controller.flight_recorder,
+                controller.metrics)
         controller.policy = _ReplayPolicy()
+        controller.flight_recorder = FlightRecorder()
+        controller.metrics = MetricInterface()
         try:
             for record in tail:
                 apply_record(controller, journal, record)
         finally:
-            controller.policy = real_policy
+            (controller.policy, controller.flight_recorder,
+             controller.metrics) = live
     return controller, RecoveryReport(
         directory=directory,
         snapshot_path=snapshot[2] if snapshot else None,

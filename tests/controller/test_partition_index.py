@@ -8,12 +8,16 @@ and opacity — through what a sweep scores and prunes.
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.controller.partition import bundle_key
 from repro.prediction import CallableModel
 from repro.prediction.models import ExplicitSpecModel
 from repro.rsl.model import PerformancePoint, PerformanceSpec
 from repro.rsl import build_bundle
+from tests.controller.churn_scripts import make_script, run_script
+from tests.controller.test_optimizer_equivalence import assert_same_decisions
+from tests.oracle import unpruned
 from tests.pods import POD_RSL, build_pod_cluster, pod_controller
 
 BRIDGE_RSL = """
@@ -419,3 +423,181 @@ class TestPrunability:
         controller.reevaluate()
         assert controller.stats.pruned_bundles >= pruned_before + 4
 
+
+
+FLAT_RSL = """
+harmonyBundle {name} size {{
+    {{solo {{node n {{hostname {hosts}}} {{seconds {seconds}}}
+            {{memory 16}}}}}}}}
+"""
+
+
+def flat_admit(controller, name, hosts="*", seconds=60):
+    instance = controller.register_app(name)
+    controller.setup_bundle(instance, FLAT_RSL.format(
+        name=name, hosts=hosts, seconds=seconds))
+    return instance
+
+
+def flat_scene(serial=False):
+    """Eight one-node apps on an eight-host mesh, ``App<i>`` on ``n<i>``:
+    each one's match stops at its own, idle host."""
+    controller = AdaptationController(
+        Cluster.full_mesh([f"n{i}" for i in range(8)], memory_mb=256.0))
+    if serial:
+        unpruned(controller)
+    live = [flat_admit(controller, f"App{i}") for i in range(8)]
+    assert [placed_hosts(controller, (instance.key, "size"))
+            for instance in live] == [{f"n{i}"} for i in range(8)]
+    return controller, live
+
+
+def key_of(instance):
+    return (instance.key, "size")
+
+
+class TestDisplacedRecords:
+    """A departure frees ``n3``, which now orders before the host where
+    the scans of ``App4``..``App7`` stopped: each is matched and scored,
+    a stable no-op whose new record covers ``n3``.  The arrival that
+    fills ``n3`` again voids that record, but puts ``n3`` back past the
+    boundary of the one it displaced, which holds again.
+    """
+
+    def depart(self, controller, live):
+        scored = scored_keys(controller)
+        controller.end_app(live[3])
+        assert scored == [key_of(instance) for instance in live[4:]]
+        index = controller.partition_index
+        assert set(index._displaced) == set(scored)
+        return scored
+
+    def test_an_arrival_on_the_freed_host_prunes_what_departure_scored(
+            self):
+        controller, live = flat_scene()
+        scored = self.depart(controller, live)
+        del scored[:]
+        before = controller.stats.pruned_bundles
+        newcomer = flat_admit(controller, "New")
+        assert placed_hosts(controller, key_of(newcomer)) == {"n3"}
+        # Only the newcomer, which has no record yet, is scored: the
+        # four the departure scored hold on their displaced records.
+        assert scored == [key_of(newcomer)]
+        assert controller.stats.pruned_bundles - before == 7
+        # The records they swapped out covered n3, which the arrival
+        # stamped: none can hold again, so none is kept.
+        assert controller.partition_index._displaced == {}
+
+    @pytest.mark.parametrize("change", ["covered-arrival", "topology"])
+    def test_what_voids_the_displaced_record_rescores(self, change):
+        def run(serial):
+            controller, live = flat_scene(serial)
+            if serial:
+                controller.end_app(live[3])
+            else:
+                self.depart(controller, live)
+            scored = scored_keys(controller)
+            if change == "covered-arrival":
+                # Memory only, on App5's host: a stamp on what App5's
+                # scoring read, in both its records.
+                flat_admit(controller, "Hog", hosts="n5", seconds=0)
+                voided = [key_of(live[5])]
+            else:
+                controller.cluster.add_node("n8", memory_mb=256.0)
+                controller.reevaluate()
+                voided = [key_of(instance) for instance in live
+                          if instance is not live[3]]
+            return controller, scored, voided
+
+        controller, scored, voided = run(serial=False)
+        assert set(voided) <= set(scored)
+        # Re-scored to the same stable no-op: the record it replaced is
+        # void, so none is kept.
+        assert not set(voided) & set(controller.partition_index._displaced)
+        assert_same_decisions(controller, run(serial=True)[0])
+
+    def test_remove_app_drops_the_displaced_record(self):
+        controller, live = flat_scene()
+        self.depart(controller, live)
+        index = controller.partition_index
+        controller.end_app(live[5])
+        assert key_of(live[5]) not in index._displaced
+        assert set(index._displaced) == {key_of(live[4]), key_of(live[6]),
+                                         key_of(live[7])}
+
+
+#: Seeds of each churn-script family of the equivalence suites: the
+#: default draw, inexact demands, link loads, memory pressure and long
+#: scripts.  Their random pods seldom refill a host a departure freed;
+#: all but the default and 64-96-128 seeds here prune on a displaced
+#: record at least once.
+FAMILIES = {
+    "default": [make_script(0)],
+    "inexact": [make_script(seed, exact=False) for seed in (4, 10)],
+    "link-loads": [make_script(seed, link_loads=True) for seed in (1, 5)],
+    "memory-120": [make_script(1, memories=(120,))],
+    "memory-64-96-128": [make_script(18, memories=(64, 96, 128))],
+    "long": [make_script(seed, length=160) for seed in (0, 1)],
+}
+
+
+def flat_churn(controller, rounds=24):
+    """Twelve two-option apps on an eight-host mesh; each round ends
+    the oldest and admits the next, which fills the room it freed."""
+    live = []
+    for index in range(12 + rounds):
+        if len(live) == 12:
+            controller.end_app(live.pop(0))
+        instance = controller.register_app(f"App{index}")
+        controller.setup_bundle(instance, WHOLE_RSL.replace(
+            "Whole", f"App{index}"))
+        live.append(instance)
+    return controller
+
+
+def count_fallbacks(fallbacks):
+    """Append the key of every bundle pruned on its displaced record."""
+    def prepare(controller):
+        index = controller.partition_index
+        holds = index.holds
+
+        def counting(key, state):
+            latest = index._no_ops.get(key)
+            hit = holds(key, state)
+            if hit and index._no_ops[key] is not latest:
+                fallbacks.append(key)
+            return hit
+
+        index.holds = counting
+
+    return prepare
+
+
+@pytest.mark.parametrize("pairwise", [True, False],
+                         ids=["pairwise", "greedy"])
+def test_displaced_records_decide_as_the_oracle(pairwise):
+    """The churn-script families and a flat churn prune on displaced
+    records, and decide as the serial oracle does."""
+    pruned_on = {}
+    for family, scripts in FAMILIES.items():
+        fallbacks = pruned_on[family] = []
+        for script in scripts:
+            product = run_script(script, pairwise=pairwise,
+                                 prepare=count_fallbacks(fallbacks))
+            assert_same_decisions(
+                product, run_script(script, pairwise=pairwise, serial=True))
+    fallbacks = pruned_on["flat"] = []
+
+    def flat(serial):
+        controller = AdaptationController(
+            Cluster.full_mesh([f"n{i}" for i in range(8)], memory_mb=256.0),
+            policy=ModelDrivenPolicy(pairwise_exchange=pairwise))
+        if serial:
+            unpruned(controller)
+        else:
+            count_fallbacks(fallbacks)(controller)
+        return flat_churn(controller)
+
+    assert_same_decisions(flat(False), flat(True))
+    assert len(pruned_on["flat"]) > 24
+    assert sum(map(bool, pruned_on.values())) >= 5, pruned_on

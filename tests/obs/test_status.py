@@ -7,6 +7,7 @@ import pytest
 from repro.api import HarmonyClient, HarmonyServer, connected_pair
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
+from repro.controller.trial import OptimizerStats
 
 TWO_OPTION_RSL = """
 harmonyBundle demo size {
@@ -42,6 +43,15 @@ class TestStatusMessage:
         assert status["optimizer"]["candidates_evaluated"] == 4
         assert status["replication"]["role"] == "primary"
         assert status["replication"]["term"] == 0
+
+    def test_a_fresh_server_reports_every_optimizer_counter(self):
+        # A counter nothing has bumped yet is reported as zero, not left
+        # out: the block has the same keys before any work as after.
+        fresh = AdaptationController(Cluster.full_mesh(["n0"]))
+        status = monitoring_client(HarmonyServer(fresh)).query_status()
+        assert status["optimizer"] == dict.fromkeys(
+            OptimizerStats.__dataclass_fields__, 0)
+        assert OptimizerStats().snapshot() == status["optimizer"]
 
     def test_no_registration_required(self, controller):
         # A monitoring process queries without ever registering.

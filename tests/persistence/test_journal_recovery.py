@@ -222,6 +222,38 @@ class TestRestore:
         assert restored.last_recovery.snapshot_path is not None
         assert restored.last_recovery.snapshot_seq > 0
 
+    def test_history_does_not_depend_on_the_snapshot_cadence(self, tmp_path):
+        """Replay rebuilds the baseline as a snapshot load does: two
+        apps and an eviction restored from the WAL alone leave the same
+        flight events and controller metrics as from a snapshot, the
+        live history only."""
+        def history(directory, snapshot):
+            controller, journal = journaled_controller(directory)
+            first, second = (controller.register_app(f"app{index}")
+                             for index in range(2))
+            for instance in (first, second):
+                controller.setup_bundle(instance,
+                                        RSL.format(name=instance.app_name))
+            controller.evict_app(first)
+            if snapshot:
+                journal.snapshot_now()
+            journal.close()
+            restored = AdaptationController.restore(str(directory),
+                                                    fsync="never")
+            assert (restored.last_recovery.snapshot_path is not None) is \
+                snapshot
+            assert_equivalent(restored, controller)
+            kinds = sorted(event["kind"] for event
+                           in restored.flight_recorder.events())
+            return kinds, restored.metrics.names("controller"), \
+                restored.metrics.latest("controller.evictions")
+
+        from_wal = history(tmp_path / "wal", snapshot=False)
+        assert from_wal == history(tmp_path / "snapshot", snapshot=True)
+        kinds, names, evictions = from_wal
+        assert "registered" not in kinds and "evicted" not in kinds
+        assert evictions is None and names == ["controller.recovery_seconds"]
+
     def test_restored_controller_keeps_journaling(self, tmp_path):
         controller, journal = journaled_controller(tmp_path)
         run_scenario(controller)
