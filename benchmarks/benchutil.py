@@ -1,63 +1,7 @@
-"""Formatting and result-file helpers shared by the benchmark harnesses."""
-
-from __future__ import annotations
-
-import fcntl
-import json
-import os
-import pathlib
-
-#: The shared scale-trajectory file: one JSON object per app count, merged
-#: across benchmarks (admission scale, concurrent load) and across runs.
-BENCH_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_scale.json"
+"""The table formatting shared by the benchmarks' result files."""
 
 
 def fmt_row(cells, widths):
     """Fixed-width row rendering for the printed result tables."""
     return "  ".join(str(cell).ljust(width)
                      for cell, width in zip(cells, widths))
-
-
-def fmt_seconds(value: float | None) -> str:
-    if value is None:
-        return "-"
-    return f"{value:.2f}"
-
-
-def read_bench_points(path: pathlib.Path = None) -> dict[int, dict]:
-    """Load the trajectory file as ``{app_count: point}`` ({} if absent)."""
-    path = path or BENCH_JSON
-    if not path.exists():
-        return {}
-    return {point["apps"]: point for point in json.loads(path.read_text())}
-
-
-def merge_bench_point(app_count: int, fields: dict,
-                      path: pathlib.Path = None) -> None:
-    """Merge ``fields`` into BENCH_scale.json's point for this app count.
-
-    Points are keyed by ``apps`` so different benchmarks contribute
-    columns to the same row instead of duplicating it, and a re-run of a
-    subset of app counts must never drop rows or columns recorded by
-    earlier runs.  Two guarantees back that:
-
-    - the read-merge-write cycle holds an ``fcntl`` lock on a sidecar
-      ``.lock`` file, so concurrent benchmark processes (xdist, parallel
-      CI jobs) serialize instead of losing each other's updates, and
-    - the file is replaced atomically (temp file + ``os.replace``), so a
-      crash mid-write can never leave a truncated JSON that a later run
-      would fail on — readers see the old complete file or the new one.
-    """
-    path = path or BENCH_JSON
-    path.parent.mkdir(exist_ok=True)
-    lock_path = path.with_suffix(path.suffix + ".lock")
-    with open(lock_path, "w") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        points = read_bench_points(path)
-        point = points.setdefault(app_count, {"apps": app_count})
-        point.update(fields)
-        payload = json.dumps(
-            [points[key] for key in sorted(points)], indent=2) + "\n"
-        tmp_path = path.with_suffix(path.suffix + ".tmp")
-        tmp_path.write_text(payload)
-        os.replace(tmp_path, path)

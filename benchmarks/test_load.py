@@ -13,11 +13,9 @@ through the server's message path:
   merge into a handful of batched sweeps that clean-skip untouched pods
   (the equivalence tests prove the final state is identical).
 
-Each run merges its point into ``BENCH_scale.json`` (keyed by client
-count, alongside the admission-scale columns) and writes per-operation
-latency percentiles + histogram to
+Each run writes per-operation latency percentiles + histogram to
 ``benchmarks/results/load_latency_hist.json`` — the artifact the CI
-load-smoke job uploads.
+bench-smoke job uploads.
 """
 
 import asyncio
@@ -45,7 +43,7 @@ from repro.api import (
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 
-from benchutil import fmt_row, merge_bench_point
+from benchutil import fmt_row
 
 HIST_JSON = pathlib.Path(__file__).parent / "results" / \
     "load_latency_hist.json"
@@ -223,14 +221,6 @@ def test_concurrent_load(report, client_count):
 
     merge_latency_hist(client_count, "serial", serial)
     merge_latency_hist(client_count, "coalesced", coalesced)
-    merge_bench_point(client_count, {
-        "load_register_burst_serial_seconds": round(serial_wall, 4),
-        "load_register_burst_coalesced_seconds": round(coalesced_wall, 4),
-        "load_register_speedup": round(speedup, 2),
-        "load_coalesced_batches": coalesced["coalesced_batches"],
-        "load_steady_p95_ms": round(
-            percentile(coalesced["steady_latencies"], 0.95) * 1e3, 3),
-    })
 
     widths = [22, 12, 12]
     report(f"load_{client_count}clients", [
@@ -431,18 +421,6 @@ def test_async_socket_load(report, client_count):
     batches = controller.metrics.latest("server.async.batches")
 
     merge_latency_hist(client_count, "async", measurements)
-    merge_bench_point(client_count, {
-        "async_connect_seconds": round(
-            measurements["connect_seconds"], 4),
-        "async_register_burst_seconds": round(
-            measurements["register_burst_seconds"], 4),
-        "async_register_p95_ms": round(
-            percentile(registers, 0.95) * 1e3, 3),
-        "async_steady_p50_ms": round(p50_ms, 3),
-        "async_steady_p95_ms": round(p95_ms, 3),
-        "async_steady_p99_ms": round(p99_ms, 3),
-        "async_dispatch_batches": 0 if batches is None else int(batches),
-    })
 
     widths = [26, 14]
     report(f"async_load_{client_count}sockets", [

@@ -78,8 +78,8 @@ class DatabaseExperimentConfig:
     #: paper's transient three-QS-client spike before the DS switch.
     rule_reaction_seconds: float = 60.0
     #: Attach a :class:`~repro.obs.trace.Tracer` to the controller, filling
-    #: ``DatabaseExperimentResult.spans``.  Off by default — tracing must
-    #: cost nothing when unused (the scale bench asserts it).
+    #: ``DatabaseExperimentResult.spans``.  Off by default: an untraced
+    #: run builds no span.
     trace: bool = False
 
 

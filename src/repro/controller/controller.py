@@ -88,6 +88,9 @@ Move = tuple[AppInstance, BundleState, Candidate]
 #: external-load reading.
 EXTERNAL_LOAD_WINDOW_SECONDS = 60.0
 
+#: Above this many configured bundles the quadratic pairwise pass is off.
+MAX_PAIRWISE_BUNDLES = 12
+
 
 @dataclass(frozen=True)
 class ReconfigurationEvent:
@@ -125,16 +128,13 @@ class ModelDrivenPolicy(DecisionPolicy):
     equal partitions of the paper's Figure 4(b) (a (5, 3) node split is a
     local optimum even when (4, 4) is globally better); the pairwise pass
     realizes the paper's "allocation decisions that require running
-    applications to be reconfigured".  ``max_pairwise_bundles`` caps the
-    quadratic pass.
+    applications to be reconfigured".
     """
 
     def __init__(self, optimizer: GreedyOptimizer | None = None,
-                 pairwise_exchange: bool = True,
-                 max_pairwise_bundles: int = 12):
+                 pairwise_exchange: bool = True):
         self.optimizer = optimizer or GreedyOptimizer()
         self.pairwise_exchange = pairwise_exchange
-        self.max_pairwise_bundles = max_pairwise_bundles
 
     def configure_new_bundle(self, controller: "AdaptationController",
                              instance: AppInstance, state: BundleState,
@@ -227,7 +227,7 @@ class ModelDrivenPolicy(DecisionPolicy):
             for state in instance.bundles.values():
                 if state.chosen is not None:
                     entries.append((instance, state))
-        if len(entries) < 2 or len(entries) > self.max_pairwise_bundles:
+        if len(entries) < 2 or len(entries) > MAX_PAIRWISE_BUNDLES:
             return 0
         stats = controller.stats
         index = controller.partition_index

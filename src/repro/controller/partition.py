@@ -2,8 +2,7 @@
 components over resource reach that the pairwise pass separates.
 
 The greedy sweep (paper Section 4.3) re-scores every bundle on every
-trigger, which is O(apps**2) model work per admission burst — the
-BENCH_scale numbers show the wall superlinear in system size.  But most
+trigger, which is O(apps**2) model work per admission burst.  But most
 bundles cannot interact at all: a bundle constrained to the hosts of one
 pod shares no node, no link, and no memory pool with a bundle constrained
 to another pod, so neither's reconfiguration can change anything the
@@ -27,8 +26,10 @@ independence explicit:
   and an external-load change stamp the host or link they change) and
   the engine epoch and the topology version are unchanged.  While it
   holds, the sweep neither matches nor scores the bundle
-  (:meth:`PartitionIndex.holds`); when it does not, the bundle is matched
-  and scored, and a stable no-op writes its record again.
+  (:meth:`PartitionIndex.holds`; the harness's
+  ``controller.partition_pruned_per_op`` counts these skips an op); when
+  it does not, the bundle is matched and scored, and a stable no-op
+  writes its record again.
   The record that one replaces is kept as the bundle's one *displaced*
   record while it can still hold (:meth:`TrialEngine.alive`: all but
   the boundary clause), and :meth:`PartitionIndex.holds` falls back to

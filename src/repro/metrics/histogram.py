@@ -1,7 +1,7 @@
 """Log-bucketed histograms for runtime health distributions.
 
-Counters answer "how many"; the scale benches answer "how fast on
-average".  Neither shows the *shape* of a hot path — the p99 lock wait
+Counters answer "how many"; the benchmark harness answers "how fast
+per op".  Neither shows the *shape* of a hot path — the p99 lock wait
 behind a burst of admissions, the tail of WAL fsync latency, the
 scheduler backlog spikes that a mean hides entirely.  :class:`Histogram`
 records those distributions with Prometheus-compatible cumulative

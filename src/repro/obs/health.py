@@ -10,8 +10,8 @@ STATUS wire message carries), so a monitoring client can score a remote
 server without extra round trips.
 
 The default thresholds are deliberately generous — they are smoke
-alarms for "the pipeline wedged", not latency targets; the scale
-benches own the performance bar.
+alarms for "the pipeline wedged", not latency targets; the benchmark
+harness owns the performance bar.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ The paper's metric interface carries *measurements*; this module carries
   the controller, optimizer, prediction engine, and allocation layers.
   The default is :data:`NULL_TRACER`, whose spans are a shared no-op
   object, so instrumented call sites cost one method call when tracing
-  is disabled (the scale bench asserts this stays under 2% of wall
-  time).
+  is disabled, and an untraced admission builds no span.
 
 * :class:`DecisionTrace` / :class:`DecisionTraceLog` — one structured
   record per applied reconfiguration, listing **every candidate

@@ -10,10 +10,10 @@ sequence, adapted to a result-sourced log:
    snapshot's own digest.
 2. **Replay** the WAL tail deterministically.  The log records decision
    *results* (concrete candidates), so replay never re-runs the
-   optimizer: the decision policy is swapped for a no-op, and the
-   flight recorder and the metrics for throwaway ones, while each
-   record is re-applied, at its original simulated time and through the
-   controller's own state edits, and every ``apply`` or ``exchange``
+   optimizer: the policy is swapped for a no-op, and the flight
+   recorder, metrics and decision-trace log for throwaway ones, while
+   each record is re-applied, at its original simulated time and through
+   the controller's own state edits, and every ``apply`` or ``exchange``
    record's recomputed objective is compared against the logged one — a
    mismatch means replay is not reproducing history and recovery stops
    (:class:`~repro.errors.RecoveryError`).
@@ -46,7 +46,7 @@ from repro.errors import (
 )
 from repro.metrics import MetricInterface
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, DecisionTraceLog
 from repro.persistence import codec
 from repro.persistence.crash import CrashSchedule
 from repro.persistence.journal import DurabilityJournal
@@ -196,21 +196,21 @@ def _load(directory: str, journal: DurabilityJournal, read,
     with controller.tracer.span("controller.restore.replay_wal",
                                 records=len(tail)):
         # The tail rebuilds the recovered baseline, as the snapshot load
-        # does: the events and metric samples its operations emit again
-        # are not live history, so they go to throwaway sinks, and a
-        # restore's history does not depend on where the last snapshot
-        # fell.
+        # does: the events, metric samples and traces its operations
+        # emit again are not live history, so they go to throwaway
+        # sinks, and a restore's history does not depend on where the
+        # last snapshot fell.
         live = (controller.policy, controller.flight_recorder,
-                controller.metrics)
-        controller.policy = _ReplayPolicy()
-        controller.flight_recorder = FlightRecorder()
-        controller.metrics = MetricInterface()
+                controller.metrics, controller.trace_log)
+        (controller.policy, controller.flight_recorder, controller.metrics,
+         controller.trace_log) = (_ReplayPolicy(), FlightRecorder(),
+                                  MetricInterface(), DecisionTraceLog())
         try:
             for record in tail:
                 apply_record(controller, journal, record)
         finally:
             (controller.policy, controller.flight_recorder,
-             controller.metrics) = live
+             controller.metrics, controller.trace_log) = live
     return controller, RecoveryReport(
         directory=directory,
         snapshot_path=snapshot[2] if snapshot else None,

@@ -62,6 +62,17 @@ class TestClockAndTimeouts:
         kernel.run()
         assert order == ["a", "b", "c"]
 
+    def test_many_interleaved_timeouts_all_fire_in_order(self, kernel):
+        done = []
+
+        def worker(index):
+            yield kernel.timeout(index % 13)
+            done.append(index)
+        for index in range(1000):
+            kernel.spawn(worker(index))
+        kernel.run()
+        assert done == sorted(range(1000), key=lambda index: index % 13)
+
 
 class TestProcesses:
     def test_return_value(self, kernel):

@@ -108,6 +108,13 @@ class TestProcessorSharing:
         assert server.completed_jobs == 3
         assert server.active_jobs == 0
 
+    def test_staggered_churn_completes_every_job(self, kernel):
+        server = FairShareServer(kernel, capacity=4.0)
+        run_jobs(kernel, server,
+                 [(index * 0.01, 1.0 + index % 5) for index in range(500)])
+        assert server.completed_jobs == 500
+        assert server.active_jobs == 0
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(

@@ -94,8 +94,7 @@ def run_two_option(naive: bool, app_count: int, pairwise: bool):
     cluster = Cluster.full_mesh([f"n{i}" for i in range(16)],
                                 memory_mb=256.0)
     controller = unpruned_controller(cluster, naive,
-                                     pairwise_exchange=pairwise,
-                                     max_pairwise_bundles=12)
+                                     pairwise_exchange=pairwise)
     for index in range(app_count):
         instance = controller.register_app(f"App{index}")
         controller.setup_bundle(instance,

@@ -28,6 +28,7 @@ from repro.controller import (
     FrictionPolicy,
     ModelDrivenPolicy,
 )
+from repro.controller.controller import MAX_PAIRWISE_BUNDLES
 from repro.errors import AllocationError
 from tests.controller.churn_scripts import make_script, run_script
 from tests.oracle import unpruned
@@ -94,8 +95,7 @@ def test_link_load_scripts_reach_the_pairwise_pass():
             loaded = any(controller.view.external_link_load(
                 link.host_a, link.host_b) > 0
                 for link in controller.cluster.links())
-            if loaded and 2 <= len(configured) <= \
-                    policy.max_pairwise_bundles:
+            if loaded and 2 <= len(configured) <= MAX_PAIRWISE_BUNDLES:
                 seen["loaded"] += 1
                 seen["unscoped"] += any(
                     instance.key == "A0.1" and

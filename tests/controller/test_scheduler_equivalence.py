@@ -5,7 +5,9 @@ greedy policy's decisions depend only on current controller state, so one
 batched sweep after a burst of admissions must land in exactly the state
 N inline sweeps would have.  This test drives the same 48-application
 admission sequence through both modes and compares final placements,
-chosen options, and the objective value bit-for-bit.
+chosen options, and the objective value bit-for-bit.  Inline admission
+on the same 32-node room must also stay sane below and above the size
+at which the room fills: every app placed, memory never oversubscribed.
 """
 
 import pytest
@@ -46,9 +48,10 @@ def final_state(controller):
     return placements, controller.current_objective()
 
 
-def admit_all(controller, scheduler=None, batch_every=8):
-    """The shared 48-app admission sequence, optionally coalesced."""
-    for index in range(APP_COUNT):
+def admit_all(controller, scheduler=None, batch_every=8,
+              app_count=APP_COUNT):
+    """The shared admission sequence, optionally coalesced."""
+    for index in range(app_count):
         instance = controller.register_app(f"App{index}")
         controller.setup_bundle(instance, two_option_rsl(index))
         if scheduler is not None and index % batch_every == batch_every - 1:
@@ -97,3 +100,21 @@ def test_single_terminal_batch_also_matches():
                           batch_every=APP_COUNT)
     assert final_state(coalesced) == final_state(serial)
     assert scheduler.batches_run == 1
+
+
+@pytest.mark.parametrize("app_count", [4, 24])
+def test_inline_admission_places_every_app_within_memory(app_count):
+    """While the room gives every app two nodes (2 x apps <= 32) each
+    one gets the fast ``large`` option; beyond that the controller
+    degrades by choosing ``small`` and sharing, never by failing, and
+    the worst response stays far below serialized execution."""
+    controller = admit_all(make_controller(), app_count=app_count)
+    placements, _objective = final_state(controller)
+    assert len(placements) == app_count
+    assert None not in placements.values()
+    for node in controller.cluster.nodes():
+        assert node.memory.reserved_mb <= node.memory.total_mb + 1e-9
+    if app_count * 2 <= 32:
+        assert {option for option, _ in placements.values()} == {"large"}
+    assert max(controller.predict_all(controller.view).values()) < \
+        60 * app_count

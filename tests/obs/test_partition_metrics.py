@@ -3,12 +3,17 @@
 The partitioned optimizer reports only *aggregates* to the metric
 interface and one ``optimizer.sweep`` span per sweep, so a system that
 fragments into thousands of components cannot blow up exporter
-cardinality.
+cardinality.  Its counters also show what partitioning buys: the work
+an admission costs does not grow with the number of pods.
 """
 
 import pytest
 
-from repro.controller import AdaptationController, ModelDrivenPolicy
+from repro.controller import (
+    AdaptationController,
+    CoalescingScheduler,
+    ModelDrivenPolicy,
+)
 from repro.controller.partition import bundle_key
 from repro.obs import Tracer, json_snapshot, prometheus_text
 from tests.oracle import unpruned
@@ -85,6 +90,52 @@ class TestMetricSurface:
         many = run_pods(pods=8)
         assert partition_metric_names(few.metrics) == \
             partition_metric_names(many.metrics) == PARTITION_METRICS
+
+
+class TestPartitionedAdmission:
+    """A pod-by-pod rollout through the coalescing scheduler, flushed
+    every 64 admissions: each batched sweep prunes the pods the batch
+    never touched, so the work an admission costs does not grow with
+    the pod count."""
+
+    APPS_PER_POD = 16
+
+    def admit(self, pods):
+        controller = AdaptationController(
+            build_pod_cluster(pods, nodes_per_pod=8),
+            policy=ModelDrivenPolicy(pairwise_exchange=False))
+        scheduler = CoalescingScheduler(controller, coalesce_window=0.0,
+                                        max_delay=0.0)
+        for index in range(pods * self.APPS_PER_POD):
+            pod = index // self.APPS_PER_POD
+            instance = controller.register_app(f"Pod{pod}App{index}")
+            controller.setup_bundle(instance,
+                                    POD_RSL.format(pod=pod, index=index))
+            if index % 64 == 63:
+                scheduler.flush()
+        scheduler.flush()
+        return controller, scheduler
+
+    def test_work_per_app_does_not_grow_with_the_pods(self):
+        per_app = []
+        for pods in (8, 16):
+            controller, scheduler = self.admit(pods)
+            apps = pods * self.APPS_PER_POD
+            assert all(state.chosen is not None
+                       for instance in controller.registry.instances()
+                       for state in instance.bundles.values())
+            assert len(components(controller)) == pods
+            stats = controller.stats.snapshot()
+            assert stats["partition_sweeps"] == scheduler.batches_run > 0
+            assert stats["pruned_bundles"] > 0
+            for node in controller.cluster.nodes():
+                assert node.memory.reserved_mb <= \
+                    node.memory.total_mb + 1e-9
+            per_app.append((stats["candidates_evaluated"] / apps,
+                            stats["predictions_recomputed"] / apps))
+        assert per_app[0] == per_app[1]
+        candidates, predictions = per_app[0]
+        assert candidates <= 4.0 and predictions <= 11.5
 
 
 class TestExporters:

@@ -152,6 +152,40 @@ class TestNullTracer:
     def test_fresh_instances_also_disabled(self):
         assert NullTracer().enabled is False
 
+    def test_untraced_admission_constructs_no_span(self, monkeypatch):
+        """Tracing is free when off: an admission under the default
+        tracer builds no ``Span``, while the same admission traced
+        builds some."""
+        from repro.cluster import Cluster
+        from repro.controller import AdaptationController
+        from repro.obs import trace
+
+        built = []
+        init = trace.Span.__init__
+
+        def counting_init(span, *args, **kwargs):
+            built.append(span)
+            init(span, *args, **kwargs)
+
+        monkeypatch.setattr(trace.Span, "__init__", counting_init)
+        rsl = """harmonyBundle App{index} size {{
+            {{small {{node n {{seconds 60}} {{memory 24}}}}}}
+            {{large {{node n {{seconds 35}} {{memory 24}} {{replicate 2}}}}
+                    {{communication 4}}}}}}"""
+
+        def admit(tracer):
+            controller = AdaptationController(
+                Cluster.full_mesh([f"n{i}" for i in range(8)],
+                                  memory_mb=256.0), tracer=tracer)
+            for index in range(4):
+                instance = controller.register_app(f"App{index}")
+                controller.setup_bundle(instance, rsl.format(index=index))
+
+        admit(None)
+        assert built == []
+        admit(Tracer())
+        assert built
+
 
 class TestCandidateTrace:
     def test_to_dict_is_strict_json(self):

@@ -212,21 +212,34 @@ class TestRestore:
             restored.journal.close()
 
     def test_restore_from_snapshot_plus_tail(self, tmp_path):
-        controller, journal = journaled_controller(tmp_path,
-                                                   snapshot_every=5)
-        run_scenario(controller)
-        journal.close()
-        restored = AdaptationController.restore(str(tmp_path),
-                                                fsync="never")
-        assert_equivalent(restored, controller)
-        assert restored.last_recovery.snapshot_path is not None
-        assert restored.last_recovery.snapshot_seq > 0
+        """A snapshot bounds replay: the same run restored from a
+        snapshot and its tail replays fewer records than from the WAL
+        alone, and both restores are the live controller."""
+        replayed = {}
+        for snapshot_every in (0, 5):
+            directory = tmp_path / str(snapshot_every)
+            controller, journal = journaled_controller(
+                directory, snapshot_every=snapshot_every)
+            run_scenario(controller)
+            journal.close()
+            restored = AdaptationController.restore(str(directory),
+                                                    fsync="never")
+            assert_equivalent(restored, controller)
+            assert all(state.chosen is not None
+                       for instance in restored.registry.instances()
+                       for state in instance.bundles.values())
+            report = restored.last_recovery
+            assert (report.snapshot_path is not None) is \
+                (snapshot_every > 0)
+            replayed[snapshot_every] = report.records_replayed
+        assert report.snapshot_seq > 0
+        assert replayed[5] < replayed[0]
 
     def test_history_does_not_depend_on_the_snapshot_cadence(self, tmp_path):
         """Replay rebuilds the baseline as a snapshot load does: two
         apps and an eviction restored from the WAL alone leave the same
-        flight events and controller metrics as from a snapshot, the
-        live history only."""
+        flight events, controller metrics and decision traces as from a
+        snapshot, the live history only."""
         def history(directory, snapshot):
             controller, journal = journaled_controller(directory)
             first, second = (controller.register_app(f"app{index}")
@@ -235,6 +248,7 @@ class TestRestore:
                 controller.setup_bundle(instance,
                                         RSL.format(name=instance.app_name))
             controller.evict_app(first)
+            assert controller.trace_log.traces_recorded > 0
             if snapshot:
                 journal.snapshot_now()
             journal.close()
@@ -246,13 +260,15 @@ class TestRestore:
             kinds = sorted(event["kind"] for event
                            in restored.flight_recorder.events())
             return kinds, restored.metrics.names("controller"), \
-                restored.metrics.latest("controller.evictions")
+                restored.metrics.latest("controller.evictions"), \
+                restored.trace_log.traces_recorded
 
         from_wal = history(tmp_path / "wal", snapshot=False)
         assert from_wal == history(tmp_path / "snapshot", snapshot=True)
-        kinds, names, evictions = from_wal
+        kinds, names, evictions, traces = from_wal
         assert "registered" not in kinds and "evicted" not in kinds
         assert evictions is None and names == ["controller.recovery_seconds"]
+        assert traces == 0
 
     def test_restored_controller_keeps_journaling(self, tmp_path):
         controller, journal = journaled_controller(tmp_path)
