@@ -19,7 +19,7 @@ Package map:
 * :mod:`repro.allocation` — demand instantiation and first-fit matching;
 * :mod:`repro.prediction` — default and explicit performance models;
 * :mod:`repro.controller` — the adaptation controller, objectives,
-  greedy/pairwise/exhaustive optimizers, friction gating, policies;
+  greedy and pairwise optimizers, friction gating, policies;
 * :mod:`repro.api` — the client library (``harmony_startup`` et al.),
   Harmony variables, wire protocol, in-process and TCP transports, server;
 * :mod:`repro.apps` — harmonized applications: Simple, Bag, and the

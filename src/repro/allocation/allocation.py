@@ -38,10 +38,6 @@ class Allocation:
     reserved_links: list[SimLink] = field(init=False, default_factory=list)
     _released: bool = field(init=False, default=False)
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def memory_grants(self) -> dict[str, float]:
         """Grant mapping (``<local_name>.memory`` -> MB) for re-instantiation."""
         grants: dict[str, float] = {}

@@ -174,7 +174,7 @@ class FaultyTransport(Transport):
         client_end, server_end = connected_pair()
         lossy = FaultyTransport(client_end,
                                 SeededFaultSchedule(seed=7, drop_rate=0.2))
-        app = HarmonyClient(lossy, retry_policy=RetryPolicy.aggressive())
+        app = HarmonyClient(lossy, retry_policy=RetryPolicy(max_attempts=4))
 
     Delayed messages accumulate (in order, per direction) until
     :meth:`release_delayed` hands them on.  :meth:`sever` closes both the

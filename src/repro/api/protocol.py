@@ -308,6 +308,3 @@ class FrameDecoder:
                 raise ProtocolError(
                     "frame is not an object with a 'type' field")
             messages.append(message)
-
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

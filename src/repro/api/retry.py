@@ -92,15 +92,3 @@ class RetryPolicy:
         draw = random.uniform(0.0, delay * self.backoff_jitter)
         return delay * (1.0 - self.backoff_jitter) + draw
 
-    def delays(self) -> list[float]:
-        """The full backoff schedule: one delay per allowed retry."""
-        return [self.backoff_delay(n)
-                for n in range(1, self.max_attempts)]
-
-    @classmethod
-    def aggressive(cls) -> "RetryPolicy":
-        """A short-fuse profile for tests and low-latency links."""
-        return cls(request_timeout_seconds=2.0, max_attempts=4,
-                   backoff_initial_seconds=0.05, backoff_multiplier=2.0,
-                   backoff_max_seconds=1.0,
-                   heartbeat_interval_seconds=0.5)

@@ -180,10 +180,6 @@ class PendingVariableBuffer:
     def pending_for(self, client_id: str) -> dict[str, Any]:
         return dict(self._pending.get(client_id, {}))
 
-    def generation_for(self, client_id: str) -> int:
-        """The newest generation staged into this client's batch."""
-        return self._generations.get(client_id, 0)
-
     def flush(self, send: Callable[[str, dict[str, Any], int], None],
               ready: Callable[[str], bool]) -> int:
         """Send every client its coalesced batch; returns batches sent.

@@ -10,20 +10,18 @@ Two execution paths match the paper's two tuning options:
 * **query shipping** (:meth:`DatabaseEngine.execute`, run against the
   *server's* buffer pool): the server does everything; the client receives
   only the result tuples.
-* **data shipping** (:meth:`DatabaseEngine.plan_pages` +
-  :meth:`DatabaseEngine.execute` against the *client's* buffer pool): the
-  client faults missing pages across the network and executes locally; the
-  server only serves pages.
+* **data shipping** (:meth:`DatabaseEngine.execute` against the
+  *client's* buffer pool): the client faults missing pages across the
+  network and executes locally; the server only serves pages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.apps.database.query import JoinQuery
 from repro.apps.database.relation import WisconsinRelation
-from repro.apps.database.storage import PAGE_BYTES, BufferPool, PageId
-from repro.errors import DatabaseError
+from repro.apps.database.storage import PAGE_BYTES, BufferPool
 
 __all__ = ["CostParameters", "ExecutionProfile", "DatabaseEngine"]
 
@@ -61,7 +59,6 @@ class ExecutionProfile:
     page_misses: int = 0
     cpu_seconds: float = 0.0
     io_seconds: float = 0.0
-    result_rows: list[tuple] = field(default_factory=list)
 
     @property
     def compute_seconds(self) -> float:
@@ -77,30 +74,12 @@ class DatabaseEngine:
 
     def __init__(self, relation_a: WisconsinRelation,
                  relation_b: WisconsinRelation,
-                 params: CostParameters | None = None,
-                 keep_result_rows: bool = False):
+                 params: CostParameters | None = None):
         self.relation_a = relation_a
         self.relation_b = relation_b
         self.params = params or CostParameters()
-        #: Store actual joined rows on profiles (tests); off for benchmarks.
-        self.keep_result_rows = keep_result_rows
 
     # -- planning --------------------------------------------------------------
-
-    def plan_pages(self, query: JoinQuery) -> list[PageId]:
-        """Distinct heap pages this query will touch, in access order.
-
-        Data shipping uses this to know which pages the client must hold.
-        """
-        entries_a = self.relation_a.index_on(query.select_field).lookup(
-            query.select_value_a)
-        entries_b = self.relation_b.index_on(query.select_field).lookup(
-            query.select_value_b)
-        pages = self.relation_a.index_on(query.select_field).distinct_pages(
-            entries_a)
-        pages += self.relation_b.index_on(query.select_field).distinct_pages(
-            entries_b)
-        return pages
 
     def working_set_pages(self) -> int:
         """Pages of both relations — the data-shipping working set."""
@@ -141,15 +120,10 @@ class DatabaseEngine:
         build: dict[float, list[tuple]] = {}
         for _key, _page, row in entries_a:
             build.setdefault(row[join_key_a], []).append(row)
-        result_rows: list[tuple] = []
         result_count = 0
         for _key, _page, row in entries_b:
-            for match in build.get(row[join_key_b], ()):
-                result_count += 1
-                if self.keep_result_rows:
-                    result_rows.append(match + row)
+            result_count += len(build.get(row[join_key_b], ()))
         profile.result_tuples = result_count
-        profile.result_rows = result_rows
 
         profile.cpu_seconds = (
             (profile.selected_a + profile.selected_b)
@@ -158,42 +132,3 @@ class DatabaseEngine:
             * params.join_tuple_seconds)
         profile.io_seconds = profile.page_misses * params.page_io_seconds
         return profile
-
-    # -- data-shipping page faulting ------------------------------------------------
-
-    def client_fault_pages(self, query: JoinQuery, client_pool: BufferPool,
-                           ) -> tuple[int, int]:
-        """Touch the query's pages in the *client* pool.
-
-        Returns ``(pages_needed, misses)``; each miss must be shipped from
-        the server (``misses * PAGE_BYTES`` over the link) and costs the
-        server ``page_service_seconds`` of CPU per page.
-        """
-        pages = self.plan_pages(query)
-        misses = client_pool.access_many(pages)
-        return len(pages), misses
-
-    def validate_result(self, profile: ExecutionProfile) -> None:
-        """Cross-check a kept result against a nested-loop recomputation.
-
-        Only usable when ``keep_result_rows`` is on; raises on mismatch.
-        Intended for tests on small relations.
-        """
-        if not self.keep_result_rows:
-            raise DatabaseError("engine did not keep result rows")
-        query = profile.query
-        select_idx = WisconsinRelation.field_index(query.select_field)
-        join_idx = WisconsinRelation.field_index(query.join_field)
-        expected = 0
-        rows_a = [row for _pid, row in self.relation_a.heap.scan()
-                  if row[select_idx] == query.select_value_a]
-        rows_b = [row for _pid, row in self.relation_b.heap.scan()
-                  if row[select_idx] == query.select_value_b]
-        keys_a = {row[join_idx] for row in rows_a}
-        for row in rows_b:
-            if row[join_idx] in keys_a:
-                expected += 1
-        if expected != profile.result_tuples:
-            raise DatabaseError(
-                f"join result mismatch: hash join {profile.result_tuples}, "
-                f"nested loop {expected}")

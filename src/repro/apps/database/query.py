@@ -71,6 +71,3 @@ class WisconsinWorkload:
             select_value_a=self._rng.randrange(self.distinct_values),
             select_value_b=self._rng.randrange(self.distinct_values),
             join_field=self.join_field)
-
-    def query_stream(self, count: int) -> list[JoinQuery]:
-        return [self.next_query() for _ in range(count)]

@@ -75,10 +75,6 @@ class HeapFile:
     def tuple_count(self) -> int:
         return sum(len(page.tuples) for page in self._pages)
 
-    @property
-    def tuples_per_page(self) -> int:
-        return PAGE_BYTES // self.tuple_bytes
-
     def append(self, row: tuple) -> PageId:
         """Insert a tuple, opening a new page when the last one is full."""
         if not self._pages or self._pages[-1].free_slots == 0:
@@ -88,10 +84,6 @@ class HeapFile:
         page = self._pages[-1]
         page.insert(row)
         return page.page_id
-
-    def bulk_load(self, rows: Sequence[tuple]) -> None:
-        for row in rows:
-            self.append(row)
 
     def page(self, page_number: int) -> Page:
         if not 0 <= page_number < len(self._pages):
@@ -132,10 +124,6 @@ class BufferPool:
     def capacity_pages(self) -> int:
         return self._capacity_pages
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
     def resize(self, capacity_mb: float) -> int:
         """Change capacity (Harmony granting more/less memory).
 
@@ -172,13 +160,6 @@ class BufferPool:
             if not self.access(page_id):
                 misses += 1
         return misses
-
-    def contains(self, page_id: PageId) -> bool:
-        return page_id in self._resident
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self) -> None:
         self._resident.clear()

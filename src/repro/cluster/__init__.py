@@ -8,7 +8,6 @@ accounting, topology queries, and background-load injection.
 
 from repro.cluster.kernel import (
     AllOf,
-    AnyOf,
     Event,
     Interrupted,
     Kernel,
@@ -16,14 +15,14 @@ from repro.cluster.kernel import (
     Timeout,
 )
 from repro.cluster.link import SimLink
-from repro.cluster.load import BackgroundCpuLoad, BackgroundTrafficLoad, LoadPhase
+from repro.cluster.load import BackgroundCpuLoad, LoadPhase
 from repro.cluster.node import MemoryAccount, SimNode
-from repro.cluster.resources import FairShareServer, SlotResource, Store
+from repro.cluster.resources import FairShareServer, Store
 from repro.cluster.topology import Cluster
 
 __all__ = [
-    "Kernel", "Event", "Timeout", "Process", "AnyOf", "AllOf", "Interrupted",
-    "FairShareServer", "SlotResource", "Store",
+    "Kernel", "Event", "Timeout", "Process", "AllOf", "Interrupted",
+    "FairShareServer", "Store",
     "SimNode", "MemoryAccount", "SimLink", "Cluster",
-    "LoadPhase", "BackgroundCpuLoad", "BackgroundTrafficLoad",
+    "LoadPhase", "BackgroundCpuLoad",
 ]

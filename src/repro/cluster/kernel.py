@@ -12,7 +12,7 @@ The design mirrors the classic SimPy core but is self-contained:
 * :class:`Timeout` — triggers after a simulated delay;
 * :class:`Process` — wraps a generator; itself an event that triggers when
   the generator returns (value = the ``return`` value);
-* :class:`AnyOf` / :class:`AllOf` — combinators;
+* :class:`AllOf` — waits for every one of several events;
 * :class:`Kernel` — the event loop with a monotonic simulated clock.
 
 Processes may be interrupted (:meth:`Process.interrupt`), which raises
@@ -29,8 +29,7 @@ from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
 
-__all__ = ["Kernel", "Event", "Timeout", "Process", "AnyOf", "AllOf",
-           "Interrupted"]
+__all__ = ["Kernel", "Event", "Timeout", "Process", "AllOf", "Interrupted"]
 
 
 class Interrupted(Exception):
@@ -106,8 +105,8 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds in the future.
 
     The value is fixed at creation but the event only *triggers* when the
-    kernel reaches its scheduled time — conditions (AnyOf/AllOf) must not
-    see a future timeout as already settled.
+    kernel reaches its scheduled time — an :class:`AllOf` must not see a
+    future timeout as already settled.
     """
 
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
@@ -199,54 +198,25 @@ class Process(Event):
             return
 
 
-class _Condition(Event):
-    """Shared machinery for AnyOf/AllOf."""
+class AllOf(Event):
+    """Triggers when every child has settled; value is the list of values.
+
+    A failing child fails the condition.
+    """
 
     def __init__(self, kernel: "Kernel", events: Iterable[Event]):
         super().__init__(kernel)
         self.events = list(events)
-        self._pending = 0
         for event in self.events:
-            if not self._check_immediate(event):
-                self._pending += 1
+            if not event.processed:
                 event.add_callback(self._on_child)
-        self._evaluate(initial=True)
-
-    def _check_immediate(self, event: Event) -> bool:
-        return event.processed
+        self._evaluate()
 
     def _on_child(self, event: Event) -> None:
-        self._pending -= 1
         if not self._triggered:
-            self._evaluate(initial=False)
+            self._evaluate()
 
-    def _evaluate(self, initial: bool) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers when the first of its child events settles.
-
-    Value: the (event, value) pair of the first settled child.  A failing
-    child fails the condition.
-    """
-
-    def _evaluate(self, initial: bool) -> None:
-        for event in self.events:
-            if event.triggered:
-                if event.exception is not None:
-                    self.fail(event.exception)
-                else:
-                    self.succeed((event, event._value))
-                return
-        if not self.events:
-            self.succeed((None, None))
-
-
-class AllOf(_Condition):
-    """Triggers when every child has settled; value is the list of values."""
-
-    def _evaluate(self, initial: bool) -> None:
+    def _evaluate(self) -> None:
         if all(event.triggered for event in self.events):
             for event in self.events:
                 if event.exception is not None:
@@ -280,9 +250,6 @@ class Kernel:
               name: str = "") -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

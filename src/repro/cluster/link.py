@@ -107,10 +107,6 @@ class SimLink:
         self._reserved_mbps -= amount
         return amount
 
-    def connects(self, host_a: str, host_b: str) -> bool:
-        """Whether this link joins the two hostnames (either direction)."""
-        return {self.host_a, self.host_b} == {host_a, host_b}
-
     def __repr__(self) -> str:
         return (f"SimLink({self.host_a!r} -- {self.host_b!r}, "
                 f"{self.bandwidth_mbps} MB/s)")

@@ -3,9 +3,8 @@
 The paper's controller re-evaluates options periodically "to adapt the
 system due to changes out of Harmony's control (such as network traffic due
 to other applications)".  This module provides deterministic generators of
-exactly such out-of-band load: CPU jobs and network transfers that arrive on
-a schedule and are invisible to the controller except through the metric
-interface.
+exactly such out-of-band load: CPU jobs that arrive on a schedule and are
+invisible to the controller except through the metric interface.
 """
 
 from __future__ import annotations
@@ -13,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.cluster.kernel import Interrupted, Kernel, Process
+from repro.cluster.kernel import Interrupted, Process
 from repro.cluster.topology import Cluster
 
-__all__ = ["LoadPhase", "BackgroundCpuLoad", "BackgroundTrafficLoad"]
+__all__ = ["LoadPhase", "BackgroundCpuLoad"]
 
 
 @dataclass(frozen=True)
@@ -77,41 +76,3 @@ class BackgroundCpuLoad:
             if phase.think_seconds > 0:
                 yield kernel.timeout(phase.think_seconds)
 
-
-class BackgroundTrafficLoad:
-    """Synthetic competing traffic on one link."""
-
-    def __init__(self, cluster: Cluster, host_a: str, host_b: str,
-                 phases: list[LoadPhase]):
-        self.cluster = cluster
-        self.host_a = host_a
-        self.host_b = host_b
-        self.phases = list(phases)
-        self.transfers_issued = 0
-        self._process: Process | None = None
-
-    def start(self) -> Process:
-        self._process = self.cluster.kernel.spawn(
-            self._run(), name=f"bg-net:{self.host_a}-{self.host_b}")
-        return self._process
-
-    def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stop")
-
-    def _run(self) -> Iterator:
-        kernel = self.cluster.kernel
-        link = self.cluster.link_between(self.host_a, self.host_b)
-        if link is None:
-            links = self.cluster.path_links(self.host_a, self.host_b)
-            link = links[0]
-        try:
-            for phase in self.phases:
-                phase_end = kernel.now + phase.duration_seconds
-                while kernel.now < phase_end:
-                    self.transfers_issued += 1
-                    yield link.transfer(phase.demand)
-                    if phase.think_seconds > 0:
-                        yield kernel.timeout(phase.think_seconds)
-        except Interrupted:
-            return

@@ -8,8 +8,7 @@ MB/s, demand = megabytes).  Processor sharing is what produces the paper's
 Figure 7 behaviour: with two clients query-shipping against one server, each
 query takes roughly twice as long.
 
-Also provided: :class:`SlotResource` (bounded concurrency with FIFO
-queueing) and :class:`Store` (an unbounded FIFO item queue used by the
+Also provided: :class:`Store` (an unbounded FIFO item queue used by the
 bag-of-tasks application).
 """
 
@@ -22,7 +21,7 @@ from typing import Any
 from repro.cluster.kernel import Event, Kernel
 from repro.errors import SimulationError
 
-__all__ = ["FairShareServer", "SlotResource", "Store"]
+__all__ = ["FairShareServer", "Store"]
 
 _EPSILON = 1e-9
 
@@ -44,8 +43,8 @@ class FairShareServer:
     jobs; when jobs arrive or depart the rates of everyone else change, which
     the implementation handles by advancing all remaining demands lazily.
 
-    The server also accumulates utilization statistics (busy seconds and
-    job-seconds) for the metric interface.
+    The server also accumulates its busy seconds, the utilization the
+    metric interface reports.
     """
 
     def __init__(self, kernel: Kernel, capacity: float, name: str = ""):
@@ -62,8 +61,6 @@ class FairShareServer:
         self._timer_generation = 0
         # statistics
         self._busy_seconds = 0.0
-        self._job_seconds = 0.0
-        self._completed_jobs = 0
 
     # -- public API ----------------------------------------------------------
 
@@ -74,10 +71,6 @@ class FairShareServer:
     @property
     def active_jobs(self) -> int:
         return len(self._jobs)
-
-    @property
-    def completed_jobs(self) -> int:
-        return self._completed_jobs
 
     def submit(self, demand: float) -> Event:
         """Submit a job needing ``demand`` units; returns its completion event.
@@ -99,29 +92,13 @@ class FairShareServer:
         self._reschedule()
         return completion
 
-    def set_capacity(self, capacity: float) -> None:
-        """Change the capacity (e.g. external load stealing cycles)."""
-        if capacity <= 0:
-            raise SimulationError(f"capacity must stay positive, got {capacity}")
-        self._advance()
-        self._capacity = capacity
-        self._reschedule()
-
-    def utilization(self, since_seconds: float | None = None) -> float:
-        """Fraction of time busy since the start (approximate, cumulative)."""
+    def utilization(self) -> float:
+        """Fraction of the time since t=0 the server was busy."""
         self._advance_statistics_only()
         elapsed = self.kernel.now
         if elapsed <= 0:
             return 1.0 if self._jobs else 0.0
         return min(1.0, self._busy_seconds / elapsed)
-
-    def mean_load(self) -> float:
-        """Time-averaged number of active jobs since the start."""
-        self._advance_statistics_only()
-        elapsed = self.kernel.now
-        if elapsed <= 0:
-            return float(len(self._jobs))
-        return self._job_seconds / elapsed
 
     # -- internals -----------------------------------------------------------
 
@@ -140,7 +117,6 @@ class FairShareServer:
             return
         n = len(self._jobs)
         self._busy_seconds += elapsed
-        self._job_seconds += elapsed * n
         rate = self._capacity / n
         served = elapsed * rate
         finished: list[_Job] = []
@@ -151,7 +127,6 @@ class FairShareServer:
         for job in finished:
             del self._jobs[job.job_id]
             sojourn = now - job.arrival_time  # type: ignore[attr-defined]
-            self._completed_jobs += 1
             job.completion.succeed(sojourn)
 
     def _reschedule(self) -> None:
@@ -171,46 +146,6 @@ class FairShareServer:
             return  # superseded by a later arrival/departure
         self._advance()
         self._reschedule()
-
-
-class SlotResource:
-    """``capacity`` concurrent slots with FIFO queueing.
-
-    ``request()`` returns an event that triggers when a slot is granted;
-    callers must ``release()`` exactly once per granted request.
-    """
-
-    def __init__(self, kernel: Kernel, capacity: int, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"slot resource needs capacity >= 1")
-        self.kernel = kernel
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: list[Event] = []
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        event = self.kernel.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(
-                f"release() on slot resource {self.name!r} with no slot held")
-        if self._waiters:
-            waiter = self._waiters.pop(0)
-            waiter.succeed()
-        else:
-            self._in_use -= 1
 
 
 class Store:

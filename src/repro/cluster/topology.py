@@ -232,10 +232,6 @@ class Cluster:
             return float("inf")
         return min(link.available_mbps for link in links)
 
-    def advertisements(self) -> list:
-        """RSL ``harmonyNode`` advertisements for every node."""
-        return [node.advertisement() for node in self._nodes.values()]
-
     def run(self, until=None):
         """Delegate to the kernel's run loop."""
         return self.kernel.run(until)

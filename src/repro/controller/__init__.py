@@ -18,7 +18,6 @@ from repro.controller.objective import (
 from repro.controller.optimizer import (
     Candidate,
     ConfigurationCache,
-    ExhaustiveOptimizer,
     GreedyOptimizer,
     OptimizationContext,
     enumerate_candidates,
@@ -40,7 +39,7 @@ __all__ = [
     "CoalescingScheduler",
     "Objective", "MeanResponseTime", "MaxResponseTime",
     "ThroughputObjective", "WeightedMeanResponseTime",
-    "GreedyOptimizer", "ExhaustiveOptimizer", "Candidate",
+    "GreedyOptimizer", "Candidate",
     "OptimizationContext", "ConfigurationCache", "enumerate_candidates",
     "OptimizerStats", "TrialEngine", "ViewTrial",
     "PartitionIndex",

@@ -10,9 +10,6 @@ implement."
 configuration space (options x variable assignments x elastic-memory
 grants), matches each against the cluster, evaluates the global objective
 with every *other* application held fixed, and returns the best candidate.
-:class:`ExhaustiveOptimizer` searches the full cross-product of all
-applications' configurations — exponential, provided for the ablation
-benchmark quantifying the greedy gap.
 
 Candidates are scored by trial and rollback on the live view
 (:class:`~repro.controller.trial.ViewTrial`), with predictions
@@ -26,7 +23,6 @@ place the candidate, predict every application) lives with the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -52,7 +48,7 @@ from repro.prediction.contention import SystemView
 from repro.rsl.model import Bundle, TuningOption
 
 __all__ = ["Candidate", "OptimizationContext", "ConfigurationCache",
-           "GreedyOptimizer", "ExhaustiveOptimizer", "enumerate_candidates"]
+           "GreedyOptimizer", "enumerate_candidates"]
 
 #: predict_all(view) -> {app_key: predicted seconds} for every placed app.
 PredictAll = Callable[[SystemView], Mapping[str, float]]
@@ -457,71 +453,6 @@ class GreedyOptimizer:
                 reads=record)
 
 
-#: The largest cross-product :class:`ExhaustiveOptimizer` searches.
-MAX_COMBINATIONS = 200_000
-
-
-class ExhaustiveOptimizer:
-    """Joint search over all applications' configurations (ablation only).
-
-    Searches the cross-product of candidate lists, one per (instance,
-    bundle).  :data:`MAX_COMBINATIONS` guards against explosion; the
-    search raises when exceeded so callers notice rather than silently
-    truncate.
-    """
-
-    def optimize_all(self, instances: list[AppInstance],
-                     context: OptimizationContext,
-                     ) -> tuple[dict[str, Candidate], float, int]:
-        """Returns (choice per app key, objective, combinations tried)."""
-        per_app: list[tuple[AppInstance, BundleState, list[Candidate]]] = []
-        for instance in instances:
-            for state in instance.bundles.values():
-                candidates = list(enumerate_candidates(
-                    instance, state, context))
-                if not candidates:
-                    raise AllocationError(
-                        f"{instance.key}: no feasible configuration for "
-                        f"bundle {state.bundle.bundle_name!r}")
-                per_app.append((instance, state, candidates))
-
-        total = math.prod(len(c) for _, _, c in per_app) if per_app else 0
-        if total > MAX_COMBINATIONS:
-            raise AllocationError(
-                f"exhaustive search space {total} exceeds cap "
-                f"{MAX_COMBINATIONS}")
-
-        engine = context.engine
-        live = engine.live_predictions()
-        best_choice: dict[str, Candidate] = {}
-        best_objective = math.inf
-        combinations = 0
-        for combo in itertools.product(*(c for _, _, c in per_app)):
-            combinations += 1
-            feasible = True
-            usage: dict[str, float] = {}
-            for (_instance, _state, _), candidate in zip(per_app, combo):
-                if not _memory_feasible(context.view, candidate, usage):
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            context.stats.candidates_evaluated += 1
-            with ViewTrial(context.view) as trial:
-                for (instance, _state, _), candidate in zip(per_app, combo):
-                    trial.place(instance.key, candidate.demands,
-                                candidate.assignment)
-                predictions = engine.trial_predictions(live, trial.tokens)
-            objective = context.objective.evaluate(predictions)
-            if objective < best_objective - 1e-12:
-                best_objective = objective
-                best_choice = {
-                    instance.key: candidate
-                    for (instance, _s, _c), candidate in zip(per_app, combo)
-                }
-        return best_choice, best_objective, combinations
-
-
 def _pair_memory_ok(cluster, ignore_holders: frozenset[str],
                     cand_a: Candidate, cand_b: Candidate) -> bool:
     """Joint memory check for a candidate pair against the live cluster.
@@ -543,28 +474,4 @@ def _pair_memory_ok(cluster, ignore_holders: frozenset[str],
             free += node.memory.held_by(holder)
         if claim > free + 1e-9:
             return False
-    return True
-
-
-def _memory_feasible(view: SystemView, candidate: Candidate,
-                     usage: dict[str, float]) -> bool:
-    """Joint memory check across a combination under construction.
-
-    Per-candidate matching verified memory against the *live* cluster, but a
-    joint assignment must not oversubscribe a node across candidates.
-    ``usage`` accumulates MB already claimed by earlier combo members.
-    """
-    cluster = view.cluster
-    claims: dict[str, float] = {}
-    for demand in candidate.demands.nodes:
-        hostname = candidate.assignment.hostname_of(demand.local_name)
-        granted = demand.memory_granted(candidate.memory_grants)
-        claims[hostname] = claims.get(hostname, 0.0) + granted
-    for hostname, claim in claims.items():
-        node = cluster.node(hostname)
-        total_free = node.memory.total_mb  # joint check from a blank slate
-        if usage.get(hostname, 0.0) + claim > total_free + 1e-9:
-            return False
-    for hostname, claim in claims.items():
-        usage[hostname] = usage.get(hostname, 0.0) + claim
     return True

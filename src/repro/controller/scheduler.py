@@ -145,16 +145,6 @@ class CoalescingScheduler:
         self._backlog_hist.observe(float(backlog))
         return covering
 
-    @property
-    def pending_requests(self) -> int:
-        with self._cond:
-            return len(self._pending)
-
-    def due_at(self) -> float | None:
-        """When the pending batch becomes runnable (None if none pending)."""
-        with self._cond:
-            return self._due_at_locked()
-
     def _due_at_locked(self) -> float | None:
         if not self._pending:
             return None

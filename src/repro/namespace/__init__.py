@@ -6,15 +6,9 @@ applications (and RSL expressions) read them back.
 """
 
 from repro.namespace.namespace import Namespace, NamespaceNode, NamespaceView
-from repro.namespace.paths import (
-    join_path,
-    parent_path,
-    split_path,
-    validate_component,
-)
+from repro.namespace.paths import join_path, split_path
 
 __all__ = [
     "Namespace", "NamespaceNode", "NamespaceView",
-    "split_path", "join_path", "parent_path",
-    "validate_component",
+    "split_path", "join_path",
 ]

@@ -66,13 +66,6 @@ class Namespace:
             return default
         return node.value
 
-    def require(self, path: str) -> Value:
-        """Return the value at ``path``; raise if missing."""
-        node = self._find(path)
-        if node is None or node.value is None:
-            raise NamespaceError(f"no value at namespace path {path!r}")
-        return node.value
-
     def exists(self, path: str) -> bool:
         """Whether ``path`` names any node (leaf or interior)."""
         return self._find(path) is not None
@@ -149,10 +142,6 @@ class Namespace:
         for name in sorted(node.children):
             yield from self._walk_node(node.children[name], prefix + (name,))
 
-    def as_dict(self, path: str | None = None) -> dict[str, Value]:
-        """Snapshot all leaves under ``path`` as a flat dict."""
-        return dict(self.walk(path))
-
     # -- scoped views ------------------------------------------------------
 
     def view(self, prefix: str) -> "NamespaceView":
@@ -193,17 +182,8 @@ class NamespaceView:
     def get(self, path: str, default: Value | None = None) -> Value | None:
         return self._namespace.get(join_path(self._prefix, path), default)
 
-    def require(self, path: str) -> Value:
-        return self._namespace.require(join_path(self._prefix, path))
-
     def exists(self, path: str) -> bool:
         return self._namespace.exists(join_path(self._prefix, path))
-
-    def as_dict(self) -> dict[str, Value]:
-        """Leaves under the prefix, keyed by their *local* paths."""
-        full = self._namespace.as_dict(self._prefix)
-        offset = len(self._prefix) + 1
-        return {path[offset:]: value for path, value in full.items()}
 
     def lookup(self, name: str) -> float:
         """Environment-protocol lookup for RSL expression evaluation."""

@@ -13,17 +13,7 @@ from __future__ import annotations
 
 from repro.errors import NamespaceError
 
-__all__ = ["split_path", "join_path", "validate_component", "parent_path"]
-
-
-def validate_component(component: str) -> str:
-    """Check one path component, returning it unchanged when valid."""
-    if not component:
-        raise NamespaceError("empty namespace path component")
-    if "." in component:
-        raise NamespaceError(
-            f"namespace component {component!r} may not contain '.'")
-    return component
+__all__ = ["split_path", "join_path"]
 
 
 def split_path(path: str) -> tuple[str, ...]:
@@ -43,11 +33,3 @@ def join_path(*components: str) -> str:
     path = ".".join(components)
     split_path(path)
     return path
-
-
-def parent_path(path: str) -> str | None:
-    """The path one level up, or ``None`` for a root-level path."""
-    parts = split_path(path)
-    if len(parts) == 1:
-        return None
-    return ".".join(parts[:-1])

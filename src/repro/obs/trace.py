@@ -69,10 +69,6 @@ class TraceContext:
     span_id: int
     sampled: bool = True
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "sampled": self.sampled}
-
     @classmethod
     def from_wire(cls, raw: Any) -> "TraceContext | None":
         """Parse a ``trace_ctx`` payload; ``None`` for anything unusable.
@@ -276,9 +272,6 @@ class Tracer:
         """Finished spans with this name, in completion order."""
         return [span for span in self.spans if span.name == name]
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [span.to_dict() for span in self.spans]
-
 
 class _NullSpan:
     """The shared do-nothing span handed out when tracing is disabled."""
@@ -324,9 +317,6 @@ class NullTracer:
         return 0.0
 
     def find(self, name: str) -> list:
-        return []
-
-    def to_dicts(self) -> list:
         return []
 
 
@@ -394,15 +384,6 @@ class DecisionTrace:
     old_configuration: str | None = None
     new_configuration: str = ""
 
-    def chosen_candidate(self) -> CandidateTrace | None:
-        for candidate in self.candidates:
-            if candidate.chosen:
-                return candidate
-        return None
-
-    def rejected(self) -> list[CandidateTrace]:
-        return [c for c in self.candidates if not c.chosen]
-
     def to_dict(self) -> dict[str, Any]:
         return {"time": self.time,
                 "app_key": self.app_key,
@@ -442,9 +423,6 @@ class DecisionTraceLog:
         if count <= 0:
             return []
         return list(self._traces)[-count:]
-
-    def for_app(self, app_key: str) -> list[DecisionTrace]:
-        return [t for t in self._traces if t.app_key == app_key]
 
     def __len__(self) -> int:
         return len(self._traces)

@@ -487,10 +487,6 @@ class ReplicationPrimary:
     def last_seq(self) -> int:
         return self.journal.wal.last_seq
 
-    def standby_count(self) -> int:
-        with self._lock:
-            return len(self._links)
-
     def link_transports(self) -> tuple[Transport, ...]:
         """The live shipping transports (for ordered server teardown)."""
         with self._lock:
@@ -504,10 +500,6 @@ class ReplicationPrimary:
                      "acked_seq": link.acked_seq,
                      "lag_records": max(0, last - link.acked_seq)}
                     for link in self._links.values()]
-
-    def drop(self, standby_id: str) -> None:
-        with self._lock:
-            self._links.pop(standby_id, None)
 
     def _ship(self, link: _StandbyLink, message: dict[str, Any]) -> None:
         """Send one message; a failed or stalled link is dropped.
@@ -818,16 +810,6 @@ class ReplicationStandby:
             self.term = term
 
     # -- promotion ----------------------------------------------------------
-
-    def can_promote(self) -> bool:
-        """Whether the fencing lease allows promotion right now."""
-        if self.promoted or self.controller is None:
-            return False
-        if self.fencing is None:
-            return True
-        record = self.fencing.read()
-        return record.holder == self.standby_id \
-            or self.fencing.expired()
 
     def promote(self) -> "AdaptationController":
         """Become the primary: fence, journal the term, wake the policy.

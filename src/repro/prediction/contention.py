@@ -482,12 +482,6 @@ class SystemView:
     def external_link_load(self, host_a: str, host_b: str) -> float:
         return self._external_flows.get(frozenset((host_a, host_b)), 0.0)
 
-    def clear_external_load(self) -> None:
-        self._order_dirty.update(self._external_cpu)
-        self._external_cpu.clear()
-        self._external_flows.clear()
-        self.version += 1
-
     # -- first-fit load order ----------------------------------------------------
 
     def _rekeyed(self, entry: tuple, excluded: int = 0) -> tuple:
@@ -577,13 +571,6 @@ class SystemView:
         """Number of placed node demands with CPU work on ``hostname``."""
         return self._host_counts.get(hostname, 0)
 
-    def cpu_seconds_on(self, hostname: str) -> float:
-        """Total reference CPU seconds proposed for ``hostname``."""
-        entries = self._host_entries.get(hostname)
-        if not entries:
-            return 0.0
-        return sum(sum(seconds) for seconds in entries.values())
-
     def flows_between(self, host_a: str, host_b: str) -> int:
         """Number of placed link demands whose path uses link (a, b)."""
         if host_a == host_b:
@@ -596,11 +583,6 @@ class SystemView:
         """CPU stretch factor on a node: max(1, consumers + external)."""
         return float(max(1.0, self.cpu_consumers(hostname)
                          + self.external_cpu_load(hostname)))
-
-    def link_contention_factor(self, host_a: str, host_b: str) -> float:
-        """Bandwidth stretch factor on a link: max(1, flows + external)."""
-        return float(max(1.0, self.flows_between(host_a, host_b)
-                         + self.external_link_load(host_a, host_b)))
 
 
 def sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,

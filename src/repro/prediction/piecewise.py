@@ -63,9 +63,3 @@ class PiecewiseLinearModel:
     def _extend(x0: float, y0: float, x1: float, y1: float, x: float) -> float:
         slope = (y1 - y0) / (x1 - x0)
         return y0 + slope * (x - x0)
-
-    def best_x(self, candidates: list[float]) -> float:
-        """The candidate x with the smallest predicted runtime."""
-        if not candidates:
-            raise PredictionError("best_x needs at least one candidate")
-        return min(candidates, key=self.predict)

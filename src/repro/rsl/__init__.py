@@ -52,9 +52,8 @@ from repro.rsl.model import (
     TuningOption,
     VariableSpec,
 )
-from repro.rsl.parser import RslList, RslWord, format_node, parse_list, parse_script
-from repro.rsl.tags import TAG_REGISTRY, TagContext, TagInfo, lookup_tag, tags_for_context
-from repro.rsl.tokens import Token, TokenType, tokenize
+from repro.rsl.parser import RslList, RslWord, parse_script
+from repro.rsl.tags import TAG_REGISTRY, TagContext, TagInfo
 from repro.rsl.unparse import (
     pretty_bundle,
     unparse_advertisement,
@@ -70,9 +69,8 @@ __all__ = [
     "parse_expression", "parse_constraint",
     "build_script", "build_bundle", "build_bundle_command",
     "build_node_command", "build_quantity",
-    "parse_script", "parse_list", "format_node", "RslList", "RslWord",
-    "tokenize", "Token", "TokenType",
-    "TAG_REGISTRY", "TagInfo", "TagContext", "lookup_tag", "tags_for_context",
+    "parse_script", "RslList", "RslWord",
+    "TAG_REGISTRY", "TagInfo", "TagContext",
     "unparse_bundle", "unparse_option", "unparse_advertisement",
     "pretty_bundle",
     "lint_bundle", "Diagnostic", "LINT_CODES",

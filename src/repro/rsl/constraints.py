@@ -61,14 +61,6 @@ class Constraint:
         """A bounded elastic range."""
         return cls(minimum=low, maximum=high, elastic=True)
 
-    def satisfied_by(self, value: float) -> bool:
-        """Whether an allocation of ``value`` meets this constraint."""
-        return self.minimum <= value <= self.maximum
-
-    def clamp(self, value: float) -> float:
-        """Project ``value`` onto the acceptable interval."""
-        return min(max(value, self.minimum), self.maximum)
-
     def is_exact(self) -> bool:
         return self.minimum == self.maximum
 

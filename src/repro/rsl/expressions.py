@@ -257,10 +257,6 @@ class Expression:
         """Dotted identifiers this expression reads from the environment."""
         return self._root.free_variables()
 
-    def is_constant(self) -> bool:
-        """True when evaluation needs no environment at all."""
-        return not self.free_variables()
-
     def unparse(self) -> str:
         """Canonical (fully parenthesized) rendering of the expression."""
         return self._root.unparse()

@@ -17,8 +17,7 @@ from typing import Iterator, Union
 from repro.errors import RslSyntaxError
 from repro.rsl.tokens import TokenType, scan
 
-__all__ = ["RslWord", "RslList", "RslNode", "parse_script", "parse_list",
-           "format_node"]
+__all__ = ["RslWord", "RslList", "RslNode", "parse_script"]
 
 
 @dataclass(frozen=True)
@@ -113,39 +112,3 @@ def parse_script(text: str) -> list[RslList]:
             items = None
     return commands
 
-
-def parse_list(text: str) -> RslList:
-    """Parse ``text`` as a single list of words (no command separators).
-
-    Useful for parsing the *body* of a tag whose value is itself RSL, e.g. a
-    bundle definition string handed to ``harmony_bundle_setup``.
-    """
-    commands = parse_script(text)
-    if not commands:
-        return RslList()
-    if len(commands) == 1:
-        return commands[0]
-    raise RslSyntaxError(
-        f"expected a single RSL list, found {len(commands)} commands",
-        commands[1].line, commands[1].column)
-
-
-def format_node(node: RslNode) -> str:
-    """Render a parsed node back to RSL text.
-
-    Round-trips through :func:`parse_list`: formatting then reparsing yields
-    an equal structure (source positions aside).
-    """
-    if isinstance(node, RslWord):
-        return _format_word(node.text)
-    return "{" + " ".join(format_node(item) for item in node.items) + "}"
-
-
-def _format_word(text: str) -> str:
-    if text == "":
-        return '""'
-    if any(ch in text for ch in " \t\n;{}\""):
-        escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
-    return text

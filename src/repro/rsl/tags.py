@@ -10,8 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["TagContext", "TagInfo", "TAG_REGISTRY", "lookup_tag",
-           "tags_for_context"]
+__all__ = ["TagContext", "TagInfo", "TAG_REGISTRY"]
 
 
 class TagContext(enum.Enum):
@@ -88,13 +87,3 @@ TAG_REGISTRY: dict[str, TagInfo] = {tag.name: tag for tag in [
          "Cost (reference-machine seconds) of switching into this option.",
          TagContext.OPTION),
 ]}
-
-
-def lookup_tag(name: str) -> TagInfo | None:
-    """Return the registry entry for ``name`` or ``None`` if unknown."""
-    return TAG_REGISTRY.get(name)
-
-
-def tags_for_context(context: TagContext) -> list[TagInfo]:
-    """All tags legal in ``context``, in registry order."""
-    return [tag for tag in TAG_REGISTRY.values() if context in tag.contexts]

@@ -10,20 +10,20 @@ directly in TCL).  The grammar we need is the TCL *list* subset:
 * newlines and ``;`` end a command at the top level,
 * ``#`` at the start of a command introduces a comment to end of line.
 
-The tokenizer produces a flat stream of :class:`Token` objects; the parser in
-:mod:`repro.rsl.parser` builds nested lists from them.
+:func:`scan` produces a flat stream of ``(type, value, line, column)``
+tuples, positions 1-based; the parser in :mod:`repro.rsl.parser` builds
+nested lists from them.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import RslSyntaxError
 
-__all__ = ["TokenType", "Token", "tokenize"]
+__all__ = ["TokenType", "scan"]
 
 
 class TokenType(enum.Enum):
@@ -34,19 +34,6 @@ class TokenType(enum.Enum):
     CLOSE_BRACE = "}"        # end of a nested list
     COMMAND_END = ";"        # newline or semicolon at command level
     EOF = "eof"
-
-
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its 1-based source position."""
-
-    type: TokenType
-    value: str
-    line: int
-    column: int
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
 
 
 #: The whole lexical grammar, tried at each position in this order.  A
@@ -76,11 +63,11 @@ def _unescape(match: re.Match) -> str:
 
 
 def scan(text: str) -> Iterator[tuple[TokenType, str, int, int]]:
-    """The token stream as bare ``(type, value, line, column)`` tuples.
+    """The token stream as ``(type, value, line, column)`` tuples,
+    ending with an EOF token.
 
-    What :func:`tokenize` wraps in :class:`Token` objects; the parser
-    reads the tuples directly.  Raises :class:`RslSyntaxError` on an
-    unterminated quoted string.
+    Raises :class:`RslSyntaxError` on an unterminated quoted string.
+    Brace balancing is the parser's job, not the tokenizer's.
     """
     match = _TOKEN.match
     word, end_type = TokenType.WORD, TokenType.COMMAND_END
@@ -134,14 +121,3 @@ def scan(text: str) -> Iterator[tuple[TokenType, str, int, int]]:
         at_command_start = False
 
     yield TokenType.EOF, "", line, length - line_start + 1
-
-
-def tokenize(text: str) -> Iterator[Token]:
-    """Yield the token stream for ``text``, ending with an EOF token.
-
-    Raises:
-        RslSyntaxError: on an unterminated quoted string.  Brace
-            balancing is the parser's job, not the tokenizer's.
-    """
-    for token in scan(text):
-        yield Token(*token)

@@ -177,16 +177,22 @@ class TestPushGenerations:
         buffer = PendingVariableBuffer()
         buffer.stage("c", "x", 1, generation=4)
         buffer.stage("c", "y", 2, generation=2)  # older: no rewind
-        assert buffer.generation_for("c") == 4
         seen = []
         flush_all(buffer,
                   lambda cid, updates, gen: seen.append((updates, gen)))
         assert seen == [({"x": 1, "y": 2}, 4)]
-        assert buffer.generation_for("c") == 0  # drained
+        buffer.stage("c", "z", 3)  # drained: the next batch starts at 0
+        flush_all(buffer,
+                  lambda cid, updates, gen: seen.append((updates, gen)))
+        assert seen[1:] == [({"z": 3}, 0)]
 
     def test_discard_clears_the_generation(self):
         buffer = PendingVariableBuffer()
         buffer.stage("c", "x", 1, generation=7)
         buffer.discard("c")
-        assert buffer.generation_for("c") == 0
         assert buffer.pending_for("c") == {}
+        buffer.stage("c", "y", 2)
+        seen = []
+        flush_all(buffer,
+                  lambda cid, updates, gen: seen.append((updates, gen)))
+        assert seen == [({"y": 2}, 0)]

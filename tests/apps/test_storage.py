@@ -13,10 +13,6 @@ from repro.errors import DatabaseError
 
 
 class TestHeapFile:
-    def test_tuples_per_page(self):
-        heap = HeapFile("r", tuple_bytes=208)
-        assert heap.tuples_per_page == PAGE_BYTES // 208 == 39
-
     def test_append_opens_pages_as_needed(self):
         heap = HeapFile("r", tuple_bytes=208)
         for i in range(40):
@@ -29,12 +25,14 @@ class TestHeapFile:
     def test_scan_order(self):
         heap = HeapFile("r", tuple_bytes=2048)
         rows = [(i,) for i in range(10)]
-        heap.bulk_load(rows)
+        for row in rows:
+            heap.append(row)
         assert [row for _pid, row in heap.scan()] == rows
 
     def test_scan_reports_page_ids(self):
         heap = HeapFile("r", tuple_bytes=4096)  # 2 tuples per page
-        heap.bulk_load([(i,) for i in range(5)])
+        for i in range(5):
+            heap.append((i,))
         pids = [pid for pid, _row in heap.scan()]
         assert pids[0] == pids[1] == PageId("r", 0)
         assert pids[2] == pids[3] == PageId("r", 1)
@@ -69,8 +67,8 @@ class TestBufferPool:
         pool.access_many(pages)
         pool.access(pages[0])           # page 0 now most recent
         pool.access(PageId("r", 99))    # evicts page 1, not page 0
-        assert pool.contains(pages[0])
-        assert not pool.contains(pages[1])
+        assert pool.access(pages[0])     # a hit
+        assert not pool.access(pages[1])
 
     def test_access_many_counts_misses(self):
         pool = BufferPool(capacity_mb=1.0)
@@ -84,21 +82,24 @@ class TestBufferPool:
         evicted = pool.resize(
             capacity_mb=10 * PAGE_BYTES / (1024 * 1024))
         assert evicted == 90
-        assert pool.resident_pages == 10
+        # The ten most recently used stayed resident.
+        assert pool.access_many([PageId("r", i) for i in range(90, 100)]) \
+            == 0
 
     def test_grow_keeps_pages(self):
         pool = BufferPool(capacity_mb=1.0)
-        pool.access_many([PageId("r", i) for i in range(50)])
-        pool.resize(capacity_mb=2.0)
-        assert pool.resident_pages == 50
+        pages = [PageId("r", i) for i in range(50)]
+        pool.access_many(pages)
+        assert pool.resize(capacity_mb=2.0) == 0
+        assert pool.access_many(pages) == 0
 
-    def test_hit_rate(self):
+    def test_hits_and_misses_count(self):
         pool = BufferPool(capacity_mb=1.0)
         page = PageId("r", 0)
         pool.access(page)
         pool.access(page)
         pool.access(page)
-        assert pool.hit_rate() == pytest.approx(2 / 3)
+        assert (pool.hits, pool.misses) == (2, 1)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(DatabaseError):
@@ -108,7 +109,7 @@ class TestBufferPool:
         pool = BufferPool(capacity_mb=1.0)
         pool.access(PageId("r", 0))
         pool.clear()
-        assert pool.resident_pages == 0
+        assert not pool.access(PageId("r", 0))
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=200),
@@ -118,7 +119,9 @@ def test_lru_never_exceeds_capacity(accesses, capacity_pages):
                       / (1024 * 1024))
     for page_number in accesses:
         pool.access(PageId("r", page_number))
-        assert pool.resident_pages <= capacity_pages
+        # Resizing to the same capacity evicts exactly the overflow.
+        assert pool.resize(capacity_pages * PAGE_BYTES
+                           / (1024 * 1024)) == 0
     assert pool.hits + pool.misses == len(accesses)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.kernel import AllOf, AnyOf, Interrupted, Kernel
+from repro.cluster.kernel import Interrupted
 from repro.errors import SimulationError
 
 
@@ -182,13 +182,6 @@ class TestCombinators:
             return (kernel.now, values)
         assert kernel.run(kernel.spawn(proc())) == (3.0, ["a", "b"])
 
-    def test_any_of_returns_first(self, kernel):
-        def proc():
-            event, value = yield kernel.any_of([
-                kernel.timeout(3, "slow"), kernel.timeout(1, "fast")])
-            return (kernel.now, value)
-        assert kernel.run(kernel.spawn(proc())) == (1.0, "fast")
-
     def test_all_of_empty_list_fires_immediately(self, kernel):
         def proc():
             values = yield kernel.all_of([])
@@ -237,17 +230,6 @@ class TestCombinatorEdgeCases:
                 return f"caught {exc}"
         assert kernel.run(kernel.spawn(waiter())) == "caught child boom"
 
-    def test_any_of_with_already_processed_event(self, kernel):
-        event = kernel.event()
-        event.succeed("done-early")
-        kernel.run()
-
-        def proc():
-            _event, value = yield kernel.any_of(
-                [event, kernel.timeout(100)])
-            return (kernel.now, value)
-        assert kernel.run(kernel.spawn(proc())) == (0.0, "done-early")
-
     def test_interrupt_while_waiting_on_all_of(self, kernel):
         log = []
 
@@ -272,19 +254,11 @@ class TestCombinatorEdgeCases:
         def proc():
             inner = kernel.all_of([kernel.timeout(2, "a"),
                                    kernel.timeout(4, "b")])
-            _event, value = yield kernel.any_of(
-                [inner, kernel.timeout(10, "slow")])
+            value = yield kernel.all_of([inner, kernel.timeout(1, "c")])
             return (kernel.now, value)
         now, value = kernel.run(kernel.spawn(proc()))
         assert now == 4.0
-        assert value == ["a", "b"]
-
-    def test_any_of_ties_resolve_to_first_listed(self, kernel):
-        def proc():
-            _event, value = yield kernel.any_of(
-                [kernel.timeout(3, "first"), kernel.timeout(3, "second")])
-            return value
-        assert kernel.run(kernel.spawn(proc())) == "first"
+        assert value == [["a", "b"], "c"]
 
     def test_process_failure_value_readable_after_run(self, kernel):
         def failing():

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cluster import (
-    BackgroundCpuLoad,
-    BackgroundTrafficLoad,
-    Cluster,
-    LoadPhase,
-)
+from repro.cluster import BackgroundCpuLoad, Cluster, LoadPhase
 
 
 class TestBackgroundCpuLoad:
@@ -65,29 +60,3 @@ class TestBackgroundCpuLoad:
         kernel.run(until=10.0)
         assert not process.is_alive
 
-
-class TestBackgroundTrafficLoad:
-    def test_traffic_contends_with_foreground_transfer(self, kernel):
-        cluster = Cluster.full_mesh(["a", "b"], bandwidth_mbps=10.0,
-                                    kernel=kernel)
-        load = BackgroundTrafficLoad(cluster, "a", "b", [
-            LoadPhase(duration_seconds=1000.0, demand=10.0)])
-        load.start()
-        finish = {}
-
-        def foreground():
-            link = cluster.link_between("a", "b")
-            yield link.transfer(10.0)
-            finish["t"] = kernel.now
-        kernel.spawn(foreground())
-        kernel.run(until=1000.0)
-        assert finish["t"] > 1.5  # would be 1.0 unloaded
-
-    def test_transfer_counter(self, kernel):
-        cluster = Cluster.full_mesh(["a", "b"], bandwidth_mbps=10.0,
-                                    kernel=kernel)
-        load = BackgroundTrafficLoad(cluster, "a", "b", [
-            LoadPhase(duration_seconds=10.0, demand=5.0)])
-        load.start()
-        kernel.run(until=50.0)
-        assert load.transfers_issued >= 10 / 0.5 / 2

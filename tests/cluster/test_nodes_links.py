@@ -169,15 +169,18 @@ class TestSimLink:
         assert link.active_transfers == 0
         assert all(each._pipe is None for each in cluster.links())
 
+        done = []
+
         def job():
             yield link.transfer(40.0)
+            done.append(kernel.now)
         kernel.spawn(job())
         kernel.run(until=0.5)
         pipe = link._pipe
         assert pipe is not None and link.active_transfers == 1
         kernel.spawn(job())
         kernel.run()
-        assert link._pipe is pipe and pipe.completed_jobs == 2
+        assert link._pipe is pipe and len(done) == 2
         assert link.active_transfers == 0
         assert cluster.link_between("a", "c")._pipe is None
 
@@ -193,14 +196,6 @@ class TestSimLink:
         assert link.available_mbps == pytest.approx(40.0)
         assert cluster.link_between("a", "c")._reservations is None
         assert not hasattr(link, "__dict__")    # slots: 1,128 in a mesh
-
-    def test_connects_is_direction_free(self, kernel):
-        cluster = Cluster(kernel)
-        cluster.add_node("a")
-        cluster.add_node("b")
-        link = cluster.add_link("a", "b", 10)
-        assert link.connects("b", "a")
-        assert not link.connects("a", "a")
 
 
 class TestClusterTopology:
@@ -264,7 +259,7 @@ class TestClusterTopology:
         cluster = Cluster.full_mesh(["a", "b", "c"])
         links = cluster.path_links("a", "b")
         assert len(links) == 1
-        assert links[0].connects("a", "b")
+        assert {links[0].host_a, links[0].host_b} == {"a", "b"}
 
     def test_path_links_multi_hop(self, kernel):
         cluster = Cluster(kernel)
@@ -353,11 +348,6 @@ class TestClusterTopology:
             footprint.fault == (SimulationError, "unknown node 'zz'")
         assert not Matcher(cluster)._links_feasible(
             demands, {"x": "a", "y": "zz"}, partial=False)
-
-    def test_advertisements_cover_all_nodes(self):
-        cluster = Cluster.full_mesh(["a", "b", "c"])
-        adverts = cluster.advertisements()
-        assert {advert.hostname for advert in adverts} == {"a", "b", "c"}
 
     def test_unknown_node_lookup_raises(self):
         cluster = Cluster.full_mesh(["a"])

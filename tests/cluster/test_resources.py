@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.kernel import Kernel
-from repro.cluster.resources import FairShareServer, SlotResource, Store
+from repro.cluster.resources import FairShareServer, Store
 from repro.errors import SimulationError
 
 
@@ -72,25 +72,7 @@ class TestProcessorSharing:
         with pytest.raises(SimulationError):
             FairShareServer(kernel, capacity=0)
 
-    def test_capacity_change_mid_job(self, kernel):
-        server = FairShareServer(kernel, capacity=1.0)
-        finish = {}
-
-        def job():
-            yield server.submit(10)
-            finish["t"] = kernel.now
-
-        def throttle():
-            yield kernel.timeout(5)
-            server.set_capacity(0.5)
-
-        kernel.spawn(job())
-        kernel.spawn(throttle())
-        kernel.run()
-        # 5 units done by t=5; remaining 5 at half speed -> +10 -> t=15.
-        assert finish["t"] == pytest.approx(15.0)
-
-    def test_statistics_utilization_and_load(self, kernel):
+    def test_statistics_utilization(self, kernel):
         server = FairShareServer(kernel, capacity=1.0)
         run_jobs(kernel, server, [(0, 10), (0, 10)])
 
@@ -98,21 +80,21 @@ class TestProcessorSharing:
             yield kernel.timeout(0)
         kernel.spawn(probe())
         kernel.run()
-        assert server.completed_jobs == 2
         assert server.utilization() == pytest.approx(1.0)
-        assert server.mean_load() == pytest.approx(2.0)
 
-    def test_completed_jobs_counter(self, kernel):
+    def test_every_job_completes(self, kernel):
         server = FairShareServer(kernel, capacity=4.0)
-        run_jobs(kernel, server, [(0, 1), (0, 2), (1, 3)])
-        assert server.completed_jobs == 3
+        # run_jobs raises KeyError for a job whose completion never fired.
+        finished = run_jobs(kernel, server, [(0, 1), (0, 2), (1, 3)])
+        assert len(finished) == 3
         assert server.active_jobs == 0
 
     def test_staggered_churn_completes_every_job(self, kernel):
         server = FairShareServer(kernel, capacity=4.0)
-        run_jobs(kernel, server,
-                 [(index * 0.01, 1.0 + index % 5) for index in range(500)])
-        assert server.completed_jobs == 500
+        finished = run_jobs(
+            kernel, server,
+            [(index * 0.01, 1.0 + index % 5) for index in range(500)])
+        assert len(finished) == 500
         assert server.active_jobs == 0
 
 
@@ -150,45 +132,6 @@ def test_simultaneous_ps_sojourn_formula(demands):
     for i, (finish, sojourn) in enumerate(results):
         expected = sum(min(d, demands[i]) for d in demands)
         assert sojourn == pytest.approx(expected, rel=1e-6)
-
-
-class TestSlotResource:
-    def test_grants_up_to_capacity(self, kernel):
-        resource = SlotResource(kernel, capacity=2)
-        first, second = resource.request(), resource.request()
-        third = resource.request()
-        kernel.run()
-        assert first.triggered and second.triggered
-        assert not third.triggered
-        assert resource.queue_length == 1
-
-    def test_release_wakes_waiter(self, kernel):
-        resource = SlotResource(kernel, capacity=1)
-        resource.request()
-        waiter = resource.request()
-        resource.release()
-        kernel.run()
-        assert waiter.triggered
-
-    def test_release_without_hold_rejected(self, kernel):
-        resource = SlotResource(kernel, capacity=1)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_fifo_ordering(self, kernel):
-        resource = SlotResource(kernel, capacity=1)
-        granted = []
-
-        def worker(tag):
-            yield resource.request()
-            granted.append(tag)
-            yield kernel.timeout(1)
-            resource.release()
-
-        for tag in "abc":
-            kernel.spawn(worker(tag))
-        kernel.run()
-        assert granted == ["a", "b", "c"]
 
 
 class TestStore:

@@ -54,7 +54,7 @@ class TestSystemViewExternalLoad:
         view.set_external_link_load("a", "b", 1.0)
         assert transfer_effective_mb(view, "a", "b", 8.0) == \
             pytest.approx(16.0)
-        assert view.link_contention_factor("b", "a") == 1.0  # no own flows
+        assert view.flows_between("b", "a") == 0  # no own flows
 
     def test_zero_load_clears_entry(self):
         cluster = Cluster.full_mesh(["a"], memory_mb=128)
@@ -71,15 +71,6 @@ class TestSystemViewExternalLoad:
         assert copy.external_cpu_load("a") == 1.5
         copy.set_external_cpu_load("a", 0.0)
         assert view.external_cpu_load("a") == 1.5
-
-    def test_clear_external_load(self):
-        cluster = Cluster.full_mesh(["a", "b"], memory_mb=128)
-        view = SystemView(cluster)
-        view.set_external_cpu_load("a", 2.0)
-        view.set_external_link_load("a", "b", 1.0)
-        view.clear_external_load()
-        assert view.external_cpu_load("a") == 0.0
-        assert view.external_link_load("a", "b") == 0.0
 
 
 class TestControllerIngestion:

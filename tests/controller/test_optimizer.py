@@ -1,16 +1,15 @@
-"""Greedy, pairwise, and exhaustive optimizers."""
+"""Greedy and pairwise optimizers, against the exhaustive oracle."""
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.controller import (
     AdaptationController,
-    ExhaustiveOptimizer,
     GreedyOptimizer,
     enumerate_candidates,
 )
-from repro.controller.optimizer import MAX_COMBINATIONS
 from repro.rsl import build_bundle
+from tests.oracle.exhaustive import MAX_COMBINATIONS, ExhaustiveOptimizer
 
 
 DB_RSL = """
@@ -182,13 +181,40 @@ class TestExhaustive:
             greedy.best.option_name
         assert objective == pytest.approx(greedy.best.objective_value)
 
+    def test_greedy_sweep_matches_the_oracle_on_figure_4(self):
+        """Figure 4's two Bags on eight like nodes: the controller
+        settles on the best objective the oracle's search finds."""
+        from repro.apps.bag import bag_bundle_rsl
+        rsl = bag_bundle_rsl("Bag", 2400, list(range(1, 9)), 32, 0.5, 12)
+
+        def cluster():
+            return Cluster.full_mesh([f"n{i}" for i in range(8)],
+                                     memory_mb=128)
+
+        controller = AdaptationController(cluster())
+        for name in ("BagA", "BagB"):
+            instance = controller.register_app(name)
+            controller.setup_bundle(instance, build_bundle(rsl))
+        settled = controller.current_objective()
+
+        context, registry = make_context(cluster())
+        instances = [add_app(registry, name, rsl)[0]
+                     for name in ("BagA", "BagB")]
+        choice, optimum, _ = ExhaustiveOptimizer().optimize_all(
+            instances, context)
+        assert sorted(candidate.variable_assignment["workerNodes"]
+                      for candidate in choice.values()) == [4.0, 4.0]
+        assert optimum == pytest.approx(settled)
+        assert settled == pytest.approx(708.0)
+
     def test_combination_cap_enforced(self):
         from repro.errors import AllocationError
         cluster = Cluster.full_mesh([f"n{i}" for i in range(8)],
                                     memory_mb=128)
         context, registry = make_context(cluster)
         instances = []
-        # Four candidates a Bag: 4**9 combinations pass the cap.
+        # Four configurations a Bag: 4**9 combinations, in any of 9!
+        # orders, pass the cap.
         for index in range(9):
             instance, _state = add_app(registry, f"Bag{index}", BAG_RSL)
             instances.append(instance)

@@ -56,7 +56,8 @@ class TestRegistration:
             assignment=assignment, allocation=allocation,
             predicted_seconds=1.0, chosen_at=0.0)
         registry.remove(instance)
-        assert allocation.released
+        assert all(node.memory.held_by("h") == 0.0
+                   for node in cluster.nodes())
         assert len(registry) == 0
 
 
@@ -225,8 +226,8 @@ class TestNamespacePublication:
                                     bundle_name, grants)
             delete_then_set(oracle.namespace, instances[id(oracle), app],
                             bundle_name, grants)
-            assert registry.namespace.as_dict() == \
-                oracle.namespace.as_dict()
+            assert dict(registry.namespace.walk()) == \
+                dict(oracle.namespace.walk())
         ns = registry.namespace
         bag = instances[id(registry), "Bag"].key
         assert ns.get(f"{bag}.parallelism.variables.workerNodes") == 4.0

@@ -51,13 +51,12 @@ class TestCoalescing:
         for i in range(10):
             scheduler.request(f"trigger:{i}")
             clock.advance(0.01)  # under the 0.05 quiescence window
-        assert scheduler.pending_requests == 10
         assert not scheduler.run_pending()  # window not yet quiet
         clock.advance(0.05)
         assert scheduler.run_pending()
         assert scheduler.batches_run == 1
         assert scheduler.requests_coalesced == 10
-        assert scheduler.pending_requests == 0
+        assert not scheduler.flush()  # nothing left pending
 
     def test_quiet_window_after_single_request(self, sched):
         _controller, scheduler, clock = sched
@@ -90,13 +89,15 @@ class TestCoalescing:
 
     def test_due_at_is_min_of_window_and_staleness_bound(self, sched):
         _controller, scheduler, clock = sched
-        assert scheduler.due_at() is None
+        assert not scheduler.run_pending()  # nothing pending is never due
         scheduler.request("a")
-        assert scheduler.due_at() == pytest.approx(0.05)
         clock.advance(0.48)
         scheduler.request("b")
         # last+window = 0.53 but first+max_delay = 0.5 wins.
-        assert scheduler.due_at() == pytest.approx(0.5)
+        clock.advance(0.019)
+        assert not scheduler.run_pending()
+        clock.advance(0.002)
+        assert scheduler.run_pending()
 
 
 class TestGenerations:
@@ -175,10 +176,10 @@ class TestControllerIntegration:
         # The bundle still gets its initial configuration synchronously…
         assert instance.bundles["size"].chosen is not None
         # …but the global reevaluation is pending, not run.
-        assert scheduler.pending_requests == 1
         assert scheduler.batches_run == 0
         scheduler.flush()
         assert scheduler.batches_run == 1
+        assert scheduler.requests_coalesced == 1
 
     def test_without_scheduler_reevaluation_is_inline(self, controller):
         assert controller.scheduler is None
@@ -278,4 +279,4 @@ class TestThreadedLoop:
         scheduler.request("never-due")
         scheduler.stop(flush=True)
         assert scheduler.batches_run == 1
-        assert scheduler.pending_requests == 0
+        assert not scheduler.flush()

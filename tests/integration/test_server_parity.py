@@ -569,7 +569,7 @@ class TestNoNagleStall:
                                      fsync="never")
         standby.follow(handle.connect())
         newest = controller.journal.wal.records()[-1].seq
-        wait_until(lambda: server.replication.standby_count() == 1
+        wait_until(lambda: len(server.replication.status()) == 1
                    and standby.last_seq == newest,
                    message="the standby to subscribe and catch up")
         (primary_end,) = server.replication.link_transports()

@@ -27,10 +27,6 @@ class TestBasicOperations:
     def test_get_missing_returns_default(self):
         assert Namespace().get("no.such", "fallback") == "fallback"
 
-    def test_require_missing_raises(self):
-        with pytest.raises(NamespaceError):
-            Namespace().require("no.such")
-
     def test_overwrite(self):
         ns = Namespace()
         ns.set("a", 1)
@@ -78,8 +74,8 @@ class TestTraversal:
     def test_walk_of_missing_path_is_empty(self, populated):
         assert list(populated.walk("ghost")) == []
 
-    def test_as_dict_whole_tree(self, populated):
-        snapshot = populated.as_dict()
+    def test_walk_whole_tree(self, populated):
+        snapshot = dict(populated.walk())
         assert len(snapshot) == 5
 
 
@@ -137,7 +133,7 @@ class TestReplace:
         new = holding(before)
         delete_then_set(old, "DBclient.66.where", leaves)
         new.replace("DBclient.66.where", leaves)
-        assert new.as_dict() == old.as_dict()
+        assert dict(new.walk()) == dict(old.walk())
         assert new.children("DBclient.66.where") == \
             old.children("DBclient.66.where")
 
@@ -149,7 +145,7 @@ class TestReplace:
         assert not ns.exists("DBclient.66.where.variables")
         assert ns.get("DBclient.66.where.option") == "QS"
         assert ns.get("DBclient.66.how.option") == "fast"
-        assert ns.as_dict("DBclient.66.where") == {
+        assert dict(ns.walk("DBclient.66.where")) == {
             "DBclient.66.where." + p: v for p, v in QS_LEAVES}
 
     def test_no_leaves_is_a_delete(self):
@@ -162,7 +158,7 @@ class TestReplace:
             new.replace("DBclient.66.where", [])
             assert new.exists("DBclient.66.where") is \
                 old.exists("DBclient.66.where") is False
-            assert new.as_dict() == old.as_dict()
+            assert dict(new.walk()) == dict(old.walk())
 
     @pytest.mark.parametrize("root, leaves", [
         ("DBclient.66.where", [("option", "DS"), ("DS..memory", 1)]),
@@ -176,10 +172,10 @@ class TestReplace:
         before = ELSEWHERE + [("DBclient.66.where." + p, v)
                               for p, v in DS_LEAVES]
         ns = holding(before)
-        snapshot = ns.as_dict()
+        snapshot = dict(ns.walk())
         with pytest.raises(NamespaceError, match="empty namespace path"):
             ns.replace(root, leaves)
-        assert ns.as_dict() == snapshot
+        assert dict(ns.walk()) == snapshot
 
 
 #: Few names, so generated trees share prefixes with each other and
@@ -198,7 +194,7 @@ def test_replace_is_delete_then_set_on_any_tree(before, root, leaves):
     new = holding(before.items())
     delete_then_set(old, root, leaves)
     new.replace(root, leaves)
-    assert new.as_dict() == old.as_dict()
+    assert dict(new.walk()) == dict(old.walk())
     for path in list(before) + [join_path(root, p) for p, _ in leaves]:
         assert new.exists(path) is old.exists(path)
         assert new.get(path) == old.get(path)
@@ -208,18 +204,12 @@ class TestViews:
     def test_view_resolves_relative(self, populated):
         view = populated.view("DBclient.66.where.DS")
         assert view.get("client.memory") == 32
-        assert view.require("server.memory") == 20
+        assert view.get("server.memory") == 20
 
     def test_view_set_writes_globally(self, populated):
         view = populated.view("DBclient.66.where.DS")
         view.set("client.cache", 7)
         assert populated.get("DBclient.66.where.DS.client.cache") == 7
-
-    def test_view_as_dict_strips_prefix(self, populated):
-        view = populated.view("DBclient.66.where.DS")
-        assert view.as_dict() == {
-            "client.hostname": "c1", "client.memory": 32,
-            "server.memory": 20}
 
     def test_view_is_expression_environment(self, populated):
         """A view plugs straight into RSL expression evaluation."""
@@ -243,7 +233,7 @@ def test_walk_recovers_all_disjoint_leaves(entries):
     ns = Namespace()
     for path, value in entries.items():
         ns.set(path, value)
-    snapshot = ns.as_dict()
+    snapshot = dict(ns.walk())
     for path, value in entries.items():
         is_interior = any(other != path and other.startswith(path + ".")
                           for other in entries)

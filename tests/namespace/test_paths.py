@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import NamespaceError
-from repro.namespace.paths import (
-    join_path,
-    parent_path,
-    split_path,
-    validate_component,
-)
+from repro.namespace.paths import join_path, split_path
 
 
 class TestSplitJoin:
@@ -40,18 +35,6 @@ class TestSplitJoin:
     def test_join_rejects_empty(self):
         with pytest.raises(NamespaceError):
             join_path("a", "")
-
-    def test_validate_component_rejects_dot(self):
-        with pytest.raises(NamespaceError):
-            validate_component("a.b")
-
-
-class TestParentPrefix:
-    def test_parent(self):
-        assert parent_path("a.b.c") == "a.b"
-
-    def test_root_parent_is_none(self):
-        assert parent_path("a") is None
 
 
 @given(st.lists(st.from_regex(r"[A-Za-z0-9\[\]_-]{1,8}", fullmatch=True),

@@ -64,11 +64,11 @@ class TestModelPolicyTraces:
         controller.setup_bundle(instance, TWO_OPTION_RSL)
 
         trace = controller.trace_log.latest(1)[0]
-        loser = trace.rejected()[0]
+        (winner,) = [c for c in trace.candidates if c.chosen]
+        loser = [c for c in trace.candidates if not c.chosen][0]
         assert loser.option_name == "small"
         assert loser.rejection_reason == REJECT_WORSE_OBJECTIVE
-        assert loser.predicted_seconds > \
-            trace.chosen_candidate().predicted_seconds
+        assert loser.predicted_seconds > winner.predicted_seconds
         assert "vs winner" in loser.detail
 
     def test_trace_carries_objectives(self, cluster):
@@ -117,7 +117,7 @@ class TestRulePolicyTraces:
         switches = [t for t in controller.trace_log.traces()
                     if t.chosen_option == "DS"]
         assert switches, "threshold reached but no DS trace recorded"
-        rejected = switches[-1].rejected()[0]
+        rejected = [c for c in switches[-1].candidates if not c.chosen][0]
         assert rejected.option_name == "QS"
         assert rejected.rejection_reason == REJECT_RULE_NOT_SELECTED
 

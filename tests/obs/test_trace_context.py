@@ -4,6 +4,8 @@ The wire field is optional and additive: old clients omit it, broken
 peers may send garbage, and unsampled requests must cost nothing.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import HarmonyClient, HarmonyServer, connected_pair
@@ -51,7 +53,7 @@ class TestFromWire:
 
     def test_round_trip(self):
         ctx = TraceContext(trace_id="abcd1234", span_id=9)
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
+        assert TraceContext.from_wire(dataclasses.asdict(ctx)) == ctx
 
 
 class TestClientSampling:

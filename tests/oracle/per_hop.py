@@ -9,10 +9,18 @@ compiled :class:`~repro.prediction.contention.PlacementFootprint` instead,
 and must return the very same float.
 
 :func:`cpu_effective_seconds` and :func:`transfer_effective_mb` are the
-per-hop lookups, over the view's ``contention_tables()``.
+per-hop lookups, over the view's ``contention_tables()``;
+:func:`cpu_seconds_on` reads the CPU seconds they weigh.
 """
 
 from repro.prediction.contention import sojourn
+
+
+def cpu_seconds_on(view, hostname):
+    """Total reference CPU seconds placed on ``hostname``."""
+    host_entries = view.contention_tables()[0]
+    return sum(sum(seconds)
+               for seconds in host_entries.get(hostname, {}).values())
 
 
 def cpu_effective_seconds(view, hostname, own_seconds, own_app_key=None):

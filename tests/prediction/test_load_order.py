@@ -112,7 +112,8 @@ def test_maintained_order_equals_sorted_order(topology, speeds, ops):
         elif op[0] == "external":
             view.set_external_cpu_load(hostname(op[1]), op[2])
         elif op[0] == "clear_external":
-            view.clear_external_load()
+            for node in view.cluster.nodes():
+                view.set_external_cpu_load(node.hostname, 0.0)
         elif op[0] == "open_trial":
             trials.append(ViewTrial(view))
         elif op[0] == "close_trial" and trials:

@@ -72,20 +72,16 @@ class TestValidation:
             PiecewiseLinearModel.from_spec(spec)
 
 
-class TestBestX:
+class TestMinimum:
     def test_picks_minimum_runtime(self):
         curve = model((1, 2400), (2, 1212), (4, 708), (5, 672), (8, 888))
-        assert curve.best_x([1, 2, 4, 5, 8]) == 5
+        assert min([1, 2, 4, 5, 8], key=curve.predict) == 5
 
     def test_figure4_curve_minimum_at_five(self):
         from repro.apps.bag import speedup_curve_points
         points = speedup_curve_points(2400, range(1, 9), overhead_alpha=12)
         curve = model(*points)
-        assert curve.best_x(list(range(1, 9))) == 5
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(PredictionError):
-            model((1, 1)).best_x([])
+        assert min(range(1, 9), key=curve.predict) == 5
 
 
 @given(st.lists(

@@ -14,6 +14,7 @@ from repro.controller import ViewTrial
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
 from tests.oracle.naive import sorted_preparation
+from tests.oracle.per_hop import cpu_seconds_on
 
 RSL = """
 harmonyBundle A b {
@@ -42,7 +43,7 @@ def snapshot(view):
         "apps": [config.app_key for config in view.configurations()],
         "consumers": {h: view.cpu_consumers(h)
                       for h in ("n0", "n1", "n2", "n3")},
-        "seconds": {h: view.cpu_seconds_on(h)
+        "seconds": {h: cpu_seconds_on(view, h)
                     for h in ("n0", "n1", "n2", "n3")},
         "flows01": view.flows_between("n0", "n1"),
         "factor": {h: view.contention_factor(h)
@@ -66,10 +67,10 @@ class TestTokens:
         view.place("app", *placed(small_cluster))
         before = snapshot(view)
         token = view.place("app", *placed(small_cluster, BIG_RSL))
-        assert view.cpu_seconds_on("n0") == pytest.approx(30.0)
+        assert cpu_seconds_on(view, "n0") == pytest.approx(30.0)
         view.restore(token)
         assert snapshot(view) == before
-        assert view.cpu_seconds_on("n0") == pytest.approx(10.0)
+        assert cpu_seconds_on(view, "n0") == pytest.approx(10.0)
 
     def test_remove_token_restores(self, small_cluster):
         view = SystemView(small_cluster)

@@ -2,7 +2,7 @@
 until the one-pass lexer replaced them, kept verbatim as its oracle.
 
 ``tests/rsl/test_frontend_differential.py`` holds the production
-``tokenize``/``parse_script`` to this module: same tokens with the same
+``scan``/``parse_script`` to this module: same tokens with the same
 positions, equal trees, the same error message at the same position.
 The only deliberate difference is the production parser's nesting bound;
 this parser recurses and has none.
@@ -10,13 +10,24 @@ this parser recurses and has none.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import RslSyntaxError
 from repro.rsl.parser import RslList, RslNode, RslWord
-from repro.rsl.tokens import Token, TokenType
+from repro.rsl.tokens import TokenType
 
 __all__ = ["tokenize", "parse_script"]
+
+
+@dataclass(frozen=True)
+class Token:
+    """One lexical token with its 1-based source position."""
+
+    type: TokenType
+    value: str
+    line: int
+    column: int
 
 
 _WHITESPACE = " \t\r"

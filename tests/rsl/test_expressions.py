@@ -114,10 +114,6 @@ class TestVariables:
         expr = parse_expression("a.b + c * min(d, 2)")
         assert expr.free_variables() == {"a.b", "c", "d"}
 
-    def test_constant_detection(self):
-        assert parse_expression("1 + 2").is_constant()
-        assert not parse_expression("x + 2").is_constant()
-
     def test_environment_bind_is_persistent_copy(self):
         base = MapEnvironment({"x": 1})
         child = base.bind("y", 2)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RslSyntaxError
-from repro.rsl import build_bundle, parse_script, tokenize
+from repro.rsl import build_bundle, parse_script
 from repro.rsl.parser import MAX_NESTING
-from repro.rsl.tokens import TokenType
+from repro.rsl.tokens import TokenType, scan
 from tests.rsl import reference_frontend as reference
 
 #: Every character the lexer tells apart, a few it does not, and one
@@ -31,14 +31,15 @@ def outcome(function, text):
         return "error", str(error), error.line, error.column
 
 
-def token_stream(tokenizer):
-    return lambda text: [(token.type, token.value, token.line, token.column)
-                         for token in tokenizer(text)]
+def reference_stream(text):
+    return [(token.type, token.value, token.line, token.column)
+            for token in reference.tokenize(text)]
 
 
 def assert_same_front_end(text):
-    expected = outcome(token_stream(reference.tokenize), text)
-    assert outcome(token_stream(tokenize), text) == expected, repr(text)
+    expected = outcome(reference_stream, text)
+    assert outcome(lambda text: list(scan(text)), text) == expected, \
+        repr(text)
     expected = outcome(reference.parse_script, text)
     depth = max_depth(text) if expected[0] == "ok" else 0
     if depth > MAX_NESTING:
@@ -122,15 +123,15 @@ def test_named_cases(text):
 
 
 def test_positions_after_a_quoted_newline():
-    tokens = list(tokenize('"two\nlines" next\nthird'))
-    assert [(t.value, t.line, t.column) for t in tokens] == [
+    tokens = list(scan('"two\nlines" next\nthird'))
+    assert [(value, line, column) for _, value, line, column in tokens] == [
         ("two\nlines", 1, 1), ("next", 2, 8), ("\n", 2, 12),
         ("third", 3, 1), ("", 3, 6)]
 
 
 def test_eof_column_after_trailing_newline():
-    eof = list(tokenize("x\n"))[-1]
-    assert (eof.type, eof.line, eof.column) == (TokenType.EOF, 2, 1)
+    eof = list(scan("x\n"))[-1]
+    assert eof == (TokenType.EOF, "", 2, 1)
 
 
 class TestNestingBound:

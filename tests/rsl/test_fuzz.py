@@ -10,8 +10,9 @@ The server relies on this to turn malformed bundles into protocol-level
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import RslError
-from repro.rsl import build_script, parse_script, tokenize
+from repro.rsl import build_script, parse_script
 from repro.rsl.expressions import parse_expression
+from repro.rsl.tokens import scan
 
 # Text biased toward RSL-looking characters to reach deep code paths.
 rsl_alphabet = st.sampled_from(list(
@@ -30,7 +31,7 @@ arbitrary_text = st.text(max_size=120)
 @example("harmonyBundle A:999999999999999999999 b {{o}}")
 def test_tokenizer_and_parser_total(text):
     try:
-        list(tokenize(text))
+        list(scan(text))
         parse_script(text)
     except RslError:
         pass

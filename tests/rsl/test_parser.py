@@ -4,13 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import RslSyntaxError
-from repro.rsl.parser import (
-    RslList,
-    RslWord,
-    format_node,
-    parse_list,
-    parse_script,
-)
+from repro.rsl.parser import RslList, RslWord, parse_script
+
+
+def format_node(node):
+    """Render a parsed node back to RSL text, quoting a word the
+    tokenizer would otherwise split."""
+    if isinstance(node, RslWord):
+        if node.text == "":
+            return '""'
+        if any(ch in node.text for ch in " \t\n;{}\""):
+            escaped = node.text.replace("\\", "\\\\").replace('"', '\\"')
+            escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
+            return f'"{escaped}"'
+        return node.text
+    return "{" + " ".join(format_node(item) for item in node.items) + "}"
 
 
 class TestParseScript:
@@ -69,37 +77,13 @@ class TestParseScript:
 
 
 class TestParseList:
-    def test_single_list(self):
-        result = parse_list("a b c")
-        assert [str(w) for w in result] == ["a", "b", "c"]
-
-    def test_empty_text_gives_empty_list(self):
-        assert len(parse_list("")) == 0
-
-    def test_multiple_commands_rejected(self):
-        with pytest.raises(RslSyntaxError):
-            parse_list("a; b")
-
     def test_multiline_braced_body_is_one_list(self):
-        result = parse_list("harmonyBundle App b {\n {x}\n {y}\n}")
+        (result,) = parse_script("harmonyBundle App b {\n {x}\n {y}\n}")
         assert result.head_word() == "harmonyBundle"
         assert len(result[3]) == 2
 
 
 class TestFormatNode:
-    def test_word_formats_bare(self):
-        assert format_node(RslWord("abc")) == "abc"
-
-    def test_word_with_space_is_quoted(self):
-        assert format_node(RslWord("a b")) == '"a b"'
-
-    def test_empty_word_is_quoted(self):
-        assert format_node(RslWord("")) == '""'
-
-    def test_list_formats_with_braces(self):
-        node = parse_list("a {b c}")
-        assert format_node(RslList(node.items)) == "{a {b c}}"
-
     def test_format_parse_roundtrip_figure3(self, figure3_rsl):
         command = parse_script(figure3_rsl)[0]
         reparsed = parse_script(
@@ -137,5 +121,5 @@ def test_format_then_parse_is_identity(items):
     """Any formattable tree survives a round trip through the parser."""
     command = RslList(tuple(items))
     text = " ".join(format_node(item) for item in command.items)
-    reparsed = parse_list(text)
+    (reparsed,) = parse_script(text)
     assert _strip_positions(reparsed) == _strip_positions(command)

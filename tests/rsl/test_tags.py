@@ -1,6 +1,6 @@
 """Table 1 conformance: the tag registry carries the paper's tag set."""
 
-from repro.rsl.tags import TAG_REGISTRY, TagContext, lookup_tag, tags_for_context
+from repro.rsl.tags import TAG_REGISTRY, TagContext
 
 #: The nine primary tags of the paper's Table 1, verbatim.
 TABLE1_TAGS = [
@@ -11,7 +11,7 @@ TABLE1_TAGS = [
 
 def test_all_table1_tags_registered():
     for tag in TABLE1_TAGS:
-        assert lookup_tag(tag) is not None, f"Table 1 tag {tag!r} missing"
+        assert tag in TAG_REGISTRY, f"Table 1 tag {tag!r} missing"
 
 
 def test_table1_order_preserved():
@@ -24,22 +24,22 @@ def test_every_tag_has_purpose_text():
         assert info.purpose.strip()
 
 
+def names_in(context):
+    return {tag.name for tag in TAG_REGISTRY.values()
+            if context in tag.contexts}
+
+
 def test_script_level_tags():
-    script_tags = {t.name for t in tags_for_context(TagContext.SCRIPT)}
-    assert script_tags == {"harmonyBundle", "harmonyNode"}
+    assert names_in(TagContext.SCRIPT) == {"harmonyBundle", "harmonyNode"}
 
 
 def test_option_level_tags_include_paper_set():
-    option_tags = {t.name for t in tags_for_context(TagContext.OPTION)}
+    option_tags = names_in(TagContext.OPTION)
     assert {"node", "link", "communication", "performance", "granularity",
             "variable"} <= option_tags
 
 
 def test_speed_is_advertisement_tag():
-    info = lookup_tag("speed")
+    info = TAG_REGISTRY["speed"]
     assert TagContext.ADVERT in info.contexts
     assert "400 MHz Pentium II" in info.purpose
-
-
-def test_unknown_tag_lookup_returns_none():
-    assert lookup_tag("nonsense") is None

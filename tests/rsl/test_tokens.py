@@ -3,16 +3,16 @@
 import pytest
 
 from repro.errors import RslSyntaxError
-from repro.rsl.tokens import Token, TokenType, tokenize
+from repro.rsl.tokens import TokenType, scan
 
 
 def types_of(text):
-    return [token.type for token in tokenize(text)]
+    return [kind for kind, _value, _line, _column in scan(text)]
 
 
 def words_of(text):
-    return [token.value for token in tokenize(text)
-            if token.type is TokenType.WORD]
+    return [value for kind, value, _line, _column in scan(text)
+            if kind is TokenType.WORD]
 
 
 class TestBasicTokens:
@@ -20,9 +20,9 @@ class TestBasicTokens:
         assert types_of("") == [TokenType.EOF]
 
     def test_single_word(self):
-        tokens = list(tokenize("harmonyBundle"))
-        assert tokens[0] == Token(TokenType.WORD, "harmonyBundle", 1, 1)
-        assert tokens[1].type is TokenType.EOF
+        tokens = list(scan("harmonyBundle"))
+        assert tokens[0] == (TokenType.WORD, "harmonyBundle", 1, 1)
+        assert tokens[1][0] is TokenType.EOF
 
     def test_words_split_on_whitespace(self):
         assert words_of("a b\tc") == ["a", "b", "c"]
@@ -46,10 +46,10 @@ class TestBasicTokens:
         assert types.count(TokenType.COMMAND_END) == 1
 
     def test_word_positions_track_lines_and_columns(self):
-        tokens = list(tokenize("ab\n  cd"))
-        assert (tokens[0].line, tokens[0].column) == (1, 1)
-        cd = [t for t in tokens if t.value == "cd"][0]
-        assert (cd.line, cd.column) == (2, 3)
+        tokens = list(scan("ab\n  cd"))
+        assert tokens[0][2:] == (1, 1)
+        cd = [token for token in tokens if token[1] == "cd"][0]
+        assert cd[2:] == (2, 3)
 
 
 class TestQuoting:
@@ -66,7 +66,7 @@ class TestQuoting:
 
     def test_unterminated_quote_raises_with_position(self):
         with pytest.raises(RslSyntaxError) as excinfo:
-            list(tokenize('abc "unterminated'))
+            list(scan('abc "unterminated'))
         assert excinfo.value.line == 1
         assert excinfo.value.column == 5
 

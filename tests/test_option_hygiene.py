@@ -1,11 +1,15 @@
-"""Every option Harmony offers has a caller.
+"""Every option and every definition Harmony offers has a caller.
 
 A defaulted parameter is a knob: each one doubles the configurations
 the code must be tested and tuned over, and one that no deployment,
-example or benchmark sets is behaviour only its own tests reach.
+example or benchmark sets is behaviour only its own tests reach.  A
+public function, class or method that nothing outside the tests names
+is the same thing whole: code kept alive by its own tests.
 
-The scan covers every public function, class constructor, method and
-dataclass field under ``src/repro``, except:
+Two scans check this, over different scopes.
+
+The option scan covers every public function, class constructor, method
+and dataclass field under ``src/repro``, except:
 
 * ``apps/`` and ``cluster/``, which model the paper's workloads and its
   simulated hardware, not Harmony's behaviour;
@@ -31,6 +35,26 @@ there.
 Every other defaulted parameter is listed in ``SEAMS`` with the one
 reason from ``SEAM_REASONS`` it exists for, and some test under
 ``tests/`` passes it: an entry no test passes is stale.
+
+The definition scan covers every public function, class and method of a
+public class under ``src/repro`` except ``api/aio.py``.  It does take in
+``apps/`` and ``cluster/``: an unset parameter there is one of the
+paper's experiment settings, left at the value the paper ran with, but
+a simulated resource or workload method that no experiment builds or
+calls models nothing the experiments measure.  A definition is reached
+when its name is loaded (``ast.Name`` or ``ast.Attribute``, so a
+property read, a callback passed by name, ``partial(f, ...)`` and an
+``isinstance`` check all count), or given as a ``getattr``/``hasattr``
+string, under ``src/``, ``examples/`` or ``benchmarks/`` outside its
+own body; a ``module:path`` string in a ``TARGETS`` or
+``RECEIVER_TARGETS`` table (the harness's tracing targets) names each
+part of its path.  An import or an ``__all__`` entry is not a use: a
+re-export calls nothing.  Names are matched as for options, so a load
+of ``.flush`` reaches every method named ``flush``.
+
+Every other public definition is listed in ``DEFINITION_SEAMS`` with
+its reason from ``SEAM_REASONS``, and some test under ``tests/`` names
+it: an entry no test reaches is stale.
 """
 
 import ast
@@ -42,8 +66,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CALLERS = ("src", "examples", "benchmarks")
-#: Parts of ``src/repro`` the scan leaves out (see the module docstring).
+#: Parts of ``src/repro`` each scan leaves out (see the module docstring).
 EXCLUDED = ("apps/", "cluster/", "api/aio.py")
+DEFINITION_EXCLUDED = ("api/aio.py",)
 
 #: Call name -> the constructors it forwards its keywords to.
 FORWARDS = {
@@ -59,6 +84,43 @@ SEAM_REASONS = {
     "oracle": "an injected oracle",
     "paper": "the paper's API or its manual flushPendingVars() mode",
     "faults": "the fault model",
+    "probe": "a read-only view of state the code already keeps, through "
+             "which a test asserts what no other public route shows",
+}
+
+#: Public definition no caller reaches -> its reason in SEAM_REASONS.
+DEFINITION_SEAMS = {
+    # The paper's client library (Figure 5) and its interrupt mode.
+    "set_default_client": "paper",
+    "harmony_startup": "paper",
+    "harmony_bundle_setup": "paper",
+    "harmony_add_variable": "paper",
+    "harmony_wait_for_update": "paper",
+    "harmony_end": "paper",
+    "VariableTable.on_update": "paper",
+    # The paper's user-supplied performance model.
+    "AdaptationController.register_model": "paper",
+    "CallableModel": "paper",
+    # The wire call that shows an application what resources exist.
+    "HarmonyClient.query_nodes": "paper",
+    # The paper's performance loop and the session lease, which
+    # ``harmony-repro serve`` does not run yet (ROADMAP N21).
+    "PerformanceEventMonitor": "paper",
+    "HarmonyServer.start_lease_monitor": "paper",
+    "HarmonyClient.start_heartbeats": "paper",
+    "FaultyTransport.release_delayed": "faults",
+    "FaultyTransport.pending_delayed": "faults",
+    "HarmonyServer.set_primary": "crash",
+    # Counters a client keeps, and the server's lease table: a heartbeat
+    # or a lease check would change what it reads.
+    "HarmonyClient.lease_lost": "probe",
+    "HarmonyClient.heartbeats_acked": "probe",
+    "HarmonyClient.reconnects": "probe",
+    "HarmonyClient.redirects_followed": "probe",
+    "HarmonyClient.failover_rotations": "probe",
+    "HarmonyServer.lease_deadline": "probe",
+    # The batch the server holds for a client it could not reach.
+    "PendingVariableBuffer.pending_for": "probe",
 }
 
 #: (definition, parameter) -> its reason in SEAM_REASONS.
@@ -88,6 +150,10 @@ SEAMS = {
     ("FencingStore", "clock"): "clock",
     ("ReplicationStandby", "address"): "deployment",
 }
+
+
+#: Each source is parsed once, whichever scans read it.
+_parse = functools.lru_cache(maxsize=None)(ast.parse)
 
 
 def _is_dataclass(node):
@@ -132,7 +198,7 @@ def definitions(source):
     positions count for; its defaulted parameters as (name, position or
     None))."""
     found = {}
-    for node in ast.parse(source).body:
+    for node in _parse(source).body:
         if isinstance(node, ast.FunctionDef) \
                 and not node.name.startswith("_"):
             found[node.name] = ((node.name,),
@@ -186,7 +252,7 @@ def calls(sources):
     arguments one passes)."""
     passed = {}
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(_parse(source)):
             target = isinstance(node, ast.Call) and _call_target(node)
             if not target:
                 continue
@@ -225,26 +291,32 @@ def unset_options(defined, passed):
         and (definition, parameter) not in SEAMS)
 
 
+def _module(path):
+    return path.relative_to(ROOT).as_posix()
+
+
+@functools.lru_cache(maxsize=None)
 def _sources(directories):
-    return [path.read_text(encoding="utf-8")
+    """Module path -> source of every Python file under ``directories``."""
+    return {_module(path): path.read_text(encoding="utf-8")
             for directory in directories
-            for path in sorted((ROOT / directory).rglob("*.py"))]
+            for path in sorted((ROOT / directory).rglob("*.py"))}
 
 
 @functools.lru_cache(maxsize=None)
-def passed_in_tree():
-    return calls(_sources(CALLERS))
+def passed_in(directories):
+    return calls(_sources(directories).values())
 
 
 @functools.lru_cache(maxsize=None)
-def passed_in_tests():
-    return calls(_sources(("tests",)))
+def used_in(directories):
+    return uses(_sources(directories))
 
 
-def scanned_modules():
+def scanned_modules(excluded=EXCLUDED):
     return [path.relative_to(PACKAGE).as_posix()
             for path in sorted(PACKAGE.rglob("*.py"))
-            if not path.relative_to(PACKAGE).as_posix().startswith(EXCLUDED)]
+            if not path.relative_to(PACKAGE).as_posix().startswith(excluded)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,18 +328,123 @@ def defined_in_tree():
     return found
 
 
+def public_definitions(source):
+    """Public function, class or method of a public class -> (the name a
+    use names it by, its first line, its last line)."""
+    found = {}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in _parse(source).body:
+        if not isinstance(node, kinds) or node.name.startswith("_"):
+            continue
+        found[node.name] = (node.name, node.lineno, node.end_lineno)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for method in node.body:
+            if isinstance(method, kinds[:2]) \
+                    and not method.name.startswith("_"):
+                found[f"{node.name}.{method.name}"] = (
+                    method.name, method.lineno, method.end_lineno)
+    return found
+
+
+def _loaded(node):
+    """The names one AST node uses (see the module docstring)."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return [node.attr]
+    if (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)):
+        return [node.args[1].value]
+    if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) in ("TARGETS", "RECEIVER_TARGETS")
+            for target in node.targets):
+        return [part for constant in ast.walk(node.value)
+                if isinstance(constant, ast.Constant)
+                and isinstance(constant.value, str)
+                for part in constant.value.partition(":")[2].split(".")]
+    return []
+
+
+def uses(sources):
+    """Name -> {module: the lines a use of it is on}, over a mapping of
+    module -> source."""
+    found = {}
+    for module, source in sources.items():
+        for node in ast.walk(_parse(source)):
+            for name in _loaded(node):
+                found.setdefault(name, {}).setdefault(
+                    module, set()).add(node.lineno)
+    return found
+
+
+def is_reached(module, entry, used):
+    """Whether some use of a definition lies outside its own body."""
+    name, first, last = entry
+    return any(other != module or not first <= line <= last
+               for other, lines in used.get(name, {}).items()
+               for line in lines)
+
+
+def unreached(module, source, used):
+    """Public definitions of ``module`` no use reaches and no seam names."""
+    return sorted(
+        definition
+        for definition, entry in public_definitions(source).items()
+        if not is_reached(module, entry, used)
+        and definition not in DEFINITION_SEAMS)
+
+
 @pytest.mark.parametrize("module", scanned_modules())
 def test_every_defaulted_parameter_has_a_caller_or_is_a_seam(module):
     defined = definitions((PACKAGE / module).read_text(encoding="utf-8"))
-    assert unset_options(defined, passed_in_tree()) == []
+    assert unset_options(defined, passed_in(CALLERS)) == []
 
 
-def test_the_scan_reaches_every_layer_but_the_modelled_ones():
+LAYERS = {"allocation", "api", "controller", "metrics", "namespace", "obs",
+          "persistence", "prediction", "rsl", "cli.py"}
+
+
+def test_the_option_scan_skips_the_modelled_layers():
     layers = {module.split("/")[0] for module in scanned_modules()}
-    assert {"allocation", "api", "controller", "metrics", "namespace",
-            "obs", "persistence", "prediction", "rsl", "cli.py"} <= layers
+    assert LAYERS <= layers
     assert not layers & {"apps", "cluster"}
     assert "api/aio.py" not in scanned_modules()
+
+
+def test_the_definition_scan_reaches_every_layer():
+    modules = scanned_modules(DEFINITION_EXCLUDED)
+    layers = {module.split("/")[0] for module in modules}
+    assert LAYERS | {"apps", "cluster"} <= layers
+    assert "api/aio.py" not in modules
+
+
+@pytest.mark.parametrize("module", scanned_modules(DEFINITION_EXCLUDED))
+def test_every_public_definition_has_a_caller_or_is_a_seam(module):
+    path = PACKAGE / module
+    assert unreached(_module(path), path.read_text(encoding="utf-8"),
+                     used_in(CALLERS)) == []
+
+
+def test_every_definition_seam_is_reached_only_by_tests():
+    # As for SEAMS: an entry that names a deleted definition, one some
+    # caller now reaches, or one no test names either is stale.
+    assert set(DEFINITION_SEAMS.values()) <= set(SEAM_REASONS)
+    defined = {}
+    for module in scanned_modules(DEFINITION_EXCLUDED):
+        path = PACKAGE / module
+        for definition, entry in public_definitions(
+                path.read_text(encoding="utf-8")).items():
+            defined[definition] = (_module(path), entry)
+    for definition in DEFINITION_SEAMS:
+        assert definition in defined, (definition, "is not defined")
+        module, entry = defined[definition]
+        assert not is_reached(module, entry, used_in(CALLERS)), \
+            (definition, "has a caller")
+        assert entry[0] in used_in(("tests",)), \
+            (definition, "no test names it")
 
 
 def test_every_seam_is_a_parameter_only_tests_pass_for_a_listed_reason():
@@ -279,9 +456,9 @@ def test_every_seam_is_a_parameter_only_tests_pass_for_a_listed_reason():
     for definition, parameter in SEAMS:
         names, parameters = defined[definition]
         position = dict(parameters)[parameter]
-        assert not is_set(parameter, position, names, passed_in_tree()), \
+        assert not is_set(parameter, position, names, passed_in(CALLERS)), \
             (definition, parameter, "has a caller")
-        assert is_set(parameter, position, names, passed_in_tests()), \
+        assert is_set(parameter, position, names, passed_in(("tests",))), \
             (definition, parameter, "no test passes it")
 
 
@@ -356,3 +533,65 @@ def test_a_seam_no_test_passes_is_stale():
     stale = calls(["CoalescingScheduler(controller)\n"])
     assert is_set("clock", position, names, seam)
     assert not is_set("clock", position, names, stale)
+
+
+def _unreached(source, *callers):
+    used = uses({"server.py": source, **{
+        f"caller{index}.py": caller for index, caller in enumerate(callers)}})
+    return unreached("server.py", source, used)
+
+
+SERVER = ("class HarmonyServer:\n"
+          "    def check_leases(self):\n"
+          "        return self.check_leases\n"
+          "    def evict(self, key):\n"
+          "        pass\n"
+          "    def _flush(self):\n"
+          "        pass\n")
+
+
+def test_the_ratchet_sees_an_uncalled_method():
+    assert public_definitions(SERVER) == {
+        "HarmonyServer": ("HarmonyServer", 1, 7),
+        "HarmonyServer.check_leases": ("check_leases", 2, 3),
+        "HarmonyServer.evict": ("evict", 4, 5)}
+    # check_leases names itself, which is no caller.
+    assert _unreached(SERVER, "server = HarmonyServer()\n") == [
+        "HarmonyServer.check_leases", "HarmonyServer.evict"]
+    assert _unreached(SERVER, "server = HarmonyServer()\n",
+                      "server.evict(key)\n") == [
+        "HarmonyServer.check_leases"]
+
+
+@pytest.mark.parametrize("caller, definition", [
+    ("deadline = server.check_leases\n", "HarmonyServer.check_leases"),
+    ("thread = Thread(target=server.check_leases)\n",
+     "HarmonyServer.check_leases"),
+    ("tick = partial(HarmonyServer.check_leases, server)\n",
+     "HarmonyServer.check_leases"),
+    ("run = getattr(server, 'check_leases')\n", "HarmonyServer.check_leases"),
+    ("if isinstance(server, HarmonyServer):\n    pass\n", "HarmonyServer"),
+    ("TARGETS = {'api.leases': 'repro.api.server:HarmonyServer.evict'}\n",
+     "HarmonyServer"),
+])
+def test_a_load_of_the_name_counts_as_a_use(caller, definition):
+    # A ``module:path`` target names each part of its path.
+    assert definition not in _unreached(SERVER, caller, "server.evict(key)\n")
+    assert definition in _unreached(SERVER, "server.evict(key)\n")
+
+
+@pytest.mark.parametrize("caller", [
+    "from repro.api.server import HarmonyServer, check_leases\n",
+    "__all__ = ['HarmonyServer', 'check_leases']\n",
+])
+def test_a_re_export_is_no_use(caller):
+    assert _unreached(SERVER, caller, "server.evict(key)\n") == [
+        "HarmonyServer", "HarmonyServer.check_leases"]
+
+
+def test_a_definition_seam_no_test_reaches_is_stale():
+    entry = public_definitions(SERVER)["HarmonyServer.evict"]
+    seam = uses({"test_server.py": "server.evict(key)\n"})
+    stale = uses({"test_server.py": "server.check_leases()\n"})
+    assert is_reached("server.py", entry, seam)
+    assert not is_reached("server.py", entry, stale)
