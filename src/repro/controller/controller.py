@@ -941,13 +941,21 @@ class AdaptationController:
         Returns ``None`` when the application is no longer registered
         (it ended while the optimizer was exploring).
         """
-        instance = self.registry.find(placed.app_key)
-        if instance is None:
+        model = self.model_of(placed)
+        if model is None:
             return None
-        model = self._model_for(instance, placed.demands.option_name)
         self.stats.predictions_recomputed += 1
         return model.predict(placed.demands, placed.assignment, view,
                              app_key=placed.app_key)
+
+    def model_of(self, placed: PlacedConfiguration,
+                 ) -> PerformanceModel | None:
+        """The model that predicts ``placed``, or ``None`` when its
+        application is no longer registered."""
+        instance = self.registry.find(placed.app_key)
+        if instance is None:
+            return None
+        return self._model_for(instance, placed.demands.option_name)
 
     def _model_for(self, instance: AppInstance,
                    option_name: str) -> PerformanceModel:
@@ -983,12 +991,10 @@ class AdaptationController:
         contention).  Custom callables and any subclass are opaque: they
         are recomputed on every trial.
         """
-        instance = self.registry.find(placed.app_key)
-        if instance is None:
-            return True  # never predicted, so never cached
-        model = self._model_for(instance, placed.demands.option_name)
-        return type(model) in (DefaultModel, ExplicitSpecModel,
-                               ExpressionSpecModel)
+        model = self.model_of(placed)
+        # No model: never predicted, so never cached.
+        return model is None or type(model) in (
+            DefaultModel, ExplicitSpecModel, ExpressionSpecModel)
 
     def live_predictions(self) -> dict[str, float]:
         """The prediction cache: :meth:`predict_all` of the live view,

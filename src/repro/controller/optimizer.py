@@ -14,7 +14,9 @@ with every *other* application held fixed, and returns the best candidate.
 Candidates are scored by trial and rollback on the live view
 (:class:`~repro.controller.trial.ViewTrial`), with predictions
 delta-computed over the dirty set only
-(:class:`~repro.controller.trial.TrialEngine`), and a
+(:class:`~repro.controller.trial.TrialEngine`) — a single bundle's move
+reusing its co-tenants' predictions under the same move, and not
+editing the view when those cover it — and a
 :class:`ConfigurationCache` memoizes each bundle's resolved configuration
 space so re-evaluation sweeps and the pairwise pass stop re-instantiating
 options.  The from-scratch scorer they are tested against (copy the view,
@@ -429,11 +431,9 @@ class GreedyOptimizer:
                         predictions = live
                         candidate.objective_value = current_objective
                     else:
-                        with ViewTrial(context.view) as trial:
-                            trial.place(instance.key, candidate.demands,
-                                        candidate.assignment)
-                            predictions = engine.trial_predictions(
-                                live, trial.tokens)
+                        predictions = engine.move_predictions(
+                            live, instance.key, candidate.demands,
+                            candidate.assignment)
                         candidate.objective_value = \
                             context.objective.evaluate(predictions)
                     candidate.predicted_seconds = predictions.get(

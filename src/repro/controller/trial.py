@@ -29,6 +29,22 @@ This module removes both:
   its order is not the view's; objectives sum with ``fsum`` and never
   read it.
 
+* **Move reuse** — :meth:`TrialEngine.move_predictions` scores one
+  bundle's candidate, and recomputes only what the move changes.  A
+  footprint-safe co-tenant's prediction is a function of its own
+  placement and of the entries on its hosts and read links, so the
+  engine keeps a table: the co-tenant, with the entries the move
+  removes and adds there as values, maps to its prediction under the
+  move.  An entry lives until a commit recomputes its co-tenant's live
+  prediction (which every commit on its footprint, or of the co-tenant
+  itself, does), and goes with the cache.  When every co-tenant is in
+  the table, none is opaque and the moved app's model leaves out its own
+  entries by app key (the default model's ``sojourn``; the explicit
+  models' ``contention_stretch`` counts the app itself), the view is not
+  edited: the app is predicted against the live view, where only its own
+  entries differ.  The floats, and the reads noted, are the edited
+  trial's.  ``optimize_pair``'s nested trials stay edited.
+
 * **Records** — the engine stamps every host and link a commit writes
   or holds memory on, or whose load or availability changes, and moves
   an :attr:`TrialEngine.epoch` on every mutation it did not see.
@@ -56,15 +72,20 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.prediction.contention import (
+    PlacedConfiguration,
     PlacementFootprint,
     PlacementToken,
     SystemView,
 )
+from repro.prediction.models import DefaultModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
 
 __all__ = ["OptimizerStats", "ReadSet", "ViewTrial", "TrialEngine"]
+
+#: Moves one co-tenant's reuse table holds before it starts again.
+REUSE_PER_APP = 64
 
 
 @dataclass
@@ -171,10 +192,12 @@ class TrialEngine:
     """Delta prediction over one controller's live view.
 
     The cache maps the live view's ``version`` to its prediction
-    dictionary.  Two operations consume it:
+    dictionary.  Three operations consume it:
 
     * :meth:`trial_predictions` — score a trial already applied to the
       view, recomputing only the dirty set implied by its tokens;
+    * :meth:`move_predictions` — score one app's move, reusing what the
+      reuse table knows of its co-tenants under the same move;
     * :meth:`commit` — after the controller applies a candidate or
       releases an application for real, advance the cached predictions
       by the same delta rule instead of rebuilding.
@@ -205,12 +228,19 @@ class TrialEngine:
         self._stamped: tuple[int, dict[int, frozenset]] = (0, {})
         #: Hosts and links read while :meth:`reading` records.
         self._reads: set | None = None
+        #: The reuse table: co-tenant -> {the entries a move removes and
+        #: adds on its hosts and read links: its prediction under that
+        #: move}.  A co-tenant's row goes when a commit recomputes its
+        #: live prediction (one that moves it does), and all of them with
+        #: the cache.
+        self._reuse: dict[str, dict[tuple, float]] = {}
 
     # -- cache lifecycle ---------------------------------------------------
 
     def invalidate(self) -> None:
         self._predictions = None
         self._version = None
+        self._reuse.clear()
         self.epoch += 1
 
     def live_predictions(self) -> dict[str, float]:
@@ -238,6 +268,7 @@ class TrialEngine:
             span.set("apps", len(predictions))
         self._predictions = predictions
         self._opaque = opaque
+        self._reuse.clear()
         self._version = view.version
 
     # -- trials ------------------------------------------------------------
@@ -270,22 +301,12 @@ class TrialEngine:
         set recomputed over it — in ``base``'s order, newcomers last, not
         the view's.
         """
-        controller = self.controller
-        view = controller.view
         reads = self._reads
-        with controller.tracer.span("prediction.trial") as span:
+        with self.controller.tracer.span("prediction.trial") as span:
             dirty = self.dirty_set(tokens)
             predictions = dict(base)
             for app_key in dirty:
-                placed = view.configuration_of(app_key)
-                value = None if placed is None \
-                    else controller.predict_app(view, placed)
-                if value is None:
-                    predictions.pop(app_key, None)
-                    continue
-                predictions[app_key] = value
-                if reads is not None:
-                    _note_reads(reads, view.footprint_of(app_key))
+                self._predict_into(predictions, app_key)
             if reads is not None:
                 # What the live predictions this trial replaces read: the
                 # mutated app's old placement, and whom it shared with.
@@ -293,6 +314,100 @@ class TrialEngine:
                     _note_reads(reads, token.removed_footprint)
             span.set("dirty", len(dirty))
         return predictions
+
+    def move_predictions(self, base: Mapping[str, float], app_key: str,
+                         demands: ConcreteDemands, assignment: Assignment,
+                         ) -> dict[str, float]:
+        """Predictions for the live view with ``app_key`` moved to
+        ``demands`` on ``assignment``; ``base`` is the live cache.
+
+        Equal to :meth:`trial_predictions` of that one placement, reads
+        included, but a co-tenant the reuse table knows under this move
+        is not predicted again, and when it knows every one (none
+        opaque) and the moved app's model leaves out its own entries by
+        app key, the view is not edited at all: the app is predicted
+        against the live view, where only its own entries differ.
+        """
+        controller = self.controller
+        view = controller.view
+        reads = self._reads
+        with controller.tracer.span("prediction.trial") as span:
+            removed = view.footprint_of(app_key)
+            added = view.compiled(demands, assignment)
+            others = view.apps_affected_by(added)
+            if removed is not None:
+                others |= view.apps_affected_by(removed)
+            others |= self._opaque
+            others.discard(app_key)
+            predictions = dict(base)
+            known: list[str] = []
+            missing: list[tuple[str, tuple | None]] = []
+            for other in others:
+                if other in self._opaque:
+                    missing.append((other, None))
+                    continue
+                key = _move_key(view.footprint_of(other), removed, added)
+                value = self._reused(other, key)
+                if value is None:
+                    missing.append((other, key))
+                else:
+                    predictions[other] = value
+                    known.append(other)
+            moved = None if missing else \
+                PlacedConfiguration(app_key, demands, assignment)
+            if moved is None or \
+                    type(controller.model_of(moved)) is not DefaultModel:
+                with ViewTrial(view) as trial:
+                    trial.place(app_key, demands, assignment)
+                    self._predict_into(predictions, app_key)
+                    for other, key in missing:
+                        value = self._predict_into(predictions, other)
+                        if key is not None and value is not None:
+                            self._reuse_store(other, key, value)
+            else:
+                value = controller.predict_app(view, moved)
+                if value is None:
+                    predictions.pop(app_key, None)
+                else:
+                    predictions[app_key] = value
+                    if reads is not None:
+                        _note_reads(reads, added)
+            if reads is not None:
+                for other in known:
+                    _note_reads(reads, view.footprint_of(other))
+                _note_reads(reads, removed)
+            span.set("dirty", len(others) + 1)
+        return predictions
+
+    def _predict_into(self, predictions: dict[str, float],
+                      app_key: str) -> float | None:
+        """Predict ``app_key``'s placement on the view into
+        ``predictions`` (dropping it when it has no prediction) and note
+        what it read."""
+        controller = self.controller
+        view = controller.view
+        placed = view.configuration_of(app_key)
+        value = None if placed is None \
+            else controller.predict_app(view, placed)
+        if value is None:
+            predictions.pop(app_key, None)
+            return None
+        predictions[app_key] = value
+        if self._reads is not None:
+            _note_reads(self._reads, view.footprint_of(app_key))
+        return value
+
+    def _reused(self, app_key: str, key: tuple) -> float | None:
+        """The prediction the table holds for ``app_key`` under the move
+        ``key`` names."""
+        row = self._reuse.get(app_key)
+        return None if row is None else row.get(key)
+
+    def _reuse_store(self, app_key: str, key: tuple, value: float) -> None:
+        row = self._reuse.get(app_key)
+        if row is None or len(row) >= REUSE_PER_APP:
+            row = self._reuse[app_key] = {}
+        row[key] = value
 
     # -- read sets -----------------------------------------------------------
 
@@ -425,6 +540,8 @@ class TrialEngine:
         dirty = self.dirty_set(tokens)
         if load is not None:
             dirty |= view.apps_affected_by(load)
+        for app_key in dirty:
+            self._reuse.pop(app_key, None)
         predictions: dict[str, float] = {}
         for placed in view.configurations():
             app_key = placed.app_key
@@ -442,6 +559,31 @@ class TrialEngine:
                     not controller.model_is_footprint_safe(placed):
                 self._opaque.add(token.app_key)
         self._version = view.version
+
+
+def _move_key(footprint: PlacementFootprint,
+              removed: PlacementFootprint | None,
+              added: PlacementFootprint) -> tuple:
+    """What a move changes on ``footprint``'s hosts and read links: per
+    one the moved app touches, its removed and its added entries, as
+    values — the same key whichever app moved."""
+    key = []
+    removed_cpu = removed.cpu if removed is not None else {}
+    added_cpu = added.cpu
+    for hostname in footprint.cpu:
+        gone = removed_cpu.get(hostname)
+        new = added_cpu.get(hostname)
+        if gone or new:
+            key.append((hostname, gone, new))
+    removed_flows = removed.flows if removed is not None else {}
+    added_flows = added.flows
+    if removed_flows or added_flows:
+        for link in footprint.read_links:
+            gone = removed_flows.get(link)
+            new = added_flows.get(link)
+            if gone or new:
+                key.append((link, gone, new))
+    return tuple(key)
 
 
 def _note_reads(keys: set, footprint: PlacementFootprint | None) -> None:

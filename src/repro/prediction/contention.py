@@ -160,6 +160,10 @@ class SystemView:
         self._order_entries: dict[str, tuple] = {}
         self._order: list[tuple] | None = None  # None: rebuild on read
         self._order_dirty: set[str] = set()
+        #: ``(demands, assignment, footprint)`` compiled last: a trial
+        #: that predicts a configuration and then places it compiles it
+        #: once.  Dropped with the topology.
+        self._last_compiled: tuple | None = None
         self.version: int = 0
         cluster.watch(self)
 
@@ -182,7 +186,7 @@ class SystemView:
             self._unindex(app_key, removed_footprint)
         config = PlacedConfiguration(
             app_key=app_key, demands=demands, assignment=assignment)
-        footprint = self._footprint_for(demands, assignment)
+        footprint = self._compile(demands, assignment)
         self._configurations[app_key] = config
         self._footprints[app_key] = footprint
         self._index(app_key, footprint)
@@ -246,12 +250,24 @@ class SystemView:
                  app_key: str | None = None) -> PlacementFootprint:
         """The footprint of a configuration: the indexed one when
         ``app_key`` is placed with exactly these demands and assignment,
-        otherwise compiled now."""
+        otherwise the one compiled last for them, or compiled now (and
+        handed to the :meth:`place` of that very configuration)."""
         placed = self._configurations.get(app_key)
         if placed is not None and placed.demands is demands and \
                 placed.assignment is assignment:
             return self._footprints[app_key]
-        return self._footprint_for(demands, assignment)
+        return self._compile(demands, assignment)
+
+    def _compile(self, demands: ConcreteDemands,
+                 assignment: Assignment) -> PlacementFootprint:
+        """The footprint compiled last when it is of these very objects,
+        otherwise one compiled now, which becomes the last."""
+        last = self._last_compiled
+        if last is not None and last[0] is demands and last[1] is assignment:
+            return last[2]
+        footprint = self._footprint_for(demands, assignment)
+        self._last_compiled = (demands, assignment, footprint)
+        return footprint
 
     def contention_tables(self) -> tuple[Mapping, Mapping, Mapping,
                                          Mapping]:
@@ -417,6 +433,7 @@ class SystemView:
         links recorded in footprints; placements themselves are unchanged.
         """
         self._order = None
+        self._last_compiled = None
         self._footprints.clear()
         self._host_entries.clear()
         self._host_counts.clear()

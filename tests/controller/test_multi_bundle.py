@@ -132,10 +132,12 @@ class TestIncumbentShortcutWithTwoBundles:
         assert slot.demands.option_name == "table"    # algorithm's, not where's
         assert service.bundles["where"].chosen is not None
 
+        # Candidates not scored from ``live``: each one's predictions
+        # come from a move, edited on the view or not.
         trials = []
-        predict = fast._engine.trial_predictions
-        fast._engine.trial_predictions = \
-            lambda base, tokens: trials.append(1) or predict(base, tokens)
+        move = fast._engine.move_predictions
+        fast._engine.move_predictions = \
+            lambda base, *placing: trials.append(1) or move(base, *placing)
         for bundle_name, expected_trials in (("where", 2), ("algorithm", 1)):
             del trials[:]
             scored, oracle = (
