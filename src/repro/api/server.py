@@ -413,8 +413,8 @@ class HarmonyServer:
         self.lease_seconds = lease_seconds
         self.clock: Callable[[], float] = clock or time.monotonic
         #: Standby role: reads are served, mutations are refused with a
-        #: ``controller_moved`` redirect.  Flipped by :meth:`set_primary`
-        #: (promotion) and :meth:`demote`.
+        #: ``controller_moved`` redirect.  Cleared when the server claims
+        #: a term; set by :meth:`demote` and :meth:`follow`.
         self.standby = standby
         #: Crash-only failure discipline for chaos suites: an unhandled
         #: dispatch error fail-stops the whole server (listener closed,
@@ -429,7 +429,8 @@ class HarmonyServer:
         #: (``None`` when replication runs unfenced).
         self.fencing = None
         self._fencing_holder: str | None = None
-        self._fencing_lease_seconds = 30.0
+        #: The replica a standby follows and takes over from (:meth:`follow`).
+        self._replica = None
         #: Where clients should look for the primary (advertised in
         #: ``controller_moved`` redirects when no fencing record is
         #: available to consult).
@@ -539,24 +540,18 @@ class HarmonyServer:
                            address: str | None = None) -> str:
         """Become a replicating primary; returns the role taken.
 
-        With a :class:`~repro.persistence.replication.FencingStore`, the
-        server first tries to acquire the fencing lease (bumping the
-        term).  If another holder's lease is live — a newer primary was
-        elected while this one was down — the server *demotes itself to
-        standby* instead of split-braining, and returns ``"standby"``.
-        On success the new term is journaled (durable before anything is
-        served under it), stamped on every reply from here on, and a
-        :class:`~repro.persistence.replication.ReplicationPrimary` is
-        installed to ship WAL records to subscribing standbys.
-
-        Without fencing the term is simply ``controller.term + 1`` —
-        single-machine tests and demos that want replication without a
-        shared fencing file.
+        The server claims the next term
+        (:func:`~repro.persistence.replication.claim_term`: the fencing
+        lease, or ``term + 1`` unfenced), stamps it on every reply, and
+        ships its WAL to standbys through a
+        :class:`~repro.persistence.replication.ReplicationPrimary`.  If
+        another holder's lease is live — a newer primary was elected
+        while this one was down — it *demotes itself to standby*
+        instead of split-braining, and returns ``"standby"``.
         """
-        from repro.persistence.replication import ReplicationPrimary
+        from repro.persistence.replication import claim_term
 
-        controller = self.controller
-        journal = controller.journal
+        journal = self.controller.journal
         if journal is None:
             raise ControllerError(
                 "enable_replication requires an attached durability "
@@ -565,48 +560,86 @@ class HarmonyServer:
         with self.controller_lock:
             self.fencing = fencing
             self._fencing_holder = holder
-            self._fencing_lease_seconds = lease_seconds
-            if fencing is not None:
-                try:
-                    term = fencing.acquire(holder,
-                                           lease_seconds=lease_seconds,
-                                           address=address)
-                except ReplicationError:
-                    # Fenced out: a live, higher-term primary exists.
-                    self.demote()
-                    return "standby"
-            else:
-                term = controller.term + 1
-            journal.record_term(term, holder)
-            controller.note_term(term)
-            self.replication = ReplicationPrimary(journal,
-                                                  controller).install()
-            self.standby = False
-            self.failed = False
+            try:
+                claim_term(journal, fencing, holder, lease_seconds, address)
+            except ReplicationError:
+                # Fenced out: a live, higher-term primary exists.
+                self.demote()
+                return "standby"
+            self._serve_as_primary()
         return "primary"
 
-    def renew_fencing(self) -> bool:
-        """Renew the primary lease; demote when the term moved on.
+    def follow(self, replica, transport: Transport) -> None:
+        """Stand by for the primary that ``replica`` (a
+        :class:`~repro.persistence.replication.ReplicationStandby`)
+        follows over ``transport``: serve reads from each controller the
+        replica builds, redirect mutations, and take over in
+        :meth:`renew_fencing` once the primary's lease lapses."""
+        with self.controller_lock:
+            self.standby = True
+            self._replica = replica
+            self.fencing = replica.fencing
+            replica.on_controller = self._adopt_controller
+            if replica.controller is not None:
+                self._adopt_controller(replica.controller)
+        replica.follow(transport)
 
-        Returns ``True`` while this server is (still) the fenced
-        primary.  A deposed primary — one whose fencing record now
-        carries a higher term, or whose renew is refused — demotes to
-        standby here instead of continuing to serve a dead term.
+    def renew_fencing(self) -> bool:
+        """Keep this server's role true to the fencing record; returns
+        whether it is (now) the fenced primary.
+
+        A primary renews its lease; a deposed one — whose fencing record
+        now carries a higher term, or whose renew is refused — demotes
+        instead of serving a dead term.  A standby that follows a
+        replica (:meth:`follow`) takes over once that term's lease lapsed.
         """
         if self.standby:
-            return False
+            return self._take_over()
         if self.fencing is None:
             return True
-        record = self.fencing.read()
-        if record.term > self.controller.term:
-            self.demote(observed_term=record.term)
-            return False
         try:
+            # Refused once the record moved to another term or holder.
             self.fencing.renew(self._fencing_holder, self.controller.term)
         except ReplicationError:
             self.demote(observed_term=self.fencing.read().term)
             return False
         return True
+
+    def _take_over(self) -> bool:
+        """Promote the followed replica once its primary's lease lapsed.
+
+        Term 0 means no primary ever held the lease, so nothing says one
+        died; a later term than the replica follows names a history it
+        does not hold.  A rival that claims the term first leaves this
+        server a standby."""
+        replica, fencing = self._replica, self.fencing
+        if replica is None or fencing is None:
+            return False
+        record = fencing.read()
+        if record.term == 0 or record.term != replica.term \
+                or fencing.clock() < record.lease_expires_at:
+            return False
+        try:
+            # Outside controller_lock: the replica's reader thread takes
+            # it under the replica's lock (``on_controller``).
+            replica.promote()
+        except ReplicationError:
+            return False
+        with self.controller_lock:
+            self._replica = None
+            self._fencing_holder = replica.standby_id
+            self._serve_as_primary()
+        return True
+
+    def _serve_as_primary(self) -> None:
+        """Answer as primary, shipping the WAL (term claimed, lock held)."""
+        from repro.persistence.replication import ReplicationPrimary
+
+        controller = self.controller
+        self.replication = ReplicationPrimary(controller.journal,
+                                              controller).install()
+        self.standby = False
+        self.failed = False
 
     def demote(self, observed_term: int | None = None) -> None:
         """Step down to standby: mutations now answer with redirects."""
@@ -620,25 +653,13 @@ class HarmonyServer:
         self.recorder.record(EVENT_DEMOTION, term=controller.term,
                              observed_term=observed_term)
 
-    def set_primary(self) -> None:
-        """Flip a standby server to primary (after a replica promoted).
-
-        The caller is responsible for having won the term first —
-        typically via
-        :meth:`~repro.persistence.replication.ReplicationStandby.promote`,
-        which acquires the fencing lease, journals the term, and hands
-        back a live controller; :meth:`adopt_controller` wires it in.
-        """
-        with self.controller_lock:
-            self.standby = False
-
-    def adopt_controller(self, controller: AdaptationController) -> None:
-        """Swap in a replica's rebuilt controller (standby servers).
+    def _adopt_controller(self, controller: AdaptationController) -> None:
+        """Swap in a replica's rebuilt controller (:meth:`follow`).
 
         A standby server is constructed before its replica has finished
-        catching up; once the replica (re)builds its controller — and
-        again at promotion — the server adopts it so status queries and,
-        post-promotion, mutations run against the replicated state.
+        catching up; each time the replica (re)builds its controller the
+        server adopts it, so status queries and, after the take-over,
+        mutations run against the replicated state.
         """
         with self.controller_lock:
             if controller is self.controller:

@@ -16,9 +16,9 @@ Installed as ``harmony-repro`` (or run as ``python -m repro.cli``):
   explain each reconfiguration (decision traces, optional JSONL dumps);
 * ``harmony-repro serve [...]``     — start a real TCP Harmony server over
   a cluster described by ``harmonyNode`` declarations (``--dir`` makes it
-  a durable, replicating primary; ``--standby-of`` a hot standby);
-* ``harmony-repro promote [...]``   — promote a standby's durability
-  directory to primary (term-fenced);
+  a durable, replicating primary, restored from the directory if it
+  holds state; ``--standby-of`` a hot standby that takes over when the
+  primary's fencing lease lapses);
 * ``harmony-repro replication [...]`` — query a running server's
   replication role, term, and standby lag;
 * ``harmony-repro checkpoint [...]`` — journal a demo workload into a
@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(for scripting/tests)")
     serve.add_argument("--dir", default=None, metavar="PATH",
                        help="durability directory: journal every state "
-                            "change (required for replication roles)")
+                            "change, and restart from the state it holds "
+                            "(required for replication roles)")
     serve.add_argument("--standby-of", default=None, metavar="HOST:PORT",
                        help="run as a hot standby following the primary "
                             "at HOST:PORT (serves reads, redirects "
@@ -125,19 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lease-seconds", type=float, default=30.0,
                        help="primary lease duration on the fencing "
                             "record")
-
-    promote = subparsers.add_parser(
-        "promote", help="promote a standby's durability directory to "
-                        "primary (term-fenced)")
-    promote.add_argument("--dir", required=True,
-                         help="the standby's durability directory")
-    promote.add_argument("--fencing", default=None, metavar="PATH",
-                         help="shared fencing-record file (promotion is "
-                              "refused while the primary's lease is "
-                              "live)")
-    promote.add_argument("--standby-id", default="standby",
-                         help="identity to acquire the fencing lease as")
-    promote.add_argument("--lease-seconds", type=float, default=30.0)
 
     repl = subparsers.add_parser(
         "replication", help="query a running server's replication role, "
@@ -204,7 +192,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "metrics": _cmd_metrics,
         "trace": _cmd_trace,
         "serve": _cmd_serve,
-        "promote": _cmd_promote,
         "replication": _cmd_replication,
         "checkpoint": _cmd_checkpoint,
         "restore": _cmd_restore,
@@ -404,43 +391,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         fencing = FencingStore(args.fencing)
 
-    standby = None
-    if args.standby_of:
-        from repro.api.transport import TcpTransport
-        from repro.persistence import ReplicationStandby
+    controller = AdaptationController(cluster)
+    if args.dir and not args.standby_of:
+        from repro.persistence import DurabilityJournal, snapshot_files
 
-        server_box: dict[str, HarmonyServer] = {}
-
-        def adopt(controller: AdaptationController) -> None:
-            bound = server_box.get("server")
-            if bound is not None:
-                bound.adopt_controller(controller)
-
-        def surface_stream_error(message: dict) -> None:
-            print(f"replication stream error from primary: "
-                  f"{message.get('message') or message.get('type')}",
-                  file=sys.stderr)
-
-        standby = ReplicationStandby(
-            args.dir, args.standby_id, fencing=fencing,
-            lease_seconds=args.lease_seconds, on_controller=adopt,
-            on_stream_error=surface_stream_error)
-        # Serve read-only status from a placeholder controller until the
-        # replica has caught up enough to build the real one.
-        controller = standby.controller or AdaptationController(cluster)
-        server = HarmonyServer(controller, standby=True,
-                               failover_targets=[args.standby_of])
-        server_box["server"] = server
-        primary_host, _, primary_port = args.standby_of.rpartition(":")
-        standby.follow(TcpTransport.connect(primary_host or "127.0.0.1",
-                                            int(primary_port)))
-    else:
-        controller = AdaptationController(cluster)
-        if args.dir:
-            from repro.persistence import DurabilityJournal
-
-            DurabilityJournal(args.dir).attach(controller)
-        server = HarmonyServer(controller)
+        journal = DurabilityJournal(args.dir)
+        if not (journal.wal.last_seq or snapshot_files(args.dir)):
+            journal.attach(controller)
+        else:  # a restart: serve the state the directory holds
+            journal.close()
+            controller = AdaptationController.restore(args.dir)
+            restored = controller.cluster.hostnames()
+            if sorted(restored) != sorted(hostnames):
+                controller.journal.close()
+                print(f"error: {args.dir} holds a cluster of "
+                      f"{', '.join(restored)}, not the hosts --nodes "
+                      f"names", file=sys.stderr)
+                return 1
+    # A durable server is a standby until it has claimed a term: nothing
+    # is served under no term while it binds.
+    server = HarmonyServer(controller, standby=bool(args.dir),
+                           failover_targets=([args.standby_of]
+                                             if args.standby_of else None))
 
     if args.transport == "asyncio":
         from repro.api import AsyncHarmonyServer
@@ -450,20 +422,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         front = server
         host, port = server.serve_tcp(args.host, args.port)
-    role = "standby" if args.standby_of else "server"
-    if args.dir and not args.standby_of:
+    replica = None
+    role = "server"
+    if args.standby_of:
+        from repro.api.transport import TcpTransport
+        from repro.persistence import ReplicationStandby
+
+        def surface_stream_error(message: dict) -> None:
+            print(f"replication stream error from primary: "
+                  f"{message.get('message') or message.get('type')}",
+                  file=sys.stderr)
+
+        replica = ReplicationStandby(
+            args.dir, args.standby_id, fencing=fencing,
+            address=f"{host}:{port}", lease_seconds=args.lease_seconds,
+            on_stream_error=surface_stream_error)
+        primary_host, _, primary_port = args.standby_of.rpartition(":")
+        server.follow(replica, TcpTransport.connect(
+            primary_host or "127.0.0.1", int(primary_port)))
+        role = f"standby {args.standby_id!r} of {args.standby_of}"
+    elif args.dir:
         role = server.enable_replication(
             fencing=fencing, lease_seconds=args.lease_seconds,
             address=f"{host}:{port}")
+        if role == "primary":
+            with server.controller_lock:
+                controller.configure_stranded()
     print(f"Harmony {role} on {host}:{port} ({args.transport}) managing "
           f"{len(hostnames)} node(s): {', '.join(hostnames)}")
-    if args.standby_of:
-        print(f"following primary at {args.standby_of} "
-              f"as {args.standby_id!r}")
-    if args.once:
-        if standby is not None:
-            standby.close()
+
+    def shut_down() -> None:
+        if replica is not None:
+            replica.close()
         front.stop()
+        journal = server.controller.journal
+        if journal is not None:
+            journal.close()
+
+    if args.once:
+        shut_down()
         return 0
     try:
         import time
@@ -472,9 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             time.sleep(period)
             serve_tick(server)
     except KeyboardInterrupt:  # pragma: no cover
-        if standby is not None:
-            standby.close()
-        front.stop()
+        shut_down()
     return 0
 
 
@@ -483,41 +478,29 @@ def serve_tick(server) -> None:
 
     A fenced primary renews its lease here, so a standby cannot promote
     while the primary lives, and a primary whose term moved on demotes.
-    A standby, or a primary without fencing, has nothing to renew.
+    A standby that follows a primary takes over here once that
+    primary's lease lapsed.  Without fencing there is nothing to renew
+    and nothing says a primary died.
     """
     server.renew_fencing()
 
 
-def _cmd_promote(args: argparse.Namespace) -> int:
-    from repro.persistence import ReplicationStandby
-
-    fencing = None
-    if args.fencing:
-        from repro.persistence import FencingStore
-
-        fencing = FencingStore(args.fencing)
-    standby = ReplicationStandby(args.dir, args.standby_id,
-                                 fencing=fencing,
-                                 lease_seconds=args.lease_seconds)
-    controller = standby.promote()
-    status = standby.status()
-    print(f"{args.dir}: promoted {args.standby_id!r} to primary at "
-          f"term {status['term']} (last_seq {status['last_seq']})")
-    print(f"{len(controller.registry)} application(s); "
-          f"objective {controller.current_objective():.6g}s")
-    controller.journal.close()
-    return 0
-
-
-def _cmd_replication(args: argparse.Namespace) -> int:
+def _query_status(address: str) -> dict:
+    """The ``status`` payload of the server at ``HOST:PORT``."""
     from repro.api import HarmonyClient
     from repro.api.transport import TcpTransport
 
-    host, _, port = args.connect.rpartition(":")
+    host, _, port = address.rpartition(":")
     client = HarmonyClient(TcpTransport.connect(host or "127.0.0.1",
                                                 int(port)))
-    replication = client.query_status()["replication"]
-    client.transport.close()
+    try:
+        return client.query_status()
+    finally:
+        client.transport.close()
+
+
+def _cmd_replication(args: argparse.Namespace) -> int:
+    replication = _query_status(args.connect)["replication"]
     print(f"{args.connect}: role={replication.get('role', '?')} "
           f"term={replication.get('term', 0)} "
           f"last_seq={replication.get('last_seq', 0)}")
@@ -699,14 +682,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.obs.health import evaluate_health, format_health
 
     if args.connect:
-        from repro.api import HarmonyClient
-        from repro.api.transport import TcpTransport
-
-        host, _, port = args.connect.rpartition(":")
-        client = HarmonyClient(TcpTransport.connect(host or "127.0.0.1",
-                                                    int(port)))
-        histograms = client.query_status()["histograms"]
-        client.transport.close()
+        histograms = _query_status(args.connect)["histograms"]
         print(f"{args.connect}: {len(histograms)} histogram(s)")
     else:
         controller = _run_chaos_demo(seed=None)

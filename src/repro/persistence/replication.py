@@ -99,7 +99,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
 
 __all__ = ["FencingStore", "FencingRecord", "ReplicationPrimary",
-           "ReplicationStandby", "SHIP_TIMEOUT_SECONDS"]
+           "ReplicationStandby", "SHIP_TIMEOUT_SECONDS", "claim_term"]
 
 #: How long shipping to one standby may block the appending thread; a
 #: link that stalls past it is dropped (the standby re-hellos on
@@ -253,6 +253,27 @@ class FencingStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path)
+
+
+def claim_term(journal: DurabilityJournal, fencing: FencingStore | None,
+               holder: str, lease_seconds: float,
+               address: str | None) -> int:
+    """The one way into the primary role: claim the next term for the
+    journal's controller and return it.
+
+    With ``fencing`` the term is :meth:`FencingStore.acquire`'s (another
+    holder's live lease raises :class:`~repro.errors.ReplicationError`,
+    changing nothing); without, ``controller.term + 1``.  It is durable
+    before it is served: journaled, then noted."""
+    controller = journal.controller
+    if fencing is not None:
+        term = fencing.acquire(holder, lease_seconds=lease_seconds,
+                               address=address)
+    else:
+        term = controller.term + 1
+    journal.record_term(term, holder)
+    controller.note_term(term)
+    return term
 
 
 # --------------------------------------------------------------------------
@@ -549,17 +570,19 @@ class ReplicationStandby:
     (newest valid snapshot + tail) and re-hellos from there, so an
     outage costs one catch-up, not a full resync.
 
-    ``on_controller`` fires whenever the standby's
-    controller object is (re)built — a hosting server uses it to adopt
-    the new instance.
+    ``on_controller`` fires whenever the standby's controller object is
+    (re)built; a server that stands by through
+    :meth:`~repro.api.server.HarmonyServer.follow` sets it to adopt the
+    new instance.
 
-    :meth:`promote` is the failover: acquire the fencing lease (refused
-    while the primary's lease is live), journal the new term, restore
-    the real decision policy, re-attach the journal for writing, and
-    reconfigure any bundles the replicated history left stranded.  The
-    returned controller serves exactly the state the primary had made
-    durable — including every ``resume_key`` session, which rejoining
-    clients replay precisely as they would against a restarted primary.
+    :meth:`promote` is the failover: claim the next term
+    (:func:`claim_term`, refused while the primary's lease is live),
+    restore the real decision policy, re-attach the journal for
+    writing, and reconfigure any bundles the replicated history left
+    stranded.  The returned controller serves exactly the state the
+    primary had made durable — including every ``resume_key`` session,
+    which rejoining clients replay precisely as they would against a
+    restarted primary.
     """
 
     def __init__(self, directory: str, standby_id: str,
@@ -569,7 +592,6 @@ class ReplicationStandby:
                  fsync: str = "always",
                  address: str | None = None,
                  lease_seconds: float = 30.0,
-                 on_controller: Callable[[Any], None] | None = None,
                  on_stream_error: Callable[[dict[str, Any]], None]
                  | None = None):
         self.directory = directory
@@ -579,7 +601,7 @@ class ReplicationStandby:
         self.lease_seconds = lease_seconds
         self.snapshot_every = snapshot_every
         self.fsync = fsync
-        self.on_controller = on_controller
+        self.on_controller: Callable[[Any], None] | None = None
         self.on_stream_error = on_stream_error
         self.journal = DurabilityJournal(
             directory, snapshot_every=snapshot_every, fsync=fsync,
@@ -612,13 +634,12 @@ class ReplicationStandby:
         transport.send(self._hello_message())
 
     def stop(self) -> None:
+        """Stop following: hang up on the primary."""
         with self._lock:
             transport, self.transport = self.transport, None
         if transport is not None:
-            try:
+            with contextlib.suppress(TransportError):
                 transport.close()
-            except TransportError:  # pragma: no cover - defensive
-                pass
 
     def close(self) -> None:
         """Stop following and, before promotion, close the log.
@@ -812,7 +833,7 @@ class ReplicationStandby:
     # -- promotion ----------------------------------------------------------
 
     def promote(self) -> "AdaptationController":
-        """Become the primary: fence, journal the term, wake the policy.
+        """Become the primary: claim the term, wake the policy.
 
         Raises :class:`~repro.errors.ReplicationError` while the current
         primary's fencing lease is still live.  On success the returned
@@ -830,25 +851,14 @@ class ReplicationStandby:
                 raise ReplicationError(
                     f"standby {self.standby_id!r} has no replicated "
                     f"state to promote")
-            if self.fencing is not None:
-                term = self.fencing.acquire(
-                    self.standby_id, lease_seconds=self.lease_seconds,
-                    address=self.address)
-            else:
-                term = self.term + 1
-            # Durable before served: the term record hits this WAL
-            # before any client sees the new primary.
+            # A snapshot carries no term: the stream's is the floor.
+            controller.term = max(controller.term, self.term)
+            term = claim_term(self.journal, self.fencing, self.standby_id,
+                              self.lease_seconds, self.address)
             controller.policy = self._real_policy
             controller.journal = self.journal
-            self.journal.record_term(term, self.standby_id)
-            controller.note_term(term)
             self.promoted = True
-            transport, self.transport = self.transport, None
-        if transport is not None:
-            try:
-                transport.close()
-            except TransportError:  # pragma: no cover - defensive
-                pass
+        self.stop()
         stranded = controller.configure_stranded()
         controller.metrics.increment("replication.promotions",
                                      controller.now)
@@ -856,18 +866,6 @@ class ReplicationStandby:
             EVENT_PROMOTION, standby_id=self.standby_id, term=term,
             last_seq=self.last_seq, stranded_reconfigured=stranded)
         return controller
-
-    # -- introspection ------------------------------------------------------
-
-    def status(self) -> dict[str, Any]:
-        return {"standby_id": self.standby_id,
-                "role": "primary" if self.promoted else "standby",
-                "term": self.term,
-                "last_seq": self.last_seq,
-                "records_applied": self.records_applied,
-                "resyncs": self.resyncs,
-                "stream_errors": self.stream_errors,
-                "divergence_resets": self.divergence_resets}
 
     # -- construction helpers -----------------------------------------------
 

@@ -7,10 +7,11 @@ seeded WAL append (before / torn / after the write).  The primary
 fail-stops crash-only — no goodbyes — and the clients ride their retry
 policy through the static failover list to the standby server, which
 redirects with ``controller_moved`` until the driver expires the
-fencing lease and promotes the replica.  Every client must finish, and
-the promoted controller's placements, predictions, and objective must
-be *identical* (``==``, not approximate) to a never-failed oracle that
-ran the same workload serially.
+fencing lease and the standby's serve loop (``serve_tick``) takes over.
+Every client must finish, and the promoted controller's placements,
+predictions, and objective must be *identical* (``==``, not
+approximate) to a never-failed oracle that ran the same workload
+serially.
 
 The kill is swept over ten distinct append offsets into the burst,
 cycling the three crash points, against the threaded front end; a
@@ -38,6 +39,7 @@ from repro.api import (
     connected_pair,
     make_message,
 )
+from repro.cli import serve_tick
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import ControllerMovedError
@@ -144,24 +146,17 @@ def run_chaos(tmp_path, n_clients, kill_offset, point, front="threaded"):
         fencing=fencing, lease_seconds=30.0,
         address=f"{host_p}:{port_p}") == "primary"
 
-    # The standby server exists before its replica has any state; it
-    # adopts the replicated controller as soon as the stream builds one.
-    server_box = {}
-
-    def adopt(replica_controller):
-        bound = server_box.get("server")
-        if bound is not None:
-            bound.adopt_controller(replica_controller)
-
+    # The standby server as ``harmony-repro serve --standby-of`` builds
+    # it: bound before its replica has any state, it adopts the
+    # replicated controller as soon as the stream builds one.
+    server_sb = HarmonyServer(AdaptationController(make_cluster()),
+                              standby=True,
+                              failover_targets=[f"{host_p}:{port_p}"])
+    host_sb, port_sb = server_sb.serve_tcp(port=0)
     standby = ReplicationStandby(str(tmp_path / "standby"), "sb",
                                  fencing=fencing, fsync="never",
-                                 on_controller=adopt)
-    server_sb = HarmonyServer(
-        standby.controller or AdaptationController(make_cluster()),
-        standby=True)
-    server_box["server"] = server_sb
-    host_sb, port_sb = server_sb.serve_tcp(port=0)
-    standby.follow(TcpTransport.connect(host_p, port_p))
+                                 address=f"{host_sb}:{port_sb}")
+    server_sb.follow(standby, TcpTransport.connect(host_p, port_p))
 
     clients = []
     try:
@@ -199,10 +194,12 @@ def run_chaos(tmp_path, n_clients, kill_offset, point, front="threaded"):
                    or standby.transport.closed,
                    message="replication link drain")
 
-        clock[0] = 1031.0  # the dead primary's lease lapses
-        promoted = standby.promote()
-        server_sb.adopt_controller(promoted)
-        server_sb.set_primary()
+        serve_tick(server_sb)  # the dead primary's lease is still live
+        assert server_sb.standby
+        clock[0] = 1031.0  # ... until it lapses
+        serve_tick(server_sb)
+        promoted = server_sb.controller
+        assert promoted is standby.controller and not server_sb.standby
 
         for thread in threads:
             thread.join(timeout=90.0)

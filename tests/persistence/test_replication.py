@@ -9,19 +9,21 @@ resync, catch-up-from-snapshot — and the term-fenced promotion handoff.
 import gc
 import json
 import threading
+import time
+import types
 import warnings
 import zlib
 
 import pytest
 
-from repro.api import HarmonyServer, make_message
+from repro.api import HarmonyClient, HarmonyServer, make_message
 from repro.api.protocol import (MESSAGES, REPL_HELLO, REPL_RECORDS,
                                 REPL_SNAPSHOT)
 from repro.api.transport import Transport, connected_pair
-from repro.cli import serve_tick
+from repro.cli import main, serve_tick
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
-from repro.errors import ReplicationError
+from repro.errors import ControllerMovedError, ReplicationError
 from repro.persistence import (
     DurabilityJournal,
     FencingStore,
@@ -715,7 +717,7 @@ class TestStreamErrors:
         standby.follow(client_end)
         assert standby.stream_errors == 1
         assert seen[0]["message"] == "no snapshot verifies"
-        assert standby.status()["stream_errors"] == 1
+        assert standby.stream_errors == 1
 
     def test_hello_to_unreplicated_server_is_surfaced(self, tmp_path):
         controller = AdaptationController(make_cluster())
@@ -775,3 +777,251 @@ class TestMalformedStream:
         run_workload(controller, count=1, prefix="after")
         assert standby.last_seq == journal.wal.last_seq
         assert_converged(standby, controller)
+
+
+def serve_standby(directory, fencing, primary, closing, standby_id="sb"):
+    """A standby server built as ``harmony-repro serve --standby-of``
+    builds it: bound on a placeholder controller, then following the
+    primary through a replica that names the bound address."""
+    server = HarmonyServer(AdaptationController(make_cluster()),
+                           standby=True, failover_targets=["primary:1"])
+    host, port = server.serve_tcp(port=0)
+    closing(types.SimpleNamespace(close=server.stop))
+    replica = ReplicationStandby(str(directory), standby_id,
+                                 fencing=fencing, fsync="never",
+                                 address=f"{host}:{port}")
+    client_end, server_end = connected_pair()
+    primary.attach(server_end)
+    server.follow(replica, client_end)
+    return server, replica
+
+
+def register_refused(server):
+    """The ``controller_moved`` redirect ``server`` answers a register
+    with, as the exception a client raises."""
+    client_end, server_end = connected_pair()
+    server.attach(server_end)
+    with pytest.raises(ControllerMovedError) as excinfo:
+        HarmonyClient(client_end)._request_once(make_message(
+            "register", app_name="late", use_interrupts=False))
+    return excinfo.value
+
+
+def terms_journaled(journal):
+    return [record.data["term"] for record in journal.wal.records()
+            if record.kind == "term"]
+
+
+class TestServedStandby:
+    """A served standby takes over from its own loop, ``serve_tick``."""
+
+    def test_stands_by_while_the_lease_lives_then_takes_over(
+            self, tmp_path, closing, monkeypatch):
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller, _journal, primary = make_primary(tmp_path / "p",
+                                                     fencing=fencing)
+        server, replica = serve_standby(tmp_path / "s", fencing, primary,
+                                        closing)
+        run_workload(controller, count=2)
+        assert server.controller is replica.controller
+        primary.fail_stop()
+        claims = []
+        acquire = fencing.acquire
+        monkeypatch.setattr(fencing, "acquire", lambda *args, **kwargs: (
+            claims.append(clock[0]), acquire(*args, **kwargs))[1])
+        while clock[0] < 29.0:  # the dead primary's lease is live
+            clock[0] += 1.0
+            serve_tick(server)
+            assert server.standby and not replica.promoted
+        assert claims == []  # a live lease is not even contended
+        assert register_refused(server).leader == "primary:1"
+        clock[0] = 30.0  # ... and lapses
+        serve_tick(server)
+        assert not server.standby and replica.promoted
+        assert claims == [30.0]
+        record = fencing.read()
+        assert (record.term, record.holder, record.address) \
+            == (2, "sb", replica.address)
+        assert terms_journaled(replica.journal) == [1, 2]
+        assert server.controller.term == 2
+        # It serves mutations, and journals them under the new term.
+        client_end, server_end = connected_pair()
+        server.attach(server_end)
+        client = HarmonyClient(client_end)
+        assert client.startup("after") == "after.3"
+        assert replica.journal.wal.records()[-1].kind == "register"
+
+    def test_the_new_primary_renews_its_lease_and_ships(self, tmp_path,
+                                                        closing):
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller, _journal, primary = make_primary(tmp_path / "p",
+                                                     fencing=fencing)
+        server, replica = serve_standby(tmp_path / "s", fencing, primary,
+                                        closing)
+        second = ReplicationStandby(str(tmp_path / "s2"), "s2",
+                                    fencing=fencing, fsync="never")
+        join_standby(primary, second)
+        run_workload(controller, count=2)
+        primary.fail_stop()
+        clock[0] = 30.0
+        serve_tick(server)
+        assert not server.standby
+        while clock[0] < 75.0:  # one and a half lease periods of ticks
+            clock[0] += 1.0
+            serve_tick(server)
+            assert not server.standby and not fencing.expired()
+        with pytest.raises(ReplicationError, match="lease held"):
+            second.promote()
+        fresh = ReplicationStandby(str(tmp_path / "fresh"), "fresh",
+                                   fencing=fencing, fsync="never")
+        join_standby(server, fresh)
+        run_workload(server.controller, count=1, prefix="late")
+        assert fresh.last_seq == replica.journal.wal.last_seq
+        assert fresh.term == 2
+        assert_converged(fresh, server.controller)
+
+    def test_an_empty_fencing_record_says_no_primary_died(self, tmp_path,
+                                                          closing):
+        """A primary that never fenced (term 0) leaves nothing that can
+        lapse: the standby stands by whatever the clock says."""
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller, _journal, primary = make_primary(tmp_path / "p")
+        server, replica = serve_standby(tmp_path / "s", fencing, primary,
+                                        closing)
+        run_workload(controller, count=1)
+        primary.fail_stop()
+        clock[0] = 1e6
+        serve_tick(server)
+        assert server.standby and not replica.promoted
+        assert fencing.read().term == 0
+        assert terms_journaled(replica.journal) == [1]
+
+    def test_a_standby_that_loses_the_race_stands_by(self, tmp_path,
+                                                     closing, monkeypatch):
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller, _journal, primary = make_primary(tmp_path / "p",
+                                                     fencing=fencing)
+        server, replica = serve_standby(tmp_path / "s", fencing, primary,
+                                        closing)
+        run_workload(controller, count=1)
+        primary.fail_stop()
+        clock[0] = 30.0
+        acquire = fencing.acquire
+
+        def rival_first(holder, **kwargs):
+            # A rival standby saw the same lapse and claimed it first.
+            acquire("rival", lease_seconds=30.0, address="rival:3")
+            return acquire(holder, **kwargs)
+
+        monkeypatch.setattr(fencing, "acquire", rival_first)
+        serve_tick(server)
+        assert server.standby and not replica.promoted
+        assert (fencing.read().term, fencing.read().holder) == (2, "rival")
+        assert server.controller.term == 1
+        assert terms_journaled(replica.journal) == [1]
+        assert register_refused(server).leader == "rival:3"
+        # The rival's term is not the one this replica follows: even
+        # once its lease lapses, this standby does not take over.
+        monkeypatch.undo()
+        clock[0] = 120.0
+        serve_tick(server)
+        assert server.standby and not replica.promoted
+
+
+NODES = "".join(f"harmonyNode n{index} {{speed 1}} {{memory 256}}\n"
+                for index in range(4))
+
+
+class TestServeDirectory:
+    """``serve --dir`` restarts from the state its directory holds."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Every server ``main(["serve", ...])`` built, in order."""
+        built = []
+        stop = HarmonyServer.stop
+
+        def recording_stop(server):
+            built.append(server)
+            stop(server)
+
+        monkeypatch.setattr(HarmonyServer, "stop", recording_stop)
+        return built
+
+    def serve(self, tmp_path, directory, fence):
+        nodes = tmp_path / "nodes.rsl"
+        nodes.write_text(NODES)
+        return main(["serve", "--nodes", str(nodes), "--dir",
+                     str(directory), "--fencing", str(fence), "--once"])
+
+    def test_on_a_standby_directory_it_serves_at_the_next_term(
+            self, tmp_path, capsys, served):
+        # The primary's lease lapsed long ago on the real clock.
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: time.monotonic() - 1000.0)
+        controller, journal, primary = make_primary(tmp_path / "p",
+                                                    fencing=fencing)
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fencing=fencing, fsync="never")
+        join_standby(primary, standby)
+        run_workload(controller, count=3)
+        primary.fail_stop()
+        standby.close()
+        journal.close()
+        assert self.serve(tmp_path, tmp_path / "s",
+                          tmp_path / "fence") == 0
+        assert "Harmony primary on" in capsys.readouterr().out
+        (server,) = served
+        assert server.replication_status()["role"] == "primary"
+        assert server.controller.term == 2
+        assert fencing.read().term == 2
+        restored = AdaptationController.restore(str(tmp_path / "s"),
+                                                fsync="never")
+        try:
+            assert restored.term == 2
+            assert len(restored.registry) == 3
+        finally:
+            restored.journal.close()
+
+    def test_on_the_deposed_primary_directory_it_stands_by(
+            self, tmp_path, capsys, served):
+        old = FencingStore(str(tmp_path / "fence"),
+                           clock=lambda: time.monotonic() - 1000.0)
+        controller, journal, primary = make_primary(tmp_path / "p",
+                                                    fencing=old)
+        new = FencingStore(str(tmp_path / "fence"))
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fencing=new, fsync="never",
+                                     address="new:2")
+        join_standby(primary, standby)
+        run_workload(controller, count=3)
+        primary.fail_stop()
+        standby.promote()  # the new primary's lease is live
+        journal.close()
+        assert self.serve(tmp_path, tmp_path / "p",
+                          tmp_path / "fence") == 0
+        assert "Harmony standby on" in capsys.readouterr().out
+        (server,) = served
+        assert server.standby and server.controller.term == 1
+        assert register_refused(server).leader == "new:2"
+        assert len(server.controller.registry) == 3
+        assert (new.read().term, new.read().holder) == (2, "sb")
+
+    def test_a_nodes_file_naming_other_hosts_is_refused(self, tmp_path,
+                                                        capsys):
+        controller, journal, _primary = make_primary(tmp_path / "p")
+        run_workload(controller, count=1)
+        journal.close()
+        nodes = tmp_path / "other.rsl"
+        nodes.write_text("harmonyNode alpha {speed 1}\n")
+        assert main(["serve", "--nodes", str(nodes), "--dir",
+                     str(tmp_path / "p"), "--once"]) == 1
+        assert "not the hosts --nodes names" in capsys.readouterr().err

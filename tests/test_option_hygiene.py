@@ -110,7 +110,6 @@ DEFINITION_SEAMS = {
     "HarmonyClient.start_heartbeats": "paper",
     "FaultyTransport.release_delayed": "faults",
     "FaultyTransport.pending_delayed": "faults",
-    "HarmonyServer.set_primary": "crash",
     # Counters a client keeps, and the server's lease table: a heartbeat
     # or a lease check would change what it reads.
     "HarmonyClient.lease_lost": "probe",
@@ -148,7 +147,6 @@ SEAMS = {
     ("FlightRecorder", "clock"): "clock",
     ("Tracer", "clock"): "clock",
     ("FencingStore", "clock"): "clock",
-    ("ReplicationStandby", "address"): "deployment",
 }
 
 
