@@ -55,7 +55,8 @@ def main() -> None:
             below_option="QS", at_or_above_option="DS"))
 
     # A manual clock keeps lease arithmetic deterministic; a real server
-    # would use the default (time.monotonic) and start_lease_monitor().
+    # would use the default (time.monotonic) and call server.tick() from
+    # the loop that keeps it.
     clock = {"now": 0.0}
     server = HarmonyServer(controller, lease_seconds=10.0,
                            clock=lambda: clock["now"])

@@ -399,7 +399,6 @@ class AsyncHarmonyServer:
         self._thread: threading.Thread | None = None
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._protocols: set[HarmonyWireProtocol] = set()
-        self._lease_task: asyncio.Task | None = None
         self._lag_task: asyncio.Task | None = None
         self._stopped = False
 
@@ -479,33 +478,6 @@ class AsyncHarmonyServer:
             lag = time.perf_counter() - before - period
             self.loop_lag_hist.observe(max(0.0, lag))
 
-    def start_lease_ticker(self, period_seconds: float | None = None,
-                           ) -> None:
-        """Run ``check_leases()`` periodically from the loop.
-
-        The check itself (controller lock, eviction sweeps) runs on the
-        heavy pool so a long eviction never stalls the loop; expiries
-        within one period are batched into one check, like everything
-        else here.  The threaded :meth:`HarmonyServer.start_lease_monitor`
-        works too — this is the loop-native equivalent.
-        """
-        if self.server.lease_seconds is None:
-            raise ProtocolError("server has no lease_seconds configured")
-        if self.loop is None:
-            raise ProtocolError("serve() first")
-        period = period_seconds or self.server.lease_seconds / 3.0
-
-        async def tick() -> None:
-            while True:
-                await asyncio.sleep(period)
-                await self.loop.run_in_executor(
-                    self.heavy_pool, self.server.check_leases)
-
-        def install() -> None:
-            self._lease_task = self.loop.create_task(tick())
-
-        self.loop.call_soon_threadsafe(install)
-
     def stop(self) -> None:
         """Stop accepting, close connections, retire the loop, stop the
         wrapped server.  Idempotent."""
@@ -537,9 +509,6 @@ class AsyncHarmonyServer:
         if self._lag_task is not None:
             self._lag_task.cancel()
             self._lag_task = None
-        if self._lease_task is not None:
-            self._lease_task.cancel()
-            self._lease_task = None
         if self._asyncio_server is not None:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()

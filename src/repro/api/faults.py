@@ -152,18 +152,21 @@ class FaultStats:
                 "duplicated": float(self.duplicated),
                 "severed": 1.0 if self.severed else 0.0}
 
-    def publish(self, metrics: "MetricInterface", time: float = 0.0,
-                prefix: str = "faults.transport") -> None:
-        """Report the tally into a metric interface as ``<prefix>.*``.
+    def publish(self, metrics: "MetricInterface",
+                time: float = 0.0) -> None:
+        """Report the tally into a metric interface as
+        ``faults.transport.*``.
 
         Chaos tests assert drop/delay/duplicate counts through the same
         telemetry path as production counters; a :class:`FaultyTransport`
         constructed with ``metrics=`` republishes after every fault
         decision.
         """
-        from repro.obs.instrument import publish_fault_stats
-
-        publish_fault_stats(self, metrics, time=time, prefix=prefix)
+        for kind, value in self.snapshot().items():
+            metrics.report(f"faults.transport.{kind}", time, value)
+        for fault_type, count in sorted(self.by_type.items()):
+            metrics.report(f"faults.transport.by_type.{fault_type}", time,
+                           float(count))
 
 
 class FaultyTransport(Transport):
@@ -185,7 +188,6 @@ class FaultyTransport(Transport):
 
     def __init__(self, inner: Transport, schedule: FaultSchedule,
                  metrics: "MetricInterface | None" = None,
-                 metric_prefix: str = "faults.transport",
                  recorder: "FlightRecorder | None" = None,
                  stats: FaultStats | None = None):
         self.inner = inner
@@ -194,12 +196,10 @@ class FaultyTransport(Transport):
         #: healed replacement keeps counting into the same cumulative
         #: series instead of silently resetting them.
         self.stats = stats if stats is not None else FaultStats()
-        #: Optional metric interface: the stats tally is republished under
-        #: ``metric_prefix`` after every decision, timestamped by a
-        #: monotonically increasing decision counter (chaos runs have no
-        #: shared clock).
+        #: Optional metric interface: the stats tally is republished
+        #: after every decision, timestamped by a monotonically
+        #: increasing decision counter (chaos runs have no shared clock).
         self.metrics = metrics
-        self.metric_prefix = metric_prefix
         #: Optional flight recorder: every injected fault leaves a
         #: ``fault_injected`` breadcrumb, so a chaos dump interleaves the
         #: injections with the server's reactions on one timeline.
@@ -219,8 +219,7 @@ class FaultyTransport(Transport):
         if self.metrics is None:
             return
         self._decision_count += 1
-        self.stats.publish(self.metrics, time=float(self._decision_count),
-                           prefix=self.metric_prefix)
+        self.stats.publish(self.metrics, time=float(self._decision_count))
 
     def _note_fault(self, direction: str, action: FaultAction,
                     message: dict[str, Any]) -> None:
@@ -387,7 +386,6 @@ class FaultyTransport(Transport):
         self.stats.severed = False
         healed = FaultyTransport(fresh, ScriptedFaultSchedule({}),
                                  metrics=self.metrics,
-                                 metric_prefix=self.metric_prefix,
                                  recorder=self.recorder,
                                  stats=self.stats)
         # Metric timestamps are the running decision count; the healed

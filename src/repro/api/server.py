@@ -390,7 +390,8 @@ class HarmonyServer:
 
     ``lease_seconds`` (optional) arms session leases: every request from
     a registered client that is handled successfully renews its lease;
-    :meth:`check_leases` evicts applications whose lease lapsed — their
+    :meth:`tick` runs :meth:`check_leases`, which evicts applications
+    whose lease lapsed — their
     placements are removed through the controller's transactional view
     and the survivors are re-optimized, so a crashed client degrades the
     system gracefully instead of stranding its allocation.  ``clock``
@@ -462,8 +463,6 @@ class HarmonyServer:
         self._listener_socket: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._accept_retry_seconds = 0.05
-        self._lease_thread: threading.Thread | None = None
-        self._lease_stop: threading.Event | None = None
         self._stopping = False
         controller.add_listener(self._on_reconfiguration)
 
@@ -573,8 +572,8 @@ class HarmonyServer:
         """Stand by for the primary that ``replica`` (a
         :class:`~repro.persistence.replication.ReplicationStandby`)
         follows over ``transport``: serve reads from each controller the
-        replica builds, redirect mutations, and take over in
-        :meth:`renew_fencing` once the primary's lease lapses."""
+        replica builds, redirect mutations, and take over in :meth:`tick`
+        once the primary's lease lapses."""
         with self.controller_lock:
             self.standby = True
             self._replica = replica
@@ -584,25 +583,33 @@ class HarmonyServer:
                 self._adopt_controller(replica.controller)
         replica.follow(transport)
 
-    def renew_fencing(self) -> bool:
-        """Keep this server's role true to the fencing record; returns
-        whether it is (now) the fenced primary.
+    def tick(self) -> bool:
+        """One pass of a served Harmony's loop; returns whether this
+        server is (now) the primary.
 
-        A primary renews its lease; a deposed one — whose fencing record
-        now carries a higher term, or whose renew is refused — demotes
-        instead of serving a dead term.  A standby that follows a
-        replica (:meth:`follow`) takes over once that term's lease lapsed.
+        ``harmony-repro serve`` runs it every ``min(1 s, lease / 3)``.
+        A primary renews its fencing lease — a deposed one, whose record
+        now carries a higher term or whose renew is refused, demotes
+        instead of serving a dead term — and then evicts the sessions
+        whose lease lapsed (:meth:`check_leases`).  A standby that
+        follows a replica (:meth:`follow`) takes over once that term's
+        lease lapsed, and dials the primary again while it lives if the
+        link dropped; a standby evicts no one.  A stopped server does
+        nothing.
         """
+        if self._stopping:
+            return False
         if self.standby:
             return self._take_over()
-        if self.fencing is None:
-            return True
-        try:
-            # Refused once the record moved to another term or holder.
-            self.fencing.renew(self._fencing_holder, self.controller.term)
-        except ReplicationError:
-            self.demote(observed_term=self.fencing.read().term)
-            return False
+        if self.fencing is not None:
+            try:
+                # Refused once the record moved to another term or holder.
+                self.fencing.renew(self._fencing_holder,
+                                   self.controller.term)
+            except ReplicationError:
+                self.demote(observed_term=self.fencing.read().term)
+                return False
+        self.check_leases()
         return True
 
     def _take_over(self) -> bool:
@@ -610,14 +617,17 @@ class HarmonyServer:
 
         Term 0 means no primary ever held the lease, so nothing says one
         died; a later term than the replica follows names a history it
-        does not hold.  A rival that claims the term first leaves this
-        server a standby."""
+        does not hold.  While the lease lives, a replica whose link
+        dropped re-follows.  A rival that claims the term first leaves
+        this server a standby."""
         replica, fencing = self._replica, self.fencing
         if replica is None or fencing is None:
             return False
         record = fencing.read()
-        if record.term == 0 or record.term != replica.term \
-                or fencing.clock() < record.lease_expires_at:
+        if record.term == 0 or record.term != replica.term:
+            return False
+        if fencing.clock() < record.lease_expires_at:
+            self._refollow(replica)
             return False
         try:
             # Outside controller_lock: the replica's reader thread takes
@@ -630,6 +640,20 @@ class HarmonyServer:
             self._fencing_holder = replica.standby_id
             self._serve_as_primary()
         return True
+
+    @staticmethod
+    def _refollow(replica) -> None:
+        """Dial the live primary again if the replica's link closed; the
+        replica re-hellos from its last applied record.  A refused dial
+        leaves the closed link in place, so the next tick dials again."""
+        link = replica.transport
+        if not (isinstance(link, TcpTransport) and link.closed
+                and link.can_redial):
+            return
+        try:
+            replica.follow(link.redial())
+        except TransportError:
+            pass
 
     def _serve_as_primary(self) -> None:
         """Answer as primary, shipping the WAL (term claimed, lock held)."""
@@ -708,6 +732,10 @@ class HarmonyServer:
         listener = self._listener_socket
         self._listener_socket = None
         if listener is not None:
+            # shutdown() wakes the accept loop, as in stop(), so a later
+            # stop() does not wait out its join.
+            with contextlib.suppress(OSError):
+                listener.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 listener.close()
         with self.sessions_lock:
@@ -871,37 +899,6 @@ class HarmonyServer:
                 pass
         return evicted
 
-    def start_lease_monitor(self, period_seconds: float | None = None,
-                            ) -> None:
-        """Run :meth:`check_leases` periodically on a background thread."""
-        if self.lease_seconds is None:
-            raise ProtocolError("server has no lease_seconds configured")
-        if self._lease_thread is not None and self._lease_thread.is_alive():
-            return
-        period = period_seconds or self.lease_seconds / 3.0
-        stop = threading.Event()
-        self._lease_stop = stop
-
-        def monitor() -> None:
-            while not stop.wait(period):
-                self.check_leases()
-
-        self._lease_thread = threading.Thread(
-            target=monitor, name="harmony-lease-monitor", daemon=True)
-        self._lease_thread.start()
-
-    def stop_lease_monitor(self) -> None:
-        """Stop the monitor and *wait for it*: after this returns, no
-        lease check is running or will ever run again."""
-        thread = self._lease_thread
-        if self._lease_stop is not None:
-            self._lease_stop.set()
-        if thread is not None and thread.is_alive() \
-                and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-        self._lease_thread = None
-        self._lease_stop = None
-
     # -- TCP front end ---------------------------------------------------------
 
     def serve_tcp(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
@@ -927,20 +924,19 @@ class HarmonyServer:
         return listener.getsockname()
 
     def stop(self) -> None:
-        """Shut down in dependency order: monitors first, sessions last.
+        """Shut down in dependency order: the scheduler first, sessions
+        last.
 
-        The scheduler is drained and stopped, then the lease monitor is
-        stopped *and joined* and the accept loop closed before any
-        session state is dropped, so neither a scheduled batch nor a
-        lease check can ever fire against a half-torn-down server.
-        Session transports themselves stay open — clients own their
-        connections.
+        The scheduler is drained and stopped and the accept loop closed
+        before any session state is dropped, so no scheduled batch can
+        fire against a half-torn-down server; from here on :meth:`tick`
+        does nothing, so no lease check can either.  Session transports
+        themselves stay open — clients own their connections.
         """
         self._stopping = True
         if self.scheduler is not None:
             self.scheduler.stop(flush=True)
             self.scheduler = None
-        self.stop_lease_monitor()
         accept_thread = self._accept_thread
         if self._listener_socket is not None:
             # shutdown() before close(): merely closing the fd does not

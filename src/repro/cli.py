@@ -422,6 +422,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         front = server
         host, port = server.serve_tcp(args.host, args.port)
+    period = min(1.0, args.lease_seconds / 3.0)  # the serve loop's tick
     replica = None
     role = "server"
     if args.standby_of:
@@ -438,8 +439,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             address=f"{host}:{port}", lease_seconds=args.lease_seconds,
             on_stream_error=surface_stream_error)
         primary_host, _, primary_port = args.standby_of.rpartition(":")
+        # A redial of this link (``tick``) waits at most one tick, so it
+        # never delays a take-over by more.
         server.follow(replica, TcpTransport.connect(
-            primary_host or "127.0.0.1", int(primary_port)))
+            primary_host or "127.0.0.1", int(primary_port),
+            timeout=period))
         role = f"standby {args.standby_id!r} of {args.standby_of}"
     elif args.dir:
         role = server.enable_replication(
@@ -464,25 +468,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     try:
         import time
-        period = min(1.0, args.lease_seconds / 3.0)
         while True:  # pragma: no cover - interactive loop
             time.sleep(period)
-            serve_tick(server)
+            server.tick()
     except KeyboardInterrupt:  # pragma: no cover
         shut_down()
     return 0
-
-
-def serve_tick(server) -> None:
-    """One pass of ``serve``'s loop, run every ``min(1 s, lease / 3)``.
-
-    A fenced primary renews its lease here, so a standby cannot promote
-    while the primary lives, and a primary whose term moved on demotes.
-    A standby that follows a primary takes over here once that
-    primary's lease lapsed.  Without fencing there is nothing to renew
-    and nothing says a primary died.
-    """
-    server.renew_fencing()
 
 
 def _query_status(address: str) -> dict:

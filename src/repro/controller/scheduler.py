@@ -178,11 +178,6 @@ class CoalescingScheduler:
         self._run_batch(generation, reasons, ctxs)
         return True
 
-    def flush(self) -> bool:
-        """Force the pending batch (if any) to run now; returns whether
-        one ran."""
-        return self.run_pending(force=True)
-
     def _run_batch(self, generation: int, reasons: list[str],
                    ctxs: list[TraceContext] | None = None) -> None:
         controller = self.controller

@@ -80,13 +80,6 @@ class TimeSeries:
             return None
         return Observation(self._times[0], self._values[0])
 
-    def between(self, start: float, end: float) -> list[Observation]:
-        """Observations with ``start <= time <= end``."""
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_right(self._times, end)
-        return [Observation(t, v)
-                for t, v in zip(self._times[lo:hi], self._values[lo:hi])]
-
     def mean(self, start: float | None = None,
              end: float | None = None) -> float | None:
         """Arithmetic mean of values in the window (whole series default)."""
@@ -105,9 +98,6 @@ class TimeSeries:
     def windowed_mean(self, now: float, window_seconds: float) -> float | None:
         """Mean over the trailing window ``[now - window, now]``."""
         return self.mean(now - window_seconds, now)
-
-    def values(self) -> list[float]:
-        return list(self._values)
 
     def __iter__(self) -> Iterator[Observation]:
         return (Observation(t, v)

@@ -4,8 +4,7 @@ Five layers (see docs/observability.md):
 
 * ``trace``      — span timing, wire-propagated trace contexts, and
                    per-reconfiguration decision traces;
-* ``instrument`` — instrumented locks and fault tallies over the
-                   metric interface;
+* ``instrument`` — instrumented locks over the metric interface;
 * ``flightrec``  — the bounded ring of recent runtime events, dumped
                    to JSONL on demand / error / chaos failure;
 * ``health``     — SLO threshold checks over the runtime histograms;
@@ -22,7 +21,7 @@ from repro.obs.flightrec import (EVENT_BACKPRESSURE, EVENT_BATCH,
                                  FlightRecorder)
 from repro.obs.health import (DEFAULT_SLOS, HealthResult, SloCheck,
                               evaluate_health, format_health)
-from repro.obs.instrument import InstrumentedRLock, publish_fault_stats
+from repro.obs.instrument import InstrumentedRLock
 from repro.obs.trace import (NULL_TRACER, REJECT_INFEASIBLE,
                              REJECT_RULE_NOT_SELECTED,
                              REJECT_WORSE_OBJECTIVE, CandidateTrace,
@@ -34,7 +33,7 @@ __all__ = [
     "CandidateTrace", "DecisionTrace", "DecisionTraceLog",
     "REJECT_WORSE_OBJECTIVE", "REJECT_RULE_NOT_SELECTED",
     "REJECT_INFEASIBLE",
-    "InstrumentedRLock", "publish_fault_stats",
+    "InstrumentedRLock",
     "FlightRecorder",
     "EVENT_RPC_IN", "EVENT_RPC_OUT", "EVENT_FAULT",
     "EVENT_BATCH",

@@ -90,10 +90,6 @@ class FlightRecorder:
         """Events currently in the ring, tallied by kind."""
         return dict(Counter(event["kind"] for event in self.events()))
 
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-
     def to_jsonl(self) -> str:
         """One JSON object per event, newline-delimited, oldest first."""
         return "".join(json.dumps(event, sort_keys=True, default=str) + "\n"

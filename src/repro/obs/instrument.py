@@ -1,7 +1,6 @@
 """Instrumentation over the existing metric interface.
 
-:class:`InstrumentedRLock` publishes per-lock wait/hold histograms, and
-:func:`publish_fault_stats` reports a fault-injection tally as metrics.
+:class:`InstrumentedRLock` publishes per-lock wait/hold histograms.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ import time
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.faults import FaultStats
     from repro.metrics.interface import MetricInterface
 
-__all__ = ["InstrumentedRLock", "publish_fault_stats"]
+__all__ = ["InstrumentedRLock"]
 
 
 class InstrumentedRLock:
@@ -76,18 +74,3 @@ class InstrumentedRLock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InstrumentedRLock({self.name!r})"
-
-
-def publish_fault_stats(stats: "FaultStats", metrics: "MetricInterface",
-                        time: float = 0.0,
-                        prefix: str = "faults.transport") -> None:
-    """Report a fault-injection tally as ``<prefix>.*`` metrics.
-
-    Chaos tests assert drop/delay/duplicate counts through the same
-    telemetry path as production counters; see
-    :meth:`repro.api.faults.FaultStats.publish`.
-    """
-    for kind, value in stats.snapshot().items():
-        metrics.report(f"{prefix}.{kind}", time, float(value))
-    for fault_type, count in sorted(stats.by_type.items()):
-        metrics.report(f"{prefix}.by_type.{fault_type}", time, float(count))

@@ -302,7 +302,8 @@ def candidate_from_dict(state: BundleState,
 
 def controller_state(controller: "AdaptationController",
                      journal: "DurabilityJournal") -> dict[str, Any]:
-    """The snapshot body: registry, placements, objective inputs, digest.
+    """The snapshot body: registry, placements, objective inputs, the
+    fencing term, digest.
 
     ``journal`` supplies what the live objects cannot: the registered
     name of each explicit model.
@@ -341,6 +342,7 @@ def controller_state(controller: "AdaptationController",
     predictions = controller.live_predictions()
     return {
         "time": controller.now,
+        "term": controller.term,
         "next_instance_id": controller.registry.next_instance_id,
         "topology": topology_to_dict(controller.cluster),
         "external": {
@@ -415,6 +417,10 @@ def apply_state(controller: "AdaptationController",
                                         journal.resolve_model(model_name))
                 journal.note_model(instance.key, model_key, model_name)
         registry.next_instance_id = int(state["next_instance_id"])
+        # The fencing term; a snapshot that predates the key has none.
+        term = int(state.get("term", 0))
+        if term:
+            controller.note_term(term)
         external = state.get("external") or {}
         for host, load in dict(external.get("cpu") or {}).items():
             controller.view.set_external_cpu_load(str(host), float(load))

@@ -323,8 +323,9 @@ class ReplicationPrimary:
     (under whatever lock serializes controller mutations — shipping
     happens on the appending thread, so hello must not race an append).
 
-    A standby whose transport fails is dropped; it is expected to
-    reconnect and re-hello from its last durable sequence number.
+    A standby whose transport fails is dropped and its link closed; it
+    is expected to reconnect and re-hello from its last durable
+    sequence number.
     Shipping runs on the appending thread, so each link's transport is
     armed with :data:`SHIP_TIMEOUT_SECONDS` at hello time — a standby
     whose socket stalls (peer stopped reading) is dropped after that
@@ -528,7 +529,8 @@ class ReplicationPrimary:
         Shipping runs on the mutating thread, so the block is bounded:
         the link's transport was armed with :data:`SHIP_TIMEOUT_SECONDS`
         at hello time, and a send that exceeds it fails like any other transport
-        error — the link is dropped and the standby re-hellos."""
+        error — the link is dropped and closed, and the standby, seeing
+        it close, dials again and re-hellos."""
         try:
             link.transport.send(message)
         except (TransportError, ControllerBusyError, ProtocolError,
@@ -540,6 +542,10 @@ class ReplicationPrimary:
             # the standby.
             with self._lock:
                 self._links.pop(link.standby_id, None)
+            # Half-closed, never reset: the frames shipped before this
+            # one still reach the standby ahead of the EOF.
+            with contextlib.suppress(TransportError, OSError):
+                link.transport.close_after_flush()
             self.controller.metrics.increment("replication.ship_errors",
                                               self.controller.now)
             self._record_event("standby_dropped",
@@ -851,8 +857,6 @@ class ReplicationStandby:
                 raise ReplicationError(
                     f"standby {self.standby_id!r} has no replicated "
                     f"state to promote")
-            # A snapshot carries no term: the stream's is the floor.
-            controller.term = max(controller.term, self.term)
             term = claim_term(self.journal, self.fencing, self.standby_id,
                               self.lease_seconds, self.address)
             controller.policy = self._real_policy

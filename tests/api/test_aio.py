@@ -275,8 +275,3 @@ class TestLifecycle:
         sock.close()
         wait_until(lambda: server_front.connection_count == 0,
                    message="connection untracked")
-
-    def test_lease_ticker_requires_lease_configuration(self, front):
-        _controller, server_front, _address = front()
-        with pytest.raises(ProtocolError):
-            server_front.start_lease_ticker(0.1)

@@ -1,7 +1,5 @@
 """Session leases: heartbeats, expiry, eviction, and rejoining after."""
 
-import time
-
 import pytest
 
 from repro.api import (
@@ -13,7 +11,7 @@ from repro.api import (
 from repro.api.protocol import make_message
 from repro.cluster import Cluster
 from repro.controller import AdaptationController, ClientCountRulePolicy
-from repro.errors import HarmonyError, LeaseExpiredError, ProtocolError
+from repro.errors import HarmonyError, LeaseExpiredError
 from repro.persistence import DurabilityJournal
 from tests.conftest import lifecycle_events
 
@@ -70,6 +68,7 @@ class TestLeaseRenewal:
         server = HarmonyServer(controller)
         connect(server)
         assert server.check_leases() == []
+        assert server.tick() is True
         assert len(controller.registry) == 1
 
     def test_heartbeat_renews_the_lease(self, world):
@@ -212,23 +211,29 @@ class TestEviction:
         assert server.heartbeats_received == 1
 
 
-class TestLeaseMonitorThread:
-    def test_monitor_requires_lease_configuration(self):
-        cluster = Cluster.star("server0", ["c1"], memory_mb=128)
-        server = HarmonyServer(AdaptationController(cluster))
-        with pytest.raises(ProtocolError):
-            server.start_lease_monitor()
+class TestTick:
+    """``tick()``, the one periodic pass of a served Harmony, runs the
+    lease check on a primary and on nothing else."""
 
-    def test_monitor_evicts_on_wall_clock(self):
-        cluster = Cluster.star("server0", ["c1"], memory_mb=128)
-        controller = AdaptationController(cluster)
-        server = HarmonyServer(controller, lease_seconds=0.05)
-        connect(server)
-        server.start_lease_monitor(period_seconds=0.02)
-        try:
-            deadline = time.monotonic() + 2.0
-            while len(controller.registry) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(controller.registry) == 0
-        finally:
-            server.stop_lease_monitor()
+    def test_a_primary_tick_evicts_at_the_deadline(self, world):
+        _cluster, controller, server, clock = world
+        client = connect(server)
+        clock.advance(9.9)
+        assert server.tick() is True
+        assert len(controller.registry) == 1
+        clock.advance(0.1)
+        assert server.tick() is True
+        assert len(controller.registry) == 0
+        assert client.lease_lost  # told on its still-open transport
+        assert lifecycle_events(controller)[-1]["kind"] == "evicted"
+
+    def test_a_standby_tick_evicts_nothing(self, world):
+        _cluster, controller, server, clock = world
+        client = connect(server)
+        server.demote()
+        clock.advance(100.0)
+        assert server.tick() is False
+        assert len(controller.registry) == 1
+        assert server.lease_deadline(client.app_key) == pytest.approx(10.0)
+        assert "evicted" not in [event["kind"] for event
+                                 in lifecycle_events(controller)]

@@ -2,15 +2,14 @@
 
 Two regressions pinned here:
 
-* ``stop()`` must silence the lease monitor (and wait out any in-flight
-  lease check) *before* dropping session state, so a check can never run
-  against a half-torn-down server.
+* a stopped server never runs a lease check: ``tick()`` does nothing
+  after ``stop()``, even once a late heartbeat re-armed a lease that
+  then lapsed.
 * a duplicate ``register`` arriving after an eviction must produce a
   fresh session — neither resuming the evicted instance nor re-arming
   the dead key's lease.
 """
 
-import threading
 import time
 
 import pytest
@@ -56,61 +55,26 @@ def raw_session(server):
 
 
 class TestStopOrdering:
-    def test_stop_halts_the_monitor_before_dropping_sessions(self):
-        controller, server = make_server(lease_seconds=10.0)
+    def test_tick_after_stop_never_evicts(self):
+        clock = FakeClock()
+        controller, server = make_server(lease_seconds=10.0, clock=clock)
         client_end, replies = raw_session(server)
         client_end.send(make_message("register", app_name="App"))
-        assert replies[-1]["type"] == "registered"
-
-        started = threading.Event()
-        release = threading.Event()
-        seen_during_check = []
-        real_check = server.check_leases
-
-        def slow_check():
-            started.set()
-            release.wait(timeout=5.0)
-            # What an in-flight check observes must be a coherent server:
-            # stop() has not dropped the session table underneath it.
-            seen_during_check.append(dict(server._sessions_by_key))
-            return real_check()
-
-        server.check_leases = slow_check
-        server.start_lease_monitor(period_seconds=0.001)
-        assert started.wait(timeout=5.0)
-
-        stopper = threading.Thread(target=server.stop)
-        stopper.start()
-        time.sleep(0.05)
-        # stop() is parked joining the monitor, not tearing down state.
-        assert stopper.is_alive()
-        assert server._sessions_by_key
-        release.set()
-        stopper.join(timeout=5.0)
-        assert not stopper.is_alive()
-        assert server._lease_thread is None
-        assert seen_during_check and seen_during_check[0]
-        assert server._sessions_by_key == {}
-        assert server._leases == {}
-
-    def test_stop_under_active_monitor_and_live_lease(self):
-        """The satellite regression verbatim: a server stopped while its
-        monitor is running an active lease shuts down cleanly and never
-        evicts afterwards."""
-        controller, server = make_server(lease_seconds=0.05)
-        client_end, replies = raw_session(server)
-        client_end.send(make_message("register", app_name="App"))
-        server.start_lease_monitor(period_seconds=0.005)
+        key = replies[-1]["key"]
         server.stop()
-        assert server._lease_thread is None
-        events_at_stop = len(lifecycle_events(controller))
-        time.sleep(0.1)  # past the lease deadline: nothing may fire
-        assert len(lifecycle_events(controller)) == events_at_stop
-        assert server.check_leases() == []  # leases were cleared
+        # The client owns its connection: a beat after the stop re-arms
+        # the lease, which then lapses.
+        client_end.send(make_message("heartbeat", key=key))
+        assert replies[-1]["type"] == "heartbeat_ack"
+        clock.advance(100.0)
+        assert server.lease_deadline(key) == 10.0
+        assert server.tick() is False
+        assert len(controller.registry) == 1
+        assert [event["kind"] for event in lifecycle_events(controller)] \
+            == ["registered"]
 
     def test_stop_is_idempotent_and_restartable(self):
         _controller, server = make_server(lease_seconds=5.0)
-        server.start_lease_monitor(period_seconds=0.01)
         server.stop()
         server.stop()
         host, port = server.serve_tcp(port=0)

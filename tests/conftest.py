@@ -40,13 +40,6 @@ class ServerHandle:
         host, port = self.address
         return TcpTransport.connect(host, port, timeout=timeout)
 
-    def start_lease_monitor(self, period_seconds: float) -> None:
-        """Backend-native periodic lease checking."""
-        if self.front is not None:
-            self.front.start_lease_ticker(period_seconds)
-        else:
-            self.server.start_lease_monitor(period_seconds)
-
     def stop(self) -> None:
         if self._stopped:
             return

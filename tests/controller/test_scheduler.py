@@ -56,7 +56,7 @@ class TestCoalescing:
         assert scheduler.run_pending()
         assert scheduler.batches_run == 1
         assert scheduler.requests_coalesced == 10
-        assert not scheduler.flush()  # nothing left pending
+        assert not scheduler.run_pending(force=True)  # nothing left pending
 
     def test_quiet_window_after_single_request(self, sched):
         _controller, scheduler, clock = sched
@@ -83,9 +83,9 @@ class TestCoalescing:
     def test_flush_forces_an_undue_batch(self, sched):
         _controller, scheduler, clock = sched
         scheduler.request("x")
-        assert scheduler.flush()
+        assert scheduler.run_pending(force=True)
         assert scheduler.batches_run == 1
-        assert not scheduler.flush()  # nothing pending
+        assert not scheduler.run_pending(force=True)  # nothing pending
 
     def test_due_at_is_min_of_window_and_staleness_bound(self, sched):
         _controller, scheduler, clock = sched
@@ -114,7 +114,7 @@ class TestGenerations:
         _controller, scheduler, clock = sched
         covering = scheduler.request("a")
         assert not scheduler.wait_for_generation(covering, timeout=0.0)
-        scheduler.flush()
+        scheduler.run_pending(force=True)
         assert scheduler.wait_for_generation(covering, timeout=0.0)
 
     def test_wait_deadline_runs_on_the_injected_clock(self, controller):
@@ -152,7 +152,7 @@ class TestGenerations:
 
         def flush_later():
             time.sleep(0.05)
-            scheduler.flush()
+            scheduler.run_pending(force=True)
 
         flusher = threading.Thread(target=flush_later)
         flusher.start()
@@ -177,7 +177,7 @@ class TestControllerIntegration:
         assert instance.bundles["size"].chosen is not None
         # …but the global reevaluation is pending, not run.
         assert scheduler.batches_run == 0
-        scheduler.flush()
+        scheduler.run_pending(force=True)
         assert scheduler.batches_run == 1
         assert scheduler.requests_coalesced == 1
 
@@ -192,7 +192,7 @@ class TestControllerIntegration:
         controller, scheduler, clock = sched
         for i in range(4):
             scheduler.request(f"t:{i}")
-        scheduler.flush()
+        scheduler.run_pending(force=True)
         metrics = controller.metrics
         assert metrics.latest("controller.coalesced_batches") == 1.0
         assert metrics.latest("controller.batch_size") == 4.0
@@ -234,7 +234,7 @@ class TestJournal:
         before = journal.wal.last_seq
         for i in range(3):
             scheduler.request(f"t:{i}")
-        assert scheduler.flush()
+        assert scheduler.run_pending(force=True)
         assert journal.wal.last_seq == before
         journal.close()
 
@@ -242,7 +242,7 @@ class TestJournal:
         controller, scheduler, clock = sched
         for i in range(3):
             scheduler.request(f"t:{i}")
-        scheduler.flush()
+        scheduler.run_pending(force=True)
         [event] = batch_events(controller)
         assert event["generation"] == 1
         assert event["size"] == 3
@@ -252,7 +252,7 @@ class TestJournal:
         controller, scheduler, clock = sched
         for i in range(MAX_BATCH_REASONS + 20):
             scheduler.request(f"t:{i}")
-        scheduler.flush()
+        scheduler.run_pending(force=True)
         [event] = batch_events(controller)
         assert event["size"] == MAX_BATCH_REASONS + 20
         assert len(event["reasons"]) == MAX_BATCH_REASONS
@@ -279,4 +279,4 @@ class TestThreadedLoop:
         scheduler.request("never-due")
         scheduler.stop(flush=True)
         assert scheduler.batches_run == 1
-        assert not scheduler.flush()
+        assert not scheduler.run_pending(force=True)

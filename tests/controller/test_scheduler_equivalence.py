@@ -55,9 +55,10 @@ def admit_all(controller, scheduler=None, batch_every=8,
         instance = controller.register_app(f"App{index}")
         controller.setup_bundle(instance, two_option_rsl(index))
         if scheduler is not None and index % batch_every == batch_every - 1:
-            scheduler.flush()  # a quiescence window elapsed mid-burst
+            # A quiescence window elapsed mid-burst.
+            scheduler.run_pending(force=True)
     if scheduler is not None:
-        scheduler.flush()
+        scheduler.run_pending(force=True)
     return controller
 
 

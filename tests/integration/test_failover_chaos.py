@@ -7,7 +7,7 @@ seeded WAL append (before / torn / after the write).  The primary
 fail-stops crash-only — no goodbyes — and the clients ride their retry
 policy through the static failover list to the standby server, which
 redirects with ``controller_moved`` until the driver expires the
-fencing lease and the standby's serve loop (``serve_tick``) takes over.
+fencing lease and the standby's serve loop (``tick()``) takes over.
 Every client must finish, and the promoted controller's placements,
 predictions, and objective must be *identical* (``==``, not
 approximate) to a never-failed oracle that ran the same workload
@@ -39,7 +39,6 @@ from repro.api import (
     connected_pair,
     make_message,
 )
-from repro.cli import serve_tick
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.errors import ControllerMovedError
@@ -194,10 +193,10 @@ def run_chaos(tmp_path, n_clients, kill_offset, point, front="threaded"):
                    or standby.transport.closed,
                    message="replication link drain")
 
-        serve_tick(server_sb)  # the dead primary's lease is still live
+        server_sb.tick()  # the dead primary's lease is still live
         assert server_sb.standby
         clock[0] = 1031.0  # ... until it lapses
-        serve_tick(server_sb)
+        server_sb.tick()
         promoted = server_sb.controller
         assert promoted is standby.controller and not server_sb.standby
 

@@ -5,8 +5,9 @@ twice: once against the threaded accept loop
 (:meth:`HarmonyServer.serve_tcp`) and once against the asyncio front end
 (:class:`~repro.api.aio.AsyncHarmonyServer`).  The scenarios mirror the
 in-process chaos/lease/reconnect/crash-recovery suites, but over real
-sockets and the real clock — the wire protocol is byte-identical, so not
-a single test body branches on the backend.
+sockets (the lease tests on an injected server clock) — the wire
+protocol is byte-identical, so not a single test body branches on the
+backend.
 
 The closing scenario is the event-loop-stall test: a deliberately slow
 optimization sweep must not delay another connection's heartbeat ACKs
@@ -40,6 +41,7 @@ from repro.errors import HarmonyError, TransportError
 from repro.persistence import DurabilityJournal, ReplicationStandby
 from repro.persistence.journal import WAL_FILENAME
 from repro.persistence.wal import decode_frame, encode_record
+from tests.conftest import lifecycle_events
 from tests.persistence.test_wal import foreign_frame
 
 # Generous per-attempt timeouts absorb CI jitter; several attempts with
@@ -444,38 +446,59 @@ class TestReplicatedLogBytes:
         restored.journal.close()
 
 
-class TestLeaseExpiryOverWallClock:
-    """Backend-native lease monitors (thread vs loop ticker) evict the
-    silent and spare the heartbeating."""
+class TestLeaseExpiryOnTick:
+    """``tick()`` on an injected server clock evicts the silent and
+    spares the heartbeating, whichever front end serves them."""
 
     def test_silent_client_is_evicted_and_notified(self, server_factory):
-        controller, server = build_server(lease_seconds=0.5)
+        now = [0.0]
+        controller, server = build_server(lease_seconds=10.0,
+                                          clock=lambda: now[0])
         handle = server_factory(server)
-        handle.start_lease_monitor(0.1)
         client = HarmonyClient(handle.connect(), retry_policy=FAST)
         client.startup("DBclient")
-        # Silence: no heartbeats, no requests.
-        wait_until(lambda: len(controller.registry) == 0, timeout=5.0,
-                   message="eviction of the silent client")
+        now[0] = 9.9
+        assert server.tick() is True
+        assert len(controller.registry) == 1
+
+        def lapse():
+            # The renewal that trails a reply may read the clock after
+            # the test moved it; each poll moves it a lease period on.
+            now[0] += 10.0
+            server.tick()
+            return len(controller.registry) == 0
+
+        wait_until(lapse, message="eviction of the silent client")
+        assert lifecycle_events(controller)[-1]["kind"] == "evicted"
         # The half-alive client is told its fate on its open socket.
         wait_until(lambda: client.lease_lost, timeout=5.0,
                    message="lease_expired notice")
 
     def test_heartbeats_keep_the_lease_alive(self, server_factory):
-        controller, server = build_server(lease_seconds=0.6)
+        now = [0.0]
+        controller, server = build_server(lease_seconds=10.0,
+                                          clock=lambda: now[0])
         handle = server_factory(server)
-        handle.start_lease_monitor(0.1)
-        client = HarmonyClient(handle.connect(), retry_policy=(
-            dataclasses.replace(FAST, heartbeat_interval_seconds=0.15)))
-        client.startup("DBclient")
-        client.start_heartbeats()
-        try:
-            time.sleep(1.5)  # several lease periods
-            assert len(controller.registry) == 1
-            assert not client.lease_lost
-            assert client.heartbeats_acked >= 3
-        finally:
-            client.stop_heartbeats()
+        beating = HarmonyClient(handle.connect(), retry_policy=FAST)
+        beating.startup("DBclient")
+        silent = HarmonyClient(handle.connect(), retry_policy=FAST)
+        silent.startup("DBclient")
+        for beat in range(1, 11):  # a beat every half lease period
+            now[0] += 5.0
+            beating.heartbeat()
+            # The ack follows the renewal: once it is in, so is the lease.
+            wait_until(lambda: beating.heartbeats_acked == beat,
+                       message="heartbeat ack")
+            server.tick()
+            keys = [instance.key
+                    for instance in controller.registry.instances()]
+            assert beating.app_key in keys
+            if beat >= 4 and silent.app_key not in keys:
+                break  # two lease periods, and the silent one is gone
+        assert keys == [beating.app_key]
+        assert not beating.lease_lost
+        wait_until(lambda: silent.lease_lost, timeout=5.0,
+                   message="lease_expired notice")
 
 
 class TestEventLoopStall:

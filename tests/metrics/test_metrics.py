@@ -34,12 +34,11 @@ class TestTimeSeries:
         series.append(5.0, 2.0)
         assert len(series) == 2
 
-    def test_between_window(self):
+    def test_mean_window_is_inclusive(self):
         series = TimeSeries("t")
         for t in range(10):
             series.append(float(t), float(t * t))
-        window = series.between(3.0, 6.0)
-        assert [obs.time for obs in window] == [3.0, 4.0, 5.0, 6.0]
+        assert series.mean(3.0, 6.0) == pytest.approx((9 + 16 + 25 + 36) / 4)
 
     def test_mean_whole_series(self):
         series = TimeSeries("t")

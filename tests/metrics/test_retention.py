@@ -27,10 +27,9 @@ class TestTimeSeriesRetention:
         series = TimeSeries("s", max_observations=4)
         for tick in range(10):
             series.append(float(tick), float(tick))
-        assert series.values() == [6.0, 7.0, 8.0, 9.0]
+        assert [obs.value for obs in series] == [6.0, 7.0, 8.0, 9.0]
         assert series.mean() == 7.5
-        assert [obs.time for obs in series.between(0.0, 100.0)] \
-            == [6.0, 7.0, 8.0, 9.0]
+        assert series.mean(0.0, 100.0) == 7.5
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_bound_must_be_positive(self, bad):
@@ -67,7 +66,7 @@ class TestIncrement:
         assert metrics.increment("c", time=2.0, amount=3.0) == 5.0
         assert metrics.latest("c") == 5.0
         # Stored as samples of the running total (counter semantics).
-        assert metrics.series("c").values() == [1.0, 2.0, 5.0]
+        assert [obs.value for obs in metrics.series("c")] == [1.0, 2.0, 5.0]
 
     def test_total_survives_trimming(self):
         metrics = MetricInterface()

@@ -38,10 +38,16 @@ class TestFaultStatsPublish:
         assert metrics.series("faults.transport.dropped").latest().time \
             == 5.0
 
-    def test_custom_prefix(self):
+    def test_every_series_is_under_the_transport_prefix(self):
+        stats = counted(delivered=1)
+        stats.note({"type": "register"})
         metrics = MetricInterface()
-        counted(delivered=1).publish(metrics, prefix="chaos.client")
-        assert metrics.latest("chaos.client.delivered") == 1.0
+        stats.publish(metrics)
+        assert sorted(metrics.names()) == [
+            "faults.transport.by_type.register",
+            "faults.transport.delayed", "faults.transport.delivered",
+            "faults.transport.dropped", "faults.transport.duplicated",
+            "faults.transport.severed"]
 
 
 class TestFaultyTransportMetrics:
@@ -135,23 +141,21 @@ class TestRedialContinuity:
         assert metrics.latest("faults.transport.severed") == 0.0
         assert metrics.latest("faults.transport.dropped") == 1.0
 
-    def test_recorder_and_prefix_survive_redial(self):
+    def test_recorder_survives_redial(self):
         from repro.obs.flightrec import EVENT_FAULT, FlightRecorder
 
         metrics = MetricInterface()
         recorder = FlightRecorder()
         faulty = FaultyTransport(_RedialableTransport(),
                                  self.drop_then_sever(),
-                                 metrics=metrics, metric_prefix="faults.c2",
-                                 recorder=recorder)
+                                 metrics=metrics, recorder=recorder)
         faulty.send({"type": "a"})
         assert recorder.counts()[EVENT_FAULT] == 1
         healed = faulty.redial()
         assert healed.recorder is recorder
-        assert healed.metric_prefix == "faults.c2"
         healed.send({"type": "b"})   # healed link never injects
         assert recorder.counts()[EVENT_FAULT] == 1
-        assert metrics.latest("faults.c2.delivered") == 1.0
+        assert metrics.latest("faults.transport.delivered") == 1.0
 
 
 class TestClientRetryMetrics:

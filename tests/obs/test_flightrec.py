@@ -48,13 +48,6 @@ class TestRing:
         recorder.record(EVENT_RPC_IN, rpc="end")
         assert recorder.counts() == {EVENT_RPC_IN: 2, EVENT_FAULT: 1}
 
-    def test_clear_empties_ring_keeps_total(self):
-        recorder = FlightRecorder(clock=ticking_clock())
-        recorder.record(EVENT_RPC_IN)
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.events_recorded == 1
-
 
 class TestDump:
     def test_jsonl_one_event_per_line(self):

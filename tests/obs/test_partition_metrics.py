@@ -112,8 +112,8 @@ class TestPartitionedAdmission:
             controller.setup_bundle(instance,
                                     POD_RSL.format(pod=pod, index=index))
             if index % 64 == 63:
-                scheduler.flush()
-        scheduler.flush()
+                scheduler.run_pending(force=True)
+        scheduler.run_pending(force=True)
         return controller, scheduler
 
     def test_work_per_app_does_not_grow_with_the_pods(self):
@@ -186,7 +186,7 @@ class TestSpans:
         scheduler = CoalescingScheduler(controller, coalesce_window=0.0,
                                         max_delay=0.0)
         scheduler.request("test")
-        assert scheduler.flush()
+        assert scheduler.run_pending(force=True)
         batch = tracer.find("scheduler.batch")[-1]
         assert "partitions" not in batch.attributes
         assert batch.attributes["pruned_candidates"] > 0

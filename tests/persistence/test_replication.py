@@ -20,10 +20,14 @@ from repro.api import HarmonyClient, HarmonyServer, make_message
 from repro.api.protocol import (MESSAGES, REPL_HELLO, REPL_RECORDS,
                                 REPL_SNAPSHOT)
 from repro.api.transport import Transport, connected_pair
-from repro.cli import main, serve_tick
+from repro.cli import main
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
-from repro.errors import ControllerMovedError, ReplicationError
+from repro.errors import (
+    ControllerMovedError,
+    ReplicationError,
+    TransportError,
+)
 from repro.persistence import (
     DurabilityJournal,
     FencingStore,
@@ -31,6 +35,7 @@ from repro.persistence import (
 )
 from repro.persistence.replication import ReplicationPrimary, _frame_text
 from repro.persistence.wal import WalRecord
+from tests.integration.test_server_parity import wait_until
 
 
 class _Retired:
@@ -429,7 +434,7 @@ class TestPromotion:
         period = min(1.0, 30.0 / 3.0)
         while clock[0] < 45.0:  # one and a half lease periods
             clock[0] += period
-            serve_tick(server)
+            server.tick()
             assert not fencing.expired()
         with pytest.raises(ReplicationError, match="lease held"):
             standby.promote()
@@ -523,7 +528,7 @@ class TestPromotion:
         run_workload(controller, count=1)
         clock[0] = 60.0
         standby.promote()
-        assert server.renew_fencing() is False
+        assert server.tick() is False
         assert server.standby
         reply = server.moved_reply()
         assert reply["type"] == "controller_moved"
@@ -813,7 +818,7 @@ def terms_journaled(journal):
 
 
 class TestServedStandby:
-    """A served standby takes over from its own loop, ``serve_tick``."""
+    """A served standby takes over from its own loop, ``tick()``."""
 
     def test_stands_by_while_the_lease_lives_then_takes_over(
             self, tmp_path, closing, monkeypatch):
@@ -833,12 +838,12 @@ class TestServedStandby:
             claims.append(clock[0]), acquire(*args, **kwargs))[1])
         while clock[0] < 29.0:  # the dead primary's lease is live
             clock[0] += 1.0
-            serve_tick(server)
+            server.tick()
             assert server.standby and not replica.promoted
         assert claims == []  # a live lease is not even contended
         assert register_refused(server).leader == "primary:1"
         clock[0] = 30.0  # ... and lapses
-        serve_tick(server)
+        server.tick()
         assert not server.standby and replica.promoted
         assert claims == [30.0]
         record = fencing.read()
@@ -868,11 +873,11 @@ class TestServedStandby:
         run_workload(controller, count=2)
         primary.fail_stop()
         clock[0] = 30.0
-        serve_tick(server)
+        server.tick()
         assert not server.standby
         while clock[0] < 75.0:  # one and a half lease periods of ticks
             clock[0] += 1.0
-            serve_tick(server)
+            server.tick()
             assert not server.standby and not fencing.expired()
         with pytest.raises(ReplicationError, match="lease held"):
             second.promote()
@@ -897,7 +902,7 @@ class TestServedStandby:
         run_workload(controller, count=1)
         primary.fail_stop()
         clock[0] = 1e6
-        serve_tick(server)
+        server.tick()
         assert server.standby and not replica.promoted
         assert fencing.read().term == 0
         assert terms_journaled(replica.journal) == [1]
@@ -922,7 +927,7 @@ class TestServedStandby:
             return acquire(holder, **kwargs)
 
         monkeypatch.setattr(fencing, "acquire", rival_first)
-        serve_tick(server)
+        server.tick()
         assert server.standby and not replica.promoted
         assert (fencing.read().term, fencing.read().holder) == (2, "rival")
         assert server.controller.term == 1
@@ -932,8 +937,95 @@ class TestServedStandby:
         # once its lease lapses, this standby does not take over.
         monkeypatch.undo()
         clock[0] = 120.0
-        serve_tick(server)
+        server.tick()
         assert server.standby and not replica.promoted
+
+    def test_a_dropped_link_is_followed_again(self, tmp_path, closing,
+                                              server_factory):
+        """The primary closes a link it could not ship on; the standby's
+        tick dials again while the lease lives and re-hellos from its
+        last record, so it takes over holding everything acknowledged."""
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller = AdaptationController(make_cluster())
+        journal = DurabilityJournal(str(tmp_path / "p"), fsync="never")
+        journal.attach(controller)
+        primary = HarmonyServer(controller)
+        handle = server_factory(primary)
+        host, port = handle.address
+        assert primary.enable_replication(
+            fencing=fencing, lease_seconds=30.0,
+            address=f"{host}:{port}") == "primary"
+        server = HarmonyServer(AdaptationController(make_cluster()),
+                               standby=True)
+        closing(types.SimpleNamespace(close=server.stop))
+        replica = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fencing=fencing, fsync="never")
+        server.follow(replica, handle.connect())
+
+        def caught_up():
+            return replica.last_seq == journal.wal.last_seq
+
+        with primary.controller_lock:
+            run_workload(controller, count=1)
+        wait_until(caught_up, message="the standby to catch up")
+
+        def stalled(message):
+            raise TransportError("send timed out (peer not reading)")
+
+        [link] = primary.replication.link_transports()
+        link.send = stalled
+        with primary.controller_lock:
+            run_workload(controller, count=2, prefix="late")
+        wait_until(lambda: replica.transport.closed,
+                   message="the dropped link to close")
+        assert len(replica.controller.registry) == 1
+        assert server.tick() is False  # the lease lives: dial again
+        wait_until(caught_up, message="the standby to catch up again")
+        assert len(replica.controller.registry) == 3
+        primary.fail_stop()
+        clock[0] = 30.0
+        assert server.tick() is True
+        assert server.controller is replica.controller
+        assert server.controller.term == 2
+        assert len(server.controller.registry) == 3
+        assert terms_journaled(replica.journal) == [1, 2]
+
+
+class TestSnapshotTerm:
+    def test_a_restart_from_a_snapshot_keeps_the_term(self, tmp_path,
+                                                      closing):
+        """Once compaction dropped the ``term`` record, the snapshot
+        alone says which term the server served under."""
+        controller, journal, _server = make_primary(tmp_path / "p",
+                                                    snapshot_every=2)
+        for index in range(12):
+            controller.register_app(f"app{index}")
+        assert "term" not in {record.kind
+                              for record in journal.wal.records()}
+        journal.close()
+        restored = AdaptationController.restore(str(tmp_path / "p"))
+        closing(restored.journal)
+        assert restored.term == 1
+        assert HarmonyServer(restored).enable_replication() == "primary"
+        assert restored.term == 2
+        assert terms_journaled(restored.journal) == [2]
+
+    def test_a_standby_caught_up_from_a_snapshot_promotes_past_it(
+            self, tmp_path):
+        """A standby that joins after compaction learns the term from
+        the snapshot it is sent, and its promotion claims the next."""
+        controller, journal, server = make_primary(tmp_path / "p",
+                                                   snapshot_every=2)
+        run_workload(controller, count=4)
+        assert "term" not in {record.kind
+                              for record in journal.wal.records()}
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fsync="never")
+        join_standby(server, standby)
+        assert standby.controller.term == 1
+        assert standby.promote().term == 2
 
 
 NODES = "".join(f"harmonyNode n{index} {{speed 1}} {{memory 256}}\n"

@@ -103,10 +103,10 @@ DEFINITION_SEAMS = {
     "CallableModel": "paper",
     # The wire call that shows an application what resources exist.
     "HarmonyClient.query_nodes": "paper",
-    # The paper's performance loop and the session lease, which
-    # ``harmony-repro serve`` does not run yet (ROADMAP N21).
+    # The paper's performance loop, and the client's half of the
+    # session lease, which ``harmony-repro serve`` does not arm yet
+    # (ROADMAP N21).
     "PerformanceEventMonitor": "paper",
-    "HarmonyServer.start_lease_monitor": "paper",
     "HarmonyClient.start_heartbeats": "paper",
     "FaultyTransport.release_delayed": "faults",
     "FaultyTransport.pending_delayed": "faults",
@@ -127,7 +127,6 @@ SEAMS = {
     ("HarmonyServer", "auto_flush"): "paper",
     ("HarmonyServer", "flight_dump_path"): "deployment",
     ("HarmonyServer", "fail_stop_on_error"): "crash",
-    ("HarmonyServer.start_lease_monitor", "period_seconds"): "deployment",
     ("HarmonyClient", "failover"): "deployment",
     ("harmony_startup", "use_interrupts"): "paper",
     ("harmony_add_variable", "var_type"): "paper",
