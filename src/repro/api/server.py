@@ -191,7 +191,9 @@ class HarmonySession:
             self._walk(row, message)
 
     def _walk(self, row: MessageSpec, message: dict[str, Any]) -> None:
-        """The gates in order, then the handler, then the lease renewal."""
+        """The gates in order, then the handler; a request no reply
+        answers renews the lease after it, one that is answered renews
+        it before the reply leaves (:meth:`_reply`)."""
         server = self.server
         if row.mutating and server.standby:
             # A standby serves reads (status, heartbeats) but refuses
@@ -210,12 +212,16 @@ class HarmonySession:
         if row.session and self.instance is None:
             raise ProtocolError("register first")
         _HANDLERS[row.type](self, **row.convert(message))
+        if row.reply is None:
+            self._renew()
+
+    def _renew(self) -> None:
+        """Renew the lease of a request that dispatched successfully: a
+        stream of malformed or rejected requests must not keep a session
+        alive forever, and an evicted instance's dead key must never be
+        re-armed."""
         if self.instance is not None and not self.instance.ended:
-            # Renew the lease only after the message *dispatched
-            # successfully*: a stream of malformed or rejected requests
-            # must not keep a session alive forever, and an evicted
-            # instance's dead key must never be re-armed.
-            server.touch(self.instance.key)
+            self.server.touch(self.instance.key)
 
     # -- handlers: one per client row of MESSAGES, fields converted -----------
 
@@ -356,6 +362,11 @@ class HarmonySession:
             self.server.replication.handle_ack(**fields)
 
     def _reply(self, message: dict[str, Any]) -> None:
+        if not MESSAGES[message["type"]].raises:
+            # An answer, not a refusal: the lease is renewed before the
+            # client can hold the reply, so a clock the client moves next
+            # cannot land inside the renewal.
+            self._renew()
         term = self.server.controller.term
         if term > 0 and "term" not in message:
             # Once elected into a term, stamp it on every reply so
@@ -407,15 +418,14 @@ class HarmonyServer:
                  clock: Callable[[], float] | None = None,
                  flight_dump_path: str | None = None,
                  standby: bool = False,
-                 fail_stop_on_error: bool = False,
-                 failover_targets: list[str] | None = None):
+                 fail_stop_on_error: bool = False):
         self.controller = controller
         self.auto_flush = auto_flush
         self.lease_seconds = lease_seconds
         self.clock: Callable[[], float] = clock or time.monotonic
         #: Standby role: reads are served, mutations are refused with a
         #: ``controller_moved`` redirect.  Cleared when the server claims
-        #: a term; set by :meth:`demote` and :meth:`follow`.
+        #: a term; set by :meth:`demote`.
         self.standby = standby
         #: Crash-only failure discipline for chaos suites: an unhandled
         #: dispatch error fail-stops the whole server (listener closed,
@@ -430,12 +440,14 @@ class HarmonyServer:
         #: (``None`` when replication runs unfenced).
         self.fencing = None
         self._fencing_holder: str | None = None
-        #: The replica a standby follows and takes over from (:meth:`follow`).
-        self._replica = None
-        #: Where clients should look for the primary (advertised in
-        #: ``controller_moved`` redirects when no fencing record is
-        #: available to consult).
-        self.failover_targets = list(failover_targets or [])
+        #: What :meth:`enable_replication` claimed the term with: this
+        #: server's address and its fencing lease length.
+        self._address: str | None = None
+        self._term_lease_seconds = 30.0
+        #: The replica a standby follows and takes over from
+        #: (:meth:`demote`), and the address its link was dialed to.
+        self.replica = None
+        self._leader: str | None = None
         #: Where to dump the flight recorder on an unhandled server
         #: error (``None`` records the event but writes nothing).
         self.flight_dump_path = flight_dump_path
@@ -545,8 +557,8 @@ class HarmonyServer:
         ships its WAL to standbys through a
         :class:`~repro.persistence.replication.ReplicationPrimary`.  If
         another holder's lease is live — a newer primary was elected
-        while this one was down — it *demotes itself to standby*
-        instead of split-braining, and returns ``"standby"``.
+        while this one was down — it *stands by* instead of
+        split-braining (:meth:`demote`), and returns ``"standby"``.
         """
         from repro.persistence.replication import claim_term
 
@@ -559,6 +571,8 @@ class HarmonyServer:
         with self.controller_lock:
             self.fencing = fencing
             self._fencing_holder = holder
+            self._address = address
+            self._term_lease_seconds = lease_seconds
             try:
                 claim_term(journal, fencing, holder, lease_seconds, address)
             except ReplicationError:
@@ -568,21 +582,6 @@ class HarmonyServer:
             self._serve_as_primary()
         return "primary"
 
-    def follow(self, replica, transport: Transport) -> None:
-        """Stand by for the primary that ``replica`` (a
-        :class:`~repro.persistence.replication.ReplicationStandby`)
-        follows over ``transport``: serve reads from each controller the
-        replica builds, redirect mutations, and take over in :meth:`tick`
-        once the primary's lease lapses."""
-        with self.controller_lock:
-            self.standby = True
-            self._replica = replica
-            self.fencing = replica.fencing
-            replica.on_controller = self._adopt_controller
-            if replica.controller is not None:
-                self._adopt_controller(replica.controller)
-        replica.follow(transport)
-
     def tick(self) -> bool:
         """One pass of a served Harmony's loop; returns whether this
         server is (now) the primary.
@@ -591,69 +590,79 @@ class HarmonyServer:
         A primary renews its fencing lease — a deposed one, whose record
         now carries a higher term or whose renew is refused, demotes
         instead of serving a dead term — and then evicts the sessions
-        whose lease lapsed (:meth:`check_leases`).  A standby that
-        follows a replica (:meth:`follow`) takes over once that term's
-        lease lapsed, and dials the primary again while it lives if the
-        link dropped; a standby evicts no one.  A stopped server does
-        nothing.
+        whose lease lapsed (:meth:`check_leases`).  A standby follows
+        the holder the fencing record names, or takes over once the
+        lease of the term it follows lapsed (:meth:`_stand_by`); it
+        evicts no one.  A stopped server does nothing.
         """
         if self._stopping:
             return False
-        if self.standby:
-            return self._take_over()
-        if self.fencing is not None:
+        if not self.standby and self.fencing is not None:
             try:
                 # Refused once the record moved to another term or holder.
                 self.fencing.renew(self._fencing_holder,
                                    self.controller.term)
             except ReplicationError:
                 self.demote(observed_term=self.fencing.read().term)
-                return False
+        if self.standby:
+            return self._stand_by()
         self.check_leases()
         return True
 
-    def _take_over(self) -> bool:
-        """Promote the followed replica once its primary's lease lapsed.
+    def _stand_by(self) -> bool:
+        """Promote the followed replica once its primary's lease lapsed;
+        otherwise follow the holder the fencing record names.
 
         Term 0 means no primary ever held the lease, so nothing says one
         died; a later term than the replica follows names a history it
-        does not hold.  While the lease lives, a replica whose link
-        dropped re-follows.  A rival that claims the term first leaves
-        this server a standby."""
-        replica, fencing = self._replica, self.fencing
+        does not hold yet, so it follows that holder instead.  A rival
+        that claims the term first is followed the same way."""
+        replica, fencing = self.replica, self.fencing
         if replica is None or fencing is None:
             return False
         record = fencing.read()
-        if record.term == 0 or record.term != replica.term:
+        if record.term == 0:
             return False
-        if fencing.clock() < record.lease_expires_at:
-            self._refollow(replica)
-            return False
-        try:
-            # Outside controller_lock: the replica's reader thread takes
-            # it under the replica's lock (``on_controller``).
-            replica.promote()
-        except ReplicationError:
-            return False
-        with self.controller_lock:
-            self._replica = None
-            self._fencing_holder = replica.standby_id
-            self._serve_as_primary()
-        return True
+        if record.term == replica.term \
+                and fencing.clock() >= record.lease_expires_at:
+            try:
+                # Outside controller_lock: the replica's reader thread
+                # takes it under the replica's lock (``on_controller``).
+                replica.promote()
+            except ReplicationError:
+                record = fencing.read()  # a rival claimed the term first
+            else:
+                with self.controller_lock:
+                    self.replica = None
+                    self._fencing_holder = replica.standby_id
+                    self._serve_as_primary()
+                return True
+        self._follow(replica, record)
+        return False
 
-    @staticmethod
-    def _refollow(replica) -> None:
-        """Dial the live primary again if the replica's link closed; the
-        replica re-hellos from its last applied record.  A refused dial
-        leaves the closed link in place, so the next tick dials again."""
+    def _follow(self, replica, record) -> None:
+        """Dial the holder ``record`` names unless the replica's link to
+        it is open.  The replica re-hellos from its last applied record,
+        and log matching truncates a divergent suffix.  A dial waits at
+        most one tick period, and a refused one is retried on the next
+        tick."""
+        address = record.address
         link = replica.transport
-        if not (isinstance(link, TcpTransport) and link.closed
-                and link.can_redial):
+        if not address or record.holder == self._fencing_holder or (
+                link is not None and not link.closed
+                and address == self._leader):
             return
+        host, _, port = address.rpartition(":")
         try:
-            replica.follow(link.redial())
-        except TransportError:
-            pass
+            transport = TcpTransport.connect(
+                host, int(port),
+                timeout=min(1.0, replica.lease_seconds / 3.0))
+        except (TransportError, ValueError):
+            return
+        replica.stop()
+        self._leader = address
+        with contextlib.suppress(TransportError):
+            replica.follow(transport)
 
     def _serve_as_primary(self) -> None:
         """Answer as primary, shipping the WAL (term claimed, lock held)."""
@@ -666,24 +675,55 @@ class HarmonyServer:
         self.failed = False
 
     def demote(self, observed_term: int | None = None) -> None:
-        """Step down to standby: mutations now answer with redirects."""
+        """Step down to standby: mutations now answer with redirects.
+
+        A server with a journal closes it and follows from the journal's
+        directory through a
+        :class:`~repro.persistence.replication.ReplicationStandby`
+        named as this server's fencing holder; :meth:`tick` points it at
+        the holder the fencing record names, and the server serves reads
+        from each controller the replica builds.  A deposed primary also
+        half-closes its standby links, as :meth:`fail_stop` does.
+        """
         with self.controller_lock:
-            if self.standby:
-                return
+            deposed = not self.standby
             self.standby = True
-            self.replication = None
-        controller = self.controller
-        controller.metrics.increment("server.demotions", controller.now)
-        self.recorder.record(EVENT_DEMOTION, term=controller.term,
-                             observed_term=observed_term)
+            replication, self.replication = self.replication, None
+            journal = self.controller.journal
+            if journal is not None:
+                self._follow_directory(journal)
+        if replication is not None:
+            _half_close(replication.link_transports())
+        if deposed:
+            controller = self.controller
+            controller.metrics.increment("server.demotions",
+                                         controller.now)
+            self.recorder.record(EVENT_DEMOTION, term=controller.term,
+                                 observed_term=observed_term)
+
+    def _follow_directory(self, journal) -> None:
+        """Close ``journal`` and become the replica of its directory,
+        built as the journal was (controller lock held)."""
+        from repro.persistence.replication import ReplicationStandby
+
+        journal.close()
+        replica = ReplicationStandby(
+            journal.directory, self._fencing_holder, fencing=self.fencing,
+            model_registry=journal.model_registry,
+            snapshot_every=journal.snapshot_every, fsync=journal.wal.fsync,
+            address=self._address, lease_seconds=self._term_lease_seconds)
+        self.replica = replica
+        replica.on_controller = self._adopt_controller
+        if replica.controller is not None:
+            self._adopt_controller(replica.controller)
 
     def _adopt_controller(self, controller: AdaptationController) -> None:
-        """Swap in a replica's rebuilt controller (:meth:`follow`).
+        """Swap in a replica's rebuilt controller (:meth:`demote`).
 
-        A standby server is constructed before its replica has finished
-        catching up; each time the replica (re)builds its controller the
-        server adopts it, so status queries and, after the take-over,
-        mutations run against the replicated state.
+        Each time the replica (re)builds its controller — restored from
+        its directory, or reset from the primary's snapshot — the server
+        adopts it, so status queries and, after the take-over, mutations
+        run against the replicated state.
         """
         with self.controller_lock:
             if controller is self.controller:
@@ -704,18 +744,14 @@ class HarmonyServer:
         return make_message(CONTROLLER_MOVED, **fields)
 
     def leader_hint(self) -> str | None:
-        """Best guess at the current primary's address, if any.
-
-        The fencing record is authoritative (whoever holds the lease is
-        the primary); without one, the first configured failover target
-        is offered.
-        """
-        if self.fencing is not None:
-            record = self.fencing.read()
-            if record.address and record.holder != self._fencing_holder:
-                return str(record.address)
-        if self.failover_targets:
-            return self.failover_targets[0]
+        """The current primary's address: the fencing record's, since
+        whoever holds the lease is the primary (``None`` without a
+        record, or when it names this server)."""
+        if self.fencing is None:
+            return None
+        record = self.fencing.read()
+        if record.address and record.holder != self._fencing_holder:
+            return str(record.address)
         return None
 
     def fail_stop(self) -> None:
@@ -755,15 +791,16 @@ class HarmonyServer:
         # reset: every frame shipped before the crash still reaches the
         # standby ahead of the EOF.
         if self.replication is not None:
-            for link in self.replication.link_transports():
-                with contextlib.suppress(Exception):
-                    link.close_after_flush()
+            _half_close(self.replication.link_transports())
 
     def replication_status(self) -> dict[str, Any]:
         """This server's view of the replicated cluster (for ``status``)."""
         controller = self.controller
         journal = controller.journal
-        last_seq = journal.wal.last_seq if journal is not None else 0
+        if self.replica is not None:  # the log a standby follows into
+            last_seq = self.replica.last_seq
+        else:
+            last_seq = journal.wal.last_seq if journal is not None else 0
         standbys = (self.replication.status()
                     if self.replication is not None else [])
         return {
@@ -931,9 +968,12 @@ class HarmonyServer:
         before any session state is dropped, so no scheduled batch can
         fire against a half-torn-down server; from here on :meth:`tick`
         does nothing, so no lease check can either.  Session transports
-        themselves stay open — clients own their connections.
+        themselves stay open — clients own their connections.  A
+        standby stops following and closes the replica's log.
         """
         self._stopping = True
+        if self.replica is not None:
+            self.replica.close()
         if self.scheduler is not None:
             self.scheduler.stop(flush=True)
             self.scheduler = None
@@ -1063,6 +1103,14 @@ class HarmonyServer:
             if name in variables:
                 return variables[name]
         return None
+
+
+def _half_close(links) -> None:
+    """Half-close each replication link, so every frame shipped on it
+    still reaches its standby ahead of the EOF."""
+    for link in links:
+        with contextlib.suppress(Exception):
+            link.close_after_flush()
 
 
 def _pushed_variables(bundle_name: str, option_name: str,

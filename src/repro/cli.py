@@ -16,9 +16,10 @@ Installed as ``harmony-repro`` (or run as ``python -m repro.cli``):
   explain each reconfiguration (decision traces, optional JSONL dumps);
 * ``harmony-repro serve [...]``     — start a real TCP Harmony server over
   a cluster described by ``harmonyNode`` declarations (``--dir`` makes it
-  a durable, replicating primary, restored from the directory if it
-  holds state; ``--standby-of`` a hot standby that takes over when the
-  primary's fencing lease lapses);
+  durable, restored from the directory if it holds state: a replicating
+  primary, or, while ``--fencing`` names another server's live lease, a
+  hot standby that follows that server and takes over when its lease
+  lapses);
 * ``harmony-repro replication [...]`` — query a running server's
   replication role, term, and standby lag;
 * ``harmony-repro checkpoint [...]`` — journal a demo workload into a
@@ -113,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="durability directory: journal every state "
                             "change, and restart from the state it holds "
                             "(required for replication roles)")
-    serve.add_argument("--standby-of", default=None, metavar="HOST:PORT",
-                       help="run as a hot standby following the primary "
-                            "at HOST:PORT (serves reads, redirects "
-                            "mutations; requires --dir)")
-    serve.add_argument("--standby-id", default="standby",
-                       help="this standby's stable identity in the "
-                            "replication stream and fencing record")
     serve.add_argument("--fencing", default=None, metavar="PATH",
                        help="shared fencing-record file deciding which "
                             "server may serve as primary")
@@ -382,17 +376,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for host_b in hostnames[index + 1:]:
             cluster.add_link(host_a, host_b, args.bandwidth)
 
-    if args.standby_of and not args.dir:
-        print("error: --standby-of requires --dir", file=sys.stderr)
-        return 1
-    fencing = None
-    if args.fencing:
-        from repro.persistence import FencingStore
-
-        fencing = FencingStore(args.fencing)
-
     controller = AdaptationController(cluster)
-    if args.dir and not args.standby_of:
+    if args.dir:
         from repro.persistence import DurabilityJournal, snapshot_files
 
         journal = DurabilityJournal(args.dir)
@@ -410,9 +395,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 1
     # A durable server is a standby until it has claimed a term: nothing
     # is served under no term while it binds.
-    server = HarmonyServer(controller, standby=bool(args.dir),
-                           failover_targets=([args.standby_of]
-                                             if args.standby_of else None))
+    server = HarmonyServer(controller, standby=bool(args.dir))
 
     if args.transport == "asyncio":
         from repro.api import AsyncHarmonyServer
@@ -422,30 +405,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         front = server
         host, port = server.serve_tcp(args.host, args.port)
-    period = min(1.0, args.lease_seconds / 3.0)  # the serve loop's tick
-    replica = None
     role = "server"
-    if args.standby_of:
-        from repro.api.transport import TcpTransport
-        from repro.persistence import ReplicationStandby
+    if args.dir:
+        fencing = None
+        if args.fencing:
+            from repro.persistence import FencingStore
 
-        def surface_stream_error(message: dict) -> None:
-            print(f"replication stream error from primary: "
-                  f"{message.get('message') or message.get('type')}",
-                  file=sys.stderr)
-
-        replica = ReplicationStandby(
-            args.dir, args.standby_id, fencing=fencing,
-            address=f"{host}:{port}", lease_seconds=args.lease_seconds,
-            on_stream_error=surface_stream_error)
-        primary_host, _, primary_port = args.standby_of.rpartition(":")
-        # A redial of this link (``tick``) waits at most one tick, so it
-        # never delays a take-over by more.
-        server.follow(replica, TcpTransport.connect(
-            primary_host or "127.0.0.1", int(primary_port),
-            timeout=period))
-        role = f"standby {args.standby_id!r} of {args.standby_of}"
-    elif args.dir:
+            fencing = FencingStore(args.fencing)
+        # Fenced out, the server follows the holder the fencing record
+        # names, from its own directory, on each tick.
         role = server.enable_replication(
             fencing=fencing, lease_seconds=args.lease_seconds,
             address=f"{host}:{port}")
@@ -456,8 +424,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{len(hostnames)} node(s): {', '.join(hostnames)}")
 
     def shut_down() -> None:
-        if replica is not None:
-            replica.close()
         front.stop()
         journal = server.controller.journal
         if journal is not None:
@@ -466,12 +432,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.once:
         shut_down()
         return 0
+    period = min(1.0, args.lease_seconds / 3.0)  # the serve loop's tick
     try:
         import time
-        while True:  # pragma: no cover - interactive loop
+        while True:
             time.sleep(period)
             server.tick()
-    except KeyboardInterrupt:  # pragma: no cover
+    except KeyboardInterrupt:
         shut_down()
     return 0
 

@@ -2,7 +2,7 @@
 
 The optimizer's inner loop scores hundreds of candidate configurations per
 decision.  The original implementation paid for each score twice over: a
-full ``SystemView.copy()`` to build the trial state, then a from-scratch
+full copy of the view to build the trial state, then a from-scratch
 ``predict_all`` over *every* placed application.  Both costs grow linearly
 with system size, making each candidate O(apps) and the whole greedy pass
 roughly O(apps**2) per new application.

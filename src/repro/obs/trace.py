@@ -268,10 +268,6 @@ class Tracer:
         """Seconds since this tracer's epoch (for record_span starts)."""
         return self._clock() - self._epoch
 
-    def find(self, name: str) -> list[Span]:
-        """Finished spans with this name, in completion order."""
-        return [span for span in self.spans if span.name == name]
-
 
 class _NullSpan:
     """The shared do-nothing span handed out when tracing is disabled."""
@@ -315,9 +311,6 @@ class NullTracer:
 
     def elapsed(self) -> float:
         return 0.0
-
-    def find(self, name: str) -> list:
-        return []
 
 
 #: Module-level singleton; ``controller.tracer`` defaults to this.

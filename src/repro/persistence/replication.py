@@ -18,9 +18,9 @@ while alive; a standby may only :meth:`~ReplicationStandby.promote`
 once that lease has expired, which bumps the term.  Terms are journaled
 in the WAL (``term`` records) and stamped on every wire reply, so a
 deposed primary that comes back compares its journaled term against the
-fencing record, sees it lost, and demotes to a redirecting standby
-instead of split-braining — stale-term mutations are refused with the
-typed, retryable ``controller_moved`` redirect.
+fencing record, sees it lost, and demotes to a standby that follows
+the new primary instead of split-braining — stale-term mutations are
+refused with the typed, retryable ``controller_moved`` redirect.
 
 Safety invariants:
 
@@ -577,8 +577,8 @@ class ReplicationStandby:
     outage costs one catch-up, not a full resync.
 
     ``on_controller`` fires whenever the standby's controller object is
-    (re)built; a server that stands by through
-    :meth:`~repro.api.server.HarmonyServer.follow` sets it to adopt the
+    (re)built; a server that stands by
+    (:meth:`~repro.api.server.HarmonyServer.demote`) sets it to adopt the
     new instance.
 
     :meth:`promote` is the failover: claim the next term
@@ -597,9 +597,7 @@ class ReplicationStandby:
                  snapshot_every: int = 64,
                  fsync: str = "always",
                  address: str | None = None,
-                 lease_seconds: float = 30.0,
-                 on_stream_error: Callable[[dict[str, Any]], None]
-                 | None = None):
+                 lease_seconds: float = 30.0):
         self.directory = directory
         self.standby_id = standby_id
         self.fencing = fencing
@@ -608,7 +606,6 @@ class ReplicationStandby:
         self.snapshot_every = snapshot_every
         self.fsync = fsync
         self.on_controller: Callable[[Any], None] | None = None
-        self.on_stream_error = on_stream_error
         self.journal = DurabilityJournal(
             directory, snapshot_every=snapshot_every, fsync=fsync,
             model_registry=model_registry)
@@ -671,7 +668,7 @@ class ReplicationStandby:
             # An error reply to our hello (the primary could not serve
             # it) or a redirect from a server that is not primary: a
             # standby that silently dropped these would wait forever,
-            # so count it, journal it, and tell the owner.
+            # so count it and journal it.
             self._handle_stream_error(message)
             return
         try:
@@ -707,8 +704,6 @@ class ReplicationStandby:
         self._record_event(
             "stream_error", message_type=str(message.get("type")),
             error=str(message.get("message", "")))
-        if self.on_stream_error is not None:
-            self.on_stream_error(message)
 
     def _handle_records(self, term: int, frames: list[str]) -> None:
         self._observe_term(term)

@@ -277,24 +277,6 @@ class SystemView:
         return (self._host_entries, self._external_cpu,
                 self._link_entries, self._external_flows)
 
-    def copy(self) -> "SystemView":
-        """A shallow copy the optimizer can mutate while exploring."""
-        view = SystemView(self.cluster)
-        view._configurations = dict(self._configurations)
-        view._external_cpu = dict(self._external_cpu)
-        view._external_flows = dict(self._external_flows)
-        view._footprints = dict(self._footprints)
-        view._host_entries = {host: dict(entries) for host, entries
-                              in self._host_entries.items()}
-        view._host_counts = dict(self._host_counts)
-        view._link_entries = {key: dict(entries) for key, entries
-                              in self._link_entries.items()}
-        view._link_counts = dict(self._link_counts)
-        view._link_readers = {key: set(apps) for key, apps
-                              in self._link_readers.items()}
-        view.version = self.version
-        return view
-
     # -- footprint maintenance -------------------------------------------------
 
     def _footprint_for(self, demands: ConcreteDemands,

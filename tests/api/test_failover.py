@@ -30,7 +30,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransportError,
 )
-from repro.persistence import DurabilityJournal
+from repro.persistence import DurabilityJournal, FencingStore
 
 RSL = """
 harmonyBundle demo where {
@@ -54,6 +54,34 @@ def attached_client(server, **kwargs):
     return HarmonyClient(client_end, **kwargs)
 
 
+class _Stopped:
+    """Stops a server, then closes the journal of the controller it
+    serves, as ``harmony-repro serve`` does on exit."""
+
+    def __init__(self, server):
+        self.server = server
+
+    def close(self):
+        self.server.stop()
+        if self.server.controller.journal is not None:
+            self.server.controller.journal.close()
+
+
+def serve_durable(directory, fencing, closing):
+    """A server built as ``harmony-repro serve --dir`` builds one on an
+    empty directory: journaled, bound, then claiming the term; returns
+    the controller, the server and the role it took."""
+    controller = AdaptationController(
+        Cluster.full_mesh(["n0", "n1", "n2"], memory_mb=256))
+    DurabilityJournal(str(directory), fsync="never").attach(controller)
+    server = HarmonyServer(controller, standby=True)
+    host, port = server.serve_tcp(port=0)
+    closing(_Stopped(server))
+    role = server.enable_replication(fencing=fencing, lease_seconds=30.0,
+                                     address=f"{host}:{port}")
+    return controller, server, role
+
+
 def session_factory(server):
     """A failover entry: each call opens a fresh in-process session."""
     def connect():
@@ -64,9 +92,13 @@ def session_factory(server):
 
 
 class TestStandbyRedirect:
-    def test_mutation_answered_with_typed_redirect(self):
-        _controller, server = make_server(
-            standby=True, failover_targets=["primary:9"])
+    def test_mutation_answered_with_typed_redirect(self, tmp_path,
+                                                   closing):
+        fencing = FencingStore(str(tmp_path / "fence"))
+        fencing.acquire("primary", address="primary:9")
+        _controller, server, role = serve_durable(tmp_path / "s", fencing,
+                                                  closing)
+        assert role == "standby"
         client = attached_client(server)
         with pytest.raises(ControllerMovedError) as excinfo:
             client._request_once(make_message(
@@ -129,29 +161,33 @@ class TestClientFailover:
         assert client._target_index == 1  # rotated off the dead entry
         assert client.failover_rotations == 1
 
-    def test_leader_hint_followed_over_tcp(self):
-        controller_a, server_a = make_server()
-        controller_b, server_b = make_server()
-        host_b, port_b = server_b.serve_tcp(port=0)
-        server_a.failover_targets = [f"{host_b}:{port_b}"]
-        host_a, port_a = server_a.serve_tcp(port=0)
-        try:
-            client = HarmonyClient(TcpTransport.connect(host_a, port_a),
-                                   retry_policy=FAST)
-            key = client.startup("demo")
-            assert len(controller_a.registry) == 1
-            server_a.demote()
-            client.bundle_setup(RSL)  # redirect carries the b address
-            assert client.app_key == key
-            assert client.reconnects == 1
-            assert client._moved_leader is None  # hint consumed once
-            assert client.redirects_followed == 1
-            assert client.failover_rotations == 0
-            assert len(controller_b.registry) == 1
-            client.end()
-        finally:
-            server_a.stop()
-            server_b.stop()
+    def test_leader_hint_followed_over_tcp(self, tmp_path, closing):
+        """The redirect names the holder of the fencing record: here b,
+        which claimed the term once a's lease lapsed un-renewed."""
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        controller_a, server_a, role_a = serve_durable(tmp_path / "a",
+                                                       fencing, closing)
+        assert role_a == "primary"
+        host_a, _, port_a = fencing.read().address.rpartition(":")
+        clock[0] = 31.0
+        controller_b, server_b, role_b = serve_durable(tmp_path / "b",
+                                                       fencing, closing)
+        assert role_b == "primary"
+        client = HarmonyClient(TcpTransport.connect(host_a, int(port_a)),
+                               retry_policy=FAST)
+        key = client.startup("demo")
+        assert len(controller_a.registry) == 1
+        server_a.demote()
+        client.bundle_setup(RSL)  # redirect carries the b address
+        assert client.app_key == key
+        assert client.reconnects == 1
+        assert client._moved_leader is None  # hint consumed once
+        assert client.redirects_followed == 1
+        assert client.failover_rotations == 0
+        assert len(controller_b.registry) == 1
+        client.end()
 
     def test_failover_entry_validation(self):
         factory = HarmonyClient._as_factory

@@ -105,6 +105,28 @@ class TestLeaseRenewal:
         client.query_nodes()
         assert server.lease_deadline(client.app_key) == pytest.approx(16.0)
 
+    def test_the_renewal_is_done_before_the_reply_is_sent(self, world):
+        """The client cannot hold an answer whose renewal is still to
+        come: a clock it moves next never lands inside the renewal."""
+        _cluster, _controller, server, clock = world
+        client = connect(server)
+        key = client.app_key
+        transport = server._sessions_by_key[key].transport
+        send, sent = transport.send, []
+
+        def observed(message):
+            sent.append((message["type"], server.lease_deadline(key)))
+            send(message)
+
+        transport.send = observed
+        clock.advance(6.0)
+        client.query_nodes()
+        clock.advance(2.0)
+        with pytest.raises(HarmonyError, match="server error"):
+            client.bundle_setup("harmonyBundle broken {")
+        assert sent == [("node_list", pytest.approx(16.0)),
+                        ("error", pytest.approx(16.0))]
+
     def test_heartbeat_ack_carries_the_deadline(self, world):
         _cluster, _controller, server, clock = world
         client = connect(server)

@@ -8,6 +8,8 @@ cannot drift.  In-process transports deliver
 synchronously, so each case is one send and one look at what came back.
 """
 
+import types
+
 import pytest
 
 from repro.api import HarmonyServer, connected_pair
@@ -92,7 +94,10 @@ class Case:
                 "registered", "variable_update", "bundle_ok"]
         key = "A.1"
         if state == "standby":
+            # The journaled server follows from its directory; stopping
+            # it closes that replica's log.
             self.server.demote()
+            closing(types.SimpleNamespace(close=self.server.stop))
         elif state == "failed":
             self.server.fail_stop()
         elif state == "evicted":

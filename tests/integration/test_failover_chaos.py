@@ -145,17 +145,20 @@ def run_chaos(tmp_path, n_clients, kill_offset, point, front="threaded"):
         fencing=fencing, lease_seconds=30.0,
         address=f"{host_p}:{port_p}") == "primary"
 
-    # The standby server as ``harmony-repro serve --standby-of`` builds
-    # it: bound before its replica has any state, it adopts the
-    # replicated controller as soon as the stream builds one.
-    server_sb = HarmonyServer(AdaptationController(make_cluster()),
-                              standby=True,
-                              failover_targets=[f"{host_p}:{port_p}"])
+    # The standby server as ``harmony-repro serve --dir`` builds it on
+    # an empty directory: journaled and bound, fenced out by the
+    # primary's live lease, so it stands by from its own directory and
+    # its first tick dials the holder the fencing record names.
+    standby_controller = AdaptationController(make_cluster())
+    DurabilityJournal(str(tmp_path / "standby"),
+                      fsync="never").attach(standby_controller)
+    server_sb = HarmonyServer(standby_controller, standby=True)
     host_sb, port_sb = server_sb.serve_tcp(port=0)
-    standby = ReplicationStandby(str(tmp_path / "standby"), "sb",
-                                 fencing=fencing, fsync="never",
-                                 address=f"{host_sb}:{port_sb}")
-    server_sb.follow(standby, TcpTransport.connect(host_p, port_p))
+    assert server_sb.enable_replication(
+        fencing=fencing, lease_seconds=30.0,
+        address=f"{host_sb}:{port_sb}") == "standby"
+    standby = server_sb.replica
+    assert server_sb.tick() is False
 
     clients = []
     try:
@@ -354,5 +357,6 @@ class TestDeposedPrimary:
                 "register", app_name="late", use_interrupts=False))
         assert excinfo.value.leader == "new:2"  # points at the winner
         assert len(restored.registry) == 3  # nothing mutated
-        restored.journal.close()
+        assert len(server_restarted.controller.registry) == 3
+        server_restarted.stop()  # closes the replica of its directory
         standby.journal.close()

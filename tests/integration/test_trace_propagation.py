@@ -20,6 +20,7 @@ import pytest
 from repro.api import HarmonyClient, HarmonyServer, RetryPolicy
 from repro.controller import AdaptationController, ModelDrivenPolicy
 from repro.obs.trace import Tracer
+from tests.conftest import spans_named
 from tests.pods import POD_RSL, build_pod_cluster
 
 FAST = RetryPolicy(request_timeout_seconds=2.0, max_attempts=6,
@@ -100,7 +101,7 @@ class TestSingleTraceId:
                                                     timeout=15.0)
 
         [client_span] = [span for span in
-                         traced.tracer.find("client.request")
+                         spans_named(traced.tracer, "client.request")
                          if span.attributes.get("rpc") == "report_metric"]
         trace_id = client_span.trace_id
         assert trace_id is not None
@@ -152,6 +153,6 @@ class TestSingleTraceId:
         generation = server.scheduler.request("test:flush")
         assert server.scheduler.wait_for_generation(generation,
                                                     timeout=15.0)
-        dispatches = controller.tracer.find("server.dispatch")
+        dispatches = spans_named(controller.tracer, "server.dispatch")
         assert all(span.attributes["rpc"] != "report_metric"
                    for span in dispatches)

@@ -10,6 +10,7 @@ from repro.obs.trace import (
     REJECT_WORSE_OBJECTIVE,
     Tracer,
 )
+from tests.conftest import spans_named
 
 TWO_OPTION_RSL = """
 harmonyBundle demo size {
@@ -132,7 +133,7 @@ class TestControllerSpans:
         names = {span.name for span in tracer.spans}
         assert {"controller.register", "controller.setup_bundle",
                 "optimizer.optimize_bundle"} <= names
-        bundle_span = tracer.find("optimizer.optimize_bundle")[0]
+        bundle_span = spans_named(tracer, "optimizer.optimize_bundle")[0]
         assert bundle_span.attributes["chosen"] == "large"
         assert bundle_span.attributes["candidates_evaluated"] == 2
 
@@ -143,7 +144,7 @@ class TestControllerSpans:
         controller.setup_bundle(instance, TWO_OPTION_RSL)
         controller.reevaluate()
 
-        assert tracer.find("controller.reevaluate")
+        assert spans_named(tracer, "controller.reevaluate")
         latest = controller.metrics.latest(
             "controller.reevaluation_seconds")
         assert latest is not None and latest >= 0.0
@@ -154,7 +155,7 @@ class TestControllerSpans:
         instance = controller.register_app("demo")
         controller.setup_bundle(instance, TWO_OPTION_RSL)
         controller.evict_app(instance)
-        assert tracer.find("controller.evict")
+        assert spans_named(tracer, "controller.evict")
 
     def test_work_counters_published(self, cluster):
         controller = AdaptationController(cluster)

@@ -16,6 +16,7 @@ from repro.controller import (
 )
 from repro.controller.partition import bundle_key
 from repro.obs import Tracer, json_snapshot, prometheus_text
+from tests.conftest import spans_named
 from tests.oracle import unpruned
 from tests.pods import POD_RSL, build_pod_cluster
 
@@ -163,7 +164,7 @@ class TestSpans:
     def test_one_sweep_span_per_sweep_carries_totals(self):
         tracer = Tracer()
         controller = run_pods(pods=3, tracer=tracer)
-        spans = tracer.find("optimizer.sweep")
+        spans = spans_named(tracer, "optimizer.sweep")
         assert len(spans) == controller.stats.partition_sweeps
         for span in spans:
             assert set(span.attributes) == {
@@ -187,6 +188,6 @@ class TestSpans:
                                         max_delay=0.0)
         scheduler.request("test")
         assert scheduler.run_pending(force=True)
-        batch = tracer.find("scheduler.batch")[-1]
+        batch = spans_named(tracer, "scheduler.batch")[-1]
         assert "partitions" not in batch.attributes
         assert batch.attributes["pruned_candidates"] > 0

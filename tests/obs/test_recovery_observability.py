@@ -11,6 +11,7 @@ from repro.obs.export import (json_snapshot, prometheus_text,
                                spans_to_jsonl)
 from repro.obs.trace import Tracer
 from repro.persistence import DurabilityJournal
+from tests.conftest import spans_named
 
 RSL = """
 harmonyBundle {name} where {{
@@ -43,10 +44,10 @@ class TestRecoverySpans:
         restored = AdaptationController.restore(str(tmp_path),
                                                 fsync="never",
                                                 tracer=tracer)
-        (root,) = tracer.find("controller.restore")
+        (root,) = spans_named(tracer, "controller.restore")
         stages = []
         for stage in STAGES:
-            (span,) = tracer.find(f"controller.restore.{stage}")
+            (span,) = spans_named(tracer, f"controller.restore.{stage}")
             stages.append(span)
         read, _topology, _load, replay = stages
         for stage in stages:
@@ -127,7 +128,7 @@ class TestRecoverySpansCoverFailures:
         with pytest.raises(WalCorruptionError):
             AdaptationController.restore(str(tmp_path), fsync="never",
                                          tracer=tracer)
-        (root,) = tracer.find("controller.restore")
-        (read,) = tracer.find("controller.restore.read")
+        (root,) = spans_named(tracer, "controller.restore")
+        (read,) = spans_named(tracer, "controller.restore.read")
         assert read.parent_id == root.span_id
-        assert not tracer.find("controller.restore.topology")
+        assert not spans_named(tracer, "controller.restore.topology")

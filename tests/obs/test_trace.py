@@ -113,7 +113,7 @@ class TestTracer:
         assert tracer.spans[-1].name == f"s{MAX_SPANS + 2}"
         assert tracer.spans_started == MAX_SPANS + 3
 
-    def test_find_by_name(self):
+    def test_finished_spans_in_completion_order(self):
         tracer = Tracer()
         with tracer.span("a"):
             pass
@@ -121,8 +121,7 @@ class TestTracer:
             pass
         with tracer.span("a"):
             pass
-        assert len(tracer.find("a")) == 2
-        assert tracer.find("missing") == []
+        assert [span.name for span in tracer.spans] == ["a", "b", "a"]
 
     def test_jsonl_round_trips(self):
         tracer = Tracer()
@@ -146,7 +145,7 @@ class TestNullTracer:
         with NULL_TRACER.span("anything") as span:
             span.set("key", "value")
         assert spans_to_jsonl(NULL_TRACER.spans) == ""
-        assert NULL_TRACER.find("anything") == []
+        assert list(NULL_TRACER.spans) == []
 
     def test_fresh_instances_also_disabled(self):
         assert NullTracer().enabled is False

@@ -13,6 +13,7 @@ from repro.api.protocol import TRACE_CTX_FIELD, make_message
 from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.obs.trace import NULL_TRACER, TraceContext, Tracer
+from tests.conftest import spans_named
 
 DEMO_RSL = """
 harmonyBundle demo size {
@@ -87,9 +88,9 @@ class TestClientSampling:
         tracer = Tracer()
         client = HarmonyClient(client_end, tracer=tracer)
         client.startup("demo")
-        [client_span] = tracer.find("client.request")
+        [client_span] = spans_named(tracer, "client.request")
         assert client_span.trace_id is not None
-        [dispatch] = controller.tracer.find("server.dispatch")
+        [dispatch] = spans_named(controller.tracer, "server.dispatch")
         assert dispatch.trace_id == client_span.trace_id
         assert dispatch.parent_id == client_span.span_id
 
@@ -103,7 +104,7 @@ class TestServerWireCompat:
         message[TRACE_CTX_FIELD] = {"trace_id": 123, "span_id": "nope"}
         reply = client._request_once(message)
         assert reply["type"] == "registered"
-        assert controller.tracer.find("server.dispatch") == []
+        assert spans_named(controller.tracer, "server.dispatch") == []
 
     def test_disabled_tracing_never_parses_the_field(self):
         _controller, _server, client_end = build_stack()  # NULL_TRACER

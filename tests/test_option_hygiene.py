@@ -55,6 +55,16 @@ of ``.flush`` reaches every method named ``flush``.
 Every other public definition is listed in ``DEFINITION_SEAMS`` with
 its reason from ``SEAM_REASONS``, and some test under ``tests/`` names
 it: an entry no test reaches is stale.
+
+The blind spot of both scans is that a name stands for every
+definition that carries it.  An attribute load reaches every method of
+that name on every class: ``order.copy()`` on a list reached a
+``SystemView.copy`` only the test oracle called, and ``text.find(...)``
+a ``Tracer.find`` only tests called.  Likewise a keyword reaches every
+definition of the callee's name, so a constructor that forwards its own
+parameter to a namesake (``redial`` passing ``metric_prefix=
+self.metric_prefix``) counts as its setter.  What hides there is found
+by reading the callers a definition's name is credited with.
 """
 
 import ast
