@@ -422,6 +422,7 @@ class GreedyOptimizer:
             live = engine.live_predictions()
             epoch = engine.epoch
             current_objective = context.objective.evaluate(live)
+            removal = engine.removal(instance.key)
             best: Candidate | None = None
             with engine.reading() as reads:
                 for candidate in candidates:
@@ -432,7 +433,7 @@ class GreedyOptimizer:
                         candidate.objective_value = current_objective
                     else:
                         predictions = engine.move_predictions(
-                            live, instance.key, candidate.demands,
+                            live, removal, candidate.demands,
                             candidate.assignment)
                         candidate.objective_value = \
                             context.objective.evaluate(predictions)

@@ -25,8 +25,17 @@ O(sharers) instead of scanning every placed configuration, and
 predictions can change when a given footprint appears or disappears.  The
 footprint is also the placement *compiled* for the default model: the walk
 that indexes it records the rows the model evaluates, so a prediction never
-re-walks a cluster path.  The cluster tells the view when its graph changes
-(:meth:`SystemView.topology_changed`), so no query checks for that.
+re-walks a cluster path.  A compile reads the hops of each host pair, and
+each host's speed, from a table the view keeps for the current topology,
+so a candidate's compile walks no path the view has compiled before.  The
+cluster tells the view when its graph changes
+(:meth:`SystemView.topology_changed`, which drops that table), so no query
+checks for that.
+
+First-fit matching reads candidates off the view's maintained load order;
+over the whole cluster that order is a :class:`LoadWalk`, read only as far
+as a match scans, with the excluded application's own hosts merged in at
+their re-keyed positions.
 """
 
 from __future__ import annotations
@@ -37,20 +46,20 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
-from repro.allocation.matcher import Assignment
+from repro.allocation.matcher import Assignment, OrderWalk
 from repro.cluster.node import SimNode
 from repro.cluster.topology import Cluster
 from repro.errors import AllocationError, SimulationError
 
-__all__ = ["PlacedConfiguration", "PlacementFootprint", "PlacementToken",
-           "SystemView", "sojourn"]
+__all__ = ["LoadWalk", "PlacedConfiguration", "PlacementFootprint",
+           "PlacementToken", "SystemView", "sojourn"]
 
 #: A physical link is identified by its (unordered) endpoint pair; the
 #: cluster forbids duplicate links between the same two hosts.
 LinkKey = frozenset
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlacedConfiguration:
     """One application's proposed configuration and placement."""
 
@@ -59,7 +68,7 @@ class PlacedConfiguration:
     assignment: Assignment
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlacementFootprint:
     """What one placed configuration contributes to — and reads from.
 
@@ -95,7 +104,7 @@ class PlacementFootprint:
 _EMPTY_FOOTPRINT = PlacementFootprint()
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlacementToken:
     """Undo/delta record for one :meth:`SystemView.place` / ``remove``.
 
@@ -164,6 +173,13 @@ class SystemView:
         #: that predicts a configuration and then places it compiles it
         #: once.  Dropped with the topology.
         self._last_compiled: tuple | None = None
+        #: What a compile reads of the graph, for the current topology:
+        #: hostname -> speed, and ``(host_a, host_b)`` -> the hops of the
+        #: path between them.  Bounded by the cluster's hosts and host
+        #: pairs (a host or pair that faults is not kept); dropped with
+        #: the topology.
+        self._speeds: dict[str, float] = {}
+        self._pair_hops: dict[tuple[str, str], tuple] = {}
         self.version: int = 0
         cluster.watch(self)
 
@@ -287,6 +303,7 @@ class SystemView:
         so ``fault`` is the error that evaluation would meet first.
         """
         placements = assignment.placements
+        speeds = self._speeds
         fault = None
         cpu: dict[str, list[float]] = {}
         cpu_rows = []
@@ -298,11 +315,13 @@ class SystemView:
             if hostname is None:
                 fault = fault or _unplaced(demand.local_name)
                 continue
-            try:
-                speed = self.cluster.node(hostname).speed
-            except SimulationError as error:
-                fault = fault or (SimulationError, str(error))
-                speed = None
+            speed = speeds.get(hostname)
+            if speed is None:
+                try:
+                    speed = speeds[hostname] = \
+                        self.cluster.node(hostname).speed
+                except SimulationError as error:
+                    fault = fault or (SimulationError, str(error))
             if seconds <= 0:
                 continue
             cpu.setdefault(hostname, []).append(seconds)
@@ -350,14 +369,22 @@ class SystemView:
 
     def _hops(self, host_a: str, host_b: str) -> tuple[tuple, tuple | None]:
         """``(link key, bandwidth, latency)`` along the path, and the
-        fault of disconnected endpoints (which have no hops)."""
+        fault of disconnected endpoints (which have no hops).
+
+        Read off the hop table when the pair was compiled before under
+        this topology: a path, its links' bandwidth and latency are
+        fixed until :meth:`topology_changed` drops the table."""
+        hops = self._pair_hops.get((host_a, host_b))
+        if hops is not None:
+            return hops
         try:
             links = self.cluster.path_links(host_a, host_b)
         except SimulationError as error:
             return (), (SimulationError, str(error))
-        return tuple((frozenset((link.host_a, link.host_b)),
-                      link.bandwidth_mbps, link.latency_seconds)
-                     for link in links), None
+        hops = self._pair_hops[host_a, host_b] = tuple(
+            (frozenset((link.host_a, link.host_b)), link.bandwidth_mbps,
+             link.latency_seconds) for link in links), None
+        return hops
 
     def _index(self, app_key: str, footprint: PlacementFootprint) -> None:
         self._order_dirty.update(footprint.cpu)
@@ -416,6 +443,8 @@ class SystemView:
         """
         self._order = None
         self._last_compiled = None
+        self._speeds.clear()
+        self._pair_hops.clear()
         self._footprints.clear()
         self._host_entries.clear()
         self._host_counts.clear()
@@ -487,7 +516,7 @@ class SystemView:
         hostname = entry[3].hostname
         load = float(self._host_counts.get(hostname, 0) - excluded) \
             + self._external_cpu.get(hostname, 0.0)
-        return (load, *entry[1:])
+        return (load, entry[1], entry[2], entry[3])
 
     def _keyed_entries(self) -> dict[str, tuple]:
         """hostname -> its maintained entry, re-keyed where state moved."""
@@ -519,7 +548,8 @@ class SystemView:
         return self._rekeyed(entry, len(seconds)) if seconds else entry
 
     def load_order(self, nodes: Sequence[SimNode] | None = None,
-                   exclude_app: str | None = None) -> list[SimNode]:
+                   exclude_app: str | None = None,
+                   ) -> "list[SimNode] | LoadWalk":
         """Nodes in first-fit preference order: idle first, then faster.
 
         Exactly a stable sort of the cluster's nodes by ``(cpu consumers
@@ -527,21 +557,20 @@ class SystemView:
         order.  ``nodes`` restricts it to a subset, stably sorted by the
         maintained keys, so a pattern-scoped bundle pays O(|nodes|), not
         O(cluster).  ``exclude_app`` orders as if that application were
-        not placed, by re-keying its own hosts only.
+        not placed, by re-keying its own hosts only.  The whole cluster's
+        order is a :class:`LoadWalk`, read only as far as it is walked.
         """
         entries = self._keyed_entries()
         own = self._footprints.get(exclude_app, _EMPTY_FOOTPRINT).cpu
         if nodes is not None:
             return sorted(nodes, key=lambda node: self._entry(
                 node.hostname, own)[:2])
-        order = self._order
-        if own:
-            order = order.copy()
-            for hostname in own:
-                if hostname in entries:
-                    del order[bisect_left(order, entries[hostname])]
-                    insort(order, self._entry(hostname, own))
-        return [entry[3] for entry in order]
+        moved = []
+        for hostname in own:
+            if hostname in entries:
+                moved.append(self._entry(hostname, own))
+        moved.sort(reverse=True)
+        return LoadWalk(self._order, moved)
 
     def order_key(self, hostname: str,
                   exclude_app: str | None = None) -> tuple:
@@ -582,6 +611,56 @@ class SystemView:
         """CPU stretch factor on a node: max(1, consumers + external)."""
         return float(max(1.0, self.cpu_consumers(hostname)
                          + self.external_cpu_load(hostname)))
+
+
+class LoadWalk(OrderWalk):
+    """The whole cluster's :meth:`SystemView.load_order`, walked lazily.
+
+    First-fit takes its candidates front to back and stops at the first
+    that fits, so the walk reads the view's maintained order only as far
+    as the scan goes, and merges the excluded application's own hosts in
+    at their re-keyed positions instead of copying the order to move
+    them.  The view must not change while a walk is read: one match
+    preparation matches against one state.
+    """
+
+    __slots__ = ("_order", "_moved", "_skipped", "_next", "_keys")
+
+    def __init__(self, order: list[tuple], moved: list[tuple]):
+        self.nodes = []
+        #: The view's maintained order (not a copy), and the excluded
+        #: hosts' re-keyed entries, largest first; the maintained entries
+        #: those replace are skipped by insertion index.
+        self._order = order
+        self._moved = moved
+        self._skipped = tuple(entry[2] for entry in moved)
+        self._next = 0
+        self._keys: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def key(self, position: int) -> tuple:
+        """The :meth:`SystemView.order_key` of the node walked at
+        ``position``."""
+        return self._keys[position][:3]
+
+    def step(self) -> bool:
+        order, at, moved = self._order, self._next, self._moved
+        end = len(order)
+        while at < end and order[at][2] in self._skipped:
+            at += 1
+        if moved and (at == end or moved[-1] < order[at]):
+            entry = moved.pop()
+        elif at < end:
+            entry = order[at]
+            at += 1
+        else:
+            return False
+        self._next = at
+        self._keys.append(entry)
+        self.nodes.append(entry[3])
+        return True
 
 
 def sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,

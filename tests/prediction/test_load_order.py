@@ -7,9 +7,21 @@ placements, removals, nested trials rolled back, external-load
 measurements, cluster growth — the two must agree exactly, ties included,
 for the whole cluster and for a hostname-pattern subset, with and without
 an excluded application.
+
+The whole cluster's order is a ``LoadWalk``, read only as far as it is
+walked.  Walked part of the way or to the end, and walked again, it
+yields the sort's prefix with each node's order key; a first-fit match
+over it examines the prefix, and stops at the boundary, that a match
+over ``sorted_preparation``'s from-scratch sort does.
+
+Mutation-checked: a walk that merges the excluded app's re-keyed hosts
+without skipping their maintained entries, and one that merges their
+maintained entries instead of re-keyed ones, each fail
+``test_maintained_order_equals_sorted_order``.
 """
 
 from functools import partial
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +31,7 @@ from repro.allocation.instantiate import (
 from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.cluster import Cluster
 from repro.controller import ViewTrial
+from repro.errors import AllocationError
 from repro.prediction import SystemView
 from tests.oracle.naive import copy_view, load_order_key, sorted_preparation
 
@@ -75,6 +88,57 @@ def assert_order_matches_sort(view: SystemView) -> None:
         # A subset handed over in another (strategy) order stays stable.
         assert names(view.load_order(subset[::-1], exclude_app=excluded)) \
             == by_sort(subset[::-1])
+        assert_walk_matches_sort(view, excluded, key)
+
+
+def assert_walk_matches_sort(view: SystemView, excluded, key) -> None:
+    """The walk, read part of the way and to the end, against the sort
+    by ``key``; and first-fit matches over it against matches over
+    ``sorted_preparation``."""
+    nodes = list(view.cluster.nodes())
+    index = {node.hostname: position for position, node in enumerate(nodes)}
+    expected = sorted(nodes, key=lambda node: key(node.hostname))
+    for depth in sorted({1, len(nodes) // 2, len(nodes)}):
+        walk = view.load_order(exclude_app=excluded)
+        assert len(walk) == len(nodes)
+        walked = list(islice(walk, depth))
+        assert walked == walk[:depth] == expected[:depth]
+        for position, node in enumerate(walked):
+            assert walk.key(position) == (*key(node.hostname),
+                                          index[node.hostname]) \
+                == view.order_key(node.hostname, excluded)
+        # Walked again from the front, on to the end.
+        assert list(walk) == expected
+    cluster = view.cluster
+    matcher = Matcher(cluster)
+    unfit = 1.0 + max(node.memory.available_mb for node in nodes)
+    for count, memory in ((1, 8.0), (len(nodes) // 2 or 1, 8.0),
+                          (1, unfit)):
+        # ``count`` demands that fit anywhere scan ``count`` nodes; one
+        # that fits nowhere scans them all and fails.
+        demands = ConcreteDemands(option_name="o", nodes=tuple(
+            NodeDemand(local_name=f"d{i}", seconds=1.0,
+                       memory_min_mb=memory)
+            for i in range(count)))
+        walking = MatchPreparation(load_order=partial(
+            view.load_order, exclude_app=excluded))
+        sorting = sorted_preparation(cluster, key)
+        assert outcome(matcher, demands, walking) == \
+            outcome(matcher, demands, sorting)
+        (prefix, [(walk, position)]), (sorted_prefix, [(order, furthest)]) = \
+            walking.examined(), sorting.examined()
+        assert prefix == sorted_prefix
+        assert position == furthest == \
+            (count if memory < unfit else len(nodes)) - 1
+        host = order[furthest].hostname
+        assert walk.key(position) == (*key(host), index[host])
+
+
+def outcome(matcher: Matcher, demands, prepared):
+    try:
+        return matcher.match(demands, prepared=prepared)
+    except AllocationError:
+        return None
 
 
 host_indexes = st.integers(min_value=0, max_value=HOSTS - 1)
