@@ -19,15 +19,14 @@ from __future__ import annotations
 import enum
 import fnmatch
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from repro.allocation.instantiate import ConcreteDemands, NodeDemand
 from repro.cluster.node import SimNode
 from repro.cluster.topology import Cluster
 from repro.errors import AllocationError, SimulationError
 
-__all__ = ["MatchStrategy", "Assignment", "MatchPreparation", "Matcher",
-           "OrderWalk"]
+__all__ = ["MatchStrategy", "Assignment", "MatchPreparation", "Matcher"]
 
 
 class MatchStrategy(enum.Enum):
@@ -57,36 +56,6 @@ class Assignment:
         return len(self.placements)
 
 
-class OrderWalk:
-    """A candidate order walked on demand: :attr:`nodes` holds the part
-    walked so far, :meth:`step` walks one node further (``False`` at the
-    end), and ``len`` is the whole order's.  Indexing and slicing read
-    the walked part, so a first-fit match pays only for what it scans.
-    """
-
-    __slots__ = ("nodes",)
-
-    def __init__(self) -> None:
-        self.nodes: list[SimNode] = []
-
-    def step(self) -> bool:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __getitem__(self, index):
-        return self.nodes[index]
-
-    def __iter__(self) -> Iterator[SimNode]:
-        nodes = self.nodes
-        # The list iterator also yields what another iterator of this
-        # walk appends meanwhile, so every step here is a new one.
-        yield from nodes
-        while self.step():
-            yield nodes[-1]
-
-
 @dataclass
 class MatchPreparation:
     """What matching derives from cluster state alone, not from demands.
@@ -101,10 +70,9 @@ class MatchPreparation:
     ignore_holders: frozenset[str] = frozenset()
     #: Reads candidates off a maintained order: takes the reachable nodes
     #: in strategy order (``None``: all, insertion order), returns them
-    #: in candidate order, stably — as a list, or as a walk.
-    load_order: Callable[[list[SimNode] | None],
-                         Sequence[SimNode]] | None = None
-    ordered: dict[frozenset[str], Sequence[SimNode]] = field(
+    #: in candidate order, stably.
+    load_order: Callable[[list[SimNode] | None], list[SimNode]] | None = None
+    ordered: dict[frozenset[str], list[SimNode]] = field(
         init=False, default_factory=dict)
     free_mb: dict[str, float] = field(init=False, default_factory=dict)
     #: Pattern set -> the furthest position any match examined in its
@@ -112,17 +80,16 @@ class MatchPreparation:
     scanned: dict[frozenset[str], int] = field(init=False,
                                                default_factory=dict)
 
-    def examined(self) -> tuple[set[str],
-                                list[tuple[Sequence[SimNode], int]]]:
+    def examined(self) -> tuple[set[str], list[SimNode]]:
         """What the matches so far read of the nodes: the hostnames at
-        or before the furthest position of each ordered list, and each
-        list with that position."""
+        or before the furthest position of each ordered list, and the
+        node at each furthest position."""
         prefix: set[str] = set()
         furthest = []
         for patterns, position in self.scanned.items():
             ordered = self.ordered[patterns]
             prefix.update(node.hostname for node in ordered[:position + 1])
-            furthest.append((ordered, position))
+            furthest.append(ordered[position])
         return prefix, furthest
 
 
@@ -134,11 +101,7 @@ class Matcher:
         self.cluster = cluster
         self.strategy = strategy
         self._prepared = MatchPreparation()
-        self._ordered: Sequence[SimNode] = []
-        #: ``_ordered``'s nodes as far as they are walked (all of a
-        #: list), and what walks one further.
-        self._walked: list[SimNode] = []
-        self._step: Callable[[], bool] = _end
+        self._ordered: list[SimNode] = []
         #: The furthest position of ``_ordered`` the current match has
         #: examined.
         self._furthest = -1
@@ -178,11 +141,7 @@ class Matcher:
         self._prepared = prepared if prepared is not None else \
             MatchPreparation(frozenset(ignore_holders or ()))
         patterns = frozenset(d.hostname_pattern for d in demands.nodes)
-        self._ordered = ordered = self._ordered_nodes(patterns)
-        if isinstance(ordered, OrderWalk):
-            self._walked, self._step = ordered.nodes, ordered.step
-        else:
-            self._walked, self._step = ordered, _end
+        self._ordered = self._ordered_nodes(patterns)
         self._furthest = -1
         found = self._search(list(demands.nodes), demands, placements,
                              extra_memory or {})
@@ -212,9 +171,7 @@ class Matcher:
         demand = remaining[0]
         for node in self._candidates(demand, placements, extra_memory):
             placements[demand.local_name] = node.hostname
-            # A partial placement has only its links to check.
-            if (not demands.links or self._links_feasible(
-                    demands, placements, partial=True)) and \
+            if self._links_feasible(demands, placements, partial=True) and \
                     self._search(remaining[1:], demands, placements,
                                  extra_memory):
                 return True
@@ -245,7 +202,7 @@ class Matcher:
         self._pattern_memo[patterns] = (version, nodes)
         return nodes
 
-    def _ordered_nodes(self, patterns: frozenset[str]) -> Sequence[SimNode]:
+    def _ordered_nodes(self, patterns: frozenset[str]) -> list[SimNode]:
         """The nodes demands with these patterns can reach, in candidate
         order.
 
@@ -286,19 +243,16 @@ class Matcher:
                     placements: dict[str, str],
                     extra_memory: Mapping[str, float]) -> Iterator[SimNode]:
         """Feasible nodes in candidate order, lazily: the search stops at
-        the first that fits, so most nodes are never looked at, and a
-        walked order is walked only as far as the scan goes.  Each node
-        yielded, and the end of the order, moves ``_furthest``."""
+        the first that fits, so most nodes are never looked at.  Each
+        node yielded, and the end of the list, moves ``_furthest``."""
         needed_mb = demand.memory_min_mb + extra_memory.get(
             demand.local_name, 0.0)
         # Every node demand of a configuration lands on a distinct
         # machine ("four distinct nodes, all meeting the same
         # requirements").
         taken = set(placements.values())
-        walked, step = self._walked, self._step
-        if not walked:
-            step()
-        for position, node in enumerate(walked):
+        ordered = self._ordered
+        for position, node in enumerate(ordered):
             if node.available \
                     and node.hostname not in taken \
                     and _hostname_matches(demand.hostname_pattern,
@@ -308,11 +262,7 @@ class Matcher:
                 if position > self._furthest:
                     self._furthest = position
                 yield node
-            if position == len(walked) - 1:
-                # The scan goes on past what is walked (the iterator
-                # yields what is appended before it reaches the end).
-                step()
-        self._furthest = len(self._ordered) - 1
+        self._furthest = len(ordered) - 1
 
     def _links_feasible(self, demands: ConcreteDemands,
                         placements: dict[str, str], partial: bool) -> bool:
@@ -346,11 +296,6 @@ class Matcher:
                     except SimulationError:
                         return False
         return True
-
-
-def _end() -> bool:
-    """A list's walk: it is walked to the end already."""
-    return False
 
 
 def _hostname_matches(pattern: str, hostname: str) -> bool:

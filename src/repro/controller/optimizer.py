@@ -422,7 +422,6 @@ class GreedyOptimizer:
             live = engine.live_predictions()
             epoch = engine.epoch
             current_objective = context.objective.evaluate(live)
-            removal = engine.removal(instance.key)
             best: Candidate | None = None
             with engine.reading() as reads:
                 for candidate in candidates:
@@ -433,7 +432,7 @@ class GreedyOptimizer:
                         candidate.objective_value = current_objective
                     else:
                         predictions = engine.move_predictions(
-                            live, removal, candidate.demands,
+                            live, instance.key, candidate.demands,
                             candidate.assignment)
                         candidate.objective_value = \
                             context.objective.evaluate(predictions)

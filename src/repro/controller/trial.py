@@ -43,10 +43,7 @@ This module removes both:
   models' ``contention_stretch`` counts the app itself), the view is not
   edited: the app is predicted against the live view, where only its own
   entries differ.  The floats, and the reads noted, are the edited
-  trial's.  ``optimize_pair``'s nested trials stay edited.  What every
-  candidate of one visit shares — the moved app's :class:`Removal`: its
-  footprint, the co-tenants it affects and the removed half of their
-  keys — is derived once per visit (:meth:`TrialEngine.removal`).
+  trial's.  ``optimize_pair``'s nested trials stay edited.
 
 * **Records** — the engine stamps every host and link a commit writes
   or holds memory on, or whose load or availability changes, and moves
@@ -75,7 +72,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 from repro.allocation.instantiate import ConcreteDemands
 from repro.allocation.matcher import Assignment, MatchPreparation
 from repro.prediction.contention import (
-    LoadWalk,
     PlacedConfiguration,
     PlacementFootprint,
     PlacementToken,
@@ -86,8 +82,7 @@ from repro.prediction.models import DefaultModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import AdaptationController
 
-__all__ = ["OptimizerStats", "ReadSet", "Removal", "ViewTrial",
-           "TrialEngine"]
+__all__ = ["OptimizerStats", "ReadSet", "ViewTrial", "TrialEngine"]
 
 #: Moves one co-tenant's reuse table holds before it starts again.
 REUSE_PER_APP = 64
@@ -320,26 +315,10 @@ class TrialEngine:
             span.set("dirty", len(dirty))
         return predictions
 
-    def removal(self, app_key: str) -> Removal:
-        """What every move of ``app_key`` off its live placement shares,
-        derived once per visit: read by each :meth:`move_predictions` of
-        it while the live view holds still."""
-        view = self.controller.view
-        removed = view.footprint_of(app_key)
-        halves: dict[str, tuple] = {}
-        if removed is not None:
-            for other in view.apps_affected_by(removed):
-                if other != app_key and other not in self._opaque:
-                    footprint = view.footprint_of(other)
-                    halves[other] = (footprint, _entries_on(
-                        footprint, removed.cpu, removed.flows, False))
-        return Removal(app_key, removed, halves,
-                       halves.keys() | self._opaque - {app_key})
-
-    def move_predictions(self, base: Mapping[str, float], removal: Removal,
+    def move_predictions(self, base: Mapping[str, float], app_key: str,
                          demands: ConcreteDemands, assignment: Assignment,
                          ) -> dict[str, float]:
-        """Predictions for the live view with ``removal``'s app moved to
+        """Predictions for the live view with ``app_key`` moved to
         ``demands`` on ``assignment``; ``base`` is the live cache.
 
         Equal to :meth:`trial_predictions` of that one placement, reads
@@ -352,41 +331,32 @@ class TrialEngine:
         controller = self.controller
         view = controller.view
         reads = self._reads
-        app_key = removal.app_key
         with controller.tracer.span("prediction.trial") as span:
+            removed = view.footprint_of(app_key)
             added = view.compiled(demands, assignment)
-            touched = view.apps_affected_by(added)
-            touched.discard(app_key)
-            others = touched | removal.others
+            others = view.apps_affected_by(added)
+            if removed is not None:
+                others |= view.apps_affected_by(removed)
+            others |= self._opaque
+            others.discard(app_key)
             predictions = dict(base)
-            known: list[PlacementFootprint] = []
+            known: list[str] = []
             missing: list[tuple[str, tuple | None]] = []
-            added_cpu, added_flows = added.cpu, added.flows
-            halves = removal.halves
             for other in others:
                 if other in self._opaque:
                     missing.append((other, None))
                     continue
-                # Each half is empty where its footprint touches nothing.
-                hit = halves.get(other)
-                if hit is None:
-                    footprint, key = view.footprint_of(other), ()
-                else:
-                    footprint, key = hit
-                if other in touched:
-                    key += _entries_on(footprint, added_cpu, added_flows,
-                                       True)
+                key = _move_key(view.footprint_of(other), removed, added)
                 value = self._reused(other, key)
                 if value is None:
                     missing.append((other, key))
                 else:
                     predictions[other] = value
-                    known.append(footprint)
-            model = None
-            if not missing:
-                model = controller.model_of(
-                    PlacedConfiguration(app_key, demands, assignment))
-            if type(model) is not DefaultModel:
+                    known.append(other)
+            moved = None if missing else \
+                PlacedConfiguration(app_key, demands, assignment)
+            if moved is None or \
+                    type(controller.model_of(moved)) is not DefaultModel:
                 with ViewTrial(view) as trial:
                     trial.place(app_key, demands, assignment)
                     self._predict_into(predictions, app_key)
@@ -395,18 +365,17 @@ class TrialEngine:
                         if key is not None and value is not None:
                             self._reuse_store(other, key, value)
             else:
-                # ``predict_app`` without its second model lookup.
-                controller.stats.predictions_recomputed += 1
-                predictions[app_key] = model.predict(
-                    demands, assignment, view, app_key=app_key)
-                if reads is not None:
-                    _note_reads(reads, added)
+                value = controller.predict_app(view, moved)
+                if value is None:
+                    predictions.pop(app_key, None)
+                else:
+                    predictions[app_key] = value
+                    if reads is not None:
+                        _note_reads(reads, added)
             if reads is not None:
-                for footprint in known:
-                    _note_reads(reads, footprint)
-                if removal.noted is not reads:
-                    _note_reads(reads, removal.footprint)
-                    removal.noted = reads
+                for other in known:
+                    _note_reads(reads, view.footprint_of(other))
+                _note_reads(reads, removed)
             span.set("dirty", len(others) + 1)
         return predictions
 
@@ -475,14 +444,10 @@ class TrialEngine:
         they examined none."""
         prefix, furthest = prepared.examined()
         order_key = self.controller.view.order_key
-        # A walk keeps the key of every node it walked.
-        record.boundary = max((
-            ordered.key(position) if isinstance(ordered, LoadWalk)
-            else order_key(ordered[position].hostname, app_key)
-            for ordered, position in furthest), default=())
+        record.boundary = max((order_key(node.hostname, app_key)
+                               for node in furthest), default=())
         record.excluded = app_key
-        keys = record.keys
-        record.covers = keys if prefix <= keys else keys.union(prefix)
+        record.covers = record.keys.union(prefix)
 
     def alive(self, record: ReadSet, chosen: object, placed: object) -> bool:
         """Whether the result ``record`` describes can still hold: the
@@ -596,44 +561,28 @@ class TrialEngine:
         self._version = view.version
 
 
-class Removal:
-    """One app's move off its live placement, shared by the candidates
-    of one visit (:meth:`TrialEngine.removal`): its ``footprint``; per
-    co-tenant the removal affects, that co-tenant's footprint and the
-    removed half of its move key (``halves``); and ``others``, those
-    co-tenants and the opaque apps."""
-
-    __slots__ = ("app_key", "footprint", "halves", "others", "noted")
-
-    def __init__(self, app_key: str, footprint: PlacementFootprint | None,
-                 halves: dict[str, tuple], others: set[str]):
-        self.app_key = app_key
-        self.footprint = footprint
-        self.halves = halves
-        self.others = others
-        #: The read set the removal's own reads were noted into.
-        self.noted: set | None = None
-
-
-def _entries_on(footprint: PlacementFootprint, cpu: Mapping,
-                flows: Mapping, added: bool) -> tuple:
-    """One half of a co-tenant's move key: the moved app's ``cpu`` and
-    ``flows`` entries on ``footprint``'s hosts and read links, as
-    ``(host or link, removed, added)`` with the other side ``None``.
-    The key is the removed half and the added half joined; it holds
-    values, not the app's name, so it is the same whichever app moved."""
+def _move_key(footprint: PlacementFootprint,
+              removed: PlacementFootprint | None,
+              added: PlacementFootprint) -> tuple:
+    """What a move changes on ``footprint``'s hosts and read links: per
+    one the moved app touches, its removed and its added entries, as
+    values — the same key whichever app moved."""
     key = []
+    removed_cpu = removed.cpu if removed is not None else {}
+    added_cpu = added.cpu
     for hostname in footprint.cpu:
-        values = cpu.get(hostname)
-        if values:
-            key.append((hostname, None, values) if added
-                       else (hostname, values, None))
-    if flows:
+        gone = removed_cpu.get(hostname)
+        new = added_cpu.get(hostname)
+        if gone or new:
+            key.append((hostname, gone, new))
+    removed_flows = removed.flows if removed is not None else {}
+    added_flows = added.flows
+    if removed_flows or added_flows:
         for link in footprint.read_links:
-            values = flows.get(link)
-            if values:
-                key.append((link, None, values) if added
-                           else (link, values, None))
+            gone = removed_flows.get(link)
+            new = added_flows.get(link)
+            if gone or new:
+                key.append((link, gone, new))
     return tuple(key)
 
 

@@ -31,11 +31,6 @@ so a candidate's compile walks no path the view has compiled before.  The
 cluster tells the view when its graph changes
 (:meth:`SystemView.topology_changed`, which drops that table), so no query
 checks for that.
-
-First-fit matching reads candidates off the view's maintained load order;
-over the whole cluster that order is a :class:`LoadWalk`, read only as far
-as a match scans, with the excluded application's own hosts merged in at
-their re-keyed positions.
 """
 
 from __future__ import annotations
@@ -46,13 +41,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.allocation.instantiate import ConcreteDemands
-from repro.allocation.matcher import Assignment, OrderWalk
+from repro.allocation.matcher import Assignment
 from repro.cluster.node import SimNode
 from repro.cluster.topology import Cluster
 from repro.errors import AllocationError, SimulationError
 
-__all__ = ["LoadWalk", "PlacedConfiguration", "PlacementFootprint",
-           "PlacementToken", "SystemView", "sojourn"]
+__all__ = ["PlacedConfiguration", "PlacementFootprint", "PlacementToken",
+           "SystemView", "sojourn"]
 
 #: A physical link is identified by its (unordered) endpoint pair; the
 #: cluster forbids duplicate links between the same two hosts.
@@ -516,7 +511,7 @@ class SystemView:
         hostname = entry[3].hostname
         load = float(self._host_counts.get(hostname, 0) - excluded) \
             + self._external_cpu.get(hostname, 0.0)
-        return (load, entry[1], entry[2], entry[3])
+        return (load, *entry[1:])
 
     def _keyed_entries(self) -> dict[str, tuple]:
         """hostname -> its maintained entry, re-keyed where state moved."""
@@ -548,8 +543,7 @@ class SystemView:
         return self._rekeyed(entry, len(seconds)) if seconds else entry
 
     def load_order(self, nodes: Sequence[SimNode] | None = None,
-                   exclude_app: str | None = None,
-                   ) -> "list[SimNode] | LoadWalk":
+                   exclude_app: str | None = None) -> list[SimNode]:
         """Nodes in first-fit preference order: idle first, then faster.
 
         Exactly a stable sort of the cluster's nodes by ``(cpu consumers
@@ -557,20 +551,21 @@ class SystemView:
         order.  ``nodes`` restricts it to a subset, stably sorted by the
         maintained keys, so a pattern-scoped bundle pays O(|nodes|), not
         O(cluster).  ``exclude_app`` orders as if that application were
-        not placed, by re-keying its own hosts only.  The whole cluster's
-        order is a :class:`LoadWalk`, read only as far as it is walked.
+        not placed, by re-keying its own hosts only.
         """
         entries = self._keyed_entries()
         own = self._footprints.get(exclude_app, _EMPTY_FOOTPRINT).cpu
         if nodes is not None:
             return sorted(nodes, key=lambda node: self._entry(
                 node.hostname, own)[:2])
-        moved = []
-        for hostname in own:
-            if hostname in entries:
-                moved.append(self._entry(hostname, own))
-        moved.sort(reverse=True)
-        return LoadWalk(self._order, moved)
+        order = self._order
+        if own:
+            order = order.copy()
+            for hostname in own:
+                if hostname in entries:
+                    del order[bisect_left(order, entries[hostname])]
+                    insort(order, self._entry(hostname, own))
+        return [entry[3] for entry in order]
 
     def order_key(self, hostname: str,
                   exclude_app: str | None = None) -> tuple:
@@ -611,56 +606,6 @@ class SystemView:
         """CPU stretch factor on a node: max(1, consumers + external)."""
         return float(max(1.0, self.cpu_consumers(hostname)
                          + self.external_cpu_load(hostname)))
-
-
-class LoadWalk(OrderWalk):
-    """The whole cluster's :meth:`SystemView.load_order`, walked lazily.
-
-    First-fit takes its candidates front to back and stops at the first
-    that fits, so the walk reads the view's maintained order only as far
-    as the scan goes, and merges the excluded application's own hosts in
-    at their re-keyed positions instead of copying the order to move
-    them.  The view must not change while a walk is read: one match
-    preparation matches against one state.
-    """
-
-    __slots__ = ("_order", "_moved", "_skipped", "_next", "_keys")
-
-    def __init__(self, order: list[tuple], moved: list[tuple]):
-        self.nodes = []
-        #: The view's maintained order (not a copy), and the excluded
-        #: hosts' re-keyed entries, largest first; the maintained entries
-        #: those replace are skipped by insertion index.
-        self._order = order
-        self._moved = moved
-        self._skipped = tuple(entry[2] for entry in moved)
-        self._next = 0
-        self._keys: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def key(self, position: int) -> tuple:
-        """The :meth:`SystemView.order_key` of the node walked at
-        ``position``."""
-        return self._keys[position][:3]
-
-    def step(self) -> bool:
-        order, at, moved = self._order, self._next, self._moved
-        end = len(order)
-        while at < end and order[at][2] in self._skipped:
-            at += 1
-        if moved and (at == end or moved[-1] < order[at]):
-            entry = moved.pop()
-        elif at < end:
-            entry = order[at]
-            at += 1
-        else:
-            return False
-        self._next = at
-        self._keys.append(entry)
-        self.nodes.append(entry[3])
-        return True
 
 
 def sojourn(own: float, entries: Mapping[str, tuple[float, ...]] | None,

@@ -8,20 +8,13 @@ measurements, cluster growth — the two must agree exactly, ties included,
 for the whole cluster and for a hostname-pattern subset, with and without
 an excluded application.
 
-The whole cluster's order is a ``LoadWalk``, read only as far as it is
-walked.  Walked part of the way or to the end, and walked again, it
-yields the sort's prefix with each node's order key; a first-fit match
-over it examines the prefix, and stops at the boundary, that a match
+A first-fit match over the maintained order, one that stops early and
+one that scans everything, examines the prefix, and stops at the
+boundary (its furthest node and that node's ``order_key``), that a match
 over ``sorted_preparation``'s from-scratch sort does.
-
-Mutation-checked: a walk that merges the excluded app's re-keyed hosts
-without skipping their maintained entries, and one that merges their
-maintained entries instead of re-keyed ones, each fail
-``test_maintained_order_equals_sorted_order``.
 """
 
 from functools import partial
-from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
@@ -88,27 +81,15 @@ def assert_order_matches_sort(view: SystemView) -> None:
         # A subset handed over in another (strategy) order stays stable.
         assert names(view.load_order(subset[::-1], exclude_app=excluded)) \
             == by_sort(subset[::-1])
-        assert_walk_matches_sort(view, excluded, key)
+        assert_first_fit_matches_sort(view, excluded, key)
 
 
-def assert_walk_matches_sort(view: SystemView, excluded, key) -> None:
-    """The walk, read part of the way and to the end, against the sort
-    by ``key``; and first-fit matches over it against matches over
-    ``sorted_preparation``."""
+def assert_first_fit_matches_sort(view: SystemView, excluded, key) -> None:
+    """First-fit matches over the maintained order against matches over
+    ``sorted_preparation``'s sort by ``key``: the same outcome, scanned
+    prefix and boundary."""
     nodes = list(view.cluster.nodes())
     index = {node.hostname: position for position, node in enumerate(nodes)}
-    expected = sorted(nodes, key=lambda node: key(node.hostname))
-    for depth in sorted({1, len(nodes) // 2, len(nodes)}):
-        walk = view.load_order(exclude_app=excluded)
-        assert len(walk) == len(nodes)
-        walked = list(islice(walk, depth))
-        assert walked == walk[:depth] == expected[:depth]
-        for position, node in enumerate(walked):
-            assert walk.key(position) == (*key(node.hostname),
-                                          index[node.hostname]) \
-                == view.order_key(node.hostname, excluded)
-        # Walked again from the front, on to the end.
-        assert list(walk) == expected
     cluster = view.cluster
     matcher = Matcher(cluster)
     unfit = 1.0 + max(node.memory.available_mb for node in nodes)
@@ -120,18 +101,18 @@ def assert_walk_matches_sort(view: SystemView, excluded, key) -> None:
             NodeDemand(local_name=f"d{i}", seconds=1.0,
                        memory_min_mb=memory)
             for i in range(count)))
-        walking = MatchPreparation(load_order=partial(
+        maintained = MatchPreparation(load_order=partial(
             view.load_order, exclude_app=excluded))
         sorting = sorted_preparation(cluster, key)
-        assert outcome(matcher, demands, walking) == \
+        assert outcome(matcher, demands, maintained) == \
             outcome(matcher, demands, sorting)
-        (prefix, [(walk, position)]), (sorted_prefix, [(order, furthest)]) = \
-            walking.examined(), sorting.examined()
+        (prefix, [node]), (sorted_prefix, [sorted_node]) = \
+            maintained.examined(), sorting.examined()
         assert prefix == sorted_prefix
-        assert position == furthest == \
-            (count if memory < unfit else len(nodes)) - 1
-        host = order[furthest].hostname
-        assert walk.key(position) == (*key(host), index[host])
+        assert node is sorted_node
+        assert len(prefix) == (count if memory < unfit else len(nodes))
+        host = node.hostname
+        assert view.order_key(host, excluded) == (*key(host), index[host])
 
 
 def outcome(matcher: Matcher, demands, prepared):
